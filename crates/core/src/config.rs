@@ -8,6 +8,7 @@
 //! the exact inverse edit when a proposal is rejected.
 
 use crate::coverage::CoverageGrid;
+use crate::likelihood::Gain;
 use crate::model::NucleiModel;
 use crate::spatial::SpatialGrid;
 use pmcmc_imaging::{Circle, Rect};
@@ -140,14 +141,25 @@ pub struct Configuration {
     spatial: SpatialGrid,
     log_lik: f64,
     overlap_area: f64,
-    /// Memoised `(max_dist.to_bits(), count)` from the last close-pair
-    /// count, invalidated by any circle-list mutation. Split proposals
-    /// query the *same* base count every iteration (the after-edit count
-    /// starts from it), so between accepted moves this turns an O(k)
-    /// spatial sweep into a load. A `Mutex` (uncontended: one lock per
-    /// query) rather than a `Cell` so `Configuration` stays `Sync` for
-    /// the speculative lanes that share `&Configuration`.
-    pair_cache: std::sync::Mutex<Option<(u64, usize)>>,
+    /// Memoised close-pair list from the last enumeration, invalidated by
+    /// any circle-list mutation. Split proposals query the *same* base
+    /// count every iteration (the after-edit count starts from it) and a
+    /// merge proposal picks one pair of the same list, so between accepted
+    /// moves this turns an O(k) spatial sweep into a load. A `Mutex`
+    /// (uncontended: one lock per query) rather than a `Cell` so
+    /// `Configuration` stays `Sync` for the speculative lanes that share
+    /// `&Configuration`.
+    pair_cache: std::sync::Mutex<PairMemo>,
+}
+
+/// The unordered close pairs `(i, j)`, `i < j`, of a configuration for one
+/// `max_dist`, in enumeration order (ascending `i`, then spatial-index
+/// order). `key` is `max_dist.to_bits()`, `None` while stale; the list
+/// keeps its allocation across invalidations.
+#[derive(Debug, Clone, Default)]
+struct PairMemo {
+    key: Option<u64>,
+    pairs: Vec<(usize, usize)>,
 }
 
 impl Clone for Configuration {
@@ -158,7 +170,7 @@ impl Clone for Configuration {
             spatial: self.spatial.clone(),
             log_lik: self.log_lik,
             overlap_area: self.overlap_area,
-            pair_cache: std::sync::Mutex::new(*self.pair_cache.lock().unwrap()),
+            pair_cache: std::sync::Mutex::new(self.pair_cache.lock().unwrap().clone()),
         }
     }
 }
@@ -174,7 +186,7 @@ impl Configuration {
             spatial: SpatialGrid::new(w, h, 2.0 * model.r_max()),
             log_lik: 0.0,
             overlap_area: 0.0,
-            pair_cache: std::sync::Mutex::new(None),
+            pair_cache: std::sync::Mutex::new(PairMemo::default()),
         }
     }
 
@@ -344,24 +356,28 @@ impl Configuration {
         );
     }
 
-    /// Pastes a tile's mutated coverage sub-grid back (tile merging).
-    pub(crate) fn paste_coverage(&mut self, sub: &CoverageGrid) {
-        self.coverage.paste(sub);
-    }
-
-    /// Overwrites circle `idx` (which must currently equal `old`) with
-    /// `new`, keeping the spatial index in sync. Used when merging tile
-    /// results, where the coverage/likelihood bookkeeping has already been
-    /// done by the tile worker.
-    pub(crate) fn update_circle_in_place(&mut self, idx: usize, old: Circle, new: Circle) {
+    /// Replaces circle `idx` (which must currently equal `old`) with `new`
+    /// on the circle list, the spatial index and the coverage grid. Used
+    /// when merging tile results: the tile's own accumulated deltas feed
+    /// the likelihood/overlap caches, so the grid's returned gains are
+    /// dropped.
+    pub(crate) fn update_circle_in_place(
+        &mut self,
+        idx: usize,
+        old: Circle,
+        new: Circle,
+        gain: &Gain,
+    ) {
         debug_assert_eq!(self.circles[idx], old, "tile update against stale master");
         self.invalidate_pair_cache();
+        self.coverage.remove_circle(&old, gain);
+        self.coverage.add_circle(&new, gain);
         self.spatial.relocate(idx, &old, &new);
         self.circles[idx] = new;
     }
 
     fn invalidate_pair_cache(&mut self) {
-        *self.pair_cache.get_mut().unwrap() = None;
+        self.pair_cache.get_mut().unwrap().key = None;
     }
 
     /// Adds externally computed cache deltas (tile merging).
@@ -404,16 +420,9 @@ impl Configuration {
     }
 
     /// Allocation-free row-span evaluation of the likelihood delta for
-    /// edits touching at most [`SPAN_DISKS`] disks. For each image row the
-    /// affected disks' pixel spans are computed with the exact arithmetic
-    /// of [`crate::coverage::for_each_disk_row`], merged, and resolved
-    /// run-by-run: a run owned by a single disk consults the coverage
-    /// grid's occupancy/multi bitsets, and in the overlap-free case its
-    /// whole gain sum is one [`crate::likelihood::Gain::row_prefix`]
-    /// subtraction; mixed-coverage and multi-disk runs fall back to a
-    /// branch-light linear scan over contiguous row slices.
+    /// edits touching at most [`SPAN_DISKS`] disks: builds the disk array
+    /// and hands it to [`span_delta_log_lik`].
     fn delta_log_lik_spans(&self, edit: &Edit, model: &NucleiModel) -> f64 {
-        let frame = self.coverage.rect();
         // (circle, is_add), removed first — order is immaterial, each union
         // pixel is visited exactly once.
         let mut disks = [(Circle::new(0.0, 0.0, 0.0), false); SPAN_DISKS];
@@ -426,168 +435,7 @@ impl Configuration {
             disks[nd] = (c, true);
             nd += 1;
         }
-        if nd == 0 {
-            return 0.0;
-        }
-        let disks = &disks[..nd];
-        let mut y0 = i64::MAX;
-        let mut y1 = i64::MIN;
-        for (c, _) in disks {
-            y0 = y0.min(((c.y - c.r - 0.5).ceil() as i64).max(frame.y0));
-            y1 = y1.max(((c.y + c.r - 0.5).floor() as i64).min(frame.y1 - 1));
-        }
-        let mut delta = 0.0;
-        let mut pixels = 0u64;
-        let mut fast_hits = 0u64;
-        let mut skipped = 0u64;
-        for py in y0..=y1 {
-            // Per-disk spans [x0, x1] on this row (empty spans skipped).
-            let mut spans = [(0i64, 0i64, false); SPAN_DISKS];
-            let mut ns = 0;
-            for &(c, is_add) in disks {
-                let dy = py as f64 + 0.5 - c.y;
-                let h2 = c.r * c.r - dy * dy;
-                if h2 < 0.0 {
-                    continue;
-                }
-                let h = h2.sqrt();
-                let x0 = ((c.x - h - 0.5).ceil() as i64).max(frame.x0);
-                let x1 = ((c.x + h - 0.5).floor() as i64).min(frame.x1 - 1);
-                if x0 > x1 {
-                    continue;
-                }
-                spans[ns] = (x0, x1, is_add);
-                ns += 1;
-            }
-            if ns == 0 {
-                continue;
-            }
-            // Insertion-sort by x0 (ns <= 4).
-            for i in 1..ns {
-                let mut j = i;
-                while j > 0 && spans[j - 1].0 > spans[j].0 {
-                    spans.swap(j - 1, j);
-                    j -= 1;
-                }
-            }
-            let cov_row = self.coverage.row(py);
-            let gain_row = model.gain.row(py as u32);
-            let spans = &spans[..ns];
-            // Segment [lo, hi] where exactly one disk's span changes: the
-            // bitsets decide the whole segment at once, and in the
-            // overlap-free case its gain sum is one prefix subtraction.
-            // Accumulators are passed in so the multi-span branch below
-            // can keep using them directly.
-            let eval_single = |lo: i64,
-                               hi: i64,
-                               is_add: bool,
-                               delta: &mut f64,
-                               pixels: &mut u64,
-                               fast_hits: &mut u64,
-                               skipped: &mut u64| {
-                let len = (hi - lo + 1) as u64;
-                if is_add {
-                    if self.coverage.span_uncovered(py, lo, hi) {
-                        // Every pixel crosses 0→1: one prefix subtraction.
-                        let pre = model.gain.row_prefix(py as u32);
-                        *delta += pre[(hi + 1) as usize] - pre[lo as usize];
-                        *fast_hits += 1;
-                        *skipped += len;
-                    } else {
-                        // Mixed coverage: the still-uncovered pixels are
-                        // exactly the clear occupancy bits, so the delta
-                        // is a bitset walk — no count is read.
-                        *delta += self.coverage.sum_gains_uncovered(py, lo, hi, gain_row);
-                        *pixels += len;
-                    }
-                } else if self.coverage.span_singly_covered(py, lo, hi) {
-                    // The removed disk covers its own span (count ≥ 1)
-                    // and nothing else does: every pixel crosses 1→0.
-                    let pre = model.gain.row_prefix(py as u32);
-                    *delta -= pre[(hi + 1) as usize] - pre[lo as usize];
-                    *fast_hits += 1;
-                    *skipped += len;
-                } else {
-                    // Mixed coverage: `occ & !multi` marks the pixels only
-                    // this disk covers — their gains leave the sum.
-                    *delta -= self.coverage.sum_gains_singly_covered(py, lo, hi, gain_row);
-                    *pixels += len;
-                }
-            };
-            let mut i = 0;
-            while i < ns {
-                // Grow one merged (contiguous) union run.
-                let lo = spans[i].0;
-                let mut hi = spans[i].1;
-                let mut j = i + 1;
-                while j < ns && spans[j].0 <= hi + 1 {
-                    hi = hi.max(spans[j].1);
-                    j += 1;
-                }
-                if j == i + 1 {
-                    eval_single(
-                        lo,
-                        hi,
-                        spans[i].2,
-                        &mut delta,
-                        &mut pixels,
-                        &mut fast_hits,
-                        &mut skipped,
-                    );
-                } else if j == i + 2 && spans[i].2 != spans[i + 1].2 {
-                    // One removed and one added span (the move shape):
-                    // inside their intersection −1 and +1 cancel, so the
-                    // count — and hence the likelihood — cannot change
-                    // there. Only the symmetric difference needs work,
-                    // and each sliver is a single-disk segment.
-                    let (a0, a1, ka) = spans[i];
-                    let (b0, b1, kb) = spans[i + 1];
-                    let cut = a1.min(b1);
-                    if a0 < b0 {
-                        eval_single(
-                            a0,
-                            b0 - 1,
-                            ka,
-                            &mut delta,
-                            &mut pixels,
-                            &mut fast_hits,
-                            &mut skipped,
-                        );
-                    }
-                    if cut >= b0 {
-                        skipped += (cut - b0 + 1) as u64;
-                    }
-                    if cut < hi {
-                        eval_single(
-                            cut + 1,
-                            hi,
-                            if a1 > b1 { ka } else { kb },
-                            &mut delta,
-                            &mut pixels,
-                            &mut fast_hits,
-                            &mut skipped,
-                        );
-                    }
-                } else {
-                    sweep_run(
-                        &spans[i..j],
-                        lo,
-                        hi,
-                        cov_row,
-                        gain_row,
-                        frame.x0,
-                        &mut delta,
-                        &mut pixels,
-                        &mut skipped,
-                    );
-                }
-                i = j;
-            }
-        }
-        crate::perf::add_pixels_visited(pixels);
-        crate::perf::add_span_fastpath_hits(fast_hits);
-        crate::perf::add_pixels_skipped(skipped);
-        delta
+        span_delta_log_lik(&self.coverage, &disks[..nd], &model.gain)
     }
 
     /// General evaluation (any disk count): per image row, collect every
@@ -729,76 +577,56 @@ impl Configuration {
     }
 
     /// Counts unordered pairs of circles with centre distance below
-    /// `max_dist` (merge candidates). Counts via the spatial index without
-    /// materialising the pair list; the result is memoised until the next
-    /// circle-list mutation.
+    /// `max_dist` (merge candidates), through the memoised pair list.
     #[must_use]
     pub fn count_close_pairs(&self, max_dist: f64) -> usize {
-        let key = max_dist.to_bits();
-        if let Some((k, n)) = *self.pair_cache.lock().unwrap() {
-            if k == key {
-                crate::perf::record_pair_count_query(true);
-                return n;
-            }
+        let mut memo = self.pair_cache.lock().unwrap();
+        crate::perf::record_pair_count_query(memo.key == Some(max_dist.to_bits()));
+        self.refresh_pairs(&mut memo, max_dist);
+        memo.pairs.len()
+    }
+
+    /// Enumerates the close pairs for `max_dist` into `memo` unless it
+    /// already holds them.
+    fn refresh_pairs(&self, memo: &mut PairMemo, max_dist: f64) {
+        let key = Some(max_dist.to_bits());
+        if memo.key == key {
+            return;
         }
-        crate::perf::record_pair_count_query(false);
-        let mut n = 0usize;
+        memo.pairs.clear();
         for (i, c) in self.circles.iter().enumerate() {
             self.spatial.for_neighbors(c.x, c.y, max_dist, |j| {
                 if j > i && c.centre_distance(&self.circles[j]) < max_dist {
-                    n += 1;
+                    memo.pairs.push((i, j));
                 }
             });
         }
-        *self.pair_cache.lock().unwrap() = Some((key, n));
-        n
+        memo.key = key;
     }
 
     /// The `n`-th (0-based) unordered close pair in the enumeration order
-    /// of [`Configuration::list_close_pairs`], without materialising the
-    /// list — the merge proposal's uniform pair pick reduces to the
-    /// memoised [`Configuration::count_close_pairs`], one index draw and
-    /// this early-exiting walk. `None` when fewer than `n + 1` pairs
-    /// exist (a stale count, which callers treat as an invalid proposal).
+    /// of [`Configuration::list_close_pairs`] — with the memoised
+    /// [`Configuration::count_close_pairs`] and one index draw, the merge
+    /// proposal's uniform pair pick. It reads the memo the count left
+    /// behind: walking the spatial index to the drawn pair instead cost a
+    /// merge proposal up to 6 µs, depending on where in the circle list
+    /// the scene's close pairs happened to sit. `None` when fewer than
+    /// `n + 1` pairs exist (callers treat that as an invalid proposal).
     #[must_use]
     pub fn nth_close_pair(&self, max_dist: f64, n: usize) -> Option<(usize, usize)> {
-        let mut remaining = n;
-        let mut found = None;
-        for (i, c) in self.circles.iter().enumerate() {
-            if found.is_some() {
-                break;
-            }
-            self.spatial.for_neighbors(c.x, c.y, max_dist, |j| {
-                if found.is_none() && j > i && c.centre_distance(&self.circles[j]) < max_dist {
-                    if remaining == 0 {
-                        found = Some((i, j));
-                    } else {
-                        remaining -= 1;
-                    }
-                }
-            });
-        }
-        found
+        let mut memo = self.pair_cache.lock().unwrap();
+        self.refresh_pairs(&mut memo, max_dist);
+        memo.pairs.get(n).copied()
     }
 
     /// Lists unordered pairs `(i, j)`, `i < j`, with centre distance below
-    /// `max_dist`. Needed where the actual pairs matter (uniform pair
-    /// selection in the merge proposal); counting callers should use
+    /// `max_dist`. Counting callers should use
     /// [`Configuration::count_close_pairs`].
     #[must_use]
     pub fn list_close_pairs(&self, max_dist: f64) -> Vec<(usize, usize)> {
-        let mut pairs = Vec::new();
-        for (i, c) in self.circles.iter().enumerate() {
-            self.spatial.for_neighbors(c.x, c.y, max_dist, |j| {
-                if j > i && c.centre_distance(&self.circles[j]) < max_dist {
-                    pairs.push((i, j));
-                }
-            });
-        }
-        // The enumeration doubles as a count: prime the memo for the split
-        // proposals that will ask for the same base count.
-        *self.pair_cache.lock().unwrap() = Some((max_dist.to_bits(), pairs.len()));
-        pairs
+        let mut memo = self.pair_cache.lock().unwrap();
+        self.refresh_pairs(&mut memo, max_dist);
+        memo.pairs.clone()
     }
 
     /// Full cache-consistency check against from-scratch recomputation.
@@ -839,6 +667,190 @@ impl Configuration {
         }
         Ok(())
     }
+}
+
+/// Read-only row-span evaluation of the log-likelihood delta of removing
+/// and adding at most [`SPAN_DISKS`] disks (`(circle, is_add)`) on `grid` —
+/// the one evaluator behind [`Configuration::delta_log_lik_readonly`] and
+/// the tile workers' local moves. For each image row the affected disks'
+/// pixel spans are computed with the exact arithmetic of
+/// [`crate::coverage::for_each_disk_row`], merged, and resolved run-by-run:
+/// a run owned by a single disk consults the coverage grid's
+/// occupancy/multi bitsets, and in the overlap-free case its whole gain
+/// sum is one [`crate::likelihood::Gain::row_prefix`] subtraction;
+/// mixed-coverage and multi-disk runs fall back to a branch-light linear
+/// scan over contiguous row slices.
+pub(crate) fn span_delta_log_lik(
+    grid: &CoverageGrid,
+    disks: &[(Circle, bool)],
+    gain: &Gain,
+) -> f64 {
+    debug_assert!(
+        disks.len() <= SPAN_DISKS,
+        "span walker holds {SPAN_DISKS} disks"
+    );
+    let frame = grid.rect();
+    if disks.is_empty() {
+        return 0.0;
+    }
+    let mut y0 = i64::MAX;
+    let mut y1 = i64::MIN;
+    for (c, _) in disks {
+        y0 = y0.min(((c.y - c.r - 0.5).ceil() as i64).max(frame.y0));
+        y1 = y1.max(((c.y + c.r - 0.5).floor() as i64).min(frame.y1 - 1));
+    }
+    let mut delta = 0.0;
+    let mut pixels = 0u64;
+    let mut fast_hits = 0u64;
+    let mut skipped = 0u64;
+    for py in y0..=y1 {
+        // Per-disk spans [x0, x1] on this row (empty spans skipped).
+        let mut spans = [(0i64, 0i64, false); SPAN_DISKS];
+        let mut ns = 0;
+        for &(c, is_add) in disks {
+            let dy = py as f64 + 0.5 - c.y;
+            let h2 = c.r * c.r - dy * dy;
+            if h2 < 0.0 {
+                continue;
+            }
+            let h = h2.sqrt();
+            let x0 = ((c.x - h - 0.5).ceil() as i64).max(frame.x0);
+            let x1 = ((c.x + h - 0.5).floor() as i64).min(frame.x1 - 1);
+            if x0 > x1 {
+                continue;
+            }
+            spans[ns] = (x0, x1, is_add);
+            ns += 1;
+        }
+        if ns == 0 {
+            continue;
+        }
+        // Insertion-sort by x0 (ns <= 4).
+        for i in 1..ns {
+            let mut j = i;
+            while j > 0 && spans[j - 1].0 > spans[j].0 {
+                spans.swap(j - 1, j);
+                j -= 1;
+            }
+        }
+        let cov_row = grid.row(py);
+        let gain_row = gain.row(py as u32);
+        let spans = &spans[..ns];
+        // Segment [lo, hi] where exactly one disk's span changes: the
+        // bitsets decide the whole segment at once, and in the
+        // overlap-free case its gain sum is one prefix subtraction.
+        // Accumulators are passed in so the multi-span branch below
+        // can keep using them directly.
+        let eval_single = |lo: i64,
+                           hi: i64,
+                           is_add: bool,
+                           delta: &mut f64,
+                           pixels: &mut u64,
+                           fast_hits: &mut u64,
+                           skipped: &mut u64| {
+            let len = (hi - lo + 1) as u64;
+            if is_add {
+                if grid.span_uncovered(py, lo, hi) {
+                    // Every pixel crosses 0→1: one prefix subtraction.
+                    let pre = gain.row_prefix(py as u32);
+                    *delta += pre[(hi + 1) as usize] - pre[lo as usize];
+                    *fast_hits += 1;
+                    *skipped += len;
+                } else {
+                    // Mixed coverage: the still-uncovered pixels are
+                    // exactly the clear occupancy bits, so the delta
+                    // is a bitset walk — no count is read.
+                    *delta += grid.sum_gains_uncovered(py, lo, hi, gain_row);
+                    *pixels += len;
+                }
+            } else if grid.span_singly_covered(py, lo, hi) {
+                // The removed disk covers its own span (count ≥ 1)
+                // and nothing else does: every pixel crosses 1→0.
+                let pre = gain.row_prefix(py as u32);
+                *delta -= pre[(hi + 1) as usize] - pre[lo as usize];
+                *fast_hits += 1;
+                *skipped += len;
+            } else {
+                // Mixed coverage: `occ & !multi` marks the pixels only
+                // this disk covers — their gains leave the sum.
+                *delta -= grid.sum_gains_singly_covered(py, lo, hi, gain_row);
+                *pixels += len;
+            }
+        };
+        let mut i = 0;
+        while i < ns {
+            // Grow one merged (contiguous) union run.
+            let lo = spans[i].0;
+            let mut hi = spans[i].1;
+            let mut j = i + 1;
+            while j < ns && spans[j].0 <= hi + 1 {
+                hi = hi.max(spans[j].1);
+                j += 1;
+            }
+            if j == i + 1 {
+                eval_single(
+                    lo,
+                    hi,
+                    spans[i].2,
+                    &mut delta,
+                    &mut pixels,
+                    &mut fast_hits,
+                    &mut skipped,
+                );
+            } else if j == i + 2 && spans[i].2 != spans[i + 1].2 {
+                // One removed and one added span (the move shape):
+                // inside their intersection −1 and +1 cancel, so the
+                // count — and hence the likelihood — cannot change
+                // there. Only the symmetric difference needs work,
+                // and each sliver is a single-disk segment.
+                let (a0, a1, ka) = spans[i];
+                let (b0, b1, kb) = spans[i + 1];
+                let cut = a1.min(b1);
+                if a0 < b0 {
+                    eval_single(
+                        a0,
+                        b0 - 1,
+                        ka,
+                        &mut delta,
+                        &mut pixels,
+                        &mut fast_hits,
+                        &mut skipped,
+                    );
+                }
+                if cut >= b0 {
+                    skipped += (cut - b0 + 1) as u64;
+                }
+                if cut < hi {
+                    eval_single(
+                        cut + 1,
+                        hi,
+                        if a1 > b1 { ka } else { kb },
+                        &mut delta,
+                        &mut pixels,
+                        &mut fast_hits,
+                        &mut skipped,
+                    );
+                }
+            } else {
+                sweep_run(
+                    &spans[i..j],
+                    lo,
+                    hi,
+                    cov_row,
+                    gain_row,
+                    frame.x0,
+                    &mut delta,
+                    &mut pixels,
+                    &mut skipped,
+                );
+            }
+            i = j;
+        }
+    }
+    crate::perf::add_pixels_visited(pixels);
+    crate::perf::add_span_fastpath_hits(fast_hits);
+    crate::perf::add_pixels_skipped(skipped);
+    delta
 }
 
 /// Sweeps one merged run `[lo, hi]` of overlapping row spans. The run is
@@ -1141,6 +1153,16 @@ mod tests {
         assert_eq!(cfg.count_close_pairs(10.0), 2);
         cfg.apply(&Edit::remove_one(3), &m);
         assert_eq!(cfg.count_close_pairs(10.0), 1);
+        // The n-th pair is the list's n-th entry, whichever distance the
+        // memo held before, and a mutation is seen there too.
+        let pairs = cfg.list_close_pairs(200.0);
+        assert_eq!(cfg.nth_close_pair(10.0, 0), Some((0, 1)));
+        for (n, &pair) in pairs.iter().enumerate() {
+            assert_eq!(cfg.nth_close_pair(200.0, n), Some(pair));
+        }
+        assert_eq!(cfg.nth_close_pair(200.0, pairs.len()), None);
+        cfg.apply(&Edit::remove_one(0), &m);
+        assert_eq!(cfg.nth_close_pair(10.0, 0), None);
     }
 
     #[test]

@@ -4,8 +4,9 @@
 //! least one* circle, so adding/removing a circle changes the
 //! log-likelihood by the summed gains of pixels whose cover count crosses
 //! the 0↔1 boundary. The grid may represent the full image or one
-//! partition tile (it stores its own global-coordinate rectangle), which is
-//! how tile workers operate on private copies of their sub-grid.
+//! partition tile (it stores its own global-coordinate rectangle): the
+//! periodic sampler's tile workers run on full-image replicas, the
+//! standalone [`crate::TileWorkspace`] on a private crop of its tile.
 //!
 //! The hot operations are span-based: a disk is a set of contiguous row
 //! spans ([`for_each_disk_row`] is the single source of truth for the span
@@ -135,22 +136,6 @@ fn span_bits_clear(words: &mut [u64], b0: usize, b1: usize) {
     for w in &mut words[w0 + 1..w1] {
         *w = 0;
     }
-}
-
-/// Number of set bits among bits `b0..=b1` of `words`.
-#[inline]
-fn span_bits_count(words: &[u64], b0: usize, b1: usize) -> usize {
-    let (w0, w1) = (b0 / 64, b1 / 64);
-    let first = !0u64 << (b0 % 64);
-    let last = !0u64 >> (63 - b1 % 64);
-    if w0 == w1 {
-        return (words[w0] & first & last).count_ones() as usize;
-    }
-    let mut n = (words[w0] & first).count_ones() + (words[w1] & last).count_ones();
-    for &w in &words[w0 + 1..w1] {
-        n += w.count_ones();
-    }
-    n as usize
 }
 
 /// Mask of `len` bits starting at bit `shift` (`shift + len ≤ 64`).
@@ -605,35 +590,6 @@ impl CoverageGrid {
         out
     }
 
-    /// Pastes a sub-grid (produced by [`CoverageGrid::crop`]) back.
-    ///
-    /// # Panics
-    /// Panics if `sub`'s region is not contained in this grid's region.
-    pub fn paste(&mut self, sub: &CoverageGrid) {
-        let r = sub.rect;
-        assert_eq!(
-            r.intersect(&self.rect),
-            r,
-            "paste region must lie inside the grid"
-        );
-        let w = r.width() as usize;
-        if w == 0 {
-            return;
-        }
-        for y in r.y0..r.y1 {
-            let dst = self.index(r.x0, y);
-            let src = sub.index(r.x0, y);
-            let b0 = (r.x0 - self.rect.x0) as usize;
-            // The occupancy bitset already knows how many pixels of the
-            // window were covered — count bits instead of scanning counts.
-            let was = span_bits_count(self.bit_rows(y).0, b0, b0 + w - 1);
-            self.counts[dst..dst + w].copy_from_slice(&sub.counts[src..src + w]);
-            let row = (y - self.rect.y0) as usize;
-            let now = self.rebuild_row_bits(row, b0, b0 + w - 1);
-            self.covered = self.covered - was + now;
-        }
-    }
-
     /// Number of covered pixels (count ≥ 1); maintained incrementally, so
     /// this is O(1).
     #[must_use]
@@ -819,23 +775,23 @@ mod tests {
     }
 
     #[test]
-    fn crop_paste_roundtrip() {
+    fn crop_copies_counts_and_rebuilds_derived_state() {
         let (_, gain) = setup(40, 40);
         let circles = vec![Circle::new(12.0, 12.0, 6.0), Circle::new(30.0, 28.0, 5.0)];
-        let (mut grid, _) = CoverageGrid::from_circles(Rect::new(0, 0, 40, 40), &circles, &gain);
+        let (grid, _) = CoverageGrid::from_circles(Rect::new(0, 0, 40, 40), &circles, &gain);
         let sub_rect = Rect::new(5, 5, 25, 25);
         let mut sub = grid.crop(sub_rect);
         sub.assert_derived_state();
-        // Mutate within the sub-grid, paste back, and verify counts.
+        for y in sub_rect.y0..sub_rect.y1 {
+            for x in sub_rect.x0..sub_rect.x1 {
+                assert_eq!(sub.count(x, y), grid.count(x, y), "pixel ({x},{y})");
+            }
+        }
+        // The crop is a private copy: mutating it leaves the source alone.
         let local = Circle::new(15.0, 15.0, 3.0);
         sub.add_circle(&local, &gain);
-        grid.paste(&sub);
-        grid.assert_derived_state();
-        for_each_disk_pixel(&local, &sub_rect, |x, y| {
-            assert!(grid.count(x, y) >= 1);
-        });
-        // Outside the paste region everything unchanged.
-        assert!(grid.count(30, 28) >= 1);
+        sub.assert_derived_state();
+        assert_eq!(sub.count(15, 15), grid.count(15, 15) + 1);
     }
 
     #[test]

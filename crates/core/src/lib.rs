@@ -20,8 +20,8 @@
 //! * [`moves`] — the seven RJMCMC proposal builders with exact
 //!   dimension-matching ratios;
 //! * [`sampler`] — the sequential baseline sampler;
-//! * [`tile`] — per-partition workspaces for the parallel local phases of
-//!   periodic partitioning (§V);
+//! * [`tile`] — tile state and persistent coverage replicas for the
+//!   parallel local phases of periodic partitioning (§V);
 //! * [`diagnostics`] / [`matching`] — acceptance stats, traces,
 //!   convergence detection and anomaly scoring;
 //! * [`mc3`] — Metropolis-coupled MCMC (§IV related work).
@@ -58,4 +58,4 @@ pub use perf::PerfSnapshot;
 pub use rng::{BatchedRng, Xoshiro256};
 pub use sampler::{evaluate_proposal, Evaluation, ProposalBatch, Sampler};
 pub use samples::{CountDistribution, SampleCollector};
-pub use tile::TileWorkspace;
+pub use tile::{Replica, TileState, TileWorkspace};

@@ -4,11 +4,14 @@
 //! a moved circle interact with?) and by the merge move (which pairs are
 //! close enough to merge?).
 
-use pmcmc_imaging::Circle;
+use pmcmc_imaging::{Circle, Rect};
 
 /// Spatial hash grid mapping cells to circle indices.
 #[derive(Debug, Clone)]
 pub struct SpatialGrid {
+    /// Global coordinates of the grid's origin (cell `(0, 0)`'s corner).
+    x0: f64,
+    y0: f64,
     cell: f64,
     cols: usize,
     rows: usize,
@@ -21,10 +24,20 @@ impl SpatialGrid {
     /// one cell ring).
     #[must_use]
     pub fn new(width: u32, height: u32, cell: f64) -> Self {
+        Self::over(Rect::of_image(width, height), cell)
+    }
+
+    /// Creates a grid over `rect` (global image coordinates): a partition
+    /// tile indexes its own rectangle, not the whole image. Points outside
+    /// `rect` clamp to the border cells.
+    #[must_use]
+    pub fn over(rect: Rect, cell: f64) -> Self {
         let cell = cell.max(1.0);
-        let cols = (f64::from(width) / cell).ceil().max(1.0) as usize;
-        let rows = (f64::from(height) / cell).ceil().max(1.0) as usize;
+        let cols = (rect.width().max(0) as f64 / cell).ceil().max(1.0) as usize;
+        let rows = (rect.height().max(0) as f64 / cell).ceil().max(1.0) as usize;
         Self {
+            x0: rect.x0 as f64,
+            y0: rect.y0 as f64,
             cell,
             cols,
             rows,
@@ -32,10 +45,17 @@ impl SpatialGrid {
         }
     }
 
+    /// Clamped `(column, row)` of the cell holding `(x, y)`.
+    fn cell_coords(&self, x: f64, y: f64) -> (isize, isize) {
+        (
+            (((x - self.x0) / self.cell) as isize).clamp(0, self.cols as isize - 1),
+            (((y - self.y0) / self.cell) as isize).clamp(0, self.rows as isize - 1),
+        )
+    }
+
     fn cell_of(&self, x: f64, y: f64) -> usize {
-        let cx = ((x / self.cell) as isize).clamp(0, self.cols as isize - 1) as usize;
-        let cy = ((y / self.cell) as isize).clamp(0, self.rows as isize - 1) as usize;
-        cy * self.cols + cx
+        let (cx, cy) = self.cell_coords(x, y);
+        cy as usize * self.cols + cx as usize
     }
 
     /// Inserts circle `id` at its centre cell.
@@ -89,8 +109,7 @@ impl SpatialGrid {
     /// must filter precisely).
     pub fn for_neighbors(&self, x: f64, y: f64, reach: f64, mut f: impl FnMut(usize)) {
         let span = (reach / self.cell).ceil() as isize + 1;
-        let cx = ((x / self.cell) as isize).clamp(0, self.cols as isize - 1);
-        let cy = ((y / self.cell) as isize).clamp(0, self.rows as isize - 1);
+        let (cx, cy) = self.cell_coords(x, y);
         for gy in (cy - span).max(0)..=(cy + span).min(self.rows as isize - 1) {
             for gx in (cx - span).max(0)..=(cx + span).min(self.cols as isize - 1) {
                 for &id in &self.cells[gy as usize * self.cols + gx as usize] {
@@ -198,6 +217,21 @@ mod tests {
         g.insert(7, &c);
         g.rename(7, 3, &c);
         assert_eq!(collect_neighbors(&g, 25.0, 25.0, 2.0), vec![3]);
+    }
+
+    #[test]
+    fn grid_over_an_offset_rect_indexes_global_coordinates() {
+        // A 40×40 tile at (100, 60): 4×4 cells instead of the image's.
+        let mut g = SpatialGrid::over(Rect::new(100, 60, 140, 100), 10.0);
+        assert_eq!((g.cols, g.rows), (4, 4));
+        let a = Circle::new(103.0, 64.0, 3.0);
+        let b = Circle::new(136.0, 97.0, 3.0);
+        g.insert(0, &a);
+        g.insert(1, &b);
+        assert_eq!(collect_neighbors(&g, 104.0, 63.0, 3.0), vec![0]);
+        assert_eq!(collect_neighbors(&g, 135.0, 95.0, 3.0), vec![1]);
+        g.relocate(0, &a, &Circle::new(135.0, 96.0, 3.0));
+        assert_eq!(collect_neighbors(&g, 135.0, 95.0, 3.0), vec![0, 1]);
     }
 
     #[test]

@@ -1,23 +1,69 @@
-//! Per-partition workspace for the parallel `Ml` (local move) phases.
+//! Tile state for the parallel `Ml` (local move) phases.
 //!
 //! §V: during a local phase the image is tiled by a random-offset grid and
 //! each tile runs translate/resize moves concurrently, under the safeguard
 //! that only features whose full prior/likelihood "considered area"
 //! (disk + interaction margin) lies strictly inside the tile may be
-//! selected or created by a move. Each worker operates on a private copy of
-//! its tile's coverage sub-grid plus the circles centred in the tile; the
-//! driver merges the results back afterwards ("duplicate, arrange for
-//! parallel execution, and merge").
+//! selected or created by a move. The paper's "duplicate, arrange for
+//! parallel execution, and merge" is kept incremental here, so a phase
+//! costs O(circles that changed) rather than O(pixels):
+//!
+//! * a [`Replica`] is a persistent full-image copy of the master's
+//!   coverage grid together with the circle list that grid encodes.
+//!   **Invariant:** `coverage` is exactly the grid of `circles` (integer
+//!   cover counts, so "exactly" is bit-for-bit). [`Replica::sync`] restores
+//!   `circles == master` by a *positional* diff of the two lists: every
+//!   index whose circle differs is removed from the grid, then the master's
+//!   circle at that index is added. The diff is positional because a tile
+//!   addresses circles by their master index, so the lists must agree slot
+//!   by slot anyway; a `swap_remove` in a global phase costs two spurious
+//!   replays, which is cheaper than matching the lists as sets. Nothing is
+//!   logged by whoever mutates the master — the diff also covers the
+//!   sequential fallback, speculative global lanes and a replica that sat
+//!   out any number of phases;
+//! * a [`TileState`] is one tile's chain state: the circles centred in the
+//!   tile, a spatial index over them and the accumulated deltas. It runs
+//!   **in place** on a grid that contains its rectangle — a replica's
+//!   ([`Replica::run_local`]; the safeguard keeps every written disk
+//!   `margin` inside the tile, so tiles sharing a replica cannot interfere)
+//!   or the private crop of a standalone [`TileWorkspace`];
+//! * proposals are evaluated read-only by the span evaluator behind
+//!   [`Configuration::delta_log_lik_readonly`]; the grid is written only on
+//!   accept;
+//! * [`Configuration::absorb_tile`] merges by replaying the tile's changed
+//!   circles on the master grid.
 
-use crate::config::Configuration;
+use crate::config::{span_delta_log_lik, Configuration};
 use crate::coverage::CoverageGrid;
 use crate::diagnostics::AcceptanceStats;
+use crate::likelihood::Gain;
 use crate::model::NucleiModel;
 use crate::params::MoveKind;
 use crate::rng::{standard_normal, Xoshiro256};
 use crate::spatial::SpatialGrid;
 use pmcmc_imaging::{Circle, Rect};
 use rand::Rng;
+
+/// Whether the §V safeguard lets a local move in tile `rect` modify `c`:
+/// its considered area (disk + `margin`) lies inside the tile.
+fn modifiable(rect: &Rect, c: &Circle, margin: f64) -> bool {
+    rect.contains_point(c.x, c.y) && rect.contains_circle(c, margin)
+}
+
+/// Number of `circles` a local phase may modify in tile `rect` — the
+/// paper's per-partition iteration allocation weight ("in the same
+/// proportion as the number of model features contained within the
+/// partition's boundaries and that may be legitimately modified"). Equals
+/// [`TileState::eligible_count`] of a tile built over the same inputs,
+/// without building it.
+#[must_use]
+pub fn eligible_count(circles: &[Circle], model: &NucleiModel, rect: Rect) -> usize {
+    let margin = model.interaction_margin();
+    circles
+        .iter()
+        .filter(|c| modifiable(&rect, c, margin))
+        .count()
+}
 
 /// One circle tracked by a tile worker.
 #[derive(Debug, Clone, Copy)]
@@ -32,9 +78,15 @@ struct TileEntry {
     eligible: bool,
 }
 
-/// A private tile workspace: sub-coverage copy + tile-local circles.
+/// One tile's chain state for a local phase: tile-local circles plus the
+/// deltas its accepted moves accumulated. The coverage grid it runs on is
+/// lent per call, so a finished tile can leave its worker while the grid
+/// stays behind.
 #[derive(Debug, Clone)]
-pub struct TileWorkspace {
+pub struct TileState<'m> {
+    /// Kept for [`Configuration::absorb_tile`], which replays on the master
+    /// grid with no model at hand.
+    gain: &'m Gain,
     rect: Rect,
     margin: f64,
     entries: Vec<TileEntry>,
@@ -42,9 +94,8 @@ pub struct TileWorkspace {
     /// Spatial index over entry circles (entry indices as ids), so overlap
     /// deltas cost O(neighbours) rather than O(tile circles) — matching
     /// the master sampler's per-iteration cost, which the §VI model
-    /// assumes (τ_l identical in and out of tiles).
+    /// assumes (τ_l identical in and out of tiles). Sized to the tile.
     spatial: SpatialGrid,
-    coverage: CoverageGrid,
     /// Accumulated log-likelihood delta since phase start.
     pub d_log_lik: f64,
     /// Accumulated pairwise-overlap-area delta since phase start.
@@ -55,25 +106,22 @@ pub struct TileWorkspace {
     pub stats: AcceptanceStats,
 }
 
-impl TileWorkspace {
-    /// Builds a workspace for `rect` from the master configuration.
+impl<'m> TileState<'m> {
+    /// Builds the state of tile `rect` over `circles` (the master's list,
+    /// or a synced replica's copy of it).
     ///
     /// All circles *centred* in the tile are pulled in (circles centred
     /// elsewhere cannot interact with any eligible circle: an eligible
     /// circle's considered area keeps a distance of at least `r + r_max`
-    /// from the boundary). The coverage sub-grid is copied as-is, so the
-    /// contributions of outside circles whose disks spill into the tile
-    /// are preserved.
-    #[must_use]
-    pub fn new(master: &Configuration, model: &NucleiModel, rect: Rect) -> Self {
+    /// from the boundary).
+    fn new(circles: &[Circle], model: &'m NucleiModel, rect: Rect) -> Self {
         let margin = model.interaction_margin();
         let mut entries = Vec::new();
         let mut eligible = Vec::new();
-        let mut spatial =
-            SpatialGrid::new(model.params.width, model.params.height, 2.0 * model.r_max());
-        for (i, &c) in master.circles().iter().enumerate() {
+        let mut spatial = SpatialGrid::over(rect, 2.0 * model.r_max());
+        for (i, &c) in circles.iter().enumerate() {
             if rect.contains_point(c.x, c.y) {
-                let ok = rect.contains_circle(&c, margin);
+                let ok = modifiable(&rect, &c, margin);
                 if ok {
                     eligible.push(entries.len());
                 }
@@ -87,12 +135,12 @@ impl TileWorkspace {
             }
         }
         Self {
+            gain: &model.gain,
             rect,
             margin,
             entries,
             eligible,
             spatial,
-            coverage: master.coverage().crop(rect),
             d_log_lik: 0.0,
             d_overlap: 0.0,
             d_radius_logprior: 0.0,
@@ -106,10 +154,7 @@ impl TileWorkspace {
         self.rect
     }
 
-    /// Number of modifiable features — the paper's per-partition iteration
-    /// allocation weight ("in the same proportion as the number of model
-    /// features contained within the partition's boundaries and that may
-    /// be legitimately modified").
+    /// Number of modifiable features (see [`eligible_count`]).
     #[must_use]
     pub fn eligible_count(&self) -> usize {
         self.eligible.len()
@@ -121,23 +166,13 @@ impl TileWorkspace {
         self.entries.len()
     }
 
-    /// Runs `n` local iterations (translate with probability
-    /// `p_translate`, else resize).
-    pub fn run_local(
+    /// One local iteration on `grid`, which must contain the tile's
+    /// rectangle and encode the circles the tile was built over plus this
+    /// tile's accepted moves; returns whether the move was accepted. The
+    /// proposal is evaluated read-only; `grid` is written only on accept.
+    fn local_step(
         &mut self,
-        n: u64,
-        p_translate: f64,
-        model: &NucleiModel,
-        rng: &mut Xoshiro256,
-    ) {
-        for _ in 0..n {
-            self.local_step(p_translate, model, rng);
-        }
-    }
-
-    /// One local iteration; returns whether the move was accepted.
-    pub fn local_step(
-        &mut self,
+        grid: &mut CoverageGrid,
         p_translate: f64,
         model: &NucleiModel,
         rng: &mut Xoshiro256,
@@ -198,9 +233,7 @@ impl TileWorkspace {
         });
 
         let gain = &model.gain;
-        let d_rem = self.coverage.remove_circle(&old, gain);
-        let d_add = self.coverage.add_circle(&candidate, gain);
-        let d_log_lik = d_rem + d_add;
+        let d_log_lik = span_delta_log_lik(grid, &[(old, false), (candidate, true)], gain);
 
         let d_radius =
             model.params.radius_prior.logpdf(candidate.r) - model.params.radius_prior.logpdf(old.r);
@@ -208,6 +241,8 @@ impl TileWorkspace {
         let log_alpha = d_log_lik + d_radius - model.params.overlap_gamma * d_overlap;
         let accept = log_alpha >= 0.0 || rng.gen::<f64>().ln() < log_alpha;
         if accept {
+            grid.remove_circle(&old, gain);
+            grid.add_circle(&candidate, gain);
             self.spatial.relocate(ei, &old, &candidate);
             self.entries[ei].circle = candidate;
             self.d_log_lik += d_log_lik;
@@ -215,8 +250,6 @@ impl TileWorkspace {
             self.d_radius_logprior += d_radius;
             self.stats.record_accept(kind);
         } else {
-            self.coverage.remove_circle(&candidate, gain);
-            self.coverage.add_circle(&old, gain);
             self.stats.record_reject(kind);
         }
         accept
@@ -232,6 +265,53 @@ impl TileWorkspace {
             .map(|e| (e.master_idx, e.original, e.circle))
             .collect()
     }
+}
+
+/// A standalone tile: a [`TileState`] (reachable through `Deref`) plus a
+/// private crop of the master's coverage over the tile. The periodic
+/// sampler runs its tiles on [`Replica`]s instead and never pays the crop.
+#[derive(Debug, Clone)]
+pub struct TileWorkspace<'m> {
+    state: TileState<'m>,
+    coverage: CoverageGrid,
+}
+
+impl<'m> TileWorkspace<'m> {
+    /// Builds a workspace for `rect` from the master configuration. The
+    /// coverage sub-grid is copied as-is, so the contributions of outside
+    /// circles whose disks spill into the tile are preserved.
+    #[must_use]
+    pub fn new(master: &Configuration, model: &'m NucleiModel, rect: Rect) -> Self {
+        Self {
+            state: TileState::new(master.circles(), model, rect),
+            coverage: master.coverage().crop(rect),
+        }
+    }
+
+    /// Runs `n` local iterations (translate with probability
+    /// `p_translate`, else resize).
+    pub fn run_local(
+        &mut self,
+        n: u64,
+        p_translate: f64,
+        model: &NucleiModel,
+        rng: &mut Xoshiro256,
+    ) {
+        for _ in 0..n {
+            self.local_step(p_translate, model, rng);
+        }
+    }
+
+    /// One local iteration; returns whether the move was accepted.
+    pub fn local_step(
+        &mut self,
+        p_translate: f64,
+        model: &NucleiModel,
+        rng: &mut Xoshiro256,
+    ) -> bool {
+        self.state
+            .local_step(&mut self.coverage, p_translate, model, rng)
+    }
 
     /// The mutated coverage sub-grid.
     #[must_use]
@@ -240,29 +320,105 @@ impl TileWorkspace {
     }
 }
 
-impl Configuration {
-    /// Merges a finished tile workspace back into the master state:
-    /// pastes the coverage sub-grid, applies circle updates and adds the
-    /// accumulated cache deltas. Tiles are disjoint, so merging several
-    /// workspaces from one phase is order-independent.
-    pub fn absorb_tile(&mut self, ws: &TileWorkspace) {
-        self.absorb_tile_parts(ws.coverage(), &ws.updates(), ws.d_log_lik, ws.d_overlap);
+impl<'m> std::ops::Deref for TileWorkspace<'m> {
+    type Target = TileState<'m>;
+    fn deref(&self) -> &TileState<'m> {
+        &self.state
+    }
+}
+
+/// A persistent full-image copy of the master's coverage grid, owned by
+/// one worker of the periodic sampler across phases (see the module docs
+/// for the invariant and the sync protocol).
+#[derive(Debug, Clone)]
+pub struct Replica {
+    coverage: CoverageGrid,
+    /// The circle list `coverage` encodes, slot for slot the master's once
+    /// synced.
+    circles: Vec<Circle>,
+}
+
+impl Replica {
+    /// Clones the master's grid and circle list — the only O(pixels) step
+    /// in a replica's life.
+    #[must_use]
+    pub fn new(master: &Configuration) -> Self {
+        Self {
+            coverage: master.coverage().clone(),
+            circles: master.circles().to_vec(),
+        }
     }
 
-    /// Lower-level merge used by [`Configuration::absorb_tile`]; exposed
-    /// for drivers that ship tile results across threads piecewise.
-    pub fn absorb_tile_parts(
-        &mut self,
-        coverage: &CoverageGrid,
-        updates: &[(usize, Circle, Circle)],
-        d_log_lik: f64,
-        d_overlap: f64,
-    ) {
-        self.paste_coverage(coverage);
-        for &(idx, old, new) in updates {
-            self.update_circle_in_place(idx, old, new);
+    /// The replica's coverage grid.
+    #[must_use]
+    pub const fn coverage(&self) -> &CoverageGrid {
+        &self.coverage
+    }
+
+    /// Catches up with the master's circle list: every slot whose circle
+    /// differs (or that only one list has) is replayed on the grid. All
+    /// removes come strictly before all adds, so no cover count can
+    /// underflow on the way. Afterwards the grid equals the master's.
+    pub fn sync(&mut self, master: &[Circle], gain: &Gain) {
+        for (i, mine) in self.circles.iter().enumerate() {
+            if master.get(i) != Some(mine) {
+                self.coverage.remove_circle(mine, gain);
+            }
         }
-        self.add_cache_deltas(d_log_lik, d_overlap);
+        for (i, theirs) in master.iter().enumerate() {
+            if self.circles.get(i) != Some(theirs) {
+                self.coverage.add_circle(theirs, gain);
+            }
+        }
+        self.circles.clear();
+        self.circles.extend_from_slice(master);
+    }
+
+    /// Builds the state of tile `rect` over this replica's circle list.
+    /// The replica must be synced, so that the tile's master indices are
+    /// the master's.
+    #[must_use]
+    pub fn tile<'m>(&self, model: &'m NucleiModel, rect: Rect) -> TileState<'m> {
+        TileState::new(&self.circles, model, rect)
+    }
+
+    /// Runs `n` local iterations of `tile` (built by [`Replica::tile`]) in
+    /// place on this replica's grid, then records the tile's updates in
+    /// the replica's own circle list, so the next [`Replica::sync`] skips
+    /// them.
+    pub fn run_local(
+        &mut self,
+        tile: &mut TileState<'_>,
+        n: u64,
+        p_translate: f64,
+        model: &NucleiModel,
+        rng: &mut Xoshiro256,
+    ) {
+        debug_assert_eq!(
+            tile.rect.intersect(&self.coverage.rect()),
+            tile.rect,
+            "tile outside the replica"
+        );
+        for _ in 0..n {
+            tile.local_step(&mut self.coverage, p_translate, model, rng);
+        }
+        for e in &tile.entries {
+            self.circles[e.master_idx] = e.circle;
+        }
+    }
+}
+
+impl Configuration {
+    /// Merges a finished tile back into the master state: replays the
+    /// tile's changed circles on the master grid and circle list, then
+    /// adds the tile's accumulated cache deltas. Tiles are disjoint, so
+    /// the merged grid does not depend on the order; the float caches do,
+    /// so drivers merge in tile-index order.
+    pub fn absorb_tile(&mut self, tile: &TileState<'_>) {
+        for (idx, old, new) in tile.updates() {
+            self.update_circle_in_place(idx, old, new, tile.gain);
+        }
+        self.add_cache_deltas(tile.d_log_lik, tile.d_overlap);
     }
 }
 

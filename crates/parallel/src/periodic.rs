@@ -12,14 +12,56 @@
 //! The iteration split leaves the long-run move-proposal probabilities
 //! unchanged, and the random grid offset (redrawn every cycle) prevents
 //! persistent partition-boundary bias.
+//!
+//! # What an `Ml` phase costs
+//!
+//! The §VI overhead term — "duplicate, arrange for parallel execution, and
+//! merge" — is O(circles that changed), not O(pixels). The sampler keeps
+//! up to `min(pool threads, tiles)` persistent [`Replica`]s of the master's
+//! coverage grid. A phase
+//!
+//! 1. plans on the owning thread from the master's circle list alone:
+//!    eligible counts, iteration allocation, and an LPT bundling of the
+//!    tiles that received iterations onto the replicas (a tile with none
+//!    gets no task). A phase gets one bundle per `MIN_BUNDLE_ITERS` local
+//!    iterations at most: below that a second thread costs more to wake
+//!    than it saves, and the whole phase runs on the owning thread with no
+//!    hand-off at all — which is also what keeps the run time of short
+//!    phases steady on a busy host;
+//! 2. runs one task per bundle: the replica catches up with the master by
+//!    a positional diff of circle lists ([`Replica::sync`] — this also
+//!    picks up whatever the `Mg` phase, the sequential fallback or
+//!    speculative lanes did in between, so nothing logs edits), then the
+//!    bundle's tiles run in place on it, each with its own
+//!    `(seed, phase, tile index)` random stream. The heaviest bundle runs
+//!    on the owning thread itself ([`WorkerPool::run_batch`]);
+//! 3. merges on the owning thread by replaying each tile's changed circles
+//!    on the master grid ([`Configuration::absorb_tile`]), in tile-index
+//!    order.
+//!
+//! What a tile computes depends on the master state, its rectangle and its
+//! seed only, and the merge order is fixed, so reports do not depend on
+//! the pool size, the bundling or which thread ran what.
 
 use pmcmc_core::diagnostics::AcceptanceStats;
 use pmcmc_core::rng::derive_seed;
-use pmcmc_core::{Configuration, MoveWeights, NucleiModel, Sampler, TileWorkspace, Xoshiro256};
+use pmcmc_core::tile::eligible_count;
+use pmcmc_core::{Configuration, MoveWeights, NucleiModel, Replica, Sampler, Xoshiro256};
 use pmcmc_imaging::{PartitionGrid, Rect};
-use pmcmc_runtime::WorkerPool;
+use pmcmc_runtime::{lpt_bundles, WorkerPool};
 use rand::Rng;
 use std::time::{Duration, Instant};
+
+/// Local iterations a phase must have per bundle before it is split over
+/// another thread. A bundle beyond the first wakes a parked worker and the
+/// owner then waits for its result; on a virtualised 2-core host that
+/// hand-off costs ≈ 150 µs a phase (≈ 100 tile iterations), it stalls the
+/// `Mg` phase that follows, and its cost moves with every other load on the
+/// host. Measured on the 1024²/150-cell scene, two bundles lose to one
+/// below ≈ 400 local iterations a phase and win from ≈ 750, so the default
+/// phase (192) runs on the owning thread alone and a phase of 512 or more
+/// is shared.
+const MIN_BUNDLE_ITERS: u64 = 256;
 
 /// How the image is tiled during `Ml` phases.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -86,8 +128,8 @@ pub struct PeriodicReport {
     pub global_time: Duration,
     /// Wall time inside `Ml` phases (including partition/merge overhead).
     pub local_time: Duration,
-    /// Wall time spent duplicating/merging tile state (the §VI overhead
-    /// term).
+    /// The §VI overhead term: planning and merging on the owning thread,
+    /// plus per phase the slowest bundle's replica sync and tile builds.
     pub overhead_time: Duration,
     /// Total wall time of the run.
     pub total_time: Duration,
@@ -137,6 +179,9 @@ pub struct PeriodicSampler<'m> {
     pub stats: AcceptanceStats,
     seed: u64,
     phase_counter: u64,
+    /// Persistent coverage replicas the tiles of a local phase run on, one
+    /// per concurrently running bundle; created on first use.
+    replicas: Vec<Replica>,
 }
 
 impl<'m> PeriodicSampler<'m> {
@@ -201,6 +246,7 @@ impl<'m> PeriodicSampler<'m> {
             stats: AcceptanceStats::new(),
             seed,
             phase_counter: 0,
+            replicas: Vec::new(),
         }
     }
 
@@ -301,19 +347,20 @@ impl<'m> PeriodicSampler<'m> {
         let tiles: Vec<Rect> = grid.tiles(w, h);
         report.max_tiles = report.max_tiles.max(tiles.len());
 
-        // Build workspaces (the "duplicate" part of the §VII overhead).
-        let t_ov = Instant::now();
-        let workspaces: Vec<TileWorkspace> = tiles
+        // Plan on the owning thread, from the master's circle list alone:
+        // eligible counts, iteration allocation, bundling.
+        let t_plan = Instant::now();
+        let model = self.model;
+        let circles = self.master.config.circles();
+        let eligible: Vec<f64> = tiles
             .iter()
-            .map(|&r| TileWorkspace::new(&self.master.config, self.model, r))
+            .map(|&r| eligible_count(circles, model, r) as f64)
             .collect();
-        let eligible_total: usize = workspaces.iter().map(TileWorkspace::eligible_count).sum();
-        report.overhead_time += t_ov.elapsed();
-
-        if eligible_total == 0 {
+        if eligible.iter().all(|&e| e == 0.0) {
             // No modifiable feature anywhere (e.g. a nearly empty chain):
             // fall back to sequential local moves on the full image, which
             // is always statistically valid.
+            report.overhead_time += t_plan.elapsed();
             self.master.set_weights(self.weights.local_only());
             self.master.run(i_l);
             report.local_iters += i_l;
@@ -321,14 +368,22 @@ impl<'m> PeriodicSampler<'m> {
             return;
         }
 
-        // Allocate iterations ∝ modifiable features (§V).
-        let allocations: Vec<u64> = largest_remainder_allocation(
-            i_l,
-            &workspaces
-                .iter()
-                .map(|ws| ws.eligible_count() as f64)
-                .collect::<Vec<_>>(),
-        );
+        // Allocate iterations ∝ modifiable features (§V). A tile with no
+        // iterations gets no task; the rest are LPT-bundled, one bundle
+        // per replica, with no more bundles than the phase can keep busy
+        // for `MIN_BUNDLE_ITERS` each.
+        let allocations = largest_remainder_allocation(i_l, &eligible);
+        let active: Vec<usize> = (0..tiles.len()).filter(|&i| allocations[i] > 0).collect();
+        let loads: Vec<f64> = active.iter().map(|&i| allocations[i] as f64).collect();
+        let worthwhile = usize::try_from(i_l / MIN_BUNDLE_ITERS).unwrap_or(usize::MAX);
+        let bundle_count = self.pool.threads().min(active.len()).min(worthwhile.max(1));
+        let bundles: Vec<Vec<usize>> = lpt_bundles(&loads, bundle_count)
+            .into_iter()
+            .map(|bundle| bundle.into_iter().map(|a| active[a]).collect())
+            .collect();
+        while self.replicas.len() < bundles.len() {
+            self.replicas.push(Replica::new(&self.master.config));
+        }
 
         // Local move mix within Ml: translate vs resize proportions.
         let local = self.weights.local_only();
@@ -337,35 +392,71 @@ impl<'m> PeriodicSampler<'m> {
         } else {
             0.5
         };
+        let mut overhead = t_plan.elapsed();
 
-        // Run tiles on the pool, weighted by allocation for LPT ordering.
-        let model = self.model;
+        // One task per bundle, each on its own replica: catch up with the
+        // master, then run the bundle's tiles in place. What a tile
+        // computes depends on the master state, its rectangle and its
+        // (phase, tile index) seed only — never on the bundling.
         let phase = self.phase_counter;
         let seed = self.seed;
-        let tasks: Vec<(f64, _)> = workspaces
-            .into_iter()
-            .zip(allocations.iter().copied())
-            .enumerate()
-            .map(|(idx, (mut ws, n))| {
-                let weight = n as f64;
+        let master = &self.master.config;
+        let (tiles, allocations) = (&tiles, &allocations);
+        let tasks: Vec<(f64, _)> = self
+            .replicas
+            .iter_mut()
+            .zip(&bundles)
+            .map(|(replica, bundle)| {
+                let load = bundle.iter().map(|&idx| allocations[idx]).sum::<u64>() as f64;
                 let task = move || {
-                    let mut rng =
-                        Xoshiro256::new(derive_seed(seed, phase.wrapping_mul(8192) + idx as u64));
-                    ws.run_local(n, p_translate, model, &mut rng);
-                    ws
+                    let t_sync = Instant::now();
+                    replica.sync(master.circles(), &model.gain);
+                    debug_assert!(
+                        replica.coverage() == master.coverage(),
+                        "replica out of sync with the master"
+                    );
+                    let mut prep = t_sync.elapsed();
+                    let mut finished = Vec::with_capacity(bundle.len());
+                    for &idx in bundle {
+                        let t_build = Instant::now();
+                        let mut tile = replica.tile(model, tiles[idx]);
+                        prep += t_build.elapsed();
+                        let mut rng = Xoshiro256::new(derive_seed(
+                            seed,
+                            phase.wrapping_mul(8192) + idx as u64,
+                        ));
+                        replica.run_local(
+                            &mut tile,
+                            allocations[idx],
+                            p_translate,
+                            model,
+                            &mut rng,
+                        );
+                        finished.push((idx, tile));
+                    }
+                    (prep, finished)
                 };
-                (weight, task)
+                (load, task)
             })
             .collect();
-        let finished = self.pool.run_batch(tasks);
+        let results = self.pool.run_batch(tasks);
 
-        // Merge tile results back (the "merge" overhead).
-        let t_m = Instant::now();
-        for ws in &finished {
-            self.master.config.absorb_tile(ws);
-            self.stats.merge(&ws.stats);
+        // Merge by replay, in tile-index order so the float caches and the
+        // statistics accumulate the same way whatever the bundling was.
+        let t_merge = Instant::now();
+        let mut finished = Vec::with_capacity(active.len());
+        let mut slowest_prep = Duration::ZERO;
+        for (prep, bundle) in results {
+            slowest_prep = slowest_prep.max(prep);
+            finished.extend(bundle);
         }
-        report.overhead_time += t_m.elapsed();
+        finished.sort_unstable_by_key(|&(idx, _)| idx);
+        for (_, tile) in &finished {
+            self.master.config.absorb_tile(tile);
+            self.stats.merge(&tile.stats);
+        }
+        overhead += t_merge.elapsed() + slowest_prep;
+        report.overhead_time += overhead;
         report.local_iters += allocations.iter().sum::<u64>();
         report.local_time += t1.elapsed();
     }
@@ -488,6 +579,35 @@ mod tests {
         let report = ps.run(3_000);
         assert!(report.total_iters() >= 3_000);
         ps.config().verify_consistency(&model).unwrap();
+    }
+
+    #[test]
+    fn short_phases_stay_on_the_owning_thread_and_long_ones_fan_out() {
+        let (model, _) = scene_model(128, 10, 2);
+        let run = |global_phase_iters| {
+            let mut ps = PeriodicSampler::new(
+                &model,
+                3,
+                PeriodicOptions {
+                    global_phase_iters,
+                    scheme: PartitionScheme::Corner,
+                    threads: 3,
+                    ..PeriodicOptions::default()
+                },
+            );
+            let report = ps.run(20_000);
+            ps.config().verify_consistency(&model).unwrap();
+            (ps.replicas.len(), ps.pool.stats().tasks, report.cycles)
+        };
+        // 192 local iterations a phase: one bundle, one replica, one task
+        // a cycle at most — and that one runs on the caller.
+        let (replicas, tasks, cycles) = run(128);
+        assert_eq!(replicas, 1);
+        assert!(tasks <= cycles, "{tasks} tasks in {cycles} cycles");
+        // 1536 a phase: enough for every worker the tiles can feed.
+        let (replicas, tasks, cycles) = run(1024);
+        assert!(replicas >= 2, "{replicas} replicas");
+        assert!(tasks > cycles, "{tasks} tasks in {cycles} cycles");
     }
 
     #[test]

@@ -6,6 +6,15 @@
 //! limited to queue traffic (the paper's "overhead required to duplicate,
 //! arrange for parallel execution, and merge the partitions").
 //!
+//! Who runs which task: the thread that calls [`WorkerPool::run_batch`]
+//! runs the heaviest task of its batch itself and hands only the others to
+//! the queue, so a batch of `n` tasks wakes at most `n − 1` workers and a
+//! one-task batch wakes none. The owner of a periodic chain used to sleep
+//! through every local phase and be woken at its end (1563 times in a 500k
+//! run); now it does a bundle's work instead, and the global phase that
+//! follows starts on a warm core. Every task is counted in [`PoolStats`]
+//! whichever thread ran it.
+//!
 //! Tasks may borrow from the caller's stack: [`WorkerPool::run_batch`]
 //! blocks until every task in the batch has finished, which makes the
 //! lifetime extension sound (same argument as `std::thread::scope`).
@@ -18,6 +27,20 @@ use std::sync::Arc;
 use std::time::Instant;
 
 type Job = Box<dyn FnOnce() + Send + 'static>;
+
+/// Runs one task of a batch under `catch_unwind` and adds it to the pool's
+/// task and busy-time counters, on whichever thread it runs.
+fn run_counted<R>(
+    f: impl FnOnce() -> R,
+    tasks: &AtomicU64,
+    busy_nanos: &AtomicU64,
+) -> std::thread::Result<R> {
+    let start = Instant::now();
+    let outcome = catch_unwind(AssertUnwindSafe(f));
+    busy_nanos.fetch_add(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
+    tasks.fetch_add(1, Ordering::Relaxed);
+    outcome
+}
 
 /// Cumulative execution statistics for a pool.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
@@ -144,15 +167,19 @@ impl WorkerPool {
     }
 
     /// Runs a batch of weighted tasks to completion and returns their
-    /// results in task order. Tasks are submitted in LPT (descending
-    /// weight) order so that greedy pickup by free workers approximates
-    /// optimal load balancing when there are more tasks than threads.
+    /// results in task order. The heaviest task runs on the calling thread
+    /// — the caller would otherwise sleep through the batch and be woken
+    /// at its end, once per periodic-sampler phase; the rest are submitted
+    /// in LPT (descending weight) order so that greedy pickup by free
+    /// workers approximates optimal load balancing when there are more
+    /// tasks than threads. A one-task batch never touches the queue.
     ///
     /// Tasks may borrow data from the caller: this function does not return
     /// until every task has run, so borrows cannot dangle.
     ///
     /// # Panics
-    /// Re-raises the first panic raised by any task.
+    /// Re-raises the first panic (in task order) raised by any task, after
+    /// every task of the batch has finished.
     pub fn run_batch<'env, R, F>(&self, tasks: Vec<(f64, F)>) -> Vec<R>
     where
         R: Send + 'env,
@@ -172,29 +199,30 @@ impl WorkerPool {
 
         let mut slot_fns: Vec<Option<F>> = tasks.into_iter().map(|(_, f)| Some(f)).collect();
         let sender = self.sender.as_ref().expect("pool alive");
+        let own = order[0];
+        let own_fn = slot_fns[own].take().expect("each task submitted once");
 
-        for &i in &order {
+        for &i in &order[1..] {
             let f = slot_fns[i].take().expect("each task submitted once");
             let tx = result_tx.clone();
             let task_ctr = Arc::clone(&self.tasks);
             let busy_ctr = Arc::clone(&self.busy_nanos);
             // Build the job with its true (non-'static) lifetime first.
             let job: Box<dyn FnOnce() + Send + 'env> = Box::new(move || {
-                let start = Instant::now();
-                let outcome = catch_unwind(AssertUnwindSafe(f));
-                // Account before sending the result: once the batch owner
-                // has collected every result, `stats()` must already
+                // Accounted before the result is sent: once the batch
+                // owner has collected every result, `stats()` must already
                 // reflect the whole batch.
-                busy_ctr.fetch_add(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
-                task_ctr.fetch_add(1, Ordering::Relaxed);
+                let outcome = run_counted(f, &task_ctr, &busy_ctr);
                 // The batch owner blocks on the receiver, so it is alive.
                 let _ = tx.send((i, outcome));
             });
             // SAFETY: `run_batch` blocks below until it has received one
-            // result per task, and each result is sent only after its
-            // task's closure has returned. All `'env` borrows captured by
-            // `job` therefore strictly outlive the job's execution; the
-            // queue never holds a job past that point. This is the same
+            // result per queued task, and each result is sent only after
+            // its task's closure has returned. The task the caller runs in
+            // between is wrapped in `catch_unwind`, so its panic cannot
+            // skip that wait. All `'env` borrows captured by `job`
+            // therefore strictly outlive the job's execution; the queue
+            // never holds a job past that point. This is the same
             // soundness argument as `std::thread::scope`.
             let job: Job =
                 unsafe { std::mem::transmute::<Box<dyn FnOnce() + Send + 'env>, Job>(job) };
@@ -203,7 +231,8 @@ impl WorkerPool {
         drop(result_tx);
 
         let mut results: Vec<Option<std::thread::Result<R>>> = (0..n).map(|_| None).collect();
-        for _ in 0..n {
+        results[own] = Some(run_counted(own_fn, &self.tasks, &self.busy_nanos));
+        for _ in 1..n {
             let (i, outcome) = result_rx.recv().expect("one result per task");
             results[i] = Some(outcome);
         }
@@ -345,6 +374,102 @@ mod tests {
         // Pool still usable afterwards.
         let out = pool.map(vec![1, 2, 3], |x: i32| x);
         assert_eq!(out, vec![1, 2, 3]);
+    }
+
+    #[test]
+    fn heaviest_task_runs_on_the_caller_and_results_keep_task_order() {
+        let pool = WorkerPool::new(2);
+        let caller = std::thread::current().id();
+        let tasks: Vec<(f64, _)> = [1.0, 5.0, 3.0]
+            .into_iter()
+            .enumerate()
+            .map(|(i, w)| (w, move || (i, std::thread::current().id())))
+            .collect();
+        let out = pool.run_batch(tasks);
+        assert_eq!(out.iter().map(|r| r.0).collect::<Vec<_>>(), vec![0, 1, 2]);
+        assert_eq!(out[1].1, caller, "the heaviest task runs on the caller");
+        assert_ne!(out[0].1, caller, "lighter tasks go to the queue");
+        assert_ne!(out[2].1, caller, "lighter tasks go to the queue");
+        assert_eq!(pool.stats().tasks, 3, "caller-run tasks are counted");
+    }
+
+    #[test]
+    fn one_task_batch_completes_on_the_caller_without_a_worker() {
+        let pool = WorkerPool::new(1);
+        // Park the only worker for the whole test: were the batch queued,
+        // it would never run.
+        let (release_tx, release_rx) = unbounded::<()>();
+        let (parked_tx, parked_rx) = unbounded::<()>();
+        let caller = std::thread::current().id();
+        std::thread::scope(|scope| {
+            let pool = &pool;
+            // A two-task batch from a helper thread: the helper runs one
+            // task, the pool's worker the other — and blocks in it.
+            let blocker = scope.spawn(move || {
+                pool.run_batch(vec![
+                    (
+                        1.0,
+                        Box::new(move || {
+                            parked_tx.send(()).expect("test alive");
+                            release_rx.recv().expect("test alive");
+                        }) as Box<dyn FnOnce() + Send>,
+                    ),
+                    (2.0, Box::new(|| ()) as Box<dyn FnOnce() + Send>),
+                ]);
+            });
+            parked_rx.recv().expect("worker parked");
+            let before = pool.stats();
+            let ran_on = pool.run_batch(vec![(1.0, || std::thread::current().id())]);
+            assert_eq!(ran_on, vec![caller]);
+            let after = pool.stats();
+            assert_eq!(after.tasks, before.tasks + 1, "still counted in PoolStats");
+            assert_eq!(after.batches, before.batches + 1);
+            release_tx.send(()).expect("worker waiting");
+            blocker.join().expect("blocker batch");
+        });
+    }
+
+    #[test]
+    fn caller_run_panic_is_reraised_after_queued_tasks_finish() {
+        let pool = WorkerPool::new(2);
+        let caller = std::thread::current().id();
+        let queued_done = std::sync::atomic::AtomicBool::new(false);
+        let (started_tx, started_rx) = unbounded::<()>();
+        let result = catch_unwind(AssertUnwindSafe(|| {
+            pool.run_batch(vec![
+                (
+                    1.0,
+                    Box::new(|| {
+                        // Finish only once the caller-run task is about to
+                        // panic, so the panic is in flight while this task
+                        // is still running.
+                        started_rx.recv().expect("caller task started");
+                        queued_done.store(true, Ordering::SeqCst);
+                        1usize
+                    }) as Box<dyn FnOnce() -> usize + Send>,
+                ),
+                (
+                    2.0,
+                    Box::new(|| -> usize {
+                        assert_eq!(std::thread::current().id(), caller);
+                        started_tx.send(()).expect("queued task waiting");
+                        panic!("boom on the caller")
+                    }) as Box<dyn FnOnce() -> usize + Send>,
+                ),
+            ]);
+        }));
+        let payload = result.expect_err("the caller-run task's panic propagates");
+        assert_eq!(
+            payload.downcast_ref::<&str>().copied(),
+            Some("boom on the caller")
+        );
+        assert!(
+            queued_done.load(Ordering::SeqCst),
+            "run_batch returned before its queued task finished"
+        );
+        assert_eq!(pool.stats().tasks, 2, "the panicking task is counted too");
+        // Pool still usable afterwards.
+        assert_eq!(pool.map(vec![1, 2, 3], |x: i32| x), vec![1, 2, 3]);
     }
 
     #[test]

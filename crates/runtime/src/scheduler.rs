@@ -23,6 +23,30 @@ pub fn lpt_order(weights: &[f64]) -> Vec<usize> {
     idx
 }
 
+/// Greedy LPT assignment of weighted tasks to `workers` bundles: tasks in
+/// [`lpt_order`] each join the least-loaded bundle (the first such bundle
+/// on ties). Returns the task indices of each bundle; with positive
+/// weights and `workers ≤ tasks` no bundle is empty. For callers that pin
+/// a bundle to a resource (a periodic-sampler replica) instead of letting
+/// free workers pull from a shared queue.
+#[must_use]
+pub fn lpt_bundles(weights: &[f64], workers: usize) -> Vec<Vec<usize>> {
+    assert!(workers >= 1, "need at least one worker");
+    let mut bundles = vec![Vec::new(); workers];
+    let mut loads = vec![0.0f64; workers];
+    for i in lpt_order(weights) {
+        let mut least = 0;
+        for (b, &load) in loads.iter().enumerate() {
+            if load < loads[least] {
+                least = b;
+            }
+        }
+        loads[least] += weights[i];
+        bundles[least].push(i);
+    }
+    bundles
+}
+
 /// A machine's running load, ordered so a min-heap pops the least-loaded
 /// machine — ties broken by the lowest worker index, matching the "first
 /// minimum" the naive linear scan picks (so the two implementations make
@@ -133,6 +157,26 @@ mod tests {
         assert_eq!(lpt_order(&w), vec![0, 2, 4, 1, 3]);
         let uniform = [3.5; 6];
         assert_eq!(lpt_order(&uniform), vec![0, 1, 2, 3, 4, 5]);
+    }
+
+    #[test]
+    fn lpt_bundles_partition_the_tasks_and_match_the_predicted_makespan() {
+        let w = [7.0, 7.0, 6.0, 6.0, 5.0, 4.0, 4.0, 4.0, 3.0];
+        for m in 1..=5 {
+            let bundles = lpt_bundles(&w, m);
+            assert_eq!(bundles.len(), m);
+            assert!(bundles.iter().all(|b| !b.is_empty()), "m={m}");
+            let mut seen: Vec<usize> = bundles.iter().flatten().copied().collect();
+            seen.sort_unstable();
+            assert_eq!(seen, (0..w.len()).collect::<Vec<_>>(), "m={m}");
+            let heaviest = bundles
+                .iter()
+                .map(|b| b.iter().map(|&i| w[i]).sum::<f64>())
+                .fold(0.0, f64::max);
+            assert_eq!(heaviest, lpt_makespan(&w, m), "m={m}");
+        }
+        // Ties go to the first least-loaded bundle.
+        assert_eq!(lpt_bundles(&[2.0, 2.0, 1.0], 2), vec![vec![0, 2], vec![1]]);
     }
 
     #[test]

@@ -213,6 +213,77 @@ fn same_seed_job_specs_produce_byte_identical_reports() {
     }
 }
 
+fn periodic_report(workers: usize, options: PeriodicOptions, seed: u64) -> RunReport {
+    let (_, truth, img) = model();
+    let params = ModelParams::new(160, 160, truth.len() as f64, 8.0);
+    Engine::new(workers)
+        .expect("worker count is positive")
+        .submit(
+            JobSpec::new(StrategySpec::Periodic(options), img, params)
+                .seed(seed)
+                .iterations(20_000),
+        )
+        .expect("spec validates")
+        .wait()
+        .expect("job completes")
+}
+
+#[test]
+fn periodic_reports_are_byte_identical_across_pool_sizes() {
+    // How tiles are bundled onto replicas and which thread runs which
+    // bundle depend on the pool size; nothing in the report may. The grid
+    // scheme cuts up to nine tiles, so small pools bundle several tiles
+    // per replica while the corner scheme gives each its own. Phases of
+    // 1536 local iterations are long enough to be shared by four workers
+    // (the default 192 would stay on the owning thread whatever the pool).
+    for scheme in [
+        PartitionScheme::Corner,
+        PartitionScheme::Grid { xm: 96, ym: 96 },
+    ] {
+        let options = PeriodicOptions {
+            scheme,
+            global_phase_iters: 1024,
+            ..PeriodicOptions::default()
+        };
+        let one = report_fingerprint(&periodic_report(1, options, 33));
+        for workers in [2, 3, 4] {
+            assert_eq!(
+                one,
+                report_fingerprint(&periodic_report(workers, options, 33)),
+                "{scheme:?}: report differs between 1 and {workers} workers"
+            );
+        }
+    }
+}
+
+#[test]
+fn periodic_detections_match_the_golden_digest() {
+    // FNV-1a over the detection count and the bit patterns of every
+    // detected circle, recorded at the commit before tiles moved from
+    // per-phase crops to persistent replicas with read-only evaluation:
+    // that change may reorder float additions inside a likelihood delta,
+    // but not move, add or drop a single detection.
+    let report = periodic_report(2, PeriodicOptions::default(), 33);
+    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut feed = |word: u64| {
+        for byte in word.to_le_bytes() {
+            hash = (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    };
+    feed(report.detected().len() as u64);
+    for c in report.detected() {
+        feed(c.x.to_bits());
+        feed(c.y.to_bits());
+        feed(c.r.to_bits());
+    }
+    assert_eq!(
+        format!("{hash:016x}"),
+        "dd60b2e0dff437ea",
+        "{} detections",
+        report.detected().len()
+    );
+}
+
 #[test]
 fn forced_scalar_and_simd_paths_give_byte_identical_reports() {
     use pmcmc::core::simd::{backend, force_backend, Backend};
