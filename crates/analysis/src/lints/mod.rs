@@ -1,6 +1,7 @@
 //! The five repo-specific lints.
 //!
-//! Each lint is a pure function over a lexed [`SourceFile`] (plus its
+//! Each lint is a pure function over a lexed
+//! [`SourceFile`](crate::source::SourceFile) (plus its
 //! slice of configuration), returning findings; all file-system and
 //! severity plumbing lives in [`crate::run_check`]. That keeps every
 //! lint unit-testable against fixture snippets.

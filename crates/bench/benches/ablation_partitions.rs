@@ -11,7 +11,7 @@ use pmcmc_bench::{bench_iters, print_header, section7_workload};
 use pmcmc_core::{Configuration, Sampler, TileWorkspace, Xoshiro256};
 use pmcmc_imaging::PartitionGrid;
 use pmcmc_parallel::report::{fmt_f, fmt_secs, Table};
-use pmcmc_parallel::{PartitionScheme, PeriodicOptions, PeriodicSampler};
+use pmcmc_parallel::{PartitionScheme, PeriodicOptions, PeriodicSampler, RunCtx};
 use rand::Rng;
 use std::time::Instant;
 
@@ -126,7 +126,7 @@ fn main() {
                 ..PeriodicOptions::default()
             },
         );
-        let report = ps.run(iters);
+        let report = ps.run(iters, &RunCtx::default()).unwrap();
         let t = report.total_time.as_secs_f64() * iters as f64 / report.total_iters() as f64;
         let lp = ps.config().log_posterior(&w.model);
         table.push_row(vec![

@@ -13,7 +13,7 @@ use pmcmc_bench::{print_header, quick_mode};
 use pmcmc_core::{match_circles, ModelParams, NucleiModel, Sampler, Xoshiro256};
 use pmcmc_imaging::synth::{generate, SceneSpec};
 use pmcmc_parallel::report::{fmt_f, Table};
-use pmcmc_parallel::{PartitionScheme, PeriodicOptions, PeriodicSampler};
+use pmcmc_parallel::{PartitionScheme, PeriodicOptions, PeriodicSampler, RunCtx};
 
 fn main() {
     print_header(
@@ -107,10 +107,10 @@ fn main() {
                     ..PeriodicOptions::default()
                 },
             );
-            ps.run(burn_in);
+            ps.run(burn_in, &RunCtx::default()).unwrap();
             let (mut counts, mut lps) = (Vec::new(), Vec::new());
             for _ in 0..tail_points {
-                ps.run(stride);
+                ps.run(stride, &RunCtx::default()).unwrap();
                 counts.push(ps.config().len());
                 lps.push(ps.config().log_posterior(&model));
             }

@@ -12,7 +12,7 @@
 use pmcmc_bench::{bench_iters, print_header, section7_workload};
 use pmcmc_core::Sampler;
 use pmcmc_parallel::report::{fmt_secs, Table};
-use pmcmc_parallel::{PartitionScheme, PeriodicOptions, PeriodicSampler};
+use pmcmc_parallel::{PartitionScheme, PeriodicOptions, PeriodicSampler, RunCtx};
 use std::time::Instant;
 
 fn main() {
@@ -64,7 +64,7 @@ fn main() {
                 ..PeriodicOptions::default()
             },
         );
-        let report = ps.run(iters);
+        let report = ps.run(iters, &RunCtx::default()).unwrap();
         let t = report.total_time.as_secs_f64();
         // Normalise: cycles may overshoot the budget slightly.
         let t = t * iters as f64 / report.total_iters() as f64;

@@ -17,7 +17,7 @@ use pmcmc_bench::{bench_iters, print_header, section7_workload};
 use pmcmc_core::Sampler;
 use pmcmc_parallel::report::{fmt_secs, Table};
 use pmcmc_parallel::theory::eq2_fraction;
-use pmcmc_parallel::{PartitionScheme, PeriodicOptions, PeriodicSampler};
+use pmcmc_parallel::{PartitionScheme, PeriodicOptions, PeriodicSampler, RunCtx};
 use std::time::Instant;
 
 fn main() {
@@ -52,7 +52,7 @@ fn main() {
                 ..PeriodicOptions::default()
             },
         );
-        let report = ps.run(iters);
+        let report = ps.run(iters, &RunCtx::default()).unwrap();
         let t = report.total_time.as_secs_f64() * iters as f64 / report.total_iters() as f64;
         table.push_row(vec![
             threads.to_string(),
@@ -79,7 +79,7 @@ fn main() {
             ..PeriodicOptions::default()
         },
     );
-    let report = fine.run(iters);
+    let report = fine.run(iters, &RunCtx::default()).unwrap();
     let t = report.total_time.as_secs_f64() * iters as f64 / report.total_iters() as f64;
     println!(
         "fine grid (~16 partitions on 4 threads, LPT balanced): {} ({:+.1}% vs sequential; corner-scheme gap partially closed)",

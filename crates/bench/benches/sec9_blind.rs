@@ -13,7 +13,7 @@ use pmcmc_core::match_circles;
 use pmcmc_core::rng::derive_seed;
 use pmcmc_imaging::Rect;
 use pmcmc_parallel::report::{fmt_f, Table};
-use pmcmc_parallel::{run_blind, run_partition_chain, BlindOptions, SubChainOptions};
+use pmcmc_parallel::{run_blind, run_partition_chain, BlindOptions, RunCtx, SubChainOptions};
 use pmcmc_runtime::WorkerPool;
 
 fn main() {
@@ -22,17 +22,19 @@ fn main() {
     let repeats = bench_repeats();
     let opts = SubChainOptions::default();
     let pool = WorkerPool::new(4);
+    let ctx = RunCtx::default();
 
     // Whole-image reference.
     let whole = Rect::of_image(w.image.width(), w.image.height());
     let mut whole_runtime = 0.0;
     for rep in 0..repeats {
         let res = run_partition_chain(
+            &w.model,
             &w.image,
             whole,
-            &w.model.params,
             &opts,
             derive_seed(5, rep as u64),
+            &ctx,
         );
         whole_runtime += res.runtime.as_secs_f64();
     }
@@ -51,15 +53,17 @@ fn main() {
     let mut f1 = 0.0f64;
     for rep in 0..repeats {
         let res = run_blind(
+            &w.model,
             &w.image,
-            &w.model.params,
             &BlindOptions {
                 chain: opts,
                 ..BlindOptions::default()
             },
             &pool,
             derive_seed(99, rep as u64),
-        );
+            &ctx,
+        )
+        .unwrap();
         for (q, p) in res.partitions.iter().enumerate() {
             quadrant_runtimes[q] += p.chain.runtime.as_secs_f64();
         }

@@ -119,7 +119,7 @@ fn main() {
     println!("{}", pred.render());
 
     // eq. (3) *realised*: periodic partitioning with speculative Mg phases.
-    use pmcmc_parallel::{PartitionScheme, PeriodicOptions, PeriodicSampler};
+    use pmcmc_parallel::{PartitionScheme, PeriodicOptions, PeriodicSampler, RunCtx};
     let mut realised = Table::new(
         "eq.(3) realised: periodic (4 threads) with speculative Mg lanes",
         &["Mg lanes", "runtime", "fraction of seq"],
@@ -136,7 +136,7 @@ fn main() {
                 speculative_global_lanes: lanes,
             },
         );
-        let report = ps.run(iters);
+        let report = ps.run(iters, &RunCtx::default()).unwrap();
         let t = t1.elapsed().as_secs_f64() * iters as f64 / report.total_iters() as f64;
         realised.push_row(vec![lanes.to_string(), fmt_secs(t), fmt_f(t / t_seq, 3)]);
     }

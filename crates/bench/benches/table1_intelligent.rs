@@ -13,7 +13,7 @@ use pmcmc_bench::{bench_repeats, print_header, table1_workload};
 use pmcmc_core::rng::derive_seed;
 use pmcmc_imaging::Rect;
 use pmcmc_parallel::report::{fmt_f, Table};
-use pmcmc_parallel::{run_partition_chain, IntelligentPartitioner, SubChainOptions};
+use pmcmc_parallel::{run_partition_chain, IntelligentPartitioner, RunCtx, SubChainOptions};
 
 fn main() {
     print_header("TAB1: intelligent partitioning statistics", "Table I, §IX");
@@ -68,11 +68,12 @@ fn main() {
         let mut found = 0.0f64;
         for rep in 0..repeats {
             let res = run_partition_chain(
+                &w.model,
                 &w.image,
                 rect,
-                &w.model.params,
                 &opts,
                 derive_seed(1000 + idx as u64, rep as u64),
+                &RunCtx::default(),
             );
             iters_sum += res.converged_at.unwrap_or(res.iterations) as f64;
             runtime_sum += res.runtime.as_secs_f64();

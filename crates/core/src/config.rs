@@ -399,9 +399,9 @@ impl Configuration {
 
     /// Log-likelihood delta of `edit` computed **without mutating** the
     /// configuration. Used by speculative moves, where several proposals of
-    /// the same state are evaluated concurrently ([11]) and must not touch
-    /// shared state, and by the sequential sampler (rejections never pay
-    /// for an apply + revert).
+    /// the same state are evaluated concurrently (ref. \[11\]) and must not
+    /// touch shared state, and by the sequential sampler (rejections never
+    /// pay for an apply + revert).
     ///
     /// A pixel's model value flips only when its cover count crosses 0↔1;
     /// the hypothetical post-count is

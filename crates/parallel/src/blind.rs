@@ -9,10 +9,10 @@
 //! detections are "disputable" — kept or discarded by policy.
 
 use crate::job::{RunCtx, RunError};
-use crate::subchain::{run_partition_chain_shared_ctx, SubChainOptions, SubChainResult};
+use crate::subchain::{fan_out_chains, run_partition_chain, SubChainOptions, SubChainResult};
 use pmcmc_core::rng::derive_seed;
 use pmcmc_core::spatial::SpatialGrid;
-use pmcmc_core::{ModelParams, NucleiModel};
+use pmcmc_core::NucleiModel;
 use pmcmc_imaging::{regular_tiles, Circle, GrayImage, Rect};
 use pmcmc_runtime::WorkerPool;
 use std::time::{Duration, Instant};
@@ -68,8 +68,6 @@ pub struct BlindPartition {
     pub extended: Rect,
     /// The chain outcome on the extended cell.
     pub chain: SubChainResult,
-    /// Detections kept after the centre-in-core filter.
-    pub kept: Vec<Circle>,
 }
 
 /// Result of the blind-partitioning pipeline.
@@ -97,133 +95,52 @@ impl BlindResult {
     }
 }
 
-/// Runs the blind-partitioning pipeline.
-#[must_use]
-pub fn run_blind(
-    img: &GrayImage,
-    base: &ModelParams,
-    opts: &BlindOptions,
-    pool: &WorkerPool,
-    seed: u64,
-) -> BlindResult {
-    run_blind_ctx(img, base, opts, pool, seed, &RunCtx::default())
-        .expect("a detached context never stops a run")
-}
-
-/// Runs like [`run_blind`] under a [`RunCtx`]: phase and per-partition
-/// progress events are emitted (progress counts completed partitions) and
-/// the cancel token / deadline propagate into every partition chain.
+/// Runs the blind-partitioning pipeline on `img`, whose prebuilt
+/// full-image model is `full` (each partition chain derives its sub-model
+/// from it by [`NucleiModel::crop`]). Phase and per-partition progress
+/// events are emitted through `ctx` (progress counts completed partitions)
+/// and its cancel token / deadline propagate into every partition chain.
 ///
 /// # Errors
 /// [`RunError::Cancelled`] / [`RunError::DeadlineExceeded`] when the
 /// context stops the run; `completed_iterations` sums the iterations the
 /// partition chains had executed before winding down.
-pub fn run_blind_ctx(
+pub fn run_blind(
+    full: &NucleiModel,
     img: &GrayImage,
-    base: &ModelParams,
     opts: &BlindOptions,
     pool: &WorkerPool,
     seed: u64,
     ctx: &RunCtx,
 ) -> Result<BlindResult, RunError> {
-    let frame = img.frame();
-    let cores = regular_tiles(img.width(), img.height(), opts.cols, opts.rows);
-    let margin = (opts.margin_factor * base.radius_prior.mu).ceil() as i64;
-    let extended: Vec<Rect> = cores
-        .iter()
-        .map(|c| c.inflate(margin).intersect(&frame))
-        .collect();
+    let radius_mean = full.params.radius_prior.mu;
+    let (cores, extended) = grid_cells(img, opts.cols, opts.rows, opts.margin_factor, radius_mean);
 
     let t0 = Instant::now();
     ctx.phase("chains");
-    // One full-image model shared across partitions: each chain derives
-    // its sub-model by row-copying the gain tables ([`NucleiModel::crop`],
-    // bit-identical to a per-partition rebuild).
-    let full = NucleiModel::new(img, base.clone());
-    let full = &full;
-    let progress = ctx.partition_progress(extended.len() as u64);
-    let tasks: Vec<(f64, _)> = extended
-        .iter()
-        .enumerate()
-        .map(|(i, &ext)| {
-            let weight = ext.area() as f64;
-            let progress = &progress;
-            let task = move || {
-                let res = run_partition_chain_shared_ctx(
-                    full,
-                    img,
-                    ext,
-                    &opts.chain,
-                    derive_seed(seed, i as u64),
-                    ctx,
-                );
-                progress.tick();
-                res
-            };
-            (weight, task)
-        })
-        .collect();
-    let chains = pool.run_batch(tasks);
+    let cells = extended.iter().map(|&e| (e.area() as f64, e)).collect();
+    let chains = fan_out_chains(cells, pool, ctx, |i, ext| {
+        let chain_seed = derive_seed(seed, i as u64);
+        run_partition_chain(full, img, ext, &opts.chain, chain_seed, ctx)
+    })?;
     let chains_time = t0.elapsed();
-    ctx.should_stop(chains.iter().map(|c| c.iterations).sum())?;
 
     let t1 = Instant::now();
     ctx.phase("merge");
-    // Step 1: per-partition core filter ("beads whose centre is not inside
-    // the dotted line ... are deleted from each partition's model"). We
-    // apply the filter with a tolerance of merge_eps: a detection of an
-    // artifact sitting exactly on a quartering line can land on the far
-    // side of the line in *every* partition's estimate, in which case the
-    // literal rule deletes all copies of a real artifact. Keeping
-    // near-core detections and letting the duplicate clustering below
-    // collapse them fixes that knife-edge without affecting interior
-    // artifacts (documented deviation, see DESIGN.md).
-    let mut partitions: Vec<BlindPartition> = Vec::with_capacity(chains.len());
-    for ((core, ext), chain) in cores.iter().zip(extended.iter()).zip(chains) {
-        let tolerant = core.inflate(opts.merge_eps.ceil() as i64);
-        let kept: Vec<Circle> = chain
-            .detected
-            .iter()
-            .filter(|c| tolerant.contains_point(c.x, c.y))
-            .copied()
-            .collect();
-        partitions.push(BlindPartition {
-            core: *core,
-            extended: *ext,
-            chain,
-            kept,
-        });
-    }
-
-    // Step 2: merge the union. Detections in the overlap area (covered by
-    // more than one extended cell) are clustered across partitions with
-    // union-find (an artifact on the 4-way corner appears in up to four
-    // models) and each cluster is "replaced with a bead with centerpoint
-    // and radii that are the average" of its members.
-    let in_overlap_band = |c: &Circle, part: usize| -> bool {
-        partitions
-            .iter()
-            .enumerate()
-            .any(|(q, p)| q != part && p.extended.contains_point(c.x, c.y))
-    };
-
-    let mut candidates: Vec<MergeCandidate> = Vec::new();
-    for (pi, p) in partitions.iter().enumerate() {
-        for &c in &p.kept {
-            candidates.push(MergeCandidate {
-                source: pi,
-                circle: c,
-                in_overlap: in_overlap_band(&c, pi),
-            });
-        }
-    }
-    let outcome = cluster_duplicates(
-        &candidates,
-        opts.merge_eps,
-        opts.dispute == DisputePolicy::Accept,
-    );
+    let detections: Vec<&[Circle]> = chains.iter().map(|c| c.detected.as_slice()).collect();
+    let outcome = merge_sources(&cores, &extended, &detections, opts.merge_eps, opts.dispute);
     let merge_time = t1.elapsed();
 
+    let partitions = cores
+        .into_iter()
+        .zip(extended)
+        .zip(chains)
+        .map(|((core, extended), chain)| BlindPartition {
+            core,
+            extended,
+            chain,
+        })
+        .collect();
     Ok(BlindResult {
         partitions,
         merged: outcome.merged,
@@ -232,6 +149,73 @@ pub fn run_blind_ctx(
         chains_time,
         merge_time,
     })
+}
+
+/// The blind grid over `img`: the `cols × rows` core cells, and the cells
+/// actually processed — each core inflated by the overlap margin
+/// (`margin_factor` expected radii, so "the largest expected artifact will
+/// fit inside") and clipped to the image frame.
+pub(crate) fn grid_cells(
+    img: &GrayImage,
+    cols: u32,
+    rows: u32,
+    margin_factor: f64,
+    radius_mean: f64,
+) -> (Vec<Rect>, Vec<Rect>) {
+    let frame = img.frame();
+    let cores = regular_tiles(img.width(), img.height(), cols, rows);
+    let margin = (margin_factor * radius_mean).ceil() as i64;
+    let extended = cores
+        .iter()
+        .map(|c| c.inflate(margin).intersect(&frame))
+        .collect();
+    (cores, extended)
+}
+
+/// The seam post-processor shared by blind partitioning and the sharded
+/// backend's split-job merge. `detections[i]` are source `i`'s detections
+/// in global coordinates, found on `extended[i]` around `cores[i]`.
+///
+/// Step 1, the per-source core filter ("beads whose centre is not inside
+/// the dotted line ... are deleted from each partition's model"), applied
+/// with a tolerance of `merge_eps`: a detection of an artifact sitting
+/// exactly on a quartering line can land on the far side of the line in
+/// *every* source's estimate, in which case the literal rule deletes all
+/// copies of a real artifact. Keeping near-core detections and letting the
+/// duplicate clustering collapse them fixes that knife-edge without
+/// affecting interior artifacts (documented deviation, see DESIGN.md).
+///
+/// Step 2: survivors in the overlap area (inside some *other* source's
+/// extended cell — a detection always lies in its own) are clustered
+/// across sources by [`cluster_duplicates`]; unpaired ones are disputable.
+#[must_use]
+pub fn merge_sources(
+    cores: &[Rect],
+    extended: &[Rect],
+    detections: &[&[Circle]],
+    merge_eps: f64,
+    dispute: DisputePolicy,
+) -> MergeOutcome {
+    let tolerance = merge_eps.ceil() as i64;
+    let mut candidates: Vec<MergeCandidate> = Vec::new();
+    for (source, (core, found)) in cores.iter().zip(detections).enumerate() {
+        let tolerant = core.inflate(tolerance);
+        for &circle in found.iter() {
+            if !tolerant.contains_point(circle.x, circle.y) {
+                continue;
+            }
+            let in_overlap = extended
+                .iter()
+                .enumerate()
+                .any(|(q, ext)| q != source && ext.contains_point(circle.x, circle.y));
+            candidates.push(MergeCandidate {
+                source,
+                circle,
+                in_overlap,
+            });
+        }
+    }
+    cluster_duplicates(&candidates, merge_eps, dispute == DisputePolicy::Accept)
 }
 
 /// One detection entering the cross-partition duplicate merge: which
@@ -270,9 +254,9 @@ pub struct MergeOutcome {
 /// otherwise — and detections outside any overlap pass through untouched.
 ///
 /// Candidate pairs are found through a [`SpatialGrid`] bucketed by `eps`,
-/// so the scan is O(n · neighbours) instead of the all-pairs O(n²) of
-/// [`cluster_duplicates_naive`] (retained as the reference
-/// implementation; a proptest pins exact agreement between the two).
+/// so the scan is O(n · neighbours) instead of all-pairs O(n²); the
+/// all-pairs reference lives on as a test oracle and a proptest pins exact
+/// agreement between the two.
 #[must_use]
 pub fn cluster_duplicates(
     candidates: &[MergeCandidate],
@@ -313,11 +297,11 @@ pub fn cluster_duplicates(
     finalize_clusters(candidates, &mut uf, keep_disputed)
 }
 
-/// Reference all-pairs implementation of [`cluster_duplicates`]. Kept for
-/// property tests (exact agreement with the spatial-hash version) and as
-/// executable documentation of the merge semantics.
-#[must_use]
-pub fn cluster_duplicates_naive(
+/// Reference all-pairs implementation of [`cluster_duplicates`]: the
+/// oracle for the exact-agreement property tests and executable
+/// documentation of the merge semantics.
+#[cfg(test)]
+fn cluster_duplicates_naive(
     candidates: &[MergeCandidate],
     eps: f64,
     keep_disputed: bool,
@@ -426,7 +410,7 @@ fn finalize_clusters(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pmcmc_core::Xoshiro256;
+    use pmcmc_core::{ModelParams, Xoshiro256};
     use pmcmc_imaging::synth::{generate, SceneSpec};
 
     /// A scene with circles deliberately placed on the quartering lines.
@@ -470,7 +454,7 @@ mod tests {
     #[test]
     fn extended_cells_overlap_cores_by_margin() {
         let img = GrayImage::filled(200, 200, 0.1);
-        let base = ModelParams::new(200, 200, 4.0, 8.0);
+        let full = NucleiModel::new(&img, ModelParams::new(200, 200, 4.0, 8.0));
         let pool = WorkerPool::new(2);
         let opts = BlindOptions {
             chain: SubChainOptions {
@@ -479,7 +463,7 @@ mod tests {
             },
             ..BlindOptions::default()
         };
-        let res = run_blind(&img, &base, &opts, &pool, 1);
+        let res = run_blind(&full, &img, &opts, &pool, 1, &RunCtx::default()).unwrap();
         assert_eq!(res.partitions.len(), 4);
         let margin = (1.1 * 8.0f64).ceil() as i64;
         for p in &res.partitions {
@@ -494,7 +478,7 @@ mod tests {
     #[test]
     fn boundary_artifacts_found_once_after_merge() {
         let (img, truth) = boundary_scene(256, 3);
-        let base = ModelParams::new(256, 256, truth.len() as f64, 8.0);
+        let full = NucleiModel::new(&img, ModelParams::new(256, 256, truth.len() as f64, 8.0));
         let pool = WorkerPool::new(4);
         let opts = BlindOptions {
             chain: SubChainOptions {
@@ -503,7 +487,7 @@ mod tests {
             },
             ..BlindOptions::default()
         };
-        let res = run_blind(&img, &base, &opts, &pool, 11);
+        let res = run_blind(&full, &img, &opts, &pool, 11, &RunCtx::default()).unwrap();
         let m = pmcmc_core::match_circles(&truth, &res.merged, 5.0);
         assert!(
             m.recall() >= 0.7,
@@ -528,8 +512,9 @@ mod tests {
     #[test]
     fn discard_policy_drops_disputables() {
         let (img, truth) = boundary_scene(256, 5);
-        let base = ModelParams::new(256, 256, truth.len() as f64, 8.0);
+        let full = NucleiModel::new(&img, ModelParams::new(256, 256, truth.len() as f64, 8.0));
         let pool = WorkerPool::new(4);
+        let ctx = RunCtx::default();
         let mk = |dispute| BlindOptions {
             dispute,
             chain: SubChainOptions {
@@ -538,8 +523,8 @@ mod tests {
             },
             ..BlindOptions::default()
         };
-        let acc = run_blind(&img, &base, &mk(DisputePolicy::Accept), &pool, 21);
-        let dis = run_blind(&img, &base, &mk(DisputePolicy::Discard), &pool, 21);
+        let acc = run_blind(&full, &img, &mk(DisputePolicy::Accept), &pool, 21, &ctx).unwrap();
+        let dis = run_blind(&full, &img, &mk(DisputePolicy::Discard), &pool, 21, &ctx).unwrap();
         // Same seed → identical chains → identical disputable sets; the
         // policies differ exactly by whether those are kept.
         assert_eq!(acc.disputed, dis.disputed);

@@ -3,9 +3,9 @@
 //!
 //! The paper's entire argument is a *comparison* of parallelisation
 //! schemes on the same RJMCMC workload; this module is the comparison
-//! harness. A scheme is named by a typed [`StrategySpec`] (one variant per
-//! scheme, carrying that scheme's options, with `FromStr`/`Display` for
-//! CLI round-tripping), builds into a [`Strategy`], takes a
+//! harness. A scheme is described by a typed [`StrategySpec`] (one variant
+//! per scheme, carrying that scheme's options, with `FromStr`/`Display`
+//! for CLI round-tripping) and run by [`StrategySpec::run`], which takes a
 //! [`RunRequest`] (image, model parameters, shared worker pool, seed,
 //! iteration budget) plus a [`RunCtx`] (cancellation, deadline, progress
 //! observer) and produces a [`RunReport`] (final [`Configuration`],
@@ -26,29 +26,36 @@
 //!
 //! // Sweep everything…
 //! for spec in StrategySpec::all() {
-//!     let report = spec.build().run(&req, &RunCtx::default()).unwrap();
+//!     let report = spec.run(&req, &RunCtx::default()).unwrap();
 //!     println!("{}: {} circles", report.strategy, report.detected().len());
 //! }
 //! // …or pick one scheme from its CLI spelling.
 //! let spec: StrategySpec = "periodic".parse().unwrap();
-//! assert!(spec.build().run(&req, &RunCtx::default()).unwrap().validity.is_exact());
+//! assert!(spec.run(&req, &RunCtx::default()).unwrap().validity.is_exact());
 //! ```
+//!
+//! **Who validates.** [`StrategySpec::run`] is the single place a run is
+//! validated — the workload ([`RunRequest::validate`]) and the scheme
+//! options ([`StrategySpec::validate`]) — so directly constructed requests
+//! and options get the same [`RunError::InvalidSpec`] as parsed ones; the
+//! job layer repeats the same two checks at submission only to fail fast.
+//! `run` does not catch panics: that is the job runner's business
+//! ([`crate::job::run_blueprint`]).
 //!
 //! Service-style execution — owned job descriptions, background submission,
 //! live events, cancellation, batches — lives one layer up in
-//! [`crate::job`]. The scheme-specific entry points (`run_blind`,
-//! [`PeriodicSampler`], …) remain available for callers that need
-//! scheme-specific outputs; the strategy types here are thin adapters over
-//! them.
+//! [`crate::job`]. The scheme pipelines (`run_blind`, [`PeriodicSampler`],
+//! …) remain public for callers that need scheme-specific outputs; the arms
+//! of `run` are thin wrappers over them.
 
-use crate::blind::{run_blind_ctx, BlindOptions};
-use crate::intelligent::{run_intelligent_ctx, IntelligentPartitioner};
+use crate::blind::{run_blind, BlindOptions};
+use crate::intelligent::{run_intelligent, IntelligentPartitioner};
 use crate::job::{RunCtx, RunError};
-use crate::mc3par::run_mc3_parallel_ctx;
-use crate::naive::{run_naive_ctx, NaiveOptions, NaivePrior};
+use crate::mc3par::run_mc3_parallel;
+use crate::naive::{run_naive, NaiveOptions, NaivePrior};
 use crate::periodic::{PartitionScheme, PeriodicOptions, PeriodicSampler};
 use crate::speculative::SpeculativeSampler;
-use crate::subchain::SubChainOptions;
+use crate::subchain::{SubChainOptions, SubChainResult};
 use pmcmc_core::{Configuration, Mc3, ModelParams, NucleiModel, Sampler};
 use pmcmc_imaging::{Circle, GrayImage};
 use pmcmc_runtime::{NodeId, WorkerPool};
@@ -87,7 +94,7 @@ impl Validity {
     }
 }
 
-/// Everything a strategy needs to run: the shared workload description.
+/// Everything a scheme needs to run: the shared workload description.
 #[derive(Clone, Copy)]
 pub struct RunRequest<'a> {
     /// The input intensity image.
@@ -95,7 +102,7 @@ pub struct RunRequest<'a> {
     /// Model parameters for the full image (schemes derive per-partition
     /// parameters themselves).
     pub params: &'a ModelParams,
-    /// The worker pool shared by every strategy in a sweep.
+    /// The worker pool shared by every scheme in a sweep.
     pub pool: &'a WorkerPool,
     /// Master seed; schemes derive their internal streams from it.
     pub seed: u64,
@@ -136,8 +143,8 @@ impl<'a> RunRequest<'a> {
         NucleiModel::new(self.image, self.params.clone())
     }
 
-    /// Checks the request for impossible workloads; every strategy calls
-    /// this before touching the image, so bad inputs surface as
+    /// Checks the request for impossible workloads; [`StrategySpec::run`]
+    /// calls this before touching the image, so bad inputs surface as
     /// [`RunError::InvalidSpec`] instead of a panic deep inside a scheme.
     ///
     /// # Errors
@@ -234,7 +241,7 @@ pub struct RunDiagnostics {
     pub perf: Option<pmcmc_core::PerfSnapshot>,
 }
 
-/// The shared result shape every strategy produces.
+/// The shared result shape every scheme produces.
 #[derive(Debug, Clone)]
 pub struct RunReport {
     /// Name of the strategy that produced this report.
@@ -247,7 +254,11 @@ pub struct RunReport {
     pub config: Configuration,
     /// Per-phase wall-time breakdown.
     pub phases: Vec<PhaseTiming>,
-    /// End-to-end wall time.
+    /// Wall time of the scheme itself, for all seven schemes alike: the
+    /// clock starts once the request is validated and the full-image model
+    /// is built (the model build is setup, not scheme time) and stops when
+    /// the scheme has produced its final configuration, before the final
+    /// log-posterior evaluation.
     pub total_time: Duration,
     /// Iterations actually executed (summed over partitions/chains).
     pub iterations: u64,
@@ -255,8 +266,8 @@ pub struct RunReport {
     pub diagnostics: RunDiagnostics,
     /// Per-node wall-clock accounting, filled in by the execution
     /// backends: one entry for a whole-job run (the node it was placed
-    /// on), one per node for a cluster-split run. Empty for detached
-    /// strategy runs that bypass the job layer.
+    /// on), one per node for a cluster-split run. Empty for direct
+    /// [`StrategySpec::run`] calls that bypass the job layer.
     pub node_timings: Vec<NodeTiming>,
 }
 
@@ -278,7 +289,7 @@ impl RunReport {
     }
 
     /// Assembles a report around a final configuration. `model` must be
-    /// the full-image model of the request (adapters pass the one they
+    /// the full-image model of the request (callers pass the one they
     /// already built rather than paying a second O(width·height) gain
     /// construction).
     pub(crate) fn finish(
@@ -309,440 +320,12 @@ impl RunReport {
     }
 }
 
-/// A parallelisation scheme runnable through the unified engine.
-///
-/// Implementations poll `ctx` for cancellation/deadline inside their
-/// iteration loops and emit progress events through it, so every scheme is
-/// observable and stoppable through the [`crate::job`] layer.
-pub trait Strategy: Send + Sync {
-    /// The registry name of the scheme (`"periodic"`, `"blind"`, …).
-    fn name(&self) -> &str;
-
-    /// The paper's statistical-validity classification of the scheme.
-    fn validity(&self) -> Validity;
-
-    /// Runs the scheme on the request's workload under the given context.
-    ///
-    /// # Errors
-    /// [`RunError::InvalidSpec`] when the request fails validation;
-    /// [`RunError::Cancelled`] / [`RunError::DeadlineExceeded`] when the
-    /// context stopped the run early.
-    fn run(&self, req: &RunRequest<'_>, ctx: &RunCtx) -> Result<RunReport, RunError>;
-}
-
-// ---------------------------------------------------------------------------
-// Adapters.
-
-/// The sequential RJMCMC baseline, registered so sweeps always include the
-/// reference every parallel scheme is judged against.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct SequentialStrategy;
-
-impl Strategy for SequentialStrategy {
-    fn name(&self) -> &str {
-        "sequential"
-    }
-
-    fn validity(&self) -> Validity {
-        Validity::Exact
-    }
-
-    fn run(&self, req: &RunRequest<'_>, ctx: &RunCtx) -> Result<RunReport, RunError> {
-        req.validate()?;
-        let model = req.model();
-        let perf_start = pmcmc_core::perf::snapshot();
-        let start = Instant::now();
-        // Random initial configuration (§III), matching the start state of
-        // every other engine strategy so sweeps compare schemes, not
-        // initializations.
-        let mut sampler = Sampler::new(&model, req.seed);
-        ctx.phase("chain");
-        let stride = ctx.progress_stride();
-        let mut checkpoints = ctx.checkpointer();
-        let mut done = 0u64;
-        while done < req.iterations {
-            let step = stride.min(req.iterations - done);
-            sampler.run(step);
-            done += step;
-            ctx.progress(done, req.iterations)?;
-            if checkpoints.due(done) {
-                ctx.checkpoint(done, sampler.config.len(), sampler.log_posterior());
-            }
-        }
-        let total = start.elapsed();
-        let acceptance = sampler.stats.acceptance_rate();
-        let mut report = RunReport::finish(
-            self.name(),
-            self.validity(),
-            &model,
-            sampler.config,
-            total,
-            req.iterations,
-        );
-        report.phases = vec![PhaseTiming::new("chain", total)];
-        report.diagnostics.acceptance_rate = Some(acceptance);
-        report.diagnostics.perf = Some(pmcmc_core::perf::snapshot().since(&perf_start));
-        Ok(report)
-    }
-}
-
-/// Periodic partitioning (§V) through the engine; runs its local phases on
-/// the request's shared pool.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct PeriodicStrategy {
-    /// Scheme options; `threads` is overridden by the request's pool size.
-    pub options: PeriodicOptions,
-}
-
-impl Strategy for PeriodicStrategy {
-    fn name(&self) -> &str {
-        "periodic"
-    }
-
-    fn validity(&self) -> Validity {
-        Validity::Exact
-    }
-
-    fn run(&self, req: &RunRequest<'_>, ctx: &RunCtx) -> Result<RunReport, RunError> {
-        req.validate()?;
-        StrategySpec::Periodic(self.options).validate()?;
-        let model = req.model();
-        let perf_start = pmcmc_core::perf::snapshot();
-        let start = Instant::now();
-        let mut sampler = PeriodicSampler::with_pool(&model, req.seed, self.options, req.pool);
-        let periodic_report = sampler.run_ctx(req.iterations, ctx)?;
-        let total = start.elapsed();
-        let stats = sampler.merged_stats();
-        let mut report = RunReport::finish(
-            self.name(),
-            self.validity(),
-            &model,
-            sampler.master.config,
-            total,
-            periodic_report.total_iters(),
-        );
-        report.phases = vec![
-            PhaseTiming::new("global", periodic_report.global_time),
-            PhaseTiming::new("local", periodic_report.local_time),
-            PhaseTiming::new("overhead", periodic_report.overhead_time),
-        ];
-        report.diagnostics.partitions = periodic_report.max_tiles.max(1);
-        report.diagnostics.acceptance_rate = Some(stats.acceptance_rate());
-        report
-            .diagnostics
-            .notes
-            .push(format!("cycles={}", periodic_report.cycles));
-        report.diagnostics.perf = Some(pmcmc_core::perf::snapshot().since(&perf_start));
-        Ok(report)
-    }
-}
-
-/// Speculative moves through the engine. The spin team is sized by
-/// `lanes` (0 = use the request pool's thread count, capped at 8 — beyond
-/// that the eq. (3) returns diminish on commodity SMP).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SpeculativeStrategy {
-    /// Speculative lanes; 0 derives the count from the request's pool.
-    pub lanes: usize,
-}
-
-impl Strategy for SpeculativeStrategy {
-    fn name(&self) -> &str {
-        "speculative"
-    }
-
-    fn validity(&self) -> Validity {
-        Validity::Exact
-    }
-
-    fn run(&self, req: &RunRequest<'_>, ctx: &RunCtx) -> Result<RunReport, RunError> {
-        req.validate()?;
-        StrategySpec::Speculative { lanes: self.lanes }.validate()?;
-        let lanes = if self.lanes == 0 {
-            req.pool.threads().clamp(1, 8)
-        } else {
-            self.lanes
-        };
-        let model = req.model();
-        let perf_start = pmcmc_core::perf::snapshot();
-        let start = Instant::now();
-        let mut sampler = SpeculativeSampler::new(&model, req.seed, lanes);
-        ctx.phase("rounds");
-        let stride = ctx.progress_stride();
-        let mut checkpoints = ctx.checkpointer();
-        while sampler.iterations() < req.iterations {
-            let step = stride.min(req.iterations - sampler.iterations());
-            sampler.run(step);
-            let done = sampler.iterations();
-            ctx.progress(done, req.iterations)?;
-            if checkpoints.due(done) {
-                ctx.checkpoint(done, sampler.config.len(), sampler.log_posterior());
-            }
-        }
-        let total = start.elapsed();
-        let acceptance = sampler.stats.acceptance_rate();
-        let iterations = sampler.iterations();
-        let rounds = sampler.rounds();
-        let mut report = RunReport::finish(
-            self.name(),
-            self.validity(),
-            &model,
-            sampler.config,
-            total,
-            iterations,
-        );
-        report.phases = vec![PhaseTiming::new("rounds", total)];
-        report.diagnostics.partitions = lanes;
-        report.diagnostics.acceptance_rate = Some(acceptance);
-        report.diagnostics.notes.push(format!("rounds={rounds}"));
-        report.diagnostics.perf = Some(pmcmc_core::perf::snapshot().since(&perf_start));
-        Ok(report)
-    }
-}
-
-/// Metropolis-coupled MCMC (§IV) through the engine; chain segments fan
-/// out onto the request's shared pool.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Mc3Strategy {
-    /// Number of coupled chains (including the cold one).
-    pub chains: usize,
-    /// Temperature spacing (heat increment per chain).
-    pub heat: f64,
-    /// Iterations between swap attempts.
-    pub segment_len: u64,
-}
-
-impl Default for Mc3Strategy {
-    fn default() -> Self {
-        Self {
-            chains: 3,
-            heat: 0.4,
-            segment_len: 500,
-        }
-    }
-}
-
-impl Strategy for Mc3Strategy {
-    fn name(&self) -> &str {
-        "mc3"
-    }
-
-    fn validity(&self) -> Validity {
-        Validity::Exact
-    }
-
-    fn run(&self, req: &RunRequest<'_>, ctx: &RunCtx) -> Result<RunReport, RunError> {
-        req.validate()?;
-        StrategySpec::Mc3 {
-            chains: self.chains,
-            heat: self.heat,
-            segment_len: self.segment_len,
-        }
-        .validate()?;
-        let model = req.model();
-        let segment_len = self.segment_len.max(1);
-        let segments = (req.iterations / segment_len).max(1);
-        let perf_start = pmcmc_core::perf::snapshot();
-        let start = Instant::now();
-        let mut mc3 = Mc3::new(&model, self.chains.max(2), self.heat, req.seed);
-        let mc3_report = run_mc3_parallel_ctx(&mut mc3, req.pool, segments, segment_len, ctx)?;
-        let total = start.elapsed();
-        let cold = mc3.cold();
-        let mut report = RunReport::finish(
-            self.name(),
-            self.validity(),
-            &model,
-            cold.config.clone(),
-            total,
-            mc3_report.iters_per_chain * self.chains.max(2) as u64,
-        );
-        report.phases = vec![PhaseTiming::new("segments", mc3_report.total_time)];
-        report.diagnostics.partitions = self.chains.max(2);
-        report.diagnostics.acceptance_rate = Some(cold.stats.acceptance_rate());
-        report.diagnostics.notes.push(format!(
-            "swaps={}/{}",
-            mc3.swap_stats.accepted, mc3.swap_stats.attempted
-        ));
-        report.diagnostics.perf = Some(pmcmc_core::perf::snapshot().since(&perf_start));
-        Ok(report)
-    }
-}
-
-/// Intelligent partitioning (§VIII) through the engine.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct IntelligentStrategy {
-    /// The guillotine pre-processor.
-    pub partitioner: IntelligentPartitioner,
-    /// Per-partition chain options; `max_iters` is overridden by the
-    /// request's iteration budget.
-    pub chain: SubChainOptions,
-}
-
-impl Strategy for IntelligentStrategy {
-    fn name(&self) -> &str {
-        "intelligent"
-    }
-
-    fn validity(&self) -> Validity {
-        Validity::Heuristic
-    }
-
-    fn run(&self, req: &RunRequest<'_>, ctx: &RunCtx) -> Result<RunReport, RunError> {
-        req.validate()?;
-        let opts = SubChainOptions {
-            max_iters: req.iterations,
-            ..self.chain
-        };
-        let perf_start = pmcmc_core::perf::snapshot();
-        let start = Instant::now();
-        let result = run_intelligent_ctx(
-            req.image,
-            req.params,
-            &self.partitioner,
-            &opts,
-            req.pool,
-            req.seed,
-            ctx,
-        )?;
-        let total = start.elapsed();
-        let iterations = result.partitions.iter().map(|p| p.iterations).sum();
-        let model = req.model();
-        let mut report = RunReport::finish(
-            self.name(),
-            self.validity(),
-            &model,
-            Configuration::from_circles(&model, &result.merged),
-            total,
-            iterations,
-        );
-        report.phases = vec![
-            PhaseTiming::new("preprocess", result.preprocess_time),
-            PhaseTiming::new("chains", result.chains_time),
-        ];
-        report.diagnostics.partitions = result.partitions.len();
-        for p in &result.partitions {
-            report.diagnostics.notes.push(format!(
-                "partition {:?}: eq5={:.1}, converged_at={:?}",
-                p.rect, p.expected_count, p.converged_at
-            ));
-        }
-        report.diagnostics.perf = Some(pmcmc_core::perf::snapshot().since(&perf_start));
-        Ok(report)
-    }
-}
-
-/// Blind partitioning (§VIII/§IX) through the engine.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct BlindStrategy {
-    /// Scheme options; the chain's `max_iters` is overridden by the
-    /// request's iteration budget.
-    pub options: BlindOptions,
-}
-
-impl Strategy for BlindStrategy {
-    fn name(&self) -> &str {
-        "blind"
-    }
-
-    fn validity(&self) -> Validity {
-        Validity::Heuristic
-    }
-
-    fn run(&self, req: &RunRequest<'_>, ctx: &RunCtx) -> Result<RunReport, RunError> {
-        req.validate()?;
-        StrategySpec::Blind(self.options).validate()?;
-        let opts = BlindOptions {
-            chain: SubChainOptions {
-                max_iters: req.iterations,
-                ..self.options.chain
-            },
-            ..self.options
-        };
-        let perf_start = pmcmc_core::perf::snapshot();
-        let start = Instant::now();
-        let result = run_blind_ctx(req.image, req.params, &opts, req.pool, req.seed, ctx)?;
-        let total = start.elapsed();
-        let iterations = result.partitions.iter().map(|p| p.chain.iterations).sum();
-        let model = req.model();
-        let mut report = RunReport::finish(
-            self.name(),
-            self.validity(),
-            &model,
-            Configuration::from_circles(&model, &result.merged),
-            total,
-            iterations,
-        );
-        report.phases = vec![
-            PhaseTiming::new("chains", result.chains_time),
-            PhaseTiming::new("merge", result.merge_time),
-        ];
-        report.diagnostics.partitions = result.partitions.len();
-        report.diagnostics.notes.push(format!(
-            "merged_pairs={}, disputed={}",
-            result.merged_pairs, result.disputed
-        ));
-        report.diagnostics.perf = Some(pmcmc_core::perf::snapshot().since(&perf_start));
-        Ok(report)
-    }
-}
-
-/// The naive divide-and-conquer baseline (anti-pattern, §II) through the
-/// engine.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct NaiveStrategy {
-    /// Scheme options; the chain's `max_iters` is overridden by the
-    /// request's iteration budget.
-    pub options: NaiveOptions,
-}
-
-impl Strategy for NaiveStrategy {
-    fn name(&self) -> &str {
-        "naive"
-    }
-
-    fn validity(&self) -> Validity {
-        Validity::Broken
-    }
-
-    fn run(&self, req: &RunRequest<'_>, ctx: &RunCtx) -> Result<RunReport, RunError> {
-        req.validate()?;
-        StrategySpec::Naive(self.options).validate()?;
-        let opts = NaiveOptions {
-            chain: SubChainOptions {
-                max_iters: req.iterations,
-                ..self.options.chain
-            },
-            ..self.options
-        };
-        let perf_start = pmcmc_core::perf::snapshot();
-        let start = Instant::now();
-        let result = run_naive_ctx(req.image, req.params, &opts, req.pool, req.seed, ctx)?;
-        let total = start.elapsed();
-        let iterations = result.partitions.iter().map(|p| p.iterations).sum();
-        let model = req.model();
-        let mut report = RunReport::finish(
-            self.name(),
-            self.validity(),
-            &model,
-            Configuration::from_circles(&model, &result.merged),
-            total,
-            iterations,
-        );
-        report.phases = vec![PhaseTiming::new("chains", result.chains_time)];
-        report.diagnostics.partitions = result.partitions.len();
-        report.diagnostics.perf = Some(pmcmc_core::perf::snapshot().since(&perf_start));
-        Ok(report)
-    }
-}
-
 // ---------------------------------------------------------------------------
 // StrategySpec — the typed registry.
 
 /// A typed, serialisable description of one parallelisation scheme and its
-/// options — the primary way to name a strategy (the stringly, deprecated
-/// [`by_name`](crate::engine::by_name) lookup is a thin shim over
-/// `StrategySpec::from_str` and is no longer re-exported from the crate
-/// root).
+/// options — the only way to name a scheme, and, through
+/// [`StrategySpec::run`], the only way to run one.
 ///
 /// The CLI grammar is `name[:key=value[,key=value]…]`; `Display` renders
 /// the canonical spelling (options are emitted only when they differ from
@@ -803,7 +386,22 @@ pub enum StrategySpec {
     Naive(NaiveOptions),
 }
 
+/// Default number of coupled (MC)³ chains (including the cold one).
+const MC3_CHAINS: usize = 3;
+/// Default (MC)³ temperature spacing (heat increment per chain).
+const MC3_HEAT: f64 = 0.4;
+/// Default iterations between (MC)³ swap attempts.
+const MC3_SEGMENT_LEN: u64 = 500;
+
 impl StrategySpec {
+    /// The (MC)³ variant with the defaults below — what the bare `mc3`
+    /// spelling parses to and what [`StrategySpec::all`] sweeps.
+    const MC3_DEFAULT: StrategySpec = StrategySpec::Mc3 {
+        chains: MC3_CHAINS,
+        heat: MC3_HEAT,
+        segment_len: MC3_SEGMENT_LEN,
+    };
+
     /// Registry name of the scheme.
     #[must_use]
     pub fn name(&self) -> &'static str {
@@ -831,36 +429,200 @@ impl StrategySpec {
         }
     }
 
-    /// Builds the runnable strategy this spec describes.
-    #[must_use]
-    pub fn build(&self) -> Box<dyn Strategy> {
-        match *self {
-            StrategySpec::Sequential => Box::new(SequentialStrategy),
-            StrategySpec::Periodic(options) => Box::new(PeriodicStrategy { options }),
-            StrategySpec::Speculative { lanes } => Box::new(SpeculativeStrategy { lanes }),
+    /// Runs the scheme on the request's workload under the given context —
+    /// the one entry point of every scheme. The prologue (request and
+    /// option validation, the full-image model build, perf snapshot, timer)
+    /// and the epilogue ([`RunReport`] assembly, perf delta) are shared; the
+    /// arms in between only drive their scheme and say what it produced.
+    /// Every scheme polls `ctx` for cancellation/deadline inside its
+    /// iteration loop and emits progress events through it, so every scheme
+    /// is observable and stoppable through the [`crate::job`] layer.
+    ///
+    /// # Errors
+    /// [`RunError::InvalidSpec`] when the request or the scheme options
+    /// fail validation; [`RunError::Cancelled`] /
+    /// [`RunError::DeadlineExceeded`] when the context stopped the run
+    /// early.
+    pub fn run(&self, req: &RunRequest<'_>, ctx: &RunCtx) -> Result<RunReport, RunError> {
+        req.validate()?;
+        self.validate()?;
+        let model = &req.model();
+        let perf_start = pmcmc_core::perf::snapshot();
+        let start = Instant::now();
+        let phase = PhaseTiming::new;
+        // The partition schemes' chains are capped by the request's budget.
+        let capped = |chain: SubChainOptions| SubChainOptions {
+            max_iters: req.iterations,
+            ..chain
+        };
+        let (config, iterations, phases, partitions, acceptance_rate, notes) = match *self {
+            StrategySpec::Sequential => {
+                // Random initial configuration (§III), matching the start
+                // state of every other scheme so sweeps compare schemes,
+                // not initializations.
+                let mut sampler = Sampler::new(model, req.seed);
+                ctx.phase("chain");
+                let stride = ctx.progress_stride();
+                let mut checkpoints = ctx.checkpointer();
+                let mut done = 0u64;
+                while done < req.iterations {
+                    let step = stride.min(req.iterations - done);
+                    sampler.run(step);
+                    done += step;
+                    ctx.progress(done, req.iterations)?;
+                    if checkpoints.due(done) {
+                        ctx.checkpoint(done, sampler.config.len(), sampler.log_posterior());
+                    }
+                }
+                let acceptance = sampler.stats.acceptance_rate();
+                let phases = vec![phase("chain", start.elapsed())];
+                (sampler.config, done, phases, 1, Some(acceptance), vec![])
+            }
+            // `options.threads` is overridden by the request's pool size.
+            StrategySpec::Periodic(options) => {
+                let mut sampler = PeriodicSampler::with_pool(model, req.seed, options, req.pool);
+                let ran = sampler.run(req.iterations, ctx)?;
+                let phases = vec![
+                    phase("global", ran.global_time),
+                    phase("local", ran.local_time),
+                    phase("overhead", ran.overhead_time),
+                ];
+                let acceptance = sampler.merged_stats().acceptance_rate();
+                let notes = vec![format!("cycles={}", ran.cycles)];
+                let (iters, tiles) = (ran.total_iters(), ran.max_tiles.max(1));
+                let config = sampler.master.config;
+                (config, iters, phases, tiles, Some(acceptance), notes)
+            }
+            StrategySpec::Speculative { lanes } => {
+                // 0 = the request pool's thread count, capped at 8 — beyond
+                // that the eq. (3) returns diminish on commodity SMP.
+                let lanes = match lanes {
+                    0 => req.pool.threads().clamp(1, 8),
+                    n => n,
+                };
+                let mut sampler = SpeculativeSampler::new(model, req.seed, lanes);
+                ctx.phase("rounds");
+                let stride = ctx.progress_stride();
+                let mut checkpoints = ctx.checkpointer();
+                while sampler.iterations() < req.iterations {
+                    sampler.run(stride.min(req.iterations - sampler.iterations()));
+                    let done = sampler.iterations();
+                    ctx.progress(done, req.iterations)?;
+                    if checkpoints.due(done) {
+                        ctx.checkpoint(done, sampler.config.len(), sampler.log_posterior());
+                    }
+                }
+                let acceptance = sampler.stats.acceptance_rate();
+                let phases = vec![phase("rounds", start.elapsed())];
+                let notes = vec![format!("rounds={}", sampler.rounds())];
+                let done = sampler.iterations();
+                (sampler.config, done, phases, lanes, Some(acceptance), notes)
+            }
             StrategySpec::Mc3 {
                 chains,
                 heat,
                 segment_len,
-            } => Box::new(Mc3Strategy {
-                chains,
-                heat,
-                segment_len,
-            }),
-            StrategySpec::Intelligent { partitioner, chain } => {
-                Box::new(IntelligentStrategy { partitioner, chain })
+            } => {
+                let chains = chains.max(2);
+                let segment_len = segment_len.max(1);
+                let segments = (req.iterations / segment_len).max(1);
+                let mut mc3 = Mc3::new(model, chains, heat, req.seed);
+                let ran = run_mc3_parallel(&mut mc3, req.pool, segments, segment_len, ctx)?;
+                let cold = mc3.cold();
+                let swaps = &mc3.swap_stats;
+                (
+                    cold.config.clone(),
+                    ran.iters_per_chain * chains as u64,
+                    vec![phase("segments", ran.total_time)],
+                    chains,
+                    Some(cold.stats.acceptance_rate()),
+                    vec![format!("swaps={}/{}", swaps.accepted, swaps.attempted)],
+                )
             }
-            StrategySpec::Blind(options) => Box::new(BlindStrategy { options }),
-            StrategySpec::Naive(options) => Box::new(NaiveStrategy { options }),
-        }
+            StrategySpec::Intelligent { partitioner, chain } => {
+                let (img, opts, seed) = (req.image, capped(chain), req.seed);
+                let found = run_intelligent(model, img, &partitioner, &opts, req.pool, seed, ctx)?;
+                let parts = &found.partitions;
+                let note = |p: &SubChainResult| {
+                    format!(
+                        "partition {:?}: eq5={:.1}, converged_at={:?}",
+                        p.rect, p.expected_count, p.converged_at
+                    )
+                };
+                (
+                    Configuration::from_circles(model, &found.merged),
+                    parts.iter().map(|p| p.iterations).sum(),
+                    vec![
+                        phase("preprocess", found.preprocess_time),
+                        phase("chains", found.chains_time),
+                    ],
+                    parts.len(),
+                    None,
+                    parts.iter().map(note).collect(),
+                )
+            }
+            StrategySpec::Blind(options) => {
+                let opts = BlindOptions {
+                    chain: capped(options.chain),
+                    ..options
+                };
+                let found = run_blind(model, req.image, &opts, req.pool, req.seed, ctx)?;
+                let parts = &found.partitions;
+                (
+                    Configuration::from_circles(model, &found.merged),
+                    parts.iter().map(|p| p.chain.iterations).sum(),
+                    vec![
+                        phase("chains", found.chains_time),
+                        phase("merge", found.merge_time),
+                    ],
+                    parts.len(),
+                    None,
+                    vec![format!(
+                        "merged_pairs={}, disputed={}",
+                        found.merged_pairs, found.disputed
+                    )],
+                )
+            }
+            StrategySpec::Naive(options) => {
+                let opts = NaiveOptions {
+                    chain: capped(options.chain),
+                    ..options
+                };
+                let found = run_naive(model, req.image, &opts, req.pool, req.seed, ctx)?;
+                let parts = &found.partitions;
+                (
+                    Configuration::from_circles(model, &found.merged),
+                    parts.iter().map(|p| p.iterations).sum(),
+                    vec![phase("chains", found.chains_time)],
+                    parts.len(),
+                    None,
+                    vec![],
+                )
+            }
+        };
+        let total = start.elapsed();
+        let mut report = RunReport::finish(
+            self.name(),
+            self.validity(),
+            model,
+            config,
+            total,
+            iterations,
+        );
+        report.phases = phases;
+        report.diagnostics.partitions = partitions;
+        report.diagnostics.acceptance_rate = acceptance_rate;
+        report.diagnostics.notes = notes;
+        report.diagnostics.perf = Some(pmcmc_core::perf::snapshot().since(&perf_start));
+        Ok(report)
     }
 
     /// Checks the scheme options for values that would otherwise panic
     /// deep inside a scheme (zero-sized partition grids, zero or absurd
     /// speculative lane counts), so they surface as
     /// [`RunError::InvalidSpec`] at parse/submit time instead. Called by
-    /// the `FromStr` grammar, by `JobSpec::validate`, and by the affected
-    /// strategies at run time (covering directly constructed options).
+    /// the `FromStr` grammar, by `JobSpec::validate`, and by
+    /// [`StrategySpec::run`] (covering directly constructed options).
     ///
     /// # Errors
     /// [`RunError::InvalidSpec`] naming the offending option.
@@ -916,16 +678,11 @@ impl StrategySpec {
     /// baseline).
     #[must_use]
     pub fn all() -> Vec<StrategySpec> {
-        let mc3 = Mc3Strategy::default();
         vec![
             StrategySpec::Sequential,
             StrategySpec::Periodic(PeriodicOptions::default()),
             StrategySpec::Speculative { lanes: 0 },
-            StrategySpec::Mc3 {
-                chains: mc3.chains,
-                heat: mc3.heat,
-                segment_len: mc3.segment_len,
-            },
+            Self::MC3_DEFAULT,
             StrategySpec::Intelligent {
                 partitioner: IntelligentPartitioner::default(),
                 chain: SubChainOptions::default(),
@@ -939,68 +696,46 @@ impl StrategySpec {
 impl fmt::Display for StrategySpec {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(self.name())?;
+        // Options are rendered only where they differ from the default.
         let mut opts: Vec<String> = Vec::new();
+        let mut opt = |differs: bool, key: &str, value: &dyn fmt::Display| {
+            if differs {
+                opts.push(format!("{key}={value}"));
+            }
+        };
         match self {
             StrategySpec::Sequential => {}
             StrategySpec::Periodic(o) => {
                 let d = PeriodicOptions::default();
-                if o.global_phase_iters != d.global_phase_iters {
-                    opts.push(format!("global={}", o.global_phase_iters));
-                }
-                if o.speculative_global_lanes != d.speculative_global_lanes {
-                    opts.push(format!("lanes={}", o.speculative_global_lanes));
-                }
+                let (global, lanes) = (o.global_phase_iters, o.speculative_global_lanes);
+                opt(global != d.global_phase_iters, "global", &global);
+                opt(lanes != d.speculative_global_lanes, "lanes", &lanes);
             }
-            StrategySpec::Speculative { lanes } => {
-                if *lanes != 0 {
-                    opts.push(format!("lanes={lanes}"));
-                }
-            }
+            StrategySpec::Speculative { lanes } => opt(*lanes != 0, "lanes", lanes),
             StrategySpec::Mc3 {
                 chains,
                 heat,
                 segment_len,
             } => {
-                let d = Mc3Strategy::default();
-                if *chains != d.chains {
-                    opts.push(format!("chains={chains}"));
-                }
-                if (*heat - d.heat).abs() > f64::EPSILON {
-                    opts.push(format!("heat={heat}"));
-                }
-                if *segment_len != d.segment_len {
-                    opts.push(format!("segment={segment_len}"));
-                }
+                opt(*chains != MC3_CHAINS, "chains", chains);
+                opt((*heat - MC3_HEAT).abs() > f64::EPSILON, "heat", heat);
+                opt(*segment_len != MC3_SEGMENT_LEN, "segment", segment_len);
             }
-            StrategySpec::Intelligent { partitioner, .. } => {
+            StrategySpec::Intelligent { partitioner: p, .. } => {
                 let d = IntelligentPartitioner::default();
-                if (partitioner.theta - d.theta).abs() > f32::EPSILON {
-                    opts.push(format!("theta={}", partitioner.theta));
-                }
-                if partitioner.min_gap != d.min_gap {
-                    opts.push(format!("gap={}", partitioner.min_gap));
-                }
+                opt((p.theta - d.theta).abs() > f32::EPSILON, "theta", &p.theta);
+                opt(p.min_gap != d.min_gap, "gap", &p.min_gap);
             }
             StrategySpec::Blind(o) => {
                 let d = BlindOptions::default();
-                if o.cols != d.cols {
-                    opts.push(format!("cols={}", o.cols));
-                }
-                if o.rows != d.rows {
-                    opts.push(format!("rows={}", o.rows));
-                }
+                opt(o.cols != d.cols, "cols", &o.cols);
+                opt(o.rows != d.rows, "rows", &o.rows);
             }
             StrategySpec::Naive(o) => {
                 let d = NaiveOptions::default();
-                if o.cols != d.cols {
-                    opts.push(format!("cols={}", o.cols));
-                }
-                if o.rows != d.rows {
-                    opts.push(format!("rows={}", o.rows));
-                }
-                if o.prior != d.prior {
-                    opts.push("prior=uniform".to_owned());
-                }
+                opt(o.cols != d.cols, "cols", &o.cols);
+                opt(o.rows != d.rows, "rows", &o.rows);
+                opt(o.prior != d.prior, "prior", &"uniform");
             }
         }
         if !opts.is_empty() {
@@ -1045,14 +780,7 @@ impl FromStr for StrategySpec {
             "periodic" => StrategySpec::Periodic(PeriodicOptions::default()),
             "speculative" => StrategySpec::Speculative { lanes: 0 },
             // `mc3par` is the historical module name, kept as an alias.
-            "mc3" | "mc3par" => {
-                let d = Mc3Strategy::default();
-                StrategySpec::Mc3 {
-                    chains: d.chains,
-                    heat: d.heat,
-                    segment_len: d.segment_len,
-                }
-            }
+            "mc3" | "mc3par" => Self::MC3_DEFAULT,
             "intelligent" => StrategySpec::Intelligent {
                 partitioner: IntelligentPartitioner::default(),
                 chain: SubChainOptions::default(),
@@ -1110,49 +838,9 @@ impl FromStr for StrategySpec {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Registry shims.
-
-/// Names of every registered strategy, in canonical sweep order
-/// (reference first, exact schemes, then heuristics, then the broken
-/// baseline).
-pub const STRATEGY_NAMES: [&str; 7] = [
-    "sequential",
-    "periodic",
-    "speculative",
-    "mc3",
-    "intelligent",
-    "blind",
-    "naive",
-];
-
-/// Builds every registered strategy with default options, in
-/// [`STRATEGY_NAMES`] order.
-#[must_use]
-pub fn registry() -> Vec<Box<dyn Strategy>> {
-    StrategySpec::all()
-        .iter()
-        .map(StrategySpec::build)
-        .collect()
-}
-
-/// Builds the strategy registered under `name` — a thin, historical shim
-/// over [`StrategySpec`]'s `FromStr` (which also accepts `name:key=value`
-/// option suffixes and reports *why* a spelling is rejected).
-#[deprecated(
-    since = "0.1.0",
-    note = "parse a typed spec instead: `name.parse::<StrategySpec>()?.build()` \
-            (keeps the error explaining why a spelling was rejected)"
-)]
-#[must_use]
-pub fn by_name(name: &str) -> Option<Box<dyn Strategy>> {
-    name.parse::<StrategySpec>().ok().map(|s| s.build())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::blind::DisputePolicy;
     use pmcmc_core::Xoshiro256;
     use pmcmc_imaging::synth::{generate, SceneSpec};
 
@@ -1177,43 +865,31 @@ mod tests {
     }
 
     #[test]
-    fn registry_contains_all_schemes_resolvable_by_spec() {
-        let names: Vec<String> = registry().iter().map(|s| s.name().to_owned()).collect();
-        assert_eq!(names, STRATEGY_NAMES);
-        for name in STRATEGY_NAMES {
-            let s = name
-                .parse::<StrategySpec>()
-                .expect("every published name resolves")
-                .build();
-            assert_eq!(s.name(), name);
+    fn every_scheme_name_resolves_to_its_own_spec() {
+        let names: Vec<&str> = StrategySpec::all().iter().map(StrategySpec::name).collect();
+        assert_eq!(
+            names,
+            [
+                "sequential",
+                "periodic",
+                "speculative",
+                "mc3",
+                "intelligent",
+                "blind",
+                "naive"
+            ]
+        );
+        for spec in StrategySpec::all() {
+            let parsed: StrategySpec = spec.name().parse().expect("every published name resolves");
+            assert_eq!(parsed, spec);
         }
         assert!("mc3par".parse::<StrategySpec>().is_ok(), "historical alias");
         assert!("nope".parse::<StrategySpec>().is_err());
     }
 
     #[test]
-    #[allow(deprecated)]
-    fn deprecated_by_name_shim_still_resolves() {
-        // The shim survives one deprecation cycle; behaviourally it is
-        // `FromStr` with the error discarded.
-        for name in STRATEGY_NAMES {
-            assert_eq!(by_name(name).expect("shim resolves").name(), name);
-        }
-        assert!(by_name("nope").is_none());
-    }
-
-    #[test]
-    fn spec_names_and_validities_line_up_with_built_strategies() {
-        for spec in StrategySpec::all() {
-            let built = spec.build();
-            assert_eq!(spec.name(), built.name());
-            assert_eq!(spec.validity(), built.validity());
-        }
-    }
-
-    #[test]
     fn validity_tags_match_the_paper() {
-        let tag = |n: &str| n.parse::<StrategySpec>().unwrap().build().validity();
+        let tag = |n: &str| n.parse::<StrategySpec>().unwrap().validity();
         assert_eq!(tag("sequential"), Validity::Exact);
         assert_eq!(tag("periodic"), Validity::Exact);
         assert_eq!(tag("speculative"), Validity::Exact);
@@ -1321,32 +997,26 @@ mod tests {
         let pool = WorkerPool::new(2);
         let req = RunRequest::new(&img, &params, &pool, 1).iterations(500);
         let ctx = RunCtx::default();
-        let bad_runs: Vec<Box<dyn Strategy>> = vec![
-            Box::new(BlindStrategy {
-                options: BlindOptions {
-                    cols: 0,
-                    ..BlindOptions::default()
-                },
+        let bad_runs = [
+            StrategySpec::Blind(BlindOptions {
+                cols: 0,
+                ..BlindOptions::default()
             }),
-            Box::new(NaiveStrategy {
-                options: NaiveOptions {
-                    rows: 0,
-                    ..NaiveOptions::default()
-                },
+            StrategySpec::Naive(NaiveOptions {
+                rows: 0,
+                ..NaiveOptions::default()
             }),
-            Box::new(SpeculativeStrategy { lanes: 1_000_000 }),
-            Box::new(PeriodicStrategy {
-                options: PeriodicOptions {
-                    scheme: PartitionScheme::Grid { xm: 0, ym: 48 },
-                    ..PeriodicOptions::default()
-                },
+            StrategySpec::Speculative { lanes: 1_000_000 },
+            StrategySpec::Periodic(PeriodicOptions {
+                scheme: PartitionScheme::Grid { xm: 0, ym: 48 },
+                ..PeriodicOptions::default()
             }),
         ];
-        for strategy in bad_runs {
+        for spec in bad_runs {
             assert!(
-                matches!(strategy.run(&req, &ctx), Err(RunError::InvalidSpec(_))),
+                matches!(spec.run(&req, &ctx), Err(RunError::InvalidSpec(_))),
                 "{} ran with panic-prone options",
-                strategy.name()
+                spec.name()
             );
         }
     }
@@ -1360,38 +1030,32 @@ mod tests {
         let zero_iters = RunRequest::new(&img, &params, &pool, 1).iterations(0);
         let wrong_params = ModelParams::new(32, 32, 2.0, 8.0);
         let mismatched = RunRequest::new(&img, &wrong_params, &pool, 1);
-        for strategy in registry() {
+        for spec in StrategySpec::all() {
             assert!(
-                matches!(
-                    strategy.run(&zero_iters, &ctx),
-                    Err(RunError::InvalidSpec(_))
-                ),
+                matches!(spec.run(&zero_iters, &ctx), Err(RunError::InvalidSpec(_))),
                 "{} accepted a zero budget",
-                strategy.name()
+                spec.name()
             );
             assert!(
-                matches!(
-                    strategy.run(&mismatched, &ctx),
-                    Err(RunError::InvalidSpec(_))
-                ),
+                matches!(spec.run(&mismatched, &ctx), Err(RunError::InvalidSpec(_))),
                 "{} accepted mismatched params",
-                strategy.name()
+                spec.name()
             );
         }
     }
 
     #[test]
-    fn every_strategy_produces_consistent_reports_on_shared_request() {
+    fn every_scheme_produces_consistent_reports_on_shared_request() {
         let (img, params) = small_workload();
         let pool = WorkerPool::new(2);
         let req = RunRequest::new(&img, &params, &pool, 11).iterations(3_000);
         let model = req.model();
-        for strategy in registry() {
-            let report = strategy
+        for spec in StrategySpec::all() {
+            let report = spec
                 .run(&req, &RunCtx::default())
                 .expect("detached run succeeds");
-            assert_eq!(report.strategy, strategy.name());
-            assert_eq!(report.validity, strategy.validity());
+            assert_eq!(report.strategy, spec.name());
+            assert_eq!(report.validity, spec.validity());
             assert!(
                 report.iterations > 0,
                 "{} ran no iterations",
@@ -1429,28 +1093,6 @@ mod tests {
     }
 
     #[test]
-    fn reports_are_deterministic_for_fixed_seed() {
-        let (img, params) = small_workload();
-        let pool = WorkerPool::new(3);
-        for name in ["periodic", "speculative", "blind"] {
-            let run = || {
-                let req = RunRequest::new(&img, &params, &pool, 21).iterations(2_000);
-                let report = name
-                    .parse::<StrategySpec>()
-                    .unwrap()
-                    .build()
-                    .run(&req, &RunCtx::default())
-                    .expect("detached run succeeds");
-                (report.detected().len(), report.diagnostics.log_posterior)
-            };
-            let (n1, lp1) = run();
-            let (n2, lp2) = run();
-            assert_eq!(n1, n2, "{name} count not deterministic");
-            assert!((lp1 - lp2).abs() < 1e-9, "{name}: {lp1} vs {lp2}");
-        }
-    }
-
-    #[test]
     fn phase_lookup_finds_reported_phases() {
         let (img, params) = small_workload();
         let pool = WorkerPool::new(2);
@@ -1458,26 +1100,11 @@ mod tests {
         let report = "periodic"
             .parse::<StrategySpec>()
             .unwrap()
-            .build()
             .run(&req, &RunCtx::default())
             .expect("detached run succeeds");
         assert!(report.phase("global").is_some());
         assert!(report.phase("local").is_some());
         assert!(report.phase("overhead").is_some());
         assert!(report.phase("nonexistent").is_none());
-    }
-
-    #[test]
-    fn blind_spec_preserves_unserialised_options_on_build() {
-        // Display only covers the grammar subset; build() must still carry
-        // every option through.
-        let spec = StrategySpec::Blind(BlindOptions {
-            dispute: DisputePolicy::Discard,
-            merge_eps: 7.5,
-            ..BlindOptions::default()
-        });
-        assert_eq!(spec.to_string(), "blind");
-        let built = spec.build();
-        assert_eq!(built.name(), "blind");
     }
 }

@@ -9,9 +9,9 @@
 //! because the pre-processor guarantees the partitions don't interact.
 
 use crate::job::{RunCtx, RunError};
-use crate::subchain::{run_partition_chain_shared_ctx, SubChainOptions, SubChainResult};
+use crate::subchain::{fan_out_chains, run_partition_chain, SubChainOptions, SubChainResult};
 use pmcmc_core::rng::derive_seed;
-use pmcmc_core::{ModelParams, NucleiModel};
+use pmcmc_core::NucleiModel;
 use pmcmc_imaging::filter::threshold;
 use pmcmc_imaging::{Circle, GrayImage, Mask, Rect};
 use pmcmc_runtime::WorkerPool;
@@ -140,33 +140,21 @@ impl IntelligentResult {
     }
 }
 
-/// Runs the full intelligent-partitioning pipeline: pre-process, run one
-/// chain per partition on `pool`, concatenate results.
-#[must_use]
-pub fn run_intelligent(
-    img: &GrayImage,
-    base: &ModelParams,
-    partitioner: &IntelligentPartitioner,
-    opts: &SubChainOptions,
-    pool: &WorkerPool,
-    seed: u64,
-) -> IntelligentResult {
-    run_intelligent_ctx(img, base, partitioner, opts, pool, seed, &RunCtx::default())
-        .expect("a detached context never stops a run")
-}
-
-/// Runs like [`run_intelligent`] under a [`RunCtx`]: phase and
-/// per-partition progress events are emitted (progress counts completed
-/// partitions), and the cancel token / deadline propagate into every
+/// Runs the full intelligent-partitioning pipeline on `img`, whose
+/// prebuilt full-image model is `full`: pre-process, run one chain per
+/// partition on `pool` (each deriving its sub-model from `full` by
+/// [`NucleiModel::crop`]), concatenate results. Phase and per-partition
+/// progress events are emitted through `ctx` (progress counts completed
+/// partitions), and its cancel token / deadline propagate into every
 /// partition chain.
 ///
 /// # Errors
 /// [`RunError::Cancelled`] / [`RunError::DeadlineExceeded`] when the
 /// context stops the run; `completed_iterations` sums the iterations the
 /// partition chains had executed before winding down.
-pub fn run_intelligent_ctx(
+pub fn run_intelligent(
+    full: &NucleiModel,
     img: &GrayImage,
-    base: &ModelParams,
     partitioner: &IntelligentPartitioner,
     opts: &SubChainOptions,
     pool: &WorkerPool,
@@ -180,39 +168,15 @@ pub fn run_intelligent_ctx(
 
     let t1 = Instant::now();
     ctx.phase("chains");
-    // One full-image model shared across partitions: each chain derives
-    // its sub-model by row-copying the gain tables ([`NucleiModel::crop`],
-    // bit-identical to a per-partition rebuild).
-    let full = NucleiModel::new(img, base.clone());
-    let full = &full;
-    let progress = ctx.partition_progress(rects.len() as u64);
-    // Weight tasks by thresholded pixel count (proxy for chain cost) so the
-    // pool's LPT ordering load-balances when partitions outnumber threads.
-    let tasks: Vec<(f64, _)> = rects
+    // Weight by thresholded pixel count, a proxy for chain cost.
+    let cells = rects
         .iter()
-        .enumerate()
-        .map(|(i, &rect)| {
-            let weight = mask.count_ones_in(&rect) as f64 + 1.0;
-            let progress = &progress;
-            let task = move || {
-                let res = run_partition_chain_shared_ctx(
-                    full,
-                    img,
-                    rect,
-                    opts,
-                    derive_seed(seed, i as u64),
-                    ctx,
-                );
-                progress.tick();
-                res
-            };
-            (weight, task)
-        })
+        .map(|&r| (mask.count_ones_in(&r) as f64 + 1.0, r))
         .collect();
-    let partitions = pool.run_batch(tasks);
+    let partitions = fan_out_chains(cells, pool, ctx, |i, rect| {
+        run_partition_chain(full, img, rect, opts, derive_seed(seed, i as u64), ctx)
+    })?;
     let chains_time = t1.elapsed();
-
-    ctx.should_stop(partitions.iter().map(|p| p.iterations).sum())?;
     let merged = partitions
         .iter()
         .flat_map(|p| p.detected.iter().copied())
@@ -228,7 +192,7 @@ pub fn run_intelligent_ctx(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pmcmc_core::Xoshiro256;
+    use pmcmc_core::{ModelParams, Xoshiro256};
     use pmcmc_imaging::synth::{generate_clustered, ClusterSpec, SceneSpec};
 
     /// Three well-separated clusters, like the latex-bead dish of Fig. 3.
@@ -333,20 +297,22 @@ mod tests {
     #[test]
     fn pipeline_detects_all_clusters() {
         let (img, truth) = bead_image(2);
-        let base = ModelParams::new(384, 384, truth.len() as f64, 8.0);
+        let full = NucleiModel::new(&img, ModelParams::new(384, 384, truth.len() as f64, 8.0));
         let pool = WorkerPool::new(4);
         let opts = SubChainOptions {
             max_iters: 80_000,
             ..SubChainOptions::default()
         };
         let res = run_intelligent(
+            &full,
             &img,
-            &base,
             &IntelligentPartitioner::default(),
             &opts,
             &pool,
             77,
-        );
+            &RunCtx::default(),
+        )
+        .unwrap();
         assert!(res.partitions.len() >= 2);
         let m = pmcmc_core::match_circles(&truth, &res.merged, 5.0);
         assert!(

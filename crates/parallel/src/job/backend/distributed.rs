@@ -16,12 +16,12 @@
 //! * only when *no* node survives does a job fail, with
 //!   [`RunError::Transport`] naming the outage.
 
-use super::{ExecutionBackend, JobCompletion, PreparedJob};
+use super::{ExecutionBackend, PreparedJob};
 use crate::engine::RunReport;
-use crate::job::ctx::{CancelToken, Event, Observer};
 use crate::job::error::RunError;
-use crate::job::wire::{Assign, JobBlueprint, JobResult, WireReport};
-use crossbeam::channel::Sender;
+use crate::job::runner::stamp_wait;
+use crate::job::wire::{Assign, JobResult, WireReport};
+use pmcmc_runtime::cluster::least_committed_order;
 use pmcmc_runtime::net::FrameConn;
 use pmcmc_runtime::wire::{FrameKind, Heartbeat, Hello, Requeue, Wire, WireError, WIRE_VERSION};
 use pmcmc_runtime::{lpt_order, Admission, ClusterTopology, WorkerPool};
@@ -57,27 +57,19 @@ impl Default for DistributedConfig {
     }
 }
 
-/// Everything a job needs while in flight on a remote node: the payload
-/// to (re-)send, the plumbing to resolve its handle, and the requeue
+/// A job in flight on a remote node: the wired-up job itself (its
+/// blueprint is the payload to (re-)send, its completion resolves the
+/// handle, and holding its event sink keeps the handle's event channel
+/// connected — remote runs do not stream events back) plus the requeue
 /// bookkeeping. The map entry's removal is the atomic "this job is
 /// resolved" claim — a late duplicate `Result` (possible after a requeue
 /// race) finds the entry gone and is dropped.
 struct Pending {
-    blueprint: JobBlueprint,
-    submitted_at: Instant,
+    job: PreparedJob,
     /// The spec's original deadline, measured from submission; each
-    /// (re-)dispatch ships the remainder.
+    /// (re-)dispatch ships the remainder in the blueprint.
     deadline: Option<Duration>,
-    weight: f64,
     notes: Vec<String>,
-    cancel: CancelToken,
-    // Held (not driven) so the handle's event channel stays connected
-    // while the job runs remotely; remote runs do not stream events back.
-    #[allow(dead_code)]
-    observer: Option<Box<Observer>>,
-    #[allow(dead_code)]
-    events: Sender<Event>,
-    completion: JobCompletion,
 }
 
 /// One connected daemon.
@@ -362,7 +354,7 @@ fn retire(shared: &Arc<Shared>, node: &Arc<NodeLink>, why: &str) {
         for job in orphans {
             if shutting_down {
                 if let Some(p) = pending.remove(&job) {
-                    p.completion.resolve(Err(RunError::Transport(format!(
+                    p.job.completion.resolve(Err(RunError::Transport(format!(
                         "node-{} ({}) {why} during shutdown",
                         node.index, node.addr
                     ))));
@@ -393,7 +385,7 @@ fn respawn_dispatch(shared: &Arc<Shared>, jobs: Vec<u64>) {
             for job in bg_jobs {
                 if let Err(e) = dispatch(&bg_shared, job) {
                     if let Some(p) = bg_shared.pending.lock().remove(&job) {
-                        p.completion.resolve(Err(e));
+                        p.job.completion.resolve(Err(e));
                     }
                 }
             }
@@ -403,7 +395,7 @@ fn respawn_dispatch(shared: &Arc<Shared>, jobs: Vec<u64>) {
     if spawned.is_err() {
         for job in jobs {
             if let Some(p) = shared.pending.lock().remove(&job) {
-                p.completion.resolve(Err(RunError::Transport(
+                p.job.completion.resolve(Err(RunError::Transport(
                     "could not spawn a requeue dispatcher".to_owned(),
                 )));
             }
@@ -419,8 +411,7 @@ fn release_slot(shared: &Arc<Shared>, node: &Arc<NodeLink>, job: u64) {
         .pending
         .lock()
         .get(&job)
-        .map(|p| p.weight)
-        .unwrap_or(0.0);
+        .map_or(0.0, |p| p.job.weight());
     {
         let mut committed = shared.committed.lock();
         committed[node.index] = (committed[node.index] - weight).max(0.0);
@@ -444,11 +435,11 @@ fn complete(
         return;
     };
     let result: Result<RunReport, RunError> = outcome.map(|wire| {
-        let mut report = wire.into_report(&p.blueprint.image, &p.blueprint.params);
+        let mut report = wire.into_report(&p.job.work.image, &p.job.work.params);
         report.diagnostics.notes.extend(p.notes.iter().cloned());
         report
     });
-    p.completion.resolve(result);
+    p.job.completion.resolve(result);
 }
 
 /// Places and ships one pending job: least-committed-first over the
@@ -467,17 +458,18 @@ fn dispatch(shared: &Arc<Shared>, job: u64) -> Result<(), RunError> {
                 // requeue race finished first): nothing to do.
                 return Ok(());
             };
-            if p.cancel.is_cancelled() {
+            if p.job.cancel.is_cancelled() {
                 (true, Vec::new())
             } else {
-                let elapsed = p.submitted_at.elapsed();
-                p.blueprint.queued_so_far = elapsed;
-                p.blueprint.remaining_deadline = p.deadline.map(|d| d.saturating_sub(elapsed));
+                // Every (re-)dispatch charges the whole wait since
+                // submission against the spec's original deadline.
+                p.job.work.remaining_deadline = p.deadline;
+                stamp_wait(&mut p.job.work, p.job.submitted_at);
                 (
                     false,
                     Assign {
                         job,
-                        blueprint: p.blueprint.clone(),
+                        blueprint: p.job.work.clone(),
                     }
                     .to_wire_bytes(),
                 )
@@ -485,7 +477,7 @@ fn dispatch(shared: &Arc<Shared>, job: u64) -> Result<(), RunError> {
         };
         if cancelled {
             if let Some(p) = shared.pending.lock().remove(&job) {
-                p.completion.resolve(Err(RunError::Cancelled {
+                p.job.completion.resolve(Err(RunError::Cancelled {
                     completed_iterations: 0,
                 }));
             }
@@ -518,28 +510,18 @@ fn place(shared: &Arc<Shared>, job: u64) -> Result<Arc<NodeLink>, RunError> {
         .pending
         .lock()
         .get(&job)
-        .map(|p| p.weight)
-        .unwrap_or(0.0);
+        .map_or(0.0, |p| p.job.weight());
     loop {
-        let mut order: Vec<usize> = shared
+        let alive = shared
             .nodes
             .iter()
             .filter(|n| n.alive.load(Ordering::Acquire))
-            .map(|n| n.index)
-            .collect();
+            .map(|n| n.index);
+        let order = least_committed_order(&shared.committed.lock(), alive);
         if order.is_empty() {
             return Err(RunError::Transport(
                 "no cluster node is alive to run the job".to_owned(),
             ));
-        }
-        {
-            let committed = shared.committed.lock();
-            order.sort_by(|&a, &b| {
-                committed[a]
-                    .partial_cmp(&committed[b])
-                    .unwrap_or(std::cmp::Ordering::Equal)
-                    .then(a.cmp(&b))
-            });
         }
         for &idx in &order {
             let node = &shared.nodes[idx];
@@ -581,49 +563,10 @@ impl ExecutionBackend for DistributedBackend {
 
     fn launch(&self, job: PreparedJob) -> Result<(), RunError> {
         let id = job.id.0;
-        let weight = job.weight();
-        let PreparedJob {
-            id: _,
-            strategy,
-            image,
-            params,
-            seed,
-            iterations,
-            deadline,
-            checkpoint_interval,
-            progress_stride,
-            observer,
-            cancel,
-            events,
-            done,
-            batch,
-            finished,
-            submitted_at,
-        } = job;
         let pending = Pending {
-            blueprint: JobBlueprint {
-                strategy,
-                image,
-                params,
-                seed,
-                iterations,
-                remaining_deadline: deadline,
-                checkpoint_interval,
-                progress_stride,
-                queued_so_far: Duration::ZERO,
-            },
-            submitted_at,
-            deadline,
-            weight,
+            deadline: job.work.remaining_deadline,
+            job,
             notes: Vec::new(),
-            cancel,
-            observer,
-            events,
-            completion: JobCompletion {
-                done,
-                batch,
-                finished,
-            },
         };
         self.shared.pending.lock().insert(id, pending);
         match dispatch(&self.shared, id) {
@@ -664,7 +607,7 @@ impl Drop for DistributedBackend {
             pending.drain().map(|(_, p)| p).collect()
         };
         for p in leftovers {
-            p.completion.resolve(Err(RunError::Transport(
+            p.job.completion.resolve(Err(RunError::Transport(
                 "coordinator shut down before the job finished".to_owned(),
             )));
         }

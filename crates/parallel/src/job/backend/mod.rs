@@ -3,7 +3,7 @@
 //! The [`Engine`](crate::job::Engine) validates specs, mints ids and wires
 //! up handles; everything after that — which thread drives the job, which
 //! [`WorkerPool`] its parallel stages fan onto, whether submission
-//! throttles — is the [`ExecutionBackend`]'s decision. Two backends ship:
+//! throttles — is the [`ExecutionBackend`]'s decision. Three backends ship:
 //!
 //! * [`LocalBackend`] — one shared pool, one detached driver thread per
 //!   job; submission never blocks (the historical engine behaviour).
@@ -14,6 +14,17 @@
 //!   remote [`NodeDaemon`](crate::job::daemon::NodeDaemon) processes
 //!   reached over TCP, with heartbeat failure detection and
 //!   failure-aware rescheduling.
+//!
+//! **What a backend is handed.** A [`PreparedJob`] is a
+//! [`JobBlueprint`] — strategy, image, parameters, seed, budget, deadline
+//! budget, event cadences; the very struct that crosses the wire to a
+//! daemon — plus the handle plumbing. **How it runs** is the same
+//! everywhere: [`run_blueprint`] on some node's pool, which builds the
+//! scheme's context, catches panics and stamps the node timing. The local
+//! backend and the sharded backend's whole-job path reach it through
+//! [`PreparedJob::execute`], a sharded stripe is a blueprint with a
+//! cropped image run by the same call, and the distributed backend ships
+//! the blueprint to a daemon that makes that call remotely.
 
 mod distributed;
 mod local;
@@ -23,13 +34,13 @@ pub use distributed::{DistributedBackend, DistributedConfig};
 pub use local::LocalBackend;
 pub use sharded::{ShardPlacement, ShardedBackend};
 
-use crate::engine::{NodeTiming, RunReport, RunRequest, StrategySpec};
-use crate::job::ctx::{CancelToken, Event, Observer, RunCtx};
-use crate::job::error::{panic_message, RunError};
-use crate::job::spec::{JobId, JobSpec};
+use crate::engine::{RunReport, StrategySpec};
+use crate::job::ctx::{CancelToken, Event, Observer};
+use crate::job::error::RunError;
+use crate::job::runner::{run_blueprint, stamp_wait};
+use crate::job::spec::JobId;
+use crate::job::wire::JobBlueprint;
 use crossbeam::channel::Sender;
-use pmcmc_core::ModelParams;
-use pmcmc_imaging::GrayImage;
 use pmcmc_runtime::{ClusterTopology, NodeId, WorkerPool};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -64,73 +75,43 @@ impl JobCompletion {
     }
 }
 
-/// A fully wired, ready-to-run job: the validated [`JobSpec`] fields plus
-/// the plumbing the [`Engine`](crate::job::Engine) already connected to
-/// the caller's [`JobHandle`](crate::job::JobHandle) (cancel token, event
-/// channel, completion channel). Backends receive one per submission and
-/// decide where and when to run it; [`PreparedJob::execute`] performs the
-/// run itself and resolves the handle, so a backend's only real job is
-/// choosing a thread and a pool.
+/// Where a job's events go: the spec's observer callback (if any) and the
+/// handle's event channel. A dropped handle just disconnects the channel
+/// and sends become no-ops.
+pub(crate) struct EventSink {
+    pub(crate) observer: Option<Box<Observer>>,
+    pub(crate) events: Sender<Event>,
+}
+
+impl EventSink {
+    pub(crate) fn emit(&self, event: &Event) {
+        if let Some(cb) = &self.observer {
+            cb(event);
+        }
+        let _ = self.events.send(event.clone());
+    }
+}
+
+/// A fully wired, ready-to-run job: the validated spec's [`JobBlueprint`]
+/// — the same payload a node daemon receives over the wire — plus the
+/// plumbing the [`Engine`](crate::job::Engine) already connected to the
+/// caller's [`JobHandle`](crate::job::JobHandle) (cancel token, event
+/// sink, completion). Backends receive one per submission and decide where
+/// and when to run it; [`PreparedJob::execute`] performs the run itself
+/// and resolves the handle, so a backend's only real job is choosing a
+/// thread and a pool.
 pub struct PreparedJob {
     pub(crate) id: JobId,
-    pub(crate) strategy: StrategySpec,
-    pub(crate) image: GrayImage,
-    pub(crate) params: ModelParams,
-    pub(crate) seed: u64,
-    pub(crate) iterations: u64,
-    pub(crate) deadline: Option<std::time::Duration>,
-    pub(crate) checkpoint_interval: Option<u64>,
-    pub(crate) progress_stride: u64,
-    pub(crate) observer: Option<Box<Observer>>,
-    pub(crate) cancel: CancelToken,
-    pub(crate) events: Sender<Event>,
-    pub(crate) done: Sender<Result<RunReport, RunError>>,
-    pub(crate) batch: Option<(usize, Sender<BatchResult>)>,
-    pub(crate) finished: Arc<AtomicBool>,
+    /// What to run. Until the job is placed, `remaining_deadline` is the
+    /// spec's whole deadline, measured from `submitted_at`.
+    pub(crate) work: JobBlueprint,
     pub(crate) submitted_at: Instant,
+    pub(crate) cancel: CancelToken,
+    pub(crate) sink: EventSink,
+    pub(crate) completion: JobCompletion,
 }
 
 impl PreparedJob {
-    pub(crate) fn new(
-        id: JobId,
-        spec: JobSpec,
-        cancel: CancelToken,
-        events: Sender<Event>,
-        done: Sender<Result<RunReport, RunError>>,
-        batch: Option<(usize, Sender<BatchResult>)>,
-        finished: Arc<AtomicBool>,
-    ) -> Self {
-        let JobSpec {
-            strategy,
-            image,
-            params,
-            seed,
-            iterations,
-            deadline,
-            checkpoint_interval,
-            progress_stride,
-            observer,
-        } = spec;
-        Self {
-            id,
-            strategy,
-            image,
-            params,
-            seed,
-            iterations,
-            deadline,
-            checkpoint_interval,
-            progress_stride,
-            observer,
-            cancel,
-            events,
-            done,
-            batch,
-            finished,
-            submitted_at: Instant::now(),
-        }
-    }
-
     /// The job's engine-unique id.
     #[must_use]
     pub fn id(&self) -> JobId {
@@ -140,91 +121,36 @@ impl PreparedJob {
     /// The strategy the job runs.
     #[must_use]
     pub fn strategy(&self) -> &StrategySpec {
-        &self.strategy
+        &self.work.strategy
     }
 
     /// The placement weight of the job for LPT scheduling — its iteration
     /// budget (chain iterations dominate every scheme's cost).
     #[must_use]
     pub fn weight(&self) -> f64 {
-        self.iterations as f64
+        self.work.iterations as f64
     }
 
     /// Runs the job to completion on the current thread, fanning its
     /// parallel stages onto `pool`, then resolves the caller's handle
-    /// (events drained, completion channel fed, batch notified). Strategy
-    /// panics are caught and surface as [`RunError::Panicked`], so calling
+    /// (completion channel fed, batch notified). Scheme panics are caught
+    /// by the runner and surface as [`RunError::Panicked`], so calling
     /// this is enough to uphold the handle contract — every submitted job
     /// reports exactly one result.
     ///
     /// `node` names the cluster node the run is accounted to; the queue
     /// wait (submission until this call) and the run's wall time are
     /// stamped into the report's
-    /// [`node_timings`](crate::engine::RunReport::node_timings).
+    /// [`node_timings`](crate::engine::RunReport::node_timings). Deadlines
+    /// are measured from submission (the spec's contract), so time spent
+    /// queued on a saturated node counts against them.
     pub fn execute(self, pool: &Arc<WorkerPool>, node: NodeId) {
-        let queued = self.submitted_at.elapsed();
-        let PreparedJob {
-            id: _,
-            strategy,
-            image,
-            params,
-            seed,
-            iterations,
-            deadline,
-            checkpoint_interval,
-            progress_stride,
-            observer,
-            cancel,
-            events,
-            done,
-            batch,
-            finished,
-            submitted_at,
-        } = self;
-        // Fan every event out to the user callback (if any) and the
-        // handle's channel; a dropped handle just disconnects the channel
-        // and sends become no-ops.
-        let forward = move |event: &Event| {
-            if let Some(cb) = &observer {
-                cb(event);
-            }
-            let _ = events.send(event.clone());
-        };
-        let mut ctx = RunCtx::new()
-            .with_cancel(cancel)
-            .with_observer(forward)
-            .with_progress_stride(progress_stride);
-        if let Some(d) = deadline {
-            // Deadlines are measured from submission (the spec's contract),
-            // so time spent queued on a saturated node counts against them.
-            ctx = ctx.with_deadline(submitted_at + d);
-        }
-        if let Some(c) = checkpoint_interval {
-            ctx = ctx.with_checkpoint_interval(c);
-        }
-        let req = RunRequest::new(&image, &params, pool, seed).iterations(iterations);
-        // Catch strategy panics here so a batch's completion channel
-        // always receives one result per job — a panicked job surfaces as
-        // RunError::Panicked instead of silently vanishing from the
-        // stream.
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            strategy.build().run(&req, &ctx)
-        }))
-        .unwrap_or_else(|payload| Err(RunError::Panicked(panic_message(&*payload))))
-        .map(|mut report| {
-            report.node_timings.push(NodeTiming {
-                node,
-                queued,
-                busy: report.total_time,
-            });
-            report
-        });
-        JobCompletion {
-            done,
-            batch,
-            finished,
-        }
-        .resolve(result);
+        let mut work = self.work;
+        stamp_wait(&mut work, self.submitted_at);
+        let sink = self.sink;
+        let observer = Box::new(move |event: &Event| sink.emit(event));
+        let result = run_blueprint(&work, pool, node, Some(&self.cancel), Some(observer));
+        self.completion.resolve(result);
     }
 }
 

@@ -16,16 +16,19 @@
 //! running the job's strategy on every node concurrently, and merging the
 //! per-node reports through the blind scheme's duplicate-clustering path.
 
-use crate::blind::{cluster_duplicates, DisputePolicy, MergeCandidate};
-use crate::engine::{NodeTiming, PhaseTiming, RunReport, RunRequest, StrategySpec, Validity};
-use crate::job::backend::{ExecutionBackend, JobCompletion, PreparedJob};
-use crate::job::ctx::{CancelToken, Event, RunCtx};
-use crate::job::error::{panic_message, RunError};
+use crate::blind::{grid_cells, merge_sources, DisputePolicy, MergeOutcome};
+use crate::engine::{PhaseTiming, RunReport, Validity};
+use crate::job::backend::{ExecutionBackend, PreparedJob};
+use crate::job::ctx::Event;
+use crate::job::error::RunError;
+use crate::job::runner::{run_blueprint, stamp_wait};
+use crate::job::wire::JobBlueprint;
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::Mutex;
 use pmcmc_core::rng::derive_seed;
-use pmcmc_core::{Configuration, ModelParams, NucleiModel};
-use pmcmc_imaging::{regular_tiles, Circle, GrayImage, Rect};
+use pmcmc_core::{Configuration, NucleiModel};
+use pmcmc_imaging::{Circle, Rect};
+use pmcmc_runtime::cluster::least_committed_order;
 use pmcmc_runtime::{lpt_order, Admission, ClusterTopology, NodeId, WorkerPool};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -52,35 +55,16 @@ pub enum ShardPlacement {
 /// One simulated cluster node: a private pool of `t` workers, a bounded
 /// admission slot count, and driver threads consuming the node's queue.
 struct NodeRuntime {
-    id: NodeId,
     pool: Arc<WorkerPool>,
     admission: Arc<Admission>,
-    queue: Option<Sender<NodeTask>>,
+    queue: Sender<NodeTask>,
     drivers: Vec<std::thread::JoinHandle<()>>,
 }
 
-/// Work admitted to a node's queue.
-enum NodeTask {
-    /// A whole job (pack placement): run it on the node's pool.
-    Whole(Box<PreparedJob>),
-    /// One stripe of a split job.
-    Stripe(Box<StripeTask>),
-}
-
-/// One node's share of a split job: the cropped stripe, derived
-/// parameters, and the channel the coordinator collects results on.
-struct StripeTask {
-    strategy: StrategySpec,
-    image: GrayImage,
-    params: ModelParams,
-    seed: u64,
-    iterations: u64,
-    progress_stride: u64,
-    cancel: CancelToken,
-    deadline: Option<Instant>,
-    enqueued: Instant,
-    result: Sender<(usize, Duration, Result<RunReport, RunError>)>,
-}
+/// Work admitted to a node's queue: a whole job's
+/// [`PreparedJob::execute`] (pack placement) or one stripe of a split job,
+/// run on the node's pool under the node's id.
+type NodeTask = Box<dyn FnOnce(&Arc<WorkerPool>, NodeId) + Send>;
 
 fn driver_loop(
     node: NodeId,
@@ -89,29 +73,9 @@ fn driver_loop(
     queue: &Receiver<NodeTask>,
 ) {
     while let Ok(task) = queue.recv() {
-        match task {
-            NodeTask::Whole(job) => job.execute(pool, node),
-            NodeTask::Stripe(stripe) => run_stripe(node, pool, *stripe),
-        }
+        task(pool, node);
         admission.release();
     }
-}
-
-fn run_stripe(node: NodeId, pool: &Arc<WorkerPool>, stripe: StripeTask) {
-    let queued = stripe.enqueued.elapsed();
-    let mut ctx = RunCtx::new()
-        .with_cancel(stripe.cancel.clone())
-        .with_progress_stride(stripe.progress_stride);
-    if let Some(d) = stripe.deadline {
-        ctx = ctx.with_deadline(d);
-    }
-    let req = RunRequest::new(&stripe.image, &stripe.params, pool, stripe.seed)
-        .iterations(stripe.iterations);
-    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        stripe.strategy.build().run(&req, &ctx)
-    }))
-    .unwrap_or_else(|payload| Err(RunError::Panicked(panic_message(&*payload))));
-    let _ = stripe.result.send((node.index(), queued, result));
 }
 
 /// The eq. (4) cluster as an [`ExecutionBackend`]: `s` nodes × `t`
@@ -170,10 +134,9 @@ impl ShardedBackend {
                 drivers.push(handle);
             }
             nodes.push(NodeRuntime {
-                id,
                 pool,
                 admission,
-                queue: Some(tx),
+                queue: tx,
                 drivers,
             });
         }
@@ -235,8 +198,7 @@ impl ShardedBackend {
         let pre_admitted;
         let chosen = {
             let mut committed = self.committed.lock();
-            let mut order: Vec<usize> = (0..self.nodes.len()).collect();
-            order.sort_by(|&a, &b| committed[a].total_cmp(&committed[b]).then(a.cmp(&b)));
+            let order = least_committed_order(&committed, 0..self.nodes.len());
             let free = order
                 .iter()
                 .copied()
@@ -252,18 +214,12 @@ impl ShardedBackend {
         chosen
     }
 
-    fn send(&self, node: usize, task: NodeTask) -> Result<(), RunError> {
-        self.nodes[node]
-            .queue
-            .as_ref()
-            .expect("queue alive until drop")
-            .send(task)
-            .map_err(|_| RunError::InvalidSpec("sharded backend is shut down".to_owned()))
-    }
-
     fn launch_whole(&self, job: PreparedJob) -> Result<(), RunError> {
         let node = self.admit_whole(job.weight());
-        self.send(node, NodeTask::Whole(Box::new(job)))
+        self.nodes[node]
+            .queue
+            .send(Box::new(move |pool, node| job.execute(pool, node)))
+            .map_err(|_| RunError::InvalidSpec("sharded backend is shut down".to_owned()))
     }
 
     fn launch_split(&self, job: PreparedJob) -> Result<(), RunError> {
@@ -277,16 +233,10 @@ impl ShardedBackend {
                 *w += share;
             }
         }
-        let nodes: Vec<(NodeId, Arc<Admission>, Sender<NodeTask>)> = self
+        let nodes: Vec<(Arc<Admission>, Sender<NodeTask>)> = self
             .nodes
             .iter()
-            .map(|n| {
-                (
-                    n.id,
-                    Arc::clone(&n.admission),
-                    n.queue.as_ref().expect("queue alive until drop").clone(),
-                )
-            })
+            .map(|n| (Arc::clone(&n.admission), n.queue.clone()))
             .collect();
         let (merge_eps, margin_factor, dispute) =
             (self.merge_eps, self.margin_factor, self.dispute);
@@ -328,104 +278,103 @@ impl ExecutionBackend for ShardedBackend {
 
 impl Drop for ShardedBackend {
     fn drop(&mut self) {
-        // Closing each node's queue stops its drivers once in-flight work
-        // drains (split coordinators hold their own sender clones, so
-        // their stripes still complete first).
-        for node in &mut self.nodes {
-            node.queue.take();
-        }
-        for node in &mut self.nodes {
-            for driver in node.drivers.drain(..) {
-                let _ = driver.join();
-            }
+        // Closing every node's queue (dropped with the node as its
+        // drivers are taken out) stops the drivers once in-flight work
+        // drains; split coordinators hold their own sender clones, so
+        // their stripes still complete first.
+        let drivers: Vec<_> = self.nodes.drain(..).flat_map(|node| node.drivers).collect();
+        for driver in drivers {
+            let _ = driver.join();
         }
     }
 }
 
-/// The split-job coordinator: stripes the image, fans one stripe per
-/// node, collects and merges the per-node reports, and resolves the
-/// job's handle.
+/// Merges per-node detections (in stripe-local coordinates, as the stripe
+/// reports carry them) through blind partitioning's own seam
+/// post-processor, [`merge_sources`].
+fn merge_stripes(
+    cores: &[Rect],
+    extended: &[Rect],
+    found: &[&[Circle]],
+    merge_eps: f64,
+    dispute: DisputePolicy,
+) -> MergeOutcome {
+    let global: Vec<Vec<Circle>> = found
+        .iter()
+        .zip(extended)
+        .map(|(circles, ext)| {
+            circles
+                .iter()
+                .map(|c| Circle::new(c.x + ext.x0 as f64, c.y + ext.y0 as f64, c.r))
+                .collect()
+        })
+        .collect();
+    let global: Vec<&[Circle]> = global.iter().map(Vec::as_slice).collect();
+    merge_sources(cores, extended, &global, merge_eps, dispute)
+}
+
+/// The split-job coordinator: stripes the image, fans one stripe
+/// blueprint per node, collects and merges the per-node reports, and
+/// resolves the job's handle.
 fn run_split(
     job: PreparedJob,
-    nodes: &[(NodeId, Arc<Admission>, Sender<NodeTask>)],
+    nodes: &[(Arc<Admission>, Sender<NodeTask>)],
     merge_eps: f64,
     margin_factor: f64,
     dispute: DisputePolicy,
 ) {
-    let PreparedJob {
-        id: _,
-        strategy,
-        image,
-        params,
-        seed,
-        iterations,
-        deadline,
-        // Checkpoints require a central chain state; a split run has one
-        // per node, so the knob is ignored here (documented on the
-        // backend).
-        checkpoint_interval: _,
-        progress_stride,
-        observer,
-        cancel,
-        events,
-        done,
-        batch,
-        finished,
-        submitted_at,
-    } = job;
-    let forward = move |event: &Event| {
-        if let Some(cb) = &observer {
-            cb(event);
-        }
-        let _ = events.send(event.clone());
-    };
-    let completion = JobCompletion {
-        done,
-        batch,
-        finished,
-    };
-    let deadline = deadline.map(|d| submitted_at + d);
+    let work = &job.work;
     let start = Instant::now();
     let s = nodes.len();
+    // One vertical stripe per node: a blind grid of `s × 1` cells, each
+    // extended by the overlap margin so artifacts on a seam appear in both
+    // neighbours.
+    let radius_mean = work.params.radius_prior.mu;
+    let (cores, extended) = grid_cells(&work.image, s as u32, 1, margin_factor, radius_mean);
+    let total_area = work.image.frame().area() as f64;
 
-    // One vertical stripe per node, extended by the blind scheme's
-    // overlap margin so artifacts on a seam appear in both neighbours.
-    let frame = image.frame();
-    let cores = regular_tiles(image.width(), image.height(), s as u32, 1);
-    let margin = (margin_factor * params.radius_prior.mu).ceil() as i64;
-    let extended: Vec<Rect> = cores
-        .iter()
-        .map(|c| c.inflate(margin).intersect(&frame))
-        .collect();
-    let total_area: f64 = frame.area() as f64;
-
-    forward(&Event::PhaseStarted { phase: "chains" });
+    job.sink.emit(&Event::PhaseStarted { phase: "chains" });
     let (result_tx, result_rx) = unbounded();
-    for (i, (_, admission, queue)) in nodes.iter().enumerate() {
-        let crop = image.crop(&extended[i]);
-        let mut stripe_params = params.clone();
+    for (i, (admission, queue)) in nodes.iter().enumerate() {
+        let crop = work.image.crop(&extended[i]);
+        let mut stripe_params = work.params.clone();
         stripe_params.width = crop.width();
         stripe_params.height = crop.height();
         stripe_params.expected_count =
-            (params.expected_count * cores[i].area() as f64 / total_area).max(0.05);
-        let task = StripeTask {
-            strategy,
+            (work.params.expected_count * cores[i].area() as f64 / total_area).max(0.05);
+        let enqueued = Instant::now();
+        let stripe = JobBlueprint {
+            strategy: work.strategy,
             image: crop,
             params: stripe_params,
-            seed: derive_seed(seed, i as u64),
-            iterations,
-            progress_stride,
-            cancel: cancel.clone(),
-            deadline,
-            enqueued: Instant::now(),
-            result: result_tx.clone(),
+            seed: derive_seed(work.seed, i as u64),
+            iterations: work.iterations,
+            // The job's deadline runs from submission; the stripe gets
+            // what is left of it now, and its driver takes the stripe's
+            // own queue wait off that.
+            remaining_deadline: work
+                .remaining_deadline
+                .map(|d| d.saturating_sub(enqueued - job.submitted_at)),
+            // Checkpoints require a central chain state; a split run has
+            // one per node, so the knob is ignored here (documented on the
+            // backend).
+            checkpoint_interval: None,
+            progress_stride: work.progress_stride,
+            queued_so_far: Duration::ZERO,
         };
         // Admission slots are acquired in node order, so concurrent split
         // jobs cannot hold-and-wait in a cycle.
         admission.acquire();
-        if queue.send(NodeTask::Stripe(Box::new(task))).is_err() {
+        let (cancel, result) = (job.cancel.clone(), result_tx.clone());
+        let task: NodeTask = Box::new(move |pool, node| {
+            let mut stripe = stripe;
+            stamp_wait(&mut stripe, enqueued);
+            let outcome = run_blueprint(&stripe, pool, node, Some(&cancel), None);
+            let _ = result.send((node.index(), outcome));
+        });
+        if queue.send(task).is_err() {
             admission.release();
-            completion.resolve(Err(RunError::InvalidSpec(
+            job.completion.resolve(Err(RunError::InvalidSpec(
                 "sharded backend shut down mid-split".to_owned(),
             )));
             return;
@@ -433,105 +382,60 @@ fn run_split(
     }
     drop(result_tx);
 
-    let mut outcomes: Vec<Option<(Duration, Result<RunReport, RunError>)>> =
-        (0..s).map(|_| None).collect();
-    let mut completed = 0u64;
-    while let Ok((node, queued, result)) = result_rx.recv() {
-        outcomes[node] = Some((queued, result));
-        completed += 1;
-        forward(&Event::Progress {
-            done: completed,
+    // Every stripe's sender is dropped once its driver has reported, so
+    // the stream ends after exactly one result per stripe.
+    let mut outcomes: Vec<(usize, Result<RunReport, RunError>)> = Vec::with_capacity(s);
+    while let Ok(outcome) = result_rx.recv() {
+        outcomes.push(outcome);
+        job.sink.emit(&Event::Progress {
+            done: outcomes.len() as u64,
             total: s as u64,
         });
-        if completed == s as u64 {
-            break;
-        }
     }
+    outcomes.sort_unstable_by_key(|(node, _)| *node);
     let chains_time = start.elapsed();
 
     // Any stripe failure fails the job; completed iterations aggregate
     // over every stripe (finished and stopped alike).
-    let mut reports: Vec<(usize, Duration, RunReport)> = Vec::with_capacity(s);
+    let mut reports: Vec<RunReport> = Vec::with_capacity(s);
     let mut first_err: Option<RunError> = None;
     let mut total_iters = 0u64;
-    for (node, outcome) in outcomes.into_iter().enumerate() {
-        match outcome.expect("one result per stripe") {
-            (queued, Ok(report)) => {
+    for (_, outcome) in outcomes {
+        match outcome {
+            Ok(report) => {
                 total_iters += report.iterations;
-                reports.push((node, queued, report));
+                reports.push(report);
             }
-            (_, Err(e)) => {
-                if let RunError::Cancelled {
-                    completed_iterations,
-                }
-                | RunError::DeadlineExceeded {
-                    completed_iterations,
-                } = &e
-                {
-                    total_iters += completed_iterations;
-                }
-                if first_err.is_none() {
-                    first_err = Some(e);
-                }
+            Err(mut e) => {
+                total_iters += e.completed_iterations_mut().map_or(0, |n| *n);
+                first_err.get_or_insert(e);
             }
         }
     }
-    if let Some(err) = first_err {
-        let err = match err {
-            RunError::Cancelled { .. } => RunError::Cancelled {
-                completed_iterations: total_iters,
-            },
-            RunError::DeadlineExceeded { .. } => RunError::DeadlineExceeded {
-                completed_iterations: total_iters,
-            },
-            other => other,
-        };
-        completion.resolve(Err(err));
+    if let Some(mut err) = first_err {
+        if let Some(completed) = err.completed_iterations_mut() {
+            *completed = total_iters;
+        }
+        job.completion.resolve(Err(err));
         return;
     }
 
-    // Merge the per-node detections through the blind scheme's full
-    // merge path. Step 1, the core-centre filter: a detection centred
-    // outside its own core stripe (beyond the merge_eps knife-edge
-    // tolerance — see the deviation note in `run_blind_ctx`) is a
-    // neighbour's artifact seen through the overlap margin and is
-    // dropped, exactly as blind deletes "beads whose centre is not
-    // inside the dotted line". Step 2: cluster the survivors.
-    forward(&Event::PhaseStarted { phase: "merge" });
+    job.sink.emit(&Event::PhaseStarted { phase: "merge" });
     let merge_start = Instant::now();
-    let mut candidates = Vec::new();
-    for (node, _, report) in &reports {
-        let ext = extended[*node];
-        let tolerant_core = cores[*node].inflate(merge_eps.ceil() as i64);
-        for c in report.detected() {
-            let global = Circle::new(c.x + ext.x0 as f64, c.y + ext.y0 as f64, c.r);
-            if !tolerant_core.contains_point(global.x, global.y) {
-                continue;
-            }
-            let covered_by = extended
-                .iter()
-                .filter(|r| r.contains_point(global.x, global.y))
-                .count();
-            candidates.push(MergeCandidate {
-                source: *node,
-                circle: global,
-                in_overlap: covered_by >= 2,
-            });
-        }
-    }
-    let outcome = cluster_duplicates(&candidates, merge_eps, dispute == DisputePolicy::Accept);
-    let model = NucleiModel::new(&image, params);
+    let found: Vec<&[Circle]> = reports.iter().map(RunReport::detected).collect();
+    let outcome = merge_stripes(&cores, &extended, &found, merge_eps, dispute);
+    let model = NucleiModel::new(&work.image, work.params.clone());
     let config = Configuration::from_circles(&model, &outcome.merged);
     let merge_time = merge_start.elapsed();
 
     // Striping an exact scheme is a blind-partitioning heuristic at
     // cluster scale; only the already-broken baseline keeps its tag.
-    let validity = match strategy.validity() {
+    let validity = match work.strategy.validity() {
         Validity::Broken => Validity::Broken,
         _ => Validity::Heuristic,
     };
     let mut report = RunReport::finish(
-        strategy.name(),
+        work.strategy.name(),
         validity,
         &model,
         config,
@@ -547,18 +451,94 @@ fn run_split(
         "sharded-split: {s} node stripes, merged_pairs={}, disputed={}",
         outcome.merged_pairs, outcome.disputed
     ));
-    for (node, queued, stripe) in &reports {
+    // Each stripe report carries the one node timing its runner stamped.
+    for (node, stripe) in reports.iter_mut().enumerate() {
         report.diagnostics.notes.push(format!(
             "node-{node}: iters={}, circles={}",
             stripe.iterations,
             stripe.detected().len()
         ));
-        report.node_timings.push(NodeTiming {
-            node: NodeId(*node),
-            queued: *queued,
-            busy: stripe.total_time,
-        });
+        report.node_timings.append(&mut stripe.node_timings);
     }
 
-    completion.resolve(Ok(report));
+    job.completion.resolve(Ok(report));
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::blind::{run_blind, BlindOptions};
+    use crate::job::RunCtx;
+    use crate::subchain::SubChainOptions;
+    use pmcmc_core::{ModelParams, Xoshiro256};
+    use pmcmc_imaging::synth::{generate, SceneSpec};
+
+    #[test]
+    fn a_two_node_split_merges_exactly_like_a_two_by_one_blind_grid() {
+        // Nuclei dense enough that some sit on the seam at x = 96.
+        let spec = SceneSpec {
+            width: 192,
+            height: 128,
+            n_circles: 12,
+            ..SceneSpec::default()
+        };
+        let mut rng = Xoshiro256::new(19);
+        let img = generate(&spec, &mut rng).render(&mut rng);
+        let full = NucleiModel::new(&img, ModelParams::new(192, 128, 12.0, 10.0));
+        let opts = BlindOptions {
+            cols: 2,
+            rows: 1,
+            chain: SubChainOptions {
+                max_iters: 20_000,
+                ..SubChainOptions::default()
+            },
+            ..BlindOptions::default()
+        };
+        let blind = run_blind(
+            &full,
+            &img,
+            &opts,
+            &WorkerPool::new(2),
+            7,
+            &RunCtx::default(),
+        )
+        .unwrap();
+        assert!(
+            blind.merged_pairs + blind.disputed > 0,
+            "the scene must exercise the seam"
+        );
+
+        // The split coordinator cuts the same cells…
+        let radius_mean = full.params.radius_prior.mu;
+        let (cores, extended) = grid_cells(&img, 2, 1, opts.margin_factor, radius_mean);
+        for (p, (core, ext)) in blind.partitions.iter().zip(cores.iter().zip(&extended)) {
+            assert_eq!((&p.core, &p.extended), (core, ext));
+        }
+        // …receives each stripe's detections in stripe-local coordinates
+        // (subtracting an integer origin no larger than the coordinate is
+        // exact, so translating back restores every bit)…
+        let local: Vec<Vec<Circle>> = blind
+            .partitions
+            .iter()
+            .map(|p| {
+                let (x0, y0) = (p.extended.x0 as f64, p.extended.y0 as f64);
+                let found = p.chain.detected.iter();
+                found
+                    .map(|c| Circle::new(c.x - x0, c.y - y0, c.r))
+                    .collect()
+            })
+            .collect();
+        let local: Vec<&[Circle]> = local.iter().map(Vec::as_slice).collect();
+        // …and must merge them to the very outcome blind reached.
+        let split = merge_stripes(&cores, &extended, &local, opts.merge_eps, opts.dispute);
+        assert_eq!(split.merged_pairs, blind.merged_pairs);
+        assert_eq!(split.disputed, blind.disputed);
+        assert_eq!(split.merged.len(), blind.merged.len());
+        for (a, b) in split.merged.iter().zip(&blind.merged) {
+            assert_eq!(
+                (a.x.to_bits(), a.y.to_bits(), a.r.to_bits()),
+                (b.x.to_bits(), b.y.to_bits(), b.r.to_bits())
+            );
+        }
+    }
 }

@@ -89,7 +89,9 @@ pub enum Event {
     },
 }
 
-pub(crate) type Observer = dyn Fn(&Event) + Send + Sync;
+/// An event callback: called synchronously, possibly from pool worker
+/// threads (hence `Send + Sync`), for every [`Event`] of a run.
+pub type Observer = dyn Fn(&Event) + Send + Sync;
 
 // ---------------------------------------------------------------------------
 // Run context.
@@ -98,8 +100,8 @@ pub(crate) type Observer = dyn Fn(&Event) + Send + Sync;
 /// token, optional deadline, optional observer and the progress stride.
 ///
 /// A default context is fully detached — no observer, no deadline, a token
-/// that never fires — so scheme-level entry points that predate the job
-/// API run unchanged through it.
+/// that never fires — which is what direct callers of the scheme pipelines
+/// pass when nothing should stop or watch the run.
 pub struct RunCtx {
     cancel: CancelToken,
     deadline: Option<Instant>,

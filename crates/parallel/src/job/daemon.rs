@@ -16,9 +16,8 @@
 //! keeps the logic in-library so tests and examples can run daemons
 //! in-process on loopback sockets.
 
-use crate::engine::{NodeTiming, RunRequest};
-use crate::job::ctx::RunCtx;
-use crate::job::error::{panic_message, RunError};
+use crate::job::error::RunError;
+use crate::job::runner::run_blueprint;
 use crate::job::wire::{Assign, JobResult, WireReport};
 use pmcmc_runtime::net::FrameConn;
 use pmcmc_runtime::wire::{FrameKind, Heartbeat, Hello, Requeue, Wire, WireError, WIRE_VERSION};
@@ -26,7 +25,7 @@ use pmcmc_runtime::{NodeId, WorkerPool};
 use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use parking_lot::Mutex;
 
@@ -161,6 +160,11 @@ impl NodeDaemon {
                 .map_err(|e| WireError::Io(format!("failed to spawn heartbeat thread: {e}")))?
         };
 
+        // Every job answers with exactly one `Result` frame.
+        let send_result = |writer: &Mutex<FrameConn>, job, outcome| {
+            let payload = JobResult { job, outcome }.to_wire_bytes();
+            let _ = writer.lock().send(FrameKind::Result, &payload);
+        };
         let mut runners: Vec<std::thread::JoinHandle<()>> = Vec::new();
         let end = loop {
             match conn.recv() {
@@ -188,27 +192,28 @@ impl NodeDaemon {
                                 let runner = std::thread::Builder::new()
                                     .name(format!("pmcmc-daemon{node}-job{job_id}"))
                                     .spawn(move || {
-                                        let result = run_assigned(&assign, &pool, node);
-                                        let payload = JobResult {
-                                            job: job_id,
-                                            outcome: result,
-                                        }
-                                        .to_wire_bytes();
-                                        let _ = job_writer.lock().send(FrameKind::Result, &payload);
+                                        // Same runner as every in-process
+                                        // node; remote runs have no cancel
+                                        // token and stream no events.
+                                        let outcome = run_blueprint(
+                                            &assign.blueprint,
+                                            &pool,
+                                            NodeId(node as usize),
+                                            None,
+                                            None,
+                                        )
+                                        .map(|report| WireReport::from_report(&report));
+                                        send_result(&job_writer, job_id, outcome);
                                         job_in_flight.fetch_sub(1, Ordering::AcqRel);
                                     });
                                 match runner {
                                     Ok(handle) => runners.push(handle),
                                     Err(e) => {
                                         in_flight.fetch_sub(1, Ordering::AcqRel);
-                                        let payload = JobResult {
-                                            job: job_id,
-                                            outcome: Err(RunError::Transport(format!(
-                                                "node {node} could not spawn a job runner: {e}"
-                                            ))),
-                                        }
-                                        .to_wire_bytes();
-                                        let _ = writer.lock().send(FrameKind::Result, &payload);
+                                        let why = format!(
+                                            "node {node} could not spawn a job runner: {e}"
+                                        );
+                                        send_result(&writer, job_id, Err(RunError::Transport(why)));
                                     }
                                 }
                             }
@@ -219,14 +224,9 @@ impl NodeDaemon {
                                 if let Ok(job) =
                                     pmcmc_runtime::wire::WireReader::new(&frame.payload).u64()
                                 {
-                                    let payload = JobResult {
-                                        job,
-                                        outcome: Err(RunError::Transport(format!(
-                                            "node {node} could not decode assignment: {e}"
-                                        ))),
-                                    }
-                                    .to_wire_bytes();
-                                    let _ = writer.lock().send(FrameKind::Result, &payload);
+                                    let why =
+                                        format!("node {node} could not decode assignment: {e}");
+                                    send_result(&writer, job, Err(RunError::Transport(why)));
                                 }
                             }
                         }
@@ -260,38 +260,6 @@ impl NodeDaemon {
             }
         }
     }
-}
-
-/// Runs one assigned job on the daemon's pool and assembles its wire
-/// outcome — the daemon-side mirror of `PreparedJob::execute`.
-fn run_assigned(
-    assign: &Assign,
-    pool: &Arc<WorkerPool>,
-    node: u64,
-) -> Result<WireReport, RunError> {
-    let b = &assign.blueprint;
-    let started = Instant::now();
-    let mut ctx = RunCtx::new().with_progress_stride(b.progress_stride);
-    if let Some(remaining) = b.remaining_deadline {
-        ctx = ctx.with_deadline(started + remaining);
-    }
-    if let Some(interval) = b.checkpoint_interval {
-        ctx = ctx.with_checkpoint_interval(interval);
-    }
-    let req = RunRequest::new(&b.image, &b.params, pool, b.seed).iterations(b.iterations);
-    let strategy = b.strategy;
-    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        strategy.build().run(&req, &ctx)
-    }))
-    .unwrap_or_else(|payload| Err(RunError::Panicked(panic_message(&*payload))));
-    result.map(|mut report| {
-        report.node_timings.push(NodeTiming {
-            node: NodeId(node as usize),
-            queued: b.queued_so_far,
-            busy: report.total_time,
-        });
-        WireReport::from_report(&report)
-    })
 }
 
 /// A daemon running on a background thread of this process — the
@@ -355,6 +323,7 @@ pub use pmcmc_runtime::wire::Heartbeat as HeartbeatPayload;
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Instant;
 
     #[test]
     fn daemon_handshakes_and_heartbeats() {

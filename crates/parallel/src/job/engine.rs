@@ -1,7 +1,8 @@
 //! The submission front-end: validation, id minting, handle wiring.
 
 use crate::job::backend::{
-    BatchResult, DistributedBackend, ExecutionBackend, LocalBackend, PreparedJob, ShardedBackend,
+    BatchResult, DistributedBackend, EventSink, ExecutionBackend, JobCompletion, LocalBackend,
+    PreparedJob, ShardedBackend,
 };
 use crate::job::ctx::CancelToken;
 use crate::job::error::RunError;
@@ -11,6 +12,7 @@ use crossbeam::channel::{unbounded, Sender};
 use pmcmc_runtime::{ClusterTopology, WorkerPool};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::Instant;
 
 /// The shared execution service: jobs are validated and wired up here,
 /// then handed to a pluggable [`ExecutionBackend`] that decides where
@@ -140,8 +142,11 @@ impl Engine {
                 return Err(e);
             }
         }
-        let remaining = handles.len();
-        Ok(Batch::new(handles, done_rx, remaining))
+        Ok(Batch {
+            remaining: handles.len(),
+            handles,
+            finished: done_rx,
+        })
     }
 
     /// Wires up the cancel token, event channel and completion channel
@@ -157,17 +162,29 @@ impl Engine {
         let (event_tx, event_rx) = unbounded();
         let (done_tx, done_rx) = unbounded();
         let finished = Arc::new(AtomicBool::new(false));
-        let strategy_name = spec.strategy.name();
-        let job = PreparedJob::new(
+        let handle = JobHandle {
             id,
-            spec,
-            cancel.clone(),
-            event_tx,
-            done_tx,
-            batch,
-            Arc::clone(&finished),
-        );
-        let handle = JobHandle::new(id, strategy_name, cancel, event_rx, done_rx, finished);
+            strategy: spec.strategy().name(),
+            cancel: cancel.clone(),
+            events: event_rx,
+            done: done_rx,
+            finished: Arc::clone(&finished),
+        };
+        let job = PreparedJob {
+            id,
+            work: spec.work,
+            submitted_at: Instant::now(),
+            cancel,
+            sink: EventSink {
+                observer: spec.observer,
+                events: event_tx,
+            },
+            completion: JobCompletion {
+                done: done_tx,
+                batch,
+                finished,
+            },
+        };
         (job, handle)
     }
 }

@@ -14,12 +14,12 @@ use std::sync::Arc;
 /// Dropping a handle without calling [`JobHandle::wait`] detaches the job
 /// (it keeps running to completion on the engine).
 pub struct JobHandle {
-    id: JobId,
-    strategy: &'static str,
-    cancel: CancelToken,
-    events: Receiver<Event>,
-    done: Receiver<Result<RunReport, RunError>>,
-    finished: Arc<AtomicBool>,
+    pub(crate) id: JobId,
+    pub(crate) strategy: &'static str,
+    pub(crate) cancel: CancelToken,
+    pub(crate) events: Receiver<Event>,
+    pub(crate) done: Receiver<Result<RunReport, RunError>>,
+    pub(crate) finished: Arc<AtomicBool>,
 }
 
 impl fmt::Debug for JobHandle {
@@ -33,24 +33,6 @@ impl fmt::Debug for JobHandle {
 }
 
 impl JobHandle {
-    pub(crate) fn new(
-        id: JobId,
-        strategy: &'static str,
-        cancel: CancelToken,
-        events: Receiver<Event>,
-        done: Receiver<Result<RunReport, RunError>>,
-        finished: Arc<AtomicBool>,
-    ) -> Self {
-        Self {
-            id,
-            strategy,
-            cancel,
-            events,
-            done,
-            finished,
-        }
-    }
-
     /// The job's engine-unique id.
     #[must_use]
     pub fn id(&self) -> JobId {
@@ -111,24 +93,13 @@ impl JobHandle {
 /// N jobs sharing one backend, with per-job reports streamed as they
 /// finish.
 pub struct Batch {
-    handles: Vec<JobHandle>,
-    finished: Receiver<(usize, Result<RunReport, RunError>)>,
-    remaining: usize,
+    pub(crate) handles: Vec<JobHandle>,
+    pub(crate) finished: Receiver<(usize, Result<RunReport, RunError>)>,
+    /// Results not yet streamed through [`Batch::next_finished`].
+    pub(crate) remaining: usize,
 }
 
 impl Batch {
-    pub(crate) fn new(
-        handles: Vec<JobHandle>,
-        finished: Receiver<(usize, Result<RunReport, RunError>)>,
-        remaining: usize,
-    ) -> Self {
-        Self {
-            handles,
-            finished,
-            remaining,
-        }
-    }
-
     /// Number of jobs in the batch.
     #[must_use]
     pub fn len(&self) -> usize {

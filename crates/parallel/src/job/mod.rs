@@ -1,8 +1,8 @@
 //! The typed, observable job layer: `JobSpec` → [`Engine::submit`] →
 //! [`JobHandle`].
 //!
-//! The [`crate::engine`] module defines *what* runs (a
-//! [`Strategy`](crate::engine::Strategy) on a
+//! The [`crate::engine`] module defines *what* runs
+//! ([`StrategySpec::run`](crate::engine::StrategySpec::run) on a
 //! [`RunRequest`](crate::engine::RunRequest)); this module defines *how a
 //! service runs it*: jobs are described by an owned, validated [`JobSpec`]
 //! (strategy, image, parameters, seed, iteration budget, deadline,
@@ -26,8 +26,20 @@
 //!
 //! The module tree mirrors the job lifecycle: [`spec`](JobSpec) (what to
 //! run) → [`engine`](Engine) (validate and wire up) → [`backend`] (where
-//! to run) → [`ctx`](RunCtx) (what the running strategy sees) →
+//! to run) → [`runner`](run_blueprint) (the one way it runs there) →
+//! [`ctx`](RunCtx) (what the running strategy sees) →
 //! [`handle`](JobHandle) (what the caller holds).
+//!
+//! One payload, one runner: a [`JobSpec`] is a
+//! [`JobBlueprint`](wire::JobBlueprint) plus an observer callback, the
+//! blueprint is what every backend carries (and the distributed one puts
+//! on the wire), and [`run_blueprint`] is the only function that turns
+//! one into a [`RunReport`](crate::engine::RunReport) — it builds the
+//! [`RunCtx`], is the job layer's single panic boundary (scheme panics
+//! become [`RunError::Panicked`]) and stamps the node timing. Specs are
+//! validated at submission ([`JobSpec::validate`]) to fail fast; the
+//! authoritative check is the one `StrategySpec::run` repeats on whatever
+//! node runs the job.
 //!
 //! ```
 //! use pmcmc_core::ModelParams;
@@ -58,6 +70,7 @@ pub mod daemon;
 mod engine;
 mod error;
 mod handle;
+mod runner;
 mod spec;
 pub mod wire;
 
@@ -65,9 +78,10 @@ pub use backend::{
     DistributedBackend, DistributedConfig, ExecutionBackend, LocalBackend, ShardPlacement,
     ShardedBackend,
 };
-pub use ctx::{CancelToken, Checkpointer, Event, ProgressCounter, RunCtx};
+pub use ctx::{CancelToken, Checkpointer, Event, Observer, ProgressCounter, RunCtx};
 pub use daemon::{InProcessDaemon, NodeDaemon};
 pub use engine::Engine;
 pub use error::RunError;
 pub use handle::{Batch, JobHandle};
+pub use runner::run_blueprint;
 pub use spec::{JobId, JobSpec};

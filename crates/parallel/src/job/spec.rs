@@ -3,6 +3,7 @@
 use crate::engine::StrategySpec;
 use crate::job::ctx::{Event, Observer};
 use crate::job::error::RunError;
+use crate::job::wire::JobBlueprint;
 use pmcmc_core::ModelParams;
 use pmcmc_imaging::GrayImage;
 use std::fmt;
@@ -22,28 +23,28 @@ impl fmt::Display for JobId {
 /// An owned, validated description of one run: which strategy, on which
 /// image, with which budget and observability knobs. Built with a fluent
 /// builder and submitted via [`Engine::submit`](crate::job::Engine::submit).
+///
+/// A spec is the job's [`JobBlueprint`] — the payload every backend runs,
+/// locally or across a socket — plus the one thing that cannot travel: the
+/// observer callback. Until the job is placed, the blueprint's
+/// `remaining_deadline` holds the whole deadline (measured from
+/// submission) and `queued_so_far` is zero.
 pub struct JobSpec {
-    pub(crate) strategy: StrategySpec,
-    pub(crate) image: GrayImage,
-    pub(crate) params: ModelParams,
-    pub(crate) seed: u64,
-    pub(crate) iterations: u64,
-    pub(crate) deadline: Option<Duration>,
-    pub(crate) checkpoint_interval: Option<u64>,
-    pub(crate) progress_stride: u64,
+    pub(crate) work: JobBlueprint,
     pub(crate) observer: Option<Box<Observer>>,
 }
 
 impl fmt::Debug for JobSpec {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let work = &self.work;
         f.debug_struct("JobSpec")
-            .field("strategy", &self.strategy)
-            .field("image", &(self.image.width(), self.image.height()))
-            .field("seed", &self.seed)
-            .field("iterations", &self.iterations)
-            .field("deadline", &self.deadline)
-            .field("checkpoint_interval", &self.checkpoint_interval)
-            .field("progress_stride", &self.progress_stride)
+            .field("strategy", &work.strategy)
+            .field("image", &(work.image.width(), work.image.height()))
+            .field("seed", &work.seed)
+            .field("iterations", &work.iterations)
+            .field("deadline", &work.remaining_deadline)
+            .field("checkpoint_interval", &work.checkpoint_interval)
+            .field("progress_stride", &work.progress_stride)
             .field("observer", &self.observer.is_some())
             .finish_non_exhaustive()
     }
@@ -55,14 +56,17 @@ impl JobSpec {
     #[must_use]
     pub fn new(strategy: StrategySpec, image: GrayImage, params: ModelParams) -> Self {
         Self {
-            strategy,
-            image,
-            params,
-            seed: 0,
-            iterations: 60_000,
-            deadline: None,
-            checkpoint_interval: None,
-            progress_stride: 1024,
+            work: JobBlueprint {
+                strategy,
+                image,
+                params,
+                seed: 0,
+                iterations: 60_000,
+                remaining_deadline: None,
+                checkpoint_interval: None,
+                progress_stride: 1024,
+                queued_so_far: Duration::ZERO,
+            },
             observer: None,
         }
     }
@@ -70,14 +74,14 @@ impl JobSpec {
     /// Sets the master seed.
     #[must_use]
     pub fn seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
+        self.work.seed = seed;
         self
     }
 
     /// Sets the iteration budget.
     #[must_use]
     pub fn iterations(mut self, iterations: u64) -> Self {
-        self.iterations = iterations;
+        self.work.iterations = iterations;
         self
     }
 
@@ -85,21 +89,21 @@ impl JobSpec {
     /// ends the run with [`RunError::DeadlineExceeded`].
     #[must_use]
     pub fn deadline(mut self, deadline: Duration) -> Self {
-        self.deadline = Some(deadline);
+        self.work.remaining_deadline = Some(deadline);
         self
     }
 
     /// Requests [`Event::Checkpoint`] snapshots every `iterations`.
     #[must_use]
     pub fn checkpoint_interval(mut self, iterations: u64) -> Self {
-        self.checkpoint_interval = Some(iterations.max(1));
+        self.work.checkpoint_interval = Some(iterations.max(1));
         self
     }
 
     /// Sets the iteration stride between progress events / token polls.
     #[must_use]
     pub fn progress_stride(mut self, stride: u64) -> Self {
-        self.progress_stride = stride.max(1);
+        self.work.progress_stride = stride.max(1);
         self
     }
 
@@ -114,11 +118,11 @@ impl JobSpec {
     /// The strategy this spec runs.
     #[must_use]
     pub fn strategy(&self) -> &StrategySpec {
-        &self.strategy
+        &self.work.strategy
     }
 
-    /// Checks the spec for impossible workloads (the same check every
-    /// strategy re-runs via `RunRequest::validate`, so submission-time and
+    /// Checks the spec for impossible workloads (the same two checks
+    /// `StrategySpec::run` repeats on the request, so submission-time and
     /// run-time rejection cannot drift apart).
     ///
     /// # Errors
@@ -126,7 +130,7 @@ impl JobSpec {
     /// image, image/parameter dimension mismatch, or scheme options that
     /// would panic inside a strategy (see `StrategySpec::validate`).
     pub fn validate(&self) -> Result<(), RunError> {
-        self.strategy.validate()?;
-        crate::engine::validate_workload(self.iterations, &self.image, &self.params)
+        self.work.strategy.validate()?;
+        crate::engine::validate_workload(self.work.iterations, &self.work.image, &self.work.params)
     }
 }

@@ -16,7 +16,7 @@
 //!   guarantee needs encode∘decode to be the identity on *all* of
 //!   [`StrategySpec`], not just its stringly projection.
 //! * **Reports travel as [`WireReport`]** — the final circles instead of
-//!   the full [`Configuration`](pmcmc_core::Configuration) (whose
+//!   the full [`Configuration`] (whose
 //!   coverage grids are derivable and large), with `log_posterior`
 //!   carried verbatim rather than recomputed so the reconstructed report
 //!   is bit-identical to the one the daemon measured.
@@ -360,7 +360,7 @@ impl Wire for RunError {
 }
 
 /// A [`RunReport`] in transit: identical field-for-field except that the
-/// final [`Configuration`](pmcmc_core::Configuration) is carried as its
+/// final [`Configuration`] is carried as its
 /// circles (the coverage/spatial grids are derivable from image +
 /// params, which the coordinator already holds).
 #[derive(Debug, Clone, PartialEq)]

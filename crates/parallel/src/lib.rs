@@ -6,7 +6,7 @@
 //! * [`periodic`] — **periodic partitioning** (§V): alternating sequential
 //!   global-move phases and parallel local-move phases over a
 //!   randomly-offset grid; statistically equivalent to sequential MCMC.
-//! * [`speculative`] — **speculative moves** ([11], §IV): `n` proposals of
+//! * [`speculative`] — **speculative moves** (ref. \[11\], §IV): `n` proposals of
 //!   the same state evaluated concurrently, first acceptance wins.
 //! * [`intelligent`] — **intelligent partitioning** (§VIII): a threshold
 //!   pre-processor cuts the image along empty corridors so artifacts never
@@ -21,11 +21,12 @@
 //!
 //! All of the schemes are additionally exposed through the unified
 //! [`engine`] layer — a typed [`engine::StrategySpec`] (with
-//! `FromStr`/`Display` for CLI round-tripping) builds a
-//! [`engine::Strategy`] running a shared
-//! [`engine::RunRequest`] → [`engine::RunReport`] shape — and through the
-//! service-style [`job`] layer on top of it: an owned, validated
-//! [`job::JobSpec`] submitted onto a shared [`job::Engine`] returns a
+//! `FromStr`/`Display` for CLI round-tripping) whose
+//! [`run`](engine::StrategySpec::run) maps a shared
+//! [`engine::RunRequest`] to the shared [`engine::RunReport`] shape — and
+//! through the service-style [`job`] layer on top of it: an owned,
+//! validated [`job::JobSpec`] submitted onto a shared [`job::Engine`]
+//! returns a
 //! [`job::JobHandle`] with live progress [`job::Event`]s, cooperative
 //! cancellation ([`job::CancelToken`]) and structured [`job::RunError`]s;
 //! [`job::Engine::submit_batch`] streams per-job reports across N images.
@@ -54,26 +55,20 @@ pub mod subchain;
 pub mod theory;
 
 pub use blind::{
-    cluster_duplicates, run_blind, run_blind_ctx, BlindOptions, BlindResult, DisputePolicy,
+    cluster_duplicates, merge_sources, run_blind, BlindOptions, BlindResult, DisputePolicy,
     MergeCandidate, MergeOutcome,
 };
 pub use engine::{
-    registry, BlindStrategy, IntelligentStrategy, Mc3Strategy, NaiveStrategy, NodeTiming,
-    PeriodicStrategy, PhaseTiming, RunDiagnostics, RunReport, RunRequest, SequentialStrategy,
-    SpeculativeStrategy, Strategy, StrategySpec, Validity, STRATEGY_NAMES,
+    NodeTiming, PhaseTiming, RunDiagnostics, RunReport, RunRequest, StrategySpec, Validity,
 };
-pub use intelligent::{
-    run_intelligent, run_intelligent_ctx, IntelligentPartitioner, IntelligentResult,
-};
+pub use intelligent::{run_intelligent, IntelligentPartitioner, IntelligentResult};
 pub use job::{
     Batch, CancelToken, Checkpointer, DistributedBackend, DistributedConfig, Engine, Event,
     ExecutionBackend, InProcessDaemon, JobHandle, JobId, JobSpec, LocalBackend, NodeDaemon,
     ProgressCounter, RunCtx, RunError, ShardPlacement, ShardedBackend,
 };
-pub use mc3par::{run_mc3_parallel, run_mc3_parallel_ctx, Mc3Report};
-pub use naive::{run_naive, run_naive_ctx, NaiveOptions, NaivePrior, NaiveResult};
+pub use mc3par::{run_mc3_parallel, Mc3Report};
+pub use naive::{run_naive, NaiveOptions, NaivePrior, NaiveResult};
 pub use periodic::{PartitionScheme, PeriodicOptions, PeriodicReport, PeriodicSampler};
 pub use speculative::{SpeculativeEngine, SpeculativeSampler};
-pub use subchain::{
-    eq5_estimate, run_partition_chain, run_partition_chain_ctx, SubChainOptions, SubChainResult,
-};
+pub use subchain::{eq5_estimate, run_partition_chain, SubChainOptions, SubChainResult};

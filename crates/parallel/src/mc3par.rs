@@ -24,28 +24,16 @@ pub struct Mc3Report {
 
 /// Runs `segments × segment_len` iterations on every chain of `mc3`,
 /// stepping the chains concurrently on `pool` and attempting one swap per
-/// segment.
-pub fn run_mc3_parallel(
-    mc3: &mut Mc3<'_>,
-    pool: &WorkerPool,
-    segments: u64,
-    segment_len: u64,
-) -> Mc3Report {
-    run_mc3_parallel_ctx(mc3, pool, segments, segment_len, &RunCtx::default())
-        .expect("a detached context never stops a run")
-}
-
-/// Runs like [`run_mc3_parallel`] under a [`RunCtx`]: the cancel token and
-/// deadline are polled once per segment (chains are never interrupted
-/// mid-segment, so the ensemble stays on its bit-exact schedule up to the
-/// stopping point) and per-chain iteration progress is emitted after every
-/// swap attempt.
+/// segment. The cancel token and deadline of `ctx` are polled once per
+/// segment (chains are never interrupted mid-segment, so the ensemble
+/// stays on its bit-exact schedule up to the stopping point) and per-chain
+/// iteration progress is emitted after every swap attempt.
 ///
 /// # Errors
 /// [`RunError::Cancelled`] / [`RunError::DeadlineExceeded`] when the
 /// context stops the run between segments; `completed_iterations` counts
 /// per-chain iterations.
-pub fn run_mc3_parallel_ctx(
+pub fn run_mc3_parallel(
     mc3: &mut Mc3<'_>,
     pool: &WorkerPool,
     segments: u64,
@@ -110,7 +98,7 @@ mod tests {
 
         let mut par = Mc3::new(&model, 3, 0.4, 99);
         let pool = WorkerPool::new(3);
-        let report = run_mc3_parallel(&mut par, &pool, 30, 200);
+        let report = run_mc3_parallel(&mut par, &pool, 30, 200, &RunCtx::default()).unwrap();
         assert_eq!(report.iters_per_chain, 6000);
         assert_eq!(seq.swap_stats, par.swap_stats);
         assert_eq!(seq.cold().config.len(), par.cold().config.len());
@@ -125,7 +113,7 @@ mod tests {
         let model = small_model();
         let mut mc3 = Mc3::new(&model, 4, 0.5, 5);
         let pool = WorkerPool::new(4);
-        run_mc3_parallel(&mut mc3, &pool, 20, 150);
+        run_mc3_parallel(&mut mc3, &pool, 20, 150, &RunCtx::default()).unwrap();
         for chain in mc3.chains_mut() {
             chain
                 .config

@@ -13,9 +13,9 @@
 //! partitioning on the same scenes.
 
 use crate::job::{RunCtx, RunError};
-use crate::subchain::{run_partition_chain_shared_ctx, SubChainOptions, SubChainResult};
+use crate::subchain::{fan_out_chains, run_partition_chain, SubChainOptions, SubChainResult};
 use pmcmc_core::rng::derive_seed;
-use pmcmc_core::{ModelParams, NucleiModel};
+use pmcmc_core::NucleiModel;
 use pmcmc_imaging::{regular_tiles, Circle, GrayImage};
 use pmcmc_runtime::WorkerPool;
 use std::time::{Duration, Instant};
@@ -66,30 +66,19 @@ pub struct NaiveResult {
     pub chains_time: Duration,
 }
 
-/// Runs the naive baseline.
-#[must_use]
-pub fn run_naive(
-    img: &GrayImage,
-    base: &ModelParams,
-    opts: &NaiveOptions,
-    pool: &WorkerPool,
-    seed: u64,
-) -> NaiveResult {
-    run_naive_ctx(img, base, opts, pool, seed, &RunCtx::default())
-        .expect("a detached context never stops a run")
-}
-
-/// Runs like [`run_naive`] under a [`RunCtx`]: phase and per-partition
-/// progress events are emitted (progress counts completed partitions) and
-/// the cancel token / deadline propagate into every partition chain.
+/// Runs the naive baseline on `img`, whose prebuilt full-image model is
+/// `full` (each partition chain derives its sub-model from it by
+/// [`NucleiModel::crop`]). Phase and per-partition progress events are
+/// emitted through `ctx` (progress counts completed partitions) and its
+/// cancel token / deadline propagate into every partition chain.
 ///
 /// # Errors
 /// [`RunError::Cancelled`] / [`RunError::DeadlineExceeded`] when the
 /// context stops the run; `completed_iterations` sums the iterations the
 /// partition chains had executed before winding down.
-pub fn run_naive_ctx(
+pub fn run_naive(
+    full: &NucleiModel,
     img: &GrayImage,
-    base: &ModelParams,
     opts: &NaiveOptions,
     pool: &WorkerPool,
     seed: u64,
@@ -99,56 +88,33 @@ pub fn run_naive_ctx(
     let n = tiles.len();
     let t0 = Instant::now();
     ctx.phase("chains");
-    // One full-image model shared across partitions: each chain derives
-    // its sub-model by row-copying the gain tables ([`NucleiModel::crop`],
-    // bit-identical to a per-partition rebuild).
-    let full = NucleiModel::new(img, base.clone());
-    let full = &full;
-    let progress = ctx.partition_progress(tiles.len() as u64);
-    let tasks: Vec<(f64, _)> = tiles
-        .iter()
-        .enumerate()
-        .map(|(i, &rect)| {
-            let weight = rect.area() as f64;
-            let progress = &progress;
-            let task = move || {
-                let mut res = run_partition_chain_shared_ctx(
-                    full,
-                    img,
-                    rect,
-                    &opts.chain,
-                    derive_seed(seed, i as u64),
-                    ctx,
-                );
-                if opts.prior == NaivePrior::UniformSplit {
-                    // Re-run with the misallocated prior: the point of this
-                    // branch is to reproduce the failure mode — the uniform
-                    // `λ/n` split replaces the eq. (5) estimate.
-                    let split_expected = (base.expected_count / n as f64).max(0.05);
-                    let model = full.crop(&rect, split_expected);
-                    let mut sampler =
-                        pmcmc_core::Sampler::new_empty(&model, derive_seed(seed, 100 + i as u64));
-                    let budget = res.iterations.max(5_000);
-                    while sampler.iterations() < budget && !ctx.stopped() {
-                        sampler.run(1_000.min(budget - sampler.iterations()));
-                    }
-                    res.detected = sampler
-                        .config
-                        .circles()
-                        .iter()
-                        .map(|c| Circle::new(c.x + rect.x0 as f64, c.y + rect.y0 as f64, c.r))
-                        .collect();
-                    res.expected_count = split_expected;
-                }
-                progress.tick();
-                res
-            };
-            (weight, task)
-        })
-        .collect();
-    let partitions = pool.run_batch(tasks);
+    let cells = tiles.iter().map(|&r| (r.area() as f64, r)).collect();
+    let partitions = fan_out_chains(cells, pool, ctx, |i, rect| {
+        let chain_seed = derive_seed(seed, i as u64);
+        let mut res = run_partition_chain(full, img, rect, &opts.chain, chain_seed, ctx);
+        if opts.prior == NaivePrior::UniformSplit {
+            // Re-run with the misallocated prior: the point of this
+            // branch is to reproduce the failure mode — the uniform
+            // `λ/n` split replaces the eq. (5) estimate.
+            let split_expected = (full.params.expected_count / n as f64).max(0.05);
+            let model = full.crop(&rect, split_expected);
+            let mut sampler =
+                pmcmc_core::Sampler::new_empty(&model, derive_seed(seed, 100 + i as u64));
+            let budget = res.iterations.max(5_000);
+            while sampler.iterations() < budget && !ctx.stopped() {
+                sampler.run(1_000.min(budget - sampler.iterations()));
+            }
+            res.detected = sampler
+                .config
+                .circles()
+                .iter()
+                .map(|c| Circle::new(c.x + rect.x0 as f64, c.y + rect.y0 as f64, c.r))
+                .collect();
+            res.expected_count = split_expected;
+        }
+        res
+    })?;
     let chains_time = t0.elapsed();
-    ctx.should_stop(partitions.iter().map(|p| p.iterations).sum())?;
     let merged = partitions
         .iter()
         .flat_map(|p| p.detected.iter().copied())
@@ -164,7 +130,7 @@ pub fn run_naive_ctx(
 mod tests {
     use super::*;
     use crate::blind::{run_blind, BlindOptions};
-    use pmcmc_core::Xoshiro256;
+    use pmcmc_core::{ModelParams, Xoshiro256};
     use pmcmc_imaging::synth::{generate, SceneSpec};
 
     /// A scene with a circle dead on the quartering cross.
@@ -203,32 +169,37 @@ mod tests {
     #[test]
     fn naive_produces_boundary_anomalies_blind_fixes_them() {
         let (img, truth) = boundary_scene(256, 7);
-        let base = ModelParams::new(256, 256, truth.len() as f64, 8.0);
+        let full = NucleiModel::new(&img, ModelParams::new(256, 256, truth.len() as f64, 8.0));
         let pool = WorkerPool::new(4);
+        let ctx = RunCtx::default();
         let chain = SubChainOptions {
             max_iters: 60_000,
             ..SubChainOptions::default()
         };
         let naive = run_naive(
+            &full,
             &img,
-            &base,
             &NaiveOptions {
                 chain,
                 ..NaiveOptions::default()
             },
             &pool,
             5,
-        );
+            &ctx,
+        )
+        .unwrap();
         let blind = run_blind(
+            &full,
             &img,
-            &base,
             &BlindOptions {
                 chain,
                 ..BlindOptions::default()
             },
             &pool,
             5,
-        );
+            &ctx,
+        )
+        .unwrap();
         let m_naive = pmcmc_core::match_circles(&truth, &naive.merged, 5.0);
         let m_blind = pmcmc_core::match_circles(&truth, &blind.merged, 5.0);
         // The paper's motivating claim: naive partitioning produces
@@ -248,8 +219,8 @@ mod tests {
         let base = ModelParams::new(128, 128, truth.len() as f64, 8.0);
         let pool = WorkerPool::new(2);
         let res = run_naive(
+            &NucleiModel::new(&img, base.clone()),
             &img,
-            &base,
             &NaiveOptions {
                 prior: NaivePrior::UniformSplit,
                 chain: SubChainOptions {
@@ -260,7 +231,9 @@ mod tests {
             },
             &pool,
             3,
-        );
+            &RunCtx::default(),
+        )
+        .unwrap();
         for p in &res.partitions {
             assert!((p.expected_count - base.expected_count / 4.0).abs() < 1e-9);
         }

@@ -1,4 +1,5 @@
-//! Speculative moves ([11], reviewed in §IV and used by eqs. (3)/(4)).
+//! Speculative moves (ref. \[11\], reviewed in §IV and used by
+//! eqs. (3)/(4)).
 //!
 //! Each round, `n` lanes evaluate **independent** proposals conditioned on
 //! the *same* chain state concurrently (read-only). The first accepted

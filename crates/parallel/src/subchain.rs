@@ -7,10 +7,12 @@
 //! from the thresholded pixel count (eq. 5), and the chain runs until the
 //! convergence detector fires (Table I's "# itr to converge").
 
+use crate::job::{RunCtx, RunError};
 use pmcmc_core::diagnostics::{AcceptanceStats, ConvergenceDetector};
-use pmcmc_core::{ModelParams, NucleiModel, Sampler};
+use pmcmc_core::{NucleiModel, Sampler};
 use pmcmc_imaging::filter::threshold;
 use pmcmc_imaging::{Circle, GrayImage, Rect};
+use pmcmc_runtime::WorkerPool;
 use std::time::{Duration, Instant};
 
 /// The eq. (5) artifact-count estimator:
@@ -86,65 +88,28 @@ impl SubChainResult {
     }
 }
 
-/// Runs an independent chain on `rect` of `img`, with priors derived from
-/// `base` (the full-image model parameters) and the eq. (5) estimate.
+/// Runs an independent chain on `rect` of `img`. The partition's sub-model
+/// is derived from the prebuilt full-image model via [`NucleiModel::crop`]:
+/// the gain tables are row-copied instead of recomputed from pixels, which
+/// is bit-identical to a from-scratch build on the cropped image (and so
+/// yields the same chain) at the cost of a memcpy. The eq. (5) prior
+/// estimate is taken from the thresholded crop — partitions never inherit
+/// the full image's `expected_count`.
+///
+/// The cancel token / deadline of `ctx` are polled at every
+/// convergence-check stride (so a running chain stops within `conv_stride`
+/// iterations of the token firing), and [`crate::job::Event::Converged`] is
+/// emitted when the detector fires. A stopped chain returns its partial
+/// result — the caller (the partition pipelines) decides whether that
+/// becomes a structured error.
 #[must_use]
 pub fn run_partition_chain(
-    img: &GrayImage,
-    rect: Rect,
-    base: &ModelParams,
-    opts: &SubChainOptions,
-    seed: u64,
-) -> SubChainResult {
-    run_partition_chain_ctx(img, rect, base, opts, seed, &crate::job::RunCtx::default())
-}
-
-/// Runs like [`run_partition_chain`] under a [`crate::job::RunCtx`]: the
-/// cancel token / deadline are polled at every convergence-check stride
-/// (so a running chain stops within `conv_stride` iterations of the token
-/// firing), and [`crate::job::Event::Converged`] is emitted when the
-/// detector fires. A stopped chain returns its partial result — the
-/// caller (the strategy adapters) decides whether that becomes a
-/// structured error.
-#[must_use]
-pub fn run_partition_chain_ctx(
-    img: &GrayImage,
-    rect: Rect,
-    base: &ModelParams,
-    opts: &SubChainOptions,
-    seed: u64,
-    ctx: &crate::job::RunCtx,
-) -> SubChainResult {
-    let rect = rect.intersect(&img.frame());
-    let crop = img.crop(&rect);
-    let mask = threshold(&crop, opts.theta);
-    let thresholded_pixels = mask.count_ones();
-    let expected = eq5_estimate(thresholded_pixels, base.radius_prior.mu).max(0.05);
-
-    let mut params = base.clone();
-    params.width = crop.width();
-    params.height = crop.height();
-    params.expected_count = expected;
-    let model = NucleiModel::new(&crop, params);
-    run_chain_on_model(&model, rect, expected, thresholded_pixels, opts, seed, ctx)
-}
-
-/// Runs like [`run_partition_chain_ctx`] but derives the partition's
-/// sub-model from a prebuilt full-image model via [`NucleiModel::crop`]:
-/// the gain tables are row-copied instead of recomputed from pixels, which
-/// is bit-identical to the from-scratch build (and so yields the same
-/// chain), and the per-partition setup cost drops from per-pixel gain math
-/// to a memcpy. The eq. (5) prior estimate is still taken from the
-/// thresholded crop — partitions never inherit the full image's
-/// `expected_count`.
-#[must_use]
-pub fn run_partition_chain_shared_ctx(
     full: &NucleiModel,
     img: &GrayImage,
     rect: Rect,
     opts: &SubChainOptions,
     seed: u64,
-    ctx: &crate::job::RunCtx,
+    ctx: &RunCtx,
 ) -> SubChainResult {
     let rect = rect.intersect(&img.frame());
     let crop = img.crop(&rect);
@@ -152,20 +117,9 @@ pub fn run_partition_chain_shared_ctx(
     let thresholded_pixels = mask.count_ones();
     let expected = eq5_estimate(thresholded_pixels, full.params.radius_prior.mu).max(0.05);
     let model = full.crop(&rect, expected);
-    run_chain_on_model(&model, rect, expected, thresholded_pixels, opts, seed, ctx)
-}
 
-fn run_chain_on_model(
-    model: &NucleiModel,
-    rect: Rect,
-    expected: f64,
-    thresholded_pixels: usize,
-    opts: &SubChainOptions,
-    seed: u64,
-    ctx: &crate::job::RunCtx,
-) -> SubChainResult {
     let start = Instant::now();
-    let mut sampler = Sampler::new_empty(model, seed);
+    let mut sampler = Sampler::new_empty(&model, seed);
     let mut detector = ConvergenceDetector::new(opts.conv_window, opts.conv_tol);
     let mut converged_at = None;
     while sampler.iterations() < opts.max_iters && !ctx.stopped() {
@@ -204,10 +158,43 @@ fn run_chain_on_model(
     }
 }
 
+/// The fan-out stage of the partition pipelines: runs `chain(index, rect)`
+/// for every `(weight, rect)` cell concurrently on `pool` (heaviest weight
+/// first — the pool's LPT order load-balances when cells outnumber
+/// threads), ticking per-partition progress as chains finish.
+///
+/// # Errors
+/// The structured stop error when `ctx` stopped the run;
+/// `completed_iterations` sums what the chains ran before winding down.
+pub(crate) fn fan_out_chains(
+    cells: Vec<(f64, Rect)>,
+    pool: &WorkerPool,
+    ctx: &RunCtx,
+    chain: impl Fn(usize, Rect) -> SubChainResult + Sync,
+) -> Result<Vec<SubChainResult>, RunError> {
+    let progress = ctx.partition_progress(cells.len() as u64);
+    let (chain, progress) = (&chain, &progress);
+    let tasks: Vec<(f64, _)> = cells
+        .into_iter()
+        .enumerate()
+        .map(|(i, (weight, rect))| {
+            let task = move || {
+                let result = chain(i, rect);
+                progress.tick();
+                result
+            };
+            (weight, task)
+        })
+        .collect();
+    let chains = pool.run_batch(tasks);
+    ctx.should_stop(chains.iter().map(|c| c.iterations).sum())?;
+    Ok(chains)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pmcmc_core::Xoshiro256;
+    use pmcmc_core::{ModelParams, Xoshiro256};
     use pmcmc_imaging::synth::{generate_clustered, ClusterSpec, SceneSpec};
 
     fn clustered_image(seed: u64) -> (GrayImage, Vec<Circle>) {
@@ -251,13 +238,13 @@ mod tests {
     #[test]
     fn partition_chain_detects_local_cluster() {
         let (img, truth) = clustered_image(1);
-        let base = ModelParams::new(256, 256, 9.0, 8.0);
+        let full = NucleiModel::new(&img, ModelParams::new(256, 256, 9.0, 8.0));
         let rect = Rect::new(0, 0, 128, 128); // contains first cluster
         let opts = SubChainOptions {
             max_iters: 60_000,
             ..SubChainOptions::default()
         };
-        let res = run_partition_chain(&img, rect, &base, &opts, 42);
+        let res = run_partition_chain(&full, &img, rect, &opts, 42, &RunCtx::default());
         assert!(
             res.expected_count > 1.0,
             "eq5 estimate {}",
@@ -285,12 +272,19 @@ mod tests {
     #[test]
     fn empty_partition_converges_fast_with_no_detections() {
         let img = GrayImage::filled(128, 128, 0.1);
-        let base = ModelParams::new(128, 128, 5.0, 8.0);
+        let full = NucleiModel::new(&img, ModelParams::new(128, 128, 5.0, 8.0));
         let opts = SubChainOptions {
             max_iters: 30_000,
             ..SubChainOptions::default()
         };
-        let res = run_partition_chain(&img, Rect::new(0, 0, 64, 64), &base, &opts, 7);
+        let res = run_partition_chain(
+            &full,
+            &img,
+            Rect::new(0, 0, 64, 64),
+            &opts,
+            7,
+            &RunCtx::default(),
+        );
         assert_eq!(res.thresholded_pixels, 0);
         assert!(
             res.detected.is_empty(),
@@ -305,13 +299,14 @@ mod tests {
         // The core §VIII claim: per-partition processing is faster because
         // there are fewer artifacts and a smaller state space.
         let (img, _) = clustered_image(3);
-        let base = ModelParams::new(256, 256, 9.0, 8.0);
+        let full = NucleiModel::new(&img, ModelParams::new(256, 256, 9.0, 8.0));
+        let ctx = RunCtx::default();
         let opts = SubChainOptions {
             max_iters: 150_000,
             ..SubChainOptions::default()
         };
-        let whole = run_partition_chain(&img, Rect::new(0, 0, 256, 256), &base, &opts, 9);
-        let part = run_partition_chain(&img, Rect::new(0, 0, 128, 128), &base, &opts, 9);
+        let whole = run_partition_chain(&full, &img, Rect::new(0, 0, 256, 256), &opts, 9, &ctx);
+        let part = run_partition_chain(&full, &img, Rect::new(0, 0, 128, 128), &opts, 9, &ctx);
         let w_at = whole.converged_at.unwrap_or(whole.iterations);
         let p_at = part.converged_at.unwrap_or(part.iterations);
         assert!(

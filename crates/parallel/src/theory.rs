@@ -26,7 +26,7 @@ pub fn eq2_fraction(qg: f64, s: usize) -> f64 {
     qg + (1.0 - qg) / s as f64
 }
 
-/// The speculative-move runtime *fraction* `(1 − p_r)/(1 − p_rⁿ)` ([11]):
+/// The speculative-move runtime *fraction* `(1 − p_r)/(1 − p_rⁿ)` (ref. \[11\]):
 /// the factor by which `n` speculative threads shrink a phase with
 /// rejection rate `p_r`.
 #[must_use]

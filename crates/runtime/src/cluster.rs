@@ -7,7 +7,9 @@
 //! cluster — [`ClusterTopology`] — and the per-node back-pressure
 //! primitive — [`Admission`], a counting semaphore bounding how many jobs
 //! a node accepts concurrently — live here so any backend (or test) can
-//! reuse them without depending on the job layer.
+//! reuse them without depending on the job layer, as does the one
+//! placement ordering the cluster backends share
+//! ([`least_committed_order`]).
 
 use std::fmt;
 use std::sync::{Condvar, Mutex, PoisonError};
@@ -230,6 +232,25 @@ impl Admission {
     }
 }
 
+/// The placement preference of greedy list scheduling over cluster nodes:
+/// `candidates` (node indices into `committed`, the weight already placed
+/// on each node) ordered least-committed first, ties to the lower index.
+/// Weights compare by `f64::total_cmp`, so the order is total — a NaN
+/// weight sorts after every finite one instead of poisoning the sort.
+/// Callers walk the order with their own admission and liveness rules.
+///
+/// # Panics
+/// Panics if a candidate is not an index into `committed`.
+#[must_use]
+pub fn least_committed_order(
+    committed: &[f64],
+    candidates: impl IntoIterator<Item = usize>,
+) -> Vec<usize> {
+    let mut order: Vec<usize> = candidates.into_iter().collect();
+    order.sort_by(|&a, &b| committed[a].total_cmp(&committed[b]).then(a.cmp(&b)));
+    order
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -254,6 +275,23 @@ mod tests {
         assert_eq!(t.to_string(), "3x4 cluster (≤2 in flight/node)");
         assert_eq!(NodeId(5).to_string(), "node-5");
         assert_eq!(NodeId(5).index(), 5);
+    }
+
+    #[test]
+    fn least_committed_order_is_total_and_stable() {
+        // Ties break to the lower index, whatever order candidates come in.
+        assert_eq!(
+            least_committed_order(&[2.0, 1.0, 2.0, 1.0], [3, 2, 1, 0]),
+            [1, 3, 0, 2]
+        );
+        // A NaN weight sorts last rather than comparing "equal" to all.
+        assert_eq!(
+            least_committed_order(&[f64::NAN, 5.0, 0.5], 0..3),
+            [2, 1, 0]
+        );
+        // Only the candidates are ranked; none gives none.
+        assert_eq!(least_committed_order(&[3.0, 1.0, 2.0], [2, 0]), [2, 0]);
+        assert!(least_committed_order(&[1.0, 2.0], std::iter::empty()).is_empty());
     }
 
     #[test]

@@ -39,7 +39,6 @@ pub use cluster::{Admission, ClusterTopology, NodeId};
 pub use net::FrameConn;
 pub use pool::{PoolStats, WorkerPool};
 pub use scheduler::{
-    list_schedule_makespan, list_schedule_makespan_naive, lpt_bundles, lpt_makespan, lpt_order,
-    makespan_lower_bound,
+    list_schedule_makespan, lpt_bundles, lpt_makespan, lpt_order, makespan_lower_bound,
 };
 pub use team::SpinTeam;

@@ -77,9 +77,8 @@ impl Ord for Slot {
 /// `workers` identical machines and returns the resulting makespan.
 ///
 /// Runs in `O(n log m)` via a binary min-heap over machine loads; the
-/// `O(n·m)` linear-scan reference survives as
-/// [`list_schedule_makespan_naive`] and the two are property-tested to
-/// agree exactly on random weight vectors.
+/// `O(n·m)` linear-scan reference survives as a test oracle and the two
+/// are property-tested to agree exactly on random weight vectors.
 #[must_use]
 pub fn list_schedule_makespan(weights: &[f64], order: &[usize], workers: usize) -> f64 {
     assert!(workers >= 1, "need at least one worker");
@@ -101,10 +100,10 @@ pub fn list_schedule_makespan(weights: &[f64], order: &[usize], workers: usize) 
         .fold(0.0, f64::max)
 }
 
-/// The original `O(n·m)` linear-min-scan list scheduler, kept as the
-/// reference implementation the heap version is property-tested against.
-#[must_use]
-pub fn list_schedule_makespan_naive(weights: &[f64], order: &[usize], workers: usize) -> f64 {
+/// The original `O(n·m)` linear-min-scan list scheduler: the oracle the
+/// heap version is property-tested against.
+#[cfg(test)]
+fn list_schedule_makespan_naive(weights: &[f64], order: &[usize], workers: usize) -> f64 {
     assert!(workers >= 1, "need at least one worker");
     let mut loads = vec![0.0f64; workers];
     for &i in order {
@@ -258,6 +257,34 @@ mod tests {
                 "m={m}: LPT {ms} vs 4/3·LB {}",
                 (4.0 / 3.0) * lb
             );
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// The heap-based list scheduler and the naive O(n·m) reference make
+        /// identical placement decisions, so their makespans agree exactly —
+        /// in both FIFO and LPT submission order.
+        #[test]
+        fn heap_and_naive_list_schedulers_agree(
+            workers in 1usize..9,
+            weights in proptest::collection::vec(0.01f64..10.0, 0..40),
+        ) {
+            let fifo: Vec<usize> = (0..weights.len()).collect();
+            let lpt = lpt_order(&weights);
+            for order in [&fifo, &lpt] {
+                let heap = list_schedule_makespan(&weights, order, workers);
+                let naive = list_schedule_makespan_naive(&weights, order, workers);
+                proptest::prop_assert_eq!(
+                    heap.to_bits(),
+                    naive.to_bits(),
+                    "heap {} vs naive {} (workers {})",
+                    heap,
+                    naive,
+                    workers
+                );
+            }
         }
     }
 }

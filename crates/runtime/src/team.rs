@@ -1,6 +1,6 @@
 //! A low-latency broadcast team for speculative move rounds.
 //!
-//! Speculative moves ([11], §IV) evaluate `n` independent proposals of the
+//! Speculative moves (ref. \[11\], §IV) evaluate `n` independent proposals of the
 //! *same* chain state concurrently; a round lasts roughly one MCMC
 //! iteration (microseconds), so channel-based dispatch would dominate the
 //! round. `SpinTeam` keeps `n − 1` helper threads hot: each spins briefly

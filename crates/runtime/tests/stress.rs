@@ -1,8 +1,7 @@
 //! Stress and property tests for the execution substrate.
 
 use pmcmc_runtime::{
-    list_schedule_makespan, list_schedule_makespan_naive, lpt_makespan, lpt_order,
-    makespan_lower_bound, SpinTeam, WorkerPool,
+    list_schedule_makespan, lpt_makespan, lpt_order, makespan_lower_bound, SpinTeam, WorkerPool,
 };
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -110,30 +109,6 @@ fn spin_team_single_member_reusable_after_empty_workloads() {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// The heap-based list scheduler and the naive O(n·m) reference make
-    /// identical placement decisions, so their makespans agree exactly —
-    /// in both FIFO and LPT submission order.
-    #[test]
-    fn heap_and_naive_list_schedulers_agree(
-        workers in 1usize..9,
-        weights in prop::collection::vec(0.01f64..10.0, 0..40),
-    ) {
-        let fifo: Vec<usize> = (0..weights.len()).collect();
-        let lpt = lpt_order(&weights);
-        for order in [&fifo, &lpt] {
-            let heap = list_schedule_makespan(&weights, order, workers);
-            let naive = list_schedule_makespan_naive(&weights, order, workers);
-            prop_assert_eq!(
-                heap.to_bits(),
-                naive.to_bits(),
-                "heap {} vs naive {} (workers {})",
-                heap,
-                naive,
-                workers
-            );
-        }
-    }
 
     /// Results always return in task order regardless of weights/threads.
     #[test]

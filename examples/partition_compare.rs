@@ -67,6 +67,10 @@ fn main() {
         spec.radius_max,
     );
     let pool = WorkerPool::new(4);
+    // One full-image model, shared by the three pipelines (each partition
+    // chain crops its sub-model out of it).
+    let full = NucleiModel::new(&image, base);
+    let ctx = RunCtx::default();
     let chain = SubChainOptions {
         max_iters: if std::env::var_os("PMCMC_QUICK").is_some() {
             30_000
@@ -78,7 +82,9 @@ fn main() {
 
     // --- Intelligent partitioning (Fig. 3).
     let partitioner = IntelligentPartitioner::default();
-    let intel = pmcmc::parallel::run_intelligent(&image, &base, &partitioner, &chain, &pool, 1);
+    let intel =
+        pmcmc::parallel::run_intelligent(&full, &image, &partitioner, &chain, &pool, 1, &ctx)
+            .expect("nothing cancels this run");
     let m_intel = match_circles(truth, &intel.merged, 5.0);
     println!(
         "intelligent: {} partitions, {} detected, F1 {:.2}, anomalies {}, total {:.2}s",
@@ -101,7 +107,8 @@ fn main() {
     }
 
     // --- Blind partitioning (Fig. 4).
-    let blind = pmcmc::parallel::run_blind(&image, &base, &BlindOptions::default(), &pool, 2);
+    let blind = pmcmc::parallel::run_blind(&full, &image, &BlindOptions::default(), &pool, 2, &ctx)
+        .expect("nothing cancels this run");
     let m_blind = match_circles(truth, &blind.merged, 5.0);
     println!(
         "blind: 2x2 grid, {} detected ({} pairs merged, {} disputed), F1 {:.2}, anomalies {}, total {:.2}s",
@@ -114,7 +121,8 @@ fn main() {
     );
 
     // --- Naive baseline.
-    let naive = pmcmc::parallel::run_naive(&image, &base, &NaiveOptions::default(), &pool, 3);
+    let naive = pmcmc::parallel::run_naive(&full, &image, &NaiveOptions::default(), &pool, 3, &ctx)
+        .expect("nothing cancels this run");
     let m_naive = match_circles(truth, &naive.merged, 5.0);
     println!(
         "naive: {} detected, F1 {:.2}, anomalies {} (missed {}, spurious {}, duplicates {})",

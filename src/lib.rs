@@ -13,7 +13,7 @@
 //! |---|---|---|
 //! | `sequential` (baseline) | [`core::sampler`] | exact |
 //! | `periodic` (§V) | [`parallel::periodic`] | exact |
-//! | `speculative` ([11]) | [`parallel::speculative`] | exact |
+//! | `speculative` (ref. \[11\]) | [`parallel::speculative`] | exact |
 //! | `mc3` — (MC)³ (§IV) | [`core::mc3`] + [`parallel::mc3par`] | exact |
 //! | `intelligent` (§VIII) | [`parallel::intelligent`] | heuristic |
 //! | `blind` (§VIII) | [`parallel::blind`] | heuristic |
@@ -83,7 +83,8 @@
 //!
 //! The layers below stay public for callers that need richer control:
 //! [`parallel::engine`] for synchronous borrowed-data runs
-//! ([`RunRequest`](prelude::RunRequest) + [`RunCtx`](prelude::RunCtx)),
+//! ([`StrategySpec::run`](prelude::StrategySpec::run) on a
+//! [`RunRequest`](prelude::RunRequest) + [`RunCtx`](prelude::RunCtx)),
 //! [`core::Sampler`] for bare chains, [`parallel::PeriodicSampler`] for
 //! phase-level accounting, or [`parallel::run_blind`] for seam-merge
 //! details.
@@ -107,14 +108,12 @@ pub mod prelude {
     pub use pmcmc_imaging::synth::{generate, generate_clustered, ClusterSpec, Scene, SceneSpec};
     pub use pmcmc_imaging::{Circle, GrayImage, Mask, PartitionGrid, Rect};
     pub use pmcmc_parallel::{
-        registry, run_blind, run_intelligent, run_naive, Batch, BlindOptions, BlindStrategy,
-        CancelToken, DisputePolicy, DistributedBackend, DistributedConfig, Engine, Event,
-        ExecutionBackend, InProcessDaemon, IntelligentPartitioner, IntelligentStrategy, JobHandle,
-        JobId, JobSpec, LocalBackend, Mc3Strategy, NaiveOptions, NaiveStrategy, NodeDaemon,
-        NodeTiming, PartitionScheme, PeriodicOptions, PeriodicSampler, PeriodicStrategy, RunCtx,
-        RunError, RunReport, RunRequest, SequentialStrategy, ShardPlacement, ShardedBackend,
-        SpeculativeSampler, SpeculativeStrategy, Strategy, StrategySpec, SubChainOptions, Validity,
-        STRATEGY_NAMES,
+        run_blind, run_intelligent, run_naive, Batch, BlindOptions, CancelToken, DisputePolicy,
+        DistributedBackend, DistributedConfig, Engine, Event, ExecutionBackend, InProcessDaemon,
+        IntelligentPartitioner, JobHandle, JobId, JobSpec, LocalBackend, NaiveOptions, NodeDaemon,
+        NodeTiming, PartitionScheme, PeriodicOptions, PeriodicSampler, RunCtx, RunError, RunReport,
+        RunRequest, ShardPlacement, ShardedBackend, SpeculativeSampler, StrategySpec,
+        SubChainOptions, Validity,
     };
     pub use pmcmc_runtime::{ClusterTopology, NodeId, WorkerPool};
 }

@@ -54,7 +54,7 @@ fn periodic_identical_across_thread_counts() {
                 ..PeriodicOptions::default()
             },
         );
-        ps.run(20_000);
+        ps.run(20_000, &RunCtx::default()).unwrap();
         fingerprint(ps.config().circles())
     };
     let one = run(1);
@@ -69,7 +69,7 @@ fn periodic_identical_across_thread_counts() {
 #[test]
 fn blind_identical_across_pool_sizes() {
     let (_, truth, img) = model();
-    let base = ModelParams::new(160, 160, truth.len() as f64, 8.0);
+    let full = NucleiModel::new(&img, ModelParams::new(160, 160, truth.len() as f64, 8.0));
     let opts = BlindOptions {
         chain: SubChainOptions {
             max_iters: 20_000,
@@ -79,7 +79,8 @@ fn blind_identical_across_pool_sizes() {
     };
     let run = |threads: usize| {
         let pool = WorkerPool::new(threads);
-        let res = pmcmc::parallel::run_blind(&img, &base, &opts, &pool, 5);
+        let res = pmcmc::parallel::run_blind(&full, &img, &opts, &pool, 5, &RunCtx::default())
+            .expect("nothing cancels this run");
         fingerprint(&res.merged)
     };
     let a = run(1);
@@ -117,7 +118,7 @@ fn intelligent_identical_across_pool_sizes() {
     let mut rng = Xoshiro256::new(3);
     let sc = generate_clustered(&spec, &clusters, &mut rng);
     let img = sc.render(&mut rng);
-    let base = ModelParams::new(224, 224, 7.0, 8.0);
+    let full = NucleiModel::new(&img, ModelParams::new(224, 224, 7.0, 8.0));
     let opts = SubChainOptions {
         max_iters: 20_000,
         ..SubChainOptions::default()
@@ -125,13 +126,15 @@ fn intelligent_identical_across_pool_sizes() {
     let run = |threads: usize| {
         let pool = WorkerPool::new(threads);
         let res = pmcmc::parallel::run_intelligent(
+            &full,
             &img,
-            &base,
             &IntelligentPartitioner::default(),
             &opts,
             &pool,
             9,
-        );
+            &RunCtx::default(),
+        )
+        .expect("nothing cancels this run");
         fingerprint(&res.merged)
     };
     let a = run(1);
@@ -178,54 +181,35 @@ fn report_fingerprint(r: &RunReport) -> String {
     out
 }
 
-#[test]
-fn same_seed_job_specs_produce_byte_identical_reports() {
-    let (_, truth, img) = model();
-    let params = ModelParams::new(160, 160, truth.len() as f64, 8.0);
-    let engine = Engine::new(3).expect("worker count is positive");
-    // Every registered strategy: the span-kernel fast paths must not
-    // perturb a single bit of any scheme's report.
-    for strategy in [
-        "sequential",
-        "periodic",
-        "speculative",
-        "mc3",
-        "intelligent",
-        "blind",
-        "naive",
-    ] {
-        let run = || {
-            let spec: StrategySpec = strategy.parse().expect("registered name");
-            let report = engine
-                .submit(
-                    JobSpec::new(spec, img.clone(), params.clone())
-                        .seed(33)
-                        .iterations(8_000),
-                )
-                .expect("spec validates")
-                .wait()
-                .expect("job completes");
-            report_fingerprint(&report)
-        };
-        let first = run();
-        let second = run();
-        assert_eq!(first, second, "{strategy} report not byte-identical");
-    }
-}
-
-fn periodic_report(workers: usize, options: PeriodicOptions, seed: u64) -> RunReport {
+/// `spec`'s report on the 160² scene, run as a job on a fresh engine.
+fn job_report(workers: usize, spec: StrategySpec, seed: u64, iterations: u64) -> RunReport {
     let (_, truth, img) = model();
     let params = ModelParams::new(160, 160, truth.len() as f64, 8.0);
     Engine::new(workers)
         .expect("worker count is positive")
         .submit(
-            JobSpec::new(StrategySpec::Periodic(options), img, params)
+            JobSpec::new(spec, img, params)
                 .seed(seed)
-                .iterations(20_000),
+                .iterations(iterations),
         )
         .expect("spec validates")
         .wait()
         .expect("job completes")
+}
+
+fn job_fingerprint(spec: StrategySpec, seed: u64, iterations: u64) -> String {
+    report_fingerprint(&job_report(3, spec, seed, iterations))
+}
+
+#[test]
+fn same_seed_job_specs_produce_byte_identical_reports() {
+    // Every scheme: the span-kernel fast paths must not perturb a single
+    // bit of any scheme's report.
+    for spec in StrategySpec::all() {
+        let first = job_fingerprint(spec, 33, 8_000);
+        let second = job_fingerprint(spec, 33, 8_000);
+        assert_eq!(first, second, "{spec} report not byte-identical");
+    }
 }
 
 #[test]
@@ -245,39 +229,70 @@ fn periodic_reports_are_byte_identical_across_pool_sizes() {
             global_phase_iters: 1024,
             ..PeriodicOptions::default()
         };
-        let one = report_fingerprint(&periodic_report(1, options, 33));
+        let report = |workers| job_report(workers, StrategySpec::Periodic(options), 33, 20_000);
+        let one = report_fingerprint(&report(1));
         for workers in [2, 3, 4] {
             assert_eq!(
                 one,
-                report_fingerprint(&periodic_report(workers, options, 33)),
+                report_fingerprint(&report(workers)),
                 "{scheme:?}: report differs between 1 and {workers} workers"
             );
         }
     }
 }
 
-#[test]
-fn periodic_detections_match_the_golden_digest() {
-    // FNV-1a over the detection count and the bit patterns of every
-    // detected circle, recorded at the commit before tiles moved from
-    // per-phase crops to persistent replicas with read-only evaluation:
-    // that change may reorder float additions inside a likelihood delta,
-    // but not move, add or drop a single detection.
-    let report = periodic_report(2, PeriodicOptions::default(), 33);
+/// FNV-1a, 64 bit.
+fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> String {
     let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut feed = |word: u64| {
-        for byte in word.to_le_bytes() {
-            hash = (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    };
-    feed(report.detected().len() as u64);
-    for c in report.detected() {
-        feed(c.x.to_bits());
-        feed(c.y.to_bits());
-        feed(c.r.to_bits());
+    for byte in bytes {
+        hash = (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
     }
+    format!("{hash:016x}")
+}
+
+#[test]
+fn every_scheme_matches_its_golden_digest() {
+    // FNV-1a of `report_fingerprint` — every deterministic field of the
+    // report, floats bit for bit — for each scheme on the 160² scene at
+    // seed 33, 8 000 iterations, 3 workers. Recorded at the commit before
+    // the seven `Strategy` adapters became the arms of `StrategySpec::run`
+    // and every backend moved onto the one blueprint runner: those changes
+    // may move code, not a bit of any report.
+    let golden = [
+        ("sequential", "9d070e9dc40e5f73"),
+        ("periodic", "b0c705357ec33566"),
+        ("speculative", "dd4ae424c2858895"),
+        ("mc3", "1c7fdab74aee2317"),
+        ("intelligent", "bafbb56825c57f7d"),
+        ("blind", "5600e592bc43444f"),
+        ("naive", "9e1bfca3968aa9e4"),
+    ];
+    let specs = StrategySpec::all();
+    assert_eq!(specs.len(), golden.len());
+    for (spec, (name, digest)) in specs.into_iter().zip(golden) {
+        assert_eq!(spec.name(), name);
+        assert_eq!(
+            fnv1a(job_fingerprint(spec, 33, 8_000).bytes()),
+            digest,
+            "{name} report drifted from its golden fingerprint"
+        );
+    }
+
+    // The older periodic row: detection count and circle bit patterns at
+    // 20 000 iterations on 2 workers, recorded at the commit before tiles
+    // moved from per-phase crops to persistent replicas with read-only
+    // evaluation: that change may reorder float additions inside a
+    // likelihood delta, but not move, add or drop a single detection.
+    let periodic = StrategySpec::Periodic(PeriodicOptions::default());
+    let report = job_report(2, periodic, 33, 20_000);
+    let words = std::iter::once(report.detected().len() as u64).chain(
+        report
+            .detected()
+            .iter()
+            .flat_map(|c| [c.x.to_bits(), c.y.to_bits(), c.r.to_bits()]),
+    );
     assert_eq!(
-        format!("{hash:016x}"),
+        fnv1a(words.flat_map(u64::to_le_bytes)),
         "dd60b2e0dff437ea",
         "{} detections",
         report.detected().len()
@@ -292,39 +307,18 @@ fn forced_scalar_and_simd_paths_give_byte_identical_reports() {
     // perturb a single bit of any strategy's report. (On hosts without
     // AVX2 both runs take the scalar path and the test is vacuous but
     // still valid.)
-    let (_, truth, img) = model();
-    let params = ModelParams::new(160, 160, truth.len() as f64, 8.0);
-    let engine = Engine::new(3).expect("worker count is positive");
     let detected = backend();
-    for strategy in [
-        "sequential",
-        "periodic",
-        "speculative",
-        "mc3",
-        "intelligent",
-        "blind",
-        "naive",
-    ] {
+    for spec in StrategySpec::all() {
         let run = |b: Backend| {
             force_backend(b);
-            let spec: StrategySpec = strategy.parse().expect("registered name");
-            let report = engine
-                .submit(
-                    JobSpec::new(spec, img.clone(), params.clone())
-                        .seed(61)
-                        .iterations(6_000),
-                )
-                .expect("spec validates")
-                .wait()
-                .expect("job completes");
-            report_fingerprint(&report)
+            job_fingerprint(spec, 61, 6_000)
         };
         let scalar = run(Backend::Scalar);
         let vector = run(Backend::Avx2);
         force_backend(detected);
         assert_eq!(
             scalar, vector,
-            "{strategy} report differs between scalar and vector kernels"
+            "{spec} report differs between scalar and vector kernels"
         );
     }
 }

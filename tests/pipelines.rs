@@ -108,7 +108,7 @@ fn periodic_pipeline_matches_sequential_quality() {
             ..PeriodicOptions::default()
         },
     );
-    ps.run(60_000);
+    ps.run(60_000, &RunCtx::default()).unwrap();
     let m = match_circles(&truth, ps.config().circles(), 5.0);
     assert!(m.f1() >= 0.85, "periodic F1 {}", m.f1());
     ps.config().verify_consistency(&model).unwrap();
@@ -127,7 +127,7 @@ fn periodic_grid_scheme_pipeline() {
             ..PeriodicOptions::default()
         },
     );
-    ps.run(60_000);
+    ps.run(60_000, &RunCtx::default()).unwrap();
     let m = match_circles(&truth, ps.config().circles(), 5.0);
     assert!(m.f1() >= 0.8, "grid periodic F1 {}", m.f1());
 }
@@ -154,7 +154,7 @@ fn mc3_pipeline_detects_scene() {
 #[test]
 fn blind_pipeline_on_uniform_scene() {
     let (_, truth, img) = scene(6);
-    let base = ModelParams::new(192, 192, truth.len() as f64, 8.0);
+    let full = NucleiModel::new(&img, ModelParams::new(192, 192, truth.len() as f64, 8.0));
     let pool = WorkerPool::new(4);
     let opts = BlindOptions {
         chain: SubChainOptions {
@@ -163,7 +163,8 @@ fn blind_pipeline_on_uniform_scene() {
         },
         ..BlindOptions::default()
     };
-    let res = pmcmc::parallel::run_blind(&img, &base, &opts, &pool, 15);
+    let res = pmcmc::parallel::run_blind(&full, &img, &opts, &pool, 15, &RunCtx::default())
+        .expect("nothing cancels this run");
     let m = match_circles(&truth, &res.merged, 5.0);
     assert!(m.f1() >= 0.8, "blind F1 {}", m.f1());
 }
@@ -197,11 +198,11 @@ fn intelligent_pipeline_on_clustered_scene() {
     let mut rng = Xoshiro256::new(7);
     let sc = generate_clustered(&spec, &clusters, &mut rng);
     let img = sc.render(&mut rng);
-    let base = ModelParams::new(256, 256, 10.0, 8.0);
+    let full = NucleiModel::new(&img, ModelParams::new(256, 256, 10.0, 8.0));
     let pool = WorkerPool::new(4);
     let res = pmcmc::parallel::run_intelligent(
+        &full,
         &img,
-        &base,
         &IntelligentPartitioner::default(),
         &SubChainOptions {
             max_iters: 60_000,
@@ -209,7 +210,9 @@ fn intelligent_pipeline_on_clustered_scene() {
         },
         &pool,
         16,
-    );
+        &RunCtx::default(),
+    )
+    .expect("nothing cancels this run");
     assert!(res.partitions.len() >= 2, "pre-processor found no corridor");
     let m = match_circles(&sc.circles, &res.merged, 5.0);
     assert!(m.f1() >= 0.8, "intelligent F1 {}", m.f1());
@@ -239,7 +242,7 @@ fn all_exact_methods_agree_on_posterior_count() {
     let mut per = PeriodicSampler::new(&model, 31, PeriodicOptions::default());
     let mut per_counts = Vec::new();
     for _ in 0..120 {
-        per.run(500);
+        per.run(500, &RunCtx::default()).unwrap();
         per_counts.push(per.config().len());
     }
 

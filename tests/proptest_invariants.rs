@@ -6,10 +6,6 @@ use pmcmc::core::moves::propose;
 use pmcmc::core::sampler::evaluate_proposal;
 use pmcmc::prelude::*;
 use proptest::prelude::*;
-// Both preludes export a `Strategy` trait (the engine's and proptest's);
-// the explicit import shadows the glob imports in favour of proptest's,
-// which is the one `arb_circle` returns.
-use proptest::strategy::Strategy;
 
 fn small_model(w: u32, h: u32) -> NucleiModel {
     let img = GrayImage::from_fn(w, h, |x, y| ((x * 31 + y * 17) % 16) as f32 / 16.0);

@@ -14,7 +14,6 @@ use pmcmc::runtime::wire::{
     read_frame, write_frame, FrameKind, Wire, WireError, MAGIC, WIRE_VERSION,
 };
 use proptest::prelude::*;
-use proptest::strategy::Strategy;
 use std::time::Duration;
 
 fn arb_image() -> impl Strategy<Value = GrayImage> {
