@@ -10,7 +10,9 @@
 //! Scopes are configured in `analysis.toml` (`[[determinism.scope]]`):
 //! the core crate bans everything, while `Strategy` implementations may
 //! keep `Instant` for wall-clock *diagnostics* (timings in `RunReport`
-//! never feed back into the chain).
+//! never feed back into the chain). A scope is just paths plus banned
+//! identifiers, so the span kernels' ban on libm `floor`/`ceil` (a
+//! function call per disk row on baseline x86-64) rides on the same lint.
 
 use super::{is_test_file, AllowTracker};
 use crate::config::DeterminismScope;
@@ -55,8 +57,8 @@ pub fn run(
             file: file.path.clone(),
             line: tok.line,
             message: format!(
-                "nondeterminism source `{}` in a determinism-scoped path (replay must be \
-                 byte-identical; see [[determinism.scope]] in analysis.toml)",
+                "`{}` is banned in this path (its [[determinism.scope]] in analysis.toml says \
+                 why: replay must stay byte-identical, span kernels libm-free)",
                 tok.text
             ),
             severity,

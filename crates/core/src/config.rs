@@ -7,7 +7,7 @@
 //! needed by the Metropolis–Hastings ratio and enough information to build
 //! the exact inverse edit when a proposal is rejected.
 
-use crate::coverage::CoverageGrid;
+use crate::coverage::{disk_row_range, disk_row_span, for_each_disk_row, CoverageGrid, SpanTally};
 use crate::likelihood::Gain;
 use crate::model::NucleiModel;
 use crate::spatial::SpatialGrid;
@@ -17,6 +17,9 @@ use pmcmc_imaging::{Circle, Rect};
 /// [`Configuration::delta_log_lik_readonly`] handles (every built-in move
 /// touches at most 3).
 const SPAN_DISKS: usize = 4;
+
+/// One disk's pixels `x0..=x1` on a row, and whether the disk is added.
+type Span = (i64, i64, bool);
 
 /// A reversible state change: remove some circles (by index), then add some
 /// circles. Every move kind reduces to an `Edit`.
@@ -438,82 +441,43 @@ impl Configuration {
         span_delta_log_lik(&self.coverage, &disks[..nd], &model.gain)
     }
 
-    /// General evaluation (any disk count): per image row, collect every
-    /// affected disk's span (the exact arithmetic of
-    /// [`crate::coverage::for_each_disk_row`]), merge them into contiguous
-    /// union runs and sweep each run segment by segment — a segment being
-    /// a maximal stretch where the same set of spans is active, so the net
-    /// count change is constant and the coverage flips resolve through the
-    /// [`crate::simd::sum_gain_flips`] lane kernel instead of per-pixel
-    /// membership tests against every disk.
+    /// General evaluation (any disk count): per image row some disk
+    /// reaches, collect the spans of the disks whose row range holds it,
+    /// and resolve the row through [`sweep_row`] — the same run merging,
+    /// segment cutting and resolution as the span walker, without its
+    /// fixed-size arrays and its shortcuts.
     fn delta_log_lik_general(&self, edit: &Edit, model: &NucleiModel) -> f64 {
         let gain = &model.gain;
         let frame = self.coverage.rect();
-        let removed: Vec<Circle> = edit.remove.iter().map(|&i| self.circles[i]).collect();
-        if removed.is_empty() && edit.add.is_empty() {
-            return 0.0;
-        }
+        // (circle, squared radius, clipped row range, is_add) of the disks
+        // that reach the frame's rows at all.
+        let disks: Vec<(Circle, f64, (i64, i64), bool)> = edit
+            .remove
+            .iter()
+            .map(|&i| (self.circles[i], false))
+            .chain(edit.add.iter().map(|&c| (c, true)))
+            .map(|(c, is_add)| (c, c.r * c.r, disk_row_range(&c, &frame), is_add))
+            .filter(|(_, _, (lo, hi), _)| lo <= hi)
+            .collect();
+        let y0 = disks.iter().map(|&(.., (lo, _), _)| lo).min();
+        let y1 = disks.iter().map(|&(.., (_, hi), _)| hi).max();
+        let (y0, y1) = (y0.unwrap_or(i64::MAX), y1.unwrap_or(i64::MIN));
         let mut delta = 0.0;
-        let mut pixels = 0u64;
-        let mut skipped = 0u64;
-        let mut y0 = i64::MAX;
-        let mut y1 = i64::MIN;
-        for c in removed.iter().chain(edit.add.iter()) {
-            y0 = y0.min(((c.y - c.r - 0.5).ceil() as i64).max(frame.y0));
-            y1 = y1.max(((c.y + c.r - 0.5).floor() as i64).min(frame.y1 - 1));
-        }
-        let mut spans: Vec<(i64, i64, bool)> = Vec::with_capacity(removed.len() + edit.add.len());
+        let mut tally = SpanTally::default();
+        let mut spans: Vec<Span> = Vec::with_capacity(disks.len());
         for py in y0..=y1 {
             spans.clear();
-            let tagged = removed
-                .iter()
-                .map(|c| (c, false))
-                .chain(edit.add.iter().map(|c| (c, true)));
-            for (c, is_add) in tagged {
-                let dy = py as f64 + 0.5 - c.y;
-                let h2 = c.r * c.r - dy * dy;
-                if h2 < 0.0 {
-                    continue;
+            for (c, r2, (lo, hi), is_add) in &disks {
+                if (*lo..=*hi).contains(&py) {
+                    if let Some((x0, x1)) = disk_row_span(c, *r2, py, &frame) {
+                        spans.push((x0, x1, *is_add));
+                    }
                 }
-                let h = h2.sqrt();
-                let x0 = ((c.x - h - 0.5).ceil() as i64).max(frame.x0);
-                let x1 = ((c.x + h - 0.5).floor() as i64).min(frame.x1 - 1);
-                if x0 > x1 {
-                    continue;
-                }
-                spans.push((x0, x1, is_add));
-            }
-            if spans.is_empty() {
-                continue;
             }
             spans.sort_unstable_by_key(|s| s.0);
-            let cov_row = self.coverage.row(py);
-            let gain_row = gain.row(py as u32);
-            let mut i = 0;
-            while i < spans.len() {
-                let lo = spans[i].0;
-                let mut hi = spans[i].1;
-                let mut j = i + 1;
-                while j < spans.len() && spans[j].0 <= hi + 1 {
-                    hi = hi.max(spans[j].1);
-                    j += 1;
-                }
-                sweep_run(
-                    &spans[i..j],
-                    lo,
-                    hi,
-                    cov_row,
-                    gain_row,
-                    frame.x0,
-                    &mut delta,
-                    &mut pixels,
-                    &mut skipped,
-                );
-                i = j;
-            }
+            sweep_row(&self.coverage, gain, py, &spans, &mut delta, &mut tally);
         }
-        crate::perf::add_pixels_visited(pixels);
-        crate::perf::add_pixels_skipped(skipped);
+        tally.flush();
         delta
     }
 
@@ -672,14 +636,28 @@ impl Configuration {
 /// Read-only row-span evaluation of the log-likelihood delta of removing
 /// and adding at most [`SPAN_DISKS`] disks (`(circle, is_add)`) on `grid` —
 /// the one evaluator behind [`Configuration::delta_log_lik_readonly`] and
-/// the tile workers' local moves. For each image row the affected disks'
-/// pixel spans are computed with the exact arithmetic of
-/// [`crate::coverage::for_each_disk_row`], merged, and resolved run-by-run:
-/// a run owned by a single disk consults the coverage grid's
-/// occupancy/multi bitsets, and in the overlap-free case its whole gain
-/// sum is one [`crate::likelihood::Gain::row_prefix`] subtraction;
-/// mixed-coverage and multi-disk runs fall back to a branch-light linear
-/// scan over contiguous row slices.
+/// the tile workers' local moves.
+///
+/// **Rows.** Each disk has its own clipped row range
+/// ([`crate::coverage::disk_row_range`]); the walker visits, in ascending
+/// `y`, only the rows inside some range and jumps over the rest — a
+/// replace whose old and new circle sit hundreds of rows apart pays for
+/// two disks, not for the gap. A disk wholly above or below the frame has
+/// an empty range and is neither walked nor jumped to.
+///
+/// **Segments.** A row's spans ([`crate::coverage::disk_row_span`]) are
+/// merged into contiguous runs ([`sweep_row`]), each run is cut where a
+/// span starts or ends ([`sweep_run`]), and every constant-net segment is
+/// resolved by
+/// [`CoverageGrid::segment_delta`] — from the occupancy bitsets alone
+/// unless two removed disks overlap there.
+///
+/// **Cold rows.** An added disk that no removed disk is near — a birth or
+/// a replace — lands on table rows that are in nobody's cache, and the
+/// walk would miss on them one row after the other. Its prefix-table and
+/// occupancy lines are therefore prefetched before the walk starts. Disks
+/// that overlap a removed one (translate, resize, split, merge) find
+/// their rows in L2, where a prefetch only costs a load slot.
 pub(crate) fn span_delta_log_lik(
     grid: &CoverageGrid,
     disks: &[(Circle, bool)],
@@ -690,196 +668,144 @@ pub(crate) fn span_delta_log_lik(
         "span walker holds {SPAN_DISKS} disks"
     );
     let frame = grid.rect();
-    if disks.is_empty() {
-        return 0.0;
-    }
-    let mut y0 = i64::MAX;
-    let mut y1 = i64::MIN;
-    for (c, _) in disks {
-        y0 = y0.min(((c.y - c.r - 0.5).ceil() as i64).max(frame.y0));
-        y1 = y1.max(((c.y + c.r - 0.5).floor() as i64).min(frame.y1 - 1));
-    }
-    let mut delta = 0.0;
-    let mut pixels = 0u64;
-    let mut fast_hits = 0u64;
-    let mut skipped = 0u64;
-    for py in y0..=y1 {
-        // Per-disk spans [x0, x1] on this row (empty spans skipped).
-        let mut spans = [(0i64, 0i64, false); SPAN_DISKS];
-        let mut ns = 0;
-        for &(c, is_add) in disks {
-            let dy = py as f64 + 0.5 - c.y;
-            let h2 = c.r * c.r - dy * dy;
-            if h2 < 0.0 {
-                continue;
-            }
-            let h = h2.sqrt();
-            let x0 = ((c.x - h - 0.5).ceil() as i64).max(frame.x0);
-            let x1 = ((c.x + h - 0.5).floor() as i64).min(frame.x1 - 1);
-            if x0 > x1 {
-                continue;
-            }
-            spans[ns] = (x0, x1, is_add);
-            ns += 1;
-        }
-        if ns == 0 {
+    let nd = disks.len();
+    // Per disk: clipped row range — (MAX, MIN) when empty, which holds no
+    // row and is never the nearest range ahead — and squared radius.
+    let mut rows = [(i64::MAX, i64::MIN); SPAN_DISKS];
+    let mut r2 = [0.0f64; SPAN_DISKS];
+    let mut y_last = i64::MIN;
+    for (k, (c, is_add)) in disks.iter().enumerate() {
+        let (lo, hi) = disk_row_range(c, &frame);
+        if lo > hi {
             continue;
         }
-        // Insertion-sort by x0 (ns <= 4).
-        for i in 1..ns {
-            let mut j = i;
-            while j > 0 && spans[j - 1].0 > spans[j].0 {
-                spans.swap(j - 1, j);
-                j -= 1;
-            }
-        }
-        let cov_row = grid.row(py);
-        let gain_row = gain.row(py as u32);
-        let spans = &spans[..ns];
-        // Segment [lo, hi] where exactly one disk's span changes: the
-        // bitsets decide the whole segment at once, and in the
-        // overlap-free case its gain sum is one prefix subtraction.
-        // Accumulators are passed in so the multi-span branch below
-        // can keep using them directly.
-        let eval_single = |lo: i64,
-                           hi: i64,
-                           is_add: bool,
-                           delta: &mut f64,
-                           pixels: &mut u64,
-                           fast_hits: &mut u64,
-                           skipped: &mut u64| {
-            let len = (hi - lo + 1) as u64;
-            if is_add {
-                if grid.span_uncovered(py, lo, hi) {
-                    // Every pixel crosses 0→1: one prefix subtraction.
-                    let pre = gain.row_prefix(py as u32);
-                    *delta += pre[(hi + 1) as usize] - pre[lo as usize];
-                    *fast_hits += 1;
-                    *skipped += len;
-                } else {
-                    // Mixed coverage: the still-uncovered pixels are
-                    // exactly the clear occupancy bits, so the delta
-                    // is a bitset walk — no count is read.
-                    *delta += grid.sum_gains_uncovered(py, lo, hi, gain_row);
-                    *pixels += len;
-                }
-            } else if grid.span_singly_covered(py, lo, hi) {
-                // The removed disk covers its own span (count ≥ 1)
-                // and nothing else does: every pixel crosses 1→0.
-                let pre = gain.row_prefix(py as u32);
-                *delta -= pre[(hi + 1) as usize] - pre[lo as usize];
-                *fast_hits += 1;
-                *skipped += len;
-            } else {
-                // Mixed coverage: `occ & !multi` marks the pixels only
-                // this disk covers — their gains leave the sum.
-                *delta -= grid.sum_gains_singly_covered(py, lo, hi, gain_row);
-                *pixels += len;
-            }
-        };
-        let mut i = 0;
-        while i < ns {
-            // Grow one merged (contiguous) union run.
-            let lo = spans[i].0;
-            let mut hi = spans[i].1;
-            let mut j = i + 1;
-            while j < ns && spans[j].0 <= hi + 1 {
-                hi = hi.max(spans[j].1);
-                j += 1;
-            }
-            if j == i + 1 {
-                eval_single(
-                    lo,
-                    hi,
-                    spans[i].2,
-                    &mut delta,
-                    &mut pixels,
-                    &mut fast_hits,
-                    &mut skipped,
-                );
-            } else if j == i + 2 && spans[i].2 != spans[i + 1].2 {
-                // One removed and one added span (the move shape):
-                // inside their intersection −1 and +1 cancel, so the
-                // count — and hence the likelihood — cannot change
-                // there. Only the symmetric difference needs work,
-                // and each sliver is a single-disk segment.
-                let (a0, a1, ka) = spans[i];
-                let (b0, b1, kb) = spans[i + 1];
-                let cut = a1.min(b1);
-                if a0 < b0 {
-                    eval_single(
-                        a0,
-                        b0 - 1,
-                        ka,
-                        &mut delta,
-                        &mut pixels,
-                        &mut fast_hits,
-                        &mut skipped,
-                    );
-                }
-                if cut >= b0 {
-                    skipped += (cut - b0 + 1) as u64;
-                }
-                if cut < hi {
-                    eval_single(
-                        cut + 1,
-                        hi,
-                        if a1 > b1 { ka } else { kb },
-                        &mut delta,
-                        &mut pixels,
-                        &mut fast_hits,
-                        &mut skipped,
-                    );
-                }
-            } else {
-                sweep_run(
-                    &spans[i..j],
-                    lo,
-                    hi,
-                    cov_row,
-                    gain_row,
-                    frame.x0,
-                    &mut delta,
-                    &mut pixels,
-                    &mut skipped,
-                );
-            }
-            i = j;
+        rows[k] = (lo, hi);
+        r2[k] = c.r * c.r;
+        y_last = y_last.max(hi);
+        let cold = *is_add
+            && disks.iter().all(|(d, d_add)| {
+                let apart = c.r + d.r + 1.0;
+                *d_add || (c.x - d.x).abs() > apart || (c.y - d.y).abs() > apart
+            });
+        if cold {
+            for_each_disk_row(c, &frame, |y, x0, x1| {
+                gain.prefetch_span_prefix(y as u32, x0 as usize, x1 as usize);
+                grid.prefetch_occupancy(y, x0, x1);
+            });
         }
     }
-    crate::perf::add_pixels_visited(pixels);
-    crate::perf::add_span_fastpath_hits(fast_hits);
-    crate::perf::add_pixels_skipped(skipped);
+    let mut delta = 0.0;
+    let mut tally = SpanTally::default();
+    let mut py = rows[..nd].iter().map(|r| r.0).min().unwrap_or(i64::MAX);
+    while py <= y_last {
+        // This row's spans, and the nearest range that starts below it.
+        let mut spans: [Span; SPAN_DISKS] = [(0, 0, false); SPAN_DISKS];
+        let mut ns = 0;
+        let mut reached = false;
+        let mut ahead = i64::MAX;
+        for k in 0..nd {
+            let (lo, hi) = rows[k];
+            if py < lo {
+                ahead = ahead.min(lo);
+            } else if py <= hi {
+                reached = true;
+                let (c, is_add) = &disks[k];
+                if let Some((x0, x1)) = disk_row_span(c, r2[k], py, &frame) {
+                    spans[ns] = (x0, x1, *is_add);
+                    ns += 1;
+                }
+            }
+        }
+        if !reached {
+            // Between two disks (`y_last` ends a range, so one is ahead).
+            py = ahead;
+            continue;
+        }
+        let (a, b) = (spans[0], spans[1]);
+        if ns == 1 {
+            delta += grid.one_disk_delta(gain, py, (a.0, a.1), a.2, &mut tally);
+        } else if ns == 2 && a.2 != b.2 && a.0.max(b.0) <= a.1.min(b.1) + 1 {
+            // The move shape — a removed and an added span that touch.
+            // Where both lie nothing can flip, which leaves a sliver of
+            // the span that starts first and a sliver of the one that ends
+            // last. (`sweep_run` would find the same three segments; going
+            // straight to them takes 15 % off a translate or resize.)
+            let (both0, both1) = (a.0.max(b.0), a.1.min(b.1));
+            if a.0 != b.0 {
+                let (x0, is_add) = if a.0 < b.0 { (a.0, a.2) } else { (b.0, b.2) };
+                let sliver = (x0, both0 - 1);
+                delta += grid.one_disk_delta(gain, py, sliver, is_add, &mut tally);
+            }
+            tally.skipped += (both1 - both0 + 1) as u64;
+            if a.1 != b.1 {
+                let (x1, is_add) = if a.1 > b.1 { (a.1, a.2) } else { (b.1, b.2) };
+                let sliver = (both1 + 1, x1);
+                delta += grid.one_disk_delta(gain, py, sliver, is_add, &mut tally);
+            }
+        } else {
+            // Insertion sort by start (at most four spans).
+            for i in 1..ns {
+                let mut j = i;
+                while j > 0 && spans[j - 1].0 > spans[j].0 {
+                    spans.swap(j - 1, j);
+                    j -= 1;
+                }
+            }
+            sweep_row(grid, gain, py, &spans[..ns], &mut delta, &mut tally);
+        }
+        py += 1;
+    }
+    tally.flush();
     delta
 }
 
-/// Sweeps one merged run `[lo, hi]` of overlapping row spans. The run is
-/// cut into segments over which the active span set — and hence the net
-/// coverage-count change `plus − minus` — is constant; each segment with a
-/// non-zero net change resolves its 0↔covered flips through
-/// [`crate::simd::sum_gain_flips`]: a pixel flips on iff its count is 0 and
-/// `net > 0` (gain enters the sum positively) and flips off iff
-/// `1 ≤ count ≤ −net` (gain leaves the sum). Segments with `net == 0`
-/// cannot change any pixel's covered/uncovered state and are skipped
-/// wholesale.
-#[allow(clippy::too_many_arguments)]
-fn sweep_run(
-    spans: &[(i64, i64, bool)],
-    lo: i64,
-    hi: i64,
-    cov_row: &[u16],
-    gain_row: &[f64],
-    frame_x0: i64,
+/// Resolves one row's spans (sorted by start): splits them into maximal
+/// runs of touching or overlapping spans and sweeps each, left to right.
+#[inline]
+fn sweep_row(
+    grid: &CoverageGrid,
+    gain: &Gain,
+    py: i64,
+    spans: &[Span],
     delta: &mut f64,
-    pixels: &mut u64,
-    skipped: &mut u64,
+    tally: &mut SpanTally,
 ) {
-    let mut x = lo;
+    let mut i = 0;
+    while i < spans.len() {
+        let mut hi = spans[i].1;
+        let mut j = i + 1;
+        while j < spans.len() && spans[j].0 <= hi + 1 {
+            hi = hi.max(spans[j].1);
+            j += 1;
+        }
+        sweep_run(grid, gain, py, &spans[i..j], hi, delta, tally);
+        i = j;
+    }
+}
+
+/// Sweeps one merged run of row `py` — `spans`, sorted by start, which
+/// together cover every pixel up to `hi`: cuts it into segments over which
+/// the set of active spans — hence the numbers of added and removed disks
+/// over every pixel — is constant, and adds each segment's
+/// [`CoverageGrid::segment_delta`] to `delta`, left to right. A run of one
+/// span is one segment; a move's removed/added pair is at most a sliver on
+/// either side of an intersection that resolves to nothing.
+#[inline]
+fn sweep_run(
+    grid: &CoverageGrid,
+    gain: &Gain,
+    py: i64,
+    spans: &[Span],
+    hi: i64,
+    delta: &mut f64,
+    tally: &mut SpanTally,
+) {
+    let mut x = spans[0].0;
     while x <= hi {
         // Next segment boundary: the nearest span start or end beyond `x`.
         let mut next = hi + 1;
-        let mut minus = 0i64;
-        let mut plus = 0i64;
+        let mut minus = 0;
+        let mut plus = 0;
         for &(sx0, sx1, is_add) in spans {
             if sx0 > x {
                 next = next.min(sx0);
@@ -894,20 +820,7 @@ fn sweep_run(
                 next = next.min(sx1 + 1);
             }
         }
-        let len = (next - x) as u64;
-        let net = plus - minus;
-        if net == 0 {
-            *skipped += len;
-        } else {
-            let s = (x - frame_x0) as usize;
-            let e = (next - 1 - frame_x0) as usize;
-            *delta += crate::simd::sum_gain_flips(
-                &cov_row[s..=e],
-                &gain_row[x as usize..=(next - 1) as usize],
-                net,
-            );
-            *pixels += len;
-        }
+        *delta += grid.segment_delta(gain, py, (x, next - 1), (plus, minus), tally);
         x = next;
     }
 }
@@ -1084,6 +997,30 @@ mod tests {
         assert_eq!(cfg.count_close_pairs(1.0), 0);
     }
 
+    /// Read-only delta (the span walker, up to [`SPAN_DISKS`] disks) ≡
+    /// general path ≡ what applying the edit reports, on both lane
+    /// backends; the configuration is left as it was found.
+    fn assert_readonly_matches_apply(cfg: &mut Configuration, edit: &Edit, m: &NucleiModel) {
+        let detected = crate::simd::backend();
+        for backend in [crate::simd::Backend::Scalar, crate::simd::Backend::Avx2] {
+            crate::simd::force_backend(backend);
+            let fast = cfg.delta_log_lik_readonly(edit, m);
+            let slow = cfg.delta_log_lik_general(edit, m);
+            let receipt = cfg.apply(edit, m);
+            cfg.revert(&receipt, m);
+            assert!(
+                (fast - slow).abs() < 1e-9,
+                "{backend:?}: span {fast} vs general {slow} for {edit:?}"
+            );
+            assert!(
+                (fast - receipt.d_log_lik).abs() < 1e-9,
+                "{backend:?}: span {fast} vs applied {} for {edit:?}",
+                receipt.d_log_lik
+            );
+        }
+        crate::simd::force_backend(detected);
+    }
+
     #[test]
     fn span_walker_matches_general_path() {
         let m = test_model(96, 96);
@@ -1118,14 +1055,107 @@ mod tests {
                     )
                 })
                 .collect();
-            let edit = Edit { remove, add };
-            let fast = cfg.delta_log_lik_spans(&edit, &m);
-            let slow = cfg.delta_log_lik_general(&edit, &m);
-            assert!(
-                (fast - slow).abs() < 1e-9,
-                "span {fast} vs general {slow} for {edit:?}"
-            );
+            assert_readonly_matches_apply(&mut cfg, &Edit { remove, add }, &m);
         }
+    }
+
+    /// The `(plus, minus)` pairs an edit produces somewhere on the image:
+    /// per pixel, how many added and how many removed disks cover it.
+    fn segment_shapes(cfg: &Configuration, edit: &Edit, m: &NucleiModel) -> Vec<(usize, usize)> {
+        let mut shapes = Vec::new();
+        for y in 0..i64::from(m.params.height) {
+            for x in 0..i64::from(m.params.width) {
+                let plus = edit.add.iter().filter(|c| c.covers_pixel(x, y)).count();
+                let minus = edit
+                    .remove
+                    .iter()
+                    .filter(|&&i| cfg.circle(i).covers_pixel(x, y))
+                    .count();
+                if plus + minus > 0 && !shapes.contains(&(plus, minus)) {
+                    shapes.push((plus, minus));
+                }
+            }
+        }
+        shapes.sort_unstable();
+        shapes
+    }
+
+    /// The shapes the walker treats specially, each pinned to the apply
+    /// receipt: rows nobody reaches between two disks, disks off the frame
+    /// on every side, and split/merge triples through every kind of
+    /// segment — over ground that is part empty, part singly and part
+    /// doubly covered.
+    #[test]
+    fn span_walker_handles_gaps_off_frame_disks_and_every_segment_shape() {
+        let m = test_model(64, 640);
+        let mut cfg = Configuration::from_circles(
+            &m,
+            &[
+                Circle::new(30.0, 50.0, 9.0),   // 0: replaced far away
+                Circle::new(30.0, 300.0, 10.0), // 1: split parent / merge partner
+                Circle::new(41.0, 300.0, 9.0),  // 2: merge partner, overlaps 1
+                Circle::new(33.0, 291.0, 8.0),  // 3: bystander over 1 and 2
+                Circle::new(2.0, 620.0, 7.0),   // 4: clipped by the left edge
+            ],
+        );
+
+        // A replace whose circles are ~490 rows apart, and one that leaves
+        // the frame altogether.
+        let far = Edit::replace_one(0, Circle::new(34.0, 540.0, 8.5));
+        assert_readonly_matches_apply(&mut cfg, &far, &m);
+        let gone = Edit::replace_one(0, Circle::new(30.0, 700.0, 9.0));
+        assert_readonly_matches_apply(&mut cfg, &gone, &m);
+
+        // Disks wholly above, below and beside the frame (and all of them
+        // at once, which takes the general path), each with one inside.
+        let inside = Circle::new(20.0, 400.0, 6.0);
+        let off_frame = [
+            Circle::new(30.0, -40.0, 10.0),
+            Circle::new(30.0, 700.0, 10.0),
+            Circle::new(-30.0, 320.0, 10.0),
+            Circle::new(95.0, 320.0, 10.0),
+        ];
+        for c in off_frame {
+            let edit = Edit {
+                remove: vec![4],
+                add: vec![c, inside],
+            };
+            assert_readonly_matches_apply(&mut cfg, &edit, &m);
+            assert_eq!(cfg.delta_log_lik_spans(&Edit::add_one(c), &m), 0.0);
+        }
+        let mut all = off_frame.to_vec();
+        all.push(inside);
+        let edit = Edit {
+            remove: vec![4],
+            add: all,
+        };
+        assert_readonly_matches_apply(&mut cfg, &edit, &m);
+
+        // Split: children that overlap each other inside the parent (+2
+        // under a removed disk), outside it (+2), and stick out alone (+1).
+        let split = Edit {
+            remove: vec![1],
+            add: vec![Circle::new(27.0, 293.0, 9.0), Circle::new(34.0, 293.0, 9.0)],
+        };
+        assert_eq!(
+            segment_shapes(&cfg, &split, &m),
+            [(0, 1), (1, 0), (1, 1), (2, 0), (2, 1)]
+        );
+        assert_readonly_matches_apply(&mut cfg, &split, &m);
+
+        // Merge: partners that overlap outside the merged disk (−2) and
+        // under it (−1 under an added disk), and a merged disk that sticks
+        // out (+1).
+        let merge = Edit {
+            remove: vec![1, 2],
+            add: vec![Circle::new(35.0, 306.0, 7.0)],
+        };
+        assert_eq!(
+            segment_shapes(&cfg, &merge, &m),
+            [(0, 1), (0, 2), (1, 0), (1, 1), (1, 2)]
+        );
+        assert_readonly_matches_apply(&mut cfg, &merge, &m);
+        cfg.verify_consistency(&m).unwrap();
     }
 
     #[test]

@@ -21,6 +21,7 @@
 //! backends).
 
 use crate::likelihood::Gain;
+use crate::math::{ceil_i64, floor_i64};
 use pmcmc_imaging::{Circle, Rect};
 
 /// Cover counts over a rectangular region of the image.
@@ -54,28 +55,48 @@ impl PartialEq for CoverageGrid {
 
 impl Eq for CoverageGrid {}
 
+/// The rows `y_lo..=y_hi` of `rect` that `circle`'s disk can reach. Empty
+/// (`y_lo > y_hi`) when the disk lies wholly above or below `rect`.
+#[inline]
+pub(crate) fn disk_row_range(circle: &Circle, rect: &Rect) -> (i64, i64) {
+    (
+        ceil_i64(circle.y - circle.r - 0.5).max(rect.y0),
+        floor_i64(circle.y + circle.r - 0.5).min(rect.y1 - 1),
+    )
+}
+
+/// The pixels `x0..=x1` of row `py` whose centres lie in `circle`'s disk
+/// (`r2` is its squared radius), clipped to `rect`; `None` when the row
+/// misses the disk or the clip leaves nothing. The one definition of the
+/// span arithmetic: every walker — apply, read-only, general — gets its
+/// spans here, and rounds with the libm-free [`crate::math::floor_i64`] /
+/// [`crate::math::ceil_i64`].
+#[inline]
+pub(crate) fn disk_row_span(circle: &Circle, r2: f64, py: i64, rect: &Rect) -> Option<(i64, i64)> {
+    let dy = py as f64 + 0.5 - circle.y;
+    let h2 = r2 - dy * dy;
+    if h2 < 0.0 {
+        return None;
+    }
+    let h = h2.sqrt();
+    let x0 = ceil_i64(circle.x - h - 0.5).max(rect.x0);
+    let x1 = floor_i64(circle.x + h - 0.5).min(rect.x1 - 1);
+    (x0 <= x1).then_some((x0, x1))
+}
+
 /// Visits every row span of `circle`'s disk clipped to `rect` as
-/// `(y, x0, x1)` with `x0..=x1` inclusive (exact span arithmetic; the
-/// single source of truth for what "the disk's pixels" means, shared by
-/// add, remove, and the configuration's readonly delta walkers). Empty
-/// rows are skipped.
+/// `(y, x0, x1)` with `x0..=x1` inclusive, in ascending `y` — what "the
+/// disk's pixels" means to add, remove and the configuration's read-only
+/// delta walkers alike, all of which take their rows from
+/// `disk_row_range` and their spans from `disk_row_span`. Empty rows
+/// are skipped.
 pub fn for_each_disk_row(circle: &Circle, rect: &Rect, mut f: impl FnMut(i64, i64, i64)) {
-    let y0 = ((circle.y - circle.r - 0.5).ceil() as i64).max(rect.y0);
-    let y1 = ((circle.y + circle.r - 0.5).floor() as i64).min(rect.y1 - 1);
+    let (y0, y1) = disk_row_range(circle, rect);
     let r2 = circle.r * circle.r;
     for py in y0..=y1 {
-        let dy = py as f64 + 0.5 - circle.y;
-        let h2 = r2 - dy * dy;
-        if h2 < 0.0 {
-            continue;
+        if let Some((x0, x1)) = disk_row_span(circle, r2, py, rect) {
+            f(py, x0, x1);
         }
-        let h = h2.sqrt();
-        let x0 = ((circle.x - h - 0.5).ceil() as i64).max(rect.x0);
-        let x1 = ((circle.x + h - 0.5).floor() as i64).min(rect.x1 - 1);
-        if x0 > x1 {
-            continue;
-        }
-        f(py, x0, x1);
     }
 }
 
@@ -87,6 +108,26 @@ pub fn for_each_disk_pixel(circle: &Circle, rect: &Rect, mut f: impl FnMut(i64, 
             f(x, y);
         }
     });
+}
+
+/// Work accounting of one read-only evaluation: filled in segment by
+/// segment, flushed to [`crate::perf`] once per proposal.
+#[derive(Debug, Default)]
+pub(crate) struct SpanTally {
+    /// Pixels whose bits or counts were looked at one by one.
+    pub pixels: u64,
+    /// Segments settled by one prefix subtraction.
+    pub fast_hits: u64,
+    /// Pixels settled without being looked at.
+    pub skipped: u64,
+}
+
+impl SpanTally {
+    pub(crate) fn flush(&self) {
+        crate::perf::add_pixels_visited(self.pixels);
+        crate::perf::add_span_fastpath_hits(self.fast_hits);
+        crate::perf::add_pixels_skipped(self.skipped);
+    }
 }
 
 /// True iff bits `b0..=b1` of `words` are all zero.
@@ -308,122 +349,115 @@ impl CoverageGrid {
         )
     }
 
-    /// True iff no pixel of the inclusive global-x span `[x0, x1]` of row
-    /// `y` is covered. O(span/64) via the occupancy bitset.
+    /// Log-likelihood change of pixels `x0..=x1` of row `y` (global
+    /// coordinates, inside the grid) when every one of them gains `plus`
+    /// covering disks and loses `minus` — a constant-net segment of a
+    /// read-only evaluation. A pixel's likelihood term flips only when its
+    /// count crosses 0↔1, and a removed disk covers its own pixels (count
+    /// ≥ `minus` before the edit), so:
     ///
-    /// # Panics
-    /// Panics if the span lies outside the grid's region.
-    #[must_use]
-    pub fn span_uncovered(&self, y: i64, x0: i64, x1: i64) -> bool {
-        assert!(y >= self.rect.y0 && y < self.rect.y1, "row outside grid");
-        assert!(
-            x0 >= self.rect.x0 && x1 < self.rect.x1 && x0 <= x1,
-            "span outside grid"
-        );
-        let (occ, _) = self.bit_rows(y);
-        span_bits_all_zero(
-            occ,
-            (x0 - self.rect.x0) as usize,
-            (x1 - self.rect.x0) as usize,
-        )
+    /// * `plus > 0` and `minus > 0`: covered before (by the removed disk)
+    ///   and after (by the added one) — nothing flips, nothing is read;
+    /// * one kind of disk only, `minus ≤ 1`: the occupancy bitsets decide
+    ///   ([`Self::one_disk_delta`] — any number of added disks switches on
+    ///   exactly the uncovered pixels);
+    /// * `minus ≥ 2`: pixels with count ≤ `minus` switch off, which only
+    ///   the counts can tell ([`crate::simd::sum_gain_flips`]).
+    pub(crate) fn segment_delta(
+        &self,
+        gain: &Gain,
+        y: i64,
+        (x0, x1): (i64, i64),
+        (plus, minus): (u32, u32),
+        tally: &mut SpanTally,
+    ) -> f64 {
+        if (plus > 0) == (minus > 0) {
+            tally.skipped += (x1 - x0 + 1) as u64;
+            0.0
+        } else if minus >= 2 {
+            tally.pixels += (x1 - x0 + 1) as u64;
+            crate::simd::sum_gain_flips(
+                &self.row(y)[(x0 - self.rect.x0) as usize..=(x1 - self.rect.x0) as usize],
+                &gain.row(y as u32)[x0 as usize..=x1 as usize],
+                -i64::from(minus),
+            )
+        } else {
+            self.one_disk_delta(gain, y, (x0, x1), plus > 0, tally)
+        }
     }
 
-    /// True iff no pixel of the inclusive global-x span `[x0, x1]` of row
-    /// `y` has a cover count ≥ 2. Combined with the invariant that a disk
-    /// being removed covers its own span (count ≥ 1), this means every
-    /// pixel of the span has count exactly 1. O(span/64) via the
-    /// multi-coverage bitset.
-    ///
-    /// # Panics
-    /// Panics if the span lies outside the grid's region.
-    #[must_use]
-    pub fn span_singly_covered(&self, y: i64, x0: i64, x1: i64) -> bool {
-        assert!(y >= self.rect.y0 && y < self.rect.y1, "row outside grid");
-        assert!(
+    /// Log-likelihood change of pixels `x0..=x1` of row `y` when one disk
+    /// that covers them all is added (`is_add`) or removed, read off the
+    /// bitsets: an add switches on the uncovered pixels (clear `occ`
+    /// bits), a remove switches off the singly covered ones (`occ &
+    /// !multi`). When that is the whole segment — no `occ` bit set, resp.
+    /// no `multi` bit set — the sum is one [`Gain::row_prefix`]
+    /// subtraction; otherwise the flipping bits are walked in ascending
+    /// `x`, one partial sum per bitset word.
+    #[inline]
+    pub(crate) fn one_disk_delta(
+        &self,
+        gain: &Gain,
+        y: i64,
+        (x0, x1): (i64, i64),
+        is_add: bool,
+        tally: &mut SpanTally,
+    ) -> f64 {
+        debug_assert!(y >= self.rect.y0 && y < self.rect.y1, "row outside grid");
+        debug_assert!(
             x0 >= self.rect.x0 && x1 < self.rect.x1 && x0 <= x1,
-            "span outside grid"
+            "segment outside grid"
         );
-        let (_, multi) = self.bit_rows(y);
-        span_bits_all_zero(
-            multi,
-            (x0 - self.rect.x0) as usize,
-            (x1 - self.rect.x0) as usize,
-        )
-    }
-
-    /// Sum of `gain_row[x]` (indexed by global x) over the *uncovered*
-    /// pixels (count 0) of the inclusive global-x span `[x0, x1]` of row
-    /// `y`. Pure occupancy-bitset walk — `count == 0` is exactly a clear
-    /// `occ` bit — so no coverage count is ever read; addition order is
-    /// ascending x, matching the per-pixel scalar loop bit for bit.
-    ///
-    /// # Panics
-    /// Panics if the span lies outside the grid.
-    #[must_use]
-    pub fn sum_gains_uncovered(&self, y: i64, x0: i64, x1: i64, gain_row: &[f64]) -> f64 {
-        assert!(y >= self.rect.y0 && y < self.rect.y1, "row outside grid");
-        assert!(
-            x0 >= self.rect.x0 && x1 < self.rect.x1 && x0 <= x1,
-            "span outside grid"
-        );
-        let (occ, _) = self.bit_rows(y);
+        let len = (x1 - x0 + 1) as u64;
         let b0 = (x0 - self.rect.x0) as usize;
         let b1 = (x1 - self.rect.x0) as usize;
-        let base = self.rect.x0 as usize;
-        let (w0, w1) = (b0 / 64, b1 / 64);
-        let first = !0u64 << (b0 % 64);
-        let last = !0u64 >> (63 - b1 % 64);
-        let mut sum = 0.0;
-        for w in w0..=w1 {
-            let mut m = !occ[w];
-            if w == w0 {
-                m &= first;
-            }
-            if w == w1 {
-                m &= last;
-            }
-            if m != 0 {
-                sum += crate::simd::sum_masked(&gain_row[base + w * 64..], m);
-            }
-        }
-        sum
-    }
-
-    /// Sum of `gain_row[x]` (indexed by global x) over the *singly
-    /// covered* pixels (count exactly 1) of the inclusive global-x span
-    /// `[x0, x1]` of row `y` — `count == 1` is exactly `occ & !multi`.
-    /// Bitset-only mirror of [`Self::sum_gains_uncovered`].
-    ///
-    /// # Panics
-    /// Panics if the span lies outside the grid.
-    #[must_use]
-    pub fn sum_gains_singly_covered(&self, y: i64, x0: i64, x1: i64, gain_row: &[f64]) -> f64 {
-        assert!(y >= self.rect.y0 && y < self.rect.y1, "row outside grid");
-        assert!(
-            x0 >= self.rect.x0 && x1 < self.rect.x1 && x0 <= x1,
-            "span outside grid"
-        );
         let (occ, multi) = self.bit_rows(y);
-        let b0 = (x0 - self.rect.x0) as usize;
-        let b1 = (x1 - self.rect.x0) as usize;
-        let base = self.rect.x0 as usize;
-        let (w0, w1) = (b0 / 64, b1 / 64);
-        let first = !0u64 << (b0 % 64);
-        let last = !0u64 >> (63 - b1 % 64);
-        let mut sum = 0.0;
-        for w in w0..=w1 {
-            let mut m = occ[w] & !multi[w];
-            if w == w0 {
-                m &= first;
+        let sum = if span_bits_all_zero(if is_add { occ } else { multi }, b0, b1) {
+            tally.fast_hits += 1;
+            tally.skipped += len;
+            let pre = gain.row_prefix(y as u32);
+            pre[(x1 + 1) as usize] - pre[x0 as usize]
+        } else {
+            tally.pixels += len;
+            let gains = &gain.row(y as u32)[self.rect.x0 as usize..];
+            let (w0, w1) = (b0 / 64, b1 / 64);
+            let first = !0u64 << (b0 % 64);
+            let last = !0u64 >> (63 - b1 % 64);
+            let mut sum = 0.0;
+            for w in w0..=w1 {
+                let mut m = if is_add { !occ[w] } else { occ[w] & !multi[w] };
+                if w == w0 {
+                    m &= first;
+                }
+                if w == w1 {
+                    m &= last;
+                }
+                if m != 0 {
+                    sum += crate::simd::sum_masked(&gains[w * 64..], m);
+                }
             }
-            if w == w1 {
-                m &= last;
-            }
-            if m != 0 {
-                sum += crate::simd::sum_masked(&gain_row[base + w * 64..], m);
-            }
+            sum
+        };
+        if is_add {
+            sum
+        } else {
+            -sum
         }
-        sum
+    }
+
+    /// Starts loading the occupancy words [`Self::one_disk_delta`] will test
+    /// for pixels `x0..=x1` of row `y` (see [`crate::simd::prefetch_read`]).
+    #[inline]
+    pub(crate) fn prefetch_occupancy(&self, y: i64, x0: i64, x1: i64) {
+        let (occ, _) = self.bit_rows(y);
+        let (w0, w1) = (
+            (x0 - self.rect.x0) as usize / 64,
+            (x1 - self.rect.x0) as usize / 64,
+        );
+        crate::simd::prefetch_read(&occ[w0]);
+        if w1 != w0 {
+            crate::simd::prefetch_read(&occ[w1]);
+        }
     }
 
     /// Adds a circle's disk; returns the log-likelihood delta (sum of gains
@@ -739,20 +773,80 @@ mod tests {
         assert!((da + db + dr - only_b).abs() < 1e-9);
     }
 
+    /// Every `(plus, minus)` shape of [`CoverageGrid::segment_delta`]
+    /// against the per-pixel definition — a pixel's gain enters when its
+    /// count leaves 0 and leaves when its count reaches 0 — together with
+    /// the path taken (prefix subtraction, bitset walk, counts, nothing).
     #[test]
-    fn span_queries_reflect_coverage() {
-        let (_, gain) = setup(32, 32);
-        let mut grid = CoverageGrid::new(Rect::new(0, 0, 32, 32));
-        assert!(grid.span_uncovered(16, 0, 31));
-        let a = Circle::new(14.0, 16.0, 6.0);
-        let b = Circle::new(18.0, 16.0, 6.0);
+    fn segment_delta_matches_per_pixel_definition() {
+        let (_, gain) = setup(200, 32);
+        let mut grid = CoverageGrid::new(Rect::new(0, 0, 200, 32));
+        let y = 16;
+        let oracle = |grid: &CoverageGrid, x0: i64, x1: i64, plus: u32, minus: u32| -> f64 {
+            (x0..=x1)
+                .map(|x| {
+                    let before = i64::from(grid.count(x, y));
+                    let after = before + i64::from(plus) - i64::from(minus);
+                    assert!(after >= 0, "a removed disk covers its own pixels");
+                    let g = gain.get(x as u32, y as u32);
+                    match (before > 0, after > 0) {
+                        (false, true) => g,
+                        (true, false) => -g,
+                        _ => 0.0,
+                    }
+                })
+                .sum()
+        };
+        // Expected (pixels, fast_hits, skipped) for a segment of `len`.
+        let looked_at = |len: u64| (len, 0, 0);
+        let prefix = |len: u64| (0, 1, len);
+        let nothing = |len: u64| (0, 0, len);
+        let check = |grid: &CoverageGrid,
+                     (x0, x1): (i64, i64),
+                     (plus, minus): (u32, u32),
+                     path: (u64, u64, u64)| {
+            let mut tally = SpanTally::default();
+            let got = grid.segment_delta(&gain, y, (x0, x1), (plus, minus), &mut tally);
+            let want = oracle(grid, x0, x1, plus, minus);
+            assert!(
+                (got - want).abs() < 1e-9,
+                "[{x0},{x1}] +{plus} -{minus}: {got} vs {want}"
+            );
+            assert_eq!(
+                (tally.pixels, tally.fast_hits, tally.skipped),
+                path,
+                "[{x0},{x1}] +{plus} -{minus}"
+            );
+        };
+
+        // Empty grid: adds of any multiplicity are one prefix subtraction,
+        // across word boundaries too.
+        check(&grid, (3, 150), (1, 0), prefix(148));
+        check(&grid, (60, 70), (2, 0), prefix(11));
+        check(&grid, (5, 9), (0, 0), nothing(5));
+
+        // a covers 44..=76 of row 16, b covers 60..=100: 60..=76 doubly.
+        let a = Circle::new(60.5, 16.5, 16.6);
+        let b = Circle::new(80.5, 16.5, 20.6);
         grid.add_circle(&a, &gain);
-        assert!(!grid.span_uncovered(16, 0, 31));
-        assert!(grid.span_singly_covered(16, 0, 31));
         grid.add_circle(&b, &gain);
-        // a and b overlap around x = 16 on row 16.
-        assert!(!grid.span_singly_covered(16, 0, 31));
-        assert!(grid.span_uncovered(0, 0, 31), "far row untouched");
+        assert_eq!(
+            (grid.count(43, y), grid.count(44, y), grid.count(76, y)),
+            (0, 1, 2)
+        );
+        assert_eq!(
+            (grid.count(77, y), grid.count(100, y), grid.count(101, y)),
+            (1, 1, 0)
+        );
+
+        check(&grid, (30, 110), (1, 0), looked_at(81)); // partly covered add
+        check(&grid, (30, 43), (1, 0), prefix(14));
+        check(&grid, (44, 76), (0, 1), looked_at(33)); // a: 60..=76 stay covered
+        check(&grid, (44, 59), (0, 1), prefix(16)); // a's own pixels
+        check(&grid, (60, 76), (0, 2), looked_at(17)); // a and b both go
+        check(&grid, (60, 76), (1, 1), nothing(17)); // move pair intersection
+        check(&grid, (60, 76), (1, 2), nothing(17)); // merge: net −1 under an add
+        check(&grid, (60, 76), (2, 1), nothing(17)); // split: net +1 under a remove
     }
 
     #[test]
@@ -833,7 +927,7 @@ mod tests {
         let small = Circle::new(64.0, 4.0, 3.0); // straddles word 0/1 boundary
         grid.add_circle(&small, &gain);
         grid.assert_derived_state();
-        assert!(!grid.span_singly_covered(4, 60, 68));
+        assert_eq!(grid.count(64, 4), 2);
         grid.remove_circle(&small, &gain);
         grid.assert_derived_state();
         let d2 = grid.remove_circle(&big, &gain);

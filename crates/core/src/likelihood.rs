@@ -186,6 +186,16 @@ impl Gain {
         &self.prefix[start..start + w]
     }
 
+    /// Starts loading the two [`Gain::row_prefix`] entries that give the
+    /// gain of pixels `x0..=x1` of row `y` (see
+    /// [`crate::simd::prefetch_read`]).
+    #[inline]
+    pub(crate) fn prefetch_span_prefix(&self, y: u32, x0: usize, x1: usize) {
+        let pre = self.row_prefix(y);
+        crate::simd::prefetch_read(&pre[x0]);
+        crate::simd::prefetch_read(&pre[x1 + 1]);
+    }
+
     /// Log-likelihood of the empty configuration (up to the Gaussian
     /// normalisation constant, which is configuration-independent).
     #[must_use]

@@ -3,6 +3,32 @@
 //! Implemented in-house (error function, normal CDF, log-gamma) so the core
 //! crate needs no distributions dependency beyond `rand`'s uniform source.
 
+/// `x.floor() as i64` without the libm call: baseline x86-64 has no
+/// `roundsd`, so `f64::floor` is a call through the GOT that also spills
+/// every live `xmm` register — twice per disk row in the span walkers.
+/// Exact for every input, saturating like the `as` cast it replaces
+/// (NaN → 0, ±∞ and anything beyond ±2⁶³ → `i64::MIN`/`MAX`).
+#[inline]
+pub(crate) fn floor_i64(x: f64) -> i64 {
+    let t = x as i64;
+    if (t as f64) > x {
+        t.saturating_sub(1)
+    } else {
+        t
+    }
+}
+
+/// `x.ceil() as i64` without the libm call; see [`floor_i64`].
+#[inline]
+pub(crate) fn ceil_i64(x: f64) -> i64 {
+    let t = x as i64;
+    if (t as f64) < x {
+        t.saturating_add(1)
+    } else {
+        t
+    }
+}
+
 /// Error function, Abramowitz & Stegun approximation 7.1.26
 /// (|error| ≤ 1.5e-7, plenty for acceptance-ratio arithmetic).
 #[must_use]
@@ -148,8 +174,65 @@ pub fn poisson_logpmf(k: usize, lambda: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    fn assert_rounds_like_libm(x: f64) {
+        assert_eq!(floor_i64(x), x.floor() as i64, "floor of {x:e}");
+        assert_eq!(ceil_i64(x), x.ceil() as i64, "ceil of {x:e}");
+    }
+
+    #[test]
+    fn integer_rounding_edge_cases_match_libm() {
+        let ulp_up = |x: f64| f64::from_bits(x.to_bits() + 1);
+        let ulp_down = |x: f64| f64::from_bits(x.to_bits() - 1);
+        let two53 = 9_007_199_254_740_992.0f64;
+        let two63 = 9_223_372_036_854_775_808.0f64;
+        let mut cases = vec![
+            0.0,
+            0.5,
+            f64::MIN_POSITIVE,
+            1e-300,
+            two53,
+            ulp_down(two53),
+            two63,
+            ulp_down(two63),
+            1e300,
+            f64::MAX,
+            f64::INFINITY,
+        ];
+        // Exact integers and both neighbours, where truncation and
+        // rounding part ways.
+        for n in [
+            1.0,
+            2.0,
+            3.0,
+            17.0,
+            1023.0,
+            1024.0,
+            1e7,
+            4_503_599_627_370_496.0,
+        ] {
+            cases.extend([n, ulp_up(n), ulp_down(n), n + 0.5]);
+        }
+        for x in cases {
+            assert_rounds_like_libm(x);
+            assert_rounds_like_libm(-x);
+        }
+        assert_rounds_like_libm(f64::NAN);
+    }
+
+    proptest! {
+        #[test]
+        fn integer_rounding_matches_libm(x in -1e7f64..1e7, n in -10_000_000i64..10_000_000) {
+            assert_rounds_like_libm(x);
+            // Exact integers and half-way points are measure-zero for the
+            // draw above.
+            assert_rounds_like_libm(n as f64);
+            assert_rounds_like_libm(n as f64 + 0.5);
+        }
+    }
 
     #[test]
     fn erf_known_values() {

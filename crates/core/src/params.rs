@@ -187,7 +187,14 @@ impl MoveWeights {
                 return k;
             }
         }
-        MoveKind::Resize
+        // Rounding left `u ≥ 0` after the last subtraction: the draw
+        // belongs to the last kind that can be drawn at all — under
+        // `global_only()` that is not `Resize`.
+        MoveKind::ALL
+            .into_iter()
+            .rev()
+            .find(|&k| self.weight(k) > 0.0)
+            .expect("a positive total has a positive weight")
     }
 }
 
@@ -303,6 +310,41 @@ mod tests {
             let w = MoveWeights::with_qg(q);
             assert!((w.qg() - q).abs() < 1e-12, "qg {q}");
         }
+    }
+
+    /// An RNG whose every `f64` draw is the largest one, `1 − 2⁻⁵³`.
+    struct TopOfRange;
+
+    impl rand::RngCore for TopOfRange {
+        fn next_u32(&mut self) -> u32 {
+            u32::MAX
+        }
+        fn next_u64(&mut self) -> u64 {
+            u64::MAX
+        }
+        fn fill_bytes(&mut self, dest: &mut [u8]) {
+            dest.fill(0xFF);
+        }
+    }
+
+    /// At the top of the unit interval the running subtraction in
+    /// `sample` can end at `u ≥ 0` by rounding; the draw must still be a
+    /// kind with positive weight, never a local move in an `Mg` phase.
+    #[test]
+    fn top_of_range_draw_never_picks_a_zero_weight_kind() {
+        let mut fell_through = 0;
+        for i in 1..=1000 {
+            let w = MoveWeights::with_qg(f64::from(i) / 1000.0).global_only();
+            let kind = w.sample(&mut TopOfRange);
+            assert!(w.weight(kind) > 0.0, "{w:?} drew {kind:?}");
+            let u = (u64::MAX >> 11) as f64 / (1u64 << 53) as f64 * w.total();
+            let left = MoveKind::ALL.iter().fold(u, |u, &k| u - w.weight(k));
+            if left >= 0.0 {
+                fell_through += 1;
+                assert_eq!(kind, MoveKind::Replace, "{w:?}");
+            }
+        }
+        assert!(fell_through > 0, "no weights exercised the fall-through");
     }
 
     #[test]

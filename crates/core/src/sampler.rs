@@ -424,28 +424,40 @@ mod tests {
 
     /// The read-only evaluation path must agree exactly with the mutating
     /// apply path for every move kind (this is the invariant the
-    /// speculative sampler relies on).
+    /// speculative sampler relies on) — on either lane backend, and on a
+    /// tall image too, where a replace lands hundreds of rows from the
+    /// circle it removes.
     #[test]
     fn readonly_deltas_match_apply_receipts() {
+        let detected = crate::simd::backend();
+        for backend in [crate::simd::Backend::Scalar, crate::simd::Backend::Avx2] {
+            crate::simd::force_backend(backend);
+            readonly_deltas_match_apply_receipts_on_this_backend();
+        }
+        crate::simd::force_backend(detected);
+    }
+
+    fn readonly_deltas_match_apply_receipts_on_this_backend() {
         let (model, _) = scene_model(8, 96, 12);
         let w = MoveWeights::default();
         let mut checked = [0u32; 7];
 
         let check_draws = |s: &mut Sampler<'_>, draws: u32, checked: &mut [u32; 7]| {
+            let model = s.model();
             for _ in 0..draws {
                 let kind = w.sample(&mut s.rng);
-                let Some(proposal) = propose(kind, &s.config, &model, &w, &mut s.rng) else {
+                let Some(proposal) = propose(kind, &s.config, model, &w, &mut s.rng) else {
                     continue;
                 };
                 if !proposal.edit.add.iter().all(|c| model.params.in_support(c)) {
                     continue;
                 }
-                let ro_lik = s.config.delta_log_lik_readonly(&proposal.edit, &model);
-                let ro_ov = s.config.delta_overlap_readonly(&proposal.edit, &model);
+                let ro_lik = s.config.delta_log_lik_readonly(&proposal.edit, model);
+                let ro_ov = s.config.delta_overlap_readonly(&proposal.edit, model);
                 let ro_pairs = s
                     .config
                     .count_close_pairs_after_edit(&proposal.edit, model.scales.merge_max_dist);
-                let receipt = s.config.apply(&proposal.edit, &model);
+                let receipt = s.config.apply(&proposal.edit, model);
                 let post_pairs = s.config.count_close_pairs(model.scales.merge_max_dist);
                 assert!(
                     (ro_lik - receipt.d_log_lik).abs() < 1e-9,
@@ -458,7 +470,7 @@ mod tests {
                     receipt.d_overlap
                 );
                 assert_eq!(ro_pairs, post_pairs, "{kind:?}: pair count mismatch");
-                s.config.revert(&receipt, &model);
+                s.config.revert(&receipt, model);
                 checked[MoveKind::ALL.iter().position(|&k| k == kind).unwrap()] += 1;
                 // Advance the chain a little so states vary.
                 s.run(10);
@@ -489,6 +501,16 @@ mod tests {
             Xoshiro256::new(56),
         );
         check_draws(&mut dense, 1500, &mut checked);
+
+        // Phase 3: a 64 × 768 image, so that the two disks of a replace
+        // are usually separated by rows neither reaches.
+        let mut params = ModelParams::new(64, 768, 10.0, 8.0);
+        params.noise_sd = 0.15;
+        let stripes =
+            pmcmc_imaging::GrayImage::from_fn(64, 768, |x, y| ((x * 5 + y * 3) % 17) as f32 / 17.0);
+        let tall_model = NucleiModel::new(&stripes, params);
+        let mut tall = Sampler::new(&tall_model, 57);
+        check_draws(&mut tall, 1500, &mut checked);
 
         for (i, &k) in MoveKind::ALL.iter().enumerate() {
             assert!(checked[i] >= 5, "{k:?} exercised only {} times", checked[i]);

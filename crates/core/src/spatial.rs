@@ -103,11 +103,31 @@ impl SpatialGrid {
         v[pos] = new_id as u32;
     }
 
-    /// Calls `f(id)` for every circle whose centre lies within `reach` of
-    /// `(x, y)` *cell-wise* (conservative: every circle within Euclidean
-    /// distance `reach` is visited; some farther ones may be too, callers
-    /// must filter precisely).
+    /// Calls `f(id)` for every circle indexed in a cell that the box
+    /// `[x − reach, x + reach] × [y − reach, y + reach]` touches, row of
+    /// cells by row of cells. Conservative: every circle whose centre is
+    /// within Euclidean distance `reach` is visited (its cell coordinates
+    /// lie between the box corners' — the map from a coordinate to its cell
+    /// is monotone, and clamps queries exactly as it clamps insertions),
+    /// some farther ones may be too, and callers filter precisely. With
+    /// `cell ≥ reach` that is at most 3 × 3 cells, usually 2 × 2.
     pub fn for_neighbors(&self, x: f64, y: f64, reach: f64, mut f: impl FnMut(usize)) {
+        let (cx0, cy0) = self.cell_coords(x - reach, y - reach);
+        let (cx1, cy1) = self.cell_coords(x + reach, y + reach);
+        for gy in cy0..=cy1 {
+            for gx in cx0..=cx1 {
+                for &id in &self.cells[gy as usize * self.cols + gx as usize] {
+                    f(id as usize);
+                }
+            }
+        }
+    }
+
+    /// The ring-based walk [`Self::for_neighbors`] replaced: `ceil(reach /
+    /// cell) + 1` rings around the query's cell (always 5 × 5 at
+    /// `reach ≤ cell`). Kept as the oracle for the visiting order.
+    #[cfg(test)]
+    fn for_neighbors_rings(&self, x: f64, y: f64, reach: f64, mut f: impl FnMut(usize)) {
         let span = (reach / self.cell).ceil() as isize + 1;
         let (cx, cy) = self.cell_coords(x, y);
         for gy in (cy - span).max(0)..=(cy + span).min(self.rows as isize - 1) {
@@ -135,6 +155,7 @@ impl SpatialGrid {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn collect_neighbors(g: &SpatialGrid, x: f64, y: f64, reach: f64) -> Vec<usize> {
         let mut v = Vec::new();
@@ -159,31 +180,52 @@ mod tests {
         assert!(collect_neighbors(&g, 16.0, 14.0, 5.0).is_empty());
     }
 
-    #[test]
-    fn neighbors_conservative_superset() {
-        let mut g = SpatialGrid::new(200, 200, 16.0);
-        let mut circles = Vec::new();
-        let mut seed = 1u64;
-        for i in 0..100usize {
-            seed = seed
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            let x = ((seed >> 16) % 200) as f64;
-            seed = seed
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            let y = ((seed >> 16) % 200) as f64;
-            let c = Circle::new(x, y, 5.0);
-            g.insert(i, &c);
-            circles.push(c);
-        }
-        let (qx, qy, reach) = (100.0, 100.0, 30.0);
-        let found: std::collections::HashSet<usize> =
-            collect_neighbors(&g, qx, qy, reach).into_iter().collect();
-        for (i, c) in circles.iter().enumerate() {
-            let d = ((c.x - qx).powi(2) + (c.y - qy).powi(2)).sqrt();
-            if d <= reach {
-                assert!(found.contains(&i), "missed neighbour {i} at distance {d}");
+    proptest! {
+        /// The exact cell range misses no centre within `reach` — on
+        /// offset rects, for centres and queries clamped from outside the
+        /// grid, for any `reach` — and visits a subsequence of what the
+        /// ring walk visited, so sums and lists built from it keep their
+        /// order.
+        #[test]
+        fn neighbors_cover_reach_in_ring_order(
+            origin in (-50i64..200, -50i64..200),
+            size in (1i64..300, 1i64..300),
+            cell in 1.0f64..40.0,
+            centres in prop::collection::vec((-30.0f64..330.0, -30.0f64..330.0), 0..80),
+            queries in prop::collection::vec(
+                (-40.0f64..340.0, -40.0f64..340.0, 0.0f64..90.0),
+                1..12,
+            ),
+        ) {
+            let ((ox, oy), (w, h)) = (origin, size);
+            let mut g = SpatialGrid::over(Rect::new(ox, oy, ox + w, oy + h), cell);
+            let centres: Vec<Circle> = centres
+                .iter()
+                .map(|&(x, y)| Circle::new(ox as f64 + x, oy as f64 + y, 1.0))
+                .collect();
+            for (i, c) in centres.iter().enumerate() {
+                g.insert(i, c);
+            }
+            for (qx, qy, reach) in queries {
+                let (qx, qy) = (ox as f64 + qx, oy as f64 + qy);
+                let mut visited = Vec::new();
+                g.for_neighbors(qx, qy, reach, |id| visited.push(id));
+                let mut rings = Vec::new();
+                g.for_neighbors_rings(qx, qy, reach, |id| rings.push(id));
+                let q = Circle::new(qx, qy, 1.0);
+                for (i, c) in centres.iter().enumerate() {
+                    prop_assert!(
+                        q.centre_distance(c) > reach || visited.contains(&i),
+                        "missed centre {:?} within {} of ({}, {})", c, reach, qx, qy
+                    );
+                }
+                let mut rest = rings.iter();
+                for id in &visited {
+                    prop_assert!(
+                        rest.any(|r| r == id),
+                        "{:?} is not a subsequence of {:?}", visited, rings
+                    );
+                }
             }
         }
     }
