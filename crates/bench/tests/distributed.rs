@@ -99,14 +99,15 @@ fn killing_a_daemon_mid_batch_loses_no_jobs() {
 
     // Four jobs exactly fill 2 nodes x 2 slots, so submission does not
     // block and every node holds work when the victim dies. The budget
-    // keeps each job running for a second or more — far longer than the
+    // keeps each job running for most of a second (≈ 0.3 µs an iteration
+    // on this scene since the span-table kernels) — several times the
     // kill delay — so the victim is guaranteed to die mid-run.
     let (img, params) = workload(96, 5, 5);
     let specs: Vec<JobSpec> = (0..4)
         .map(|i| {
             JobSpec::new(StrategySpec::Sequential, img.clone(), params.clone())
                 .seed(i as u64)
-                .iterations(150_000)
+                .iterations(2_000_000)
         })
         .collect();
     let batch = engine.submit_batch(specs).expect("batch admitted");

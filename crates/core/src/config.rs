@@ -6,20 +6,26 @@
 //! through [`Edit`]s, which return a [`Receipt`] carrying the cache deltas
 //! needed by the Metropolis–Hastings ratio and enough information to build
 //! the exact inverse edit when a proposal is rejected.
+//!
+//! A proposal's likelihood delta is computed read-only, by
+//! `span_delta_log_lik` — the one evaluator of the sequential sampler,
+//! the tile workers, the speculative lanes and the (MC)³ chains. It hands
+//! the edit's disks, as span tables, to the kernel for their shape in
+//! [`crate::coverage`]; every live circle keeps the table it was added
+//! with, so an evaluation tabulates only the circles it proposes. The
+//! kernels answer as the row walker `walk_delta_log_lik` does, bit for
+//! bit and count for count (**same segments, same order, same formula** —
+//! see [`crate::coverage`]); the walker stays as the fallback for disks no
+//! table holds and as the oracle the tests hold the kernels to.
 
-use crate::coverage::{disk_row_range, disk_row_span, for_each_disk_row, CoverageGrid, SpanTally};
+use crate::coverage::{
+    disk_row_range, disk_row_span, sweep_row, CoverageGrid, EditDisk, Span, SpanTally, SPAN_DISKS,
+};
 use crate::likelihood::Gain;
 use crate::model::NucleiModel;
+use crate::spans::SpanTable;
 use crate::spatial::SpatialGrid;
 use pmcmc_imaging::{Circle, Rect};
-
-/// Maximum disks the stack-allocated span walker of
-/// [`Configuration::delta_log_lik_readonly`] handles (every built-in move
-/// touches at most 3).
-const SPAN_DISKS: usize = 4;
-
-/// One disk's pixels `x0..=x1` on a row, and whether the disk is added.
-type Span = (i64, i64, bool);
 
 /// A reversible state change: remove some circles (by index), then add some
 /// circles. Every move kind reduces to an `Edit`.
@@ -140,6 +146,9 @@ impl Receipt {
 #[derive(Debug)]
 pub struct Configuration {
     circles: Vec<Circle>,
+    /// Slot for slot the row spans of `circles` on `coverage`, each filled
+    /// when its circle was added.
+    spans: Vec<SpanTable>,
     coverage: CoverageGrid,
     spatial: SpatialGrid,
     log_lik: f64,
@@ -169,6 +178,7 @@ impl Clone for Configuration {
     fn clone(&self) -> Self {
         Self {
             circles: self.circles.clone(),
+            spans: self.spans.clone(),
             coverage: self.coverage.clone(),
             spatial: self.spatial.clone(),
             log_lik: self.log_lik,
@@ -185,6 +195,7 @@ impl Configuration {
         let (w, h) = (model.params.width, model.params.height);
         Self {
             circles: Vec::new(),
+            spans: Vec::new(),
             coverage: CoverageGrid::new(Rect::of_image(w, h)),
             spatial: SpatialGrid::new(w, h, 2.0 * model.r_max()),
             log_lik: 0.0,
@@ -273,7 +284,7 @@ impl Configuration {
     #[must_use]
     pub fn log_prior(&self, model: &NucleiModel) -> f64 {
         let p = &model.params;
-        count_log_prior(self.len(), p.expected_count)
+        model.count_log_prior(self.len())
             + self
                 .circles
                 .iter()
@@ -328,15 +339,17 @@ impl Configuration {
             // Pairs with all *still indexed* circles: pairs among removed
             // circles are thereby counted exactly once.
             d_overlap -= self.overlap_with(&c, &[i], model);
-            d_log_lik += self.coverage.remove_circle(&c, gain);
+            d_log_lik += self.coverage.remove_disk(&c, &self.spans[i], gain);
             self.remove_at(i);
             removed.push(c);
         }
         for &c in &edit.add {
             d_overlap += self.overlap_with(&c, &[], model);
-            d_log_lik += self.coverage.add_circle(&c, gain);
+            let spans = SpanTable::of(&c, &self.coverage.rect());
+            d_log_lik += self.coverage.add_disk(&c, &spans, gain);
             let id = self.circles.len();
             self.circles.push(c);
+            self.spans.push(spans);
             self.spatial.insert(id, &c);
         }
         self.log_lik += d_log_lik;
@@ -373,8 +386,9 @@ impl Configuration {
     ) {
         debug_assert_eq!(self.circles[idx], old, "tile update against stale master");
         self.invalidate_pair_cache();
-        self.coverage.remove_circle(&old, gain);
-        self.coverage.add_circle(&new, gain);
+        self.coverage.remove_disk(&old, &self.spans[idx], gain);
+        self.spans[idx] = SpanTable::of(&new, &self.coverage.rect());
+        self.coverage.add_disk(&new, &self.spans[idx], gain);
         self.spatial.relocate(idx, &old, &new);
         self.circles[idx] = new;
     }
@@ -398,6 +412,7 @@ impl Configuration {
             self.spatial.rename(last, i, &moved);
         }
         self.circles.swap_remove(i);
+        self.spans.swap_remove(i);
     }
 
     /// Log-likelihood delta of `edit` computed **without mutating** the
@@ -411,74 +426,56 @@ impl Configuration {
     /// `count − #removed disks covering it + #added disks covering it`.
     #[must_use]
     pub fn delta_log_lik_readonly(&self, edit: &Edit, model: &NucleiModel) -> f64 {
-        // Every RJMCMC move touches at most three disks (merge: 2 removed +
-        // 1 added; split: 1 removed + 2 added); the allocation-free span
-        // walker handles up to four. Larger edits (batch manipulations from
-        // drivers) fall back to the general per-pixel scan.
-        if edit.remove.len() + edit.add.len() <= SPAN_DISKS {
-            self.delta_log_lik_spans(edit, model)
-        } else {
-            self.delta_log_lik_general(edit, model)
-        }
+        let mut scratch = EvalScratch::new();
+        let delta = self.delta_log_lik_tallied(edit, model, &mut scratch);
+        scratch.tally.flush();
+        delta
     }
 
-    /// Allocation-free row-span evaluation of the likelihood delta for
-    /// edits touching at most [`SPAN_DISKS`] disks: builds the disk array
-    /// and hands it to [`span_delta_log_lik`].
-    fn delta_log_lik_spans(&self, edit: &Edit, model: &NucleiModel) -> f64 {
-        // (circle, is_add), removed first — order is immaterial, each union
-        // pixel is visited exactly once.
-        let mut disks = [(Circle::new(0.0, 0.0, 0.0), false); SPAN_DISKS];
+    /// [`Configuration::delta_log_lik_readonly`] with the caller's scratch:
+    /// the work is counted into `scratch.tally` instead of [`crate::perf`].
+    pub(crate) fn delta_log_lik_tallied(
+        &self,
+        edit: &Edit,
+        model: &NucleiModel,
+        scratch: &mut EvalScratch,
+    ) -> f64 {
+        let EvalScratch { tally, added } = scratch;
+        // Every RJMCMC move removes at most two disks and adds at most two
+        // (merge: 2 − 1; split: 1 − 2). Larger edits (batch manipulations
+        // from drivers) have their rows walked.
+        if edit.remove.len() > 2 || edit.add.len() > added.len() {
+            let disks = self.edit_disks(edit);
+            return walk_delta_log_lik(&self.coverage, &model.gain, &disks, tally);
+        }
+        let frame = self.coverage.rect();
+        let mut disks = [EditDisk::NONE; SPAN_DISKS];
         let mut nd = 0;
         for &i in &edit.remove {
-            disks[nd] = (self.circles[i], false);
+            disks[nd] = EditDisk {
+                circle: self.circles[i],
+                spans: &self.spans[i],
+                is_add: false,
+            };
             nd += 1;
         }
-        for &c in &edit.add {
-            disks[nd] = (c, true);
+        for (&circle, spans) in edit.add.iter().zip(added.iter_mut()) {
+            spans.fill(&circle, &frame);
+            disks[nd] = EditDisk {
+                circle,
+                spans,
+                is_add: true,
+            };
             nd += 1;
         }
-        span_delta_log_lik(&self.coverage, &disks[..nd], &model.gain)
+        span_delta_log_lik(&self.coverage, &model.gain, &disks[..nd], tally)
     }
 
-    /// General evaluation (any disk count): per image row some disk
-    /// reaches, collect the spans of the disks whose row range holds it,
-    /// and resolve the row through [`sweep_row`] — the same run merging,
-    /// segment cutting and resolution as the span walker, without its
-    /// fixed-size arrays and its shortcuts.
-    fn delta_log_lik_general(&self, edit: &Edit, model: &NucleiModel) -> f64 {
-        let gain = &model.gain;
-        let frame = self.coverage.rect();
-        // (circle, squared radius, clipped row range, is_add) of the disks
-        // that reach the frame's rows at all.
-        let disks: Vec<(Circle, f64, (i64, i64), bool)> = edit
-            .remove
-            .iter()
-            .map(|&i| (self.circles[i], false))
-            .chain(edit.add.iter().map(|&c| (c, true)))
-            .map(|(c, is_add)| (c, c.r * c.r, disk_row_range(&c, &frame), is_add))
-            .filter(|(_, _, (lo, hi), _)| lo <= hi)
-            .collect();
-        let y0 = disks.iter().map(|&(.., (lo, _), _)| lo).min();
-        let y1 = disks.iter().map(|&(.., (_, hi), _)| hi).max();
-        let (y0, y1) = (y0.unwrap_or(i64::MAX), y1.unwrap_or(i64::MIN));
-        let mut delta = 0.0;
-        let mut tally = SpanTally::default();
-        let mut spans: Vec<Span> = Vec::with_capacity(disks.len());
-        for py in y0..=y1 {
-            spans.clear();
-            for (c, r2, (lo, hi), is_add) in &disks {
-                if (*lo..=*hi).contains(&py) {
-                    if let Some((x0, x1)) = disk_row_span(c, *r2, py, &frame) {
-                        spans.push((x0, x1, *is_add));
-                    }
-                }
-            }
-            spans.sort_unstable_by_key(|s| s.0);
-            sweep_row(&self.coverage, gain, py, &spans, &mut delta, &mut tally);
-        }
-        tally.flush();
-        delta
+    /// The disks of `edit` as the row walker takes them: `(circle, is_add)`,
+    /// removed ones first.
+    fn edit_disks(&self, edit: &Edit) -> Vec<(Circle, bool)> {
+        let removed = edit.remove.iter().map(|&i| (self.circles[i], false));
+        removed.chain(edit.add.iter().map(|&c| (c, true))).collect()
     }
 
     /// Pairwise-overlap-area delta of `edit`, computed without mutating the
@@ -633,207 +630,97 @@ impl Configuration {
     }
 }
 
-/// Read-only row-span evaluation of the log-likelihood delta of removing
-/// and adding at most [`SPAN_DISKS`] disks (`(circle, is_add)`) on `grid` —
-/// the one evaluator behind [`Configuration::delta_log_lik_readonly`] and
-/// the tile workers' local moves.
-///
-/// **Rows.** Each disk has its own clipped row range
-/// ([`crate::coverage::disk_row_range`]); the walker visits, in ascending
-/// `y`, only the rows inside some range and jumps over the rest — a
-/// replace whose old and new circle sit hundreds of rows apart pays for
-/// two disks, not for the gap. A disk wholly above or below the frame has
-/// an empty range and is neither walked nor jumped to.
-///
-/// **Segments.** A row's spans ([`crate::coverage::disk_row_span`]) are
-/// merged into contiguous runs ([`sweep_row`]), each run is cut where a
-/// span starts or ends ([`sweep_run`]), and every constant-net segment is
-/// resolved by
-/// [`CoverageGrid::segment_delta`] — from the occupancy bitsets alone
-/// unless two removed disks overlap there.
-///
-/// **Cold rows.** An added disk that no removed disk is near — a birth or
-/// a replace — lands on table rows that are in nobody's cache, and the
-/// walk would miss on them one row after the other. Its prefix-table and
-/// occupancy lines are therefore prefetched before the walk starts. Disks
-/// that overlap a removed one (translate, resize, split, merge) find
-/// their rows in L2, where a prefetch only costs a load slot.
+/// What a caller that evaluates many proposals keeps between them: the
+/// work counted so far and room for the tables of a proposal's added disks,
+/// so that an evaluation neither touches the process-wide counters nor
+/// initialises 800 bytes of table.
+#[derive(Debug, Clone)]
+pub(crate) struct EvalScratch {
+    /// Work since the last [`SpanTally::flush`].
+    pub tally: SpanTally,
+    added: [SpanTable; 2],
+}
+
+impl EvalScratch {
+    pub(crate) fn new() -> Self {
+        Self {
+            tally: SpanTally::default(),
+            added: [SpanTable::EMPTY; 2],
+        }
+    }
+}
+
+/// Read-only log-likelihood delta of removing and adding `disks` (removed
+/// ones first) on `grid`, the work counted into `tally` — the one evaluator
+/// behind [`Configuration::delta_log_lik_readonly`], the samplers and the
+/// tile workers' local moves. Up to [`SPAN_DISKS`] disks whose tables are
+/// held go to the kernel for their shape ([`CoverageGrid::delta_one`],
+/// [`CoverageGrid::delta_pair`], [`CoverageGrid::delta_sweep`]); anything
+/// else has its rows walked by [`walk_delta_log_lik`], to the same bits.
 pub(crate) fn span_delta_log_lik(
     grid: &CoverageGrid,
-    disks: &[(Circle, bool)],
     gain: &Gain,
+    disks: &[EditDisk<'_>],
+    tally: &mut SpanTally,
 ) -> f64 {
-    debug_assert!(
-        disks.len() <= SPAN_DISKS,
-        "span walker holds {SPAN_DISKS} disks"
-    );
+    if disks.len() > SPAN_DISKS || !disks.iter().all(|d| d.spans.held()) {
+        let disks: Vec<_> = disks.iter().map(|d| (d.circle, d.is_add)).collect();
+        return walk_delta_log_lik(grid, gain, &disks, tally);
+    }
+    match disks {
+        [one] => grid.delta_one(gain, one.spans, one.is_add, tally),
+        [removed, added] if !removed.is_add && added.is_add => {
+            grid.delta_pair(gain, removed.spans, added.spans, tally)
+        }
+        _ => grid.delta_sweep(gain, disks, tally),
+    }
+}
+
+/// The row walker: the log-likelihood delta of any number of `disks`
+/// (`(circle, is_add)`) straight from the span arithmetic. Per image row
+/// some disk reaches, it collects the spans
+/// ([`crate::coverage::disk_row_span`]) of the disks whose row range
+/// ([`crate::coverage::disk_row_range`]) holds it, merges them into
+/// contiguous runs, cuts each run where a span starts or ends, and
+/// resolves every constant-net segment by [`CoverageGrid::segment_delta`],
+/// rows ascending, left to right. This is the definition the kernels of
+/// [`span_delta_log_lik`] are held to, and what evaluates the disks they
+/// cannot take.
+#[inline(never)]
+pub(crate) fn walk_delta_log_lik(
+    grid: &CoverageGrid,
+    gain: &Gain,
+    disks: &[(Circle, bool)],
+    tally: &mut SpanTally,
+) -> f64 {
     let frame = grid.rect();
-    let nd = disks.len();
-    // Per disk: clipped row range — (MAX, MIN) when empty, which holds no
-    // row and is never the nearest range ahead — and squared radius.
-    let mut rows = [(i64::MAX, i64::MIN); SPAN_DISKS];
-    let mut r2 = [0.0f64; SPAN_DISKS];
-    let mut y_last = i64::MIN;
-    for (k, (c, is_add)) in disks.iter().enumerate() {
-        let (lo, hi) = disk_row_range(c, &frame);
-        if lo > hi {
-            continue;
-        }
-        rows[k] = (lo, hi);
-        r2[k] = c.r * c.r;
-        y_last = y_last.max(hi);
-        let cold = *is_add
-            && disks.iter().all(|(d, d_add)| {
-                let apart = c.r + d.r + 1.0;
-                *d_add || (c.x - d.x).abs() > apart || (c.y - d.y).abs() > apart
-            });
-        if cold {
-            for_each_disk_row(c, &frame, |y, x0, x1| {
-                gain.prefetch_span_prefix(y as u32, x0 as usize, x1 as usize);
-                grid.prefetch_occupancy(y, x0, x1);
-            });
-        }
-    }
+    // (circle, squared radius, clipped row range, is_add) of the disks
+    // that reach the frame's rows at all.
+    let disks: Vec<(Circle, f64, (i64, i64), bool)> = disks
+        .iter()
+        .map(|&(c, is_add)| (c, c.r * c.r, disk_row_range(&c, &frame), is_add))
+        .filter(|(_, _, (lo, hi), _)| lo <= hi)
+        .collect();
+    let y0 = disks.iter().map(|&(.., (lo, _), _)| lo).min();
+    let y1 = disks.iter().map(|&(.., (_, hi), _)| hi).max();
+    let (y0, y1) = (y0.unwrap_or(i64::MAX), y1.unwrap_or(i64::MIN));
     let mut delta = 0.0;
-    let mut tally = SpanTally::default();
-    let mut py = rows[..nd].iter().map(|r| r.0).min().unwrap_or(i64::MAX);
-    while py <= y_last {
-        // This row's spans, and the nearest range that starts below it.
-        let mut spans: [Span; SPAN_DISKS] = [(0, 0, false); SPAN_DISKS];
-        let mut ns = 0;
-        let mut reached = false;
-        let mut ahead = i64::MAX;
-        for k in 0..nd {
-            let (lo, hi) = rows[k];
-            if py < lo {
-                ahead = ahead.min(lo);
-            } else if py <= hi {
-                reached = true;
-                let (c, is_add) = &disks[k];
-                if let Some((x0, x1)) = disk_row_span(c, r2[k], py, &frame) {
-                    spans[ns] = (x0, x1, *is_add);
-                    ns += 1;
+    let mut spans: Vec<Span> = Vec::with_capacity(disks.len());
+    for py in y0..=y1 {
+        spans.clear();
+        for (c, r2, (lo, hi), is_add) in &disks {
+            if (*lo..=*hi).contains(&py) {
+                if let Some((x0, x1)) = disk_row_span(c, *r2, py, &frame) {
+                    spans.push((x0, x1, *is_add));
                 }
             }
         }
-        if !reached {
-            // Between two disks (`y_last` ends a range, so one is ahead).
-            py = ahead;
-            continue;
-        }
-        let (a, b) = (spans[0], spans[1]);
-        if ns == 1 {
-            delta += grid.one_disk_delta(gain, py, (a.0, a.1), a.2, &mut tally);
-        } else if ns == 2 && a.2 != b.2 && a.0.max(b.0) <= a.1.min(b.1) + 1 {
-            // The move shape — a removed and an added span that touch.
-            // Where both lie nothing can flip, which leaves a sliver of
-            // the span that starts first and a sliver of the one that ends
-            // last. (`sweep_run` would find the same three segments; going
-            // straight to them takes 15 % off a translate or resize.)
-            let (both0, both1) = (a.0.max(b.0), a.1.min(b.1));
-            if a.0 != b.0 {
-                let (x0, is_add) = if a.0 < b.0 { (a.0, a.2) } else { (b.0, b.2) };
-                let sliver = (x0, both0 - 1);
-                delta += grid.one_disk_delta(gain, py, sliver, is_add, &mut tally);
-            }
-            tally.skipped += (both1 - both0 + 1) as u64;
-            if a.1 != b.1 {
-                let (x1, is_add) = if a.1 > b.1 { (a.1, a.2) } else { (b.1, b.2) };
-                let sliver = (both1 + 1, x1);
-                delta += grid.one_disk_delta(gain, py, sliver, is_add, &mut tally);
-            }
-        } else {
-            // Insertion sort by start (at most four spans).
-            for i in 1..ns {
-                let mut j = i;
-                while j > 0 && spans[j - 1].0 > spans[j].0 {
-                    spans.swap(j - 1, j);
-                    j -= 1;
-                }
-            }
-            sweep_row(grid, gain, py, &spans[..ns], &mut delta, &mut tally);
-        }
-        py += 1;
+        spans.sort_unstable_by_key(|s| s.0);
+        sweep_row(&spans, &mut delta, |segment, net| {
+            grid.segment_delta(gain, py, segment, net, tally)
+        });
     }
-    tally.flush();
     delta
-}
-
-/// Resolves one row's spans (sorted by start): splits them into maximal
-/// runs of touching or overlapping spans and sweeps each, left to right.
-#[inline]
-fn sweep_row(
-    grid: &CoverageGrid,
-    gain: &Gain,
-    py: i64,
-    spans: &[Span],
-    delta: &mut f64,
-    tally: &mut SpanTally,
-) {
-    let mut i = 0;
-    while i < spans.len() {
-        let mut hi = spans[i].1;
-        let mut j = i + 1;
-        while j < spans.len() && spans[j].0 <= hi + 1 {
-            hi = hi.max(spans[j].1);
-            j += 1;
-        }
-        sweep_run(grid, gain, py, &spans[i..j], hi, delta, tally);
-        i = j;
-    }
-}
-
-/// Sweeps one merged run of row `py` — `spans`, sorted by start, which
-/// together cover every pixel up to `hi`: cuts it into segments over which
-/// the set of active spans — hence the numbers of added and removed disks
-/// over every pixel — is constant, and adds each segment's
-/// [`CoverageGrid::segment_delta`] to `delta`, left to right. A run of one
-/// span is one segment; a move's removed/added pair is at most a sliver on
-/// either side of an intersection that resolves to nothing.
-#[inline]
-fn sweep_run(
-    grid: &CoverageGrid,
-    gain: &Gain,
-    py: i64,
-    spans: &[Span],
-    hi: i64,
-    delta: &mut f64,
-    tally: &mut SpanTally,
-) {
-    let mut x = spans[0].0;
-    while x <= hi {
-        // Next segment boundary: the nearest span start or end beyond `x`.
-        let mut next = hi + 1;
-        let mut minus = 0;
-        let mut plus = 0;
-        for &(sx0, sx1, is_add) in spans {
-            if sx0 > x {
-                next = next.min(sx0);
-                continue;
-            }
-            if sx1 >= x {
-                if is_add {
-                    plus += 1;
-                } else {
-                    minus += 1;
-                }
-                next = next.min(sx1 + 1);
-            }
-        }
-        *delta += grid.segment_delta(gain, py, (x, next - 1), (plus, minus), tally);
-        x = next;
-    }
-}
-
-/// Point-process count log-density for `k` circles under intensity
-/// `lambda`: `k·ln λ − λ` (set convention, see
-/// [`Configuration::log_prior`]).
-#[must_use]
-pub fn count_log_prior(k: usize, lambda: f64) -> f64 {
-    if lambda <= 0.0 {
-        return if k == 0 { 0.0 } else { f64::NEG_INFINITY };
-    }
-    k as f64 * lambda.ln() - lambda
 }
 
 /// Samples `Poisson(lambda)` (Knuth's method with a normal approximation
@@ -997,21 +884,34 @@ mod tests {
         assert_eq!(cfg.count_close_pairs(1.0), 0);
     }
 
-    /// Read-only delta (the span walker, up to [`SPAN_DISKS`] disks) ≡
-    /// general path ≡ what applying the edit reports, on both lane
-    /// backends; the configuration is left as it was found.
+    /// What the row walker makes of `edit`, and the work it counted.
+    fn walked(cfg: &Configuration, edit: &Edit, m: &NucleiModel) -> (f64, SpanTally) {
+        let mut tally = SpanTally::default();
+        let disks = cfg.edit_disks(edit);
+        let delta = walk_delta_log_lik(&cfg.coverage, &m.gain, &disks, &mut tally);
+        (delta, tally)
+    }
+
+    /// Read-only delta (the kernels, where tables hold the disks) ≡ row
+    /// walker, to the bit and to the count of work ≡ what applying the edit
+    /// reports, on both lane backends; the configuration is left as it was
+    /// found.
     fn assert_readonly_matches_apply(cfg: &mut Configuration, edit: &Edit, m: &NucleiModel) {
         let detected = crate::simd::backend();
         for backend in [crate::simd::Backend::Scalar, crate::simd::Backend::Avx2] {
             crate::simd::force_backend(backend);
-            let fast = cfg.delta_log_lik_readonly(edit, m);
-            let slow = cfg.delta_log_lik_general(edit, m);
+            let mut scratch = EvalScratch::new();
+            let fast = cfg.delta_log_lik_tallied(edit, m, &mut scratch);
+            let tally = scratch.tally;
+            let (slow, slow_tally) = walked(cfg, edit, m);
             let receipt = cfg.apply(edit, m);
             cfg.revert(&receipt, m);
-            assert!(
-                (fast - slow).abs() < 1e-9,
-                "{backend:?}: span {fast} vs general {slow} for {edit:?}"
+            assert_eq!(
+                fast.to_bits(),
+                slow.to_bits(),
+                "{backend:?}: kernel {fast} vs walker {slow} for {edit:?}"
             );
+            assert_eq!(tally, slow_tally, "{backend:?}: work counted for {edit:?}");
             assert!(
                 (fast - receipt.d_log_lik).abs() < 1e-9,
                 "{backend:?}: span {fast} vs applied {} for {edit:?}",
@@ -1021,42 +921,146 @@ mod tests {
         crate::simd::force_backend(detected);
     }
 
-    #[test]
-    fn span_walker_matches_general_path() {
-        let m = test_model(96, 96);
-        let mut rng = Xoshiro256::new(21);
-        let mut cfg = Configuration::empty(&m);
-        for _ in 0..12 {
-            cfg.apply(
-                &Edit::add_one(Circle::new(
-                    rng.gen_range(-4.0..100.0),
+    /// A crowded 128 × 96 scene — the width a whole number of bitset words,
+    /// so that spans end on a row's last bit — with circles over every
+    /// edge: most segments of an edit come out partly covered.
+    fn crowded(m: &NucleiModel, seed: u64) -> Configuration {
+        let mut rng = Xoshiro256::new(seed);
+        let circles: Vec<Circle> = (0..14)
+            .map(|_| {
+                Circle::new(
+                    rng.gen_range(-4.0..132.0),
                     rng.gen_range(-4.0..100.0),
                     rng.gen_range(3.3..16.0),
-                )),
-                &m,
+                )
+            })
+            .collect();
+        Configuration::from_circles(m, &circles)
+    }
+
+    /// The ways a proposed disk can lie relative to a live one, `u` and `v`
+    /// in `-1.0..1.0`.
+    const PLACEMENTS: usize = 8;
+
+    fn placed(c: Circle, how: usize, u: f64, v: f64) -> Circle {
+        let beside = |gap: f64| c.x + (2.0 * c.r + gap).copysign(v);
+        match how {
+            // A translate: a sliver on either side of most rows.
+            0 => Circle::new(c.x + 2.0 * u, c.y + 2.0 * v, c.r),
+            // A resize: one span nested in the other on every row.
+            1 => Circle::new(c.x, c.y, (c.r + 3.0 * u).max(0.3)),
+            // Side by side: spans that overlap by a pixel, touch, or miss by
+            // one on the rows around the centre.
+            2 => Circle::new(beside(1.5 * u), c.y + v, c.r),
+            // Side by side with pixels between them.
+            3 => Circle::new(beside(3.0 + 8.0 * u.abs()), c.y, c.r * (1.0 + 0.3 * u)),
+            // Above or below: few rows or none in common.
+            4 => Circle::new(
+                c.x + 3.0 * u,
+                c.y + (c.r * (1.0 + u.abs())).copysign(v),
+                c.r,
+            ),
+            // A split's child.
+            5 => Circle::new(c.x + c.r * u, c.y + c.r * v, c.r * 0.7),
+            // Too tall for a table: the whole edit goes to the walker.
+            6 => Circle::new(c.x + 9.0 * u, c.y + 9.0 * v, 24.0 + 10.0 * u.abs()),
+            // Anywhere, any size down to less than a pixel.
+            _ => Circle::new(64.0 + 70.0 * u, 48.0 + 55.0 * v, 8.2 + 7.8 * u * v),
+        }
+    }
+
+    #[test]
+    fn placements_are_what_they_say() {
+        let frame = Rect::new(0, 0, 128, 96);
+        let c = Circle::new(60.0, 48.0, 10.0);
+        let rows = |c: Circle| -> Vec<_> { crate::coverage::disk_rows(&c, &frame).collect() };
+        // Rows both disks reach, as (removed span, added span).
+        let common = |a: Circle| -> Vec<((i64, i64), (i64, i64))> {
+            let added = rows(a);
+            rows(c)
+                .iter()
+                .filter_map(|&(y, r0, r1)| {
+                    let &(_, a0, a1) = added.iter().find(|row| row.0 == y)?;
+                    Some(((r0, r1), (a0, a1)))
+                })
+                .collect()
+        };
+        let translate = common(placed(c, 0, 0.6, -0.4));
+        assert!(translate
+            .iter()
+            .any(|&((r0, r1), (a0, a1))| r0 < a0 && r1 < a1));
+        let nested = common(placed(c, 1, -0.7, 0.0));
+        assert!(nested
+            .iter()
+            .all(|&((r0, r1), (a0, a1))| r0 <= a0 && a1 <= r1));
+        assert!(nested
+            .iter()
+            .any(|&((r0, r1), (a0, a1))| r0 < a0 && a1 < r1));
+        let beside: Vec<_> = [-0.9, -0.3, 0.3, 0.9]
+            .iter()
+            .flat_map(|&u| common(placed(c, 2, u, 0.2)))
+            .collect();
+        // One pixel shared, touching, one pixel between.
+        for gap in [0, 1, 2] {
+            assert!(
+                beside.iter().any(|&((_, r1), (a0, _))| a0 == r1 + gap),
+                "{gap}"
             );
         }
-        for _ in 0..300 {
-            let n_remove = rng.gen_range(0..2usize.min(cfg.len()) + 1);
-            let mut remove = Vec::new();
-            while remove.len() < n_remove {
-                let i = rng.gen_range(0..cfg.len());
-                if !remove.contains(&i) {
-                    remove.push(i);
-                }
-            }
-            let n_add = rng.gen_range(0..SPAN_DISKS - n_remove + 1);
-            let add: Vec<Circle> = (0..n_add)
-                .map(|_| {
-                    Circle::new(
-                        rng.gen_range(-4.0..100.0),
-                        rng.gen_range(-4.0..100.0),
-                        rng.gen_range(0.4..16.0),
-                    )
-                })
-                .collect();
-            assert_readonly_matches_apply(&mut cfg, &Edit { remove, add }, &m);
+        let apart = common(placed(c, 3, 0.5, -1.0));
+        assert!(!apart.is_empty() && apart.iter().all(|&((r0, _), (_, a1))| a1 + 1 < r0));
+        assert!(common(placed(c, 4, 1.0, 0.5)).is_empty());
+        assert!(!common(placed(c, 4, 0.1, 0.5)).is_empty());
+        assert!(!SpanTable::of(&placed(c, 6, 0.0, 0.0), &frame).held());
+    }
+
+    proptest::proptest! {
+        /// Kernels ≡ row walker, to the bit and to the count of work, on
+        /// both backends, over edits of up to two removed and two added
+        /// disks in every relative position, on crowded scenes.
+        #[test]
+        fn kernels_match_the_row_walker(
+            scene in 0u64..6,
+            n_remove in 0usize..3,
+            picks in (0usize..14, 1usize..14),
+            n_add in 0usize..3,
+            hows in (0..PLACEMENTS, 0..PLACEMENTS),
+            first in (-1.0f64..1.0, -1.0f64..1.0),
+            second in (-1.0f64..1.0, -1.0f64..1.0),
+        ) {
+            let m = test_model(128, 96);
+            let mut cfg = crowded(&m, scene);
+            let remove = [picks.0, (picks.0 + picks.1) % 14];
+            let anchor = cfg.circle(remove[0]);
+            let add = [
+                placed(anchor, hows.0, first.0, first.1),
+                placed(anchor, hows.1, second.0, second.1),
+            ];
+            let edit = Edit {
+                remove: remove[..n_remove].to_vec(),
+                add: add[..n_add].to_vec(),
+            };
+            assert_readonly_matches_apply(&mut cfg, &edit, &m);
         }
+    }
+
+    /// Edits no kernel takes — more than two disks of a kind — are walked.
+    #[test]
+    fn larger_edits_are_walked() {
+        let m = test_model(128, 96);
+        let mut cfg = crowded(&m, 3);
+        let c = cfg.circle(5);
+        let add: Vec<Circle> = (0..3).map(|k| placed(c, k, 0.4, -0.8)).collect();
+        let three_added = Edit {
+            remove: vec![5],
+            add,
+        };
+        assert_readonly_matches_apply(&mut cfg, &three_added, &m);
+        let three_removed = Edit {
+            remove: vec![1, 5, 9],
+            add: vec![placed(c, 0, 0.4, -0.8)],
+        };
+        assert_readonly_matches_apply(&mut cfg, &three_removed, &m);
     }
 
     /// The `(plus, minus)` pairs an edit produces somewhere on the image:
@@ -1080,13 +1084,13 @@ mod tests {
         shapes
     }
 
-    /// The shapes the walker treats specially, each pinned to the apply
-    /// receipt: rows nobody reaches between two disks, disks off the frame
+    /// The shapes the kernels treat specially, each pinned to the row walker
+    /// and the apply receipt: rows nobody reaches between two disks, disks off the frame
     /// on every side, and split/merge triples through every kind of
     /// segment — over ground that is part empty, part singly and part
     /// doubly covered.
     #[test]
-    fn span_walker_handles_gaps_off_frame_disks_and_every_segment_shape() {
+    fn kernels_handle_gaps_off_frame_disks_and_every_segment_shape() {
         let m = test_model(64, 640);
         let mut cfg = Configuration::from_circles(
             &m,
@@ -1121,7 +1125,7 @@ mod tests {
                 add: vec![c, inside],
             };
             assert_readonly_matches_apply(&mut cfg, &edit, &m);
-            assert_eq!(cfg.delta_log_lik_spans(&Edit::add_one(c), &m), 0.0);
+            assert_eq!(cfg.delta_log_lik_readonly(&Edit::add_one(c), &m), 0.0);
         }
         let mut all = off_frame.to_vec();
         all.push(inside);

@@ -9,20 +9,48 @@
 //! standalone [`crate::TileWorkspace`] on a private crop of its tile.
 //!
 //! The hot operations are span-based: a disk is a set of contiguous row
-//! spans ([`for_each_disk_row`] is the single source of truth for the span
-//! arithmetic), and per-row occupancy bitsets detect the overlap-free
-//! common case, where a whole span crosses 0↔1 together and its gain sum
-//! is one prefix-table subtraction ([`Gain::row_prefix`]) instead of an
-//! O(span) walk. Mixed-coverage spans run through the [`crate::simd`]
-//! lane kernels one bitset-word window (≤ 64 counts) at a time: the
-//! kernel updates the counts and answers with crossing masks, the masks
-//! patch the occupancy words directly, and gains accumulate over the
-//! masks' set bits in ascending pixel order (bit-identical across
-//! backends).
+//! spans (`disk_row_span` is the single source of truth for the span
+//! arithmetic, a `SpanTable` its tabulation), and per-row occupancy
+//! bitsets detect the overlap-free common case, where a whole span crosses
+//! 0↔1 together and its gain sum is one prefix-table subtraction
+//! ([`Gain::row_prefix`]) instead of an O(span) walk. Mixed-coverage spans
+//! run through the [`crate::simd`] lane kernels one bitset-word window
+//! (≤ 64 counts) at a time: the kernel updates the counts and answers with
+//! crossing masks, the masks patch the occupancy words directly, and gains
+//! accumulate over the masks' set bits in ascending pixel order
+//! (bit-identical across backends).
+//!
+//! # The read-only kernels
+//!
+//! A proposal is priced without touching the grid, by one kernel per edit
+//! shape over the disks' span tables: `CoverageGrid::delta_one` (birth,
+//! death), `CoverageGrid::delta_pair` (translate, resize, replace) and
+//! `CoverageGrid::delta_sweep` (split, merge, anything up to
+//! `SPAN_DISKS` tables). They are the row walker of
+//! `config::walk_delta_log_lik` with the per-row work hoisted out,
+//! and are held to it bit for bit. **Invariant: same segments, same order,
+//! same formula.** A row's spans are cut into the same constant-net
+//! segments, each segment is resolved as `CoverageGrid::segment_delta`
+//! resolves it — one prefix subtraction when the tested bits are clear, an
+//! ascending masked sum per bitset word otherwise, nothing where a removed
+//! and an added disk both lie — and the results are added to the running
+//! delta rows ascending, left to right. Every `f64` addition therefore
+//! happens with the same operands in the same order, and the
+//! `SpanTally` counts the same work. What the kernels drop is
+//! bookkeeping: rows are sliced once per evaluation, a segment (at most
+//! `spans::SPAN_ROWS` pixels, so inside one 64-bit window of its
+//! row) is tested with two loads and a shift, and a sliver that turns out
+//! empty is not branched around but contributes `−0.0`, the one value that
+//! leaves every bit of every accumulator alone.
 
 use crate::likelihood::Gain;
 use crate::math::{ceil_i64, floor_i64};
+use crate::spans::SpanTable;
 use pmcmc_imaging::{Circle, Rect};
+
+/// Most tables [`CoverageGrid::delta_sweep`] takes (every built-in move
+/// touches at most 3 disks).
+pub(crate) const SPAN_DISKS: usize = 4;
 
 /// Cover counts over a rectangular region of the image.
 ///
@@ -84,20 +112,23 @@ pub(crate) fn disk_row_span(circle: &Circle, r2: f64, py: i64, rect: &Rect) -> O
     (x0 <= x1).then_some((x0, x1))
 }
 
-/// Visits every row span of `circle`'s disk clipped to `rect` as
-/// `(y, x0, x1)` with `x0..=x1` inclusive, in ascending `y` — what "the
-/// disk's pixels" means to add, remove and the configuration's read-only
-/// delta walkers alike, all of which take their rows from
-/// `disk_row_range` and their spans from `disk_row_span`. Empty rows
-/// are skipped.
-pub fn for_each_disk_row(circle: &Circle, rect: &Rect, mut f: impl FnMut(i64, i64, i64)) {
-    let (y0, y1) = disk_row_range(circle, rect);
+/// Every row span of `circle`'s disk clipped to `rect` as `(y, x0, x1)` with
+/// `x0..=x1` inclusive, in ascending `y` — what "the disk's pixels" means to
+/// add, remove and the read-only evaluation alike: rows from
+/// `disk_row_range`, spans from `disk_row_span`, empty rows skipped. A
+/// [`SpanTable`] holds the same rows.
+pub(crate) fn disk_rows(circle: &Circle, rect: &Rect) -> impl Iterator<Item = (i64, i64, i64)> {
+    let (circle, rect) = (*circle, *rect);
+    let (y0, y1) = disk_row_range(&circle, &rect);
     let r2 = circle.r * circle.r;
-    for py in y0..=y1 {
-        if let Some((x0, x1)) = disk_row_span(circle, r2, py, rect) {
-            f(py, x0, x1);
-        }
-    }
+    (y0..=y1)
+        .filter_map(move |py| disk_row_span(&circle, r2, py, &rect).map(|(x0, x1)| (py, x0, x1)))
+}
+
+/// Calls `f(y, x0, x1)` for every row span of `circle`'s disk clipped to
+/// `rect`, in ascending `y`.
+pub fn for_each_disk_row(circle: &Circle, rect: &Rect, mut f: impl FnMut(i64, i64, i64)) {
+    disk_rows(circle, rect).for_each(|(y, x0, x1)| f(y, x0, x1));
 }
 
 /// Visits every integer pixel of `circle`'s disk clipped to `rect`,
@@ -110,10 +141,13 @@ pub fn for_each_disk_pixel(circle: &Circle, rect: &Rect, mut f: impl FnMut(i64, 
     });
 }
 
-/// Work accounting of one read-only evaluation: filled in segment by
-/// segment, flushed to [`crate::perf`] once per proposal.
-#[derive(Debug, Default)]
+/// Work accounting of read-only evaluations: filled in segment by segment,
+/// flushed to [`crate::perf`] by whoever owns it — once per call at the
+/// public entry points, once per `run` inside the samplers.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct SpanTally {
+    /// Proposals evaluated ([`crate::sampler::evaluate_proposal`]).
+    pub proposals: u64,
     /// Pixels whose bits or counts were looked at one by one.
     pub pixels: u64,
     /// Segments settled by one prefix subtraction.
@@ -123,10 +157,130 @@ pub(crate) struct SpanTally {
 }
 
 impl SpanTally {
-    pub(crate) fn flush(&self) {
+    /// Adds `other`'s counts. The kernels count into a local tally and hand
+    /// it over once: a tally behind a reference has to be stored before
+    /// every bounds check.
+    #[inline(always)]
+    fn absorb(&mut self, other: &SpanTally) {
+        self.proposals += other.proposals;
+        self.pixels += other.pixels;
+        self.fast_hits += other.fast_hits;
+        self.skipped += other.skipped;
+    }
+
+    /// Adds the counts to [`crate::perf`] and zeroes them.
+    pub(crate) fn flush(&mut self) {
+        crate::perf::add_proposals_evaluated(self.proposals);
         crate::perf::add_pixels_visited(self.pixels);
         crate::perf::add_span_fastpath_hits(self.fast_hits);
         crate::perf::add_pixels_skipped(self.skipped);
+        *self = Self::default();
+    }
+}
+
+/// One disk of an edit as the read-only evaluation
+/// ([`crate::config::span_delta_log_lik`]) takes it.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct EditDisk<'a> {
+    pub circle: Circle,
+    /// The row spans of `circle` on the evaluated grid.
+    pub spans: &'a SpanTable,
+    pub is_add: bool,
+}
+
+impl EditDisk<'_> {
+    /// Placeholder for the unused slots of a disk array.
+    pub(crate) const NONE: Self = Self {
+        circle: Circle::new(0.0, 0.0, 0.0),
+        spans: &SpanTable::EMPTY,
+        is_add: false,
+    };
+}
+
+/// One grid row as the read-only kernels see it: occupancy words,
+/// multi-coverage words, gain prefix sums.
+type EvalRow<'a> = ((&'a [u64], &'a [u64]), &'a [f64]);
+
+/// One disk's pixels `x0..=x1` on a row, and whether the disk is added.
+pub(crate) type Span = (i64, i64, bool);
+
+/// Bits `b..b + 64` of a bitset row, low bit first. Bits past the row's last
+/// word read as copies of that word's, and `b` may be one past the last
+/// bit: both only matter to a caller that masks with more bits than the row
+/// has left.
+#[inline(always)]
+fn bit_window(words: &[u64], b: usize) -> u64 {
+    let last = words.len() - 1;
+    let w = (b / 64).min(last);
+    let pair = u128::from(words[w]) | u128::from(words[(w + 1).min(last)]) << 64;
+    (pair >> (b % 64)) as u64
+}
+
+/// `-v` if `negate`, else `v`, without a branch.
+#[inline(always)]
+fn negate_if(v: f64, negate: bool) -> f64 {
+    f64::from_bits(v.to_bits() ^ u64::from(negate) << 63)
+}
+
+/// Resolves one row's spans (sorted by start): splits them into maximal
+/// runs of touching or overlapping spans and sweeps each, left to right.
+/// `resolve((x0, x1), (plus, minus))` prices one constant-net segment
+/// ([`CoverageGrid::segment_delta`]).
+#[inline]
+pub(crate) fn sweep_row(
+    spans: &[Span],
+    delta: &mut f64,
+    mut resolve: impl FnMut((i64, i64), (u32, u32)) -> f64,
+) {
+    let mut i = 0;
+    while i < spans.len() {
+        let mut hi = spans[i].1;
+        let mut j = i + 1;
+        while j < spans.len() && spans[j].0 <= hi + 1 {
+            hi = hi.max(spans[j].1);
+            j += 1;
+        }
+        sweep_run(&spans[i..j], hi, delta, &mut resolve);
+        i = j;
+    }
+}
+
+/// Sweeps one merged run of a row — `spans`, sorted by start, which
+/// together cover every pixel up to `hi`: cuts it into segments over which
+/// the set of active spans — hence the numbers of added and removed disks
+/// over every pixel — is constant, and adds each segment's price to
+/// `delta`, left to right. A run of one span is one segment; a move's
+/// removed/added pair is at most a sliver on either side of an
+/// intersection that resolves to nothing.
+#[inline]
+fn sweep_run(
+    spans: &[Span],
+    hi: i64,
+    delta: &mut f64,
+    resolve: &mut impl FnMut((i64, i64), (u32, u32)) -> f64,
+) {
+    let mut x = spans[0].0;
+    while x <= hi {
+        // Next segment boundary: the nearest span start or end beyond `x`.
+        let mut next = hi + 1;
+        let mut minus = 0;
+        let mut plus = 0;
+        for &(sx0, sx1, is_add) in spans {
+            if sx0 > x {
+                next = next.min(sx0);
+                continue;
+            }
+            if sx1 >= x {
+                if is_add {
+                    plus += 1;
+                } else {
+                    minus += 1;
+                }
+                next = next.min(sx1 + 1);
+            }
+        }
+        *delta += resolve((x, next - 1), (plus, minus));
+        x = next;
     }
 }
 
@@ -359,8 +513,8 @@ impl CoverageGrid {
     /// * `plus > 0` and `minus > 0`: covered before (by the removed disk)
     ///   and after (by the added one) — nothing flips, nothing is read;
     /// * one kind of disk only, `minus ≤ 1`: the occupancy bitsets decide
-    ///   ([`Self::one_disk_delta`] — any number of added disks switches on
-    ///   exactly the uncovered pixels);
+    ///   (`one_disk_delta` — any number of added disks switches on exactly
+    ///   the uncovered pixels);
     /// * `minus ≥ 2`: pixels with count ≤ `minus` switch off, which only
     ///   the counts can tell ([`crate::simd::sum_gain_flips`]).
     pub(crate) fn segment_delta(
@@ -392,10 +546,9 @@ impl CoverageGrid {
     /// bits), a remove switches off the singly covered ones (`occ &
     /// !multi`). When that is the whole segment — no `occ` bit set, resp.
     /// no `multi` bit set — the sum is one [`Gain::row_prefix`]
-    /// subtraction; otherwise the flipping bits are walked in ascending
-    /// `x`, one partial sum per bitset word.
+    /// subtraction; otherwise [`Self::mixed_segment`] walks the bits.
     #[inline]
-    pub(crate) fn one_disk_delta(
+    fn one_disk_delta(
         &self,
         gain: &Gain,
         y: i64,
@@ -408,101 +561,378 @@ impl CoverageGrid {
             x0 >= self.rect.x0 && x1 < self.rect.x1 && x0 <= x1,
             "segment outside grid"
         );
-        let len = (x1 - x0 + 1) as u64;
         let b0 = (x0 - self.rect.x0) as usize;
         let b1 = (x1 - self.rect.x0) as usize;
         let (occ, multi) = self.bit_rows(y);
-        let sum = if span_bits_all_zero(if is_add { occ } else { multi }, b0, b1) {
-            tally.fast_hits += 1;
-            tally.skipped += len;
-            let pre = gain.row_prefix(y as u32);
-            pre[(x1 + 1) as usize] - pre[x0 as usize]
+        if !span_bits_all_zero(if is_add { occ } else { multi }, b0, b1) {
+            tally.pixels += (x1 - x0 + 1) as u64;
+            return self.mixed_segment(gain, y, (x0, x1), is_add);
+        }
+        tally.fast_hits += 1;
+        tally.skipped += (x1 - x0 + 1) as u64;
+        let pre = gain.row_prefix(y as u32);
+        let sum = pre[(x1 + 1) as usize] - pre[x0 as usize];
+        negate_if(sum, !is_add)
+    }
+
+    /// [`Self::one_disk_delta`] where some pixel of the segment does not
+    /// flip: the flipping bits are walked in ascending `x`, one partial sum
+    /// per bitset word. Cold next to the prefix subtraction: a twentieth
+    /// of the segments on a dense scene, and marked so that the kernels'
+    /// row loops keep their accumulators in registers around the call.
+    #[cold]
+    #[inline(never)]
+    fn mixed_segment(&self, gain: &Gain, y: i64, (x0, x1): (i64, i64), is_add: bool) -> f64 {
+        let b0 = (x0 - self.rect.x0) as usize;
+        let b1 = (x1 - self.rect.x0) as usize;
+        let (occ, multi) = self.bit_rows(y);
+        let gains = &gain.row(y as u32)[self.rect.x0 as usize..];
+        let (w0, w1) = (b0 / 64, b1 / 64);
+        let first = !0u64 << (b0 % 64);
+        let last = !0u64 >> (63 - b1 % 64);
+        let mut sum = 0.0;
+        for w in w0..=w1 {
+            let mut m = if is_add { !occ[w] } else { occ[w] & !multi[w] };
+            if w == w0 {
+                m &= first;
+            }
+            if w == w1 {
+                m &= last;
+            }
+            if m != 0 {
+                sum += crate::simd::sum_masked(&gains[w * 64..], m);
+            }
+        }
+        negate_if(sum, !is_add)
+    }
+
+    /// Rows `y..y + n` as the read-only kernels see them. `n` rows must
+    /// exist, and the grid must not be zero pixels wide.
+    #[inline(always)]
+    fn eval_rows<'a>(
+        &'a self,
+        gain: &'a Gain,
+        y: i64,
+        n: usize,
+    ) -> impl Iterator<Item = EvalRow<'a>> {
+        let wpr = self.words_per_row;
+        let start = (y - self.rect.y0) as usize * wpr;
+        let words = start..start + n * wpr;
+        self.occ[words.clone()]
+            .chunks_exact(wpr)
+            .zip(self.multi[words].chunks_exact(wpr))
+            .zip(gain.prefix_rows(y as usize, n))
+    }
+
+    /// [`Self::one_disk_delta`] for the `len` pixels from `x0` of an
+    /// already sliced row `y`, `len < 64` — any part of a table's span. An
+    /// empty segment (`len == 0`, with `x0` at most one past the row's last
+    /// pixel) counts nothing and is worth `−0.0`.
+    #[inline(always)]
+    #[allow(clippy::too_many_arguments)]
+    fn short_segment(
+        &self,
+        gain: &Gain,
+        ((occ, multi), pre): EvalRow<'_>,
+        y: i64,
+        x0: i64,
+        len: i64,
+        is_add: bool,
+        tally: &mut SpanTally,
+    ) -> f64 {
+        debug_assert!((0..64).contains(&len), "segment longer than a table row");
+        let b = (x0 - self.rect.x0) as usize;
+        let tested = bit_window(if is_add { occ } else { multi }, b);
+        if tested & ((1u64 << len) - 1) != 0 {
+            tally.pixels += len as u64;
+            return self.mixed_segment(gain, y, (x0, x0 + len - 1), is_add);
+        }
+        tally.fast_hits += u64::from(len > 0);
+        tally.skipped += len as u64;
+        let sum = pre[(x0 + len) as usize] - pre[x0 as usize];
+        negate_if(sum, !is_add || len == 0)
+    }
+
+    /// Adds to `delta` what rows `rows` (indices into the table) of a disk
+    /// contribute when nothing else of the edit reaches them.
+    #[inline(always)]
+    fn walk_one(
+        &self,
+        gain: &Gain,
+        table: &SpanTable,
+        rows: std::ops::Range<usize>,
+        is_add: bool,
+        delta: &mut f64,
+        tally: &mut SpanTally,
+    ) {
+        if rows.is_empty() {
+            return;
+        }
+        let y = table.y0() + rows.start as i64;
+        let spans = table.x0s()[rows.clone()]
+            .iter()
+            .zip(&table.x1s()[rows.clone()]);
+        for ((row, y), (&x0, &x1)) in self.eval_rows(gain, y, rows.len()).zip(y..).zip(spans) {
+            let (x0, x1) = (i64::from(x0), i64::from(x1));
+            *delta += self.short_segment(gain, row, y, x0, x1 - x0 + 1, is_add, tally);
+        }
+    }
+
+    /// What one row contributes where a removed span `r0..=r1` and an added
+    /// span `a0..=a1` both lie on it: the part of whichever starts first
+    /// that the other does not cover, nothing where both lie, the part of
+    /// whichever ends last. Spans apart are two whole segments, spans
+    /// nested leave the outer one's two ends, and either part may be empty.
+    #[inline(always)]
+    #[allow(clippy::too_many_arguments)]
+    fn pair_row(
+        &self,
+        gain: &Gain,
+        row: EvalRow<'_>,
+        y: i64,
+        (r0, r1): (i64, i64),
+        (a0, a1): (i64, i64),
+        delta: &mut f64,
+        tally: &mut SpanTally,
+    ) {
+        let removed_first = r0 < a0;
+        let first_end = if removed_first { r1 } else { a1 };
+        let left_len = first_end.min(r0.max(a0) - 1) - r0.min(a0) + 1;
+        *delta += self.short_segment(gain, row, y, r0.min(a0), left_len, !removed_first, tally);
+        tally.skipped += (r1.min(a1) - r0.max(a0) + 1).max(0) as u64;
+        let removed_last = r1 > a1;
+        let last_start = if removed_last { r0 } else { a0 };
+        let right = last_start.max(r1.min(a1) + 1);
+        let right_len = r1.max(a1) - right + 1;
+        *delta += self.short_segment(gain, row, y, right, right_len, !removed_last, tally);
+    }
+
+    /// Log-likelihood change of adding (`is_add`) or removing the disk of
+    /// `table`, the grid left as it is: the birth/death kernel.
+    pub(crate) fn delta_one(
+        &self,
+        gain: &Gain,
+        table: &SpanTable,
+        is_add: bool,
+        tally: &mut SpanTally,
+    ) -> f64 {
+        let mut delta = 0.0;
+        let mut counted = SpanTally::default();
+        self.walk_one(
+            gain,
+            table,
+            0..table.len(),
+            is_add,
+            &mut delta,
+            &mut counted,
+        );
+        tally.absorb(&counted);
+        delta
+    }
+
+    /// Log-likelihood change of removing the disk of `removed` and adding
+    /// that of `added`: the translate/resize/replace kernel. Rows only the
+    /// upper disk reaches, rows both reach, rows only the lower disk
+    /// reaches — the gap between two disks far apart is never visited.
+    pub(crate) fn delta_pair(
+        &self,
+        gain: &Gain,
+        removed: &SpanTable,
+        added: &SpanTable,
+        tally: &mut SpanTally,
+    ) -> f64 {
+        if removed.len() == 0 {
+            return self.delta_one(gain, added, true, tally);
+        }
+        if added.len() == 0 {
+            return self.delta_one(gain, removed, false, tally);
+        }
+        let removed_on_top = removed.y0() <= added.y0();
+        let (top, low) = if removed_on_top {
+            (removed, added)
         } else {
-            tally.pixels += len;
-            let gains = &gain.row(y as u32)[self.rect.x0 as usize..];
-            let (w0, w1) = (b0 / 64, b1 / 64);
-            let first = !0u64 << (b0 % 64);
-            let last = !0u64 >> (63 - b1 % 64);
-            let mut sum = 0.0;
-            for w in w0..=w1 {
-                let mut m = if is_add { !occ[w] } else { occ[w] & !multi[w] };
-                if w == w0 {
-                    m &= first;
-                }
-                if w == w1 {
-                    m &= last;
-                }
-                if m != 0 {
-                    sum += crate::simd::sum_masked(&gains[w * 64..], m);
+            (added, removed)
+        };
+        let mut delta = 0.0;
+        let counted = &mut SpanTally::default();
+        let head = (low.y0().min(top.y_end()) - top.y0()) as usize;
+        self.walk_one(gain, top, 0..head, !removed_on_top, &mut delta, counted);
+
+        let both_end = top.y_end().min(low.y_end());
+        if both_end > low.y0() {
+            let n = (both_end - low.y0()) as usize;
+            let (r, a) = if removed_on_top {
+                (head..head + n, 0..n)
+            } else {
+                (0..n, head..head + n)
+            };
+            let spans = removed.x0s()[r.clone()]
+                .iter()
+                .zip(&removed.x1s()[r])
+                .zip(added.x0s()[a.clone()].iter().zip(&added.x1s()[a]));
+            let rows = self.eval_rows(gain, low.y0(), n).zip(low.y0()..);
+            for ((row, y), ((&r0, &r1), (&a0, &a1))) in rows.zip(spans) {
+                let (r, a) = ((r0.into(), r1.into()), (a0.into(), a1.into()));
+                self.pair_row(gain, row, y, r, a, &mut delta, counted);
+            }
+        }
+
+        let top_is_last = top.y_end() >= low.y_end();
+        let last = if top_is_last { top } else { low };
+        let tail = (both_end.max(last.y0()) - last.y0()) as usize;
+        let last_is_add = top_is_last != removed_on_top;
+        self.walk_one(
+            gain,
+            last,
+            tail..last.len(),
+            last_is_add,
+            &mut delta,
+            counted,
+        );
+        tally.absorb(counted);
+        delta
+    }
+
+    /// Log-likelihood change of an edit of up to [`SPAN_DISKS`] disks with
+    /// held tables: the split/merge kernel. Per row, the spans of the
+    /// tables that reach it are resolved like the row walker's — one span
+    /// as a segment, a removed and an added one by [`Self::pair_row`],
+    /// anything else by [`sweep_row`].
+    pub(crate) fn delta_sweep(
+        &self,
+        gain: &Gain,
+        disks: &[EditDisk<'_>],
+        tally: &mut SpanTally,
+    ) -> f64 {
+        debug_assert!(disks.len() <= SPAN_DISKS, "sweep holds {SPAN_DISKS} disks");
+        let reached = disks.iter().map(|d| d.spans).filter(|t| t.len() > 0);
+        let y_lo = reached.clone().map(SpanTable::y0).min();
+        let y_end = reached.map(SpanTable::y_end).max();
+        let (Some(y_lo), Some(y_end)) = (y_lo, y_end) else {
+            return 0.0;
+        };
+        let mut delta = 0.0;
+        let rows = self.eval_rows(gain, y_lo, (y_end - y_lo) as usize);
+        for (row, y) in rows.zip(y_lo..) {
+            let mut spans: [Span; SPAN_DISKS] = [(0, 0, false); SPAN_DISKS];
+            let mut ns = 0;
+            for disk in disks {
+                let table = disk.spans;
+                // Negative (the table starts below) wraps past any length.
+                let k = (y - table.y0()) as usize;
+                if k < table.len() {
+                    spans[ns] = (table.x0s()[k].into(), table.x1s()[k].into(), disk.is_add);
+                    ns += 1;
                 }
             }
-            sum
-        };
-        if is_add {
-            sum
-        } else {
-            -sum
+            let (a, b) = (spans[0], spans[1]);
+            if ns == 1 {
+                delta += self.short_segment(gain, row, y, a.0, a.1 - a.0 + 1, a.2, tally);
+            } else if ns == 2 && a.2 != b.2 {
+                let (r, a) = if a.2 { (b, a) } else { (a, b) };
+                self.pair_row(gain, row, y, (r.0, r.1), (a.0, a.1), &mut delta, tally);
+            } else if ns >= 2 {
+                // Insertion sort by start (at most four spans).
+                for i in 1..ns {
+                    let mut j = i;
+                    while j > 0 && spans[j - 1].0 > spans[j].0 {
+                        spans.swap(j - 1, j);
+                        j -= 1;
+                    }
+                }
+                sweep_row(&spans[..ns], &mut delta, |(x0, x1), (plus, minus)| {
+                    if plus.min(minus) == 0 && minus < 2 {
+                        self.short_segment(gain, row, y, x0, x1 - x0 + 1, plus > 0, tally)
+                    } else {
+                        self.segment_delta(gain, y, (x0, x1), (plus, minus), tally)
+                    }
+                });
+            }
         }
+        delta
     }
 
-    /// Starts loading the occupancy words [`Self::one_disk_delta`] will test
-    /// for pixels `x0..=x1` of row `y` (see [`crate::simd::prefetch_read`]).
-    #[inline]
-    pub(crate) fn prefetch_occupancy(&self, y: i64, x0: i64, x1: i64) {
-        let (occ, _) = self.bit_rows(y);
-        let (w0, w1) = (
-            (x0 - self.rect.x0) as usize / 64,
-            (x1 - self.rect.x0) as usize / 64,
-        );
-        crate::simd::prefetch_read(&occ[w0]);
-        if w1 != w0 {
-            crate::simd::prefetch_read(&occ[w1]);
-        }
-    }
-
-    /// Adds a circle's disk; returns the log-likelihood delta (sum of gains
-    /// of pixels newly covered).
-    pub fn add_circle(&mut self, circle: &Circle, gain: &Gain) -> f64 {
+    /// Adds (`ADD`) or removes `rows` (`(y, x0, x1)`, inside the grid) as one
+    /// disk; returns the log-likelihood delta — the summed gains of the
+    /// pixels newly covered, resp. minus those of the pixels uncovered.
+    fn apply_rows<const ADD: bool>(
+        &mut self,
+        rows: impl Iterator<Item = (i64, i64, i64)>,
+        gain: &Gain,
+    ) -> f64 {
         let mut dlog = 0.0;
         let rect = self.rect;
         let w = rect.width() as usize;
         let wpr = self.words_per_row;
         let mut fast_hits = 0u64;
         let mut skipped = 0u64;
-        for_each_disk_row(circle, &rect, |y, x0, x1| {
+        for (y, x0, x1) in rows {
             let row = (y - rect.y0) as usize;
             let b0 = (x0 - rect.x0) as usize;
             let b1 = (x1 - rect.x0) as usize;
             let len = b1 - b0 + 1;
             let counts = &mut self.counts[row * w..(row + 1) * w];
             let occ = &mut self.occ[row * wpr..(row + 1) * wpr];
-            if span_bits_all_zero(occ, b0, b1) {
-                // Overlap-free span: every pixel crosses 0→1 together, so
-                // the gain sum is one prefix-table subtraction.
+            let multi = &mut self.multi[row * wpr..(row + 1) * wpr];
+            // An add over no covered pixel crosses 0→1 everywhere, a remove
+            // over no doubly covered pixel (every count exactly 1) crosses
+            // 1→0 everywhere: the gain sum is one prefix-table subtraction.
+            if span_bits_all_zero(if ADD { occ } else { multi }, b0, b1) {
                 let pre = gain.row_prefix(y as u32);
-                dlog += pre[(x1 + 1) as usize] - pre[x0 as usize];
-                counts[b0..=b1].fill(1);
-                span_bits_set(occ, b0, b1);
-                self.covered += len;
+                let sum = pre[(x1 + 1) as usize] - pre[x0 as usize];
+                if ADD {
+                    dlog += sum;
+                    counts[b0..=b1].fill(1);
+                    span_bits_set(occ, b0, b1);
+                    self.covered += len;
+                } else {
+                    debug_assert!(counts[b0..=b1].iter().all(|&c| c == 1));
+                    dlog -= sum;
+                    counts[b0..=b1].fill(0);
+                    span_bits_clear(occ, b0, b1);
+                    self.covered -= len;
+                }
                 fast_hits += 1;
                 skipped += len as u64;
             } else {
-                let multi = &mut self.multi[row * wpr..(row + 1) * wpr];
-                dlog += mixed_add_row(
-                    counts,
-                    occ,
-                    multi,
-                    gain.row(y as u32),
-                    b0,
-                    b1,
-                    x0 as usize,
-                    &mut self.covered,
-                );
+                let (gains, covered) = (gain.row(y as u32), &mut self.covered);
+                if ADD {
+                    dlog += mixed_add_row(counts, occ, multi, gains, b0, b1, x0 as usize, covered);
+                } else {
+                    dlog -=
+                        mixed_remove_row(counts, occ, multi, gains, b0, b1, x0 as usize, covered);
+                }
             }
-        });
+        }
         crate::perf::add_span_fastpath_hits(fast_hits);
         crate::perf::add_pixels_skipped(skipped);
         dlog
+    }
+
+    /// Adds `circle`'s disk, whose rows `spans` holds unless the disk is too
+    /// large for a table; returns the log-likelihood delta.
+    pub(crate) fn add_disk(&mut self, circle: &Circle, spans: &SpanTable, gain: &Gain) -> f64 {
+        if spans.held() {
+            self.apply_rows::<true>(spans.rows(), gain)
+        } else {
+            self.apply_rows::<true>(disk_rows(circle, &self.rect), gain)
+        }
+    }
+
+    /// Removes `circle`'s disk, whose rows `spans` holds unless the disk is
+    /// too large for a table; returns the log-likelihood delta.
+    pub(crate) fn remove_disk(&mut self, circle: &Circle, spans: &SpanTable, gain: &Gain) -> f64 {
+        if spans.held() {
+            self.apply_rows::<false>(spans.rows(), gain)
+        } else {
+            self.apply_rows::<false>(disk_rows(circle, &self.rect), gain)
+        }
+    }
+
+    /// Adds a circle's disk; returns the log-likelihood delta (sum of gains
+    /// of pixels newly covered).
+    pub fn add_circle(&mut self, circle: &Circle, gain: &Gain) -> f64 {
+        self.add_disk(circle, &SpanTable::of(circle, &self.rect), gain)
     }
 
     /// Removes a circle's disk; returns the log-likelihood delta (negative
@@ -512,48 +942,7 @@ impl CoverageGrid {
     /// Panics in debug builds if a disk pixel has zero count (grid/circle
     /// mismatch).
     pub fn remove_circle(&mut self, circle: &Circle, gain: &Gain) -> f64 {
-        let mut dlog = 0.0;
-        let rect = self.rect;
-        let w = rect.width() as usize;
-        let wpr = self.words_per_row;
-        let mut fast_hits = 0u64;
-        let mut skipped = 0u64;
-        for_each_disk_row(circle, &rect, |y, x0, x1| {
-            let row = (y - rect.y0) as usize;
-            let b0 = (x0 - rect.x0) as usize;
-            let b1 = (x1 - rect.x0) as usize;
-            let len = b1 - b0 + 1;
-            let counts = &mut self.counts[row * w..(row + 1) * w];
-            let occ = &mut self.occ[row * wpr..(row + 1) * wpr];
-            let multi = &mut self.multi[row * wpr..(row + 1) * wpr];
-            if span_bits_all_zero(multi, b0, b1) {
-                // Every pixel of the span belongs to this disk alone
-                // (count exactly 1), so the whole span crosses 1→0 and the
-                // gain sum is one prefix-table subtraction.
-                debug_assert!(counts[b0..=b1].iter().all(|&c| c == 1));
-                let pre = gain.row_prefix(y as u32);
-                dlog -= pre[(x1 + 1) as usize] - pre[x0 as usize];
-                counts[b0..=b1].fill(0);
-                span_bits_clear(occ, b0, b1);
-                self.covered -= len;
-                fast_hits += 1;
-                skipped += len as u64;
-            } else {
-                dlog -= mixed_remove_row(
-                    counts,
-                    occ,
-                    multi,
-                    gain.row(y as u32),
-                    b0,
-                    b1,
-                    x0 as usize,
-                    &mut self.covered,
-                );
-            }
-        });
-        crate::perf::add_span_fastpath_hits(fast_hits);
-        crate::perf::add_pixels_skipped(skipped);
-        dlog
+        self.remove_disk(circle, &SpanTable::of(circle, &self.rect), gain)
     }
 
     /// Builds the grid for a set of circles from scratch and returns the
@@ -847,6 +1236,43 @@ mod tests {
         check(&grid, (60, 76), (1, 1), nothing(17)); // move pair intersection
         check(&grid, (60, 76), (1, 2), nothing(17)); // merge: net −1 under an add
         check(&grid, (60, 76), (2, 1), nothing(17)); // split: net +1 under a remove
+    }
+
+    /// An empty sliver is worth `−0.0` whatever its kind and wherever it
+    /// starts — one past a row that is a whole number of words wide
+    /// included — and counts as no work, so it leaves every accumulator as
+    /// it found it: `−0.0`, which `+0.0` would turn, too.
+    #[test]
+    fn empty_sliver_leaves_a_negative_zero_accumulator_alone() {
+        let (_, gain) = setup(128, 8);
+        let mut grid = CoverageGrid::new(Rect::new(0, 0, 128, 8));
+        grid.add_circle(&Circle::new(100.0, 4.0, 40.0), &gain);
+        assert_eq!((grid.count(59, 3), grid.count(127, 3)), (0, 1));
+        let row = grid.eval_rows(&gain, 3, 1).next().unwrap();
+        let negative_zero = (-0.0f64).to_bits();
+        for x0 in [0, 59, 60, 63, 64, 127, 128] {
+            for is_add in [false, true] {
+                let mut tally = SpanTally::default();
+                let worth = grid.short_segment(&gain, row, 3, x0, 0, is_add, &mut tally);
+                assert_eq!(worth.to_bits(), negative_zero, "x0 {x0} add {is_add}");
+                assert_eq!(tally, SpanTally::default());
+                let mut delta = -0.0f64;
+                delta += worth;
+                assert_eq!(delta.to_bits(), negative_zero);
+                assert_eq!((1.5f64 + worth).to_bits(), 1.5f64.to_bits());
+            }
+        }
+        // A removed and an added span that coincide: two empty slivers
+        // around pixels that nothing happens to.
+        let mut delta = -0.0f64;
+        let mut tally = SpanTally::default();
+        grid.pair_row(&gain, row, 3, (70, 127), (70, 127), &mut delta, &mut tally);
+        assert_eq!(delta.to_bits(), negative_zero);
+        let nothing_looked_at = SpanTally {
+            skipped: 58,
+            ..SpanTally::default()
+        };
+        assert_eq!(tally, nothing_looked_at);
     }
 
     #[test]

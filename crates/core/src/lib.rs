@@ -12,7 +12,8 @@
 //! * [`params`] — priors, the global/local move taxonomy of §V, proposal
 //!   scales;
 //! * [`likelihood`] / [`coverage`] — the two-level Gaussian pixel
-//!   likelihood with O(Δarea) incremental updates;
+//!   likelihood with O(Δarea) incremental updates, priced read-only by
+//!   whole-evaluation kernels over per-disk span tables;
 //! * [`simd`] — runtime-dispatched lane kernels behind the overlapped-span
 //!   residuals of those updates (scalar fallback via `PMCMC_FORCE_SCALAR=1`);
 //! * [`config`] — the chain state (circles + caches) with reversible
@@ -44,6 +45,7 @@ pub mod rng;
 pub mod sampler;
 pub mod samples;
 pub mod simd;
+mod spans;
 pub mod spatial;
 pub mod tile;
 

@@ -186,14 +186,14 @@ impl Gain {
         &self.prefix[start..start + w]
     }
 
-    /// Starts loading the two [`Gain::row_prefix`] entries that give the
-    /// gain of pixels `x0..=x1` of row `y` (see
-    /// [`crate::simd::prefetch_read`]).
+    /// [`Gain::row_prefix`] of rows `y..y + n`, sliced once.
+    ///
+    /// # Panics
+    /// Panics if a row is outside the image.
     #[inline]
-    pub(crate) fn prefetch_span_prefix(&self, y: u32, x0: usize, x1: usize) {
-        let pre = self.row_prefix(y);
-        crate::simd::prefetch_read(&pre[x0]);
-        crate::simd::prefetch_read(&pre[x1 + 1]);
+    pub(crate) fn prefix_rows(&self, y: usize, n: usize) -> std::slice::ChunksExact<'_, f64> {
+        let w = self.width as usize + 1;
+        self.prefix[y * w..(y + n) * w].chunks_exact(w)
     }
 
     /// Log-likelihood of the empty configuration (up to the Gaussian

@@ -109,6 +109,10 @@ pub struct TruncatedNormal {
     pub hi: f64,
     /// Cached `ln` of the truncation mass `Phi((hi-mu)/sigma) - Phi((lo-mu)/sigma)`.
     ln_mass: f64,
+    /// Cached `sigma.ln()` and `0.5 * (2π).ln()`, the two constants of
+    /// [`normal_logpdf`].
+    ln_sigma: f64,
+    half_ln_two_pi: f64,
 }
 
 impl TruncatedNormal {
@@ -127,6 +131,8 @@ impl TruncatedNormal {
             lo,
             hi,
             ln_mass: mass.max(1e-300).ln(),
+            ln_sigma: sigma.ln(),
+            half_ln_two_pi: 0.5 * (2.0 * std::f64::consts::PI).ln(),
         }
     }
 
@@ -136,7 +142,9 @@ impl TruncatedNormal {
         if x < self.lo || x > self.hi {
             return f64::NEG_INFINITY;
         }
-        normal_logpdf(x, self.mu, self.sigma) - self.ln_mass
+        // `normal_logpdf(x, mu, sigma)` with its logarithms cached.
+        let z = (x - self.mu) / self.sigma;
+        -0.5 * z * z - self.ln_sigma - self.half_ln_two_pi - self.ln_mass
     }
 
     /// Whether `x` lies in the support.

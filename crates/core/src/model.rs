@@ -16,18 +16,16 @@ pub struct NucleiModel {
     pub gain: Gain,
     /// Proposal distribution scales.
     pub scales: ProposalScales,
+    /// `ln params.expected_count` as of construction (the count prior is
+    /// evaluated twice per dimension-changing proposal).
+    ln_expected_count: f64,
 }
 
 impl NucleiModel {
     /// Builds the model for a filtered input image.
     #[must_use]
     pub fn new(img: &GrayImage, params: ModelParams) -> Self {
-        let gain = Gain::from_image(img, &params);
-        Self {
-            params,
-            gain,
-            scales: ProposalScales::default(),
-        }
+        Self::with_scales(img, params, ProposalScales::default())
     }
 
     /// Builds the model with explicit proposal scales.
@@ -35,6 +33,7 @@ impl NucleiModel {
     pub fn with_scales(img: &GrayImage, params: ModelParams, scales: ProposalScales) -> Self {
         let gain = Gain::from_image(img, &params);
         Self {
+            ln_expected_count: params.expected_count.ln(),
             params,
             gain,
             scales,
@@ -58,10 +57,28 @@ impl NucleiModel {
         params.height = gain.height();
         params.expected_count = expected_count;
         Self {
+            ln_expected_count: expected_count.ln(),
             params,
             gain,
             scales: self.scales,
         }
+    }
+
+    /// Point-process count log-density of `k` circles under the prior
+    /// intensity `λ = params.expected_count`: `k·ln λ − λ` (set convention,
+    /// see [`crate::Configuration::log_prior`]).
+    #[must_use]
+    pub fn count_log_prior(&self, k: usize) -> f64 {
+        let lambda = self.params.expected_count;
+        if lambda <= 0.0 {
+            return if k == 0 { 0.0 } else { f64::NEG_INFINITY };
+        }
+        debug_assert_eq!(
+            self.ln_expected_count.to_bits(),
+            lambda.ln().to_bits(),
+            "params.expected_count changed after the model was built"
+        );
+        k as f64 * self.ln_expected_count - lambda
     }
 
     /// Largest radius in the prior's support.

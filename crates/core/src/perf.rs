@@ -27,10 +27,10 @@ static PIXELS_SKIPPED: AtomicU64 = AtomicU64::new(0);
 static SIMD_LANES_PROCESSED: AtomicU64 = AtomicU64::new(0);
 static PROPOSAL_BATCHES: AtomicU64 = AtomicU64::new(0);
 
-/// Records one read-only proposal evaluation.
+/// Records `n` read-only proposal evaluations.
 #[inline]
-pub fn record_proposal_evaluated() {
-    PROPOSALS_EVALUATED.fetch_add(1, Relaxed);
+pub fn add_proposals_evaluated(n: u64) {
+    PROPOSALS_EVALUATED.fetch_add(n, Relaxed);
 }
 
 /// Records `n` pixels visited by a likelihood-delta walk.
@@ -178,7 +178,7 @@ mod tests {
     #[test]
     fn counters_accumulate_between_snapshots() {
         let s0 = snapshot();
-        record_proposal_evaluated();
+        add_proposals_evaluated(1);
         add_pixels_visited(42);
         record_pair_count_query(false);
         record_pair_count_query(true);
@@ -207,7 +207,7 @@ mod tests {
     #[test]
     fn since_saturates_instead_of_underflowing() {
         let newer = snapshot();
-        record_proposal_evaluated();
+        add_proposals_evaluated(1);
         let older_view = PerfSnapshot {
             proposals_evaluated: newer.proposals_evaluated + 10,
             ..newer

@@ -5,7 +5,7 @@
 //! for the `Mg` phases of periodic partitioning and for the per-partition
 //! chains of intelligent/blind partitioning.
 
-use crate::config::{count_log_prior, Configuration};
+use crate::config::{Configuration, EvalScratch};
 use crate::diagnostics::AcceptanceStats;
 use crate::model::NucleiModel;
 #[cfg(test)]
@@ -53,7 +53,22 @@ pub fn evaluate_proposal(
     model: &NucleiModel,
     proposal: &crate::moves::Proposal,
 ) -> Evaluation {
-    crate::perf::record_proposal_evaluated();
+    let mut scratch = EvalScratch::new();
+    let eval = evaluate_tallied(config, model, proposal, &mut scratch);
+    scratch.tally.flush();
+    eval
+}
+
+/// [`evaluate_proposal`] with the caller's scratch: the work is counted
+/// into `scratch.tally` instead of [`crate::perf`], whose counters every
+/// core shares.
+fn evaluate_tallied(
+    config: &Configuration,
+    model: &NucleiModel,
+    proposal: &crate::moves::Proposal,
+    scratch: &mut EvalScratch,
+) -> Evaluation {
+    scratch.tally.proposals += 1;
     let p = &model.params;
     // Support pre-check: outside the prior's support the ratio is -inf.
     if !proposal.edit.add.iter().all(|c| p.in_support(c)) {
@@ -64,8 +79,6 @@ pub fn evaluate_proposal(
     }
     let k = config.len();
     let dk = proposal.edit.dimension_delta();
-    let count_delta = count_log_prior((k as i64 + dk) as usize, p.expected_count)
-        - count_log_prior(k, p.expected_count);
     let radius_delta: f64 = proposal
         .edit
         .add
@@ -78,9 +91,20 @@ pub fn evaluate_proposal(
             .iter()
             .map(|&i| p.radius_prior.logpdf(config.circle(i).r))
             .sum::<f64>();
-    let position_delta = dk as f64 * p.position_log_density();
+    // A move that keeps the dimension (translate, resize, replace — most
+    // draws) has count terms that cancel to exactly `0.0` (under a prior
+    // that allows circles at all) and a position term of `0 × ln(W·H) =
+    // −0.0`, which the sum below would absorb without a bit changing:
+    // their three logarithms are not taken.
+    let prior_delta = if dk == 0 && p.expected_count > 0.0 {
+        0.0 + radius_delta
+    } else {
+        let count_delta =
+            model.count_log_prior((k as i64 + dk) as usize) - model.count_log_prior(k);
+        count_delta + radius_delta + dk as f64 * p.position_log_density()
+    };
     let d_overlap = config.delta_overlap_readonly(&proposal.edit, model);
-    let d_log_lik = config.delta_log_lik_readonly(&proposal.edit, model);
+    let d_log_lik = config.delta_log_lik_tallied(&proposal.edit, model, scratch);
 
     let mut log_q = proposal.log_q;
     if proposal.needs_post_pairs {
@@ -91,8 +115,7 @@ pub fn evaluate_proposal(
     }
 
     Evaluation {
-        d_log_posterior: count_delta + radius_delta + position_delta - p.overlap_gamma * d_overlap
-            + d_log_lik,
+        d_log_posterior: prior_delta - p.overlap_gamma * d_overlap + d_log_lik,
         log_q,
     }
 }
@@ -153,6 +176,9 @@ pub struct Sampler<'m> {
     /// 1.0 is the cold (target) chain; (MC)³ heats chains with `beta < 1`.
     pub beta: f64,
     iterations: u64,
+    /// Evaluation scratch; its tally is flushed to [`crate::perf`] at the
+    /// end of every public call.
+    eval: EvalScratch,
 }
 
 impl<'m> Sampler<'m> {
@@ -183,6 +209,7 @@ impl<'m> Sampler<'m> {
             stats: AcceptanceStats::new(),
             beta: 1.0,
             iterations: 0,
+            eval: EvalScratch::new(),
         }
     }
 
@@ -217,6 +244,13 @@ impl<'m> Sampler<'m> {
 
     /// Performs one MCMC iteration.
     pub fn step(&mut self) -> StepResult {
+        let result = self.step_tallied();
+        self.eval.tally.flush();
+        result
+    }
+
+    /// [`Sampler::step`] that leaves the evaluation's work in `self.eval`.
+    fn step_tallied(&mut self) -> StepResult {
         self.iterations += 1;
         if self.batch.begin_step() {
             // Pre-draw the burst's randomness in one compacting top-up.
@@ -244,7 +278,7 @@ impl<'m> Sampler<'m> {
         // speculative engine pre-draw per-lane streams and replay the
         // sequential chain bit-for-bit.
         let log_u = self.rng.gen::<f64>().ln();
-        let eval = evaluate_proposal(&self.config, self.model, &self.scratch);
+        let eval = evaluate_tallied(&self.config, self.model, &self.scratch, &mut self.eval);
         let log_alpha = eval.log_alpha(self.beta);
         let accept = log_alpha >= 0.0 || log_u < log_alpha;
         if accept {
@@ -259,11 +293,13 @@ impl<'m> Sampler<'m> {
         }
     }
 
-    /// Runs `n` iterations.
+    /// Runs `n` iterations. The [`crate::perf`] counters see their work
+    /// when the call returns.
     pub fn run(&mut self, n: u64) {
         for _ in 0..n {
-            self.step();
+            self.step_tallied();
         }
+        self.eval.tally.flush();
     }
 
     /// Runs `n` iterations, invoking `observer(iteration, &sampler)` every

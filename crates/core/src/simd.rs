@@ -30,6 +30,8 @@
 //! `occ` is clear), so those paths need only a bulk ±1 sweep plus — on
 //! remove — one [`eq_mask`] call to repair the `multi` plane.
 
+use crate::spans::SPAN_ROWS;
+use pmcmc_imaging::{Circle, Rect};
 use std::sync::atomic::{AtomicU8, Ordering::Relaxed};
 
 /// Which kernel implementation serves the process.
@@ -322,24 +324,40 @@ pub fn sum_gains_where_eq(counts: &[u16], gains: &[f64], target: u16) -> f64 {
     sum
 }
 
-/// Asks the cache hierarchy to start loading the line holding `*r`. Purely
-/// a hint — no architectural effect — so it needs no backend dispatch; a
-/// no-op off x86-64. The span walker issues it for the table rows of a
-/// *cold* added disk (birth, replace), whose ~20 rows would otherwise miss
-/// L2 one after the other.
-#[inline(always)]
-pub(crate) fn prefetch_read<T>(r: &T) {
+/// Tabulates [`crate::coverage::disk_row_span`] for rows `lo..lo + rows` of
+/// `circle` clipped to `rect`: row `lo + k` goes to `x0[k]..=x1[k]`, and bit
+/// `k` of the result is set iff that row is non-empty (the entries of an
+/// empty row are unspecified). The caller ([`crate::spans::SpanTable`])
+/// guarantees centre and `rect` within ±2³⁰ and a radius below 24, so
+/// every value on the way is an exact `i32`.
+///
+/// The vector path does four rows per step with the scalar path's
+/// operations in the scalar path's order — `vsqrtpd`, a separate multiply
+/// and subtract (no FMA), `vroundpd` for [`crate::math::ceil_i64`] /
+/// [`crate::math::floor_i64`], which it equals on that range — so the two
+/// tables are equal bit for bit.
+///
+/// # Panics
+/// Panics if `rows` exceeds the arrays.
+#[must_use]
+pub(crate) fn disk_spans(
+    circle: &Circle,
+    rect: &Rect,
+    lo: i64,
+    rows: usize,
+    x0: &mut [i32; SPAN_ROWS],
+    x1: &mut [i32; SPAN_ROWS],
+) -> u64 {
+    // The vector path stores whole groups of four rows without a bounds
+    // check; `SPAN_ROWS` is a multiple of four.
+    assert!(rows <= SPAN_ROWS, "span table holds {SPAN_ROWS} rows");
     #[cfg(target_arch = "x86_64")]
-    // SAFETY: `prefetcht0` is an SSE instruction (baseline on x86-64) that
-    // neither faults nor reads or writes architectural state, and the
-    // pointer comes from a live reference.
-    unsafe {
-        core::arch::x86_64::_mm_prefetch::<{ core::arch::x86_64::_MM_HINT_T0 }>(
-            std::ptr::from_ref(r).cast::<i8>(),
-        );
+    if backend() == Backend::Avx2 {
+        // SAFETY: dispatched only when AVX2+BMI2 are detected at runtime,
+        // and `rows <= SPAN_ROWS` was asserted above.
+        return unsafe { avx2::disk_spans(circle, rect, lo, rows, x0, x1) };
     }
-    #[cfg(not(target_arch = "x86_64"))]
-    let _ = r;
+    scalar::disk_spans(circle, rect, lo, rows, x0, x1)
 }
 
 /// Records `n` coverage counts pushed through a vector kernel; a no-op on
@@ -352,6 +370,8 @@ pub fn record_lanes(n: u64) {
 }
 
 mod scalar {
+    use super::{Circle, Rect, SPAN_ROWS};
+
     pub fn inc_counts(counts: &mut [u16]) -> (u64, u64) {
         let mut m1 = 0u64;
         let mut m2 = 0u64;
@@ -414,14 +434,38 @@ mod scalar {
         }
         (occ, multi)
     }
+
+    pub fn disk_spans(
+        circle: &Circle,
+        rect: &Rect,
+        lo: i64,
+        rows: usize,
+        x0: &mut [i32; SPAN_ROWS],
+        x1: &mut [i32; SPAN_ROWS],
+    ) -> u64 {
+        let r2 = circle.r * circle.r;
+        let mut nonempty = 0u64;
+        for (k, py) in (lo..).take(rows).enumerate() {
+            if let Some((a, b)) = crate::coverage::disk_row_span(circle, r2, py, rect) {
+                x0[k] = a as i32;
+                x1[k] = b as i32;
+                nonempty |= 1 << k;
+            }
+        }
+        nonempty
+    }
 }
 
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
+    use super::{Circle, Rect, SPAN_ROWS};
     use core::arch::x86_64::{
-        __m256i, _mm256_add_epi16, _mm256_cmpeq_epi16, _mm256_loadu_si256, _mm256_min_epu16,
-        _mm256_movemask_epi8, _mm256_set1_epi16, _mm256_setzero_si256, _mm256_storeu_si256,
-        _mm256_sub_epi16, _pext_u32,
+        __m128i, __m256i, _mm256_add_epi16, _mm256_add_pd, _mm256_and_pd, _mm256_ceil_pd,
+        _mm256_cmp_pd, _mm256_cmpeq_epi16, _mm256_cvttpd_epi32, _mm256_floor_pd,
+        _mm256_loadu_si256, _mm256_max_pd, _mm256_min_epu16, _mm256_min_pd, _mm256_movemask_epi8,
+        _mm256_movemask_pd, _mm256_mul_pd, _mm256_set1_epi16, _mm256_set1_pd, _mm256_set_pd,
+        _mm256_setzero_pd, _mm256_setzero_si256, _mm256_sqrt_pd, _mm256_storeu_si256,
+        _mm256_sub_epi16, _mm256_sub_pd, _mm_storeu_si128, _pext_u32, _CMP_GE_OQ, _CMP_LE_OQ,
     };
 
     /// Packs a 32-bit byte-lane movemask (2 identical bits per `u16`
@@ -575,6 +619,66 @@ mod avx2 {
         }
         let (t_occ, t_multi) = super::scalar::occupancy_masks(&counts[i..]);
         (occ | tail_shl(t_occ, i), multi | tail_shl(t_multi, i))
+    }
+
+    /// # Safety
+    /// Caller must ensure AVX2 and BMI2 are available on the running CPU
+    /// (the dispatcher checks `backend() == Backend::Avx2`, which is only
+    /// set after runtime feature detection) and `rows <= SPAN_ROWS`.
+    #[target_feature(enable = "avx2,bmi2")]
+    pub unsafe fn disk_spans(
+        circle: &Circle,
+        rect: &Rect,
+        lo: i64,
+        rows: usize,
+        x0: &mut [i32; SPAN_ROWS],
+        x1: &mut [i32; SPAN_ROWS],
+    ) -> u64 {
+        let (cx, cy) = (_mm256_set1_pd(circle.x), _mm256_set1_pd(circle.y));
+        let r2 = _mm256_set1_pd(circle.r * circle.r);
+        let half = _mm256_set1_pd(0.5);
+        let x_min = _mm256_set1_pd(rect.x0 as f64);
+        let x_max = _mm256_set1_pd((rect.x1 - 1) as f64);
+        // Pixel-centre ordinates `py + 0.5` of four rows; lanes past the
+        // last row are computed like the others and masked out.
+        let y_last = _mm256_set1_pd((lo + rows as i64 - 1) as f64 + 0.5);
+        let l = lo as f64;
+        let mut yc = _mm256_set_pd(l + 3.5, l + 2.5, l + 1.5, l + 0.5);
+        let mut nonempty = 0u64;
+        for step in 0..rows.div_ceil(4) {
+            let dy = _mm256_sub_pd(yc, cy);
+            let h2 = _mm256_sub_pd(r2, _mm256_mul_pd(dy, dy));
+            // NaN where the row misses the disk; `max`/`min` then pick
+            // their second operand, so the conversions below stay defined.
+            let h = _mm256_sqrt_pd(h2);
+            let left = _mm256_sub_pd(_mm256_sub_pd(cx, h), half);
+            let right = _mm256_sub_pd(_mm256_add_pd(cx, h), half);
+            let a = _mm256_max_pd(_mm256_ceil_pd(left), x_min);
+            let b = _mm256_min_pd(_mm256_floor_pd(right), x_max);
+            let hit = _mm256_and_pd(
+                _mm256_cmp_pd::<_CMP_GE_OQ>(h2, _mm256_setzero_pd()),
+                _mm256_and_pd(
+                    _mm256_cmp_pd::<_CMP_LE_OQ>(a, b),
+                    _mm256_cmp_pd::<_CMP_LE_OQ>(yc, y_last),
+                ),
+            );
+            nonempty |= (_mm256_movemask_pd(hit) as u64) << (4 * step);
+            // SAFETY: `step < rows.div_ceil(4) <= SPAN_ROWS / 4` (the
+            // caller's `rows <= SPAN_ROWS`), so lanes `4 * step..4 * step +
+            // 4` are inside both arrays for the unaligned 4-lane stores.
+            unsafe {
+                _mm_storeu_si128(
+                    x0.as_mut_ptr().add(4 * step).cast::<__m128i>(),
+                    _mm256_cvttpd_epi32(a),
+                );
+                _mm_storeu_si128(
+                    x1.as_mut_ptr().add(4 * step).cast::<__m128i>(),
+                    _mm256_cvttpd_epi32(b),
+                );
+            }
+            yc = _mm256_add_pd(yc, _mm256_set1_pd(4.0));
+        }
+        nonempty
     }
 }
 

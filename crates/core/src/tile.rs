@@ -34,12 +34,13 @@
 //!   circles on the master grid.
 
 use crate::config::{span_delta_log_lik, Configuration};
-use crate::coverage::CoverageGrid;
+use crate::coverage::{CoverageGrid, EditDisk, SpanTally};
 use crate::diagnostics::AcceptanceStats;
 use crate::likelihood::Gain;
 use crate::model::NucleiModel;
 use crate::params::MoveKind;
 use crate::rng::{standard_normal, Xoshiro256};
+use crate::spans::SpanTable;
 use crate::spatial::SpatialGrid;
 use pmcmc_imaging::{Circle, Rect};
 use rand::Rng;
@@ -91,6 +92,10 @@ pub struct TileState<'m> {
     margin: f64,
     entries: Vec<TileEntry>,
     eligible: Vec<usize>,
+    /// Slot for slot the row spans of the `eligible` circles, kept up to
+    /// date by [`TileState::local_step`]. An eligible disk lies inside the
+    /// tile, so its table is the same on any grid that contains the tile.
+    spans: Vec<SpanTable>,
     /// Spatial index over entry circles (entry indices as ids), so overlap
     /// deltas cost O(neighbours) rather than O(tile circles) — matching
     /// the master sampler's per-iteration cost, which the §VI model
@@ -104,6 +109,10 @@ pub struct TileState<'m> {
     pub d_radius_logprior: f64,
     /// Acceptance accounting for this worker.
     pub stats: AcceptanceStats,
+    /// Evaluation work not yet flushed to [`crate::perf`].
+    tally: SpanTally,
+    /// Room for the candidate's row spans.
+    candidate_spans: SpanTable,
 }
 
 impl<'m> TileState<'m> {
@@ -117,6 +126,7 @@ impl<'m> TileState<'m> {
     fn new(circles: &[Circle], model: &'m NucleiModel, rect: Rect) -> Self {
         let margin = model.interaction_margin();
         let mut entries = Vec::new();
+        let mut spans = Vec::new();
         let mut eligible = Vec::new();
         let mut spatial = SpatialGrid::over(rect, 2.0 * model.r_max());
         for (i, &c) in circles.iter().enumerate() {
@@ -124,6 +134,7 @@ impl<'m> TileState<'m> {
                 let ok = modifiable(&rect, &c, margin);
                 if ok {
                     eligible.push(entries.len());
+                    spans.push(SpanTable::of(&c, &rect));
                 }
                 spatial.insert(entries.len(), &c);
                 entries.push(TileEntry {
@@ -140,11 +151,14 @@ impl<'m> TileState<'m> {
             margin,
             entries,
             eligible,
+            spans,
             spatial,
             d_log_lik: 0.0,
             d_overlap: 0.0,
             d_radius_logprior: 0.0,
             stats: AcceptanceStats::new(),
+            tally: SpanTally::default(),
+            candidate_spans: SpanTable::EMPTY,
         }
     }
 
@@ -170,6 +184,8 @@ impl<'m> TileState<'m> {
     /// rectangle and encode the circles the tile was built over plus this
     /// tile's accepted moves; returns whether the move was accepted. The
     /// proposal is evaluated read-only; `grid` is written only on accept.
+    /// The evaluation's work stays in `self.tally` until
+    /// [`TileState::run_local`] flushes it.
     fn local_step(
         &mut self,
         grid: &mut CoverageGrid,
@@ -187,7 +203,8 @@ impl<'m> TileState<'m> {
             self.stats.record_invalid(kind);
             return false;
         }
-        let ei = self.eligible[rng.gen_range(0..self.eligible.len())];
+        let slot = rng.gen_range(0..self.eligible.len());
+        let ei = self.eligible[slot];
         debug_assert!(self.entries[ei].eligible, "eligible list out of sync");
         let old = self.entries[ei].circle;
         let candidate = if translate {
@@ -233,7 +250,18 @@ impl<'m> TileState<'m> {
         });
 
         let gain = &model.gain;
-        let d_log_lik = span_delta_log_lik(grid, &[(old, false), (candidate, true)], gain);
+        self.candidate_spans.fill(&candidate, &self.rect);
+        let removed = EditDisk {
+            circle: old,
+            spans: &self.spans[slot],
+            is_add: false,
+        };
+        let added = EditDisk {
+            circle: candidate,
+            spans: &self.candidate_spans,
+            is_add: true,
+        };
+        let d_log_lik = span_delta_log_lik(grid, gain, &[removed, added], &mut self.tally);
 
         let d_radius =
             model.params.radius_prior.logpdf(candidate.r) - model.params.radius_prior.logpdf(old.r);
@@ -241,8 +269,9 @@ impl<'m> TileState<'m> {
         let log_alpha = d_log_lik + d_radius - model.params.overlap_gamma * d_overlap;
         let accept = log_alpha >= 0.0 || rng.gen::<f64>().ln() < log_alpha;
         if accept {
-            grid.remove_circle(&old, gain);
-            grid.add_circle(&candidate, gain);
+            grid.remove_disk(&old, &self.spans[slot], gain);
+            grid.add_disk(&candidate, &self.candidate_spans, gain);
+            self.spans[slot] = self.candidate_spans;
             self.spatial.relocate(ei, &old, &candidate);
             self.entries[ei].circle = candidate;
             self.d_log_lik += d_log_lik;
@@ -253,6 +282,22 @@ impl<'m> TileState<'m> {
             self.stats.record_reject(kind);
         }
         accept
+    }
+
+    /// `n` local iterations on `grid` (see [`TileState::local_step`]). The
+    /// [`crate::perf`] counters see their work when the call returns.
+    fn run_local(
+        &mut self,
+        grid: &mut CoverageGrid,
+        n: u64,
+        p_translate: f64,
+        model: &NucleiModel,
+        rng: &mut Xoshiro256,
+    ) {
+        for _ in 0..n {
+            self.local_step(grid, p_translate, model, rng);
+        }
+        self.tally.flush();
     }
 
     /// The `(master index, old circle, new circle)` updates accumulated in
@@ -297,9 +342,8 @@ impl<'m> TileWorkspace<'m> {
         model: &NucleiModel,
         rng: &mut Xoshiro256,
     ) {
-        for _ in 0..n {
-            self.local_step(p_translate, model, rng);
-        }
+        self.state
+            .run_local(&mut self.coverage, n, p_translate, model, rng);
     }
 
     /// One local iteration; returns whether the move was accepted.
@@ -309,8 +353,11 @@ impl<'m> TileWorkspace<'m> {
         model: &NucleiModel,
         rng: &mut Xoshiro256,
     ) -> bool {
-        self.state
-            .local_step(&mut self.coverage, p_translate, model, rng)
+        let accepted = self
+            .state
+            .local_step(&mut self.coverage, p_translate, model, rng);
+        self.state.tally.flush();
+        accepted
     }
 
     /// The mutated coverage sub-grid.
@@ -399,9 +446,7 @@ impl Replica {
             tile.rect,
             "tile outside the replica"
         );
-        for _ in 0..n {
-            tile.local_step(&mut self.coverage, p_translate, model, rng);
-        }
+        tile.run_local(&mut self.coverage, n, p_translate, model, rng);
         for e in &tile.entries {
             self.circles[e.master_idx] = e.circle;
         }
