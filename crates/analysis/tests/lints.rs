@@ -87,7 +87,7 @@ fn determinism_fires_in_scope_and_spares_tests() {
 
 #[test]
 fn determinism_ignores_files_outside_scope() {
-    let file = fixture("determinism_violating.rs", "crates/bench/src/x.rs");
+    let file = fixture("determinism_violating.rs", "examples/x.rs");
     let mut allow = AllowTracker::new(&[]);
     let findings = lints::determinism::run(&file, &scopes(), &mut allow, Severity::Error);
     assert!(
@@ -160,7 +160,7 @@ fn panic_audit_fires_in_audited_paths() {
 
 #[test]
 fn panic_audit_ignores_unaudited_paths() {
-    let file = fixture("panic_violating.rs", "crates/bench/src/x.rs");
+    let file = fixture("panic_violating.rs", "examples/x.rs");
     let mut allow = AllowTracker::new(&[]);
     let findings = lints::panic_audit::run(&file, &panic_paths(), &mut allow, Severity::Error);
     assert!(findings.is_empty(), "unaudited path flagged: {findings:?}");

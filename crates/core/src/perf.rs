@@ -6,10 +6,10 @@
 //! measurable: the hot paths increment relaxed atomics (a handful of
 //! nanoseconds, no branches on the fast path), strategies snapshot the
 //! counters around a run, and the difference lands in `RunReport`
-//! diagnostics and the `BENCH_*.json` baselines.
+//! diagnostics and the benchmark's `core.perf.*` metrics.
 //!
 //! The counters are global to the process, so attribution is exact only
-//! when runs execute one at a time (as the bench harnesses do). Concurrent
+//! when runs execute one at a time (as the benchmark's `dense_*` units do). Concurrent
 //! runs see the union of their work — still useful for totals, not for
 //! per-run comparison.
 

@@ -44,7 +44,7 @@ pub enum Backend {
 }
 
 impl Backend {
-    /// Human-readable name, as stamped into bench artefacts and README.
+    /// Human-readable name, as the examples' header line and README print it.
     #[must_use]
     pub const fn name(self) -> &'static str {
         match self {

@@ -57,15 +57,6 @@ impl ColorImage {
         let i = (y as usize) * (self.width as usize) + (x as usize);
         self.data[i] = color;
     }
-
-    /// Plain luma conversion (Rec. 601 weights).
-    #[must_use]
-    pub fn to_luma(&self) -> GrayImage {
-        GrayImage::from_fn(self.width, self.height, |x, y| {
-            let [r, g, b] = self.get(x, y);
-            0.299 * r + 0.587 * g + 0.114 * b
-        })
-    }
 }
 
 /// Renders a synthetic *stained* micrograph: background tissue colour with
@@ -182,15 +173,6 @@ mod tests {
             "thresholded area {area} vs disk {}",
             c.area()
         );
-    }
-
-    #[test]
-    fn luma_of_gray_pixels_is_identity() {
-        let img = ColorImage::filled(4, 4, [0.5, 0.5, 0.5]);
-        let l = img.to_luma();
-        for (_, _, v) in l.pixels() {
-            assert!((v - 0.5).abs() < 1e-6);
-        }
     }
 
     #[test]

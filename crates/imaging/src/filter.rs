@@ -2,8 +2,8 @@
 //!
 //! The paper's pipeline first filters the input "to emphasise the colour of
 //! interest"; our synthetic scenes are generated directly in intensity
-//! space, so the filters here cover the remaining published steps: the
-//! threshold filter of eq. (5), smoothing, and normalisation.
+//! space, so the filters here cover the remaining published step: the
+//! threshold filter of eq. (5), with Otsu's method to pick `theta`.
 
 use crate::image::GrayImage;
 use crate::mask::Mask;
@@ -18,80 +18,6 @@ pub fn threshold(img: &GrayImage, theta: f32) -> Mask {
         }
     }
     m
-}
-
-/// Linearly rescales intensities so that the minimum maps to 0 and the
-/// maximum to 1. Constant images map to all-zero.
-#[must_use]
-pub fn normalize(img: &GrayImage) -> GrayImage {
-    let (mn, mx) = img.min_max();
-    let range = mx - mn;
-    if range <= 0.0 {
-        return GrayImage::zeros(img.width(), img.height());
-    }
-    GrayImage::from_fn(img.width(), img.height(), |x, y| {
-        (img.get(x, y) - mn) / range
-    })
-}
-
-/// Inverts intensities: `1 - I`. Useful when artifacts are dark on light.
-#[must_use]
-pub fn invert(img: &GrayImage) -> GrayImage {
-    GrayImage::from_fn(img.width(), img.height(), |x, y| 1.0 - img.get(x, y))
-}
-
-/// Box blur with a `(2k+1) × (2k+1)` window, edge-clamped.
-#[must_use]
-pub fn box_blur(img: &GrayImage, k: u32) -> GrayImage {
-    if k == 0 {
-        return img.clone();
-    }
-    let horiz = blur_1d(img, k, true);
-    blur_1d(&horiz, k, false)
-}
-
-/// Separable Gaussian blur with standard deviation `sigma` (pixels).
-/// The kernel is truncated at `3 sigma` and normalised; edges are clamped.
-#[must_use]
-pub fn gaussian_blur(img: &GrayImage, sigma: f32) -> GrayImage {
-    if sigma <= 0.0 {
-        return img.clone();
-    }
-    let radius = (3.0 * sigma).ceil() as i64;
-    let mut kernel = Vec::with_capacity((2 * radius + 1) as usize);
-    let s2 = 2.0 * f64::from(sigma) * f64::from(sigma);
-    for i in -radius..=radius {
-        kernel.push((-((i * i) as f64) / s2).exp());
-    }
-    let norm: f64 = kernel.iter().sum();
-    for k in &mut kernel {
-        *k /= norm;
-    }
-    let horiz = convolve_1d(img, &kernel, true);
-    convolve_1d(&horiz, &kernel, false)
-}
-
-fn blur_1d(img: &GrayImage, k: u32, horizontal: bool) -> GrayImage {
-    let kernel = vec![1.0 / f64::from(2 * k + 1); (2 * k + 1) as usize];
-    convolve_1d(img, &kernel, horizontal)
-}
-
-fn convolve_1d(img: &GrayImage, kernel: &[f64], horizontal: bool) -> GrayImage {
-    let radius = (kernel.len() / 2) as i64;
-    let (w, h) = (img.width(), img.height());
-    GrayImage::from_fn(w, h, |x, y| {
-        let mut acc = 0.0f64;
-        for (i, &kv) in kernel.iter().enumerate() {
-            let o = i as i64 - radius;
-            let (sx, sy) = if horizontal {
-                ((i64::from(x) + o).clamp(0, i64::from(w) - 1), i64::from(y))
-            } else {
-                (i64::from(x), (i64::from(y) + o).clamp(0, i64::from(h) - 1))
-            };
-            acc += kv * f64::from(img.get(sx as u32, sy as u32));
-        }
-        acc as f32
-    })
 }
 
 /// Otsu's automatic threshold over a 256-bin histogram; returns the
@@ -160,62 +86,6 @@ mod tests {
         assert!(m.get(0, 1));
         assert!(m.get(1, 1));
         assert_eq!(m.count_ones(), 2);
-    }
-
-    #[test]
-    fn normalize_full_range() {
-        let img = GrayImage::from_vec(3, 1, vec![2.0, 4.0, 6.0]);
-        let n = normalize(&img);
-        assert_eq!(n.as_slice(), &[0.0, 0.5, 1.0]);
-    }
-
-    #[test]
-    fn normalize_constant_is_zero() {
-        let img = GrayImage::filled(3, 3, 0.7);
-        assert_eq!(normalize(&img).min_max(), (0.0, 0.0));
-    }
-
-    #[test]
-    fn invert_flips() {
-        let img = GrayImage::from_vec(2, 1, vec![0.0, 1.0]);
-        assert_eq!(invert(&img).as_slice(), &[1.0, 0.0]);
-    }
-
-    #[test]
-    fn box_blur_preserves_constant() {
-        let img = GrayImage::filled(9, 9, 0.4);
-        let b = box_blur(&img, 2);
-        for (_, _, v) in b.pixels() {
-            assert!((v - 0.4).abs() < 1e-6);
-        }
-    }
-
-    #[test]
-    fn box_blur_zero_radius_identity() {
-        let img = GrayImage::from_fn(4, 4, |x, y| (x + y) as f32);
-        assert_eq!(box_blur(&img, 0), img);
-    }
-
-    #[test]
-    fn gaussian_blur_preserves_mass_roughly() {
-        let mut img = GrayImage::zeros(21, 21);
-        img.set(10, 10, 1.0);
-        let g = gaussian_blur(&img, 2.0);
-        let total: f32 = g.as_slice().iter().sum();
-        assert!((total - 1.0).abs() < 1e-3, "mass {total}");
-        // Peak stays at centre.
-        let centre = g.get(10, 10);
-        for (_, _, v) in g.pixels() {
-            assert!(v <= centre + 1e-6);
-        }
-    }
-
-    #[test]
-    fn gaussian_blur_smooths_edges() {
-        let img = GrayImage::from_fn(20, 1, |x, _| if x < 10 { 0.0 } else { 1.0 });
-        let g = gaussian_blur(&img, 1.5);
-        let mid = g.get(10, 0);
-        assert!(mid > 0.2 && mid < 0.8, "edge should be smoothed, got {mid}");
     }
 
     #[test]

@@ -110,13 +110,6 @@ impl Rect {
         )
     }
 
-    /// Shrinks the rectangle by `margin` pixels on every side (may become
-    /// empty).
-    #[must_use]
-    pub const fn deflate(&self, margin: i64) -> Rect {
-        self.inflate(-margin)
-    }
-
     /// Whether the closed disk of `circle`, inflated by `margin`, lies
     /// strictly inside the rectangle. This is the paper's safeguard test: a
     /// feature may only be modified when its full prior/likelihood
@@ -397,12 +390,6 @@ mod tests {
         assert!(a.intersects(&b));
         let c = Rect::new(10, 0, 20, 10);
         assert!(!a.intersects(&c), "touching edges share no pixel");
-    }
-
-    #[test]
-    fn rect_inflate_deflate_roundtrip() {
-        let r = Rect::new(2, 3, 9, 11);
-        assert_eq!(r.inflate(2).deflate(2), r);
     }
 
     #[test]

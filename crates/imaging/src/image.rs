@@ -97,12 +97,6 @@ impl GrayImage {
         Rect::of_image(self.width, self.height)
     }
 
-    /// Whether `(x, y)` (signed) is a valid pixel coordinate.
-    #[must_use]
-    pub const fn in_bounds(&self, x: i64, y: i64) -> bool {
-        x >= 0 && y >= 0 && x < self.width as i64 && y < self.height as i64
-    }
-
     #[inline]
     fn index(&self, x: u32, y: u32) -> usize {
         debug_assert!(x < self.width && y < self.height);
@@ -117,17 +111,6 @@ impl GrayImage {
     #[must_use]
     pub fn get(&self, x: u32, y: u32) -> f32 {
         self.data[self.index(x, y)]
-    }
-
-    /// Intensity at a signed coordinate, or `None` when outside the image.
-    #[inline]
-    #[must_use]
-    pub fn get_checked(&self, x: i64, y: i64) -> Option<f32> {
-        if self.in_bounds(x, y) {
-            Some(self.get(x as u32, y as u32))
-        } else {
-            None
-        }
     }
 
     /// Sets the intensity at `(x, y)`.
@@ -203,21 +186,6 @@ impl GrayImage {
         }
     }
 
-    /// Blanks (sets to `value`) every pixel *outside* `rect`.
-    ///
-    /// Intelligent partitioning "blanks out" the pixel data of neighbouring
-    /// partitions so the likelihood is oblivious to them (§VIII).
-    pub fn blank_outside(&mut self, rect: &Rect, value: f32) {
-        let keep = rect.intersect(&self.frame());
-        for y in 0..self.height {
-            for x in 0..self.width {
-                if !keep.contains(i64::from(x), i64::from(y)) {
-                    self.set(x, y, value);
-                }
-            }
-        }
-    }
-
     /// Mean intensity (0 for empty images).
     #[must_use]
     pub fn mean(&self) -> f64 {
@@ -274,14 +242,6 @@ mod tests {
     }
 
     #[test]
-    fn get_checked_bounds() {
-        let img = GrayImage::filled(2, 2, 1.0);
-        assert_eq!(img.get_checked(0, 0), Some(1.0));
-        assert_eq!(img.get_checked(-1, 0), None);
-        assert_eq!(img.get_checked(0, 2), None);
-    }
-
-    #[test]
     fn crop_extracts_subrect() {
         let img = GrayImage::from_fn(5, 4, |x, y| (y * 5 + x) as f32);
         let sub = img.crop(&Rect::new(1, 1, 4, 3));
@@ -310,16 +270,6 @@ mod tests {
         for (x, y) in rect.pixels_clipped(&img.frame()) {
             assert_eq!(out.get(x as u32, y as u32), img.get(x as u32, y as u32));
         }
-    }
-
-    #[test]
-    fn blank_outside_keeps_rect() {
-        let mut img = GrayImage::filled(4, 4, 1.0);
-        img.blank_outside(&Rect::new(1, 1, 3, 3), 0.0);
-        assert_eq!(img.get(0, 0), 0.0);
-        assert_eq!(img.get(1, 1), 1.0);
-        assert_eq!(img.get(2, 2), 1.0);
-        assert_eq!(img.get(3, 3), 0.0);
     }
 
     #[test]

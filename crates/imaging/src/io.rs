@@ -26,8 +26,6 @@ pub mod colors {
     pub const GREEN: [u8; 3] = [40, 200, 60];
     /// Blue overlay (partition lines).
     pub const BLUE: [u8; 3] = [60, 90, 230];
-    /// Yellow overlay (disputed artifacts).
-    pub const YELLOW: [u8; 3] = [240, 220, 50];
     /// Cyan overlay (overlap bands).
     pub const CYAN: [u8; 3] = [60, 220, 220];
 }

@@ -9,32 +9,25 @@
 //!
 //! * [`image::GrayImage`] — dense grayscale images with sub-rect extraction;
 //! * [`mask::Mask`] — bit-packed binary masks (threshold filter output);
-//! * [`integral::IntegralImage`] — O(1) rectangle sums (eq. 5 densities);
-//! * [`filter`] — threshold / blur / normalise / Otsu pre-processing;
-//! * [`components`] — connected-component labelling;
+//! * [`filter`] — the eq. (5) threshold filter and Otsu's automatic threshold;
 //! * [`synth`] — synthetic cell/bead scene generation with ground truth
 //!   (substitute for the paper's unpublished micrographs, see DESIGN.md §5);
 //! * [`io`] — PGM/PPM files and annotated overlays (Fig. 3/4 panels);
 //! * [`color`] — RGB stained-micrograph rendering and the §III
 //!   colour-emphasis filter;
-//! * [`morphology`] — binary open/close for pre-processor robustness;
 //! * [`geometry`] — rectangles, circles and the random-offset partition
 //!   grids of §V.
 
 #![warn(missing_docs)]
 
 pub mod color;
-pub mod components;
 pub mod filter;
 pub mod geometry;
 pub mod image;
-pub mod integral;
 pub mod io;
 pub mod mask;
-pub mod morphology;
 pub mod synth;
 
 pub use geometry::{corner_tiles, regular_tiles, Circle, PartitionGrid, Rect};
 pub use image::GrayImage;
-pub use integral::IntegralImage;
 pub use mask::Mask;

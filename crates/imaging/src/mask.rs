@@ -89,18 +89,6 @@ impl Mask {
         n
     }
 
-    /// Whether the whole row `y` contains no set bits.
-    #[must_use]
-    pub fn row_empty(&self, y: u32) -> bool {
-        (0..self.width).all(|x| !self.get(x, y))
-    }
-
-    /// Whether the whole column `x` contains no set bits.
-    #[must_use]
-    pub fn col_empty(&self, x: u32) -> bool {
-        (0..self.height).all(|y| !self.get(x, y))
-    }
-
     /// Whether row `y`, restricted to columns `[x0, x1)`, is empty.
     #[must_use]
     pub fn row_empty_in(&self, y: u32, x0: u32, x1: u32) -> bool {
@@ -112,31 +100,6 @@ impl Mask {
     pub fn col_empty_in(&self, x: u32, y0: u32, y1: u32) -> bool {
         (y0..y1.min(self.height)).all(|y| !self.get(x, y))
     }
-
-    /// Iterates the coordinates of all set pixels in row-major order.
-    pub fn ones(&self) -> impl Iterator<Item = (u32, u32)> + '_ {
-        (0..self.height)
-            .flat_map(move |y| (0..self.width).map(move |x| (x, y)))
-            .filter(move |&(x, y)| self.get(x, y))
-    }
-
-    /// Tight bounding box of set pixels, or `None` when the mask is empty.
-    #[must_use]
-    pub fn bounding_box(&self) -> Option<Rect> {
-        let (mut x0, mut y0) = (i64::MAX, i64::MAX);
-        let (mut x1, mut y1) = (i64::MIN, i64::MIN);
-        for (x, y) in self.ones() {
-            x0 = x0.min(i64::from(x));
-            y0 = y0.min(i64::from(y));
-            x1 = x1.max(i64::from(x) + 1);
-            y1 = y1.max(i64::from(y) + 1);
-        }
-        if x0 == i64::MAX {
-            None
-        } else {
-            Some(Rect::new(x0, y0, x1, y1))
-        }
-    }
 }
 
 #[cfg(test)]
@@ -147,9 +110,6 @@ mod tests {
     fn zeros_is_empty() {
         let m = Mask::zeros(10, 7);
         assert_eq!(m.count_ones(), 0);
-        assert!(m.row_empty(3));
-        assert!(m.col_empty(9));
-        assert_eq!(m.bounding_box(), None);
     }
 
     #[test]
@@ -181,23 +141,9 @@ mod tests {
     fn row_col_emptiness() {
         let mut m = Mask::zeros(5, 5);
         m.set(2, 3, true);
-        assert!(!m.row_empty(3));
-        assert!(m.row_empty(2));
-        assert!(!m.col_empty(2));
-        assert!(m.col_empty(3));
         assert!(m.row_empty_in(3, 0, 2));
         assert!(!m.row_empty_in(3, 0, 3));
         assert!(m.col_empty_in(2, 0, 3));
         assert!(!m.col_empty_in(2, 0, 4));
-    }
-
-    #[test]
-    fn ones_iterator_and_bbox() {
-        let mut m = Mask::zeros(6, 6);
-        m.set(1, 2, true);
-        m.set(4, 5, true);
-        let pts: Vec<_> = m.ones().collect();
-        assert_eq!(pts, vec![(1, 2), (4, 5)]);
-        assert_eq!(m.bounding_box(), Some(Rect::new(1, 2, 5, 6)));
     }
 }

@@ -2,8 +2,7 @@
 
 use pmcmc_imaging::filter::threshold;
 use pmcmc_imaging::geometry::{corner_tiles, regular_tiles};
-use pmcmc_imaging::morphology::{close, dilate, erode, open};
-use pmcmc_imaging::{Circle, GrayImage, IntegralImage, Mask, PartitionGrid, Rect};
+use pmcmc_imaging::{Circle, GrayImage, PartitionGrid, Rect};
 use proptest::prelude::*;
 
 fn arb_image(max_side: u32) -> impl Strategy<Value = GrayImage> {
@@ -18,48 +17,13 @@ fn arb_image(max_side: u32) -> impl Strategy<Value = GrayImage> {
     })
 }
 
-fn arb_mask(max_side: u32) -> impl Strategy<Value = Mask> {
-    (2..max_side, 2..max_side, any::<u64>(), 1u32..30).prop_map(|(w, h, seed, density)| {
-        let mut s = seed;
-        let mut m = Mask::zeros(w, h);
-        for y in 0..h {
-            for x in 0..w {
-                s = s.wrapping_mul(6364136223846793005).wrapping_add(1);
-                if (s >> 33) % 100 < u64::from(density) {
-                    m.set(x, y, true);
-                }
-            }
-        }
-        m
-    })
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Integral-image rectangle sums equal naive summation for arbitrary
-    /// rectangles (including out-of-bounds and empty ones).
-    #[test]
-    fn integral_matches_naive(
-        img in arb_image(40),
-        x0 in -10i64..50, y0 in -10i64..50,
-        x1 in -10i64..50, y1 in -10i64..50,
-    ) {
-        let ii = IntegralImage::new(&img);
-        let rect = Rect::new(x0, y0, x1, y1);
-        let naive: f64 = rect
-            .pixels_clipped(&img.frame())
-            .map(|(x, y)| f64::from(img.get(x as u32, y as u32)))
-            .sum();
-        prop_assert!((ii.sum(&rect) - naive).abs() < 1e-6);
-    }
-
-    /// Thresholding then counting equals the mask-based integral count.
+    /// The threshold mask sets exactly the pixels above `theta`.
     #[test]
     fn threshold_counts_agree(img in arb_image(40), theta in 0.0f32..1.0) {
         let mask = threshold(&img, theta);
-        let ii = IntegralImage::of_mask(&mask);
-        prop_assert_eq!(mask.count_ones(), ii.total().round() as usize);
         let naive = img.pixels().filter(|&(_, _, v)| v > theta).count();
         prop_assert_eq!(mask.count_ones(), naive);
     }
@@ -79,35 +43,6 @@ proptest! {
         for (x, y) in clipped.pixels_clipped(&img.frame()) {
             prop_assert_eq!(out.get(x as u32, y as u32), img.get(x as u32, y as u32));
         }
-    }
-
-    /// Erosion shrinks, dilation grows, and open/close are sandwiched
-    /// between them (standard morphology ordering).
-    #[test]
-    fn morphology_ordering(mask in arb_mask(24), r in 1u32..3) {
-        let e = erode(&mask, r);
-        let d = dilate(&mask, r);
-        let o = open(&mask, r);
-        let c = close(&mask, r);
-        for y in 0..mask.height() {
-            for x in 0..mask.width() {
-                // erode ⊆ original ⊆ dilate
-                prop_assert!(!e.get(x, y) || mask.get(x, y));
-                prop_assert!(!mask.get(x, y) || d.get(x, y));
-                // open ⊆ original ⊆ close
-                prop_assert!(!o.get(x, y) || mask.get(x, y));
-                prop_assert!(!mask.get(x, y) || c.get(x, y));
-            }
-        }
-    }
-
-    /// Open and close are idempotent.
-    #[test]
-    fn morphology_idempotence(mask in arb_mask(20), r in 1u32..3) {
-        let o = open(&mask, r);
-        prop_assert_eq!(open(&o, r), o.clone());
-        let c = close(&mask, r);
-        prop_assert_eq!(close(&c, r), c.clone());
     }
 
     /// Any grid with any offset tiles any image exactly.
@@ -156,17 +91,6 @@ proptest! {
         } else if a.centre_distance(&b) + r1.min(r2) * 0.999 < r1.max(r2) {
             // One strictly inside the other: lens = smaller disk.
             prop_assert!((ab - min_area).abs() < 1e-6);
-        }
-    }
-
-    /// Connected components partition the set pixels.
-    #[test]
-    fn components_partition_mask(mask in arb_mask(24)) {
-        let labeling = pmcmc_imaging::components::label_components(&mask);
-        let total: usize = labeling.components.iter().map(|c| c.pixel_count).sum();
-        prop_assert_eq!(total, mask.count_ones());
-        for (x, y) in mask.ones() {
-            prop_assert!(labeling.label_at(x, y).is_some());
         }
     }
 }

@@ -6,8 +6,9 @@
 //!
 //! Prints `listening on <addr>` once bound (port 0 resolves to the real
 //! port), then serves coordinator sessions until one sends `Shutdown`.
-//! The distributed chaos test and `examples/cluster.rs --distributed`
-//! spawn this binary; production deployments run one per machine.
+//! The chaos test beside it (`tests/distributed.rs`) spawns this binary;
+//! production deployments run one per machine. `examples/cluster.rs
+//! --distributed` runs the same daemon in-process (`InProcessDaemon`).
 
 use pmcmc_parallel::job::NodeDaemon;
 use std::time::Duration;

@@ -217,8 +217,8 @@ pub struct NodeTiming {
     pub busy: Duration,
 }
 
-/// Run accounting beyond the final state: everything the bench tables
-/// report.
+/// Run accounting beyond the final state: everything the examples'
+/// tables and the benchmark's per-layer metrics report.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct RunDiagnostics {
     /// Number of partitions / tiles / chains the scheme fanned out over

@@ -12,9 +12,9 @@
 //! capacity are bounced back with `Requeue` for the coordinator to place
 //! elsewhere.
 //!
-//! The binary wrapper lives in `pmcmc-bench` (`node_daemon`); this module
-//! keeps the logic in-library so tests and examples can run daemons
-//! in-process on loopback sockets.
+//! The binary wrapper is this crate's `node_daemon` (`src/bin/`); this
+//! module keeps the logic in-library so tests and examples can run
+//! daemons in-process on loopback sockets.
 
 use crate::job::error::RunError;
 use crate::job::runner::run_blueprint;
@@ -262,9 +262,9 @@ impl NodeDaemon {
     }
 }
 
-/// A daemon running on a background thread of this process — the
-/// harness tests, benches and the example use to stand up loopback
-/// clusters without spawning processes.
+/// A daemon running on a background thread of this process — what the
+/// tests, the benchmark and `examples/cluster.rs` use to stand up
+/// loopback clusters without spawning processes.
 pub struct InProcessDaemon {
     addr: SocketAddr,
     thread: Option<std::thread::JoinHandle<Result<(), WireError>>>,

@@ -17,7 +17,6 @@
 //! * [`subchain`] — shared per-partition chain machinery (eq. 5 priors,
 //!   convergence detection).
 //! * [`theory`] — the runtime models of §VI (eqs. 2–4, Fig. 1).
-//! * [`report`] — table rendering for the bench harnesses.
 //!
 //! All of the schemes are additionally exposed through the unified
 //! [`engine`] layer — a typed [`engine::StrategySpec`] (with
@@ -49,7 +48,6 @@ pub mod job;
 pub mod mc3par;
 pub mod naive;
 pub mod periodic;
-pub mod report;
 pub mod speculative;
 pub mod subchain;
 pub mod theory;

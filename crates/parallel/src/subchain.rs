@@ -76,18 +76,6 @@ pub struct SubChainResult {
     pub stats: AcceptanceStats,
 }
 
-impl SubChainResult {
-    /// Mean wall time per iteration, in seconds.
-    #[must_use]
-    pub fn time_per_iter(&self) -> f64 {
-        if self.iterations == 0 {
-            0.0
-        } else {
-            self.runtime.as_secs_f64() / self.iterations as f64
-        }
-    }
-}
-
 /// Runs an independent chain on `rect` of `img`. The partition's sub-model
 /// is derived from the prebuilt full-image model via [`NucleiModel::crop`]:
 /// the gain tables are row-copied instead of recomputed from pixels, which

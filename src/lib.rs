@@ -89,15 +89,29 @@
 //! phase-level accounting, or [`parallel::run_blind`] for seam-merge
 //! details.
 //!
-//! See `examples/` for the full pipelines (`strategy_sweep` drives every
-//! registered strategy through the job API with live progress) and
-//! `crates/bench` for the harnesses regenerating every table and figure of
-//! the paper.
+//! See `examples/` for the full pipelines: one example per claim of the
+//! paper, each printing the paper's published numbers beside its own
+//! (`strategy_sweep` drives every registered strategy through the job API
+//! with live progress). Speed is measured by `benchmark/` alone.
 
 pub use pmcmc_core as core;
 pub use pmcmc_imaging as imaging;
 pub use pmcmc_parallel as parallel;
 pub use pmcmc_runtime as runtime;
+
+/// Prints the provenance line every paper-reproduction example opens with
+/// and returns `(logical cores, quick mode)`. A sweep row wider than the
+/// cores time-slices its threads and says nothing about eqs. (2)/(3): the
+/// examples flag such a row, and skip it in quick mode (`PMCMC_QUICK`).
+#[must_use]
+pub fn example_header(title: &str) -> (usize, bool) {
+    let cores = std::thread::available_parallelism().map_or(1, usize::from);
+    let quick = std::env::var_os("PMCMC_QUICK").is_some();
+    let simd = pmcmc_core::simd::backend().name();
+    let mode = if quick { "quick" } else { "full" };
+    println!("# {title} [{cores} logical cores, {simd} kernels, {mode} mode]");
+    (cores, quick)
+}
 
 /// One-stop imports for applications.
 pub mod prelude {
