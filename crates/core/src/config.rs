@@ -1,8 +1,10 @@
 //! The chain state: a circle configuration with incremental caches.
 //!
 //! `Configuration` owns the circle list, the coverage grid, the spatial
-//! index and two running sums (log-likelihood relative to the empty
-//! configuration, and total pairwise overlap area). All moves are applied
+//! index, two running sums (log-likelihood relative to the empty
+//! configuration, and total pairwise overlap area) and, per circle, its
+//! total lens area with all the others — what lets the samplers bound a
+//! proposal's overlap term before computing it. All moves are applied
 //! through [`Edit`]s, which return a [`Receipt`] carrying the cache deltas
 //! needed by the Metropolis–Hastings ratio and enough information to build
 //! the exact inverse edit when a proposal is rejected.
@@ -153,6 +155,10 @@ pub struct Configuration {
     spatial: SpatialGrid,
     log_lik: f64,
     overlap_area: f64,
+    /// Slot for slot with `circles`, each circle's summed lens area with all
+    /// the other circles, kept up to date from the pairwise areas that
+    /// [`Configuration::apply`] and the tile merge compute anyway.
+    overlap_of: Vec<f64>,
     /// Memoised close-pair list from the last enumeration, invalidated by
     /// any circle-list mutation. Split proposals query the *same* base
     /// count every iteration (the after-edit count starts from it) and a
@@ -183,6 +189,7 @@ impl Clone for Configuration {
             spatial: self.spatial.clone(),
             log_lik: self.log_lik,
             overlap_area: self.overlap_area,
+            overlap_of: self.overlap_of.clone(),
             pair_cache: std::sync::Mutex::new(self.pair_cache.lock().unwrap().clone()),
         }
     }
@@ -200,6 +207,7 @@ impl Configuration {
             spatial: SpatialGrid::new(w, h, 2.0 * model.r_max()),
             log_lik: 0.0,
             overlap_area: 0.0,
+            overlap_of: Vec::new(),
             pair_cache: std::sync::Mutex::new(PairMemo::default()),
         }
     }
@@ -267,6 +275,14 @@ impl Configuration {
         self.overlap_area
     }
 
+    /// Summed lens area of circle `i` with every other circle. Over the
+    /// circles an edit removes, it bounds the overlap area the edit can
+    /// lose: `Σ overlap_of(i) ≥ −delta_overlap_readonly`.
+    #[must_use]
+    pub fn overlap_of(&self, i: usize) -> f64 {
+        self.overlap_of[i]
+    }
+
     /// Read access to the coverage grid.
     #[must_use]
     pub const fn coverage(&self) -> &CoverageGrid {
@@ -316,6 +332,29 @@ impl Configuration {
         total
     }
 
+    /// [`Configuration::overlap_with`] (excluding circle `skip` only) that
+    /// also adds `sign ×` each lens area to the neighbour's `overlap_of`
+    /// entry: `+1.0` when `c` joins the configuration, `−1.0` when it
+    /// leaves. The sum comes out in `overlap_with`'s order, to the bit.
+    fn link(&mut self, c: &Circle, skip: usize, sign: f64, model: &NucleiModel) -> f64 {
+        let Self {
+            spatial,
+            circles,
+            overlap_of,
+            ..
+        } = self;
+        let mut total = 0.0;
+        spatial.for_neighbors(c.x, c.y, c.r + model.r_max(), |id| {
+            if id == skip {
+                return;
+            }
+            let area = c.intersection_area(&circles[id]);
+            overlap_of[id] += sign * area;
+            total += area;
+        });
+        total
+    }
+
     /// Applies an edit, updating all caches, and returns the receipt.
     ///
     /// # Panics
@@ -338,18 +377,20 @@ impl Configuration {
             let c = self.circles[i];
             // Pairs with all *still indexed* circles: pairs among removed
             // circles are thereby counted exactly once.
-            d_overlap -= self.overlap_with(&c, &[i], model);
+            d_overlap -= self.link(&c, i, -1.0, model);
             d_log_lik += self.coverage.remove_disk(&c, &self.spans[i], gain);
             self.remove_at(i);
             removed.push(c);
         }
         for &c in &edit.add {
-            d_overlap += self.overlap_with(&c, &[], model);
+            let overlap = self.link(&c, usize::MAX, 1.0, model);
+            d_overlap += overlap;
             let spans = SpanTable::of(&c, &self.coverage.rect());
             d_log_lik += self.coverage.add_disk(&c, &spans, gain);
             let id = self.circles.len();
             self.circles.push(c);
             self.spans.push(spans);
+            self.overlap_of.push(overlap);
             self.spatial.insert(id, &c);
         }
         self.log_lik += d_log_lik;
@@ -373,24 +414,27 @@ impl Configuration {
     }
 
     /// Replaces circle `idx` (which must currently equal `old`) with `new`
-    /// on the circle list, the spatial index and the coverage grid. Used
-    /// when merging tile results: the tile's own accumulated deltas feed
-    /// the likelihood/overlap caches, so the grid's returned gains are
-    /// dropped.
+    /// on the circle list, the spatial index, the coverage grid and the
+    /// per-circle lens areas. Used when merging tile results: the tile's
+    /// own accumulated deltas feed the likelihood/overlap caches, so the
+    /// grid's returned gains are dropped.
     pub(crate) fn update_circle_in_place(
         &mut self,
         idx: usize,
         old: Circle,
         new: Circle,
-        gain: &Gain,
+        model: &NucleiModel,
     ) {
         debug_assert_eq!(self.circles[idx], old, "tile update against stale master");
         self.invalidate_pair_cache();
+        let gain = &model.gain;
         self.coverage.remove_disk(&old, &self.spans[idx], gain);
         self.spans[idx] = SpanTable::of(&new, &self.coverage.rect());
         self.coverage.add_disk(&new, &self.spans[idx], gain);
+        self.link(&old, idx, -1.0, model);
         self.spatial.relocate(idx, &old, &new);
         self.circles[idx] = new;
+        self.overlap_of[idx] = self.link(&new, idx, 1.0, model);
     }
 
     fn invalidate_pair_cache(&mut self) {
@@ -413,6 +457,7 @@ impl Configuration {
         }
         self.circles.swap_remove(i);
         self.spans.swap_remove(i);
+        self.overlap_of.swap_remove(i);
     }
 
     /// Log-likelihood delta of `edit` computed **without mutating** the
@@ -619,6 +664,24 @@ impl Configuration {
                 self.overlap_area, fresh_overlap
             ));
         }
+        if self.overlap_of.len() != self.circles.len() {
+            return Err(format!(
+                "{} per-circle overlap entries for {} circles",
+                self.overlap_of.len(),
+                self.circles.len()
+            ));
+        }
+        for (i, (a, &cached)) in self.circles.iter().zip(&self.overlap_of).enumerate() {
+            let fresh: f64 = (self.circles.iter().enumerate())
+                .filter(|&(j, _)| j != i)
+                .map(|(_, b)| a.intersection_area(b))
+                .sum();
+            if (fresh - cached).abs() > 1e-9 * (1.0 + fresh) {
+                return Err(format!(
+                    "overlap of circle {i}: cached {cached} vs recomputed {fresh}"
+                ));
+            }
+        }
         if self.spatial.len() != self.circles.len() {
             return Err(format!(
                 "spatial index holds {} entries for {} circles",
@@ -633,20 +696,34 @@ impl Configuration {
 /// What a caller that evaluates many proposals keeps between them: the
 /// work counted so far and room for the tables of a proposal's added disks,
 /// so that an evaluation neither touches the process-wide counters nor
-/// initialises 800 bytes of table.
+/// initialises 800 bytes of table. Each chain, and each speculative lane,
+/// owns one and hands its counts to [`crate::perf`] once per run.
 #[derive(Debug, Clone)]
-pub(crate) struct EvalScratch {
-    /// Work since the last [`SpanTally::flush`].
-    pub tally: SpanTally,
+pub struct EvalScratch {
+    /// Work since the last [`EvalScratch::flush`].
+    pub(crate) tally: SpanTally,
     added: [SpanTable; 2],
 }
 
+impl Default for EvalScratch {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
 impl EvalScratch {
-    pub(crate) fn new() -> Self {
+    /// Fresh scratch with nothing counted.
+    #[must_use]
+    pub fn new() -> Self {
         Self {
             tally: SpanTally::default(),
             added: [SpanTable::EMPTY; 2],
         }
+    }
+
+    /// Adds the work counted since the last flush to [`crate::perf`].
+    pub fn flush(&mut self) {
+        self.tally.flush();
     }
 }
 

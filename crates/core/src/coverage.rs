@@ -146,7 +146,8 @@ pub fn for_each_disk_pixel(circle: &Circle, rect: &Rect, mut f: impl FnMut(i64, 
 /// public entry points, once per `run` inside the samplers.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct SpanTally {
-    /// Proposals evaluated ([`crate::sampler::evaluate_proposal`]).
+    /// Proposals evaluated ([`crate::sampler::decide`],
+    /// [`crate::sampler::evaluate_proposal`]).
     pub proposals: u64,
     /// Pixels whose bits or counts were looked at one by one.
     pub pixels: u64,

@@ -49,7 +49,7 @@ mod spans;
 pub mod spatial;
 pub mod tile;
 
-pub use config::{Configuration, Edit, Receipt};
+pub use config::{Configuration, Edit, EvalScratch, Receipt};
 pub use diagnostics::{AcceptanceStats, ConvergenceDetector, Trace};
 pub use likelihood::Gain;
 pub use matching::{match_circles, MatchResult};
@@ -58,6 +58,6 @@ pub use model::NucleiModel;
 pub use params::{ModelParams, MoveKind, MoveWeights, ProposalScales};
 pub use perf::PerfSnapshot;
 pub use rng::{BatchedRng, Xoshiro256};
-pub use sampler::{evaluate_proposal, Evaluation, ProposalBatch, Sampler};
+pub use sampler::{decide, evaluate_proposal, Evaluation, ProposalBatch, Sampler, Stepper};
 pub use samples::{CountDistribution, SampleCollector};
 pub use tile::{Replica, TileState, TileWorkspace};

@@ -99,7 +99,8 @@ pub fn record_proposal_batch() {
 /// around a run) with [`PerfSnapshot::since`] to attribute work to the run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PerfSnapshot {
-    /// Read-only proposal evaluations (`evaluate_proposal` calls).
+    /// Read-only proposal evaluations (`decide` and `evaluate_proposal`
+    /// calls).
     pub proposals_evaluated: u64,
     /// Pixels visited by likelihood-delta walks.
     pub pixels_visited: u64,

@@ -4,6 +4,13 @@
 //! compared against (the horizontal line of Fig. 2), and the engine reused
 //! for the `Mg` phases of periodic partitioning and for the per-partition
 //! chains of intelligent/blind partitioning.
+//!
+//! An iteration draws its acceptance uniform before it evaluates the
+//! proposal. That keeps the stream a function of the proposals alone, so
+//! the speculative engine can pre-draw lanes and replay the chain, and it
+//! lets [`decide`] reject early: with `u` in hand, a proposal whose prior
+//! and likelihood already rule it out never pays for its overlap prior or
+//! its post-edit pair count — the fate of most of them.
 
 use crate::config::{Configuration, EvalScratch};
 use crate::diagnostics::AcceptanceStats;
@@ -43,39 +50,127 @@ impl Evaluation {
     }
 }
 
-/// Evaluates a proposal **without mutating** the configuration. This is the
-/// single source of acceptance arithmetic, shared by the sequential
-/// sampler, the speculative-move sampler (which must evaluate several
-/// proposals of one state concurrently) and the (MC)³ chains.
+/// Evaluates a proposal **without mutating** the configuration: both
+/// parts of its log acceptance ratio, exactly. The chains decide with
+/// [`decide`], which settles most rejections before the overlap and pair
+/// terms; this is the exact arithmetic `decide` falls back on, kept public
+/// as its oracle.
 #[must_use]
 pub fn evaluate_proposal(
     config: &Configuration,
     model: &NucleiModel,
-    proposal: &crate::moves::Proposal,
+    proposal: &Proposal,
 ) -> Evaluation {
     let mut scratch = EvalScratch::new();
-    let eval = evaluate_tallied(config, model, proposal, &mut scratch);
-    scratch.tally.flush();
+    let eval = prior_and_likelihood(config, model, proposal, &mut scratch)
+        .map_or(OUTSIDE_SUPPORT, |part| {
+            complete(config, model, proposal, &part)
+        });
+    scratch.flush();
     eval
 }
 
-/// [`evaluate_proposal`] with the caller's scratch: the work is counted
-/// into `scratch.tally` instead of [`crate::perf`], whose counters every
-/// core shares.
-fn evaluate_tallied(
+/// The one acceptance test, on the exact `log_alpha` against the drawn
+/// `log_u = ln u`.
+fn accepts(log_alpha: f64, log_u: f64) -> bool {
+    log_alpha >= 0.0 || log_u < log_alpha
+}
+
+/// Decides a proposal at inverse temperature `beta` against the
+/// already-drawn acceptance uniform (`log_u = ln u`), **without mutating**
+/// the configuration; true when the chain moves. This is what every chain
+/// calls: [`Sampler`] (and with it the `Mg` phases, the (MC)³ and the
+/// partition chains) and the speculative lanes. The work is counted into
+/// `scratch`.
+///
+/// Most proposals are rejected by a wide margin, so the prior and the
+/// likelihood are computed first and bound `log α` from above:
+///
+/// ```text
+/// B = β·(Δprior + γ·Σ_removed overlap_of + Δlik) + log q
+/// ```
+///
+/// because the overlap prior can gain at most the lens areas of the
+/// removed circles (`−γ·Δoverlap ≤ γ·Σ overlap_of`) and a split's
+/// `−ln(#pairs)` is never positive. When `B + ε ≤ log u` the proposal is
+/// rejected there, with ε = 10⁻⁹ × (1 + the terms' magnitudes): far above
+/// the rounding of either sum and the drift of the incrementally kept
+/// `overlap_of`, which the `1 +` covers where every term is near zero.
+/// Otherwise the overlap, the pair count and `log α` are computed exactly
+/// as [`evaluate_proposal`] computes them. Either way the decision is the
+/// exact one, so chains, streams and reports do not change.
+pub fn decide(
     config: &Configuration,
     model: &NucleiModel,
-    proposal: &crate::moves::Proposal,
+    proposal: &Proposal,
+    beta: f64,
+    log_u: f64,
     scratch: &mut EvalScratch,
-) -> Evaluation {
+) -> bool {
+    let Some(part) = prior_and_likelihood(config, model, proposal, scratch) else {
+        return accepts(OUTSIDE_SUPPORT.log_alpha(beta), log_u);
+    };
+    !rejects_early(config, model, proposal, beta, log_u, &part)
+        && accepts(
+            complete(config, model, proposal, &part).log_alpha(beta),
+            log_u,
+        )
+}
+
+/// Whether the upper bound of `log α` that [`decide`] builds from `part`
+/// already rules the proposal out.
+fn rejects_early(
+    config: &Configuration,
+    model: &NucleiModel,
+    proposal: &Proposal,
+    beta: f64,
+    log_u: f64,
+    part: &PriorAndLikelihood,
+) -> bool {
+    let gamma = model.params.overlap_gamma;
+    if gamma < 0.0 || beta < 0.0 {
+        return false;
+    }
+    let removed: f64 = proposal
+        .edit
+        .remove
+        .iter()
+        .map(|&i| config.overlap_of(i))
+        .sum();
+    let posterior_bound = part.prior_delta + gamma * removed + part.d_log_lik;
+    let bound = beta * posterior_bound + proposal.log_q;
+    let magnitude = beta * (part.prior_delta.abs() + gamma * removed.abs() + part.d_log_lik.abs())
+        + proposal.log_q.abs();
+    bound + 1e-9 * (1.0 + magnitude) <= log_u
+}
+
+/// The evaluation of a proposal that leaves the prior's support.
+const OUTSIDE_SUPPORT: Evaluation = Evaluation {
+    d_log_posterior: f64::NEG_INFINITY,
+    log_q: 0.0,
+};
+
+/// The parts of a proposal's `Δ log posterior` that [`decide`] computes
+/// before it bounds `log α`.
+struct PriorAndLikelihood {
+    /// Count, radius and position prior terms.
+    prior_delta: f64,
+    d_log_lik: f64,
+}
+
+/// Counts one evaluated proposal into `scratch` and computes its prior and
+/// likelihood deltas; `None` outside the prior's support.
+fn prior_and_likelihood(
+    config: &Configuration,
+    model: &NucleiModel,
+    proposal: &Proposal,
+    scratch: &mut EvalScratch,
+) -> Option<PriorAndLikelihood> {
     scratch.tally.proposals += 1;
     let p = &model.params;
     // Support pre-check: outside the prior's support the ratio is -inf.
     if !proposal.edit.add.iter().all(|c| p.in_support(c)) {
-        return Evaluation {
-            d_log_posterior: f64::NEG_INFINITY,
-            log_q: 0.0,
-        };
+        return None;
     }
     let k = config.len();
     let dk = proposal.edit.dimension_delta();
@@ -103,9 +198,22 @@ fn evaluate_tallied(
             model.count_log_prior((k as i64 + dk) as usize) - model.count_log_prior(k);
         count_delta + radius_delta + dk as f64 * p.position_log_density()
     };
-    let d_overlap = config.delta_overlap_readonly(&proposal.edit, model);
     let d_log_lik = config.delta_log_lik_tallied(&proposal.edit, model, scratch);
+    Some(PriorAndLikelihood {
+        prior_delta,
+        d_log_lik,
+    })
+}
 
+/// Adds the overlap prior and the split's post-edit pair count to `part`:
+/// the exact [`Evaluation`].
+fn complete(
+    config: &Configuration,
+    model: &NucleiModel,
+    proposal: &Proposal,
+    part: &PriorAndLikelihood,
+) -> Evaluation {
+    let d_overlap = config.delta_overlap_readonly(&proposal.edit, model);
     let mut log_q = proposal.log_q;
     if proposal.needs_post_pairs {
         let pairs =
@@ -113,9 +221,8 @@ fn evaluate_tallied(
         // The split's children are themselves a close pair, so pairs >= 1.
         log_q -= (pairs.max(1) as f64).ln();
     }
-
     Evaluation {
-        d_log_posterior: prior_delta - p.overlap_gamma * d_overlap + d_log_lik,
+        d_log_posterior: part.prior_delta - model.params.overlap_gamma * d_overlap + part.d_log_lik,
         log_q,
     }
 }
@@ -155,6 +262,88 @@ impl ProposalBatch {
     }
 }
 
+/// One chain's iteration loop apart from the chain's state, stream and
+/// move mix: the proposal-burst counter, a reused proposal buffer and the
+/// evaluation scratch. [`Sampler`] steps through one, and so does the
+/// speculative engine's inline path, which is why the two replay each
+/// other bit for bit.
+#[derive(Debug, Clone)]
+pub struct Stepper {
+    batch: ProposalBatch,
+    /// Reusable proposal buffer: [`propose_into`] writes every iteration's
+    /// proposal here, so the steady-state iteration loop never allocates.
+    proposal: Proposal,
+    /// Evaluation scratch; its work reaches [`crate::perf`] on
+    /// [`Stepper::flush`].
+    eval: EvalScratch,
+}
+
+impl Default for Stepper {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl Stepper {
+    /// A stepper with nothing counted.
+    #[must_use]
+    pub fn new() -> Self {
+        Self {
+            batch: ProposalBatch::default(),
+            proposal: Proposal::scratch(),
+            eval: EvalScratch::new(),
+        }
+    }
+
+    /// One MCMC iteration of the chain `(config, rng, stats)` under
+    /// `weights` at inverse temperature `beta`.
+    #[inline]
+    pub fn step(
+        &mut self,
+        config: &mut Configuration,
+        model: &NucleiModel,
+        weights: &MoveWeights,
+        beta: f64,
+        rng: &mut BatchedRng<Xoshiro256>,
+        stats: &mut AcceptanceStats,
+    ) -> StepResult {
+        if self.batch.begin_step() {
+            // Pre-draw the burst's randomness in one compacting top-up.
+            rng.top_up();
+        }
+        let kind = weights.sample(rng);
+        if !propose_into(&mut self.proposal, kind, config, model, weights, rng) {
+            stats.record_invalid(kind);
+            return StepResult {
+                kind,
+                accepted: false,
+            };
+        }
+
+        // Draw the acceptance uniform *before* evaluating, unconditionally.
+        // This keeps RNG consumption a function of the proposal draw alone
+        // (never of the evaluation's outcome), which is what lets the
+        // speculative engine pre-draw per-lane streams and replay the
+        // sequential chain bit-for-bit — and with `u` in hand, `decide`
+        // can reject most proposals before their overlap and pair terms.
+        let log_u = rng.gen::<f64>().ln();
+        let accepted = decide(config, model, &self.proposal, beta, log_u, &mut self.eval);
+        if accepted {
+            config.apply(&self.proposal.edit, model);
+            stats.record_accept(kind);
+        } else {
+            stats.record_reject(kind);
+        }
+        StepResult { kind, accepted }
+    }
+
+    /// Adds the evaluation work counted since the last flush to
+    /// [`crate::perf`].
+    pub fn flush(&mut self) {
+        self.eval.flush();
+    }
+}
+
 /// A sequential RJMCMC sampler over circle configurations.
 #[derive(Debug, Clone)]
 pub struct Sampler<'m> {
@@ -165,10 +354,6 @@ pub struct Sampler<'m> {
     /// in refill-amortised bursts (the delivered word sequence is the raw
     /// xoshiro stream — see [`BatchedRng`]).
     pub rng: BatchedRng<Xoshiro256>,
-    batch: ProposalBatch,
-    /// Reusable proposal buffer: [`propose_into`] writes every iteration's
-    /// proposal here, so the steady-state iteration loop never allocates.
-    scratch: Proposal,
     weights: MoveWeights,
     /// Acceptance accounting.
     pub stats: AcceptanceStats,
@@ -176,9 +361,9 @@ pub struct Sampler<'m> {
     /// 1.0 is the cold (target) chain; (MC)³ heats chains with `beta < 1`.
     pub beta: f64,
     iterations: u64,
-    /// Evaluation scratch; its tally is flushed to [`crate::perf`] at the
+    /// The iteration loop; its work is flushed to [`crate::perf`] at the
     /// end of every public call.
-    eval: EvalScratch,
+    stepper: Stepper,
 }
 
 impl<'m> Sampler<'m> {
@@ -203,13 +388,11 @@ impl<'m> Sampler<'m> {
             model,
             config,
             rng: BatchedRng::new(rng),
-            batch: ProposalBatch::default(),
-            scratch: Proposal::scratch(),
             weights: MoveWeights::default(),
             stats: AcceptanceStats::new(),
             beta: 1.0,
             iterations: 0,
-            eval: EvalScratch::new(),
+            stepper: Stepper::new(),
         }
     }
 
@@ -245,52 +428,21 @@ impl<'m> Sampler<'m> {
     /// Performs one MCMC iteration.
     pub fn step(&mut self) -> StepResult {
         let result = self.step_tallied();
-        self.eval.tally.flush();
+        self.stepper.flush();
         result
     }
 
-    /// [`Sampler::step`] that leaves the evaluation's work in `self.eval`.
+    /// [`Sampler::step`] that leaves the evaluation's work in the stepper.
     fn step_tallied(&mut self) -> StepResult {
         self.iterations += 1;
-        if self.batch.begin_step() {
-            // Pre-draw the burst's randomness in one compacting top-up.
-            self.rng.top_up();
-        }
-        let kind = self.weights.sample(&mut self.rng);
-        if !propose_into(
-            &mut self.scratch,
-            kind,
-            &self.config,
+        self.stepper.step(
+            &mut self.config,
             self.model,
             &self.weights,
+            self.beta,
             &mut self.rng,
-        ) {
-            self.stats.record_invalid(kind);
-            return StepResult {
-                kind,
-                accepted: false,
-            };
-        }
-
-        // Draw the acceptance uniform *before* evaluating, unconditionally.
-        // This keeps RNG consumption a function of the proposal draw alone
-        // (never of the evaluation's outcome), which is what lets the
-        // speculative engine pre-draw per-lane streams and replay the
-        // sequential chain bit-for-bit.
-        let log_u = self.rng.gen::<f64>().ln();
-        let eval = evaluate_tallied(&self.config, self.model, &self.scratch, &mut self.eval);
-        let log_alpha = eval.log_alpha(self.beta);
-        let accept = log_alpha >= 0.0 || log_u < log_alpha;
-        if accept {
-            self.config.apply(&self.scratch.edit, self.model);
-            self.stats.record_accept(kind);
-        } else {
-            self.stats.record_reject(kind);
-        }
-        StepResult {
-            kind,
-            accepted: accept,
-        }
+            &mut self.stats,
+        )
     }
 
     /// Runs `n` iterations. The [`crate::perf`] counters see their work
@@ -299,7 +451,7 @@ impl<'m> Sampler<'m> {
         for _ in 0..n {
             self.step_tallied();
         }
-        self.eval.tally.flush();
+        self.stepper.flush();
     }
 
     /// Runs `n` iterations, invoking `observer(iteration, &sampler)` every
@@ -551,6 +703,78 @@ mod tests {
         for (i, &k) in MoveKind::ALL.iter().enumerate() {
             assert!(checked[i] >= 5, "{k:?} exercised only {} times", checked[i]);
         }
+    }
+
+    /// The deciding evaluator accepts exactly when the exact `log α` does —
+    /// on a burnt-in scene and on one of planted overlapping pairs (where
+    /// the overlap term is large), on both lane backends, at the (MC)³
+    /// ladder's temperatures, for the drawn uniform and for uniforms a
+    /// hair either side of `α` — and on the burnt-in scene settles nearly
+    /// every rejection before the overlap term, or the bound would be
+    /// doing nothing.
+    #[test]
+    fn decide_agrees_with_the_exact_log_alpha() {
+        let detected = crate::simd::backend();
+        let (model, _) = scene_model(12, 160, 21);
+        let w = MoveWeights::default();
+        let pairs: Vec<Circle> = (0..6)
+            .flat_map(|i| {
+                let cx = 20.0 + 24.0 * f64::from(i);
+                [Circle::new(cx, 40.0, 8.0), Circle::new(cx + 5.0, 44.0, 7.0)]
+            })
+            .collect();
+        for backend in [crate::simd::Backend::Scalar, crate::simd::Backend::Avx2] {
+            crate::simd::force_backend(backend);
+            let mut burnt_in = Sampler::new(&model, 8);
+            burnt_in.run(10_000);
+            let planted = Configuration::from_circles(&model, &pairs);
+            let crowded = Sampler::with_config(&model, planted, Xoshiro256::new(9));
+            for (scene, mut chain) in [("burnt-in", burnt_in), ("crowded", crowded)] {
+                for beta in [1.0, 1.0 / 1.4, 1.0 / 1.8] {
+                    let mut scratch = EvalScratch::new();
+                    let (mut rejected, mut early) = (0u32, 0u32);
+                    for draw in 0..3_000 {
+                        if draw % 50 == 0 {
+                            chain.run(25);
+                        }
+                        let kind = w.sample(&mut chain.rng);
+                        let config = &chain.config;
+                        let Some(p) = propose(kind, config, &model, &w, &mut chain.rng) else {
+                            continue;
+                        };
+                        let log_u = chain.rng.gen::<f64>().ln();
+                        let log_alpha = evaluate_proposal(config, &model, &p).log_alpha(beta);
+                        let hair = 1e-12 * (1.0 + log_alpha.abs());
+                        for u in [log_u, log_alpha - hair, log_alpha + hair] {
+                            if u > 0.0 {
+                                continue;
+                            }
+                            let accepted = decide(config, &model, &p, beta, u, &mut scratch);
+                            assert_eq!(
+                                accepted,
+                                accepts(log_alpha, u),
+                                "{scene}, {backend:?}, β={beta}, {kind:?}: log α {log_alpha}, \
+                                 log u {u}"
+                            );
+                            if u == log_u && !accepted {
+                                rejected += 1;
+                                early += u32::from(
+                                    prior_and_likelihood(config, &model, &p, &mut scratch)
+                                        .is_some_and(|part| {
+                                            rejects_early(config, &model, &p, beta, u, &part)
+                                        }),
+                                );
+                            }
+                        }
+                    }
+                    assert!(
+                        scene == "crowded" || f64::from(early) >= 0.95 * f64::from(rejected),
+                        "{backend:?} β={beta}: {early} of {rejected} rejections decided early"
+                    );
+                }
+            }
+        }
+        crate::simd::force_backend(detected);
     }
 
     /// Statistical validation of the full kernel: with a flat likelihood

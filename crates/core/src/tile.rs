@@ -86,8 +86,8 @@ struct TileEntry {
 #[derive(Debug, Clone)]
 pub struct TileState<'m> {
     /// Kept for [`Configuration::absorb_tile`], which replays on the master
-    /// grid with no model at hand.
-    gain: &'m Gain,
+    /// with no model at hand.
+    model: &'m NucleiModel,
     rect: Rect,
     margin: f64,
     entries: Vec<TileEntry>,
@@ -146,7 +146,7 @@ impl<'m> TileState<'m> {
             }
         }
         Self {
-            gain: &model.gain,
+            model,
             rect,
             margin,
             entries,
@@ -461,7 +461,7 @@ impl Configuration {
     /// so drivers merge in tile-index order.
     pub fn absorb_tile(&mut self, tile: &TileState<'_>) {
         for (idx, old, new) in tile.updates() {
-            self.update_circle_in_place(idx, old, new, tile.gain);
+            self.update_circle_in_place(idx, old, new, tile.model);
         }
         self.add_cache_deltas(tile.d_log_lik, tile.d_overlap);
     }

@@ -627,9 +627,10 @@ impl StrategySpec {
     /// # Errors
     /// [`RunError::InvalidSpec`] naming the offending option.
     pub fn validate(&self) -> Result<(), RunError> {
-        /// SpinTeam spawns one busy-spinning OS thread per extra lane;
-        /// beyond this the eq. (3) returns are long gone and the only
-        /// effect is resource exhaustion.
+        /// SpinTeam spawns one OS thread per extra lane (it spins between
+        /// back-to-back rounds and parks when idle); beyond this the
+        /// eq. (3) returns are long gone and the only effect is resource
+        /// exhaustion.
         const MAX_LANES: usize = 64;
         let lanes_ok = |lanes: usize, what: &str| {
             if lanes > MAX_LANES {

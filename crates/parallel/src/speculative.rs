@@ -14,17 +14,21 @@
 //! stream — the leader pre-draws each lane's `(kind, proposal, accept
 //! uniform)` serially (proposal construction is O(1); the likelihood scan
 //! is the expensive part) and snapshots the RNG after each lane's draws.
-//! Lanes then evaluate in parallel, and on the first acceptance the RNG is
+//! Lanes then decide in parallel, and on the first acceptance the RNG is
 //! restored to that lane's snapshot — exactly where a sequential sampler's
 //! stream would stand. This works because [`pmcmc_core::Sampler`] draws
 //! the acceptance uniform unconditionally (before evaluating), making RNG
 //! consumption a function of the proposal draws alone.
 //!
-//! Rounds only buy time when lanes can actually run concurrently. When the
-//! host has fewer cores than lanes (broadcast degenerates into a context-
-//! switch relay), the engine transparently evaluates lanes inline instead
-//! — same decisions, same stream, no synchronisation — which is what keeps
-//! `fraction_of_seq` near 1 instead of orders of magnitude above it.
+//! A round of lanes buys time only when it costs less than the iterations
+//! it consumes would cost one after the other: the team's cross-core
+//! hand-off has to be cheaper than the evaluations it overlaps. On a host
+//! with fewer than two cores it never is, and rounds run inline — a
+//! [`Stepper`], the sequential sampler's own loop, capped at the round
+//! length. Elsewhere the engine times its first rounds on each path, team
+//! then inline, and keeps the cheaper one. Both paths make the same
+//! decisions from the same stream, so the choice moves time, never a
+//! chain.
 //!
 //! With per-iteration rejection probability `p_r`, a round advances
 //! `(1 − p_rⁿ)/(1 − p_r)` iterations in expectation for roughly one
@@ -32,19 +36,23 @@
 //! eq. (3).
 
 use pmcmc_core::diagnostics::AcceptanceStats;
-use pmcmc_core::moves::{propose, Proposal};
+use pmcmc_core::moves::{propose_into, Proposal};
 use pmcmc_core::rng::BatchedRng;
-use pmcmc_core::sampler::evaluate_proposal;
-use pmcmc_core::{Configuration, MoveKind, MoveWeights, NucleiModel, Xoshiro256};
+use pmcmc_core::sampler::{decide, Stepper};
+use pmcmc_core::{Configuration, EvalScratch, MoveKind, MoveWeights, NucleiModel, Xoshiro256};
 use pmcmc_runtime::SpinTeam;
 use rand::Rng;
 use std::cell::UnsafeCell;
+use std::time::Instant;
 
 /// One lane's pre-drawn iteration: everything the sequential sampler would
 /// have drawn from the chain stream, plus the stream position after it.
 struct Lane {
     kind: MoveKind,
-    proposal: Option<Proposal>,
+    /// The lane's proposal buffer, reused round after round.
+    proposal: Proposal,
+    /// Whether `kind` was proposable (`proposal` holds it).
+    valid: bool,
     /// `ln(u)` for the acceptance test; NaN when there is no proposal (an
     /// invalid draw consumes no acceptance uniform).
     log_u: f64,
@@ -52,15 +60,97 @@ struct Lane {
     rng_after: BatchedRng<Xoshiro256>,
 }
 
-/// Cache-line-padded accept flag, one per lane; written only by its own
-/// lane during the broadcast, read by the leader after the completion
-/// barrier.
-#[repr(align(64))]
-struct AcceptSlot(UnsafeCell<bool>);
+/// What lane `id` writes during a round: its decision and the evaluation
+/// scratch it counts its work into.
+struct LaneWork {
+    accept: bool,
+    eval: EvalScratch,
+}
 
-// SAFETY: lane `id` is the only writer of slot `id`, and the broadcast's
-// completion barrier orders writes before the leader's reads.
-unsafe impl Sync for AcceptSlot {}
+/// One lane's [`LaneWork`], alone on its cache lines; written only by its
+/// own lane during the broadcast, read by the leader after it.
+#[repr(align(64))]
+struct LaneSlot(UnsafeCell<LaneWork>);
+
+// SAFETY: lane `id` is the only one that touches slot `id` during a
+// broadcast, and the broadcast's completion barrier orders its writes
+// before the leader's reads (which go through `&mut self`).
+unsafe impl Sync for LaneSlot {}
+
+/// The two ways to run a round.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Path {
+    /// Pre-draw every lane, decide them concurrently on the team.
+    Team,
+    /// Step the chain inline, stopping at the first acceptance.
+    Inline,
+}
+
+/// The cheaper path, given the nanoseconds per consumed iteration measured
+/// on each. The inline path wins ties and takes over when a cost is not a
+/// number: it needs no second core.
+fn cheaper(team_ns: f64, inline_ns: f64) -> Path {
+    if team_ns < inline_ns {
+        Path::Team
+    } else {
+        Path::Inline
+    }
+}
+
+/// Rounds timed on each path before the engine keeps one.
+const TRIAL_ROUNDS: usize = 64;
+
+/// The path rounds take.
+#[derive(Debug)]
+enum PathChoice {
+    /// Timing `path`: the nanoseconds per consumed iteration of each of its
+    /// rounds so far, and the team's median once the team has been timed.
+    Trial {
+        path: Path,
+        costs: Vec<f64>,
+        team: f64,
+    },
+    /// Chosen for good: by the trial, by the host, or by
+    /// [`SpeculativeEngine::set_parallel_eval`].
+    Kept(Path),
+}
+
+impl PathChoice {
+    /// A trial of `path`, given the team's cost (NaN before it is timed).
+    fn trial(path: Path, team: f64) -> Self {
+        PathChoice::Trial {
+            path,
+            costs: Vec::with_capacity(TRIAL_ROUNDS),
+            team,
+        }
+    }
+
+    const fn path(&self) -> Path {
+        match self {
+            PathChoice::Trial { path, .. } | PathChoice::Kept(path) => *path,
+        }
+    }
+
+    /// Accounts a round of the trial that took `ns` and consumed `iters`.
+    /// After [`TRIAL_ROUNDS`] on the team the inline path is timed, and
+    /// after as many on it the cheaper is kept. A path's cost is the median
+    /// over its rounds, so a round that woke parked helpers or that the
+    /// host preempted does not decide.
+    fn round_done(&mut self, ns: f64, iters: u64) {
+        let PathChoice::Trial { path, costs, team } = self else {
+            return;
+        };
+        costs.push(ns / iters as f64);
+        if costs.len() < TRIAL_ROUNDS {
+            return;
+        }
+        let (_, &mut median, _) = costs.select_nth_unstable_by(TRIAL_ROUNDS / 2, f64::total_cmp);
+        *self = match path {
+            Path::Team => PathChoice::trial(Path::Inline, median),
+            Path::Inline => PathChoice::Kept(cheaper(*team, median)),
+        };
+    }
+}
 
 /// The reusable speculative execution engine: a spin team plus the single
 /// chain RNG stream. [`SpeculativeSampler`] wraps it for standalone use;
@@ -69,14 +159,13 @@ unsafe impl Sync for AcceptSlot {}
 pub struct SpeculativeEngine {
     team: SpinTeam,
     rng: BatchedRng<Xoshiro256>,
-    /// Reused per-round lane buffer (no allocation after the first round).
+    /// One pre-draw buffer per lane, reused every team round.
     lanes: Vec<Lane>,
-    /// Reused lock-free per-lane accept flags.
-    accept_slots: Vec<AcceptSlot>,
-    /// Whether rounds evaluate lanes via the team (true) or inline
-    /// (false). Defaults to true only when the host can actually run ≥ 2
-    /// lanes concurrently.
-    parallel_eval: bool,
+    /// One decision-and-scratch slot per lane.
+    slots: Vec<LaneSlot>,
+    /// The inline path: the sequential sampler's loop.
+    inline: Stepper,
+    choice: PathChoice,
     rounds: u64,
 }
 
@@ -94,16 +183,37 @@ impl SpeculativeEngine {
     #[must_use]
     pub fn with_rng(rng: Xoshiro256, members: usize) -> Self {
         let members = members.max(1);
+        let rng = BatchedRng::new(rng);
         let team = SpinTeam::new(members);
-        let parallel_eval = members >= 2 && team.effective_parallelism() >= 2;
+        // With one lane, or one core, nothing runs concurrently: a team
+        // round would be a context-switch relay.
+        let choice = if team.effective_parallelism() >= 2 {
+            PathChoice::trial(Path::Team, f64::NAN)
+        } else {
+            PathChoice::Kept(Path::Inline)
+        };
         Self {
             team,
-            rng: BatchedRng::new(rng),
-            lanes: Vec::with_capacity(members),
-            accept_slots: (0..members)
-                .map(|_| AcceptSlot(UnsafeCell::new(false)))
+            lanes: (0..members)
+                .map(|_| Lane {
+                    kind: MoveKind::Birth,
+                    proposal: Proposal::scratch(),
+                    valid: false,
+                    log_u: f64::NAN,
+                    rng_after: rng.clone(),
+                })
                 .collect(),
-            parallel_eval,
+            slots: (0..members)
+                .map(|_| {
+                    LaneSlot(UnsafeCell::new(LaneWork {
+                        accept: false,
+                        eval: EvalScratch::new(),
+                    }))
+                })
+                .collect(),
+            rng,
+            inline: Stepper::new(),
+            choice,
             rounds: 0,
         }
     }
@@ -120,24 +230,37 @@ impl SpeculativeEngine {
         self.rounds
     }
 
-    /// Whether rounds evaluate lanes concurrently via the team.
+    /// Whether the next round evaluates its lanes concurrently on the team.
     #[must_use]
     pub const fn parallel_eval(&self) -> bool {
-        self.parallel_eval
+        matches!(self.choice.path(), Path::Team)
     }
 
-    /// Forces team (true) or inline (false) lane evaluation. Both paths
-    /// make identical decisions from identical streams; this exists so
-    /// tests can exercise the team path deterministically regardless of
-    /// host core count, and so callers can override the core-count
-    /// heuristic.
+    /// Pins rounds to the team (true) or the inline path (false) instead
+    /// of choosing by measured cost. Both paths make identical decisions
+    /// from identical streams; the pin exists so tests can exercise either
+    /// path regardless of host and load.
     pub fn set_parallel_eval(&mut self, parallel: bool) {
-        self.parallel_eval = parallel;
+        self.choice = PathChoice::Kept(if parallel { Path::Team } else { Path::Inline });
     }
 
     /// Runs one speculative round on `config`; returns the iterations the
-    /// chain consumed (`1..=members`).
+    /// chain consumed (`1..=members`). The [`pmcmc_core::perf`] counters
+    /// see its work when the call returns.
     pub fn round(
+        &mut self,
+        config: &mut Configuration,
+        model: &NucleiModel,
+        weights: &MoveWeights,
+        stats: &mut AcceptanceStats,
+    ) -> u64 {
+        let consumed = self.round_tallied(config, model, weights, stats);
+        self.flush();
+        consumed
+    }
+
+    /// [`SpeculativeEngine::round`] that leaves the work in the scratches.
+    fn round_tallied(
         &mut self,
         config: &mut Configuration,
         model: &NucleiModel,
@@ -146,17 +269,21 @@ impl SpeculativeEngine {
     ) -> u64 {
         self.rounds += 1;
         pmcmc_core::perf::record_spec_round();
-        if self.parallel_eval {
-            self.round_parallel(config, model, weights, stats)
-        } else {
-            self.round_inline(config, model, weights, stats)
+        let start = matches!(self.choice, PathChoice::Trial { .. }).then(Instant::now);
+        let consumed = match self.choice.path() {
+            Path::Team => self.round_team(config, model, weights, stats),
+            Path::Inline => self.round_inline(config, model, weights, stats),
+        };
+        if let Some(start) = start {
+            self.choice
+                .round_done(start.elapsed().as_nanos() as f64, consumed);
         }
+        consumed
     }
 
-    /// Inline round: run up to `members` sequential iterations, stopping
-    /// at the first acceptance. No pre-draws, no snapshots, no
-    /// synchronisation — this *is* the sequential sampler's loop, capped
-    /// at the round length.
+    /// Inline round: up to `members` iterations of the sequential loop,
+    /// stopping at the first acceptance. No pre-draws, no snapshots, no
+    /// synchronisation.
     fn round_inline(
         &mut self,
         config: &mut Configuration,
@@ -164,82 +291,70 @@ impl SpeculativeEngine {
         weights: &MoveWeights,
         stats: &mut AcceptanceStats,
     ) -> u64 {
-        let members = self.team.members();
-        let mut consumed = 0u64;
-        for _ in 0..members {
+        let members = self.team.members() as u64;
+        let mut consumed = 0;
+        while consumed < members {
             consumed += 1;
-            let kind = weights.sample(&mut self.rng);
-            match propose(kind, config, model, weights, &mut self.rng) {
-                None => stats.record_invalid(kind),
-                Some(p) => {
-                    let log_u = self.rng.gen::<f64>().ln();
-                    let eval = evaluate_proposal(config, model, &p);
-                    let log_alpha = eval.log_alpha(1.0);
-                    if log_alpha >= 0.0 || log_u < log_alpha {
-                        config.apply(&p.edit, model);
-                        stats.record_accept(kind);
-                        break;
-                    }
-                    stats.record_reject(kind);
-                }
+            let step = self
+                .inline
+                .step(config, model, weights, 1.0, &mut self.rng, stats);
+            if step.accepted {
+                break;
             }
         }
         consumed
     }
 
     /// Team round: pre-draw every lane's iteration from the chain stream,
-    /// fan the read-only evaluations out over the team, then consume
-    /// decisions in lane order and rewind the stream to the winning lane.
-    fn round_parallel(
+    /// fan the read-only decisions out over the team, then consume them in
+    /// lane order and rewind the stream to the winning lane.
+    fn round_team(
         &mut self,
         config: &mut Configuration,
         model: &NucleiModel,
         weights: &MoveWeights,
         stats: &mut AcceptanceStats,
     ) -> u64 {
-        let members = self.team.members();
         // The round's pre-draws are one proposal burst: refill the RNG
         // buffer in a single amortised top-up (stream-preserving, so the
         // lane snapshots and the sequential trace are unaffected).
         self.rng.top_up();
         pmcmc_core::perf::record_proposal_batch();
-        self.lanes.clear();
-        for _ in 0..members {
-            let kind = weights.sample(&mut self.rng);
-            let proposal = propose(kind, config, model, weights, &mut self.rng);
-            let log_u = if proposal.is_some() {
+        for lane in &mut self.lanes {
+            lane.kind = weights.sample(&mut self.rng);
+            lane.valid = propose_into(
+                &mut lane.proposal,
+                lane.kind,
+                config,
+                model,
+                weights,
+                &mut self.rng,
+            );
+            lane.log_u = if lane.valid {
                 self.rng.gen::<f64>().ln()
             } else {
                 f64::NAN
             };
-            self.lanes.push(Lane {
-                kind,
-                proposal,
-                log_u,
-                rng_after: self.rng.clone(),
-            });
+            lane.rng_after.clone_from(&self.rng);
         }
 
         {
-            let lanes = &self.lanes;
-            let slots = &self.accept_slots;
-            let config = &*config;
+            let (lanes, slots, config) = (&self.lanes, &self.slots, &*config);
             self.team.broadcast(|id| {
                 let lane = &lanes[id];
-                let accept = match &lane.proposal {
-                    None => false,
-                    Some(p) => {
-                        let eval = evaluate_proposal(config, model, p);
-                        let log_alpha = eval.log_alpha(1.0);
-                        log_alpha >= 0.0 || lane.log_u < log_alpha
-                    }
-                };
-                // SAFETY: slot `id` is written only by lane `id` this
+                // SAFETY: slot `id` is touched only by lane `id` this
                 // round; the broadcast barrier orders it before the reads
                 // below.
-                unsafe {
-                    *slots[id].0.get() = accept;
-                }
+                let work = unsafe { &mut *slots[id].0.get() };
+                work.accept = lane.valid
+                    && decide(
+                        config,
+                        model,
+                        &lane.proposal,
+                        1.0,
+                        lane.log_u,
+                        &mut work.eval,
+                    );
             });
         }
         pmcmc_core::perf::add_spin_wait_ns(self.team.take_spin_wait_ns());
@@ -248,18 +363,15 @@ impl SpeculativeEngine {
         // acceptance; later lanes are discarded un-counted, and the chain
         // stream rewinds to the winning lane's position.
         let mut consumed = 0u64;
-        for id in 0..members {
-            let lane = &self.lanes[id];
-            // SAFETY: the broadcast above completed, so no lane is writing.
-            let accept = unsafe { *self.accept_slots[id].0.get() };
+        for (lane, slot) in self.lanes.iter().zip(&mut self.slots) {
             consumed += 1;
-            match (&lane.proposal, accept) {
-                (None, _) => stats.record_invalid(lane.kind),
-                (Some(_), false) => stats.record_reject(lane.kind),
-                (Some(p), true) => {
-                    config.apply(&p.edit, model);
+            match (lane.valid, slot.0.get_mut().accept) {
+                (false, _) => stats.record_invalid(lane.kind),
+                (true, false) => stats.record_reject(lane.kind),
+                (true, true) => {
+                    config.apply(&lane.proposal.edit, model);
                     stats.record_accept(lane.kind);
-                    self.rng = lane.rng_after.clone();
+                    self.rng.clone_from(&lane.rng_after);
                     break;
                 }
             }
@@ -267,8 +379,18 @@ impl SpeculativeEngine {
         consumed
     }
 
+    /// Adds the work every path counted since the last flush to
+    /// [`pmcmc_core::perf`].
+    fn flush(&mut self) {
+        self.inline.flush();
+        for slot in &mut self.slots {
+            slot.0.get_mut().eval.flush();
+        }
+    }
+
     /// Runs rounds until at least `min_iters` iterations are consumed;
-    /// returns the exact number consumed.
+    /// returns the exact number consumed. Its work reaches
+    /// [`pmcmc_core::perf`] at the end.
     pub fn run(
         &mut self,
         config: &mut Configuration,
@@ -279,8 +401,9 @@ impl SpeculativeEngine {
     ) -> u64 {
         let mut consumed = 0;
         while consumed < min_iters {
-            consumed += self.round(config, model, weights, stats);
+            consumed += self.round_tallied(config, model, weights, stats);
         }
+        self.flush();
         consumed
     }
 }
@@ -352,7 +475,7 @@ impl<'m> SpeculativeSampler<'m> {
         self.weights = weights;
     }
 
-    /// Forces team or inline lane evaluation (see
+    /// Pins rounds to the team or the inline path (see
     /// [`SpeculativeEngine::set_parallel_eval`]).
     pub fn set_parallel_eval(&mut self, parallel: bool) {
         self.engine.set_parallel_eval(parallel);
@@ -382,10 +505,13 @@ impl<'m> SpeculativeSampler<'m> {
 
     /// Runs rounds until at least `n` iterations have been consumed.
     pub fn run(&mut self, n: u64) {
-        let target = self.iterations + n;
-        while self.iterations < target {
-            self.round();
-        }
+        self.iterations += self.engine.run(
+            &mut self.config,
+            self.model,
+            &self.weights,
+            &mut self.stats,
+            n,
+        );
     }
 
     /// Log-posterior of the current state.
@@ -432,33 +558,103 @@ mod tests {
 
     /// The headline correctness property of the rewrite: for the same
     /// model and seed, the speculative chain *is* the sequential chain —
-    /// same circles, same log-posterior, same per-kind acceptance counts —
-    /// for any lane count, on both the inline and the team evaluation
-    /// path.
+    /// same circles, same log-posterior bits, same per-kind acceptance
+    /// counts — for any lane count, pinned to the inline or the team path
+    /// or left to choose by measured cost.
     #[test]
     fn matches_sequential_sampler_exactly() {
         let (model, _) = scene_model(96, 6, 8);
         for members in 1..=4 {
-            for parallel in [false, true] {
+            for pin in [Some(false), Some(true), None] {
                 let mut spec = SpeculativeSampler::new(&model, 42, members);
-                spec.set_parallel_eval(parallel);
+                if let Some(parallel) = pin {
+                    spec.set_parallel_eval(parallel);
+                }
                 spec.run(2_000);
                 let mut seq = Sampler::new(&model, 42);
                 seq.run(spec.iterations());
                 assert_eq!(
                     spec.config.circles(),
                     seq.config.circles(),
-                    "members={members} parallel={parallel}: circle lists diverged"
+                    "members={members} pin={pin:?}: circle lists diverged"
                 );
                 assert_eq!(
                     spec.stats, seq.stats,
-                    "members={members} parallel={parallel}: acceptance stats diverged"
+                    "members={members} pin={pin:?}: acceptance stats diverged"
                 );
-                assert!(
-                    (spec.log_posterior() - seq.log_posterior()).abs() < 1e-12,
-                    "members={members} parallel={parallel}: log-posterior diverged"
+                assert_eq!(
+                    spec.log_posterior().to_bits(),
+                    seq.log_posterior().to_bits(),
+                    "members={members} pin={pin:?}: log-posterior diverged"
                 );
             }
+        }
+    }
+
+    #[test]
+    fn the_cheaper_path_wins_and_the_inline_path_takes_ties_and_nan() {
+        assert_eq!(cheaper(900.0, 1000.0), Path::Team);
+        assert_eq!(cheaper(4000.0, 830.0), Path::Inline);
+        assert_eq!(cheaper(830.0, 830.0), Path::Inline);
+        assert_eq!(cheaper(f64::NAN, 830.0), Path::Inline);
+        assert_eq!(cheaper(830.0, f64::NAN), Path::Inline);
+        assert_eq!(cheaper(f64::NAN, f64::NAN), Path::Inline);
+    }
+
+    /// The trial with injected round costs: it times the team, then the
+    /// inline path, [`TRIAL_ROUNDS`] rounds each, keeps the cheaper by
+    /// median cost per iteration, and is not swayed by a few slow rounds.
+    #[test]
+    fn the_trial_keeps_the_cheaper_path_by_median_cost() {
+        // Runs a trial where round `i` on a path costs `cost(path, i)` ns
+        // for two iterations; returns the paths run and the one kept.
+        let trial = |cost: &dyn Fn(Path, usize) -> f64| {
+            let mut choice = PathChoice::trial(Path::Team, f64::NAN);
+            let mut ran = Vec::new();
+            while let PathChoice::Trial { path, costs, .. } = &choice {
+                let (path, i) = (*path, costs.len());
+                ran.push(path);
+                choice.round_done(2.0 * cost(path, i), 2);
+            }
+            (ran, choice.path())
+        };
+        let flat = |team: f64, inline: f64| {
+            move |path, _| match path {
+                Path::Team => team,
+                Path::Inline => inline,
+            }
+        };
+        let (ran, kept) = trial(&flat(4000.0, 800.0));
+        assert_eq!(ran.len(), 2 * TRIAL_ROUNDS);
+        assert!(ran[..TRIAL_ROUNDS].iter().all(|&p| p == Path::Team));
+        assert!(ran[TRIAL_ROUNDS..].iter().all(|&p| p == Path::Inline));
+        assert_eq!(kept, Path::Inline);
+        assert_eq!(trial(&flat(500.0, 800.0)).1, Path::Team);
+        assert_eq!(trial(&flat(800.0, 800.0)).1, Path::Inline);
+        // A team that is cheaper but for its wake-up round, against an
+        // inline path the host preempted three times, still wins.
+        let noisy = |path, i| match (path, i) {
+            (Path::Team, 0) => 1e6,
+            (Path::Team, _) => 500.0,
+            (Path::Inline, 5 | 20 | 40) => 1e7,
+            (Path::Inline, _) => 800.0,
+        };
+        assert_eq!(trial(&noisy).1, Path::Team);
+        // A kept path stays kept.
+        let mut kept = PathChoice::Kept(Path::Team);
+        kept.round_done(1e9, 1);
+        assert_eq!(kept.path(), Path::Team);
+    }
+
+    /// A pinned engine never leaves its path.
+    #[test]
+    fn pins_hold() {
+        let (model, _) = scene_model(64, 4, 10);
+        for parallel in [false, true] {
+            let mut s = SpeculativeSampler::new(&model, 3, 2);
+            s.set_parallel_eval(parallel);
+            s.run(20_000);
+            assert_eq!(s.engine.parallel_eval(), parallel);
         }
     }
 

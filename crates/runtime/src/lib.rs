@@ -4,7 +4,7 @@
 //!
 //! §VI of the reproduced paper relies on two execution services that are
 //! built here from scratch on top of `std::thread`, `crossbeam` channels
-//! and `parking_lot` primitives:
+//! and `std::sync` primitives:
 //!
 //! * [`pool::WorkerPool`] — a persistent pool executing *weighted* batches
 //!   of borrowed tasks in longest-processing-time-first order; used by the

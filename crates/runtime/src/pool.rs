@@ -80,7 +80,8 @@ impl WorkerPool {
     /// Spawns a pool with `threads` workers (at least 1), surfacing
     /// thread-spawn failure as an error instead of panicking. If any
     /// worker fails to spawn, the already-started workers are shut down
-    /// cleanly before the error is returned.
+    /// cleanly before the error is returned. Returns once every worker is
+    /// running.
     ///
     /// # Errors
     /// The `io::Error` from `std::thread::Builder::spawn`.
@@ -90,11 +91,15 @@ impl WorkerPool {
         let tasks = Arc::new(AtomicU64::new(0));
         let busy = Arc::new(AtomicU64::new(0));
         let mut handles = Vec::with_capacity(threads);
+        let (ready_tx, ready_rx) = std::sync::mpsc::channel::<()>();
         for i in 0..threads {
             let rx = receiver.clone();
+            let ready = ready_tx.clone();
             let spawned = std::thread::Builder::new()
                 .name(format!("pmcmc-worker-{i}"))
                 .spawn(move || {
+                    let _ = ready.send(());
+                    drop(ready);
                     // Task/busy accounting happens inside the job itself
                     // (see `run_batch`), *before* the job's result is sent:
                     // accounting here, after `job()` returns, would race
@@ -117,6 +122,18 @@ impl WorkerPool {
                     return Err(e);
                 }
             }
+        }
+        // Wait until every worker runs. Under glibc a thread takes a malloc
+        // arena at its first allocation, from a last-in-first-out list of
+        // the arenas exited threads left behind. A worker still starting
+        // when the caller's next thread allocates lets that thread take the
+        // worker's arena, and the worker the one a finished job left full:
+        // that way the `dense_periodic` benchmark's peak resident set read
+        // 98 instead of 68 MB in 4 of 16 runs (2-core x86-64 host), against
+        // 68 MB in 16 of 16 with this wait.
+        drop(ready_tx);
+        for _ in 0..handles.len() {
+            let _ = ready_rx.recv();
         }
         Ok(Self {
             sender: Some(sender),

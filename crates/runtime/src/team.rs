@@ -8,15 +8,25 @@
 //! then parks on a condvar, so an idle or oversubscribed team never burns
 //! cores the leader needs — the failure mode that made speculative rounds
 //! orders of magnitude slower than sequential on machines with fewer cores
-//! than lanes. Broadcasting a closure costs one mutex store plus an atomic
-//! increment (plus a `notify_all` when some helper is parked), keeping the
-//! "negligible overhead" regime the paper's eq. (3)/(4) assume.
+//! than lanes.
+//!
+//! # The round protocol
+//!
+//! The leader stores the round's closure in the job slot and then bumps
+//! `generation` to `g` (Release), which publishes the slot. A helper runs
+//! round `g` only when `g` is newer than the last round it ran, and
+//! reports it by storing `g` into its own cache-padded `done` slot
+//! (Release); the leader returns once every slot reads `g` (Acquire). A
+//! helper can therefore run a round once and only once, and the closure
+//! outlives every call into it. The only lock guards the condvar: a helper
+//! about to park registers in `parked` and re-checks `generation` under the
+//! lock, and the leader takes the lock and notifies only when some helper
+//! is registered, so a broadcast to spinning helpers costs one atomic store
+//! and no system call.
 
-use parking_lot::Mutex;
-use std::cell::UnsafeCell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex};
 
 /// Spin-loop iterations a helper burns waiting for the next round before
 /// yielding and then parking. Long enough to catch back-to-back rounds,
@@ -28,46 +38,83 @@ const HELPER_YIELDS: u32 = 16;
 /// starts yielding (helpers may need the leader's core on small machines).
 const LEADER_SPINS: u32 = 200;
 
-/// Type-erased shared job: a reference to the round's closure.
-struct SharedJob {
-    /// Raw wide pointer to the caller's closure; valid strictly for the
-    /// duration of one `broadcast` call (the leader does not return until
-    /// every helper has finished executing it).
-    ptr: *const (dyn Fn(usize) + Sync),
-}
-// SAFETY: the pointee is `Sync` (bound enforced in `broadcast`) and the
-// leader guarantees it outlives all concurrent use.
-unsafe impl Send for SharedJob {}
+/// The round's closure as the job slot holds it: the leader's reference
+/// to it, itself a local of `broadcast`.
+type Job<'f> = &'f (dyn Fn(usize) + Sync);
+
+/// A member's last finished generation, alone on its cache line.
+#[repr(align(64))]
+struct Done(AtomicU64);
 
 struct TeamShared {
+    /// Rounds broadcast so far; bumping it publishes `job`.
     generation: AtomicU64,
-    completed: AtomicU64,
+    /// Points at the current round's [`Job`] on the leader's stack.
+    job: AtomicPtr<()>,
+    /// Per member, the last generation it finished (slot 0, the leader's,
+    /// unused).
+    done: Box<[Done]>,
+    /// Helpers registered to park.
+    parked: AtomicUsize,
     shutdown: AtomicBool,
     panicked: AtomicBool,
-    job: Mutex<Option<SharedJob>>,
-    /// Latest generation announced to parked helpers; guarded by a std
-    /// mutex so the condvar wait can re-check it without missed wakeups.
-    announced: std::sync::Mutex<u64>,
-    wake: std::sync::Condvar,
+    /// Guards the condvar wait; holds no data.
+    lock: Mutex<()>,
+    wake: Condvar,
     /// Nanoseconds the leader has spent waiting for helpers to finish
     /// rounds (drained by [`SpinTeam::take_spin_wait_ns`]).
     spin_wait_ns: AtomicU64,
 }
 
 impl TeamShared {
-    /// Publishes `gen` to parked helpers and wakes them.
-    fn announce(&self, gen: u64) {
-        let mut announced = self.announced.lock().unwrap();
-        *announced = gen;
-        drop(announced);
-        self.wake.notify_all();
+    /// Waits until a round newer than `last` is broadcast and returns its
+    /// generation, or `None` on shutdown: spin, then yield, then park.
+    fn next_round(&self, last: u64) -> Option<u64> {
+        let mut spins = 0u32;
+        loop {
+            let gen = self.generation.load(Ordering::Acquire);
+            if gen > last {
+                return Some(gen);
+            }
+            if self.shutdown.load(Ordering::Acquire) {
+                return None;
+            }
+            spins += 1;
+            if spins < HELPER_SPINS {
+                std::hint::spin_loop();
+            } else if spins < HELPER_SPINS + HELPER_YIELDS {
+                std::thread::yield_now();
+            } else {
+                // Register, then re-check under the lock: either the leader's
+                // `parked` load sees this helper and notifies under the lock,
+                // or its generation bump is already visible here (both sides
+                // are SeqCst, so one of the two must happen).
+                let mut guard = self.lock.lock().unwrap_or_else(|e| e.into_inner());
+                self.parked.fetch_add(1, Ordering::SeqCst);
+                while self.generation.load(Ordering::SeqCst) == last
+                    && !self.shutdown.load(Ordering::SeqCst)
+                {
+                    guard = self.wake.wait(guard).unwrap_or_else(|e| e.into_inner());
+                }
+                self.parked.fetch_sub(1, Ordering::SeqCst);
+                spins = 0;
+            }
+        }
+    }
+
+    /// Wakes parked helpers, if there are any.
+    fn wake_parked(&self) {
+        if self.parked.load(Ordering::SeqCst) > 0 {
+            drop(self.lock.lock().unwrap_or_else(|e| e.into_inner()));
+            self.wake.notify_all();
+        }
     }
 }
 
 /// One cache-line-padded output cell per member for `broadcast_map`; each
 /// member writes only its own cell, so no locks and no false sharing.
 #[repr(align(64))]
-struct MapSlot<R>(UnsafeCell<Option<R>>);
+struct MapSlot<R>(std::cell::UnsafeCell<Option<R>>);
 
 // SAFETY: members access disjoint slots (slot `id` only from member `id`),
 // and `broadcast`'s completion barrier orders all writes before the
@@ -91,12 +138,13 @@ impl SpinTeam {
         let members = members.max(1);
         let shared = Arc::new(TeamShared {
             generation: AtomicU64::new(0),
-            completed: AtomicU64::new(0),
+            job: AtomicPtr::new(std::ptr::null_mut()),
+            done: (0..members).map(|_| Done(AtomicU64::new(0))).collect(),
+            parked: AtomicUsize::new(0),
             shutdown: AtomicBool::new(false),
             panicked: AtomicBool::new(false),
-            job: Mutex::new(None),
-            announced: std::sync::Mutex::new(0),
-            wake: std::sync::Condvar::new(),
+            lock: Mutex::new(()),
+            wake: Condvar::new(),
             spin_wait_ns: AtomicU64::new(0),
         });
         let mut handles = Vec::with_capacity(members - 1);
@@ -155,26 +203,29 @@ impl SpinTeam {
             f(0);
             return;
         }
-        let helpers = (self.members - 1) as u64;
-        let f_ref: &(dyn Fn(usize) + Sync) = &f;
-        // SAFETY: we erase the lifetime of `f_ref` to store it in the
-        // shared slot. The leader waits below until `completed == helpers`,
-        // i.e. until every helper has returned from the closure, before
-        // clearing the slot and returning — so the reference never outlives
-        // the closure it points to.
-        let erased: *const (dyn Fn(usize) + Sync) = unsafe { std::mem::transmute(f_ref) };
-        *self.shared.job.lock() = Some(SharedJob { ptr: erased });
-        self.shared.completed.store(0, Ordering::Release);
-        let gen = self.shared.generation.fetch_add(1, Ordering::Release) + 1;
-        self.shared.announce(gen);
+        let shared = &*self.shared;
+        let job: Job<'_> = &f;
+        // Publish the slot: helpers read it only after they load a newer
+        // generation (Acquire), and the bump below is a Release, so they
+        // see this store. The pointee outlives every use: this call does
+        // not return before every helper has stored this round's
+        // generation in its `done` slot, i.e. has returned from `f`.
+        shared.job.store(
+            std::ptr::from_ref(&job).cast_mut().cast(),
+            Ordering::Release,
+        );
+        let gen = shared.generation.fetch_add(1, Ordering::SeqCst) + 1;
+        pause_after_bump();
+        shared.wake_parked();
 
         // Member 0 = the leader itself.
         let leader_result = catch_unwind(AssertUnwindSafe(|| f(0)));
 
-        if self.shared.completed.load(Ordering::Acquire) < helpers {
+        let finished = |d: &Done| d.0.load(Ordering::Acquire) == gen;
+        if !shared.done[1..].iter().all(finished) {
             let wait_start = std::time::Instant::now();
             let mut spins = 0u32;
-            while self.shared.completed.load(Ordering::Acquire) < helpers {
+            while !shared.done[1..].iter().all(finished) {
                 spins += 1;
                 if spins < LEADER_SPINS {
                     std::hint::spin_loop();
@@ -185,13 +236,11 @@ impl SpinTeam {
                 }
             }
             let waited = u64::try_from(wait_start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-            self.shared
-                .spin_wait_ns
-                .fetch_add(waited, Ordering::Relaxed);
+            shared.spin_wait_ns.fetch_add(waited, Ordering::Relaxed);
         }
-        *self.shared.job.lock() = None;
+        shared.job.store(std::ptr::null_mut(), Ordering::Release);
 
-        if leader_result.is_err() || self.shared.panicked.swap(false, Ordering::AcqRel) {
+        if leader_result.is_err() || shared.panicked.swap(false, Ordering::AcqRel) {
             panic!("SpinTeam member panicked during broadcast");
         }
     }
@@ -207,7 +256,7 @@ impl SpinTeam {
         F: Fn(usize) -> R + Sync,
     {
         let slots: Vec<MapSlot<R>> = (0..self.members)
-            .map(|_| MapSlot(UnsafeCell::new(None)))
+            .map(|_| MapSlot(std::cell::UnsafeCell::new(None)))
             .collect();
         let slots_ref = &slots;
         self.broadcast(|id| {
@@ -225,58 +274,49 @@ impl SpinTeam {
     }
 }
 
+/// Holds the leader between the generation bump and the wake-up for as
+/// long as the unit test running it asks, widening the window in which
+/// helpers catch a round by spinning.
+#[cfg(test)]
+fn pause_after_bump() {
+    std::thread::sleep(tests::PAUSE_AFTER_BUMP.get());
+}
+
+#[cfg(not(test))]
+fn pause_after_bump() {}
+
 fn helper_loop(shared: &TeamShared, id: usize) {
-    let mut last_gen = 0u64;
-    loop {
-        // Fast path: spin briefly in case the next round is imminent …
-        let mut spins = 0u32;
-        loop {
-            if shared.generation.load(Ordering::Acquire) != last_gen {
-                break;
-            }
-            if shared.shutdown.load(Ordering::Acquire) {
-                return;
-            }
-            spins += 1;
-            if spins < HELPER_SPINS {
-                std::hint::spin_loop();
-            } else if spins < HELPER_SPINS + HELPER_YIELDS {
-                std::thread::yield_now();
-            } else {
-                // … then park until the leader announces a new round. The
-                // announced generation is re-checked under the lock, so a
-                // notify between the atomic check and the wait cannot be
-                // missed.
-                let mut announced = shared.announced.lock().unwrap();
-                while *announced == last_gen && !shared.shutdown.load(Ordering::Acquire) {
-                    announced = shared.wake.wait(announced).unwrap();
-                }
-                break;
-            }
+    let mut last = 0u64;
+    while let Some(gen) = shared.next_round(last) {
+        debug_assert_eq!(gen, last + 1, "member {id} skipped a round");
+        let job = shared
+            .job
+            .load(Ordering::Acquire)
+            .cast::<Job<'_>>()
+            .cast_const();
+        // SAFETY: `job` was stored before generation `gen` was published
+        // and points at the leader's `Job` for round `gen`, which stays
+        // alive until this member stores `gen` into its `done` slot below.
+        let run = catch_unwind(AssertUnwindSafe(|| unsafe { (*job)(id) }));
+        if run.is_err() {
+            shared.panicked.store(true, Ordering::Release);
         }
-        if shared.shutdown.load(Ordering::Acquire) {
-            return;
-        }
-        last_gen = shared.generation.load(Ordering::Acquire);
-        let job_ptr = shared.job.lock().as_ref().map(|j| j.ptr);
-        if let Some(ptr) = job_ptr {
-            // SAFETY: the leader keeps the closure alive until `completed`
-            // reaches the helper count; we increment only after returning.
-            let run = catch_unwind(AssertUnwindSafe(|| unsafe { (*ptr)(id) }));
-            if run.is_err() {
-                shared.panicked.store(true, Ordering::Release);
-            }
-        }
-        shared.completed.fetch_add(1, Ordering::AcqRel);
+        last = gen;
+        shared.done[id].0.store(gen, Ordering::Release);
     }
 }
 
 impl Drop for SpinTeam {
     fn drop(&mut self) {
-        self.shared.shutdown.store(true, Ordering::Release);
-        // Take the announce lock so parked helpers observe the shutdown
-        // flag when woken.
-        drop(self.shared.announced.lock().unwrap());
+        self.shared.shutdown.store(true, Ordering::SeqCst);
+        // Take the lock so a helper between its shutdown check and its
+        // wait cannot miss the notification.
+        drop(
+            self.shared
+                .lock
+                .lock()
+                .unwrap_or_else(std::sync::PoisonError::into_inner),
+        );
         self.shared.wake.notify_all();
         for h in self.handles.drain(..) {
             let _ = h.join();
@@ -287,7 +327,14 @@ impl Drop for SpinTeam {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cell::Cell;
     use std::sync::atomic::AtomicUsize;
+    use std::time::Duration;
+
+    thread_local! {
+        /// How long [`pause_after_bump`] holds a leader on this thread.
+        pub(super) static PAUSE_AFTER_BUMP: Cell<Duration> = const { Cell::new(Duration::ZERO) };
+    }
 
     #[test]
     fn single_member_runs_inline() {
@@ -370,6 +417,32 @@ mod tests {
         assert!(waited > 0, "leader never waited on the sleeping helper");
         // Drained: immediately reading again returns ~0 (no rounds ran).
         assert_eq!(team.take_spin_wait_ns(), 0);
+    }
+
+    /// A helper that catches round g by spinning must not run it again
+    /// while the leader is still between the generation bump and the
+    /// wake-up: the pause outlasts a helper's whole spin-and-yield budget,
+    /// so a helper that finished round g reaches its park path inside it.
+    #[test]
+    fn a_round_runs_once_when_the_wake_up_is_late() {
+        for members in [2, 3, 4] {
+            let team = SpinTeam::new(members);
+            PAUSE_AFTER_BUMP.set(Duration::from_millis(3));
+            for round in 0..8 {
+                let hits: Vec<AtomicUsize> = (0..members).map(|_| AtomicUsize::new(0)).collect();
+                team.broadcast(|id| {
+                    hits[id].fetch_add(1, Ordering::SeqCst);
+                });
+                for (id, h) in hits.iter().enumerate() {
+                    assert_eq!(
+                        h.load(Ordering::SeqCst),
+                        1,
+                        "{members} members, round {round}: member {id}"
+                    );
+                }
+            }
+        }
+        PAUSE_AFTER_BUMP.set(Duration::ZERO);
     }
 
     #[test]

@@ -100,6 +100,58 @@ proptest! {
         }
     }
 
+    /// Each circle's summed lens area, kept incrementally through random
+    /// apply / revert / tile-merge sequences, matches the from-scratch sum
+    /// (≤ 1e-9); and over any edit's removed circles it bounds the overlap
+    /// the edit can lose, which is what lets the samplers reject before
+    /// computing the overlap term.
+    #[test]
+    fn per_circle_overlap_is_exact_and_bounds_the_overlap_term(
+        circles in prop::collection::vec(arb_circle(128, 128), 2..14),
+        ops in prop::collection::vec((0u8..5, 0usize..64, arb_circle(128, 128)), 1..20),
+    ) {
+        let model = small_model(128, 128);
+        let gamma = model.params.overlap_gamma;
+        let mut cfg = Configuration::from_circles(&model, &circles);
+        for (step, (op, pick, c)) in ops.into_iter().enumerate() {
+            let n = cfg.len();
+            if op == 4 {
+                // A local phase on the whole image or on its left half,
+                // merged back into the master.
+                let rect = Rect::new(0, 0, if pick % 2 == 0 { 128 } else { 64 }, 128);
+                let mut tile = pmcmc::core::TileWorkspace::new(&cfg, &model, rect);
+                tile.run_local(200, 0.5, &model, &mut Xoshiro256::new(pick as u64));
+                cfg.absorb_tile(&tile);
+            } else {
+                let edit = match op {
+                    _ if n == 0 => Edit::add_one(c),
+                    0 => Edit { remove: vec![], add: vec![c, Circle::new(c.x + 5.0, c.y, c.r)] },
+                    1 => Edit::remove_one(pick % n),
+                    2 if n >= 2 => Edit { remove: vec![pick % n, (pick + 1) % n], add: vec![c] },
+                    _ => Edit::replace_one(pick % n, c),
+                };
+                let removed: f64 = edit.remove.iter().map(|&i| cfg.overlap_of(i)).sum();
+                let d_overlap = cfg.delta_overlap_readonly(&edit, &model);
+                prop_assert!(gamma * removed >= -gamma * d_overlap - 1e-9, "step {}", step);
+                let receipt = cfg.apply(&edit, &model);
+                if op == 3 {
+                    cfg.revert(&receipt, &model);
+                }
+            }
+            for (i, a) in cfg.circles().iter().enumerate() {
+                let fresh: f64 = (cfg.circles().iter().enumerate())
+                    .filter(|&(j, _)| j != i)
+                    .map(|(_, b)| a.intersection_area(b))
+                    .sum();
+                prop_assert!(
+                    (cfg.overlap_of(i) - fresh).abs() <= 1e-9,
+                    "step {}: circle {}: kept {} vs {}", step, i, cfg.overlap_of(i), fresh
+                );
+            }
+            cfg.verify_consistency(&model).map_err(TestCaseError::fail)?;
+        }
+    }
+
     /// Partition grids tile the image: every pixel in exactly one tile.
     #[test]
     fn grid_tiles_partition_pixels(
