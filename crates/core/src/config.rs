@@ -283,6 +283,11 @@ impl Configuration {
         self.overlap_of[i]
     }
 
+    /// The row spans circle `i` was added with, clipped to the image.
+    pub(crate) fn span_table(&self, i: usize) -> &SpanTable {
+        &self.spans[i]
+    }
+
     /// Read access to the coverage grid.
     #[must_use]
     pub const fn coverage(&self) -> &CoverageGrid {
@@ -413,23 +418,28 @@ impl Configuration {
         );
     }
 
-    /// Replaces circle `idx` (which must currently equal `old`) with `new`
-    /// on the circle list, the spatial index, the coverage grid and the
-    /// per-circle lens areas. Used when merging tile results: the tile's
-    /// own accumulated deltas feed the likelihood/overlap caches, so the
-    /// grid's returned gains are dropped.
+    /// Replaces circle `idx` (which must currently equal `old`) with `new`,
+    /// whose row spans on the image are `spans`, on the circle list, the
+    /// spatial index, the coverage grid and the per-circle lens areas. Used
+    /// when merging tile results: the tile's own accumulated deltas feed the
+    /// likelihood/overlap caches, so the grid's returned gains are dropped.
     pub(crate) fn update_circle_in_place(
         &mut self,
         idx: usize,
         old: Circle,
         new: Circle,
+        spans: &SpanTable,
         model: &NucleiModel,
     ) {
         debug_assert_eq!(self.circles[idx], old, "tile update against stale master");
+        debug_assert!(
+            *spans == SpanTable::of(&new, &self.coverage.rect()),
+            "tile table differs from the image's"
+        );
         self.invalidate_pair_cache();
         let gain = &model.gain;
         self.coverage.remove_disk(&old, &self.spans[idx], gain);
-        self.spans[idx] = SpanTable::of(&new, &self.coverage.rect());
+        self.spans[idx] = *spans;
         self.coverage.add_disk(&new, &self.spans[idx], gain);
         self.link(&old, idx, -1.0, model);
         self.spatial.relocate(idx, &old, &new);

@@ -60,4 +60,4 @@ pub use perf::PerfSnapshot;
 pub use rng::{BatchedRng, Xoshiro256};
 pub use sampler::{decide, evaluate_proposal, Evaluation, ProposalBatch, Sampler, Stepper};
 pub use samples::{CountDistribution, SampleCollector};
-pub use tile::{Replica, TileState, TileWorkspace};
+pub use tile::{Replica, TilePlan, TileState, TileWorkspace};

@@ -15,7 +15,19 @@ pub struct SpatialGrid {
     cell: f64,
     cols: usize,
     rows: usize,
+    /// The first `cols · rows` are the grid's cells; any beyond them are
+    /// empty and only keep their storage for a later [`SpatialGrid::reset`].
     cells: Vec<Vec<u32>>,
+}
+
+/// Two grids are equal when they cover the same cells with the same ids in
+/// the same order; spare cells and capacities do not count.
+impl PartialEq for SpatialGrid {
+    fn eq(&self, other: &Self) -> bool {
+        (self.x0, self.y0, self.cell, self.cols, self.rows)
+            == (other.x0, other.y0, other.cell, other.cols, other.rows)
+            && self.used() == other.used()
+    }
 }
 
 impl SpatialGrid {
@@ -32,17 +44,40 @@ impl SpatialGrid {
     /// `rect` clamp to the border cells.
     #[must_use]
     pub fn over(rect: Rect, cell: f64) -> Self {
+        let mut grid = Self {
+            x0: 0.0,
+            y0: 0.0,
+            cell: 1.0,
+            cols: 0,
+            rows: 0,
+            cells: Vec::new(),
+        };
+        grid.reset(rect, cell);
+        grid
+    }
+
+    /// Empties the grid and makes it [`SpatialGrid::over`] `rect`, keeping
+    /// the storage of its cells: a tile rebuilt every phase stops
+    /// allocating once its cells have grown to the tile's population.
+    pub fn reset(&mut self, rect: Rect, cell: f64) {
         let cell = cell.max(1.0);
-        let cols = (rect.width().max(0) as f64 / cell).ceil().max(1.0) as usize;
-        let rows = (rect.height().max(0) as f64 / cell).ceil().max(1.0) as usize;
-        Self {
-            x0: rect.x0 as f64,
-            y0: rect.y0 as f64,
-            cell,
-            cols,
-            rows,
-            cells: vec![Vec::new(); cols * rows],
+        // Spare cells past the used ones are empty already.
+        let used = self.cols * self.rows;
+        self.cells[..used].iter_mut().for_each(Vec::clear);
+        self.x0 = rect.x0 as f64;
+        self.y0 = rect.y0 as f64;
+        self.cell = cell;
+        self.cols = (rect.width().max(0) as f64 / cell).ceil().max(1.0) as usize;
+        self.rows = (rect.height().max(0) as f64 / cell).ceil().max(1.0) as usize;
+        let n = self.cols * self.rows;
+        if self.cells.len() < n {
+            self.cells.resize_with(n, Vec::new);
         }
+    }
+
+    /// The grid's cells, row-major.
+    fn used(&self) -> &[Vec<u32>] {
+        &self.cells[..self.cols * self.rows]
     }
 
     /// Clamped `(column, row)` of the cell holding `(x, y)`.
@@ -142,7 +177,7 @@ impl SpatialGrid {
     /// Number of indexed circles (for integrity checks).
     #[must_use]
     pub fn len(&self) -> usize {
-        self.cells.iter().map(Vec::len).sum()
+        self.used().iter().map(Vec::len).sum()
     }
 
     /// Whether the index is empty.
@@ -274,6 +309,31 @@ mod tests {
         assert_eq!(collect_neighbors(&g, 135.0, 95.0, 3.0), vec![1]);
         g.relocate(0, &a, &Circle::new(135.0, 96.0, 3.0));
         assert_eq!(collect_neighbors(&g, 135.0, 95.0, 3.0), vec![0, 1]);
+    }
+
+    #[test]
+    fn a_reset_grid_is_a_fresh_one() {
+        let circles: Vec<Circle> = (0..40)
+            .map(|i| Circle::new(f64::from(i * 7 % 90), f64::from(i * 13 % 70), 3.0))
+            .collect();
+        let mut g = SpatialGrid::new(100, 100, 10.0);
+        for rect in [
+            Rect::new(0, 0, 100, 100),
+            Rect::new(20, 10, 45, 60),
+            Rect::new(5, 5, 95, 80),
+        ] {
+            g.reset(rect, 10.0);
+            let mut fresh = SpatialGrid::over(rect, 10.0);
+            for (i, c) in circles.iter().enumerate() {
+                g.insert(i, c);
+                fresh.insert(i, c);
+            }
+            assert!(g == fresh, "{rect:?}");
+            assert_eq!(g.len(), circles.len());
+            assert_eq!(collect_neighbors(&g, 30.0, 30.0, 8.0), {
+                collect_neighbors(&fresh, 30.0, 30.0, 8.0)
+            });
+        }
     }
 
     #[test]

@@ -6,8 +6,14 @@
 //! (disk + interaction margin) lies strictly inside the tile may be
 //! selected or created by a move. The paper's "duplicate, arrange for
 //! parallel execution, and merge" is kept incremental here, so a phase
-//! costs O(circles that changed) rather than O(pixels):
+//! costs O(circles in the tiles) rather than O(pixels), and a tile
+//! iteration costs what a chain iteration of the same kind costs (§VI
+//! prices both at τ_l):
 //!
+//! * a [`TilePlan`] buckets the master's circles into the tiles of one
+//!   phase's grid in a single pass: which circles each tile holds, which
+//!   of them it may modify, and so the per-tile eligible counts that the
+//!   iteration allocation is proportional to;
 //! * a [`Replica`] is a persistent full-image copy of the master's
 //!   coverage grid together with the circle list that grid encodes.
 //!   **Invariant:** `coverage` is exactly the grid of `circles` (integer
@@ -22,16 +28,21 @@
 //!   sequential fallback, speculative global lanes and a replica that sat
 //!   out any number of phases;
 //! * a [`TileState`] is one tile's chain state: the circles centred in the
-//!   tile, a spatial index over them and the accumulated deltas. It runs
-//!   **in place** on a grid that contains its rectangle — a replica's
-//!   ([`Replica::run_local`]; the safeguard keeps every written disk
-//!   `margin` inside the tile, so tiles sharing a replica cannot interfere)
-//!   or the private crop of a standalone [`TileWorkspace`];
-//! * proposals are evaluated read-only by the span evaluator behind
-//!   [`Configuration::delta_log_lik_readonly`]; the grid is written only on
-//!   accept;
+//!   tile, a spatial index over them, each one's lens area with the others
+//!   and each eligible one's row spans — the last two copied from the
+//!   master, whose values they are — and the accumulated deltas. It is
+//!   rebuilt in place every phase ([`TileState::build`]), so its storage
+//!   outlives the phase. It runs **in place** on a grid that contains its
+//!   rectangle — a replica's ([`Replica::run_local`]; the safeguard keeps
+//!   every written disk `margin` inside the tile, so tiles sharing a
+//!   replica cannot interfere) or the private crop of a standalone
+//!   [`TileWorkspace`];
+//! * a proposal's likelihood delta is evaluated read-only by the span
+//!   evaluator behind [`Configuration::delta_log_lik_readonly`], and the
+//!   step rejects before the overlap term when it can, as
+//!   [`crate::sampler::decide`] does; the grid is written only on accept;
 //! * [`Configuration::absorb_tile`] merges by replaying the tile's changed
-//!   circles on the master grid.
+//!   circles, with their final span tables, on the master grid.
 
 use crate::config::{span_delta_log_lik, Configuration};
 use crate::coverage::{CoverageGrid, EditDisk, SpanTally};
@@ -42,7 +53,7 @@ use crate::params::MoveKind;
 use crate::rng::{standard_normal, Xoshiro256};
 use crate::spans::SpanTable;
 use crate::spatial::SpatialGrid;
-use pmcmc_imaging::{Circle, Rect};
+use pmcmc_imaging::{Circle, PartitionGrid, Rect};
 use rand::Rng;
 
 /// Whether the §V safeguard lets a local move in tile `rect` modify `c`:
@@ -55,8 +66,7 @@ fn modifiable(rect: &Rect, c: &Circle, margin: f64) -> bool {
 /// paper's per-partition iteration allocation weight ("in the same
 /// proportion as the number of model features contained within the
 /// partition's boundaries and that may be legitimately modified"). Equals
-/// [`TileState::eligible_count`] of a tile built over the same inputs,
-/// without building it.
+/// the count a [`TilePlan`] gives the same tile, one rectangle at a time.
 #[must_use]
 pub fn eligible_count(circles: &[Circle], model: &NucleiModel, rect: Rect) -> usize {
     let margin = model.interaction_margin();
@@ -66,8 +76,88 @@ pub fn eligible_count(circles: &[Circle], model: &NucleiModel, rect: Rect) -> us
         .count()
 }
 
+/// One local phase's tiling of the master's circles: the tiles of a
+/// [`PartitionGrid`] over the image, and per tile the circles centred in
+/// it, found in one pass over the circle list. Kept across phases, so its
+/// lists stop allocating once they have grown.
+#[derive(Debug, Clone, Default)]
+pub struct TilePlan {
+    rects: Vec<Rect>,
+    /// Per tile, `(master index, eligible)` of every circle centred in it,
+    /// by ascending master index. Lists past `rects.len()` are empty and
+    /// only keep their storage.
+    members: Vec<Vec<(usize, bool)>>,
+    eligible: Vec<usize>,
+}
+
+impl TilePlan {
+    /// Plans the tiles of `grid` over `model`'s image for `circles` (the
+    /// master's list): each circle centred on the image goes to the tile
+    /// that contains its centre and is marked eligible when the §V
+    /// safeguard lets a local move modify it there.
+    pub fn plan(&mut self, grid: &PartitionGrid, circles: &[Circle], model: &NucleiModel) {
+        let (w, h) = (model.params.width, model.params.height);
+        let margin = model.interaction_margin();
+        self.rects = grid.tiles(w, h);
+        let n = self.rects.len();
+        self.members.iter_mut().for_each(Vec::clear);
+        if self.members.len() < n {
+            self.members.resize_with(n, Vec::new);
+        }
+        self.eligible.clear();
+        self.eligible.resize(n, 0);
+        // The tiles are row-major and cover the image, so a centre's column
+        // and row are how many tile edges lie at or before it: a few
+        // comparisons, where `PartitionGrid::tile_of` divides.
+        let frame = Rect::of_image(w, h);
+        let cols = (self.rects.iter())
+            .take_while(|r| r.y0 == self.rects[0].y0)
+            .count();
+        let rows = n / cols.max(1);
+        for (i, c) in circles.iter().enumerate() {
+            if !frame.contains_point(c.x, c.y) {
+                continue;
+            }
+            let col = (1..cols)
+                .take_while(|&k| self.rects[k].x0 as f64 <= c.x)
+                .count();
+            let row = (1..rows)
+                .take_while(|&k| self.rects[k * cols].y0 as f64 <= c.y)
+                .count();
+            let t = row * cols + col;
+            debug_assert!(
+                self.rects[t].contains_point(c.x, c.y),
+                "{c:?} outside tile {t}"
+            );
+            let ok = self.rects[t].contains_circle(c, margin);
+            self.members[t].push((i, ok));
+            self.eligible[t] += usize::from(ok);
+        }
+    }
+
+    /// The tiles, in [`PartitionGrid::tiles`] order.
+    #[must_use]
+    pub fn rects(&self) -> &[Rect] {
+        &self.rects
+    }
+
+    /// Per tile, how many circles a local move may modify
+    /// ([`eligible_count`]).
+    #[must_use]
+    pub fn eligible_counts(&self) -> &[usize] {
+        &self.eligible
+    }
+
+    /// `(master index, eligible)` of every circle centred in `tile`, by
+    /// ascending master index.
+    #[must_use]
+    pub fn members(&self, tile: usize) -> &[(usize, bool)] {
+        &self.members[tile]
+    }
+}
+
 /// One circle tracked by a tile worker.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 struct TileEntry {
     /// Index of this circle in the master configuration.
     master_idx: usize,
@@ -92,14 +182,23 @@ pub struct TileState<'m> {
     margin: f64,
     entries: Vec<TileEntry>,
     eligible: Vec<usize>,
-    /// Slot for slot the row spans of the `eligible` circles, kept up to
-    /// date by [`TileState::local_step`]. An eligible disk lies inside the
-    /// tile, so its table is the same on any grid that contains the tile.
+    /// Slot for slot the row spans of the `eligible` circles, copied from
+    /// the master and kept up to date by [`TileState::local_step`]. An
+    /// eligible disk lies inside the tile, so its table is the same on any
+    /// grid that contains the tile, the image's included.
     spans: Vec<SpanTable>,
+    /// Slot for slot with `entries`, each circle's summed lens area with
+    /// every other circle of the configuration: the master's
+    /// [`Configuration::overlap_of`] at phase start, kept up to date on
+    /// accept. Nothing centred outside the tile reaches an eligible
+    /// circle, so for one of those it is also the sum over the tile's
+    /// entries — what bounds the overlap term of its moves.
+    overlap: Vec<f64>,
     /// Spatial index over entry circles (entry indices as ids), so overlap
-    /// deltas cost O(neighbours) rather than O(tile circles) — matching
-    /// the master sampler's per-iteration cost, which the §VI model
-    /// assumes (τ_l identical in and out of tiles). Sized to the tile.
+    /// sums cost O(neighbours) rather than O(tile circles) — with the
+    /// rejection-first step and the borrowed tables, what keeps a tile
+    /// iteration at the master sampler's cost, as the §VI model assumes
+    /// (τ_l identical in and out of tiles). Sized to the tile.
     spatial: SpatialGrid,
     /// Accumulated log-likelihood delta since phase start.
     pub d_log_lik: f64,
@@ -113,52 +212,97 @@ pub struct TileState<'m> {
     tally: SpanTally,
     /// Room for the candidate's row spans.
     candidate_spans: SpanTable,
+    /// Rejections after the support check: decided before the overlap
+    /// term, and after it.
+    #[cfg(test)]
+    rejects: (u64, u64),
 }
 
 impl<'m> TileState<'m> {
-    /// Builds the state of tile `rect` over `circles` (the master's list,
-    /// or a synced replica's copy of it).
-    ///
-    /// All circles *centred* in the tile are pulled in (circles centred
-    /// elsewhere cannot interact with any eligible circle: an eligible
-    /// circle's considered area keeps a distance of at least `r + r_max`
-    /// from the boundary).
-    fn new(circles: &[Circle], model: &'m NucleiModel, rect: Rect) -> Self {
-        let margin = model.interaction_margin();
-        let mut entries = Vec::new();
-        let mut spans = Vec::new();
-        let mut eligible = Vec::new();
-        let mut spatial = SpatialGrid::over(rect, 2.0 * model.r_max());
-        for (i, &c) in circles.iter().enumerate() {
-            if rect.contains_point(c.x, c.y) {
-                let ok = modifiable(&rect, &c, margin);
-                if ok {
-                    eligible.push(entries.len());
-                    spans.push(SpanTable::of(&c, &rect));
-                }
-                spatial.insert(entries.len(), &c);
-                entries.push(TileEntry {
-                    master_idx: i,
-                    circle: c,
-                    original: c,
-                    eligible: ok,
-                });
-            }
-        }
+    /// An empty tile of `model`; [`TileState::build`] makes it a phase's.
+    #[must_use]
+    pub fn new(model: &'m NucleiModel) -> Self {
+        let empty = Rect::new(0, 0, 0, 0);
         Self {
             model,
-            rect,
-            margin,
-            entries,
-            eligible,
-            spans,
-            spatial,
+            rect: empty,
+            margin: model.interaction_margin(),
+            entries: Vec::new(),
+            eligible: Vec::new(),
+            spans: Vec::new(),
+            overlap: Vec::new(),
+            spatial: SpatialGrid::over(empty, 2.0 * model.r_max()),
             d_log_lik: 0.0,
             d_overlap: 0.0,
             d_radius_logprior: 0.0,
             stats: AcceptanceStats::new(),
             tally: SpanTally::default(),
             candidate_spans: SpanTable::EMPTY,
+            #[cfg(test)]
+            rejects: (0, 0),
+        }
+    }
+
+    /// The state of tile `rect` over `master`, its circles found by a scan
+    /// of the master's list.
+    ///
+    /// All circles *centred* in the tile are pulled in (circles centred
+    /// elsewhere cannot interact with any eligible circle: an eligible
+    /// circle's considered area keeps a distance of at least `r + r_max`
+    /// from the boundary).
+    #[must_use]
+    pub fn of(master: &Configuration, model: &'m NucleiModel, rect: Rect) -> Self {
+        let mut tile = Self::new(model);
+        let margin = tile.margin;
+        let members = (master.circles().iter().enumerate())
+            .filter(|(_, c)| rect.contains_point(c.x, c.y))
+            .map(|(i, c)| (i, modifiable(&rect, c, margin)));
+        tile.fill(master, rect, members);
+        tile
+    }
+
+    /// Makes this the state of tile `tile` of `plan`, which must have been
+    /// planned over `master`'s current circle list. Everything the tile
+    /// held before is dropped; the storage is kept.
+    pub fn build(&mut self, master: &Configuration, plan: &TilePlan, tile: usize) {
+        self.fill(master, plan.rects[tile], plan.members(tile).iter().copied());
+    }
+
+    fn fill(
+        &mut self,
+        master: &Configuration,
+        rect: Rect,
+        members: impl Iterator<Item = (usize, bool)>,
+    ) {
+        self.rect = rect;
+        self.entries.clear();
+        self.eligible.clear();
+        self.spans.clear();
+        self.overlap.clear();
+        self.spatial.reset(rect, 2.0 * self.model.r_max());
+        for (i, ok) in members {
+            let c = master.circle(i);
+            if ok {
+                self.eligible.push(self.entries.len());
+                self.spans.push(*master.span_table(i));
+            }
+            self.spatial.insert(self.entries.len(), &c);
+            self.overlap.push(master.overlap_of(i));
+            self.entries.push(TileEntry {
+                master_idx: i,
+                circle: c,
+                original: c,
+                eligible: ok,
+            });
+        }
+        self.d_log_lik = 0.0;
+        self.d_overlap = 0.0;
+        self.d_radius_logprior = 0.0;
+        self.stats = AcceptanceStats::new();
+        debug_assert_eq!(self.tally, SpanTally::default(), "tile work not flushed");
+        #[cfg(test)]
+        {
+            self.rejects = (0, 0);
         }
     }
 
@@ -180,19 +324,15 @@ impl<'m> TileState<'m> {
         self.entries.len()
     }
 
-    /// One local iteration on `grid`, which must contain the tile's
-    /// rectangle and encode the circles the tile was built over plus this
-    /// tile's accepted moves; returns whether the move was accepted. The
-    /// proposal is evaluated read-only; `grid` is written only on accept.
-    /// The evaluation's work stays in `self.tally` until
-    /// [`TileState::run_local`] flushes it.
-    fn local_step(
+    /// Draws a local move: its kind, the eligible slot it moves and the
+    /// candidate circle; `None` (recorded as invalid) when the tile has
+    /// nothing it may modify.
+    fn propose(
         &mut self,
-        grid: &mut CoverageGrid,
         p_translate: f64,
         model: &NucleiModel,
         rng: &mut Xoshiro256,
-    ) -> bool {
+    ) -> Option<(MoveKind, usize, Circle)> {
         let translate = rng.gen::<f64>() < p_translate;
         let kind = if translate {
             MoveKind::Translate
@@ -201,12 +341,14 @@ impl<'m> TileState<'m> {
         };
         if self.eligible.is_empty() {
             self.stats.record_invalid(kind);
-            return false;
+            return None;
         }
         let slot = rng.gen_range(0..self.eligible.len());
-        let ei = self.eligible[slot];
-        debug_assert!(self.entries[ei].eligible, "eligible list out of sync");
-        let old = self.entries[ei].circle;
+        debug_assert!(
+            self.entries[self.eligible[slot]].eligible,
+            "eligible list out of sync"
+        );
+        let old = self.entries[self.eligible[slot]].circle;
         let candidate = if translate {
             let sd = model.scales.translate_sd;
             Circle::new(
@@ -221,35 +363,28 @@ impl<'m> TileState<'m> {
                 old.r + model.scales.resize_sd * standard_normal(rng),
             )
         };
+        Some((kind, slot, candidate))
+    }
 
-        // Support + safeguard: the candidate must stay in the radius
-        // prior's support and keep its considered area inside the tile
-        // (which keeps the eligible set invariant for the whole phase).
-        if !model.params.radius_prior.in_support(candidate.r)
-            || !self.rect.contains_circle(&candidate, self.margin)
-        {
-            self.stats.record_reject(kind);
-            return false;
-        }
+    /// Support + safeguard: the candidate must stay in the radius prior's
+    /// support and keep its considered area inside the tile (which keeps
+    /// the eligible set invariant for the whole phase).
+    fn admissible(&self, candidate: &Circle, model: &NucleiModel) -> bool {
+        model.params.radius_prior.in_support(candidate.r)
+            && self.rect.contains_circle(candidate, self.margin)
+    }
 
-        // Overlap delta against neighbouring tile circles (only entries
-        // within interaction reach can contribute a non-zero lens term).
-        let mut d_overlap = 0.0;
-        let reach_new = candidate.r + model.r_max();
-        self.spatial
-            .for_neighbors(candidate.x, candidate.y, reach_new, |j| {
-                if j != ei {
-                    d_overlap += candidate.intersection_area(&self.entries[j].circle);
-                }
-            });
-        let reach_old = old.r + model.r_max();
-        self.spatial.for_neighbors(old.x, old.y, reach_old, |j| {
-            if j != ei {
-                d_overlap -= old.intersection_area(&self.entries[j].circle);
-            }
-        });
-
-        let gain = &model.gain;
+    /// Log-likelihood delta of moving slot `slot` to `candidate` on
+    /// `grid`, read-only; leaves the candidate's spans in
+    /// `self.candidate_spans`.
+    fn likelihood_delta(
+        &mut self,
+        grid: &CoverageGrid,
+        gain: &Gain,
+        slot: usize,
+        old: Circle,
+        candidate: Circle,
+    ) -> f64 {
         self.candidate_spans.fill(&candidate, &self.rect);
         let removed = EditDisk {
             circle: old,
@@ -261,24 +396,153 @@ impl<'m> TileState<'m> {
             spans: &self.candidate_spans,
             is_add: true,
         };
-        let d_log_lik = span_delta_log_lik(grid, gain, &[removed, added], &mut self.tally);
+        span_delta_log_lik(grid, gain, &[removed, added], &mut self.tally)
+    }
 
+    /// Pairwise-overlap-area delta of entry `ei` moving from `old` to
+    /// `new`: the lens areas gained against neighbouring entries, then
+    /// those lost (only entries within interaction reach can contribute).
+    fn overlap_delta(&self, ei: usize, old: &Circle, new: &Circle, r_max: f64) -> f64 {
+        let mut d_overlap = 0.0;
+        self.spatial
+            .for_neighbors(new.x, new.y, new.r + r_max, |j| {
+                if j != ei {
+                    d_overlap += new.intersection_area(&self.entries[j].circle);
+                }
+            });
+        self.spatial
+            .for_neighbors(old.x, old.y, old.r + r_max, |j| {
+                if j != ei {
+                    d_overlap -= old.intersection_area(&self.entries[j].circle);
+                }
+            });
+        d_overlap
+    }
+
+    /// Adds `sign ×` the lens area of `c` with each neighbouring entry but
+    /// `skip` to that entry's kept overlap, and returns their sum.
+    fn link(&mut self, c: &Circle, skip: usize, sign: f64, r_max: f64) -> f64 {
+        let Self {
+            spatial,
+            entries,
+            overlap,
+            ..
+        } = self;
+        let mut total = 0.0;
+        spatial.for_neighbors(c.x, c.y, c.r + r_max, |j| {
+            if j != skip {
+                let area = c.intersection_area(&entries[j].circle);
+                overlap[j] += sign * area;
+                total += area;
+            }
+        });
+        total
+    }
+
+    /// Writes an accepted move of slot `slot` (entry `ei`) from `old` to
+    /// `candidate`, whose spans are in `self.candidate_spans`, to `grid` and
+    /// to the tile's state.
+    fn commit(
+        &mut self,
+        grid: &mut CoverageGrid,
+        gain: &Gain,
+        (slot, ei): (usize, usize),
+        old: Circle,
+        candidate: Circle,
+        (d_log_lik, d_overlap, d_radius): (f64, f64, f64),
+    ) {
+        let r_max = self.model.r_max();
+        grid.remove_disk(&old, &self.spans[slot], gain);
+        grid.add_disk(&candidate, &self.candidate_spans, gain);
+        self.spans[slot] = self.candidate_spans;
+        self.link(&old, ei, -1.0, r_max);
+        self.overlap[ei] = self.link(&candidate, ei, 1.0, r_max);
+        self.spatial.relocate(ei, &old, &candidate);
+        self.entries[ei].circle = candidate;
+        self.d_log_lik += d_log_lik;
+        self.d_overlap += d_overlap;
+        self.d_radius_logprior += d_radius;
+    }
+
+    /// One local iteration on `grid`, which must contain the tile's
+    /// rectangle and encode the circles the tile was built over plus this
+    /// tile's accepted moves; returns whether the move was accepted. The
+    /// proposal is evaluated read-only; `grid` is written only on accept.
+    /// The evaluation's work stays in `self.tally` until
+    /// [`TileState::run_local`] flushes it.
+    ///
+    /// The likelihood and radius terms come first. A move can gain at most
+    /// the lens area the moved circle has now, so with γ ≥ 0
+    ///
+    /// ```text
+    /// B = Δlik + Δradius + γ·overlap[moved]  ≥  log α
+    /// ```
+    ///
+    /// When `B + ε < 0`, `log α < 0` for certain, so the exact test draws
+    /// `u` here in any case: it is drawn, and the move is rejected when
+    /// `B + ε ≤ ln u`. Otherwise the overlap delta and `log α` are computed
+    /// in full, in the exact step's float order, against that same `u` (or
+    /// one drawn only when `log α < 0`). ε = 10⁻⁹ × (1 + the terms'
+    /// magnitudes), as in [`crate::sampler::decide`]. Decisions and the
+    /// random stream are the exact step's; only the work to reach them
+    /// differs.
+    fn local_step(
+        &mut self,
+        grid: &mut CoverageGrid,
+        p_translate: f64,
+        model: &NucleiModel,
+        rng: &mut Xoshiro256,
+    ) -> bool {
+        let Some((kind, slot, candidate)) = self.propose(p_translate, model, rng) else {
+            return false;
+        };
+        if !self.admissible(&candidate, model) {
+            self.stats.record_reject(kind);
+            return false;
+        }
+        let ei = self.eligible[slot];
+        let old = self.entries[ei].circle;
+        let gain = &model.gain;
+        let d_log_lik = self.likelihood_delta(grid, gain, slot, old, candidate);
         let d_radius =
             model.params.radius_prior.logpdf(candidate.r) - model.params.radius_prior.logpdf(old.r);
+        let gamma = model.params.overlap_gamma;
 
-        let log_alpha = d_log_lik + d_radius - model.params.overlap_gamma * d_overlap;
-        let accept = log_alpha >= 0.0 || rng.gen::<f64>().ln() < log_alpha;
+        let mut log_u = None;
+        if gamma >= 0.0 {
+            let kept = self.overlap[ei];
+            let bound = d_log_lik + d_radius + gamma * kept;
+            let slack = 1e-9 * (1.0 + d_log_lik.abs() + d_radius.abs() + gamma * kept.abs());
+            if bound + slack < 0.0 {
+                let u = rng.gen::<f64>().ln();
+                if bound + slack <= u {
+                    #[cfg(test)]
+                    {
+                        self.rejects.0 += 1;
+                    }
+                    self.stats.record_reject(kind);
+                    return false;
+                }
+                log_u = Some(u);
+            }
+        }
+
+        let d_overlap = self.overlap_delta(ei, &old, &candidate, model.r_max());
+        let log_alpha = d_log_lik + d_radius - gamma * d_overlap;
+        debug_assert!(
+            log_u.is_none() || log_alpha < 0.0,
+            "log α {log_alpha} above its bound"
+        );
+        let accept = log_alpha >= 0.0 || log_u.unwrap_or_else(|| rng.gen::<f64>().ln()) < log_alpha;
         if accept {
-            grid.remove_disk(&old, &self.spans[slot], gain);
-            grid.add_disk(&candidate, &self.candidate_spans, gain);
-            self.spans[slot] = self.candidate_spans;
-            self.spatial.relocate(ei, &old, &candidate);
-            self.entries[ei].circle = candidate;
-            self.d_log_lik += d_log_lik;
-            self.d_overlap += d_overlap;
-            self.d_radius_logprior += d_radius;
+            let deltas = (d_log_lik, d_overlap, d_radius);
+            self.commit(grid, gain, (slot, ei), old, candidate, deltas);
             self.stats.record_accept(kind);
         } else {
+            #[cfg(test)]
+            {
+                self.rejects.1 += 1;
+            }
             self.stats.record_reject(kind);
         }
         accept
@@ -310,6 +574,32 @@ impl<'m> TileState<'m> {
             .map(|e| (e.master_idx, e.original, e.circle))
             .collect()
     }
+
+    /// Checks what the tile keeps per eligible circle against a
+    /// from-scratch recomputation: its lens area with the tile's other
+    /// circles, and its row spans.
+    ///
+    /// # Errors
+    /// Describes the first kept value that is out of date.
+    pub fn verify_consistency(&self) -> Result<(), String> {
+        for (&ei, spans) in self.eligible.iter().zip(&self.spans) {
+            let c = self.entries[ei].circle;
+            let fresh: f64 = (self.entries.iter().enumerate())
+                .filter(|&(j, _)| j != ei)
+                .map(|(_, e)| c.intersection_area(&e.circle))
+                .sum();
+            let kept = self.overlap[ei];
+            if (fresh - kept).abs() > 1e-9 * (1.0 + fresh) {
+                return Err(format!(
+                    "overlap of entry {ei}: kept {kept} vs recomputed {fresh}"
+                ));
+            }
+            if *spans != SpanTable::of(&c, &self.rect) {
+                return Err(format!("spans of entry {ei} out of date"));
+            }
+        }
+        Ok(())
+    }
 }
 
 /// A standalone tile: a [`TileState`] (reachable through `Deref`) plus a
@@ -328,7 +618,7 @@ impl<'m> TileWorkspace<'m> {
     #[must_use]
     pub fn new(master: &Configuration, model: &'m NucleiModel, rect: Rect) -> Self {
         Self {
-            state: TileState::new(master.circles(), model, rect),
+            state: TileState::of(master, model, rect),
             coverage: master.coverage().crop(rect),
         }
     }
@@ -421,18 +711,10 @@ impl Replica {
         self.circles.extend_from_slice(master);
     }
 
-    /// Builds the state of tile `rect` over this replica's circle list.
-    /// The replica must be synced, so that the tile's master indices are
-    /// the master's.
-    #[must_use]
-    pub fn tile<'m>(&self, model: &'m NucleiModel, rect: Rect) -> TileState<'m> {
-        TileState::new(&self.circles, model, rect)
-    }
-
-    /// Runs `n` local iterations of `tile` (built by [`Replica::tile`]) in
-    /// place on this replica's grid, then records the tile's updates in
-    /// the replica's own circle list, so the next [`Replica::sync`] skips
-    /// them.
+    /// Runs `n` local iterations of `tile` (built over the master this
+    /// replica is synced with) in place on this replica's grid, then
+    /// records the tile's updates in the replica's own circle list, so the
+    /// next [`Replica::sync`] skips them.
     pub fn run_local(
         &mut self,
         tile: &mut TileState<'_>,
@@ -455,13 +737,19 @@ impl Replica {
 
 impl Configuration {
     /// Merges a finished tile back into the master state: replays the
-    /// tile's changed circles on the master grid and circle list, then
-    /// adds the tile's accumulated cache deltas. Tiles are disjoint, so
-    /// the merged grid does not depend on the order; the float caches do,
-    /// so drivers merge in tile-index order.
+    /// tile's changed circles, with the span tables the tile kept for
+    /// them, on the master grid and circle list, then adds the tile's
+    /// accumulated cache deltas. Tiles are disjoint, so the merged grid
+    /// does not depend on the order; the float caches do, so drivers merge
+    /// in tile-index order.
     pub fn absorb_tile(&mut self, tile: &TileState<'_>) {
-        for (idx, old, new) in tile.updates() {
-            self.update_circle_in_place(idx, old, new, tile.model);
+        // Only eligible entries move, and `eligible` lists them in entry
+        // order.
+        for (&ei, spans) in tile.eligible.iter().zip(&tile.spans) {
+            let e = &tile.entries[ei];
+            if e.circle != e.original {
+                self.update_circle_in_place(e.master_idx, e.original, e.circle, spans, tile.model);
+            }
         }
         self.add_cache_deltas(tile.d_log_lik, tile.d_overlap);
     }
@@ -470,7 +758,11 @@ impl Configuration {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::Edit;
     use crate::params::ModelParams;
+    use crate::sampler::Sampler;
+    use crate::simd::{backend, force_backend, Backend};
+    use pmcmc_imaging::synth::{generate, SceneSpec};
     use pmcmc_imaging::GrayImage;
 
     fn model_with_image(size: u32) -> NucleiModel {
@@ -498,6 +790,98 @@ mod tests {
                 Circle::new(100.0, 90.0, 7.5), // right tile interior
             ],
         )
+    }
+
+    /// A 192² synthetic scene and a chain state burnt in on it for 30 000
+    /// iterations, at the default overlap penalty — or, when `steep`, at
+    /// γ = 2 and with a partner overlapping every third circle, so that
+    /// the overlap term decides many moves.
+    fn burnt_in(steep: bool) -> (NucleiModel, Configuration) {
+        let spec = SceneSpec {
+            width: 192,
+            height: 192,
+            n_circles: 14,
+            radius_mean: 8.0,
+            radius_sd: 0.8,
+            radius_min: 5.0,
+            radius_max: 12.0,
+            noise_sd: 0.05,
+            ..SceneSpec::default()
+        };
+        let mut rng = Xoshiro256::new(5);
+        let scene = generate(&spec, &mut rng);
+        let img = scene.render(&mut rng);
+        let mut params = ModelParams::new(192, 192, 14.0, 8.0);
+        params.noise_sd = 0.15;
+        if steep {
+            params.overlap_gamma = 2.0;
+        }
+        let model = NucleiModel::new(&img, params);
+        let mut chain = Sampler::new(&model, 11);
+        chain.run(30_000);
+        let mut config = chain.config.clone();
+        if steep {
+            let partners: Vec<Circle> = (config.circles().iter().step_by(3))
+                .map(|c| Circle::new(c.x + 0.8 * c.r, c.y - 0.3 * c.r, c.r * 0.9))
+                .collect();
+            for c in partners {
+                config.apply(&Edit::add_one(c), &model);
+            }
+        }
+        (model, config)
+    }
+
+    impl TileState<'_> {
+        /// The step as it was before rejections came first: both overlap
+        /// sums, then the likelihood, then `log α` against a `u` drawn only
+        /// when `log α < 0`. The oracle [`TileState::local_step`] is held to.
+        fn local_step_oracle(
+            &mut self,
+            grid: &mut CoverageGrid,
+            p_translate: f64,
+            model: &NucleiModel,
+            rng: &mut Xoshiro256,
+        ) -> bool {
+            let Some((kind, slot, candidate)) = self.propose(p_translate, model, rng) else {
+                return false;
+            };
+            if !self.admissible(&candidate, model) {
+                self.stats.record_reject(kind);
+                return false;
+            }
+            let ei = self.eligible[slot];
+            let old = self.entries[ei].circle;
+            let d_overlap = self.overlap_delta(ei, &old, &candidate, model.r_max());
+            let d_log_lik = self.likelihood_delta(grid, &model.gain, slot, old, candidate);
+            let d_radius = model.params.radius_prior.logpdf(candidate.r)
+                - model.params.radius_prior.logpdf(old.r);
+            let log_alpha = d_log_lik + d_radius - model.params.overlap_gamma * d_overlap;
+            let accept = log_alpha >= 0.0 || rng.gen::<f64>().ln() < log_alpha;
+            if accept {
+                let deltas = (d_log_lik, d_overlap, d_radius);
+                self.commit(grid, &model.gain, (slot, ei), old, candidate, deltas);
+                self.stats.record_accept(kind);
+            } else {
+                self.stats.record_reject(kind);
+            }
+            accept
+        }
+    }
+
+    /// Field for field, apart from the candidate's scratch table.
+    fn assert_same_tile(a: &TileState<'_>, b: &TileState<'_>) {
+        assert!(std::ptr::eq(a.model, b.model));
+        assert_eq!((a.rect, a.margin.to_bits()), (b.rect, b.margin.to_bits()));
+        assert_eq!(a.entries, b.entries);
+        assert_eq!(a.eligible, b.eligible);
+        assert!(a.spans == b.spans, "span tables differ");
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&a.overlap), bits(&b.overlap));
+        assert!(a.spatial == b.spatial, "spatial indexes differ");
+        let deltas = |t: &TileState<'_>| bits(&[t.d_log_lik, t.d_overlap, t.d_radius_logprior]);
+        assert_eq!(deltas(a), deltas(b));
+        assert_eq!(a.stats, b.stats);
+        assert_eq!((a.tally, a.rejects), (b.tally, b.rejects));
     }
 
     #[test]
@@ -599,10 +983,152 @@ mod tests {
         let mut ws = TileWorkspace::new(&master, &model, tile);
         let mut rng = Xoshiro256::new(5);
         ws.run_local(1000, 1.0, &model, &mut rng);
+        ws.verify_consistency().expect("kept overlaps and spans");
         let mut master2 = master.clone();
         master2.absorb_tile(&ws);
         master2
             .verify_consistency(&model)
             .expect("overlap bookkeeping incl. frozen circles");
+    }
+
+    /// The rejection-first step against the step it replaced, from the same
+    /// seed on the same tiles of a burnt-in scene, on both lane backends:
+    /// the same decisions, updates, statistics, deltas to the bit and
+    /// random stream — at the default overlap penalty and at a steep one.
+    /// At the default, at least 95 % of the rejections that pass the
+    /// support check are decided before the overlap term.
+    #[test]
+    fn rejection_first_step_is_the_exact_step() {
+        let detected = backend();
+        for steep in [false, true] {
+            let (model, master) = burnt_in(steep);
+            let gamma = model.params.overlap_gamma;
+            let (mut early, mut late) = (0u64, 0u64);
+            for lanes in [Backend::Scalar, Backend::Avx2] {
+                force_backend(lanes);
+                let mut plan = TilePlan::default();
+                for (k, (ox, oy)) in [(70, 101), (130, 45), (96, 96)].into_iter().enumerate() {
+                    plan.plan(
+                        &PartitionGrid::new(192, 192, ox, oy),
+                        master.circles(),
+                        &model,
+                    );
+                    for (t, &rect) in plan.rects().iter().enumerate() {
+                        let mut fast = TileWorkspace::new(&master, &model, rect);
+                        let mut oracle = fast.clone();
+                        let seed = (k * 8 + t) as u64;
+                        let (mut rng_a, mut rng_b) = (Xoshiro256::new(seed), Xoshiro256::new(seed));
+                        for i in 0..3000 {
+                            let a =
+                                fast.state
+                                    .local_step(&mut fast.coverage, 0.5, &model, &mut rng_a);
+                            let b = (oracle.state).local_step_oracle(
+                                &mut oracle.coverage,
+                                0.5,
+                                &model,
+                                &mut rng_b,
+                            );
+                            assert_eq!(a, b, "γ {gamma}, {lanes:?}, {rect:?}, step {i}");
+                        }
+                        assert_eq!(rng_a.gen::<u64>(), rng_b.gen::<u64>(), "streams apart");
+                        assert_eq!(fast.updates(), oracle.updates());
+                        assert_eq!(fast.stats, oracle.stats);
+                        let bits = |t: &TileState<'_>| {
+                            [t.d_log_lik, t.d_overlap, t.d_radius_logprior].map(f64::to_bits)
+                        };
+                        assert_eq!(bits(&fast), bits(&oracle));
+                        assert!(fast.coverage == oracle.coverage);
+                        fast.verify_consistency().unwrap();
+                        early += fast.rejects.0;
+                        late += fast.rejects.1;
+                    }
+                }
+            }
+            force_backend(detected);
+            assert!(
+                early + late > 1000,
+                "γ {gamma}: {early} + {late} rejections"
+            );
+            if !steep {
+                assert!(
+                    early as f64 >= 0.95 * (early + late) as f64,
+                    "γ {gamma}: {early} of {} rejections decided early",
+                    early + late
+                );
+            }
+        }
+    }
+
+    /// A tile rebuilt from a plan holds what a fresh tile of the same
+    /// rectangle holds, whatever it ran before, phase after phase.
+    #[test]
+    fn a_recycled_tile_is_a_fresh_one() {
+        let (model, mut master) = burnt_in(false);
+        let mut plan = TilePlan::default();
+        let mut shells: Vec<TileState<'_>> = Vec::new();
+        for (phase, (xm, ox, oy)) in [(192, 70, 101), (64, 5, 60), (192, 130, 45), (50, 0, 0)]
+            .into_iter()
+            .enumerate()
+        {
+            plan.plan(
+                &PartitionGrid::new(xm, xm, ox, oy),
+                master.circles(),
+                &model,
+            );
+            let mut tiles = Vec::new();
+            for (t, &rect) in plan.rects().iter().enumerate() {
+                let mut tile = shells.pop().unwrap_or_else(|| TileState::new(&model));
+                tile.build(&master, &plan, t);
+                assert_same_tile(&tile, &TileState::of(&master, &model, rect));
+                let mut grid = master.coverage().crop(rect);
+                let mut rng = Xoshiro256::new((phase * 64 + t) as u64);
+                tile.run_local(&mut grid, 400, 0.5, &model, &mut rng);
+                tiles.push(tile);
+            }
+            for tile in &tiles {
+                master.absorb_tile(tile);
+            }
+            master.verify_consistency(&model).unwrap();
+            shells.extend(tiles);
+        }
+    }
+
+    proptest::proptest! {
+        /// The table a master keeps for a circle a tile may modify is the
+        /// one the tile would tabulate itself: clipping to the tile or to
+        /// the image gives the same rows. Tiles come from random grids, so
+        /// many are clipped by the frame; a fifth of the radii are below a
+        /// pixel.
+        #[test]
+        fn an_eligible_circles_master_table_is_its_tile_table(
+            circles in proptest::collection::vec(
+                (0.0f64..160.0, 0.0f64..144.0, 0u8..5, 0.01f64..1.0),
+                1..40,
+            ),
+            spacing in (30i64..200, 30i64..200),
+            offset in (0i64..200, 0i64..200),
+        ) {
+            let model = model_with_image(160);
+            let circles: Vec<Circle> = circles
+                .iter()
+                .map(|&(x, y, size, u)| {
+                    let r = if size == 0 { u } else { 3.4 + 12.5 * u };
+                    Circle::new(x, y + 8.0 * u, r)
+                })
+                .collect();
+            let master = Configuration::from_circles(&model, &circles);
+            let grid = PartitionGrid::new(spacing.0, spacing.1, offset.0, offset.1);
+            let margin = model.interaction_margin();
+            for rect in grid.tiles(160, 160) {
+                for (i, c) in master.circles().iter().enumerate() {
+                    if modifiable(&rect, c, margin) {
+                        proptest::prop_assert!(
+                            *master.span_table(i) == SpanTable::of(c, &rect),
+                            "{:?} on {:?}", c, rect
+                        );
+                    }
+                }
+            }
+        }
     }
 }

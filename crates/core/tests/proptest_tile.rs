@@ -1,11 +1,15 @@
 //! Property tests of the incremental tile state: a [`Replica`] that syncs
-//! by positional diff always lands on the master's grid, and a tile run in
-//! place on a replica is the tile run on a standalone crop.
+//! by positional diff always lands on the master's grid, a tile run in
+//! place on a replica is the tile run on a standalone crop and keeps its
+//! per-circle state exact, and one bucketing pass plans what a scan of
+//! every tile would.
 
+use pmcmc_core::tile::eligible_count;
 use pmcmc_core::{
-    Configuration, Edit, ModelParams, NucleiModel, Replica, TileWorkspace, Xoshiro256,
+    Configuration, Edit, ModelParams, NucleiModel, Replica, TilePlan, TileState, TileWorkspace,
+    Xoshiro256,
 };
-use pmcmc_imaging::{Circle, GrayImage, Rect};
+use pmcmc_imaging::{Circle, GrayImage, PartitionGrid, Rect};
 use proptest::prelude::*;
 
 const SIZE: u32 = 192;
@@ -80,8 +84,10 @@ proptest! {
 
     /// The same tile, seed and iteration count on a replica and on a
     /// standalone crop: same moves, same statistics, the same likelihood
-    /// delta up to summation order — and absorbing the replica's tile
-    /// brings the master to the replica's grid.
+    /// delta up to summation order, and on both each eligible circle's
+    /// kept overlap and spans match a from-scratch recomputation — and
+    /// absorbing the replica's tile brings the master to the replica's
+    /// grid.
     #[test]
     fn tile_on_a_replica_is_the_tile_on_a_crop(
         circles in prop::collection::vec(arb_circle(), 1..24),
@@ -103,12 +109,14 @@ proptest! {
         on_crop.run_local(iters, 0.5, &model, &mut Xoshiro256::new(seed));
 
         let mut replica = Replica::new(&master);
-        let mut on_replica = replica.tile(&model, rect);
+        let mut on_replica = TileState::of(&master, &model, rect);
         prop_assert_eq!(
             on_replica.eligible_count(),
-            pmcmc_core::tile::eligible_count(master.circles(), &model, rect)
+            eligible_count(master.circles(), &model, rect)
         );
         replica.run_local(&mut on_replica, iters, 0.5, &model, &mut Xoshiro256::new(seed));
+        prop_assert_eq!(on_replica.verify_consistency(), Ok(()));
+        prop_assert_eq!(on_crop.verify_consistency(), Ok(()));
 
         prop_assert_eq!(on_replica.updates(), on_crop.updates());
         prop_assert_eq!(&on_replica.stats, &on_crop.stats);
@@ -123,5 +131,45 @@ proptest! {
         // that still leaves it on the master's grid.
         replica.sync(master.circles(), &model.gain);
         prop_assert!(master.coverage() == replica.coverage());
+    }
+
+    /// One pass over the circles buckets each into the tile that contains
+    /// its centre, as a scan of every tile with `contains_point` would, in
+    /// the same order, with the eligible counts of `eligible_count` — for
+    /// random spacings and offsets, with a third of the centres put
+    /// exactly on a grid line and some off the image.
+    #[test]
+    fn one_bucketing_pass_plans_what_a_scan_of_every_tile_finds(
+        centres in prop::collection::vec((-8.0f64..200.0, -8.0f64..200.0, 0u8..6, 3.4f64..15.9), 0..60),
+        spacing in (1i64..240, 1i64..240),
+        offset in (0i64..240, 0i64..240),
+    ) {
+        let model = model();
+        let (xm, ym) = spacing;
+        let grid = PartitionGrid::new(xm, ym, offset.0, offset.1);
+        let snap = |v: f64, o: i64, m: i64| (((v as i64 - o) / m) * m + o) as f64;
+        let circles: Vec<Circle> = centres
+            .iter()
+            .map(|&(x, y, edge, r)| match edge {
+                0 => Circle::new(snap(x, grid.ox, xm), y, r),
+                1 => Circle::new(x, snap(y, grid.oy, ym), r),
+                _ => Circle::new(x, y, r),
+            })
+            .collect();
+        let mut plan = TilePlan::default();
+        // Plan twice, so the second plan runs on the first one's storage.
+        plan.plan(&PartitionGrid::new(37, 53, 11, 7), &circles, &model);
+        plan.plan(&grid, &circles, &model);
+        prop_assert_eq!(plan.rects(), &grid.tiles(SIZE, SIZE)[..]);
+        for (t, &rect) in plan.rects().iter().enumerate() {
+            let scanned: Vec<usize> = (0..circles.len())
+                .filter(|&i| rect.contains_point(circles[i].x, circles[i].y))
+                .collect();
+            let planned: Vec<usize> = plan.members(t).iter().map(|&(i, _)| i).collect();
+            prop_assert_eq!(planned, scanned);
+            let eligible = plan.members(t).iter().filter(|&&(_, ok)| ok).count();
+            prop_assert_eq!(eligible, plan.eligible_counts()[t]);
+            prop_assert_eq!(eligible, eligible_count(&circles, &model, rect));
+        }
     }
 }

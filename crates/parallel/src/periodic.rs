@@ -7,7 +7,7 @@
 //! * an **`Ml` phase**: `i_l = i_g · (1 − q_g)/q_g` local-move iterations,
 //!   distributed over the tiles of a *randomly offset* uniform grid
 //!   proportionally to each tile's count of modifiable features, executed
-//!   in parallel with the §V safeguards (see [`pmcmc_core::TileWorkspace`]).
+//!   in parallel with the §V safeguards (see [`TileState`] and [`Replica`]).
 //!
 //! The iteration split leaves the long-run move-proposal probabilities
 //! unchanged, and the random grid offset (redrawn every cycle) prevents
@@ -20,24 +20,27 @@
 //! up to `min(pool threads, tiles)` persistent [`Replica`]s of the master's
 //! coverage grid. A phase
 //!
-//! 1. plans on the owning thread from the master's circle list alone:
-//!    eligible counts, iteration allocation, and an LPT bundling of the
-//!    tiles that received iterations onto the replicas (a tile with none
-//!    gets no task). A phase gets one bundle per `MIN_BUNDLE_ITERS` local
-//!    iterations at most: below that a second thread costs more to wake
-//!    than it saves, and the whole phase runs on the owning thread with no
-//!    hand-off at all — which is also what keeps the run time of short
-//!    phases steady on a busy host;
+//! 1. plans on the owning thread from the master's circle list alone: one
+//!    pass ([`TilePlan::plan`]) puts every circle in the tile that holds its
+//!    centre and counts the eligible ones, then come the iteration
+//!    allocation and an LPT bundling of the tiles that received iterations
+//!    onto the replicas (a tile with none gets no task). A phase gets one
+//!    bundle per `MIN_BUNDLE_ITERS` local iterations at most: below that a
+//!    second thread costs more to wake than it saves, and the whole phase
+//!    runs on the owning thread with no hand-off at all — which is also
+//!    what keeps the run time of short phases steady on a busy host;
 //! 2. runs one task per bundle: the replica catches up with the master by
 //!    a positional diff of circle lists ([`Replica::sync`] — this also
 //!    picks up whatever the `Mg` phase, the sequential fallback or
-//!    speculative lanes did in between, so nothing logs edits), then the
-//!    bundle's tiles run in place on it, each with its own
-//!    `(seed, phase, tile index)` random stream. The heaviest bundle runs
-//!    on the owning thread itself ([`WorkerPool::run_batch`]);
+//!    speculative lanes did in between, so nothing logs edits), then each
+//!    of the bundle's tiles is rebuilt in place from the plan, with the
+//!    master's span tables and lens areas ([`TileState::build`]), and runs
+//!    in place on it with its own `(seed, phase, tile index)` random
+//!    stream. The heaviest bundle runs on the owning thread itself
+//!    ([`WorkerPool::run_batch`]);
 //! 3. merges on the owning thread by replaying each tile's changed circles
 //!    on the master grid ([`Configuration::absorb_tile`]), in tile-index
-//!    order.
+//!    order, and keeps the finished tiles for the next phase to rebuild.
 //!
 //! What a tile computes depends on the master state, its rectangle and its
 //! seed only, and the merge order is fixed, so reports do not depend on
@@ -45,9 +48,10 @@
 
 use pmcmc_core::diagnostics::AcceptanceStats;
 use pmcmc_core::rng::derive_seed;
-use pmcmc_core::tile::eligible_count;
-use pmcmc_core::{Configuration, MoveWeights, NucleiModel, Replica, Sampler, Xoshiro256};
-use pmcmc_imaging::{PartitionGrid, Rect};
+use pmcmc_core::{
+    Configuration, MoveWeights, NucleiModel, Replica, Sampler, TilePlan, TileState, Xoshiro256,
+};
+use pmcmc_imaging::PartitionGrid;
 use pmcmc_runtime::{lpt_bundles, WorkerPool};
 use rand::Rng;
 use std::time::{Duration, Instant};
@@ -126,10 +130,13 @@ pub struct PeriodicReport {
     pub local_iters: u64,
     /// Wall time inside `Mg` phases.
     pub global_time: Duration,
-    /// Wall time inside `Ml` phases (including partition/merge overhead).
+    /// Wall time inside `Ml` phases, from the plan to the last thing a
+    /// phase frees (overhead included).
     pub local_time: Duration,
-    /// The §VI overhead term: planning and merging on the owning thread,
-    /// plus per phase the slowest bundle's replica sync and tile builds.
+    /// The §VI overhead term, a part of `local_time`: per phase, planning
+    /// and the merge on the owning thread (handing the finished tiles back
+    /// for the next phase included), plus the slowest bundle's replica
+    /// sync and tile builds.
     pub overhead_time: Duration,
     /// Total wall time of the run.
     pub total_time: Duration,
@@ -182,6 +189,11 @@ pub struct PeriodicSampler<'m> {
     /// Persistent coverage replicas the tiles of a local phase run on, one
     /// per concurrently running bundle; created on first use.
     replicas: Vec<Replica>,
+    /// The current local phase's tiling, kept for its storage.
+    plan: TilePlan,
+    /// Tiles of past local phases, handed back after the merge for the
+    /// next phase to rebuild in place.
+    spare_tiles: Vec<TileState<'m>>,
 }
 
 impl<'m> PeriodicSampler<'m> {
@@ -247,6 +259,8 @@ impl<'m> PeriodicSampler<'m> {
             seed,
             phase_counter: 0,
             replicas: Vec::new(),
+            plan: TilePlan::default(),
+            spare_tiles: Vec::new(),
         }
     }
 
@@ -335,25 +349,33 @@ impl<'m> PeriodicSampler<'m> {
         }
         report.global_time += t0.elapsed();
 
-        // ---- Ml phase: parallel local moves on a freshly offset grid.
+        // ---- Ml phase: parallel local moves on a freshly offset grid,
+        // timed from the plan to the last thing the phase frees.
         if i_l == 0 {
             return;
         }
         let t1 = Instant::now();
+        self.local_phase(i_l, report);
+        report.local_time += t1.elapsed();
+    }
+
+    /// One `Ml` phase of `i_l` local iterations; adds its iterations and
+    /// its §VI overhead to `report`.
+    fn local_phase(&mut self, i_l: u64, report: &mut PeriodicReport) {
         self.phase_counter += 1;
-        let (w, h) = (self.model.params.width, self.model.params.height);
+        let model = self.model;
+        let (w, h) = (model.params.width, model.params.height);
         let grid = self.options.scheme.grid(w, h, &mut self.master.rng);
-        let tiles: Vec<Rect> = grid.tiles(w, h);
-        report.max_tiles = report.max_tiles.max(tiles.len());
 
         // Plan on the owning thread, from the master's circle list alone:
-        // eligible counts, iteration allocation, bundling.
+        // one pass for tile membership and eligible counts, then the
+        // iteration allocation and the bundling.
         let t_plan = Instant::now();
-        let model = self.model;
-        let circles = self.master.config.circles();
-        let eligible: Vec<f64> = tiles
-            .iter()
-            .map(|&r| eligible_count(circles, model, r) as f64)
+        self.plan.plan(&grid, self.master.config.circles(), model);
+        let tiles = self.plan.rects();
+        report.max_tiles = report.max_tiles.max(tiles.len());
+        let eligible: Vec<f64> = (self.plan.eligible_counts().iter())
+            .map(|&e| e as f64)
             .collect();
         if eligible.iter().all(|&e| e == 0.0) {
             // No modifiable feature anywhere (e.g. a nearly empty chain):
@@ -363,7 +385,6 @@ impl<'m> PeriodicSampler<'m> {
             self.master.set_weights(self.weights.local_only());
             self.master.run(i_l);
             report.local_iters += i_l;
-            report.local_time += t1.elapsed();
             return;
         }
 
@@ -383,6 +404,18 @@ impl<'m> PeriodicSampler<'m> {
         while self.replicas.len() < bundles.len() {
             self.replicas.push(Replica::new(&self.master.config));
         }
+        // Each bundle takes one tile from the last phase per tile it runs.
+        let shells: Vec<Vec<TileState<'m>>> = (bundles.iter())
+            .map(|bundle| {
+                (bundle.iter())
+                    .map(|_| {
+                        self.spare_tiles
+                            .pop()
+                            .unwrap_or_else(|| TileState::new(model))
+                    })
+                    .collect()
+            })
+            .collect();
 
         // Local move mix within Ml: translate vs resize proportions.
         let local = self.weights.local_only();
@@ -394,18 +427,17 @@ impl<'m> PeriodicSampler<'m> {
         let mut overhead = t_plan.elapsed();
 
         // One task per bundle, each on its own replica: catch up with the
-        // master, then run the bundle's tiles in place. What a tile
-        // computes depends on the master state, its rectangle and its
-        // (phase, tile index) seed only — never on the bundling.
+        // master, then build the bundle's tiles from the master and the
+        // plan and run them in place. What a tile computes depends on the
+        // master state, its rectangle and its (phase, tile index) seed
+        // only — never on the bundling.
         let phase = self.phase_counter;
         let seed = self.seed;
         let master = &self.master.config;
-        let (tiles, allocations) = (&tiles, &allocations);
-        let tasks: Vec<(f64, _)> = self
-            .replicas
-            .iter_mut()
-            .zip(&bundles)
-            .map(|(replica, bundle)| {
+        let (plan, allocations) = (&self.plan, &allocations);
+        let tasks: Vec<(f64, _)> = (self.replicas.iter_mut())
+            .zip(bundles.iter().zip(shells))
+            .map(|(replica, (bundle, shells))| {
                 let load = bundle.iter().map(|&idx| allocations[idx]).sum::<u64>() as f64;
                 let task = move || {
                     let t_sync = Instant::now();
@@ -416,9 +448,9 @@ impl<'m> PeriodicSampler<'m> {
                     );
                     let mut prep = t_sync.elapsed();
                     let mut finished = Vec::with_capacity(bundle.len());
-                    for &idx in bundle {
+                    for (&idx, mut tile) in bundle.iter().zip(shells) {
                         let t_build = Instant::now();
-                        let mut tile = replica.tile(model, tiles[idx]);
+                        tile.build(master, plan, idx);
                         prep += t_build.elapsed();
                         let mut rng = Xoshiro256::new(derive_seed(
                             seed,
@@ -441,7 +473,8 @@ impl<'m> PeriodicSampler<'m> {
         let results = self.pool.run_batch(tasks);
 
         // Merge by replay, in tile-index order so the float caches and the
-        // statistics accumulate the same way whatever the bundling was.
+        // statistics accumulate the same way whatever the bundling was;
+        // the finished tiles then go back for the next phase to rebuild.
         let t_merge = Instant::now();
         let mut finished = Vec::with_capacity(active.len());
         let mut slowest_prep = Duration::ZERO;
@@ -454,10 +487,11 @@ impl<'m> PeriodicSampler<'m> {
             self.master.config.absorb_tile(tile);
             self.stats.merge(&tile.stats);
         }
+        self.spare_tiles
+            .extend(finished.into_iter().map(|(_, tile)| tile));
         overhead += t_merge.elapsed() + slowest_prep;
         report.overhead_time += overhead;
         report.local_iters += allocations.iter().sum::<u64>();
-        report.local_time += t1.elapsed();
     }
 
     /// Merged statistics including the master chain's.
@@ -608,6 +642,23 @@ mod tests {
         let (replicas, tasks, cycles) = run(1024);
         assert!(replicas >= 2, "{replicas} replicas");
         assert!(tasks > cycles, "{tasks} tasks in {cycles} cycles");
+    }
+
+    /// The phase timers cover the run: nothing a cycle does — planning,
+    /// merging, handing the tiles back, freeing the phase's lists — falls
+    /// between them.
+    #[test]
+    fn phase_timers_account_for_the_run() {
+        let (model, _) = scene_model(160, 14, 5);
+        let mut ps = PeriodicSampler::new(&model, 13, PeriodicOptions::default());
+        let report = ps.run(60_000, &RunCtx::default()).unwrap();
+        let phases = report.global_time + report.local_time;
+        assert!(
+            phases.as_secs_f64() >= 0.95 * report.total_time.as_secs_f64(),
+            "phases {phases:?} of {:?}",
+            report.total_time
+        );
+        assert!(report.overhead_time < report.local_time);
     }
 
     #[test]
