@@ -211,7 +211,10 @@ impl PhaseTiming {
 pub struct NodeTiming {
     /// The node the work ran on.
     pub node: NodeId,
-    /// Time between submission and a node driver picking the work up.
+    /// Time between submission and a node driver picking the work up. On
+    /// the local backend that is the job's wait in the backlog for one of
+    /// its pool-width job threads; on a sharded node it also covers the
+    /// admission stall.
     pub queued: Duration,
     /// Wall time the node spent executing the work.
     pub busy: Duration,

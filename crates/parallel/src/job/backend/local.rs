@@ -1,18 +1,20 @@
-//! The single-machine backend: one shared pool, one driver thread per job.
+//! The single-machine backend: one shared pool, at most W jobs at once.
 
 use crate::job::backend::{ExecutionBackend, PreparedJob};
 use crate::job::error::RunError;
-use pmcmc_runtime::{ClusterTopology, NodeId, WorkerPool};
+use pmcmc_runtime::{ClusterTopology, JobExecutor, NodeId, WorkerPool};
 use std::sync::Arc;
 
-/// The historical engine behaviour as a backend: every job gets a detached
-/// driver thread immediately (so submission returns at once and never
-/// throttles) and fans its parallel stages onto one shared [`WorkerPool`].
-/// Callers bound total CPU pressure by bounding how many jobs they keep in
-/// flight; for built-in back-pressure use
+/// One machine as a backend: jobs run on a [`JobExecutor`] as wide as the
+/// shared [`WorkerPool`] they fan their parallel stages onto, so at most W
+/// jobs run at once, each on a thread of its own, and the rest wait in
+/// submission order. Submission returns at once and never throttles; the
+/// backlog is unbounded, so callers bound memory by bounding how many jobs
+/// they keep in flight. For back-pressure on submission use
 /// [`ShardedBackend`](crate::job::backend::ShardedBackend).
 pub struct LocalBackend {
     pool: Arc<WorkerPool>,
+    jobs: JobExecutor,
 }
 
 impl LocalBackend {
@@ -32,7 +34,8 @@ impl LocalBackend {
     /// Creates a backend on an existing shared pool.
     #[must_use]
     pub fn with_pool(pool: Arc<WorkerPool>) -> Self {
-        Self { pool }
+        let jobs = JobExecutor::new("pmcmc-job", pool.threads());
+        Self { pool, jobs }
     }
 }
 
@@ -53,10 +56,8 @@ impl ExecutionBackend for LocalBackend {
 
     fn launch(&self, job: PreparedJob) -> Result<(), RunError> {
         let pool = Arc::clone(&self.pool);
-        std::thread::Builder::new()
-            .name(format!("pmcmc-{}", job.id()))
-            .spawn(move || job.execute(&pool, NodeId(0)))
-            .map(|_| ())
+        self.jobs
+            .launch(move || job.execute(&pool, NodeId(0)))
             .map_err(|e| RunError::InvalidSpec(format!("failed to spawn job thread: {e}")))
     }
 }

@@ -5,8 +5,9 @@
 //! [`WorkerPool`] its parallel stages fan onto, whether submission
 //! throttles — is the [`ExecutionBackend`]'s decision. Three backends ship:
 //!
-//! * [`LocalBackend`] — one shared pool, one detached driver thread per
-//!   job; submission never blocks (the historical engine behaviour).
+//! * [`LocalBackend`] — one shared pool of W workers and at most W jobs
+//!   running at once, the rest waiting in submission order; submission
+//!   never blocks.
 //! * [`ShardedBackend`] — a simulated `s × t` cluster in the shape of
 //!   eq. (4): `s` nodes, each owning a private pool of `t` workers and a
 //!   bounded admission queue, with placement driven by the LPT scheduler.
@@ -14,6 +15,13 @@
 //!   remote [`NodeDaemon`](crate::job::daemon::NodeDaemon) processes
 //!   reached over TCP, with heartbeat failure detection and
 //!   failure-aware rescheduling.
+//!
+//! **Which thread runs a job.** Every node runs its jobs on one
+//! [`JobExecutor`](pmcmc_runtime::JobExecutor): at most its limit at once
+//! (the local pool's width, a sharded node's admission bound, a daemon's
+//! capacity), each on a thread spawned when a slot is free, which takes
+//! the next waiting job when it finishes and exits once none has come
+//! for a millisecond.
 //!
 //! **What a backend is handed.** A [`PreparedJob`] is a
 //! [`JobBlueprint`] — strategy, image, parameters, seed, budget, deadline

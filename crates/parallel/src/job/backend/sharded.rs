@@ -5,7 +5,9 @@
 //! counterpart: `s` node structs, each owning a *private*
 //! [`WorkerPool`] of `t` workers, a bounded admission queue (submission
 //! back-pressures a saturated node instead of piling work up unboundedly),
-//! and driver threads that run admitted jobs against the node's pool.
+//! and a [`JobExecutor`] that runs admitted jobs against the node's pool on
+//! at most one driver thread per admission slot (capped at 32), spawned on
+//! demand.
 //! Job placement follows the same greedy least-loaded rule as
 //! [`list_schedule_makespan`](pmcmc_runtime::list_schedule_makespan), and
 //! batches launch in [`lpt_order`] so heavy jobs place first — the classic
@@ -23,13 +25,13 @@ use crate::job::ctx::Event;
 use crate::job::error::RunError;
 use crate::job::runner::{run_blueprint, stamp_wait};
 use crate::job::wire::JobBlueprint;
-use crossbeam::channel::{unbounded, Receiver, Sender};
+use crossbeam::channel::unbounded;
 use parking_lot::Mutex;
 use pmcmc_core::rng::derive_seed;
 use pmcmc_core::{Configuration, NucleiModel};
 use pmcmc_imaging::{Circle, Rect};
 use pmcmc_runtime::cluster::least_committed_order;
-use pmcmc_runtime::{lpt_order, Admission, ClusterTopology, NodeId, WorkerPool};
+use pmcmc_runtime::{lpt_order, Admission, ClusterTopology, JobExecutor, NodeId, WorkerPool};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -53,28 +55,45 @@ pub enum ShardPlacement {
 }
 
 /// One simulated cluster node: a private pool of `t` workers, a bounded
-/// admission slot count, and driver threads consuming the node's queue.
+/// admission slot count, and the executor its admitted work runs on.
+#[derive(Clone)]
 struct NodeRuntime {
+    id: NodeId,
     pool: Arc<WorkerPool>,
     admission: Arc<Admission>,
-    queue: Sender<NodeTask>,
-    drivers: Vec<std::thread::JoinHandle<()>>,
+    jobs: Arc<JobExecutor>,
 }
 
-/// Work admitted to a node's queue: a whole job's
-/// [`PreparedJob::execute`] (pack placement) or one stripe of a split job,
-/// run on the node's pool under the node's id.
-type NodeTask = Box<dyn FnOnce(&Arc<WorkerPool>, NodeId) + Send>;
+/// An admission slot, given back when dropped: after its task ran, or
+/// with the task if it never runs.
+struct Slot(Arc<Admission>);
 
-fn driver_loop(
-    node: NodeId,
-    pool: &Arc<WorkerPool>,
-    admission: &Admission,
-    queue: &Receiver<NodeTask>,
-) {
-    while let Ok(task) = queue.recv() {
-        task(pool, node);
-        admission.release();
+impl Drop for Slot {
+    fn drop(&mut self) {
+        self.0.release();
+    }
+}
+
+impl NodeRuntime {
+    /// Runs admitted work — a whole job's [`PreparedJob::execute`] (pack
+    /// placement) or one stripe of a split job — on the node's pool under
+    /// the node's id. The caller has acquired an admission slot; it is
+    /// released once `task` returns.
+    fn run(
+        &self,
+        task: impl FnOnce(&Arc<WorkerPool>, NodeId) + Send + 'static,
+    ) -> Result<(), RunError> {
+        let (id, pool, slot) = (
+            self.id,
+            Arc::clone(&self.pool),
+            Slot(Arc::clone(&self.admission)),
+        );
+        self.jobs
+            .launch(move || {
+                task(&pool, id);
+                drop(slot);
+            })
+            .map_err(|e| RunError::InvalidSpec(format!("failed to spawn node driver: {e}")))
     }
 }
 
@@ -102,44 +121,26 @@ pub struct ShardedBackend {
 }
 
 impl ShardedBackend {
-    /// Spins up the cluster: `s` node pools of `t` workers each, plus
-    /// per-node driver threads (one per admission slot, capped at 32).
+    /// Spins up the cluster: `s` node pools of `t` workers each. A node runs
+    /// at most one admitted job per admission slot (capped at 32) at once,
+    /// on driver threads spawned on demand.
     ///
     /// # Errors
     /// [`RunError::InvalidSpec`] for a degenerate topology (zero nodes,
     /// threads, or admission bound).
     pub fn new(topology: ClusterTopology) -> Result<Self, RunError> {
         topology.validate().map_err(RunError::InvalidSpec)?;
-        let mut nodes = Vec::with_capacity(topology.nodes());
-        for n in 0..topology.nodes() {
-            let id = NodeId(n);
-            let pool = WorkerPool::shared(topology.threads_per_node());
-            let admission = Arc::new(Admission::new(topology.max_in_flight_per_node()));
-            let (tx, rx) = unbounded::<NodeTask>();
-            // One driver per admission slot means every admitted task runs
-            // immediately; with more slots than the cap, the surplus waits
-            // (admitted) in the node queue.
-            let driver_count = topology.max_in_flight_per_node().min(32);
-            let mut drivers = Vec::with_capacity(driver_count);
-            for d in 0..driver_count {
-                let pool = Arc::clone(&pool);
-                let admission = Arc::clone(&admission);
-                let rx = rx.clone();
-                let handle = std::thread::Builder::new()
-                    .name(format!("pmcmc-node{n}-driver{d}"))
-                    .spawn(move || driver_loop(id, &pool, &admission, &rx))
-                    .map_err(|e| {
-                        RunError::InvalidSpec(format!("failed to spawn node driver: {e}"))
-                    })?;
-                drivers.push(handle);
-            }
-            nodes.push(NodeRuntime {
-                pool,
-                admission,
-                queue: tx,
-                drivers,
-            });
-        }
+        // With more slots than the cap, the surplus waits (admitted) in the
+        // executor's backlog.
+        let drivers = topology.max_in_flight_per_node().min(32);
+        let nodes = (0..topology.nodes())
+            .map(|n| NodeRuntime {
+                id: NodeId(n),
+                pool: WorkerPool::shared(topology.threads_per_node()),
+                admission: Arc::new(Admission::new(topology.max_in_flight_per_node())),
+                jobs: Arc::new(JobExecutor::new(format!("pmcmc-node{n}-driver"), drivers)),
+            })
+            .collect();
         Ok(Self {
             topology,
             placement: ShardPlacement::PackJobs,
@@ -215,11 +216,8 @@ impl ShardedBackend {
     }
 
     fn launch_whole(&self, job: PreparedJob) -> Result<(), RunError> {
-        let node = self.admit_whole(job.weight());
-        self.nodes[node]
-            .queue
-            .send(Box::new(move |pool, node| job.execute(pool, node)))
-            .map_err(|_| RunError::InvalidSpec("sharded backend is shut down".to_owned()))
+        let node = &self.nodes[self.admit_whole(job.weight())];
+        node.run(move |pool, id| job.execute(pool, id))
     }
 
     fn launch_split(&self, job: PreparedJob) -> Result<(), RunError> {
@@ -233,11 +231,7 @@ impl ShardedBackend {
                 *w += share;
             }
         }
-        let nodes: Vec<(Arc<Admission>, Sender<NodeTask>)> = self
-            .nodes
-            .iter()
-            .map(|n| (Arc::clone(&n.admission), n.queue.clone()))
-            .collect();
+        let nodes = self.nodes.clone();
         let (merge_eps, margin_factor, dispute) =
             (self.merge_eps, self.margin_factor, self.dispute);
         std::thread::Builder::new()
@@ -278,13 +272,10 @@ impl ExecutionBackend for ShardedBackend {
 
 impl Drop for ShardedBackend {
     fn drop(&mut self) {
-        // Closing every node's queue (dropped with the node as its
-        // drivers are taken out) stops the drivers once in-flight work
-        // drains; split coordinators hold their own sender clones, so
-        // their stripes still complete first.
-        let drivers: Vec<_> = self.nodes.drain(..).flat_map(|node| node.drivers).collect();
-        for driver in drivers {
-            let _ = driver.join();
+        // Let in-flight work drain. Split coordinators hold their own
+        // clones of the nodes, so stripes they launch later still run.
+        for node in &self.nodes {
+            node.jobs.wait_idle();
         }
     }
 }
@@ -318,7 +309,7 @@ fn merge_stripes(
 /// resolves the job's handle.
 fn run_split(
     job: PreparedJob,
-    nodes: &[(Arc<Admission>, Sender<NodeTask>)],
+    nodes: &[NodeRuntime],
     merge_eps: f64,
     margin_factor: f64,
     dispute: DisputePolicy,
@@ -335,7 +326,7 @@ fn run_split(
 
     job.sink.emit(&Event::PhaseStarted { phase: "chains" });
     let (result_tx, result_rx) = unbounded();
-    for (i, (admission, queue)) in nodes.iter().enumerate() {
+    for (i, node) in nodes.iter().enumerate() {
         let crop = work.image.crop(&extended[i]);
         let mut stripe_params = work.params.clone();
         stripe_params.width = crop.width();
@@ -364,19 +355,16 @@ fn run_split(
         };
         // Admission slots are acquired in node order, so concurrent split
         // jobs cannot hold-and-wait in a cycle.
-        admission.acquire();
+        node.admission.acquire();
         let (cancel, result) = (job.cancel.clone(), result_tx.clone());
-        let task: NodeTask = Box::new(move |pool, node| {
+        let launched = node.run(move |pool, node| {
             let mut stripe = stripe;
             stamp_wait(&mut stripe, enqueued);
             let outcome = run_blueprint(&stripe, pool, node, Some(&cancel), None);
             let _ = result.send((node.index(), outcome));
         });
-        if queue.send(task).is_err() {
-            admission.release();
-            job.completion.resolve(Err(RunError::InvalidSpec(
-                "sharded backend shut down mid-split".to_owned(),
-            )));
+        if let Err(e) = launched {
+            job.completion.resolve(Err(e));
             return;
         }
     }

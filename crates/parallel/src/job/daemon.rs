@@ -4,13 +4,13 @@
 //! A [`NodeDaemon`] listens on a TCP socket, accepts one coordinator
 //! connection at a time, and speaks the [`pmcmc_runtime::wire`] protocol:
 //! it answers the coordinator's `Hello` with its worker count, runs each
-//! `Assign`ed job on a local [`WorkerPool`] of `t` workers (one runner
-//! thread per admitted job, so a daemon is internally concurrent up to
-//! its capacity), streams a `Result` frame per job, and beats a
-//! `Heartbeat` every few hundred milliseconds so the coordinator can
-//! tell a busy node from a dead one. Jobs arriving beyond the daemon's
-//! capacity are bounced back with `Requeue` for the coordinator to place
-//! elsewhere.
+//! `Assign`ed job on a local [`WorkerPool`] of `t` workers (on a
+//! [`JobExecutor`] as wide as its capacity, so a daemon is internally
+//! concurrent up to it and holds no runner thread once idle), streams a
+//! `Result` frame per job, and beats a `Heartbeat` every few hundred
+//! milliseconds so the coordinator can tell a busy node from a dead one.
+//! Jobs arriving beyond the daemon's capacity are bounced back with
+//! `Requeue` for the coordinator to place elsewhere.
 //!
 //! The binary wrapper is this crate's `node_daemon` (`src/bin/`); this
 //! module keeps the logic in-library so tests and examples can run
@@ -21,7 +21,7 @@ use crate::job::runner::run_blueprint;
 use crate::job::wire::{Assign, JobResult, WireReport};
 use pmcmc_runtime::net::FrameConn;
 use pmcmc_runtime::wire::{FrameKind, Heartbeat, Hello, Requeue, Wire, WireError, WIRE_VERSION};
-use pmcmc_runtime::{NodeId, WorkerPool};
+use pmcmc_runtime::{JobExecutor, NodeId, WorkerPool};
 use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::Arc;
@@ -29,12 +29,17 @@ use std::time::Duration;
 
 use parking_lot::Mutex;
 
+/// Name prefix of a daemon's job runner threads.
+const RUNNER_NAME: &str = "pmcmc-daemon-job";
+
 /// One node's worth of the distributed runtime: a listener plus the `t`
 /// local workers that eq. (4) calls one machine.
 pub struct NodeDaemon {
     listener: TcpListener,
     pool: Arc<WorkerPool>,
     capacity: u32,
+    /// Runs admitted jobs, at most `capacity` at once.
+    runners: JobExecutor,
     heartbeat_every: Duration,
 }
 
@@ -60,6 +65,7 @@ impl NodeDaemon {
             listener: TcpListener::bind(addr)?,
             pool: WorkerPool::try_shared(workers.max(1))?,
             capacity: 2,
+            runners: JobExecutor::new(RUNNER_NAME, 2),
             heartbeat_every: Duration::from_millis(200),
         })
     }
@@ -71,6 +77,7 @@ impl NodeDaemon {
     #[must_use]
     pub fn capacity(mut self, capacity: u32) -> Self {
         self.capacity = capacity.max(1);
+        self.runners = JobExecutor::new(RUNNER_NAME, self.capacity as usize);
         self
     }
 
@@ -165,7 +172,6 @@ impl NodeDaemon {
             let payload = JobResult { job, outcome }.to_wire_bytes();
             let _ = writer.lock().send(FrameKind::Result, &payload);
         };
-        let mut runners: Vec<std::thread::JoinHandle<()>> = Vec::new();
         let end = loop {
             match conn.recv() {
                 Ok(frame) => match frame.kind {
@@ -189,32 +195,26 @@ impl NodeDaemon {
                                 let pool = Arc::clone(&self.pool);
                                 let job_writer = Arc::clone(&writer);
                                 let job_in_flight = Arc::clone(&in_flight);
-                                let runner = std::thread::Builder::new()
-                                    .name(format!("pmcmc-daemon{node}-job{job_id}"))
-                                    .spawn(move || {
-                                        // Same runner as every in-process
-                                        // node; remote runs have no cancel
-                                        // token and stream no events.
-                                        let outcome = run_blueprint(
-                                            &assign.blueprint,
-                                            &pool,
-                                            NodeId(node as usize),
-                                            None,
-                                            None,
-                                        )
-                                        .map(|report| WireReport::from_report(&report));
-                                        send_result(&job_writer, job_id, outcome);
-                                        job_in_flight.fetch_sub(1, Ordering::AcqRel);
-                                    });
-                                match runner {
-                                    Ok(handle) => runners.push(handle),
-                                    Err(e) => {
-                                        in_flight.fetch_sub(1, Ordering::AcqRel);
-                                        let why = format!(
-                                            "node {node} could not spawn a job runner: {e}"
-                                        );
-                                        send_result(&writer, job_id, Err(RunError::Transport(why)));
-                                    }
+                                let launched = self.runners.launch(move || {
+                                    // Same runner as every in-process node;
+                                    // remote runs have no cancel token and
+                                    // stream no events.
+                                    let outcome = run_blueprint(
+                                        &assign.blueprint,
+                                        &pool,
+                                        NodeId(node as usize),
+                                        None,
+                                        None,
+                                    )
+                                    .map(|report| WireReport::from_report(&report));
+                                    send_result(&job_writer, job_id, outcome);
+                                    job_in_flight.fetch_sub(1, Ordering::AcqRel);
+                                });
+                                if let Err(e) = launched {
+                                    in_flight.fetch_sub(1, Ordering::AcqRel);
+                                    let why =
+                                        format!("node {node} could not spawn a job runner: {e}");
+                                    send_result(&writer, job_id, Err(RunError::Transport(why)));
                                 }
                             }
                             Err(e) => {
@@ -242,9 +242,7 @@ impl NodeDaemon {
         };
 
         stop.store(true, Ordering::Release);
-        for runner in runners {
-            let _ = runner.join();
-        }
+        self.runners.wait_idle();
         let _ = beat.join();
         Ok(end)
     }
@@ -323,7 +321,45 @@ pub use pmcmc_runtime::wire::Heartbeat as HeartbeatPayload;
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::StrategySpec;
+    use crate::job::{Engine, JobSpec};
+    use pmcmc_core::ModelParams;
+    use pmcmc_imaging::GrayImage;
     use std::time::Instant;
+
+    #[test]
+    fn a_long_session_never_holds_more_runners_than_its_capacity() {
+        let daemon = NodeDaemon::bind("127.0.0.1:0", 1)
+            .expect("daemon binds")
+            .capacity(2);
+        let addr = daemon.local_addr().expect("bound address");
+        std::thread::scope(|scope| {
+            let session = scope.spawn(|| daemon.serve_one());
+            let engine = Engine::distributed(&[addr]).expect("coordinator connects");
+            let specs = (0..300)
+                .map(|seed| {
+                    let image = GrayImage::filled(48, 48, 0.1);
+                    JobSpec::new(
+                        StrategySpec::Sequential,
+                        image,
+                        ModelParams::new(48, 48, 2.0, 8.0),
+                    )
+                    .seed(seed)
+                    .iterations(200)
+                })
+                .collect();
+            for result in engine.submit_batch(specs).expect("batch").wait_all() {
+                result.expect("remote job completes");
+            }
+            // Dropping the coordinator sends `Shutdown`.
+            drop(engine);
+            let end = session.join().expect("session thread");
+            assert_eq!(end.expect("session"), SessionEnd::Shutdown);
+        });
+        let stats = daemon.runners.stats();
+        assert!(stats.peak_threads <= 2, "{stats:?}");
+        assert_eq!((stats.threads, stats.queued), (0, 0), "{stats:?}");
+    }
 
     #[test]
     fn daemon_handshakes_and_heartbeats() {

@@ -16,9 +16,9 @@ use std::time::Instant;
 
 /// The shared execution service: jobs are validated and wired up here,
 /// then handed to a pluggable [`ExecutionBackend`] that decides where
-/// they run. The default [`LocalBackend`] keeps the historical shape —
-/// one shared [`WorkerPool`] every job fans its parallel stages onto, one
-/// detached driver thread per job, submission never blocks. A
+/// they run. The default [`LocalBackend`] runs at most W jobs at once
+/// (the rest wait in submission order), all fanning their parallel stages
+/// onto one shared [`WorkerPool`] of W workers; submission never blocks. A
 /// [`ShardedBackend`] instead simulates the eq. (4) `s × t` cluster:
 /// per-node pools, bounded admission (submission *does* throttle there),
 /// LPT placement.

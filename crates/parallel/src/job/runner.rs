@@ -27,8 +27,10 @@ pub(crate) fn stamp_wait(work: &mut JobBlueprint, since: Instant) {
 ///
 /// Builds the [`RunCtx`] the scheme sees from the blueprint (progress
 /// stride, checkpoint interval, a deadline of now + `remaining_deadline`)
-/// plus the optional cancel token and observer, runs
-/// [`StrategySpec::run`](crate::engine::StrategySpec::run), and stamps the
+/// plus the optional cancel token and observer. A job whose token already
+/// fired or whose deadline already passed stops there with 0 completed
+/// iterations. Otherwise it runs
+/// [`StrategySpec::run`](crate::engine::StrategySpec::run) and stamps the
 /// report's [`node_timings`](RunReport::node_timings) with
 /// `{ node, queued: work.queued_so_far, busy: total_time }`.
 ///
@@ -61,6 +63,10 @@ pub fn run_blueprint(
     if let Some(interval) = work.checkpoint_interval {
         ctx = ctx.with_checkpoint_interval(interval);
     }
+    // A job cancelled or out of time while it waited for a thread stops
+    // here, before its model is built: the chain schemes poll only after
+    // their first stride.
+    ctx.should_stop(0)?;
     let req =
         RunRequest::new(&work.image, &work.params, pool, work.seed).iterations(work.iterations);
     let mut report = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
@@ -134,17 +140,21 @@ mod tests {
 
     #[test]
     fn an_exhausted_deadline_stops_the_run_before_its_first_iteration() {
-        // A partition scheme: its chains poll the deadline before their
-        // first stride, so nothing at all has run. (The chain-driven schemes
-        // poll after a stride and report that stride as completed.)
-        let mut work = spec(StrategySpec::Blind(Default::default())).work;
-        work.remaining_deadline = Some(Duration::ZERO);
-        assert_eq!(
-            run_blueprint(&work, &WorkerPool::new(2), NodeId(0), None, None).unwrap_err(),
-            RunError::DeadlineExceeded {
-                completed_iterations: 0
-            }
-        );
+        // The chain-driven schemes poll only after a stride, and the
+        // partition schemes before their chains; neither gets that far.
+        for strategy in [
+            StrategySpec::Sequential,
+            StrategySpec::Blind(Default::default()),
+        ] {
+            let mut work = spec(strategy).work;
+            work.remaining_deadline = Some(Duration::ZERO);
+            assert_eq!(
+                run_blueprint(&work, &WorkerPool::new(2), NodeId(0), None, None).unwrap_err(),
+                RunError::DeadlineExceeded {
+                    completed_iterations: 0
+                }
+            );
+        }
     }
 
     #[test]

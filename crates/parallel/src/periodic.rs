@@ -26,9 +26,9 @@
 //!    allocation and an LPT bundling of the tiles that received iterations
 //!    onto the replicas (a tile with none gets no task). A phase gets one
 //!    bundle per `MIN_BUNDLE_ITERS` local iterations at most: below that a
-//!    second thread costs more to wake than it saves, and the whole phase
-//!    runs on the owning thread with no hand-off at all — which is also
-//!    what keeps the run time of short phases steady on a busy host;
+//!    second bundle was measured to cost more than it saves (see the
+//!    constant), and the whole phase runs on the owning thread with no
+//!    hand-off at all;
 //! 2. runs one task per bundle: the replica catches up with the master by
 //!    a positional diff of circle lists ([`Replica::sync`] — this also
 //!    picks up whatever the `Mg` phase, the sequential fallback or
@@ -58,13 +58,22 @@ use std::time::{Duration, Instant};
 
 /// Local iterations a phase must have per bundle before it is split over
 /// another thread. A bundle beyond the first wakes a parked worker and the
-/// owner then waits for its result; on a virtualised 2-core host that
-/// hand-off costs ≈ 150 µs a phase (≈ 100 tile iterations), it stalls the
-/// `Mg` phase that follows, and its cost moves with every other load on the
-/// host. Measured on the 1024²/150-cell scene, two bundles lose to one
-/// below ≈ 400 local iterations a phase and win from ≈ 750, so the default
-/// phase (192) runs on the owning thread alone and a phase of 512 or more
-/// is shared.
+/// owner then waits for its result. The hand-off itself is cheap: on a
+/// virtualised 2-core x86-64 host a woken worker starts 7–9 µs into
+/// `run_batch` (p50), and two 57 µs tasks after a 150 µs gap take 70–74 µs
+/// (63–66 µs on a `SpinTeam`). Two bundles still lose at the default phase
+/// of 192 local iterations on that host. With this constant at 64,
+/// `PeriodicSampler::run(500 000)` on the 1024²/150-cell scene spent
+/// 1.31–1.36× its global-phase time in local phases, against 1.17–1.19× at
+/// 256 (medians of 5 to 9 alternating runs, identical posteriors). In the
+/// runs where that was checked, the woken worker started on the owner's
+/// CPU in every two-bundle phase and preempted the owner, whose bundle
+/// began ≈ 60 µs late: the two bundles ran one after the other. Where the
+/// worker started on the other CPU, two bundles won 5 of 9 runs (≤ 1.11×
+/// against 1.13–1.17×), all in a slow phase of the host (≥ 837 ns a tile
+/// iteration), and lost the other 4 (1.16–1.27× against 1.14–1.21×). Why
+/// the scheduler puts the worker beside its waker, and what decides the
+/// other runs, is not explained by these measurements.
 const MIN_BUNDLE_ITERS: u64 = 256;
 
 /// How the image is tiled during `Ml` phases.

@@ -14,6 +14,11 @@
 //! * [`team::SpinTeam`] — a spinning broadcast team with sub-microsecond
 //!   round dispatch; used by speculative moves where one round lasts about
 //!   one MCMC iteration.
+//! * [`executor::JobExecutor`] — a bounded, on-demand job executor: at
+//!   most `limit` jobs run at once, each on a thread of its own, the rest
+//!   wait in a FIFO backlog, and threads exit soon after it runs dry.
+//!   Every job a node runs (local backend, sharded node, node daemon)
+//!   goes through one.
 //! * [`scheduler`] — pure LPT ordering and makespan prediction, testable in
 //!   isolation.
 //! * [`cluster`] — the eq. (4) `s × t` topology shape ([`ClusterTopology`],
@@ -29,6 +34,7 @@
 #![deny(unsafe_op_in_unsafe_fn)]
 
 pub mod cluster;
+pub mod executor;
 pub mod net;
 pub mod pool;
 pub mod scheduler;
@@ -36,6 +42,7 @@ pub mod team;
 pub mod wire;
 
 pub use cluster::{Admission, ClusterTopology, NodeId};
+pub use executor::{ExecutorStats, JobExecutor};
 pub use net::FrameConn;
 pub use pool::{PoolStats, WorkerPool};
 pub use scheduler::{

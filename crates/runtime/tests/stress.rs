@@ -1,10 +1,16 @@
 //! Stress and property tests for the execution substrate.
 
 use pmcmc_runtime::{
-    list_schedule_makespan, lpt_makespan, lpt_order, makespan_lower_bound, SpinTeam, WorkerPool,
+    list_schedule_makespan, lpt_makespan, lpt_order, makespan_lower_bound, JobExecutor, SpinTeam,
+    WorkerPool,
 };
 use proptest::prelude::*;
+use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::mpsc::{channel, Receiver, Sender};
+use std::sync::{Arc, Mutex};
+use std::thread::ThreadId;
+use std::time::Duration;
 
 #[test]
 fn pool_survives_many_heterogeneous_batches() {
@@ -105,6 +111,174 @@ fn spin_team_single_member_reusable_after_empty_workloads() {
     }
     let out = team.broadcast_map(|id| id);
     assert_eq!(out, vec![0]);
+}
+
+/// Launches a task that runs `first`, then holds its executor thread
+/// until the returned sender fires (or is dropped); returns once the task
+/// runs.
+fn occupy(executor: &JobExecutor, first: impl FnOnce() + Send + 'static) -> Sender<()> {
+    let (release_tx, release_rx) = channel::<()>();
+    let (started_tx, started_rx) = channel::<()>();
+    executor
+        .launch(move || {
+            first();
+            started_tx.send(()).expect("test alive");
+            let _ = release_rx.recv();
+        })
+        .expect("spawn");
+    started_rx.recv().expect("occupying task started");
+    release_tx
+}
+
+#[test]
+fn executor_never_runs_more_than_its_limit() {
+    let executor = JobExecutor::new("stress-bound", 3);
+    let running = Arc::new(AtomicUsize::new(0));
+    let most = Arc::new(AtomicUsize::new(0));
+    let done = Arc::new(AtomicUsize::new(0));
+    std::thread::scope(|scope| {
+        for _ in 0..4 {
+            scope.spawn(|| {
+                for _ in 0..250 {
+                    let (running, most, done) =
+                        (Arc::clone(&running), Arc::clone(&most), Arc::clone(&done));
+                    executor
+                        .launch(move || {
+                            let now = running.fetch_add(1, Ordering::SeqCst) + 1;
+                            most.fetch_max(now, Ordering::SeqCst);
+                            std::thread::yield_now();
+                            running.fetch_sub(1, Ordering::SeqCst);
+                            done.fetch_add(1, Ordering::SeqCst);
+                        })
+                        .expect("spawn");
+                }
+            });
+        }
+    });
+    executor.wait_idle();
+    assert_eq!(done.load(Ordering::SeqCst), 1_000);
+    assert!(
+        most.load(Ordering::SeqCst) <= 3,
+        "more tasks ran than the limit"
+    );
+    let stats = executor.stats();
+    assert!(stats.peak_threads <= 3, "{stats:?}");
+    assert_eq!((stats.threads, stats.queued), (0, 0), "{stats:?}");
+}
+
+#[test]
+fn executor_backlog_starts_in_launch_order() {
+    let executor = JobExecutor::new("stress-fifo", 1);
+    let release = occupy(&executor, || ());
+    let order = Arc::new(Mutex::new(Vec::new()));
+    for i in 0..100 {
+        let order = Arc::clone(&order);
+        executor
+            .launch(move || order.lock().expect("order").push(i))
+            .expect("launch never fails once the slot is taken");
+    }
+    assert_eq!(executor.stats().queued, 100);
+    drop(release);
+    executor.wait_idle();
+    assert_eq!(*order.lock().expect("order"), (0..100).collect::<Vec<_>>());
+    assert_eq!(
+        executor.stats().spawned,
+        1,
+        "one thread ran the whole backlog"
+    );
+}
+
+/// Reports its thread's exit: thread-local destructors run as a thread
+/// exits.
+struct ExitSignal(Sender<ThreadId>, ThreadId);
+
+impl Drop for ExitSignal {
+    fn drop(&mut self) {
+        let _ = self.0.send(self.1);
+    }
+}
+
+thread_local! {
+    static EXIT_SIGNAL: RefCell<Option<ExitSignal>> = const { RefCell::new(None) };
+}
+
+/// A task that arms its thread's exit signal (once per thread).
+fn arm_exit_signal(exits: &Sender<ThreadId>) -> impl FnOnce() + Send + 'static {
+    let exits = exits.clone();
+    move || {
+        EXIT_SIGNAL.with(|slot| {
+            slot.borrow_mut()
+                .get_or_insert_with(|| ExitSignal(exits, std::thread::current().id()));
+        });
+    }
+}
+
+fn exited_threads(exits: &Receiver<ThreadId>, n: usize) -> Vec<ThreadId> {
+    (0..n)
+        .map(|_| {
+            exits
+                .recv_timeout(Duration::from_secs(10))
+                .expect("an executor thread did not exit after the backlog ran dry")
+        })
+        .collect()
+}
+
+#[test]
+fn executor_threads_exit_once_the_backlog_is_empty() {
+    let executor = JobExecutor::new("stress-exit", 2);
+    let (exits_tx, exits_rx) = channel();
+    let releases = [
+        occupy(&executor, arm_exit_signal(&exits_tx)),
+        occupy(&executor, arm_exit_signal(&exits_tx)),
+    ];
+    for _ in 0..20 {
+        executor.launch(arm_exit_signal(&exits_tx)).expect("queued");
+    }
+    assert_eq!(executor.stats().queued, 20);
+    drop(releases);
+    let exited = exited_threads(&exits_rx, 2);
+    assert_ne!(exited[0], exited[1]);
+    assert_eq!(executor.stats().threads, 0);
+
+    // Idle, the executor holds no thread: the next task gets a new one.
+    executor.launch(arm_exit_signal(&exits_tx)).expect("spawn");
+    let fresh = exited_threads(&exits_rx, 1)[0];
+    assert!(!exited.contains(&fresh));
+    executor.wait_idle();
+    assert_eq!(executor.stats().spawned, 3);
+}
+
+#[test]
+fn a_panicking_task_neither_leaks_its_slot_nor_strands_the_backlog() {
+    let executor = JobExecutor::new("stress-panic", 1);
+    let release = occupy(&executor, || ());
+    let ran = Arc::new(AtomicUsize::new(0));
+    for i in 0..10 {
+        let ran = Arc::clone(&ran);
+        executor
+            .launch(move || {
+                assert!(i % 3 != 0, "task {i} panics");
+                ran.fetch_add(1, Ordering::SeqCst);
+            })
+            .expect("queued");
+    }
+    drop(release);
+    executor.wait_idle();
+    assert_eq!(
+        ran.load(Ordering::SeqCst),
+        6,
+        "tasks behind a panic must run"
+    );
+    assert_eq!(executor.stats().threads, 0, "a panic leaked a slot");
+
+    // The slot is free: a new task runs at once.
+    let (done_tx, done_rx) = channel();
+    executor
+        .launch(move || done_tx.send(()).expect("test alive"))
+        .expect("spawn");
+    done_rx
+        .recv_timeout(Duration::from_secs(10))
+        .expect("the executor still runs tasks after panics");
 }
 
 proptest! {

@@ -3,8 +3,8 @@
 //! shared pool), deadlines, and batch streaming.
 
 use pmcmc::prelude::*;
-use std::sync::Mutex;
-use std::time::Duration;
+use std::sync::{Arc, Mutex};
+use std::time::{Duration, Instant};
 
 fn workload(size: u32, n: usize, seed: u64) -> (GrayImage, ModelParams) {
     let spec = SceneSpec {
@@ -147,6 +147,100 @@ fn cancellation_stops_partition_schemes_mid_phase() {
         Err(RunError::Cancelled { .. }) => {}
         other => panic!("expected Cancelled, got {other:?}"),
     }
+}
+
+#[test]
+fn a_job_cancelled_while_queued_stops_before_its_first_stride() {
+    let (img, params) = workload(64, 3, 29);
+    let engine = Engine::new(1).unwrap();
+    let long = engine
+        .submit(
+            JobSpec::new(StrategySpec::Sequential, img.clone(), params.clone())
+                .seed(1)
+                .iterations(200_000_000)
+                .progress_stride(256),
+        )
+        .unwrap();
+    // The long job holds the engine's only job thread…
+    assert_eq!(
+        long.events().recv().expect("job emits events"),
+        Event::PhaseStarted { phase: "chain" }
+    );
+    // …so this one waits in the backlog, and is cancelled there.
+    let queued = engine
+        .submit(
+            JobSpec::new(StrategySpec::Sequential, img, params)
+                .seed(2)
+                .iterations(50_000),
+        )
+        .unwrap();
+    queued.cancel();
+    long.cancel();
+    assert!(matches!(long.wait(), Err(RunError::Cancelled { .. })));
+    assert_eq!(
+        queued.wait().unwrap_err(),
+        RunError::Cancelled {
+            completed_iterations: 0
+        },
+        "a job cancelled before it started must not run a stride"
+    );
+}
+
+#[test]
+fn a_large_batch_runs_at_most_pool_width_jobs_at_once() {
+    let (img, params) = workload(48, 2, 31);
+    let engine = Engine::new(2).unwrap();
+    // The first two jobs hold the engine's two job threads, without using
+    // the cores, until submission has returned; the rest wait behind them.
+    let gate = Arc::new(std::sync::RwLock::new(()));
+    let closed = gate.write().unwrap();
+    // Each job's first and last event, stamped on its job thread.
+    type Span = Arc<Mutex<Option<(Instant, Instant)>>>;
+    let spans: Vec<Span> = (0..1_000).map(|_| Span::default()).collect();
+    let specs: Vec<JobSpec> = (0..1_000)
+        .map(|seed| {
+            let (gate, span) = (Arc::clone(&gate), Arc::clone(&spans[seed as usize]));
+            JobSpec::new(StrategySpec::Sequential, img.clone(), params.clone())
+                .seed(seed)
+                .iterations(10_000)
+                .observer(move |_| {
+                    let now = Instant::now();
+                    let mut span = span.lock().unwrap();
+                    *span = Some((span.map_or(now, |(first, _)| first), now));
+                    drop(span);
+                    if seed < 2 {
+                        drop(gate.read());
+                    }
+                })
+        })
+        .collect();
+    let before = Instant::now();
+    let batch = engine.submit_batch(specs).unwrap();
+    assert!(
+        !batch.handles().iter().any(JobHandle::is_finished),
+        "submit_batch returned only after a job had finished"
+    );
+    drop(closed);
+    let results = batch.wait_all();
+
+    // A job's run starts after its stamp, which is no earlier than
+    // `before`, plus `queued`, and lasts `busy`; its events fall inside the
+    // run. So from its first event to the later of its last event and
+    // `before + queued + busy`, the job was running.
+    let mut edges = Vec::new();
+    for (result, span) in results.into_iter().zip(&spans) {
+        let timing = &result.expect("batch job completes").node_timings[0];
+        let (first, last) = span.lock().unwrap().expect("the job emitted events");
+        edges.push((first, 1i32));
+        edges.push((last.max(before + timing.queued + timing.busy), -1));
+    }
+    edges.sort_unstable();
+    let (mut running, mut most) = (0, 0);
+    for (_, step) in edges {
+        running += step;
+        most = most.max(running);
+    }
+    assert!(most <= 2, "{most} jobs ran at once on a 2-thread engine");
 }
 
 #[test]
