@@ -1,13 +1,19 @@
 //! The chain state: a circle configuration with incremental caches.
 //!
-//! `Configuration` owns the circle list, the coverage grid, the spatial
-//! index, two running sums (log-likelihood relative to the empty
-//! configuration, and total pairwise overlap area) and, per circle, its
-//! total lens area with all the others — what lets the samplers bound a
-//! proposal's overlap term before computing it. All moves are applied
-//! through [`Edit`]s, which return a [`Receipt`] carrying the cache deltas
-//! needed by the Metropolis–Hastings ratio and enough information to build
-//! the exact inverse edit when a proposal is rejected.
+//! A chain's state is in two parts. The grid-free part, `ChainState`, holds
+//! the circles, the row spans each was added with, a spatial index and, per
+//! circle, its total lens area with all the others — what lets the samplers
+//! bound a proposal's overlap term before computing it. It is the one
+//! implementation of neighbour lens sums, of an edit's overlap and
+//! likelihood deltas and of replace-in-place, each handed the coverage grid
+//! it reads or writes. [`Configuration`] is that state over the image plus
+//! its own coverage grid, two running sums (log-likelihood relative to the
+//! empty configuration, and total pairwise overlap area) and a memo of
+//! close pairs; a local phase's [`crate::tile::TileState`] is the same state
+//! over the circles centred in one tile, run on a grid it is lent. All moves
+//! are applied through [`Edit`]s, which return a [`Receipt`] carrying the
+//! cache deltas needed by the Metropolis–Hastings ratio and enough
+//! information to build the exact inverse edit when a proposal is rejected.
 //!
 //! A proposal's likelihood delta is computed read-only, by
 //! `span_delta_log_lik` — the one evaluator of the sequential sampler,
@@ -144,21 +150,285 @@ impl Receipt {
     }
 }
 
-/// The mutable chain state.
+/// The grid-free part of a chain state: the circles, the row spans each one
+/// was added with, a spatial index over their centres (slot numbers as ids)
+/// and each one's summed lens area with every other circle. A
+/// [`Configuration`] holds one over the image; a local phase's tile holds
+/// one over the circles centred in it, copied from the master. It is the
+/// one implementation of neighbour lens sums, of an edit's overlap and
+/// likelihood deltas and of replace-in-place; whatever reads or writes
+/// cover counts takes the grid it works on.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct ChainState {
+    circles: Vec<Circle>,
+    /// Slot for slot the row spans of `circles`, each filled when its
+    /// circle was added.
+    spans: Vec<SpanTable>,
+    spatial: SpatialGrid,
+    /// Slot for slot each circle's summed lens area with all the other
+    /// circles, kept up to date from the pairwise areas the edits compute
+    /// anyway.
+    overlap_of: Vec<f64>,
+    /// The largest radius: a circle's lens partners are centred within its
+    /// own radius plus this.
+    r_max: f64,
+}
+
+impl ChainState {
+    /// No circles, indexed over `rect`.
+    pub(crate) fn over(rect: Rect, r_max: f64) -> Self {
+        Self {
+            circles: Vec::new(),
+            spans: Vec::new(),
+            spatial: SpatialGrid::over(rect, 2.0 * r_max),
+            overlap_of: Vec::new(),
+            r_max,
+        }
+    }
+
+    /// Drops every circle and indexes `rect` instead, keeping the storage.
+    pub(crate) fn reset(&mut self, rect: Rect) {
+        self.circles.clear();
+        self.spans.clear();
+        self.overlap_of.clear();
+        self.spatial.reset(rect, 2.0 * self.r_max);
+    }
+
+    /// Appends `c` with its row spans and its summed lens area, both
+    /// already known (a tile copies them from the master).
+    pub(crate) fn push(&mut self, c: Circle, spans: SpanTable, overlap: f64) {
+        self.spatial.insert(self.circles.len(), &c);
+        self.circles.push(c);
+        self.spans.push(spans);
+        self.overlap_of.push(overlap);
+    }
+
+    pub(crate) fn len(&self) -> usize {
+        self.circles.len()
+    }
+
+    pub(crate) fn circles(&self) -> &[Circle] {
+        &self.circles
+    }
+
+    pub(crate) fn overlap_of(&self, i: usize) -> f64 {
+        self.overlap_of[i]
+    }
+
+    pub(crate) fn span_table(&self, i: usize) -> &SpanTable {
+        &self.spans[i]
+    }
+
+    /// Calls `f(j, area)` with the lens area of `c` and every indexed circle
+    /// `j` in reach but those in `exclude`, in the spatial index's order:
+    /// the one neighbour lens sum, whatever the sum is for.
+    fn lenses(&self, c: &Circle, exclude: &[usize], mut f: impl FnMut(usize, f64)) {
+        self.spatial.for_neighbors(c.x, c.y, c.r + self.r_max, |j| {
+            if !exclude.contains(&j) {
+                f(j, c.intersection_area(&self.circles[j]));
+            }
+        });
+    }
+
+    /// The lens areas of `c` with every indexed circle but `skip`, summed,
+    /// and added `sign ×` to each neighbour's `overlap_of` entry: `+1.0`
+    /// when `c` joins, `−1.0` when it leaves.
+    fn link(&mut self, c: &Circle, skip: usize, sign: f64) -> f64 {
+        let mut overlap_of = std::mem::take(&mut self.overlap_of);
+        let mut total = 0.0;
+        self.lenses(c, &[skip], |j, a| {
+            overlap_of[j] += sign * a;
+            total += a;
+        });
+        self.overlap_of = overlap_of;
+        total
+    }
+
+    /// Adds `c`, its spans tabulated on `grid`, to the state and the grid;
+    /// returns its summed lens area and the log-likelihood change.
+    fn add(&mut self, grid: &mut CoverageGrid, c: Circle, gain: &Gain) -> (f64, f64) {
+        let overlap = self.link(&c, usize::MAX, 1.0);
+        let spans = SpanTable::of(&c, &grid.rect());
+        let d_log_lik = grid.add_disk(&c, &spans, gain);
+        self.push(c, spans, overlap);
+        (overlap, d_log_lik)
+    }
+
+    /// Removes circle `i` from the state and the grid (the last circle takes
+    /// its slot); returns it, its summed lens area with the circles still
+    /// indexed and the log-likelihood change.
+    fn remove(&mut self, grid: &mut CoverageGrid, i: usize, gain: &Gain) -> (Circle, f64, f64) {
+        let c = self.circles[i];
+        let overlap = self.link(&c, i, -1.0);
+        let d_log_lik = grid.remove_disk(&c, &self.spans[i], gain);
+        self.spatial.remove(i, &c);
+        let last = self.circles.len() - 1;
+        if i != last {
+            self.spatial.rename(last, i, &self.circles[last]);
+        }
+        self.circles.swap_remove(i);
+        self.spans.swap_remove(i);
+        self.overlap_of.swap_remove(i);
+        (c, overlap, d_log_lik)
+    }
+
+    /// Replaces circle `i` with `new`, whose row spans on `grid` are
+    /// `spans`, on the grid, the spatial index and the lens areas — an
+    /// accepted local move, and its replay on the master. The grid's gains
+    /// are dropped: the move was priced before it was made.
+    pub(crate) fn replace(
+        &mut self,
+        grid: &mut CoverageGrid,
+        i: usize,
+        new: Circle,
+        spans: &SpanTable,
+        gain: &Gain,
+    ) {
+        let old = self.circles[i];
+        grid.remove_disk(&old, &self.spans[i], gain);
+        self.spans[i] = *spans;
+        grid.add_disk(&new, spans, gain);
+        self.link(&old, i, -1.0);
+        self.spatial.relocate(i, &old, &new);
+        self.circles[i] = new;
+        self.overlap_of[i] = self.link(&new, i, 1.0);
+    }
+
+    /// Log-likelihood delta of `edit` on `grid`, read-only, the work counted
+    /// into `scratch.tally` and the added disks' spans left in
+    /// `scratch.added`.
+    #[inline]
+    pub(crate) fn delta_log_lik(
+        &self,
+        grid: &CoverageGrid,
+        edit: &Edit,
+        gain: &Gain,
+        scratch: &mut EvalScratch,
+    ) -> f64 {
+        let EvalScratch { tally, added } = scratch;
+        // Every RJMCMC move removes at most two disks and adds at most two
+        // (merge: 2 − 1; split: 1 − 2). Larger edits (batch manipulations
+        // from drivers) have their rows walked.
+        if edit.remove.len() > 2 || edit.add.len() > added.len() {
+            let disks = self.edit_disks(edit);
+            return walk_delta_log_lik(grid, gain, &disks, tally);
+        }
+        let frame = grid.rect();
+        // One disk out and one in — translate, resize, replace, every tile
+        // move — in an array of known length: the kernel for the shape is
+        // picked at compile time, which took a few percent off a tile
+        // iteration.
+        if let ([i], [c]) = (edit.remove.as_slice(), edit.add.as_slice()) {
+            added[0].fill(c, &frame);
+            let removed = EditDisk {
+                circle: self.circles[*i],
+                spans: &self.spans[*i],
+                is_add: false,
+            };
+            let added = EditDisk {
+                circle: *c,
+                spans: &added[0],
+                is_add: true,
+            };
+            return span_delta_log_lik(grid, gain, &[removed, added], tally);
+        }
+        let mut disks = [EditDisk::NONE; SPAN_DISKS];
+        let mut nd = 0;
+        for &i in &edit.remove {
+            disks[nd] = EditDisk {
+                circle: self.circles[i],
+                spans: &self.spans[i],
+                is_add: false,
+            };
+            nd += 1;
+        }
+        for (&circle, spans) in edit.add.iter().zip(added.iter_mut()) {
+            spans.fill(&circle, &frame);
+            disks[nd] = EditDisk {
+                circle,
+                spans,
+                is_add: true,
+            };
+            nd += 1;
+        }
+        span_delta_log_lik(grid, gain, &disks[..nd], tally)
+    }
+
+    /// The disks of `edit` as the row walker takes them: `(circle, is_add)`,
+    /// removed ones first.
+    fn edit_disks(&self, edit: &Edit) -> Vec<(Circle, bool)> {
+        let removed = edit.remove.iter().map(|&i| (self.circles[i], false));
+        removed.chain(edit.add.iter().map(|&c| (c, true))).collect()
+    }
+
+    /// Pairwise-overlap-area delta of `edit`, read-only: the lens areas
+    /// gained, then those lost, one at a time in the spatial index's order.
+    pub(crate) fn delta_overlap(&self, edit: &Edit) -> f64 {
+        let mut d = 0.0;
+        // Pairs gained: added × survivors, plus pairs among added.
+        for (pos, a) in edit.add.iter().enumerate() {
+            self.lenses(a, &edit.remove, |_, area| d += area);
+            for b in &edit.add[pos + 1..] {
+                d += a.intersection_area(b);
+            }
+        }
+        // Pairs lost: removed × survivors, plus pairs among removed.
+        for (pos, &ri) in edit.remove.iter().enumerate() {
+            let c = self.circles[ri];
+            self.lenses(&c, &edit.remove, |_, area| d -= area);
+            for &rj in &edit.remove[pos + 1..] {
+                d -= c.intersection_area(&self.circles[rj]);
+            }
+        }
+        d
+    }
+
+    /// Checks the kept lens areas and row spans of the circles `ids`
+    /// against a from-scratch recomputation over the state's circles, the
+    /// spans clipped to `frame`, and the index's size.
+    pub(crate) fn verify(
+        &self,
+        ids: impl Iterator<Item = usize>,
+        frame: &Rect,
+    ) -> Result<(), String> {
+        let n = self.circles.len();
+        if (self.spans.len(), self.overlap_of.len(), self.spatial.len()) != (n, n, n) {
+            return Err(format!(
+                "{} span tables, {} lens areas and {} indexed for {n} circles",
+                self.spans.len(),
+                self.overlap_of.len(),
+                self.spatial.len()
+            ));
+        }
+        for i in ids {
+            let c = self.circles[i];
+            let fresh: f64 = (self.circles.iter().enumerate())
+                .filter(|&(j, _)| j != i)
+                .map(|(_, b)| c.intersection_area(b))
+                .sum();
+            let kept = self.overlap_of[i];
+            if (fresh - kept).abs() > 1e-9 * (1.0 + fresh) {
+                return Err(format!(
+                    "overlap of circle {i}: kept {kept} vs recomputed {fresh}"
+                ));
+            }
+            if self.spans[i] != SpanTable::of(&c, frame) {
+                return Err(format!("spans of circle {i} out of date"));
+            }
+        }
+        Ok(())
+    }
+}
+
+/// The mutable chain state over the whole image: its circles with their
+/// row spans, spatial index and lens areas, the coverage grid, the two
+/// running sums and a memo of close pairs.
 #[derive(Debug)]
 pub struct Configuration {
-    circles: Vec<Circle>,
-    /// Slot for slot the row spans of `circles` on `coverage`, each filled
-    /// when its circle was added.
-    spans: Vec<SpanTable>,
+    state: ChainState,
     coverage: CoverageGrid,
-    spatial: SpatialGrid,
     log_lik: f64,
     overlap_area: f64,
-    /// Slot for slot with `circles`, each circle's summed lens area with all
-    /// the other circles, kept up to date from the pairwise areas that
-    /// [`Configuration::apply`] and the tile merge compute anyway.
-    overlap_of: Vec<f64>,
     /// Memoised close-pair list from the last enumeration, invalidated by
     /// any circle-list mutation. Split proposals query the *same* base
     /// count every iteration (the after-edit count starts from it) and a
@@ -183,13 +453,10 @@ struct PairMemo {
 impl Clone for Configuration {
     fn clone(&self) -> Self {
         Self {
-            circles: self.circles.clone(),
-            spans: self.spans.clone(),
+            state: self.state.clone(),
             coverage: self.coverage.clone(),
-            spatial: self.spatial.clone(),
             log_lik: self.log_lik,
             overlap_area: self.overlap_area,
-            overlap_of: self.overlap_of.clone(),
             pair_cache: std::sync::Mutex::new(self.pair_cache.lock().unwrap().clone()),
         }
     }
@@ -199,15 +466,12 @@ impl Configuration {
     /// The empty configuration for `model`'s image.
     #[must_use]
     pub fn empty(model: &NucleiModel) -> Self {
-        let (w, h) = (model.params.width, model.params.height);
+        let frame = Rect::of_image(model.params.width, model.params.height);
         Self {
-            circles: Vec::new(),
-            spans: Vec::new(),
-            coverage: CoverageGrid::new(Rect::of_image(w, h)),
-            spatial: SpatialGrid::new(w, h, 2.0 * model.r_max()),
+            state: ChainState::over(frame, model.r_max()),
+            coverage: CoverageGrid::new(frame),
             log_lik: 0.0,
             overlap_area: 0.0,
-            overlap_of: Vec::new(),
             pair_cache: std::sync::Mutex::new(PairMemo::default()),
         }
     }
@@ -242,25 +506,25 @@ impl Configuration {
     /// Number of circles.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.circles.len()
+        self.state.len()
     }
 
     /// Whether the configuration is empty.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.circles.is_empty()
+        self.state.circles.is_empty()
     }
 
     /// The circles.
     #[must_use]
     pub fn circles(&self) -> &[Circle] {
-        &self.circles
+        &self.state.circles
     }
 
     /// One circle.
     #[must_use]
     pub fn circle(&self, i: usize) -> Circle {
-        self.circles[i]
+        self.state.circles[i]
     }
 
     /// Log-likelihood relative to the empty configuration.
@@ -280,12 +544,12 @@ impl Configuration {
     /// lose: `Σ overlap_of(i) ≥ −delta_overlap_readonly`.
     #[must_use]
     pub fn overlap_of(&self, i: usize) -> f64 {
-        self.overlap_of[i]
+        self.state.overlap_of(i)
     }
 
-    /// The row spans circle `i` was added with, clipped to the image.
-    pub(crate) fn span_table(&self, i: usize) -> &SpanTable {
-        &self.spans[i]
+    /// The grid-free part of the state.
+    pub(crate) const fn state(&self) -> &ChainState {
+        &self.state
     }
 
     /// Read access to the coverage grid.
@@ -307,7 +571,7 @@ impl Configuration {
         let p = &model.params;
         model.count_log_prior(self.len())
             + self
-                .circles
+                .circles()
                 .iter()
                 .map(|c| p.radius_prior.logpdf(c.r))
                 .sum::<f64>()
@@ -320,44 +584,6 @@ impl Configuration {
     #[must_use]
     pub fn log_posterior(&self, model: &NucleiModel) -> f64 {
         self.log_prior(model) + self.log_lik + model.gain.log_lik_empty()
-    }
-
-    /// Sum of lens areas between the hypothetical circle `c` and all
-    /// currently indexed circles except those in `exclude`.
-    #[must_use]
-    pub fn overlap_with(&self, c: &Circle, exclude: &[usize], model: &NucleiModel) -> f64 {
-        let mut total = 0.0;
-        self.spatial
-            .for_neighbors(c.x, c.y, c.r + model.r_max(), |id| {
-                if exclude.contains(&id) {
-                    return;
-                }
-                total += c.intersection_area(&self.circles[id]);
-            });
-        total
-    }
-
-    /// [`Configuration::overlap_with`] (excluding circle `skip` only) that
-    /// also adds `sign ×` each lens area to the neighbour's `overlap_of`
-    /// entry: `+1.0` when `c` joins the configuration, `−1.0` when it
-    /// leaves. The sum comes out in `overlap_with`'s order, to the bit.
-    fn link(&mut self, c: &Circle, skip: usize, sign: f64, model: &NucleiModel) -> f64 {
-        let Self {
-            spatial,
-            circles,
-            overlap_of,
-            ..
-        } = self;
-        let mut total = 0.0;
-        spatial.for_neighbors(c.x, c.y, c.r + model.r_max(), |id| {
-            if id == skip {
-                return;
-            }
-            let area = c.intersection_area(&circles[id]);
-            overlap_of[id] += sign * area;
-            total += area;
-        });
-        total
     }
 
     /// Applies an edit, updating all caches, and returns the receipt.
@@ -379,24 +605,17 @@ impl Configuration {
         }
         let mut removed = Vec::with_capacity(remove.len());
         for &i in &remove {
-            let c = self.circles[i];
             // Pairs with all *still indexed* circles: pairs among removed
             // circles are thereby counted exactly once.
-            d_overlap -= self.link(&c, i, -1.0, model);
-            d_log_lik += self.coverage.remove_disk(&c, &self.spans[i], gain);
-            self.remove_at(i);
+            let (c, overlap, d) = self.state.remove(&mut self.coverage, i, gain);
+            d_overlap -= overlap;
+            d_log_lik += d;
             removed.push(c);
         }
         for &c in &edit.add {
-            let overlap = self.link(&c, usize::MAX, 1.0, model);
+            let (overlap, d) = self.state.add(&mut self.coverage, c, gain);
             d_overlap += overlap;
-            let spans = SpanTable::of(&c, &self.coverage.rect());
-            d_log_lik += self.coverage.add_disk(&c, &spans, gain);
-            let id = self.circles.len();
-            self.circles.push(c);
-            self.spans.push(spans);
-            self.overlap_of.push(overlap);
-            self.spatial.insert(id, &c);
+            d_log_lik += d;
         }
         self.log_lik += d_log_lik;
         self.overlap_area += d_overlap;
@@ -418,56 +637,31 @@ impl Configuration {
         );
     }
 
-    /// Replaces circle `idx` (which must currently equal `old`) with `new`,
-    /// whose row spans on the image are `spans`, on the circle list, the
-    /// spatial index, the coverage grid and the per-circle lens areas. Used
-    /// when merging tile results: the tile's own accumulated deltas feed the
-    /// likelihood/overlap caches, so the grid's returned gains are dropped.
-    pub(crate) fn update_circle_in_place(
+    /// Merges the moves of a finished tile: each `(index, old, new, spans)`
+    /// replaces circle `index`, which must still be `old`, with `new`, whose
+    /// row spans on the image are `spans` ([`ChainState::replace`]); then
+    /// the tile's accumulated deltas are added to the caches.
+    pub(crate) fn absorb<'a>(
         &mut self,
-        idx: usize,
-        old: Circle,
-        new: Circle,
-        spans: &SpanTable,
-        model: &NucleiModel,
+        moves: impl Iterator<Item = (usize, Circle, Circle, &'a SpanTable)>,
+        (d_log_lik, d_overlap): (f64, f64),
+        gain: &Gain,
     ) {
-        debug_assert_eq!(self.circles[idx], old, "tile update against stale master");
-        debug_assert!(
-            *spans == SpanTable::of(&new, &self.coverage.rect()),
-            "tile table differs from the image's"
-        );
-        self.invalidate_pair_cache();
-        let gain = &model.gain;
-        self.coverage.remove_disk(&old, &self.spans[idx], gain);
-        self.spans[idx] = *spans;
-        self.coverage.add_disk(&new, &self.spans[idx], gain);
-        self.link(&old, idx, -1.0, model);
-        self.spatial.relocate(idx, &old, &new);
-        self.circles[idx] = new;
-        self.overlap_of[idx] = self.link(&new, idx, 1.0, model);
-    }
-
-    fn invalidate_pair_cache(&mut self) {
-        self.pair_cache.get_mut().unwrap().key = None;
-    }
-
-    /// Adds externally computed cache deltas (tile merging).
-    pub(crate) fn add_cache_deltas(&mut self, d_log_lik: f64, d_overlap: f64) {
+        for (i, old, new, spans) in moves {
+            self.invalidate_pair_cache();
+            debug_assert_eq!(self.circle(i), old, "tile update against stale master");
+            debug_assert!(
+                *spans == SpanTable::of(&new, &self.coverage.rect()),
+                "tile table differs from the image's"
+            );
+            self.state.replace(&mut self.coverage, i, new, spans, gain);
+        }
         self.log_lik += d_log_lik;
         self.overlap_area += d_overlap;
     }
 
-    fn remove_at(&mut self, i: usize) {
-        let c = self.circles[i];
-        self.spatial.remove(i, &c);
-        let last = self.circles.len() - 1;
-        if i != last {
-            let moved = self.circles[last];
-            self.spatial.rename(last, i, &moved);
-        }
-        self.circles.swap_remove(i);
-        self.spans.swap_remove(i);
-        self.overlap_of.swap_remove(i);
+    fn invalidate_pair_cache(&mut self) {
+        self.pair_cache.get_mut().unwrap().key = None;
     }
 
     /// Log-likelihood delta of `edit` computed **without mutating** the
@@ -482,78 +676,17 @@ impl Configuration {
     #[must_use]
     pub fn delta_log_lik_readonly(&self, edit: &Edit, model: &NucleiModel) -> f64 {
         let mut scratch = EvalScratch::new();
-        let delta = self.delta_log_lik_tallied(edit, model, &mut scratch);
+        let delta = (self.state).delta_log_lik(&self.coverage, edit, &model.gain, &mut scratch);
         scratch.tally.flush();
         delta
     }
 
-    /// [`Configuration::delta_log_lik_readonly`] with the caller's scratch:
-    /// the work is counted into `scratch.tally` instead of [`crate::perf`].
-    pub(crate) fn delta_log_lik_tallied(
-        &self,
-        edit: &Edit,
-        model: &NucleiModel,
-        scratch: &mut EvalScratch,
-    ) -> f64 {
-        let EvalScratch { tally, added } = scratch;
-        // Every RJMCMC move removes at most two disks and adds at most two
-        // (merge: 2 − 1; split: 1 − 2). Larger edits (batch manipulations
-        // from drivers) have their rows walked.
-        if edit.remove.len() > 2 || edit.add.len() > added.len() {
-            let disks = self.edit_disks(edit);
-            return walk_delta_log_lik(&self.coverage, &model.gain, &disks, tally);
-        }
-        let frame = self.coverage.rect();
-        let mut disks = [EditDisk::NONE; SPAN_DISKS];
-        let mut nd = 0;
-        for &i in &edit.remove {
-            disks[nd] = EditDisk {
-                circle: self.circles[i],
-                spans: &self.spans[i],
-                is_add: false,
-            };
-            nd += 1;
-        }
-        for (&circle, spans) in edit.add.iter().zip(added.iter_mut()) {
-            spans.fill(&circle, &frame);
-            disks[nd] = EditDisk {
-                circle,
-                spans,
-                is_add: true,
-            };
-            nd += 1;
-        }
-        span_delta_log_lik(&self.coverage, &model.gain, &disks[..nd], tally)
-    }
-
-    /// The disks of `edit` as the row walker takes them: `(circle, is_add)`,
-    /// removed ones first.
-    fn edit_disks(&self, edit: &Edit) -> Vec<(Circle, bool)> {
-        let removed = edit.remove.iter().map(|&i| (self.circles[i], false));
-        removed.chain(edit.add.iter().map(|&c| (c, true))).collect()
-    }
-
     /// Pairwise-overlap-area delta of `edit`, computed without mutating the
-    /// configuration. Matches the accounting of [`Configuration::apply`].
+    /// configuration. Matches the accounting of [`Configuration::apply`]
+    /// up to the order of the float additions.
     #[must_use]
-    pub fn delta_overlap_readonly(&self, edit: &Edit, model: &NucleiModel) -> f64 {
-        let mut d = 0.0;
-        // Pairs lost: removed × survivors, plus pairs among removed.
-        for (pos, &ri) in edit.remove.iter().enumerate() {
-            let c = self.circles[ri];
-            d -= self.overlap_with(&c, &edit.remove, model);
-            for &rj in &edit.remove[pos + 1..] {
-                d -= c.intersection_area(&self.circles[rj]);
-            }
-        }
-        // Pairs gained: added × survivors, plus pairs among added.
-        for (pos, a) in edit.add.iter().enumerate() {
-            d += self.overlap_with(a, &edit.remove, model);
-            for b in &edit.add[pos + 1..] {
-                d += a.intersection_area(b);
-            }
-        }
-        d
+    pub fn delta_overlap_readonly(&self, edit: &Edit, _model: &NucleiModel) -> f64 {
+        self.state.delta_overlap(edit)
     }
 
     /// Number of close pairs (< `max_dist`) the configuration would have
@@ -561,24 +694,25 @@ impl Configuration {
     /// split move's reverse-merge selection probability.
     #[must_use]
     pub fn count_close_pairs_after_edit(&self, edit: &Edit, max_dist: f64) -> usize {
+        let (circles, spatial) = (&self.state.circles, &self.state.spatial);
         let mut n = self.count_close_pairs(max_dist) as i64;
         // Pairs lost with removed circles (removed-removed counted once).
         for (pos, &ri) in edit.remove.iter().enumerate() {
-            let c = self.circles[ri];
-            self.spatial.for_neighbors(c.x, c.y, max_dist, |j| {
+            let c = circles[ri];
+            spatial.for_neighbors(c.x, c.y, max_dist, |j| {
                 if j == ri {
                     return;
                 }
                 let earlier_removed = edit.remove[..pos].contains(&j);
-                if !earlier_removed && c.centre_distance(&self.circles[j]) < max_dist {
+                if !earlier_removed && c.centre_distance(&circles[j]) < max_dist {
                     n -= 1;
                 }
             });
         }
         // Pairs gained: added × survivors.
         for (pos, a) in edit.add.iter().enumerate() {
-            self.spatial.for_neighbors(a.x, a.y, max_dist, |j| {
-                if !edit.remove.contains(&j) && a.centre_distance(&self.circles[j]) < max_dist {
+            spatial.for_neighbors(a.x, a.y, max_dist, |j| {
+                if !edit.remove.contains(&j) && a.centre_distance(&circles[j]) < max_dist {
                     n += 1;
                 }
             });
@@ -610,9 +744,10 @@ impl Configuration {
             return;
         }
         memo.pairs.clear();
-        for (i, c) in self.circles.iter().enumerate() {
-            self.spatial.for_neighbors(c.x, c.y, max_dist, |j| {
-                if j > i && c.centre_distance(&self.circles[j]) < max_dist {
+        let (circles, spatial) = (&self.state.circles, &self.state.spatial);
+        for (i, c) in circles.iter().enumerate() {
+            spatial.for_neighbors(c.x, c.y, max_dist, |j| {
+                if j > i && c.centre_distance(&circles[j]) < max_dist {
                     memo.pairs.push((i, j));
                 }
             });
@@ -652,7 +787,8 @@ impl Configuration {
     /// Describes the first inconsistent cache found.
     pub fn verify_consistency(&self, model: &NucleiModel) -> Result<(), String> {
         let frame = Rect::of_image(model.params.width, model.params.height);
-        let (fresh_cov, fresh_lik) = CoverageGrid::from_circles(frame, &self.circles, &model.gain);
+        let circles = self.circles();
+        let (fresh_cov, fresh_lik) = CoverageGrid::from_circles(frame, circles, &model.gain);
         if fresh_cov != self.coverage {
             return Err("coverage grid out of sync".into());
         }
@@ -663,8 +799,8 @@ impl Configuration {
             ));
         }
         let mut fresh_overlap = 0.0;
-        for (i, a) in self.circles.iter().enumerate() {
-            for b in self.circles.iter().skip(i + 1) {
+        for (i, a) in circles.iter().enumerate() {
+            for b in circles.iter().skip(i + 1) {
                 fresh_overlap += a.intersection_area(b);
             }
         }
@@ -674,32 +810,7 @@ impl Configuration {
                 self.overlap_area, fresh_overlap
             ));
         }
-        if self.overlap_of.len() != self.circles.len() {
-            return Err(format!(
-                "{} per-circle overlap entries for {} circles",
-                self.overlap_of.len(),
-                self.circles.len()
-            ));
-        }
-        for (i, (a, &cached)) in self.circles.iter().zip(&self.overlap_of).enumerate() {
-            let fresh: f64 = (self.circles.iter().enumerate())
-                .filter(|&(j, _)| j != i)
-                .map(|(_, b)| a.intersection_area(b))
-                .sum();
-            if (fresh - cached).abs() > 1e-9 * (1.0 + fresh) {
-                return Err(format!(
-                    "overlap of circle {i}: cached {cached} vs recomputed {fresh}"
-                ));
-            }
-        }
-        if self.spatial.len() != self.circles.len() {
-            return Err(format!(
-                "spatial index holds {} entries for {} circles",
-                self.spatial.len(),
-                self.circles.len()
-            ));
-        }
-        Ok(())
+        self.state.verify(0..circles.len(), &frame)
     }
 }
 
@@ -712,7 +823,8 @@ impl Configuration {
 pub struct EvalScratch {
     /// Work since the last [`EvalScratch::flush`].
     pub(crate) tally: SpanTally,
-    added: [SpanTable; 2],
+    /// The tables of the last evaluated edit's added disks.
+    pub(crate) added: [SpanTable; 2],
 }
 
 impl Default for EvalScratch {
@@ -974,7 +1086,7 @@ mod tests {
     /// What the row walker makes of `edit`, and the work it counted.
     fn walked(cfg: &Configuration, edit: &Edit, m: &NucleiModel) -> (f64, SpanTally) {
         let mut tally = SpanTally::default();
-        let disks = cfg.edit_disks(edit);
+        let disks = cfg.state.edit_disks(edit);
         let delta = walk_delta_log_lik(&cfg.coverage, &m.gain, &disks, &mut tally);
         (delta, tally)
     }
@@ -988,7 +1100,7 @@ mod tests {
         for backend in [crate::simd::Backend::Scalar, crate::simd::Backend::Avx2] {
             crate::simd::force_backend(backend);
             let mut scratch = EvalScratch::new();
-            let fast = cfg.delta_log_lik_tallied(edit, m, &mut scratch);
+            let fast = (cfg.state).delta_log_lik(&cfg.coverage, edit, &m.gain, &mut scratch);
             let tally = scratch.tally;
             let (slow, slow_tally) = walked(cfg, edit, m);
             let receipt = cfg.apply(edit, m);

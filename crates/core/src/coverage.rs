@@ -4,9 +4,13 @@
 //! least one* circle, so adding/removing a circle changes the
 //! log-likelihood by the summed gains of pixels whose cover count crosses
 //! the 0↔1 boundary. The grid may represent the full image or one
-//! partition tile (it stores its own global-coordinate rectangle): the
-//! periodic sampler's tile workers run on full-image replicas, the
-//! standalone [`crate::TileWorkspace`] on a private crop of its tile.
+//! partition tile (it stores its own global-coordinate rectangle). It is
+//! kept apart from the chain state whose circles it counts: that state
+//! (`config::ChainState`) is handed the grid it reads or writes, so a
+//! [`crate::Configuration`] owns its grid while a local phase's tile runs
+//! on a lent one — the periodic sampler's tile workers on full-image
+//! replicas, the standalone [`crate::TileWorkspace`] on a private crop of
+//! its tile.
 //!
 //! The hot operations are span-based: a disk is a set of contiguous row
 //! spans (`disk_row_span` is the single source of truth for the span

@@ -12,7 +12,8 @@
 //! and likelihood already rule it out never pays for its overlap prior or
 //! its post-edit pair count — the fate of most of them.
 
-use crate::config::{Configuration, EvalScratch};
+use crate::config::{ChainState, Configuration, EvalScratch};
+use crate::coverage::CoverageGrid;
 use crate::diagnostics::AcceptanceStats;
 use crate::model::NucleiModel;
 #[cfg(test)]
@@ -52,9 +53,9 @@ impl Evaluation {
 
 /// Evaluates a proposal **without mutating** the configuration: both
 /// parts of its log acceptance ratio, exactly. The chains decide with
-/// [`decide`], which settles most rejections before the overlap and pair
-/// terms; this is the exact arithmetic `decide` falls back on, kept public
-/// as its oracle.
+/// [`decide`], and the tiles of a local phase with the same bound and
+/// `log α`; this is the exact arithmetic both fall back on, kept public as
+/// their oracle.
 #[must_use]
 pub fn evaluate_proposal(
     config: &Configuration,
@@ -62,7 +63,8 @@ pub fn evaluate_proposal(
     proposal: &Proposal,
 ) -> Evaluation {
     let mut scratch = EvalScratch::new();
-    let eval = prior_and_likelihood(config, model, proposal, &mut scratch)
+    let (state, grid) = (config.state(), config.coverage());
+    let eval = prior_and_likelihood(state, grid, model, proposal, &mut scratch)
         .map_or(OUTSIDE_SUPPORT, |part| {
             complete(config, model, proposal, &part)
         });
@@ -80,8 +82,9 @@ fn accepts(log_alpha: f64, log_u: f64) -> bool {
 /// already-drawn acceptance uniform (`log_u = ln u`), **without mutating**
 /// the configuration; true when the chain moves. This is what every chain
 /// calls: [`Sampler`] (and with it the `Mg` phases, the (MC)³ and the
-/// partition chains) and the speculative lanes. The work is counted into
-/// `scratch`.
+/// partition chains) and the speculative lanes; the tiles of a local phase
+/// decide with its bound and exact `log α` too, in their own draw order
+/// ([`crate::tile`]). The work is counted into `scratch`.
 ///
 /// Most proposals are rejected by a wide margin, so the prior and the
 /// likelihood are computed first and bound `log α` from above:
@@ -107,41 +110,18 @@ pub fn decide(
     log_u: f64,
     scratch: &mut EvalScratch,
 ) -> bool {
-    let Some(part) = prior_and_likelihood(config, model, proposal, scratch) else {
+    let state = config.state();
+    let Some(part) = prior_and_likelihood(state, config.coverage(), model, proposal, scratch)
+    else {
         return accepts(OUTSIDE_SUPPORT.log_alpha(beta), log_u);
     };
-    !rejects_early(config, model, proposal, beta, log_u, &part)
-        && accepts(
-            complete(config, model, proposal, &part).log_alpha(beta),
-            log_u,
-        )
-}
-
-/// Whether the upper bound of `log α` that [`decide`] builds from `part`
-/// already rules the proposal out.
-fn rejects_early(
-    config: &Configuration,
-    model: &NucleiModel,
-    proposal: &Proposal,
-    beta: f64,
-    log_u: f64,
-    part: &PriorAndLikelihood,
-) -> bool {
-    let gamma = model.params.overlap_gamma;
-    if gamma < 0.0 || beta < 0.0 {
+    if part.bound(state, model, proposal, beta) <= log_u {
         return false;
     }
-    let removed: f64 = proposal
-        .edit
-        .remove
-        .iter()
-        .map(|&i| config.overlap_of(i))
-        .sum();
-    let posterior_bound = part.prior_delta + gamma * removed + part.d_log_lik;
-    let bound = beta * posterior_bound + proposal.log_q;
-    let magnitude = beta * (part.prior_delta.abs() + gamma * removed.abs() + part.d_log_lik.abs())
-        + proposal.log_q.abs();
-    bound + 1e-9 * (1.0 + magnitude) <= log_u
+    accepts(
+        complete(config, model, proposal, &part).log_alpha(beta),
+        log_u,
+    )
 }
 
 /// The evaluation of a proposal that leaves the prior's support.
@@ -152,16 +132,60 @@ const OUTSIDE_SUPPORT: Evaluation = Evaluation {
 
 /// The parts of a proposal's `Δ log posterior` that [`decide`] computes
 /// before it bounds `log α`.
-struct PriorAndLikelihood {
+pub(crate) struct PriorAndLikelihood {
     /// Count, radius and position prior terms.
     prior_delta: f64,
-    d_log_lik: f64,
+    pub(crate) d_log_lik: f64,
+}
+
+impl PriorAndLikelihood {
+    /// `B + ε`, the upper bound of `log α` that [`decide`] rejects by, for
+    /// a proposal of `state`; `+∞` where a negative γ or β leaves the
+    /// overlap term unbounded.
+    #[inline]
+    pub(crate) fn bound(
+        &self,
+        state: &ChainState,
+        model: &NucleiModel,
+        proposal: &Proposal,
+        beta: f64,
+    ) -> f64 {
+        let gamma = model.params.overlap_gamma;
+        if gamma < 0.0 || beta < 0.0 {
+            return f64::INFINITY;
+        }
+        let removed: f64 = proposal
+            .edit
+            .remove
+            .iter()
+            .map(|&i| state.overlap_of(i))
+            .sum();
+        let posterior_bound = self.prior_delta + gamma * removed + self.d_log_lik;
+        let bound = beta * posterior_bound + proposal.log_q;
+        let magnitude = beta
+            * (self.prior_delta.abs() + gamma * removed.abs() + self.d_log_lik.abs())
+            + proposal.log_q.abs();
+        bound + 1e-9 * (1.0 + magnitude)
+    }
+
+    /// The exact [`Evaluation`], given the proposal's overlap-area delta
+    /// and its complete `log q`.
+    pub(crate) fn evaluation(&self, model: &NucleiModel, d_overlap: f64, log_q: f64) -> Evaluation {
+        Evaluation {
+            d_log_posterior: self.prior_delta - model.params.overlap_gamma * d_overlap
+                + self.d_log_lik,
+            log_q,
+        }
+    }
 }
 
 /// Counts one evaluated proposal into `scratch` and computes its prior and
-/// likelihood deltas; `None` outside the prior's support.
-fn prior_and_likelihood(
-    config: &Configuration,
+/// likelihood deltas on `state` over `grid`; `None` outside the prior's
+/// support.
+#[inline]
+pub(crate) fn prior_and_likelihood(
+    state: &ChainState,
+    grid: &CoverageGrid,
     model: &NucleiModel,
     proposal: &Proposal,
     scratch: &mut EvalScratch,
@@ -172,7 +196,7 @@ fn prior_and_likelihood(
     if !proposal.edit.add.iter().all(|c| p.in_support(c)) {
         return None;
     }
-    let k = config.len();
+    let k = state.len();
     let dk = proposal.edit.dimension_delta();
     let radius_delta: f64 = proposal
         .edit
@@ -184,7 +208,7 @@ fn prior_and_likelihood(
             .edit
             .remove
             .iter()
-            .map(|&i| p.radius_prior.logpdf(config.circle(i).r))
+            .map(|&i| p.radius_prior.logpdf(state.circles()[i].r))
             .sum::<f64>();
     // A move that keeps the dimension (translate, resize, replace — most
     // draws) has count terms that cancel to exactly `0.0` (under a prior
@@ -198,7 +222,7 @@ fn prior_and_likelihood(
             model.count_log_prior((k as i64 + dk) as usize) - model.count_log_prior(k);
         count_delta + radius_delta + dk as f64 * p.position_log_density()
     };
-    let d_log_lik = config.delta_log_lik_tallied(&proposal.edit, model, scratch);
+    let d_log_lik = state.delta_log_lik(grid, &proposal.edit, &model.gain, scratch);
     Some(PriorAndLikelihood {
         prior_delta,
         d_log_lik,
@@ -213,7 +237,7 @@ fn complete(
     proposal: &Proposal,
     part: &PriorAndLikelihood,
 ) -> Evaluation {
-    let d_overlap = config.delta_overlap_readonly(&proposal.edit, model);
+    let d_overlap = config.state().delta_overlap(&proposal.edit);
     let mut log_q = proposal.log_q;
     if proposal.needs_post_pairs {
         let pairs =
@@ -221,10 +245,7 @@ fn complete(
         // The split's children are themselves a close pair, so pairs >= 1.
         log_q -= (pairs.max(1) as f64).ln();
     }
-    Evaluation {
-        d_log_posterior: part.prior_delta - model.params.overlap_gamma * d_overlap + part.d_log_lik,
-        log_q,
-    }
+    part.evaluation(model, d_overlap, log_q)
 }
 
 /// Refill-amortised pre-draw of a burst of proposals' randomness.
@@ -758,10 +779,11 @@ mod tests {
                             );
                             if u == log_u && !accepted {
                                 rejected += 1;
+                                let (state, grid) = (config.state(), config.coverage());
                                 early += u32::from(
-                                    prior_and_likelihood(config, &model, &p, &mut scratch)
+                                    prior_and_likelihood(state, grid, &model, &p, &mut scratch)
                                         .is_some_and(|part| {
-                                            rejects_early(config, &model, &p, beta, u, &part)
+                                            part.bound(state, &model, &p, beta) <= u
                                         }),
                                 );
                             }

@@ -27,32 +27,35 @@
 //!   logged by whoever mutates the master — the diff also covers the
 //!   sequential fallback, speculative global lanes and a replica that sat
 //!   out any number of phases;
-//! * a [`TileState`] is one tile's chain state: the circles centred in the
-//!   tile, a spatial index over them, each one's lens area with the others
-//!   and each eligible one's row spans — the last two copied from the
-//!   master, whose values they are — and the accumulated deltas. It is
-//!   rebuilt in place every phase ([`TileState::build`]), so its storage
-//!   outlives the phase. It runs **in place** on a grid that contains its
-//!   rectangle — a replica's ([`Replica::run_local`]; the safeguard keeps
-//!   every written disk `margin` inside the tile, so tiles sharing a
-//!   replica cannot interfere) or the private crop of a standalone
-//!   [`TileWorkspace`];
-//! * a proposal's likelihood delta is evaluated read-only by the span
-//!   evaluator behind [`Configuration::delta_log_lik_readonly`], and the
-//!   step rejects before the overlap term when it can, as
-//!   [`crate::sampler::decide`] does; the grid is written only on accept;
+//! * a [`TileState`] is one tile's chain state: the master's own chain
+//!   state type (circles, row spans, spatial index, lens areas) over the
+//!   circles centred in the tile, indexed over the tile with entry indices
+//!   as ids, its spans and lens areas copied from the master, plus the
+//!   accumulated deltas. It is rebuilt in place every phase
+//!   ([`TileState::build`]), so its storage outlives the phase. It runs
+//!   **in place** on a grid that contains its rectangle — a replica's
+//!   ([`Replica::run_local`]; the safeguard keeps every written disk
+//!   `margin` inside the tile, so tiles sharing a replica cannot interfere)
+//!   or the private crop of a standalone [`TileWorkspace`];
+//! * a step draws its move as a tile always has — translate coin, eligible
+//!   entry, normals, and `u` only when `log α < 0` — and decides it with the
+//!   chain's own code: the read-only likelihood delta behind
+//!   [`Configuration::delta_log_lik_readonly`], the bound and the exact
+//!   `log α` of [`crate::sampler::decide`], and on accept the
+//!   replace-in-place that also replays the move on the master; the grid is
+//!   written only on accept;
 //! * [`Configuration::absorb_tile`] merges by replaying the tile's changed
 //!   circles, with their final span tables, on the master grid.
 
-use crate::config::{span_delta_log_lik, Configuration};
-use crate::coverage::{CoverageGrid, EditDisk, SpanTally};
+use crate::config::{ChainState, Configuration, EvalScratch};
+use crate::coverage::{CoverageGrid, SpanTally};
 use crate::diagnostics::AcceptanceStats;
 use crate::likelihood::Gain;
 use crate::model::NucleiModel;
+use crate::moves::Proposal;
 use crate::params::MoveKind;
 use crate::rng::{standard_normal, Xoshiro256};
-use crate::spans::SpanTable;
-use crate::spatial::SpatialGrid;
+use crate::sampler::prior_and_likelihood;
 use pmcmc_imaging::{Circle, PartitionGrid, Rect};
 use rand::Rng;
 
@@ -156,23 +159,11 @@ impl TilePlan {
     }
 }
 
-/// One circle tracked by a tile worker.
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct TileEntry {
-    /// Index of this circle in the master configuration.
-    master_idx: usize,
-    /// Current (possibly moved) circle.
-    circle: Circle,
-    /// Original circle at phase start (to detect changes).
-    original: Circle,
-    /// Whether the §V safeguard allows modifying it.
-    eligible: bool,
-}
-
-/// One tile's chain state for a local phase: tile-local circles plus the
-/// deltas its accepted moves accumulated. The coverage grid it runs on is
-/// lent per call, so a finished tile can leave its worker while the grid
-/// stays behind.
+/// One tile's chain state for a local phase: the master's chain state
+/// restricted to the circles centred in the tile, plus the deltas its
+/// accepted moves accumulated. The coverage grid it runs on is lent per
+/// call, so a finished tile can leave its worker while the grid stays
+/// behind.
 #[derive(Debug, Clone)]
 pub struct TileState<'m> {
     /// Kept for [`Configuration::absorb_tile`], which replays on the master
@@ -180,42 +171,30 @@ pub struct TileState<'m> {
     model: &'m NucleiModel,
     rect: Rect,
     margin: f64,
-    entries: Vec<TileEntry>,
+    /// The circles centred in the tile, entry indices as ids, indexed over
+    /// the tile, with the master's span tables and lens areas. An eligible
+    /// circle's table is the same on any grid that contains the tile, the
+    /// image's included, and nothing centred outside the tile reaches it,
+    /// so its lens area is also the sum over the tile's entries.
+    state: ChainState,
+    /// Per entry, its master index and its circle at phase start.
+    origin: Vec<(usize, Circle)>,
+    /// The entries the §V safeguard lets a local move modify.
     eligible: Vec<usize>,
-    /// Slot for slot the row spans of the `eligible` circles, copied from
-    /// the master and kept up to date by [`TileState::local_step`]. An
-    /// eligible disk lies inside the tile, so its table is the same on any
-    /// grid that contains the tile, the image's included.
-    spans: Vec<SpanTable>,
-    /// Slot for slot with `entries`, each circle's summed lens area with
-    /// every other circle of the configuration: the master's
-    /// [`Configuration::overlap_of`] at phase start, kept up to date on
-    /// accept. Nothing centred outside the tile reaches an eligible
-    /// circle, so for one of those it is also the sum over the tile's
-    /// entries — what bounds the overlap term of its moves.
-    overlap: Vec<f64>,
-    /// Spatial index over entry circles (entry indices as ids), so overlap
-    /// sums cost O(neighbours) rather than O(tile circles) — with the
-    /// rejection-first step and the borrowed tables, what keeps a tile
-    /// iteration at the master sampler's cost, as the §VI model assumes
-    /// (τ_l identical in and out of tiles). Sized to the tile.
-    spatial: SpatialGrid,
     /// Accumulated log-likelihood delta since phase start.
     pub d_log_lik: f64,
     /// Accumulated pairwise-overlap-area delta since phase start.
     pub d_overlap: f64,
-    /// Accumulated radius-prior log-density delta since phase start.
-    pub d_radius_logprior: f64,
     /// Acceptance accounting for this worker.
     pub stats: AcceptanceStats,
-    /// Evaluation work not yet flushed to [`crate::perf`].
-    tally: SpanTally,
-    /// Room for the candidate's row spans.
-    candidate_spans: SpanTable,
-    /// Rejections after the support check: decided before the overlap
-    /// term, and after it.
+    /// Evaluation work not yet flushed to [`crate::perf`], and the
+    /// candidate's row spans.
+    scratch: EvalScratch,
+    /// The move being decided, as an edit of the entries.
+    proposal: Proposal,
+    /// Rejections decided by the bound, before the overlap term.
     #[cfg(test)]
-    rejects: (u64, u64),
+    early_rejects: u64,
 }
 
 impl<'m> TileState<'m> {
@@ -227,19 +206,16 @@ impl<'m> TileState<'m> {
             model,
             rect: empty,
             margin: model.interaction_margin(),
-            entries: Vec::new(),
+            state: ChainState::over(empty, model.r_max()),
+            origin: Vec::new(),
             eligible: Vec::new(),
-            spans: Vec::new(),
-            overlap: Vec::new(),
-            spatial: SpatialGrid::over(empty, 2.0 * model.r_max()),
             d_log_lik: 0.0,
             d_overlap: 0.0,
-            d_radius_logprior: 0.0,
             stats: AcceptanceStats::new(),
-            tally: SpanTally::default(),
-            candidate_spans: SpanTable::EMPTY,
+            scratch: EvalScratch::new(),
+            proposal: Proposal::scratch(),
             #[cfg(test)]
-            rejects: (0, 0),
+            early_rejects: 0,
         }
     }
 
@@ -275,35 +251,30 @@ impl<'m> TileState<'m> {
         members: impl Iterator<Item = (usize, bool)>,
     ) {
         self.rect = rect;
-        self.entries.clear();
+        self.state.reset(rect);
+        self.origin.clear();
         self.eligible.clear();
-        self.spans.clear();
-        self.overlap.clear();
-        self.spatial.reset(rect, 2.0 * self.model.r_max());
+        let from = master.state();
         for (i, ok) in members {
             let c = master.circle(i);
             if ok {
-                self.eligible.push(self.entries.len());
-                self.spans.push(*master.span_table(i));
+                self.eligible.push(self.origin.len());
             }
-            self.spatial.insert(self.entries.len(), &c);
-            self.overlap.push(master.overlap_of(i));
-            self.entries.push(TileEntry {
-                master_idx: i,
-                circle: c,
-                original: c,
-                eligible: ok,
-            });
+            self.origin.push((i, c));
+            self.state.push(c, *from.span_table(i), from.overlap_of(i));
         }
         self.d_log_lik = 0.0;
         self.d_overlap = 0.0;
-        self.d_radius_logprior = 0.0;
         self.stats = AcceptanceStats::new();
-        debug_assert_eq!(self.tally, SpanTally::default(), "tile work not flushed");
         #[cfg(test)]
         {
-            self.rejects = (0, 0);
+            self.early_rejects = 0;
         }
+        debug_assert_eq!(
+            self.scratch.tally,
+            SpanTally::default(),
+            "tile work not flushed"
+        );
     }
 
     /// The tile rectangle.
@@ -321,18 +292,17 @@ impl<'m> TileState<'m> {
     /// Total circles tracked (eligible + frozen).
     #[must_use]
     pub fn circle_count(&self) -> usize {
-        self.entries.len()
+        self.state.len()
     }
 
-    /// Draws a local move: its kind, the eligible slot it moves and the
-    /// candidate circle; `None` (recorded as invalid) when the tile has
-    /// nothing it may modify.
+    /// Draws a local move: its kind and, unless the tile has nothing it may
+    /// modify, the eligible entry it moves and the candidate circle.
     fn propose(
-        &mut self,
+        &self,
         p_translate: f64,
         model: &NucleiModel,
         rng: &mut Xoshiro256,
-    ) -> Option<(MoveKind, usize, Circle)> {
+    ) -> (MoveKind, Option<(usize, Circle)>) {
         let translate = rng.gen::<f64>() < p_translate;
         let kind = if translate {
             MoveKind::Translate
@@ -340,15 +310,10 @@ impl<'m> TileState<'m> {
             MoveKind::Resize
         };
         if self.eligible.is_empty() {
-            self.stats.record_invalid(kind);
-            return None;
+            return (kind, None);
         }
-        let slot = rng.gen_range(0..self.eligible.len());
-        debug_assert!(
-            self.entries[self.eligible[slot]].eligible,
-            "eligible list out of sync"
-        );
-        let old = self.entries[self.eligible[slot]].circle;
+        let ei = self.eligible[rng.gen_range(0..self.eligible.len())];
+        let old = self.state.circles()[ei];
         let candidate = if translate {
             let sd = model.scales.translate_sd;
             Circle::new(
@@ -363,129 +328,14 @@ impl<'m> TileState<'m> {
                 old.r + model.scales.resize_sd * standard_normal(rng),
             )
         };
-        Some((kind, slot, candidate))
-    }
-
-    /// Support + safeguard: the candidate must stay in the radius prior's
-    /// support and keep its considered area inside the tile (which keeps
-    /// the eligible set invariant for the whole phase).
-    fn admissible(&self, candidate: &Circle, model: &NucleiModel) -> bool {
-        model.params.radius_prior.in_support(candidate.r)
-            && self.rect.contains_circle(candidate, self.margin)
-    }
-
-    /// Log-likelihood delta of moving slot `slot` to `candidate` on
-    /// `grid`, read-only; leaves the candidate's spans in
-    /// `self.candidate_spans`.
-    fn likelihood_delta(
-        &mut self,
-        grid: &CoverageGrid,
-        gain: &Gain,
-        slot: usize,
-        old: Circle,
-        candidate: Circle,
-    ) -> f64 {
-        self.candidate_spans.fill(&candidate, &self.rect);
-        let removed = EditDisk {
-            circle: old,
-            spans: &self.spans[slot],
-            is_add: false,
-        };
-        let added = EditDisk {
-            circle: candidate,
-            spans: &self.candidate_spans,
-            is_add: true,
-        };
-        span_delta_log_lik(grid, gain, &[removed, added], &mut self.tally)
-    }
-
-    /// Pairwise-overlap-area delta of entry `ei` moving from `old` to
-    /// `new`: the lens areas gained against neighbouring entries, then
-    /// those lost (only entries within interaction reach can contribute).
-    fn overlap_delta(&self, ei: usize, old: &Circle, new: &Circle, r_max: f64) -> f64 {
-        let mut d_overlap = 0.0;
-        self.spatial
-            .for_neighbors(new.x, new.y, new.r + r_max, |j| {
-                if j != ei {
-                    d_overlap += new.intersection_area(&self.entries[j].circle);
-                }
-            });
-        self.spatial
-            .for_neighbors(old.x, old.y, old.r + r_max, |j| {
-                if j != ei {
-                    d_overlap -= old.intersection_area(&self.entries[j].circle);
-                }
-            });
-        d_overlap
-    }
-
-    /// Adds `sign ×` the lens area of `c` with each neighbouring entry but
-    /// `skip` to that entry's kept overlap, and returns their sum.
-    fn link(&mut self, c: &Circle, skip: usize, sign: f64, r_max: f64) -> f64 {
-        let Self {
-            spatial,
-            entries,
-            overlap,
-            ..
-        } = self;
-        let mut total = 0.0;
-        spatial.for_neighbors(c.x, c.y, c.r + r_max, |j| {
-            if j != skip {
-                let area = c.intersection_area(&entries[j].circle);
-                overlap[j] += sign * area;
-                total += area;
-            }
-        });
-        total
-    }
-
-    /// Writes an accepted move of slot `slot` (entry `ei`) from `old` to
-    /// `candidate`, whose spans are in `self.candidate_spans`, to `grid` and
-    /// to the tile's state.
-    fn commit(
-        &mut self,
-        grid: &mut CoverageGrid,
-        gain: &Gain,
-        (slot, ei): (usize, usize),
-        old: Circle,
-        candidate: Circle,
-        (d_log_lik, d_overlap, d_radius): (f64, f64, f64),
-    ) {
-        let r_max = self.model.r_max();
-        grid.remove_disk(&old, &self.spans[slot], gain);
-        grid.add_disk(&candidate, &self.candidate_spans, gain);
-        self.spans[slot] = self.candidate_spans;
-        self.link(&old, ei, -1.0, r_max);
-        self.overlap[ei] = self.link(&candidate, ei, 1.0, r_max);
-        self.spatial.relocate(ei, &old, &candidate);
-        self.entries[ei].circle = candidate;
-        self.d_log_lik += d_log_lik;
-        self.d_overlap += d_overlap;
-        self.d_radius_logprior += d_radius;
+        (kind, Some((ei, candidate)))
     }
 
     /// One local iteration on `grid`, which must contain the tile's
     /// rectangle and encode the circles the tile was built over plus this
     /// tile's accepted moves; returns whether the move was accepted. The
-    /// proposal is evaluated read-only; `grid` is written only on accept.
-    /// The evaluation's work stays in `self.tally` until
+    /// evaluation's work stays in `self.scratch` until
     /// [`TileState::run_local`] flushes it.
-    ///
-    /// The likelihood and radius terms come first. A move can gain at most
-    /// the lens area the moved circle has now, so with γ ≥ 0
-    ///
-    /// ```text
-    /// B = Δlik + Δradius + γ·overlap[moved]  ≥  log α
-    /// ```
-    ///
-    /// When `B + ε < 0`, `log α < 0` for certain, so the exact test draws
-    /// `u` here in any case: it is drawn, and the move is rejected when
-    /// `B + ε ≤ ln u`. Otherwise the overlap delta and `log α` are computed
-    /// in full, in the exact step's float order, against that same `u` (or
-    /// one drawn only when `log α < 0`). ε = 10⁻⁹ × (1 + the terms'
-    /// magnitudes), as in [`crate::sampler::decide`]. Decisions and the
-    /// random stream are the exact step's; only the work to reach them
-    /// differs.
     fn local_step(
         &mut self,
         grid: &mut CoverageGrid,
@@ -493,59 +343,79 @@ impl<'m> TileState<'m> {
         model: &NucleiModel,
         rng: &mut Xoshiro256,
     ) -> bool {
-        let Some((kind, slot, candidate)) = self.propose(p_translate, model, rng) else {
+        let (kind, drawn) = self.propose(p_translate, model, rng);
+        let Some((ei, candidate)) = drawn else {
+            self.stats.record_invalid(kind);
             return false;
         };
-        if !self.admissible(&candidate, model) {
+        // The safeguard keeps the candidate's considered area inside the
+        // tile, and with it the eligible set for the whole phase.
+        let accepted = self.rect.contains_circle(&candidate, self.margin)
+            && self.decide(grid, ei, candidate, model, rng);
+        if accepted {
+            self.stats.record_accept(kind);
+        } else {
             self.stats.record_reject(kind);
+        }
+        accepted
+    }
+
+    /// Decides the move of entry `ei` to `candidate` with the bound and the
+    /// exact `log α` of [`crate::sampler::decide`], and makes it on `grid`
+    /// and the tile's state when accepted. The proposal is evaluated
+    /// read-only; `grid` is written only on accept.
+    ///
+    /// The tile's stream draws `u` only when `log α < 0`. When the bound
+    /// `B + ε` is negative, `log α < 0` for certain, so `u` is drawn there
+    /// and the move rejected when `B + ε ≤ ln u`; otherwise the overlap
+    /// delta and `log α` are computed in full, against that same `u` (or
+    /// one drawn only when `log α < 0`). Decisions and the random stream
+    /// are the exact step's; only the work to reach them differs.
+    fn decide(
+        &mut self,
+        grid: &mut CoverageGrid,
+        ei: usize,
+        candidate: Circle,
+        model: &NucleiModel,
+        rng: &mut Xoshiro256,
+    ) -> bool {
+        let proposal = &mut self.proposal;
+        proposal.edit.set_replace_one(ei, candidate);
+        let Some(part) =
+            prior_and_likelihood(&self.state, grid, model, proposal, &mut self.scratch)
+        else {
             return false;
-        }
-        let ei = self.eligible[slot];
-        let old = self.entries[ei].circle;
-        let gain = &model.gain;
-        let d_log_lik = self.likelihood_delta(grid, gain, slot, old, candidate);
-        let d_radius =
-            model.params.radius_prior.logpdf(candidate.r) - model.params.radius_prior.logpdf(old.r);
-        let gamma = model.params.overlap_gamma;
-
+        };
+        let bound = part.bound(&self.state, model, proposal, 1.0);
         let mut log_u = None;
-        if gamma >= 0.0 {
-            let kept = self.overlap[ei];
-            let bound = d_log_lik + d_radius + gamma * kept;
-            let slack = 1e-9 * (1.0 + d_log_lik.abs() + d_radius.abs() + gamma * kept.abs());
-            if bound + slack < 0.0 {
-                let u = rng.gen::<f64>().ln();
-                if bound + slack <= u {
-                    #[cfg(test)]
-                    {
-                        self.rejects.0 += 1;
-                    }
-                    self.stats.record_reject(kind);
-                    return false;
+        if bound < 0.0 {
+            let u = rng.gen::<f64>().ln();
+            if bound <= u {
+                #[cfg(test)]
+                {
+                    self.early_rejects += 1;
                 }
-                log_u = Some(u);
+                return false;
             }
+            log_u = Some(u);
         }
-
-        let d_overlap = self.overlap_delta(ei, &old, &candidate, model.r_max());
-        let log_alpha = d_log_lik + d_radius - gamma * d_overlap;
+        let d_overlap = self.state.delta_overlap(&proposal.edit);
+        let log_alpha = part
+            .evaluation(model, d_overlap, proposal.log_q)
+            .log_alpha(1.0);
         debug_assert!(
             log_u.is_none() || log_alpha < 0.0,
             "log α {log_alpha} above its bound"
         );
         let accept = log_alpha >= 0.0 || log_u.unwrap_or_else(|| rng.gen::<f64>().ln()) < log_alpha;
-        if accept {
-            let deltas = (d_log_lik, d_overlap, d_radius);
-            self.commit(grid, gain, (slot, ei), old, candidate, deltas);
-            self.stats.record_accept(kind);
-        } else {
-            #[cfg(test)]
-            {
-                self.rejects.1 += 1;
-            }
-            self.stats.record_reject(kind);
+        if !accept {
+            return false;
         }
-        accept
+        let spans = &self.scratch.added[0];
+        self.state.replace(grid, ei, candidate, spans, &model.gain);
+        self.d_log_lik += part.d_log_lik;
+        self.d_overlap += d_overlap;
+        true
     }
 
     /// `n` local iterations on `grid` (see [`TileState::local_step`]). The
@@ -561,17 +431,16 @@ impl<'m> TileState<'m> {
         for _ in 0..n {
             self.local_step(grid, p_translate, model, rng);
         }
-        self.tally.flush();
+        self.scratch.flush();
     }
 
     /// The `(master index, old circle, new circle)` updates accumulated in
     /// this phase.
     #[must_use]
     pub fn updates(&self) -> Vec<(usize, Circle, Circle)> {
-        self.entries
-            .iter()
-            .filter(|e| e.circle != e.original)
-            .map(|e| (e.master_idx, e.original, e.circle))
+        (self.origin.iter().zip(self.state.circles()))
+            .filter(|&(&(_, original), c)| *c != original)
+            .map(|(&(i, original), &c)| (i, original, c))
             .collect()
     }
 
@@ -582,23 +451,7 @@ impl<'m> TileState<'m> {
     /// # Errors
     /// Describes the first kept value that is out of date.
     pub fn verify_consistency(&self) -> Result<(), String> {
-        for (&ei, spans) in self.eligible.iter().zip(&self.spans) {
-            let c = self.entries[ei].circle;
-            let fresh: f64 = (self.entries.iter().enumerate())
-                .filter(|&(j, _)| j != ei)
-                .map(|(_, e)| c.intersection_area(&e.circle))
-                .sum();
-            let kept = self.overlap[ei];
-            if (fresh - kept).abs() > 1e-9 * (1.0 + fresh) {
-                return Err(format!(
-                    "overlap of entry {ei}: kept {kept} vs recomputed {fresh}"
-                ));
-            }
-            if *spans != SpanTable::of(&c, &self.rect) {
-                return Err(format!("spans of entry {ei} out of date"));
-            }
-        }
-        Ok(())
+        self.state.verify(self.eligible.iter().copied(), &self.rect)
     }
 }
 
@@ -607,7 +460,7 @@ impl<'m> TileState<'m> {
 /// sampler runs its tiles on [`Replica`]s instead and never pays the crop.
 #[derive(Debug, Clone)]
 pub struct TileWorkspace<'m> {
-    state: TileState<'m>,
+    tile: TileState<'m>,
     coverage: CoverageGrid,
 }
 
@@ -618,7 +471,7 @@ impl<'m> TileWorkspace<'m> {
     #[must_use]
     pub fn new(master: &Configuration, model: &'m NucleiModel, rect: Rect) -> Self {
         Self {
-            state: TileState::of(master, model, rect),
+            tile: TileState::of(master, model, rect),
             coverage: master.coverage().crop(rect),
         }
     }
@@ -632,22 +485,7 @@ impl<'m> TileWorkspace<'m> {
         model: &NucleiModel,
         rng: &mut Xoshiro256,
     ) {
-        self.state
-            .run_local(&mut self.coverage, n, p_translate, model, rng);
-    }
-
-    /// One local iteration; returns whether the move was accepted.
-    pub fn local_step(
-        &mut self,
-        p_translate: f64,
-        model: &NucleiModel,
-        rng: &mut Xoshiro256,
-    ) -> bool {
-        let accepted = self
-            .state
-            .local_step(&mut self.coverage, p_translate, model, rng);
-        self.state.tally.flush();
-        accepted
+        (self.tile).run_local(&mut self.coverage, n, p_translate, model, rng);
     }
 
     /// The mutated coverage sub-grid.
@@ -660,7 +498,7 @@ impl<'m> TileWorkspace<'m> {
 impl<'m> std::ops::Deref for TileWorkspace<'m> {
     type Target = TileState<'m>;
     fn deref(&self) -> &TileState<'m> {
-        &self.state
+        &self.tile
     }
 }
 
@@ -729,8 +567,8 @@ impl Replica {
             "tile outside the replica"
         );
         tile.run_local(&mut self.coverage, n, p_translate, model, rng);
-        for e in &tile.entries {
-            self.circles[e.master_idx] = e.circle;
+        for (&(i, _), &c) in tile.origin.iter().zip(tile.state.circles()) {
+            self.circles[i] = c;
         }
     }
 }
@@ -745,13 +583,12 @@ impl Configuration {
     pub fn absorb_tile(&mut self, tile: &TileState<'_>) {
         // Only eligible entries move, and `eligible` lists them in entry
         // order.
-        for (&ei, spans) in tile.eligible.iter().zip(&tile.spans) {
-            let e = &tile.entries[ei];
-            if e.circle != e.original {
-                self.update_circle_in_place(e.master_idx, e.original, e.circle, spans, tile.model);
-            }
-        }
-        self.add_cache_deltas(tile.d_log_lik, tile.d_overlap);
+        let moves = tile.eligible.iter().filter_map(|&ei| {
+            let (i, original) = tile.origin[ei];
+            let c = tile.state.circles()[ei];
+            (c != original).then(|| (i, original, c, tile.state.span_table(ei)))
+        });
+        self.absorb(moves, (tile.d_log_lik, tile.d_overlap), &tile.model.gain);
     }
 }
 
@@ -760,8 +597,9 @@ mod tests {
     use super::*;
     use crate::config::Edit;
     use crate::params::ModelParams;
-    use crate::sampler::Sampler;
+    use crate::sampler::{evaluate_proposal, Sampler};
     use crate::simd::{backend, force_backend, Backend};
+    use crate::spans::SpanTable;
     use pmcmc_imaging::synth::{generate, SceneSpec};
     use pmcmc_imaging::GrayImage;
 
@@ -831,57 +669,16 @@ mod tests {
         (model, config)
     }
 
-    impl TileState<'_> {
-        /// The step as it was before rejections came first: both overlap
-        /// sums, then the likelihood, then `log α` against a `u` drawn only
-        /// when `log α < 0`. The oracle [`TileState::local_step`] is held to.
-        fn local_step_oracle(
-            &mut self,
-            grid: &mut CoverageGrid,
-            p_translate: f64,
-            model: &NucleiModel,
-            rng: &mut Xoshiro256,
-        ) -> bool {
-            let Some((kind, slot, candidate)) = self.propose(p_translate, model, rng) else {
-                return false;
-            };
-            if !self.admissible(&candidate, model) {
-                self.stats.record_reject(kind);
-                return false;
-            }
-            let ei = self.eligible[slot];
-            let old = self.entries[ei].circle;
-            let d_overlap = self.overlap_delta(ei, &old, &candidate, model.r_max());
-            let d_log_lik = self.likelihood_delta(grid, &model.gain, slot, old, candidate);
-            let d_radius = model.params.radius_prior.logpdf(candidate.r)
-                - model.params.radius_prior.logpdf(old.r);
-            let log_alpha = d_log_lik + d_radius - model.params.overlap_gamma * d_overlap;
-            let accept = log_alpha >= 0.0 || rng.gen::<f64>().ln() < log_alpha;
-            if accept {
-                let deltas = (d_log_lik, d_overlap, d_radius);
-                self.commit(grid, &model.gain, (slot, ei), old, candidate, deltas);
-                self.stats.record_accept(kind);
-            } else {
-                self.stats.record_reject(kind);
-            }
-            accept
-        }
-    }
-
-    /// Field for field, apart from the candidate's scratch table.
+    /// Field for field, apart from the scratch buffers.
     fn assert_same_tile(a: &TileState<'_>, b: &TileState<'_>) {
         assert!(std::ptr::eq(a.model, b.model));
         assert_eq!((a.rect, a.margin.to_bits()), (b.rect, b.margin.to_bits()));
-        assert_eq!(a.entries, b.entries);
-        assert_eq!(a.eligible, b.eligible);
-        assert!(a.spans == b.spans, "span tables differ");
-        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        assert_eq!(bits(&a.overlap), bits(&b.overlap));
-        assert!(a.spatial == b.spatial, "spatial indexes differ");
-        let deltas = |t: &TileState<'_>| bits(&[t.d_log_lik, t.d_overlap, t.d_radius_logprior]);
+        assert!(a.state == b.state, "chain states differ");
+        assert_eq!((&a.origin, &a.eligible), (&b.origin, &b.eligible));
+        let deltas = |t: &TileState<'_>| [t.d_log_lik, t.d_overlap].map(f64::to_bits);
         assert_eq!(deltas(a), deltas(b));
         assert_eq!(a.stats, b.stats);
-        assert_eq!((a.tally, a.rejects), (b.tally, b.rejects));
+        assert_eq!(a.scratch.tally, b.scratch.tally);
     }
 
     #[test]
@@ -903,8 +700,8 @@ mod tests {
         for rect in [Rect::new(0, 0, 64, 64), Rect::new(64, 64, 128, 128)] {
             let ws = TileWorkspace::new(&master, &model, rect);
             for &ei in &ws.eligible {
-                let e = &ws.entries[ei];
-                assert!(rect.contains_circle(&e.circle, model.interaction_margin()));
+                let c = ws.state.circles()[ei];
+                assert!(rect.contains_circle(&c, model.interaction_margin()));
             }
         }
     }
@@ -943,14 +740,14 @@ mod tests {
         let mut ws = TileWorkspace::new(&master, &model, tile);
         let mut rng = Xoshiro256::new(7);
         ws.run_local(2000, 0.5, &model, &mut rng);
-        for e in &ws.entries {
-            if e.eligible {
+        for (ei, (&(_, original), c)) in ws.origin.iter().zip(ws.state.circles()).enumerate() {
+            if ws.eligible.contains(&ei) {
                 assert!(
-                    tile.contains_circle(&e.circle, model.interaction_margin()),
+                    tile.contains_circle(c, model.interaction_margin()),
                     "circle escaped its safeguard area"
                 );
             } else {
-                assert_eq!(e.circle, e.original, "frozen circle was modified");
+                assert_eq!(*c, original, "frozen circle was modified");
             }
         }
     }
@@ -962,8 +759,9 @@ mod tests {
         let tile = Rect::new(0, 0, 64, 64);
         let mut ws = TileWorkspace::new(&master, &model, tile);
         let mut rng = Xoshiro256::new(3);
-        assert!(!ws.local_step(0.5, &model, &mut rng));
+        ws.run_local(1, 0.5, &model, &mut rng);
         assert_eq!(ws.stats.total_proposed(), 1);
+        assert_eq!(ws.stats.total_accepted(), 0);
         assert_eq!(ws.eligible_count(), 0);
     }
 
@@ -991,12 +789,61 @@ mod tests {
             .expect("overlap bookkeeping incl. frozen circles");
     }
 
-    /// The rejection-first step against the step it replaced, from the same
-    /// seed on the same tiles of a burnt-in scene, on both lane backends:
-    /// the same decisions, updates, statistics, deltas to the bit and
-    /// random stream — at the default overlap penalty and at a steep one.
-    /// At the default, at least 95 % of the rejections that pass the
-    /// support check are decided before the overlap term.
+    /// The exact step of `tile` at image scope, on `shadow`, the master
+    /// with the tile's accepted moves made in place: the tile's draws and
+    /// safeguard, then the `log α` of [`evaluate_proposal`] against a `u`
+    /// drawn only when `log α < 0`. Returns whether it accepts and, for a
+    /// rejection that passes the safeguard and the support check, whether
+    /// the tile's bound settles it before the overlap term.
+    fn exact_step(
+        tile: &TileWorkspace<'_>,
+        shadow: &mut Configuration,
+        model: &NucleiModel,
+        rng: &mut Xoshiro256,
+    ) -> (bool, Option<bool>) {
+        let (_, Some((ei, candidate))) = tile.propose(0.5, model, rng) else {
+            return (false, None);
+        };
+        if !tile.rect.contains_circle(&candidate, tile.margin)
+            || !model.params.in_support(&candidate)
+        {
+            return (false, None);
+        }
+        let at = |i| Proposal {
+            edit: Edit::replace_one(i, candidate),
+            ..Proposal::scratch()
+        };
+        let (i, _) = tile.origin[ei];
+        let log_alpha = evaluate_proposal(shadow, model, &at(i)).log_alpha(1.0);
+        let accept = |shadow: &mut Configuration| {
+            let spans = SpanTable::of(&candidate, &shadow.coverage().rect());
+            let old = shadow.circle(i);
+            let moved = std::iter::once((i, old, candidate, &spans));
+            shadow.absorb(moved, (0.0, 0.0), &model.gain);
+            (true, None)
+        };
+        if log_alpha >= 0.0 {
+            return accept(shadow);
+        }
+        let log_u = rng.gen::<f64>().ln();
+        if log_u < log_alpha {
+            return accept(shadow);
+        }
+        let (state, grid) = (&tile.state, &tile.coverage);
+        let mut scratch = EvalScratch::new();
+        let part = prior_and_likelihood(state, grid, model, &at(ei), &mut scratch);
+        let early = part.is_some_and(|part| part.bound(state, model, &at(ei), 1.0) <= log_u);
+        (false, Some(early))
+    }
+
+    /// The rejection-first tile step against the exact step at image scope,
+    /// from the same seed on the tiles of three grids over a burnt-in
+    /// scene, on both lane backends: the same decisions and random stream,
+    /// and a merge that lands the master on the image-scope chain — at the
+    /// default overlap penalty and at a steep one. The tile's own count of
+    /// rejections decided before the overlap term must be the ones its
+    /// bound settles, and at the default they must be at least 95 % of the
+    /// rejections that pass the safeguard and the support check.
     #[test]
     fn rejection_first_step_is_the_exact_step() {
         let detected = backend();
@@ -1014,33 +861,38 @@ mod tests {
                         &model,
                     );
                     for (t, &rect) in plan.rects().iter().enumerate() {
-                        let mut fast = TileWorkspace::new(&master, &model, rect);
-                        let mut oracle = fast.clone();
-                        let seed = (k * 8 + t) as u64;
-                        let (mut rng_a, mut rng_b) = (Xoshiro256::new(seed), Xoshiro256::new(seed));
+                        let mut tile = TileWorkspace::new(&master, &model, rect);
+                        let mut shadow = master.clone();
+                        let mut rng = Xoshiro256::new((k * 8 + t) as u64);
+                        let early_before = early;
                         for i in 0..3000 {
-                            let a =
-                                fast.state
-                                    .local_step(&mut fast.coverage, 0.5, &model, &mut rng_a);
-                            let b = (oracle.state).local_step_oracle(
-                                &mut oracle.coverage,
-                                0.5,
-                                &model,
-                                &mut rng_b,
+                            let mut oracle = rng.clone();
+                            let (expected, settled_early) =
+                                exact_step(&tile, &mut shadow, &model, &mut oracle);
+                            let accepted =
+                                (tile.tile).local_step(&mut tile.coverage, 0.5, &model, &mut rng);
+                            assert_eq!(
+                                accepted, expected,
+                                "γ {gamma}, {lanes:?}, {rect:?}, step {i}"
                             );
-                            assert_eq!(a, b, "γ {gamma}, {lanes:?}, {rect:?}, step {i}");
+                            assert_eq!(rng, oracle, "streams apart at step {i}");
+                            match settled_early {
+                                Some(true) => early += 1,
+                                Some(false) => late += 1,
+                                None => {}
+                            }
                         }
-                        assert_eq!(rng_a.gen::<u64>(), rng_b.gen::<u64>(), "streams apart");
-                        assert_eq!(fast.updates(), oracle.updates());
-                        assert_eq!(fast.stats, oracle.stats);
-                        let bits = |t: &TileState<'_>| {
-                            [t.d_log_lik, t.d_overlap, t.d_radius_logprior].map(f64::to_bits)
-                        };
-                        assert_eq!(bits(&fast), bits(&oracle));
-                        assert!(fast.coverage == oracle.coverage);
-                        fast.verify_consistency().unwrap();
-                        early += fast.rejects.0;
-                        late += fast.rejects.1;
+                        assert_eq!(
+                            tile.early_rejects,
+                            early - early_before,
+                            "γ {gamma}, {lanes:?}, {rect:?}: early rejections"
+                        );
+                        tile.verify_consistency().unwrap();
+                        assert!(tile.coverage == shadow.coverage().crop(rect));
+                        let mut merged = master.clone();
+                        merged.absorb_tile(&tile);
+                        assert_eq!(merged.circles(), shadow.circles());
+                        merged.verify_consistency(&model).unwrap();
                     }
                 }
             }
@@ -1123,7 +975,7 @@ mod tests {
                 for (i, c) in master.circles().iter().enumerate() {
                     if modifiable(&rect, c, margin) {
                         proptest::prop_assert!(
-                            *master.span_table(i) == SpanTable::of(c, &rect),
+                            *master.state().span_table(i) == SpanTable::of(c, &rect),
                             "{:?} on {:?}", c, rect
                         );
                     }

@@ -191,22 +191,6 @@ impl DistributedBackend {
             monitor: Mutex::new(Some(monitor)),
         })
     }
-
-    /// Per-node worker counts as advertised by the daemons' `Hello`s.
-    #[must_use]
-    pub fn node_workers(&self) -> Vec<usize> {
-        self.shared.nodes.iter().map(|n| n.workers).collect()
-    }
-
-    /// How many nodes are currently considered alive.
-    #[must_use]
-    pub fn alive_nodes(&self) -> usize {
-        self.shared
-            .nodes
-            .iter()
-            .filter(|n| n.alive.load(Ordering::Acquire))
-            .count()
-    }
 }
 
 /// Dials one daemon and exchanges `Hello`s.

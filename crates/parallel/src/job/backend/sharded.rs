@@ -184,12 +184,6 @@ impl ShardedBackend {
         self
     }
 
-    /// The committed placement weight per node (diagnostics).
-    #[must_use]
-    pub fn committed_weights(&self) -> Vec<f64> {
-        self.committed.lock().clone()
-    }
-
     /// Picks the target node for a whole job: least committed weight
     /// first, preferring nodes with a free admission slot, and acquires
     /// that node's admission (blocking when the whole cluster is

@@ -119,13 +119,6 @@ impl Batch {
         &self.handles
     }
 
-    /// Cancels every job in the batch.
-    pub fn cancel_all(&self) {
-        for handle in &self.handles {
-            handle.cancel();
-        }
-    }
-
     /// Blocks for the next finished job and returns its submission index
     /// and result; `None` once every job's result has been streamed. Job
     /// runners report exactly once each — panicking strategies included

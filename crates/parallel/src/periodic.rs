@@ -33,10 +33,12 @@
 //!    a positional diff of circle lists ([`Replica::sync`] — this also
 //!    picks up whatever the `Mg` phase, the sequential fallback or
 //!    speculative lanes did in between, so nothing logs edits), then each
-//!    of the bundle's tiles is rebuilt in place from the plan, with the
-//!    master's span tables and lens areas ([`TileState::build`]), and runs
-//!    in place on it with its own `(seed, phase, tile index)` random
-//!    stream. The heaviest bundle runs on the owning thread itself
+//!    of the bundle's tiles is rebuilt in place from the plan — the
+//!    master's own chain state over the circles centred in the tile, span
+//!    tables and lens areas copied ([`TileState::build`]) — and runs in
+//!    place on it with its own `(seed, phase, tile index)` random stream,
+//!    deciding each move with the sequential chain's bound and `log α`.
+//!    The heaviest bundle runs on the owning thread itself
 //!    ([`WorkerPool::run_batch`]);
 //! 3. merges on the owning thread by replaying each tile's changed circles
 //!    on the master grid ([`Configuration::absorb_tile`]), in tile-index

@@ -220,9 +220,12 @@ fn periodic_reports_are_byte_identical_across_pool_sizes() {
     // per replica while the corner scheme gives each its own. Phases of
     // 1536 local iterations are long enough to be shared by four workers
     // (the default 192 would stay on the owning thread whatever the pool).
-    for scheme in [
-        PartitionScheme::Corner,
-        PartitionScheme::Grid { xm: 96, ym: 96 },
+    // The 1-worker report is pinned too, by the FNV-1a of its fingerprint,
+    // so the multi-replica sync and merge path also keeps every bit from
+    // one commit to the next, not only across pool sizes.
+    for (scheme, digest) in [
+        (PartitionScheme::Corner, "5fca96bb472c00e5"),
+        (PartitionScheme::Grid { xm: 96, ym: 96 }, "67841690cdde3e11"),
     ] {
         let options = PeriodicOptions {
             scheme,
@@ -231,6 +234,11 @@ fn periodic_reports_are_byte_identical_across_pool_sizes() {
         };
         let report = |workers| job_report(workers, StrategySpec::Periodic(options), 33, 20_000);
         let one = report_fingerprint(&report(1));
+        assert_eq!(
+            fnv1a(one.bytes()),
+            digest,
+            "{scheme:?}: report drifted from its golden fingerprint"
+        );
         for workers in [2, 3, 4] {
             assert_eq!(
                 one,
