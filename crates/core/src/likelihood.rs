@@ -20,6 +20,11 @@ use crate::params::ModelParams;
 use pmcmc_imaging::{GrayImage, Rect};
 
 /// Precomputed per-pixel log-likelihood gains.
+///
+/// Built in one sweep per row ([`Gain::from_image`]): each pixel's gain,
+/// the row's prefix sums and the row's empty-configuration sum come out
+/// of the same pass. The image's `f32` samples are kept (4 B a pixel) so
+/// [`Gain::crop`] can run the same sweep over a sub-image.
 #[derive(Debug, Clone)]
 pub struct Gain {
     width: u32,
@@ -29,17 +34,53 @@ pub struct Gain {
     /// `prefix[y * (w + 1) + x] = Σ data[y, 0..x]`, so the gain of any
     /// contiguous span `[x0, x1]` is one subtraction.
     prefix: Vec<f64>,
-    /// Per-pixel empty-configuration contributions `−(y_p − bg)²/(2σ²)`.
-    /// Kept so [`Gain::crop`] can re-derive a sub-image's `log_lik_empty`
-    /// without the source image (cold data — only touched on crops).
-    empty_data: Vec<f64>,
+    /// The image's samples, row-major. Cold data: only [`Gain::crop`]
+    /// reads them.
+    samples: Vec<f32>,
+    /// The build's constants: `params.bg`, `params.fg` and `2σ²`.
+    bg: f64,
+    fg: f64,
+    two_var: f64,
     /// Log-likelihood of the empty configuration (all pixels background),
     /// up to the Gaussian normalisation constant.
     log_lik_empty: f64,
 }
 
+/// One row of the build: appends the row's gains `g_p` to `data` and its
+/// `(w + 1)` prefix sums to `prefix`, and returns the row's sum of
+/// empty-configuration terms `−(y_p − bg)²/(2σ²)`. The caller chains the
+/// row sums; per-row chains and then a chain over rows is the order every
+/// build has used, and running the same function over a crop's sub-rows
+/// is what makes a crop bit-identical to a build on the cropped image.
+#[inline]
+fn build_row(
+    row: &[f32],
+    bg: f64,
+    fg: f64,
+    two_var: f64,
+    data: &mut Vec<f64>,
+    prefix: &mut Vec<f64>,
+) -> f64 {
+    let mut acc = 0.0f64;
+    let mut row_empty = 0.0f64;
+    prefix.push(0.0);
+    for &y in row {
+        let y = f64::from(y);
+        let db = y - bg;
+        let df = y - fg;
+        let g = (db * db - df * df) / two_var;
+        data.push(g);
+        acc += g;
+        prefix.push(acc);
+        row_empty += -db * db / two_var;
+    }
+    row_empty
+}
+
 impl Gain {
-    /// Builds the gain image for `img` under `params`.
+    /// Builds the gain image for `img` under `params`: one sweep per row
+    /// into buffers sized up front, each pixel's gain, prefix entry and
+    /// empty-configuration term computed as it is read.
     ///
     /// # Panics
     /// Panics if the image dimensions disagree with `params`.
@@ -47,51 +88,43 @@ impl Gain {
     pub fn from_image(img: &GrayImage, params: &ModelParams) -> Self {
         assert_eq!(img.width(), params.width, "image width mismatch");
         assert_eq!(img.height(), params.height, "image height mismatch");
-        let two_var = 2.0 * params.noise_sd * params.noise_sd;
-        let mut data = Vec::with_capacity(img.len());
-        let mut empty_data = Vec::with_capacity(img.len());
-        for (_, _, y) in img.pixels() {
-            let y = f64::from(y);
-            let db = y - params.bg;
-            let df = y - params.fg;
-            data.push((db * db - df * df) / two_var);
-            empty_data.push(-db * db / two_var);
-        }
-        let w = img.width() as usize;
-        let h = img.height() as usize;
+        Self::build(
+            img.width(),
+            img.height(),
+            img.as_slice().to_vec(),
+            params.bg,
+            params.fg,
+            2.0 * params.noise_sd * params.noise_sd,
+        )
+    }
+
+    /// The tables of a `width × height` image with row-major `samples`.
+    fn build(width: u32, height: u32, samples: Vec<f32>, bg: f64, fg: f64, two_var: f64) -> Self {
+        let w = width as usize;
+        let h = height as usize;
+        let mut data = Vec::with_capacity(w * h);
         let mut prefix = Vec::with_capacity(h * (w + 1));
-        // Row-structured accumulation (per-row chains, then a chain over
-        // row sums): [`Gain::crop`] accumulates its sub-rows the same way,
-        // which is what makes a crop bit-identical to a from-scratch build
-        // on the cropped image.
         let mut empty = 0.0f64;
         for y in 0..h {
-            let mut acc = 0.0f64;
-            prefix.push(0.0);
-            for &g in &data[y * w..(y + 1) * w] {
-                acc += g;
-                prefix.push(acc);
-            }
-            let mut row_empty = 0.0f64;
-            for &e in &empty_data[y * w..(y + 1) * w] {
-                row_empty += e;
-            }
-            empty += row_empty;
+            let row = &samples[y * w..(y + 1) * w];
+            empty += build_row(row, bg, fg, two_var, &mut data, &mut prefix);
         }
         Self {
-            width: img.width(),
-            height: img.height(),
+            width,
+            height,
             data,
             prefix,
-            empty_data,
+            samples,
+            bg,
+            fg,
+            two_var,
             log_lik_empty: empty,
         }
     }
 
-    /// Copies out the gain sub-image for `rect` (which must lie inside
-    /// the image). Only the affected rows' prefix tables and empty-config
-    /// sums are rebuilt — from the already-computed per-pixel tables, not
-    /// from image pixels — and the result is **bit-identical** to
+    /// The gain image of the sub-image `rect` (which must lie inside the
+    /// image), rebuilt from the kept samples by the same row sweep as
+    /// [`Gain::from_image`]: the result is **bit-identical** to
     /// `Gain::from_image` on the cropped image (same values, same
     /// accumulation order), so partition chains built either way replay
     /// the same trajectories.
@@ -110,34 +143,12 @@ impl Gain {
         let h = rect.height().max(0) as usize;
         assert!(w > 0 && h > 0, "empty crop region");
         let fw = self.width as usize;
-        let mut data = Vec::with_capacity(w * h);
-        let mut empty_data = Vec::with_capacity(w * h);
-        let mut prefix = Vec::with_capacity(h * (w + 1));
-        let mut empty = 0.0f64;
+        let mut samples = Vec::with_capacity(w * h);
         for row in 0..h {
             let src = (rect.y0 as usize + row) * fw + rect.x0 as usize;
-            data.extend_from_slice(&self.data[src..src + w]);
-            empty_data.extend_from_slice(&self.empty_data[src..src + w]);
-            let mut acc = 0.0f64;
-            prefix.push(0.0);
-            for &g in &data[row * w..(row + 1) * w] {
-                acc += g;
-                prefix.push(acc);
-            }
-            let mut row_empty = 0.0f64;
-            for &e in &empty_data[row * w..(row + 1) * w] {
-                row_empty += e;
-            }
-            empty += row_empty;
+            samples.extend_from_slice(&self.samples[src..src + w]);
         }
-        Gain {
-            width: w as u32,
-            height: h as u32,
-            data,
-            prefix,
-            empty_data,
-            log_lik_empty: empty,
-        }
+        Self::build(w as u32, h as u32, samples, self.bg, self.fg, self.two_var)
     }
 
     /// Image width in pixels.
@@ -217,9 +228,84 @@ impl Gain {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn params(w: u32, h: u32) -> ModelParams {
         ModelParams::new(w, h, 5.0, 6.0)
+    }
+
+    /// The three-pass build `Gain::from_image` replaced, kept as the
+    /// oracle for the one-pass one: per-pixel gains and empty terms over
+    /// the whole image, then the row prefixes, then the row empty sums.
+    /// Returns `(data, prefix, log_lik_empty)`.
+    fn three_pass_oracle(img: &GrayImage, params: &ModelParams) -> (Vec<f64>, Vec<f64>, f64) {
+        let two_var = 2.0 * params.noise_sd * params.noise_sd;
+        let mut data = Vec::with_capacity(img.len());
+        let mut empty_data = Vec::with_capacity(img.len());
+        for (_, _, y) in img.pixels() {
+            let y = f64::from(y);
+            let db = y - params.bg;
+            let df = y - params.fg;
+            data.push((db * db - df * df) / two_var);
+            empty_data.push(-db * db / two_var);
+        }
+        let w = img.width() as usize;
+        let h = img.height() as usize;
+        let mut prefix = Vec::with_capacity(h * (w + 1));
+        let mut empty = 0.0f64;
+        for y in 0..h {
+            let mut acc = 0.0f64;
+            prefix.push(0.0);
+            for &g in &data[y * w..(y + 1) * w] {
+                acc += g;
+                prefix.push(acc);
+            }
+            let mut row_empty = 0.0f64;
+            for &e in &empty_data[y * w..(y + 1) * w] {
+                row_empty += e;
+            }
+            empty += row_empty;
+        }
+        (data, prefix, empty)
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    proptest! {
+        /// The one-pass build gives the oracle's tables bit for bit, on
+        /// single pixels, single rows, single columns and odd widths.
+        #[test]
+        fn one_pass_build_is_the_three_pass_build_bit_for_bit(
+            shape in 0u32..4,
+            n in 1u32..40,
+            m in 1u32..12,
+            seed in any::<u64>(),
+            consts in (-0.5f64..1.5, -0.5f64..1.5, 0.01f64..1.0),
+        ) {
+            let (bg, fg, noise_sd) = consts;
+            let (w, h) = match shape {
+                0 => (1, 1),
+                1 => (n, 1),
+                2 => (1, n),
+                _ => (2 * n + 1, m),
+            };
+            let mut rng = crate::rng::Xoshiro256::new(seed);
+            let img = GrayImage::from_fn(w, h, |_, _| {
+                use rand::Rng;
+                rng.gen::<f32>() * 3.0 - 1.0
+            });
+            let mut p = params(w, h);
+            p.bg = bg;
+            p.fg = fg;
+            p.noise_sd = noise_sd;
+            let g = Gain::from_image(&img, &p);
+            let (data, prefix, empty) = three_pass_oracle(&img, &p);
+            prop_assert_eq!(bits(&g.data), bits(&data));
+            prop_assert_eq!(bits(&g.prefix), bits(&prefix));
+            prop_assert_eq!(g.log_lik_empty().to_bits(), empty.to_bits());
+        }
     }
 
     #[test]
@@ -284,8 +370,8 @@ mod tests {
 
     /// Regression test for the crop path: the prefix tables (and every
     /// other table) of a cropped gain must equal a from-scratch build on
-    /// the cropped image *bit for bit* — only the affected rows are
-    /// rebuilt, and in the same accumulation order as `from_image`.
+    /// the cropped image *bit for bit* — a crop runs `from_image`'s row
+    /// sweep over the kept samples of its sub-rows.
     #[test]
     fn crop_tables_bit_identical_to_from_scratch_build() {
         let p = params(23, 17);
@@ -297,6 +383,8 @@ mod tests {
             Rect::new(5, 0, 14, 17),   // column band
             Rect::new(7, 2, 20, 13),   // interior
             Rect::new(22, 16, 23, 17), // single pixel
+            Rect::new(3, 9, 20, 10),   // single row
+            Rect::new(11, 1, 12, 16),  // single column
         ] {
             let cropped = g.crop(&rect);
             let sub_img = img.crop(&rect);
@@ -306,17 +394,17 @@ mod tests {
             let scratch = Gain::from_image(&sub_img, &sub_p);
             assert_eq!(cropped.width(), scratch.width());
             assert_eq!(cropped.height(), scratch.height());
-            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
             assert_eq!(bits(&cropped.data), bits(&scratch.data), "{rect:?} data");
             assert_eq!(
                 bits(&cropped.prefix),
                 bits(&scratch.prefix),
                 "{rect:?} prefix"
             );
+            let sample_bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
             assert_eq!(
-                bits(&cropped.empty_data),
-                bits(&scratch.empty_data),
-                "{rect:?} empty data"
+                sample_bits(&cropped.samples),
+                sample_bits(&scratch.samples),
+                "{rect:?} samples"
             );
             assert_eq!(
                 cropped.log_lik_empty().to_bits(),

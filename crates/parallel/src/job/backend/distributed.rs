@@ -6,7 +6,9 @@
 //! processes over TCP using the versioned [`wire`](crate::job::wire)
 //! format. The placement policy is the same — least-committed-first with
 //! bounded per-node admission, LPT batch ordering — so eq. (4)'s cost
-//! model carries over; what this backend adds is *failure awareness*:
+//! model carries over, except that a job waiting on a saturated cluster
+//! goes to whichever node frees a slot first. What this backend adds is
+//! *failure awareness*:
 //!
 //! * every daemon streams heartbeats; a monitor thread retires any node
 //!   silent for longer than [`DistributedConfig::heartbeat_timeout`];
@@ -28,7 +30,7 @@ use pmcmc_runtime::{lpt_order, Admission, ClusterTopology, WorkerPool};
 use std::collections::{HashMap, HashSet};
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, PoisonError};
 use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
@@ -98,6 +100,9 @@ struct Shared {
     nodes: Vec<Arc<NodeLink>>,
     /// Committed placement weight per node, for least-committed ordering.
     committed: Mutex<Vec<f64>>,
+    /// Counts the admission slots freed on any node; [`place`] parks on it
+    /// while the whole cluster is saturated.
+    freed: SlotsFreed,
     pending: Mutex<HashMap<u64, Pending>>,
     cfg: DistributedConfig,
     shutting_down: AtomicBool,
@@ -157,6 +162,7 @@ impl DistributedBackend {
         let shared = Arc::new(Shared {
             nodes,
             committed,
+            freed: SlotsFreed::default(),
             pending: Mutex::new(HashMap::new()),
             cfg,
             shutting_down: AtomicBool::new(false),
@@ -401,6 +407,35 @@ fn release_slot(shared: &Arc<Shared>, node: &Arc<NodeLink>, job: u64) {
         committed[node.index] = (committed[node.index] - weight).max(0.0);
     }
     node.admission.release();
+    shared.freed.bump();
+}
+
+/// A count of freed admission slots and a condvar to wait for the next
+/// one, whichever node frees it (`parking_lot`'s stub has no condvar).
+#[derive(Default)]
+struct SlotsFreed {
+    count: std::sync::Mutex<u64>,
+    bumped: std::sync::Condvar,
+}
+
+impl SlotsFreed {
+    fn seen(&self) -> u64 {
+        *self.count.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn bump(&self) {
+        *self.count.lock().unwrap_or_else(PoisonError::into_inner) += 1;
+        self.bumped.notify_all();
+    }
+
+    /// Waits until a slot has been freed since `seen` was read, or
+    /// `timeout` has passed.
+    fn wait_past(&self, seen: u64, timeout: Duration) {
+        let count = self.count.lock().unwrap_or_else(PoisonError::into_inner);
+        let _ = self
+            .bumped
+            .wait_timeout_while(count, timeout, |count| *count == seen);
+    }
 }
 
 /// Terminal path for a `Result` frame: frees the node's slot and
@@ -449,14 +484,7 @@ fn dispatch(shared: &Arc<Shared>, job: u64) -> Result<(), RunError> {
                 // submission against the spec's original deadline.
                 p.job.work.remaining_deadline = p.deadline;
                 stamp_wait(&mut p.job.work, p.job.submitted_at);
-                (
-                    false,
-                    Assign {
-                        job,
-                        blueprint: p.job.work.clone(),
-                    }
-                    .to_wire_bytes(),
-                )
+                (false, Assign::payload(job, &p.job.work))
             }
         };
         if cancelled {
@@ -486,9 +514,11 @@ fn dispatch(shared: &Arc<Shared>, job: u64) -> Result<(), RunError> {
     }
 }
 
-/// Acquires an admission slot on the least-committed alive node,
-/// committing the job's weight. Blocks in 100 ms slices so node deaths
-/// wake the placement loop.
+/// Acquires an admission slot on the least-committed alive node with one
+/// free, committing the job's weight. While every survivor is saturated
+/// it waits for a slot to be freed on any node — a node that finishes
+/// first gets the next job, instead of idling until the least-committed
+/// one does — in 100 ms slices, so it re-checks liveness.
 fn place(shared: &Arc<Shared>, job: u64) -> Result<Arc<NodeLink>, RunError> {
     let weight = shared
         .pending
@@ -496,6 +526,9 @@ fn place(shared: &Arc<Shared>, job: u64) -> Result<Arc<NodeLink>, RunError> {
         .get(&job)
         .map_or(0.0, |p| p.job.weight());
     loop {
+        // Read before trying the nodes, so a slot freed after the tries
+        // ends the wait at once.
+        let seen = shared.freed.seen();
         let alive = shared
             .nodes
             .iter()
@@ -514,17 +547,9 @@ fn place(shared: &Arc<Shared>, job: u64) -> Result<Arc<NodeLink>, RunError> {
                 return Ok(Arc::clone(node));
             }
         }
-        // Every survivor is saturated: wait (bounded) on the least
-        // committed, then re-check liveness — the node may have died
-        // while we were parked.
-        let first = &shared.nodes[order[0]];
-        if first.admission.acquire_timeout(Duration::from_millis(100)) {
-            if first.alive.load(Ordering::Acquire) {
-                shared.committed.lock()[order[0]] += weight;
-                return Ok(Arc::clone(first));
-            }
-            first.admission.release();
-        }
+        // Every survivor is saturated. Retiring a node frees its slots
+        // too, so a death also ends the wait.
+        shared.freed.wait_past(seen, Duration::from_millis(100));
     }
 }
 

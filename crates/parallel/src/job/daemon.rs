@@ -207,8 +207,14 @@ impl NodeDaemon {
                                         None,
                                     )
                                     .map(|report| WireReport::from_report(&report));
-                                    send_result(&job_writer, job_id, outcome);
+                                    // Free the slot before the coordinator can
+                                    // see the result: it places the next job
+                                    // on this node as soon as the result lands,
+                                    // and an `Assign` that beat the release
+                                    // would bounce. `runners` still bounds the
+                                    // jobs that run at once.
                                     job_in_flight.fetch_sub(1, Ordering::AcqRel);
+                                    send_result(&job_writer, job_id, outcome);
                                 });
                                 if let Err(e) = launched {
                                     in_flight.fetch_sub(1, Ordering::AcqRel);

@@ -512,10 +512,27 @@ pub struct Assign {
     pub blueprint: JobBlueprint,
 }
 
+impl Assign {
+    /// The payload of `Assign { job, blueprint }`, encoded from a borrowed
+    /// blueprint: the same bytes as [`Wire::to_wire_bytes`] without
+    /// cloning the blueprint's image first.
+    #[must_use]
+    pub fn payload(job: u64, blueprint: &JobBlueprint) -> Vec<u8> {
+        // The image dominates; the rest of the schema is under 256 bytes.
+        let mut w = WireWriter::with_capacity(4 * blueprint.image.len() + 256);
+        encode_assign(&mut w, job, blueprint);
+        w.into_bytes()
+    }
+}
+
+fn encode_assign(w: &mut WireWriter, job: u64, blueprint: &JobBlueprint) {
+    w.u64(job);
+    blueprint.encode(w);
+}
+
 impl Wire for Assign {
     fn encode(&self, w: &mut WireWriter) {
-        w.u64(self.job);
-        self.blueprint.encode(w);
+        encode_assign(w, self.job, &self.blueprint);
     }
 
     fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
@@ -687,10 +704,12 @@ mod tests {
     /// [`pmcmc_runtime::wire::WIRE_VERSION`] and add a new golden vector
     /// instead of editing these. (v2 widened `PerfSnapshot` with the
     /// span-kernel counters; v3 appended its lane-kernel and
-    /// proposal-batch counters; the other payload encodings here are
-    /// unchanged since v1.)
+    /// proposal-batch counters; v4 changed how images and `Assign`
+    /// payloads are encoded but not their bytes, so only the frame
+    /// header's version byte differs from v3; the other payload encodings
+    /// here are unchanged since v1.)
     #[test]
-    fn golden_bytes_v3() {
+    fn golden_bytes_v4() {
         // A sequential spec is a single tag byte.
         assert_eq!(StrategySpec::Sequential.to_wire_bytes(), vec![0]);
 
@@ -716,14 +735,14 @@ mod tests {
         };
         assert_eq!(cancelled.to_wire_bytes(), vec![2, 7, 0, 0, 0, 0, 0, 0, 0]);
 
-        // A whole v3 frame around that error payload: magic "PM",
-        // version 3, kind Result=4, little-endian length, payload.
+        // A whole v4 frame around that error payload: magic "PM",
+        // version 4, kind Result=4, little-endian length, payload.
         let mut frame = Vec::new();
         write_frame(&mut frame, FrameKind::Result, &cancelled.to_wire_bytes()).unwrap();
         assert_eq!(
             frame,
             vec![
-                b'P', b'M', 3, 4, 9, 0, 0, 0, // header
+                b'P', b'M', 4, 4, 9, 0, 0, 0, // header
                 2, 7, 0, 0, 0, 0, 0, 0, 0, // payload
             ]
         );
@@ -748,6 +767,31 @@ mod tests {
             expect.extend_from_slice(&v.to_le_bytes());
         }
         assert_eq!(perf.to_wire_bytes(), expect);
+
+        // An `Assign` of a sequential job on a 2×1 image: the job id, then
+        // the blueprint's fields in declaration order. Encoding from a
+        // borrowed blueprint gives the same bytes as encoding the value.
+        let blueprint = JobBlueprint {
+            strategy: StrategySpec::Sequential,
+            image: GrayImage::from_vec(2, 1, vec![0.5, -1.0]),
+            params: ModelParams::new(2, 1, 1.0, 3.0),
+            seed: 5,
+            iterations: 6,
+            remaining_deadline: None,
+            checkpoint_interval: Some(8),
+            progress_stride: 9,
+            queued_so_far: Duration::new(1, 2),
+        };
+        let mut expect = vec![17, 0, 0, 0, 0, 0, 0, 0, 0]; // job, sequential tag
+        expect.extend_from_slice(&[2, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0x3F, 0, 0, 0x80, 0xBF]);
+        expect.extend_from_slice(&blueprint.params.to_wire_bytes());
+        expect.extend_from_slice(&[5, 0, 0, 0, 0, 0, 0, 0, 6, 0, 0, 0, 0, 0, 0, 0]);
+        expect.extend_from_slice(&[0, 1, 8, 0, 0, 0, 0, 0, 0, 0]); // no deadline, cadence 8
+        expect.extend_from_slice(&[9, 0, 0, 0, 0, 0, 0, 0]); // progress stride
+        expect.extend_from_slice(&[1, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0]); // queued 1 s 2 ns
+        assert_eq!(Assign::payload(17, &blueprint), expect);
+        let assign = Assign { job: 17, blueprint };
+        assert_eq!(assign.to_wire_bytes(), expect);
 
         // A 2×1 image: dims + f32 bit patterns.
         let img = GrayImage::from_vec(2, 1, vec![0.5, -1.0]);

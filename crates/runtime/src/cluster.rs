@@ -172,36 +172,6 @@ impl Admission {
         *n += 1;
     }
 
-    /// Acquires one slot, giving up after `timeout`; returns whether the
-    /// slot was acquired. Placement loops that must re-check node
-    /// liveness (a node can die while its admission is saturated) use
-    /// this instead of [`Admission::acquire`] so they never block
-    /// forever on a semaphore nothing will ever release.
-    #[must_use]
-    pub fn acquire_timeout(&self, timeout: std::time::Duration) -> bool {
-        let deadline = std::time::Instant::now() + timeout;
-        let mut n = self
-            .in_flight
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        while *n >= self.limit {
-            let now = std::time::Instant::now();
-            let Some(remaining) = deadline
-                .checked_duration_since(now)
-                .filter(|d| !d.is_zero())
-            else {
-                return false;
-            };
-            let (guard, _timed_out) = self
-                .freed
-                .wait_timeout(n, remaining)
-                .unwrap_or_else(PoisonError::into_inner);
-            n = guard;
-        }
-        *n += 1;
-        true
-    }
-
     /// Acquires one slot only if one is free right now.
     #[must_use]
     pub fn try_acquire(&self) -> bool {
@@ -332,23 +302,5 @@ mod tests {
     #[should_panic(expected = "release without matching acquire")]
     fn unbalanced_release_panics() {
         Admission::new(1).release();
-    }
-
-    #[test]
-    fn acquire_timeout_gives_up_and_succeeds() {
-        let a = Arc::new(Admission::new(1));
-        assert!(a.acquire_timeout(Duration::from_millis(10)), "free slot");
-        // Saturated: times out without acquiring.
-        let t0 = std::time::Instant::now();
-        assert!(!a.acquire_timeout(Duration::from_millis(40)));
-        assert!(t0.elapsed() >= Duration::from_millis(35));
-        assert_eq!(a.in_flight(), 1);
-        // A release while a waiter is parked lets it through.
-        let a2 = Arc::clone(&a);
-        let waiter = std::thread::spawn(move || a2.acquire_timeout(Duration::from_secs(5)));
-        std::thread::sleep(Duration::from_millis(30));
-        a.release();
-        assert!(waiter.join().expect("waiter thread"));
-        assert_eq!(a.in_flight(), 1);
     }
 }

@@ -36,8 +36,10 @@ use std::time::Duration;
 /// v2 extended [`PerfSnapshot`] with the span-kernel counters
 /// (`span_fastpath_hits`, `pixels_skipped`); v3 appended the lane-kernel
 /// and proposal-batch counters (`simd_lanes_processed`,
-/// `proposal_batches`).
-pub const WIRE_VERSION: u8 = 3;
+/// `proposal_batches`). v4's payload layout is v3's: images move through
+/// the bulk [`WireWriter::f32s`] / [`WireReader::f32s`] pair and `Assign`
+/// payloads encode from a borrowed blueprint, byte for byte as before.
+pub const WIRE_VERSION: u8 = 4;
 
 /// Frame magic: the first two bytes of every frame.
 pub const MAGIC: [u8; 2] = *b"PM";
@@ -183,8 +185,15 @@ pub fn read_frame(r: &mut impl Read) -> Result<Frame, WireError> {
     if len > MAX_FRAME_LEN {
         return Err(WireError::FrameTooLarge(len));
     }
-    let mut payload = vec![0u8; len as usize];
-    r.read_exact(&mut payload)?;
+    // Read into capacity: no zero-fill of a buffer the read overwrites.
+    let mut payload = Vec::with_capacity(len as usize);
+    r.take(u64::from(len)).read_to_end(&mut payload)?;
+    if payload.len() != len as usize {
+        return Err(WireError::Io(format!(
+            "stream ended {} bytes into a {len}-byte payload",
+            payload.len()
+        )));
+    }
     Ok(Frame { kind, payload })
 }
 
@@ -199,6 +208,14 @@ impl WireWriter {
     #[must_use]
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// An empty payload with room for `bytes` before it reallocates.
+    #[must_use]
+    pub fn with_capacity(bytes: usize) -> Self {
+        Self {
+            buf: Vec::with_capacity(bytes),
+        }
     }
 
     /// The encoded bytes.
@@ -225,6 +242,16 @@ impl WireWriter {
     /// Appends an `f32` as its IEEE-754 bit pattern.
     pub fn f32(&mut self, v: f32) {
         self.buf.extend_from_slice(&v.to_bits().to_le_bytes());
+    }
+
+    /// Appends a run of `f32`s, each as [`WireWriter::f32`] would, with
+    /// no length prefix (the schema carries the count).
+    pub fn f32s(&mut self, v: &[f32]) {
+        let start = self.buf.len();
+        self.buf.resize(start + 4 * v.len(), 0);
+        for (dst, x) in self.buf[start..].chunks_exact_mut(4).zip(v) {
+            dst.copy_from_slice(&x.to_bits().to_le_bytes());
+        }
     }
 
     /// Appends an `f64` as its IEEE-754 bit pattern.
@@ -315,6 +342,19 @@ impl<'a> WireReader<'a> {
     /// Reads an `f32` bit pattern.
     pub fn f32(&mut self) -> Result<f32, WireError> {
         Ok(f32::from_bits(self.u32()?))
+    }
+
+    /// Reads `n` `f32`s written by [`WireWriter::f32s`], checking the
+    /// whole run is present before allocating.
+    pub fn f32s(&mut self, n: usize) -> Result<Vec<f32>, WireError> {
+        let len = n
+            .checked_mul(4)
+            .ok_or_else(|| WireError::Malformed(format!("{n} f32s overflow a payload")))?;
+        Ok(self
+            .take(len)?
+            .chunks_exact(4)
+            .map(|b| f32::from_bits(u32::from_le_bytes([b[0], b[1], b[2], b[3]])))
+            .collect())
     }
 
     /// Reads an `f64` bit pattern.
@@ -438,9 +478,7 @@ impl Wire for GrayImage {
     fn encode(&self, w: &mut WireWriter) {
         w.u32(self.width());
         w.u32(self.height());
-        for &px in self.as_slice() {
-            w.f32(px);
-        }
+        w.f32s(self.as_slice());
     }
 
     fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
@@ -449,14 +487,7 @@ impl Wire for GrayImage {
         let n = (width as usize)
             .checked_mul(height as usize)
             .ok_or_else(|| WireError::Malformed("image dimensions overflow".to_owned()))?;
-        if r.remaining() < n * 4 {
-            return Err(WireError::Truncated);
-        }
-        let mut data = Vec::with_capacity(n);
-        for _ in 0..n {
-            data.push(r.f32()?);
-        }
-        Ok(GrayImage::from_vec(width, height, data))
+        Ok(GrayImage::from_vec(width, height, r.f32s(n)?))
     }
 }
 
@@ -776,6 +807,89 @@ mod tests {
             PerfSnapshot::from_wire_bytes(&perf.to_wire_bytes()).unwrap(),
             perf
         );
+    }
+
+    /// Golden bytes of an odd-sized image whose samples are the floats a
+    /// numeric cast would disturb: each crosses the bulk codec as its bit
+    /// pattern, as a sample-by-sample `f32` write would put it.
+    #[test]
+    fn image_golden_bytes_keep_every_bit_pattern() {
+        let samples: [u32; 9] = [
+            0x8000_0000, // -0.0
+            0x7FC0_1234, // quiet NaN with a payload
+            0xFF80_0001, // signalling NaN, sign bit set
+            0x0000_0001, // smallest subnormal
+            0x807F_FFFF, // negative subnormal of largest magnitude
+            0x7F80_0000, // +inf
+            0xFF80_0000, // -inf
+            0x3F80_0000, // 1.0
+            0x3F00_0000, // 0.5
+        ];
+        let img = GrayImage::from_vec(3, 3, samples.iter().map(|&b| f32::from_bits(b)).collect());
+        let bytes = img.to_wire_bytes();
+        assert_eq!(
+            bytes,
+            vec![
+                3, 0, 0, 0, // width
+                3, 0, 0, 0, // height
+                0, 0, 0, 0x80, // -0.0
+                0x34, 0x12, 0xC0, 0x7F, // NaN 0x7FC01234
+                0x01, 0, 0x80, 0xFF, // NaN 0xFF800001
+                0x01, 0, 0, 0, // subnormal 0x00000001
+                0xFF, 0xFF, 0x7F, 0x80, // subnormal 0x807FFFFF
+                0, 0, 0x80, 0x7F, // +inf
+                0, 0, 0x80, 0xFF, // -inf
+                0, 0, 0x80, 0x3F, // 1.0
+                0, 0, 0, 0x3F, // 0.5
+            ]
+        );
+        let back = GrayImage::from_wire_bytes(&bytes).unwrap();
+        assert_eq!((back.width(), back.height()), (3, 3));
+        let back_bits: Vec<u32> = back.as_slice().iter().map(|v| v.to_bits()).collect();
+        assert_eq!(back_bits, samples);
+        // The bulk pair writes and reads what the one-sample pair does.
+        let mut one_by_one = WireWriter::new();
+        for &px in img.as_slice() {
+            one_by_one.f32(px);
+        }
+        assert_eq!(one_by_one.into_bytes(), bytes[8..]);
+
+        // Every strict prefix of the payload is truncated, not a panic or
+        // a short image.
+        for cut in 0..bytes.len() {
+            assert_eq!(
+                GrayImage::from_wire_bytes(&bytes[..cut]).err(),
+                Some(WireError::Truncated),
+                "cut at {cut}"
+            );
+        }
+    }
+
+    #[test]
+    fn image_dimensions_whose_bytes_overflow_are_malformed() {
+        let mut w = WireWriter::new();
+        w.u32(u32::MAX);
+        w.u32(u32::MAX);
+        assert!(matches!(
+            GrayImage::from_wire_bytes(&w.into_bytes()),
+            Err(WireError::Malformed(_))
+        ));
+        let mut r = WireReader::new(&[]);
+        assert!(matches!(r.f32s(usize::MAX), Err(WireError::Malformed(_))));
+    }
+
+    #[test]
+    fn a_short_stream_is_an_io_error() {
+        let mut buf = Vec::new();
+        write_frame(&mut buf, FrameKind::Result, &[9; 12]).unwrap();
+        for cut in [0, 5, 8, 9, 19] {
+            assert!(
+                matches!(read_frame(&mut &buf[..cut]), Err(WireError::Io(_))),
+                "cut at {cut}"
+            );
+        }
+        let frame = read_frame(&mut buf.as_slice()).unwrap();
+        assert_eq!(frame.payload, vec![9; 12]);
     }
 
     #[test]

@@ -118,3 +118,44 @@ fn distributed_reports_stamp_remote_node_timings() {
     assert_eq!(report.node_timings[0].node.index(), 0);
     assert!(report.node_timings[0].busy <= report.total_time + report.node_timings[0].busy);
 }
+
+/// A daemon frees a job's slot before it sends the job's result, so the
+/// coordinator's next `Assign` to that node never finds it at capacity:
+/// with one slot per node and one job admitted per node, a long batch of
+/// short jobs must finish with no job bounced back ("declined") by a
+/// daemon.
+#[test]
+fn a_batch_of_short_jobs_is_never_bounced_by_a_full_daemon() {
+    let daemons: Vec<_> = (0..2)
+        .map(|_| InProcessDaemon::spawn(1, 1).expect("loopback daemon"))
+        .collect();
+    let addrs: Vec<_> = daemons.iter().map(InProcessDaemon::addr).collect();
+    let config = DistributedConfig {
+        max_in_flight: 1,
+        ..DistributedConfig::default()
+    };
+    let engine = Engine::with_backend(
+        DistributedBackend::connect_with(&addrs, config).expect("2-node distributed cluster"),
+    );
+    let (img, params) = workload(96, 3, 5);
+    let specs = (0..200)
+        .map(|seed| {
+            JobSpec::new(StrategySpec::Sequential, img.clone(), params.clone())
+                .seed(seed)
+                .iterations(1_000)
+        })
+        .collect();
+    let batch = engine.submit_batch(specs).expect("specs validate");
+    let declined: Vec<String> = batch
+        .wait_all()
+        .into_iter()
+        .flat_map(|result| result.expect("job completes").diagnostics.notes)
+        .filter(|note| note.contains("declined"))
+        .collect();
+    assert!(
+        declined.is_empty(),
+        "{} bounces by a daemon at capacity in 200 jobs, e.g. {:?}",
+        declined.len(),
+        declined.first()
+    );
+}
