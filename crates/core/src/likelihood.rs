@@ -23,8 +23,7 @@ use pmcmc_imaging::{GrayImage, Rect};
 ///
 /// Built in one sweep per row ([`Gain::from_image`]): each pixel's gain,
 /// the row's prefix sums and the row's empty-configuration sum come out
-/// of the same pass. The image's `f32` samples are kept (4 B a pixel) so
-/// [`Gain::crop`] can run the same sweep over a sub-image.
+/// of the same pass.
 #[derive(Debug, Clone)]
 pub struct Gain {
     width: u32,
@@ -34,13 +33,6 @@ pub struct Gain {
     /// `prefix[y * (w + 1) + x] = Σ data[y, 0..x]`, so the gain of any
     /// contiguous span `[x0, x1]` is one subtraction.
     prefix: Vec<f64>,
-    /// The image's samples, row-major. Cold data: only [`Gain::crop`]
-    /// reads them.
-    samples: Vec<f32>,
-    /// The build's constants: `params.bg`, `params.fg` and `2σ²`.
-    bg: f64,
-    fg: f64,
-    two_var: f64,
     /// Log-likelihood of the empty configuration (all pixels background),
     /// up to the Gaussian normalisation constant.
     log_lik_empty: f64,
@@ -50,8 +42,7 @@ pub struct Gain {
 /// `(w + 1)` prefix sums to `prefix`, and returns the row's sum of
 /// empty-configuration terms `−(y_p − bg)²/(2σ²)`. The caller chains the
 /// row sums; per-row chains and then a chain over rows is the order every
-/// build has used, and running the same function over a crop's sub-rows
-/// is what makes a crop bit-identical to a build on the cropped image.
+/// build has used.
 #[inline]
 fn build_row(
     row: &[f32],
@@ -88,67 +79,25 @@ impl Gain {
     pub fn from_image(img: &GrayImage, params: &ModelParams) -> Self {
         assert_eq!(img.width(), params.width, "image width mismatch");
         assert_eq!(img.height(), params.height, "image height mismatch");
-        Self::build(
-            img.width(),
-            img.height(),
-            img.as_slice().to_vec(),
-            params.bg,
-            params.fg,
-            2.0 * params.noise_sd * params.noise_sd,
-        )
-    }
-
-    /// The tables of a `width × height` image with row-major `samples`.
-    fn build(width: u32, height: u32, samples: Vec<f32>, bg: f64, fg: f64, two_var: f64) -> Self {
-        let w = width as usize;
-        let h = height as usize;
+        let (bg, fg) = (params.bg, params.fg);
+        let two_var = 2.0 * params.noise_sd * params.noise_sd;
+        let w = img.width() as usize;
+        let h = img.height() as usize;
         let mut data = Vec::with_capacity(w * h);
         let mut prefix = Vec::with_capacity(h * (w + 1));
         let mut empty = 0.0f64;
+        let samples = img.as_slice();
         for y in 0..h {
             let row = &samples[y * w..(y + 1) * w];
             empty += build_row(row, bg, fg, two_var, &mut data, &mut prefix);
         }
         Self {
-            width,
-            height,
+            width: img.width(),
+            height: img.height(),
             data,
             prefix,
-            samples,
-            bg,
-            fg,
-            two_var,
             log_lik_empty: empty,
         }
-    }
-
-    /// The gain image of the sub-image `rect` (which must lie inside the
-    /// image), rebuilt from the kept samples by the same row sweep as
-    /// [`Gain::from_image`]: the result is **bit-identical** to
-    /// `Gain::from_image` on the cropped image (same values, same
-    /// accumulation order), so partition chains built either way replay
-    /// the same trajectories.
-    ///
-    /// # Panics
-    /// Panics if `rect` is empty or not contained in the image.
-    #[must_use]
-    pub fn crop(&self, rect: &Rect) -> Gain {
-        let frame = Rect::of_image(self.width, self.height);
-        assert_eq!(
-            rect.intersect(&frame),
-            *rect,
-            "crop region must lie inside the gain image"
-        );
-        let w = rect.width().max(0) as usize;
-        let h = rect.height().max(0) as usize;
-        assert!(w > 0 && h > 0, "empty crop region");
-        let fw = self.width as usize;
-        let mut samples = Vec::with_capacity(w * h);
-        for row in 0..h {
-            let src = (rect.y0 as usize + row) * fw + rect.x0 as usize;
-            samples.extend_from_slice(&self.samples[src..src + w]);
-        }
-        Self::build(w as u32, h as u32, samples, self.bg, self.fg, self.two_var)
     }
 
     /// Image width in pixels.
@@ -366,61 +315,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    /// Regression test for the crop path: the prefix tables (and every
-    /// other table) of a cropped gain must equal a from-scratch build on
-    /// the cropped image *bit for bit* — a crop runs `from_image`'s row
-    /// sweep over the kept samples of its sub-rows.
-    #[test]
-    fn crop_tables_bit_identical_to_from_scratch_build() {
-        let p = params(23, 17);
-        let img = GrayImage::from_fn(23, 17, |x, y| ((x * 31 + y * 17) % 13) as f32 / 13.0);
-        let g = Gain::from_image(&img, &p);
-        for rect in [
-            Rect::new(0, 0, 23, 17),   // whole image
-            Rect::new(0, 3, 23, 11),   // full-width row band
-            Rect::new(5, 0, 14, 17),   // column band
-            Rect::new(7, 2, 20, 13),   // interior
-            Rect::new(22, 16, 23, 17), // single pixel
-            Rect::new(3, 9, 20, 10),   // single row
-            Rect::new(11, 1, 12, 16),  // single column
-        ] {
-            let cropped = g.crop(&rect);
-            let sub_img = img.crop(&rect);
-            let mut sub_p = p.clone();
-            sub_p.width = sub_img.width();
-            sub_p.height = sub_img.height();
-            let scratch = Gain::from_image(&sub_img, &sub_p);
-            assert_eq!(cropped.width(), scratch.width());
-            assert_eq!(cropped.height(), scratch.height());
-            assert_eq!(bits(&cropped.data), bits(&scratch.data), "{rect:?} data");
-            assert_eq!(
-                bits(&cropped.prefix),
-                bits(&scratch.prefix),
-                "{rect:?} prefix"
-            );
-            let sample_bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-            assert_eq!(
-                sample_bits(&cropped.samples),
-                sample_bits(&scratch.samples),
-                "{rect:?} samples"
-            );
-            assert_eq!(
-                cropped.log_lik_empty().to_bits(),
-                scratch.log_lik_empty().to_bits(),
-                "{rect:?} empty log-lik"
-            );
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "crop region")]
-    fn crop_outside_panics() {
-        let p = params(8, 8);
-        let img = GrayImage::filled(8, 8, 0.4);
-        let g = Gain::from_image(&img, &p);
-        let _ = g.crop(&Rect::new(4, 4, 12, 12));
     }
 
     #[test]

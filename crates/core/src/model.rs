@@ -3,7 +3,7 @@
 
 use crate::likelihood::Gain;
 use crate::params::{ModelParams, ProposalScales};
-use pmcmc_imaging::{GrayImage, Rect};
+use pmcmc_imaging::GrayImage;
 
 /// Everything immutable that a sampler needs: the Bayesian model of §III
 /// (priors + likelihood against the filtered image) and the proposal
@@ -37,30 +37,6 @@ impl NucleiModel {
             params,
             gain,
             scales,
-        }
-    }
-
-    /// Derives the sub-model for `rect` of this model's image: the gain
-    /// tables are row-copied via [`Gain::crop`] (bit-identical to a
-    /// from-scratch build on the cropped image, without touching pixels),
-    /// dimensions are re-set to the crop and `expected_count` is supplied
-    /// by the caller — partition priors are estimated (eq. 5), never
-    /// inherited from the full image.
-    ///
-    /// # Panics
-    /// Panics if `rect` is empty or not contained in the image.
-    #[must_use]
-    pub fn crop(&self, rect: &Rect, expected_count: f64) -> Self {
-        let gain = self.gain.crop(rect);
-        let mut params = self.params.clone();
-        params.width = gain.width();
-        params.height = gain.height();
-        params.expected_count = expected_count;
-        Self {
-            ln_expected_count: expected_count.ln(),
-            params,
-            gain,
-            scales: self.scales,
         }
     }
 

@@ -96,8 +96,8 @@ impl BlindResult {
 }
 
 /// Runs the blind-partitioning pipeline on `img`, whose prebuilt
-/// full-image model is `full` (each partition chain derives its sub-model
-/// from it by [`NucleiModel::crop`]). Phase and per-partition progress
+/// full-image model is `full` (each partition chain builds its sub-model
+/// on its crop of `img` with `full`'s parameters). Phase and per-partition progress
 /// events are emitted through `ctx` (progress counts completed partitions)
 /// and its cancel token / deadline propagate into every partition chain.
 ///

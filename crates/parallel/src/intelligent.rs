@@ -142,8 +142,8 @@ impl IntelligentResult {
 
 /// Runs the full intelligent-partitioning pipeline on `img`, whose
 /// prebuilt full-image model is `full`: pre-process, run one chain per
-/// partition on `pool` (each deriving its sub-model from `full` by
-/// [`NucleiModel::crop`]), concatenate results. Phase and per-partition
+/// partition on `pool` (each building its sub-model on its crop of `img`
+/// with `full`'s parameters), concatenate results. Phase and per-partition
 /// progress events are emitted through `ctx` (progress counts completed
 /// partitions), and its cancel token / deadline propagate into every
 /// partition chain.

@@ -4,11 +4,11 @@
 //! `s × t` cluster with in-process pools, [`DistributedBackend`]
 //! coordinates actual [`NodeDaemon`](crate::job::daemon::NodeDaemon)
 //! processes over TCP using the versioned [`wire`](crate::job::wire)
-//! format. The placement policy is the same — least-committed-first with
-//! bounded per-node admission, LPT batch ordering — so eq. (4)'s cost
-//! model carries over, except that a job waiting on a saturated cluster
-//! goes to whichever node frees a slot first. What this backend adds is
-//! *failure awareness*:
+//! format. Admission and placement are the same — one [`SlotTable`] over
+//! the alive nodes (bounded per-node admission, least-committed first, a
+//! job that finds every node full goes to whichever frees a slot first)
+//! and LPT batch ordering — so eq. (4)'s cost model carries over. What
+//! this backend adds is *failure awareness*:
 //!
 //! * every daemon streams heartbeats; a monitor thread retires any node
 //!   silent for longer than [`DistributedConfig::heartbeat_timeout`];
@@ -23,14 +23,13 @@ use crate::engine::RunReport;
 use crate::job::error::RunError;
 use crate::job::runner::stamp_wait;
 use crate::job::wire::{Assign, JobResult, WireReport};
-use pmcmc_runtime::cluster::least_committed_order;
 use pmcmc_runtime::net::FrameConn;
 use pmcmc_runtime::wire::{FrameKind, Heartbeat, Hello, Requeue, Wire, WireError, WIRE_VERSION};
-use pmcmc_runtime::{lpt_order, Admission, ClusterTopology, WorkerPool};
-use std::collections::{HashMap, HashSet};
+use pmcmc_runtime::{lpt_order, ClusterTopology, Slot, SlotTable, WorkerPool};
+use std::collections::HashMap;
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, PoisonError};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
@@ -84,25 +83,22 @@ struct NodeLink {
     /// Control clone used to shut the socket down from the monitor,
     /// unblocking the reader thread parked in `recv`.
     control: FrameConn,
-    admission: Admission,
     alive: AtomicBool,
     last_heartbeat: Mutex<Instant>,
     /// Worker threads the daemon advertised in its `Hello`.
     workers: usize,
-    /// Jobs currently assigned to this node. Removing a job from this
-    /// set is the atomic claim on its admission slot: exactly one of the
-    /// completion path and the death path wins, so a slot is never
-    /// released twice.
-    in_flight: Mutex<HashSet<u64>>,
+    /// Jobs currently assigned to this node, with their admission slots.
+    /// Removing a job from this map is the atomic claim on its slot (which
+    /// drops with the entry): exactly one of the completion path and the
+    /// death path wins, so a slot is never given back twice.
+    in_flight: Mutex<HashMap<u64, Slot>>,
 }
 
 struct Shared {
     nodes: Vec<Arc<NodeLink>>,
-    /// Committed placement weight per node, for least-committed ordering.
-    committed: Mutex<Vec<f64>>,
-    /// Counts the admission slots freed on any node; [`place`] parks on it
-    /// while the whole cluster is saturated.
-    freed: SlotsFreed,
+    /// Admission and placement over the nodes; a retired node is retired
+    /// here too.
+    slots: Arc<SlotTable>,
     pending: Mutex<HashMap<u64, Pending>>,
     cfg: DistributedConfig,
     shutting_down: AtomicBool,
@@ -158,11 +154,9 @@ impl DistributedBackend {
                 })?;
             nodes.push(Arc::new(handshake(index, addr, &cfg)?));
         }
-        let committed = Mutex::new(vec![0.0; nodes.len()]);
         let shared = Arc::new(Shared {
+            slots: SlotTable::new(nodes.len(), cfg.max_in_flight),
             nodes,
-            committed,
-            freed: SlotsFreed::default(),
             pending: Mutex::new(HashMap::new()),
             cfg,
             shutting_down: AtomicBool::new(false),
@@ -239,11 +233,10 @@ fn handshake(
         addr,
         writer: Mutex::new(conn),
         control,
-        admission: Admission::new(cfg.max_in_flight),
         alive: AtomicBool::new(true),
         last_heartbeat: Mutex::new(Instant::now()),
         workers: (hello.workers.max(1)) as usize,
-        in_flight: Mutex::new(HashSet::new()),
+        in_flight: Mutex::new(HashMap::new()),
     })
 }
 
@@ -306,10 +299,9 @@ fn monitor_loop(shared: &Arc<Shared>) {
 /// A daemon refused an assignment (at capacity); put the job back on the
 /// market. The daemon never started it, so there is no duplicate risk.
 fn bounce(shared: &Arc<Shared>, node: &Arc<NodeLink>, job: u64, reason: &str) {
-    if !node.in_flight.lock().remove(&job) {
+    if node.in_flight.lock().remove(&job).is_none() {
         return;
     }
-    release_slot(shared, node, job);
     if let Some(p) = shared.pending.lock().get_mut(&job) {
         p.notes
             .push(format!("node-{} declined: {reason}; requeued", node.index));
@@ -317,7 +309,8 @@ fn bounce(shared: &Arc<Shared>, node: &Arc<NodeLink>, job: u64, reason: &str) {
     respawn_dispatch(shared, vec![job]);
 }
 
-/// Declares a node dead (idempotently), frees its admission slots and
+/// Declares a node dead (idempotently), retires it from placement, frees
+/// its admission slots and
 /// requeues its in-flight jobs onto the survivors — or fails them with
 /// [`RunError::Transport`] when the coordinator is shutting down or no
 /// node survives.
@@ -330,10 +323,9 @@ fn retire(shared: &Arc<Shared>, node: &Arc<NodeLink>, why: &str) {
         return;
     }
     let _ = node.control.shutdown();
-    let orphans: Vec<u64> = node.in_flight.lock().drain().collect();
-    for &job in &orphans {
-        release_slot(shared, node, job);
-    }
+    // Retired before its slots drop, so a waiter they wake never picks it.
+    shared.slots.retire(node.index);
+    let orphans: Vec<u64> = node.in_flight.lock().drain().map(|(job, _)| job).collect();
     if orphans.is_empty() {
         return;
     }
@@ -393,51 +385,6 @@ fn respawn_dispatch(shared: &Arc<Shared>, jobs: Vec<u64>) {
     }
 }
 
-/// Frees the admission slot and committed weight `job` held on `node`.
-/// Callers must have already removed `job` from the node's in-flight set
-/// (the removal is the claim that makes this safe to call once).
-fn release_slot(shared: &Arc<Shared>, node: &Arc<NodeLink>, job: u64) {
-    let weight = shared
-        .pending
-        .lock()
-        .get(&job)
-        .map_or(0.0, |p| p.job.weight());
-    {
-        let mut committed = shared.committed.lock();
-        committed[node.index] = (committed[node.index] - weight).max(0.0);
-    }
-    node.admission.release();
-    shared.freed.bump();
-}
-
-/// A count of freed admission slots and a condvar to wait for the next
-/// one, whichever node frees it (`parking_lot`'s stub has no condvar).
-#[derive(Default)]
-struct SlotsFreed {
-    count: std::sync::Mutex<u64>,
-    bumped: std::sync::Condvar,
-}
-
-impl SlotsFreed {
-    fn seen(&self) -> u64 {
-        *self.count.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    fn bump(&self) {
-        *self.count.lock().unwrap_or_else(PoisonError::into_inner) += 1;
-        self.bumped.notify_all();
-    }
-
-    /// Waits until a slot has been freed since `seen` was read, or
-    /// `timeout` has passed.
-    fn wait_past(&self, seen: u64, timeout: Duration) {
-        let count = self.count.lock().unwrap_or_else(PoisonError::into_inner);
-        let _ = self
-            .bumped
-            .wait_timeout_while(count, timeout, |count| *count == seen);
-    }
-}
-
 /// Terminal path for a `Result` frame: frees the node's slot and
 /// resolves the handle. Duplicate results (after a requeue race) find
 /// the pending entry gone and are dropped.
@@ -447,9 +394,7 @@ fn complete(
     job: u64,
     outcome: Result<WireReport, RunError>,
 ) {
-    if node.in_flight.lock().remove(&job) {
-        release_slot(shared, node, job);
-    }
+    drop(node.in_flight.lock().remove(&job));
     let Some(p) = shared.pending.lock().remove(&job) else {
         return;
     };
@@ -461,16 +406,17 @@ fn complete(
     p.job.completion.resolve(result);
 }
 
-/// Places and ships one pending job: least-committed-first over the
-/// alive nodes, blocking (in bounded slices, so liveness changes are
-/// observed) when every survivor is saturated.
+/// Places and ships one pending job through the [`SlotTable`]: on the
+/// least-committed alive node with a free slot or, while every survivor
+/// is saturated, on whichever frees one first (a node's death also ends
+/// the wait).
 ///
 /// # Errors
 /// [`RunError::Transport`] when no node is left alive, and
 /// [`RunError::Cancelled`] when the job's token fired before placement.
 fn dispatch(shared: &Arc<Shared>, job: u64) -> Result<(), RunError> {
     loop {
-        let (cancelled, payload) = {
+        let (cancelled, payload, weight) = {
             let mut pending = shared.pending.lock();
             let Some(p) = pending.get_mut(&job) else {
                 // Resolved concurrently (e.g. duplicate execution after a
@@ -478,13 +424,13 @@ fn dispatch(shared: &Arc<Shared>, job: u64) -> Result<(), RunError> {
                 return Ok(());
             };
             if p.job.cancel.is_cancelled() {
-                (true, Vec::new())
+                (true, Vec::new(), 0.0)
             } else {
                 // Every (re-)dispatch charges the whole wait since
                 // submission against the spec's original deadline.
                 p.job.work.remaining_deadline = p.deadline;
                 stamp_wait(&mut p.job.work, p.job.submitted_at);
-                (false, Assign::payload(job, &p.job.work))
+                (false, Assign::payload(job, &p.job.work), p.job.weight())
             }
         };
         if cancelled {
@@ -496,8 +442,11 @@ fn dispatch(shared: &Arc<Shared>, job: u64) -> Result<(), RunError> {
             return Ok(());
         }
 
-        let node = place(shared, job)?;
-        node.in_flight.lock().insert(job);
+        let slot = shared.slots.acquire(weight).ok_or_else(|| {
+            RunError::Transport("no cluster node is alive to run the job".to_owned())
+        })?;
+        let node = Arc::clone(&shared.nodes[slot.node()]);
+        node.in_flight.lock().insert(job, slot);
         let sent = node.writer.lock().send(FrameKind::Assign, &payload);
         match sent {
             Ok(()) => return Ok(()),
@@ -505,51 +454,10 @@ fn dispatch(shared: &Arc<Shared>, job: u64) -> Result<(), RunError> {
                 // The node died under us; undo the claim and let the
                 // retire path (driven by the reader) clean the rest up,
                 // then try the next survivor.
-                if node.in_flight.lock().remove(&job) {
-                    release_slot(shared, &node, job);
-                }
+                drop(node.in_flight.lock().remove(&job));
                 retire(shared, &node, "send failed");
             }
         }
-    }
-}
-
-/// Acquires an admission slot on the least-committed alive node with one
-/// free, committing the job's weight. While every survivor is saturated
-/// it waits for a slot to be freed on any node — a node that finishes
-/// first gets the next job, instead of idling until the least-committed
-/// one does — in 100 ms slices, so it re-checks liveness.
-fn place(shared: &Arc<Shared>, job: u64) -> Result<Arc<NodeLink>, RunError> {
-    let weight = shared
-        .pending
-        .lock()
-        .get(&job)
-        .map_or(0.0, |p| p.job.weight());
-    loop {
-        // Read before trying the nodes, so a slot freed after the tries
-        // ends the wait at once.
-        let seen = shared.freed.seen();
-        let alive = shared
-            .nodes
-            .iter()
-            .filter(|n| n.alive.load(Ordering::Acquire))
-            .map(|n| n.index);
-        let order = least_committed_order(&shared.committed.lock(), alive);
-        if order.is_empty() {
-            return Err(RunError::Transport(
-                "no cluster node is alive to run the job".to_owned(),
-            ));
-        }
-        for &idx in &order {
-            let node = &shared.nodes[idx];
-            if node.admission.try_acquire() {
-                shared.committed.lock()[idx] += weight;
-                return Ok(Arc::clone(node));
-            }
-        }
-        // Every survivor is saturated. Retiring a node frees its slots
-        // too, so a death also ends the wait.
-        shared.freed.wait_past(seen, Duration::from_millis(100));
     }
 }
 

@@ -9,12 +9,19 @@
 //!   running at once, the rest waiting in submission order; submission
 //!   never blocks.
 //! * [`ShardedBackend`] — a simulated `s × t` cluster in the shape of
-//!   eq. (4): `s` nodes, each owning a private pool of `t` workers and a
-//!   bounded admission queue, with placement driven by the LPT scheduler.
+//!   eq. (4): `s` nodes, each owning a private pool of `t` workers, with
+//!   batches launched in LPT order.
 //! * [`DistributedBackend`] — the real thing: eq. (4)'s `s` nodes as
 //!   remote [`NodeDaemon`](crate::job::daemon::NodeDaemon) processes
 //!   reached over TCP, with heartbeat failure detection and
 //!   failure-aware rescheduling.
+//!
+//! **Where a cluster job goes.** Both cluster backends admit and place
+//! through one [`SlotTable`](pmcmc_runtime::SlotTable): a node holds at
+//! most `max_in_flight` jobs, a job goes to the least-committed node with
+//! a free slot, and while every node is full the submitter blocks until a
+//! slot frees on *any* node (submission throttles), so no node idles while
+//! work waits.
 //!
 //! **Which thread runs a job.** Every node runs its jobs on one
 //! [`JobExecutor`](pmcmc_runtime::JobExecutor): at most its limit at once
@@ -235,7 +242,7 @@ pub trait ExecutionBackend: Send + Sync {
     fn primary_pool(&self) -> &Arc<WorkerPool>;
 
     /// Accepts one job for execution. The call may block for admission
-    /// control (the sharded backend back-pressures saturated nodes), but
+    /// control (the cluster backends back-pressure a saturated cluster), but
     /// must eventually either run the job — upholding the one-result
     /// contract via [`PreparedJob::execute`] — or return an error, in
     /// which case the engine reports the failure to the submitter.

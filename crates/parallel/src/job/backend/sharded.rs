@@ -3,12 +3,17 @@
 //! §VI's scaling argument culminates in eq. (4): a cluster of `s` machines
 //! with `t` threads each. [`ShardedBackend`] gives that model an execution
 //! counterpart: `s` node structs, each owning a *private*
-//! [`WorkerPool`] of `t` workers, a bounded admission queue (submission
-//! back-pressures a saturated node instead of piling work up unboundedly),
-//! and a [`JobExecutor`] that runs admitted jobs against the node's pool on
-//! at most one driver thread per admission slot (capped at 32), spawned on
-//! demand.
-//! Job placement follows the same greedy least-loaded rule as
+//! [`WorkerPool`] of `t` workers and a [`JobExecutor`] that runs admitted
+//! jobs against the node's pool on at most one driver thread per
+//! admission slot (capped at 32), spawned on demand.
+//!
+//! Admission and placement go through the cluster's one [`SlotTable`], as
+//! on the distributed backend: a node holds at most `max_in_flight` jobs,
+//! a whole job goes to the least-committed node with a free slot, and
+//! while every node is full the submitter waits for the next slot freed on
+//! *any* node — so submission back-pressures a saturated cluster instead of
+//! piling work up, and a node that finishes first gets the next job
+//! instead of idling until another one does. That is the greedy rule of
 //! [`list_schedule_makespan`](pmcmc_runtime::list_schedule_makespan), and
 //! batches launch in [`lpt_order`] so heavy jobs place first — the classic
 //! Graham bound then applies to the cluster's makespan.
@@ -26,20 +31,18 @@ use crate::job::error::RunError;
 use crate::job::runner::{run_blueprint, stamp_wait};
 use crate::job::wire::JobBlueprint;
 use crossbeam::channel::unbounded;
-use parking_lot::Mutex;
 use pmcmc_core::rng::derive_seed;
 use pmcmc_core::{Configuration, NucleiModel};
 use pmcmc_imaging::{Circle, Rect};
-use pmcmc_runtime::cluster::least_committed_order;
-use pmcmc_runtime::{lpt_order, Admission, ClusterTopology, JobExecutor, NodeId, WorkerPool};
+use pmcmc_runtime::{lpt_order, ClusterTopology, JobExecutor, NodeId, Slot, SlotTable, WorkerPool};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// How a sharded cluster maps jobs onto its nodes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ShardPlacement {
-    /// Each job runs whole on one node — the least-loaded by committed
-    /// weight, preferring nodes with a free admission slot. Batches
+    /// Each job runs whole on one node — the least committed of those
+    /// with a free admission slot, or the first to free one. Batches
     /// launch in LPT order, so the cluster behaves like greedy list
     /// scheduling over jobs.
     #[default]
@@ -54,40 +57,26 @@ pub enum ShardPlacement {
     SplitJobs,
 }
 
-/// One simulated cluster node: a private pool of `t` workers, a bounded
-/// admission slot count, and the executor its admitted work runs on.
+/// One simulated cluster node: a private pool of `t` workers and the
+/// executor its admitted work runs on.
 #[derive(Clone)]
 struct NodeRuntime {
     id: NodeId,
     pool: Arc<WorkerPool>,
-    admission: Arc<Admission>,
     jobs: Arc<JobExecutor>,
-}
-
-/// An admission slot, given back when dropped: after its task ran, or
-/// with the task if it never runs.
-struct Slot(Arc<Admission>);
-
-impl Drop for Slot {
-    fn drop(&mut self) {
-        self.0.release();
-    }
 }
 
 impl NodeRuntime {
     /// Runs admitted work — a whole job's [`PreparedJob::execute`] (pack
     /// placement) or one stripe of a split job — on the node's pool under
-    /// the node's id. The caller has acquired an admission slot; it is
-    /// released once `task` returns.
+    /// the node's id. `slot` is the work's hold on this node; it is given
+    /// back once `task` returns, or with the task if it never runs.
     fn run(
         &self,
+        slot: Slot,
         task: impl FnOnce(&Arc<WorkerPool>, NodeId) + Send + 'static,
     ) -> Result<(), RunError> {
-        let (id, pool, slot) = (
-            self.id,
-            Arc::clone(&self.pool),
-            Slot(Arc::clone(&self.admission)),
-        );
+        let (id, pool) = (self.id, Arc::clone(&self.pool));
         self.jobs
             .launch(move || {
                 task(&pool, id);
@@ -98,9 +87,9 @@ impl NodeRuntime {
 }
 
 /// The eq. (4) cluster as an [`ExecutionBackend`]: `s` nodes × `t`
-/// workers, bounded per-node admission, LPT placement. See the module
-/// docs for the execution model and [`ShardPlacement`] for the two
-/// job-mapping modes.
+/// workers, one slot table for admission and placement, LPT batch order.
+/// See the module docs for the execution model and [`ShardPlacement`] for
+/// the two job-mapping modes.
 pub struct ShardedBackend {
     topology: ClusterTopology,
     placement: ShardPlacement,
@@ -114,10 +103,7 @@ pub struct ShardedBackend {
     /// merges (the blind scheme's disputable-artifact policy).
     dispute: DisputePolicy,
     nodes: Vec<NodeRuntime>,
-    /// Cumulative committed placement weight per node (greedy list
-    /// scheduling state; never decremented, exactly like the makespan
-    /// simulation in `pmcmc_runtime::scheduler`).
-    committed: Mutex<Vec<f64>>,
+    slots: Arc<SlotTable>,
 }
 
 impl ShardedBackend {
@@ -137,7 +123,6 @@ impl ShardedBackend {
             .map(|n| NodeRuntime {
                 id: NodeId(n),
                 pool: WorkerPool::shared(topology.threads_per_node()),
-                admission: Arc::new(Admission::new(topology.max_in_flight_per_node())),
                 jobs: Arc::new(JobExecutor::new(format!("pmcmc-node{n}-driver"), drivers)),
             })
             .collect();
@@ -148,7 +133,7 @@ impl ShardedBackend {
             margin_factor: 1.1,
             dispute: DisputePolicy::Accept,
             nodes,
-            committed: Mutex::new(vec![0.0; topology.nodes()]),
+            slots: SlotTable::new(topology.nodes(), topology.max_in_flight_per_node()),
         })
     }
 
@@ -184,53 +169,27 @@ impl ShardedBackend {
         self
     }
 
-    /// Picks the target node for a whole job: least committed weight
-    /// first, preferring nodes with a free admission slot, and acquires
-    /// that node's admission (blocking when the whole cluster is
-    /// saturated — this is the submission throttling the local backend
-    /// never had).
-    fn admit_whole(&self, weight: f64) -> usize {
-        let pre_admitted;
-        let chosen = {
-            let mut committed = self.committed.lock();
-            let order = least_committed_order(&committed, 0..self.nodes.len());
-            let free = order
-                .iter()
-                .copied()
-                .find(|&n| self.nodes[n].admission.try_acquire());
-            pre_admitted = free.is_some();
-            let n = free.unwrap_or(order[0]);
-            committed[n] += weight;
-            n
-        };
-        if !pre_admitted {
-            self.nodes[chosen].admission.acquire();
-        }
-        chosen
-    }
-
+    /// Runs a job whole on the least-committed node with a free slot.
+    /// While every node is full it blocks for the next slot freed on any
+    /// node — this is the submission throttling the local backend never
+    /// had.
     fn launch_whole(&self, job: PreparedJob) -> Result<(), RunError> {
-        let node = &self.nodes[self.admit_whole(job.weight())];
-        node.run(move |pool, id| job.execute(pool, id))
+        let slot = self
+            .slots
+            .acquire(job.weight())
+            .ok_or_else(|| RunError::InvalidSpec("no cluster node is open".to_owned()))?;
+        self.nodes[slot.node()].run(slot, move |pool, id| job.execute(pool, id))
     }
 
     fn launch_split(&self, job: PreparedJob) -> Result<(), RunError> {
-        // Spread the job's weight across the cluster for placement
-        // accounting, then hand the fan-out/merge to a coordinator thread
-        // so launch() only blocks for admission, not for the run.
-        let share = job.weight() / self.nodes.len() as f64;
-        {
-            let mut committed = self.committed.lock();
-            for w in committed.iter_mut() {
-                *w += share;
-            }
-        }
-        let nodes = self.nodes.clone();
+        // Hand the fan-out/merge to a coordinator thread, so launch() does
+        // not block for the run.
+        let (nodes, slots) = (self.nodes.clone(), Arc::clone(&self.slots));
         let (merge_eps, margin_factor, dispute) =
             (self.merge_eps, self.margin_factor, self.dispute);
         std::thread::Builder::new()
             .name(format!("pmcmc-{}-split", job.id()))
-            .spawn(move || run_split(job, &nodes, merge_eps, margin_factor, dispute))
+            .spawn(move || run_split(job, &nodes, &slots, merge_eps, margin_factor, dispute))
             .map(|_| ())
             .map_err(|e| RunError::InvalidSpec(format!("failed to spawn split coordinator: {e}")))
     }
@@ -299,11 +258,13 @@ fn merge_stripes(
 }
 
 /// The split-job coordinator: stripes the image, fans one stripe
-/// blueprint per node, collects and merges the per-node reports, and
-/// resolves the job's handle.
+/// blueprint per node (each charged an equal share of the job's weight),
+/// collects and merges the per-node reports, and resolves the job's
+/// handle.
 fn run_split(
     job: PreparedJob,
     nodes: &[NodeRuntime],
+    slots: &Arc<SlotTable>,
     merge_eps: f64,
     margin_factor: f64,
     dispute: DisputePolicy,
@@ -317,6 +278,7 @@ fn run_split(
     let radius_mean = work.params.radius_prior.mu;
     let (cores, extended) = grid_cells(&work.image, s as u32, 1, margin_factor, radius_mean);
     let total_area = work.image.frame().area() as f64;
+    let share = job.weight() / s as f64;
 
     job.sink.emit(&Event::PhaseStarted { phase: "chains" });
     let (result_tx, result_rx) = unbounded();
@@ -347,11 +309,11 @@ fn run_split(
             progress_stride: work.progress_stride,
             queued_so_far: Duration::ZERO,
         };
-        // Admission slots are acquired in node order, so concurrent split
-        // jobs cannot hold-and-wait in a cycle.
-        node.admission.acquire();
+        // Slots are acquired in node order, so concurrent split jobs
+        // cannot hold-and-wait in a cycle.
+        let slot = slots.acquire_on(i, share);
         let (cancel, result) = (job.cancel.clone(), result_tx.clone());
-        let launched = node.run(move |pool, node| {
+        let launched = node.run(slot, move |pool, node| {
             let mut stripe = stripe;
             stamp_wait(&mut stripe, enqueued);
             let outcome = run_blueprint(&stripe, pool, node, Some(&cancel), None);

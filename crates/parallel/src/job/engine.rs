@@ -88,10 +88,10 @@ impl Engine {
 
     /// Validates and submits one job; returns with a handle as soon as
     /// the backend accepts the job. The local backend accepts instantly.
-    /// The sharded backend *blocks for admission* when every node is
-    /// saturated — bounded in-flight is its contract — and that block
-    /// lasts until a node slot frees (an in-flight job finishes or is
-    /// cancelled from another thread). The submitter has no handle yet
+    /// The cluster backends *block for admission* when every node is
+    /// saturated — bounded in-flight is their contract — and that block
+    /// lasts until a slot frees on any node (an in-flight job finishes or
+    /// is cancelled from another thread). The submitter has no handle yet
     /// during the wait, so a throttled submission cannot be timed out or
     /// cancelled from the submitting thread itself.
     ///

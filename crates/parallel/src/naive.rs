@@ -13,7 +13,9 @@
 //! partitioning on the same scenes.
 
 use crate::job::{RunCtx, RunError};
-use crate::subchain::{fan_out_chains, run_partition_chain, SubChainOptions, SubChainResult};
+use crate::subchain::{
+    fan_out_chains, partition_model, run_partition_chain, SubChainOptions, SubChainResult,
+};
 use pmcmc_core::rng::derive_seed;
 use pmcmc_core::NucleiModel;
 use pmcmc_imaging::{regular_tiles, Circle, GrayImage};
@@ -67,8 +69,8 @@ pub struct NaiveResult {
 }
 
 /// Runs the naive baseline on `img`, whose prebuilt full-image model is
-/// `full` (each partition chain derives its sub-model from it by
-/// [`NucleiModel::crop`]). Phase and per-partition progress events are
+/// `full` (each partition chain builds its sub-model on its crop of `img`
+/// with `full`'s parameters). Phase and per-partition progress events are
 /// emitted through `ctx` (progress counts completed partitions) and its
 /// cancel token / deadline propagate into every partition chain.
 ///
@@ -97,7 +99,7 @@ pub fn run_naive(
             // branch is to reproduce the failure mode — the uniform
             // `λ/n` split replaces the eq. (5) estimate.
             let split_expected = (full.params.expected_count / n as f64).max(0.05);
-            let model = full.crop(&rect, split_expected);
+            let model = partition_model(full, &img.crop(&rect), split_expected);
             let mut sampler =
                 pmcmc_core::Sampler::new_empty(&model, derive_seed(seed, 100 + i as u64));
             let budget = res.iterations.max(5_000);

@@ -76,13 +76,27 @@ pub struct SubChainResult {
     pub stats: AcceptanceStats,
 }
 
+/// The sub-model of a partition whose cropped image is `crop`: the full
+/// model's parameters and proposal scales over the crop, with the
+/// partition's own `expected_count` — partition priors are estimated
+/// (eq. 5), never inherited from the full image.
+#[must_use]
+pub(crate) fn partition_model(
+    full: &NucleiModel,
+    crop: &GrayImage,
+    expected_count: f64,
+) -> NucleiModel {
+    let mut params = full.params.clone();
+    params.width = crop.width();
+    params.height = crop.height();
+    params.expected_count = expected_count;
+    NucleiModel::with_scales(crop, params, full.scales)
+}
+
 /// Runs an independent chain on `rect` of `img`. The partition's sub-model
-/// is derived from the prebuilt full-image model via [`NucleiModel::crop`]:
-/// the gain tables are row-copied instead of recomputed from pixels, which
-/// is bit-identical to a from-scratch build on the cropped image (and so
-/// yields the same chain) at the cost of a memcpy. The eq. (5) prior
-/// estimate is taken from the thresholded crop — partitions never inherit
-/// the full image's `expected_count`.
+/// is built on the cropped image with `full`'s parameters and proposal
+/// scales, and with the eq. (5) prior estimate taken from the thresholded
+/// crop — partitions never inherit the full image's `expected_count`.
 ///
 /// The cancel token / deadline of `ctx` are polled at every
 /// convergence-check stride (so a running chain stops within `conv_stride`
@@ -104,7 +118,7 @@ pub fn run_partition_chain(
     let mask = threshold(&crop, opts.theta);
     let thresholded_pixels = mask.count_ones();
     let expected = eq5_estimate(thresholded_pixels, full.params.radius_prior.mu).max(0.05);
-    let model = full.crop(&rect, expected);
+    let model = partition_model(full, &crop, expected);
 
     let start = Instant::now();
     let mut sampler = Sampler::new_empty(&model, seed);

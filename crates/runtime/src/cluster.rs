@@ -1,18 +1,16 @@
-//! Cluster topology and admission-control types for multi-node execution.
+//! Cluster topology and admission for multi-node execution.
 //!
 //! Eq. (4) of the paper models a cluster of `s` machines with `t` threads
 //! each. The sharded execution backend (in `pmcmc-parallel`) simulates
-//! that cluster in-process: `s` node structs, each owning a private
-//! [`WorkerPool`](crate::WorkerPool) of `t` workers. The *shape* of such a
-//! cluster — [`ClusterTopology`] — and the per-node back-pressure
-//! primitive — [`Admission`], a counting semaphore bounding how many jobs
-//! a node accepts concurrently — live here so any backend (or test) can
-//! reuse them without depending on the job layer, as does the one
-//! placement ordering the cluster backends share
-//! ([`least_committed_order`]).
+//! that cluster in-process and the distributed backend drives real node
+//! daemons. The *shape* of such a cluster — [`ClusterTopology`] — and the
+//! one admission and placement rule both backends share — [`SlotTable`]:
+//! a bounded number of jobs in flight per node, each job placed on the
+//! least-committed node with a free slot — live here so any backend (or
+//! test) can reuse them without depending on the job layer.
 
 use std::fmt;
-use std::sync::{Condvar, Mutex, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
 /// Identifier of one node ("machine") in a simulated cluster; node ids are
 /// dense indices `0..s`.
@@ -83,12 +81,6 @@ impl ClusterTopology {
         self.max_in_flight
     }
 
-    /// Total worker threads across the cluster (`s · t`).
-    #[must_use]
-    pub fn total_threads(&self) -> usize {
-        self.nodes * self.threads_per_node
-    }
-
     /// Checks the topology for degenerate shapes.
     ///
     /// # Errors
@@ -117,115 +109,140 @@ impl fmt::Display for ClusterTopology {
     }
 }
 
-/// A counting semaphore bounding how many jobs a node holds in flight.
+/// Cluster-wide admission: each node's in-flight slot count and committed
+/// weight under one lock, and one condvar that a slot freed on *any* node
+/// (or a node retired) signals.
 ///
-/// [`Admission::acquire`] blocks the submitting thread while the node is
-/// saturated — this is the back-pressure that fixes the job layer's
-/// documented "submission itself does not throttle" gap. Built on
-/// `std::sync::{Mutex, Condvar}` (the `parking_lot` stub has no condvar).
+/// Both cluster backends place jobs through it. [`SlotTable::acquire`]
+/// takes the least-committed open node with a free slot and, while every
+/// open node is full, waits for the next slot freed anywhere, so a node
+/// that finishes first gets the next job. [`SlotTable::acquire_on`] is
+/// the targeted acquire of a split job's stripes. A node's committed
+/// weight is the weight of the jobs it holds in flight: a [`Slot`] gives
+/// its weight back with its slot when it drops.
 #[derive(Debug)]
-pub struct Admission {
+pub struct SlotTable {
     limit: usize,
-    in_flight: Mutex<usize>,
-    freed: Condvar,
+    nodes: Mutex<Vec<NodeLoad>>,
+    changed: Condvar,
 }
 
-impl Admission {
-    /// A semaphore admitting at most `limit` concurrent holders.
+#[derive(Debug, Clone, Copy, Default)]
+struct NodeLoad {
+    in_flight: usize,
+    committed: f64,
+    retired: bool,
+}
+
+impl SlotTable {
+    /// A table of `nodes` nodes with `limit` slots each.
     ///
     /// # Panics
     /// Panics when `limit` is zero (nothing could ever be admitted).
     #[must_use]
-    pub fn new(limit: usize) -> Self {
+    pub fn new(nodes: usize, limit: usize) -> Arc<Self> {
         assert!(limit >= 1, "admission limit must be at least 1");
-        Self {
+        Arc::new(Self {
             limit,
-            in_flight: Mutex::new(0),
-            freed: Condvar::new(),
-        }
+            nodes: Mutex::new(vec![NodeLoad::default(); nodes]),
+            changed: Condvar::new(),
+        })
     }
 
-    /// The admission bound.
-    #[must_use]
-    pub fn limit(&self) -> usize {
-        self.limit
+    fn lock(&self) -> MutexGuard<'_, Vec<NodeLoad>> {
+        self.nodes.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Holders currently admitted.
-    #[must_use]
-    pub fn in_flight(&self) -> usize {
-        *self
-            .in_flight
-            .lock()
+    fn wait<'a>(&self, nodes: MutexGuard<'a, Vec<NodeLoad>>) -> MutexGuard<'a, Vec<NodeLoad>> {
+        self.changed
+            .wait(nodes)
             .unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Acquires one slot, blocking while the node is saturated.
-    pub fn acquire(&self) {
-        let mut n = self
-            .in_flight
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        while *n >= self.limit {
-            n = self.freed.wait(n).unwrap_or_else(PoisonError::into_inner);
+    fn take(self: &Arc<Self>, nodes: &mut [NodeLoad], node: usize, weight: f64) -> Slot {
+        nodes[node].in_flight += 1;
+        nodes[node].committed += weight;
+        Slot {
+            table: Arc::clone(self),
+            node,
+            weight,
         }
-        *n += 1;
     }
 
-    /// Acquires one slot only if one is free right now.
-    #[must_use]
-    pub fn try_acquire(&self) -> bool {
-        let mut n = self
-            .in_flight
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        if *n >= self.limit {
-            return false;
-        }
-        *n += 1;
-        true
-    }
-
-    /// Releases one slot, waking one blocked submitter.
+    /// Takes a slot on the least-committed open node that has one free
+    /// (weights compare by `f64::total_cmp`, ties go to the lower index)
+    /// and charges `weight` to it. While every open node is full it waits
+    /// for the next slot freed on any node.
     ///
-    /// # Panics
-    /// Panics on release without a matching acquire.
-    pub fn release(&self) {
-        let mut n = self
-            .in_flight
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        assert!(*n > 0, "release without matching acquire");
-        *n -= 1;
-        drop(n);
-        self.freed.notify_one();
+    /// Returns `None` once every node is retired.
+    pub fn acquire(self: &Arc<Self>, weight: f64) -> Option<Slot> {
+        let mut nodes = self.lock();
+        loop {
+            let free = (nodes.iter().enumerate())
+                .filter(|(_, n)| !n.retired && n.in_flight < self.limit)
+                .min_by(|(_, a), (_, b)| a.committed.total_cmp(&b.committed));
+            if let Some((node, _)) = free {
+                return Some(self.take(&mut nodes, node, weight));
+            }
+            if nodes.iter().all(|n| n.retired) {
+                return None;
+            }
+            nodes = self.wait(nodes);
+        }
+    }
+
+    /// Takes a slot on `node` and charges `weight` to it, waiting while
+    /// the node is full. Callers that acquire on several nodes do so in
+    /// node order, so two of them cannot hold-and-wait in a cycle.
+    pub fn acquire_on(self: &Arc<Self>, node: usize, weight: f64) -> Slot {
+        let mut nodes = self.lock();
+        while nodes[node].in_flight >= self.limit {
+            nodes = self.wait(nodes);
+        }
+        self.take(&mut nodes, node, weight)
+    }
+
+    /// Places no further job on `node` and wakes every waiter, so one that
+    /// was waiting for a slot sees the change. The slots its jobs hold are
+    /// still given back when they drop.
+    pub fn retire(&self, node: usize) {
+        self.lock()[node].retired = true;
+        self.changed.notify_all();
     }
 }
 
-/// The placement preference of greedy list scheduling over cluster nodes:
-/// `candidates` (node indices into `committed`, the weight already placed
-/// on each node) ordered least-committed first, ties to the lower index.
-/// Weights compare by `f64::total_cmp`, so the order is total — a NaN
-/// weight sorts after every finite one instead of poisoning the sort.
-/// Callers walk the order with their own admission and liveness rules.
-///
-/// # Panics
-/// Panics if a candidate is not an index into `committed`.
-#[must_use]
-pub fn least_committed_order(
-    committed: &[f64],
-    candidates: impl IntoIterator<Item = usize>,
-) -> Vec<usize> {
-    let mut order: Vec<usize> = candidates.into_iter().collect();
-    order.sort_by(|&a, &b| committed[a].total_cmp(&committed[b]).then(a.cmp(&b)));
-    order
+/// One admitted job's hold on a node of a [`SlotTable`]: a slot and the
+/// job's weight, both given back when it drops.
+#[derive(Debug)]
+pub struct Slot {
+    table: Arc<SlotTable>,
+    node: usize,
+    weight: f64,
+}
+
+impl Slot {
+    /// The node the slot is on.
+    #[must_use]
+    pub fn node(&self) -> usize {
+        self.node
+    }
+}
+
+impl Drop for Slot {
+    fn drop(&mut self) {
+        let mut nodes = self.table.lock();
+        let load = &mut nodes[self.node];
+        load.in_flight -= 1;
+        load.committed = (load.committed - self.weight).max(0.0);
+        drop(nodes);
+        self.table.changed.notify_all();
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::Arc;
     use std::time::Duration;
 
     #[test]
@@ -234,7 +251,7 @@ mod tests {
         assert_eq!(t.nodes(), 3);
         assert_eq!(t.threads_per_node(), 4);
         assert_eq!(t.max_in_flight_per_node(), 2);
-        assert_eq!(t.total_threads(), 12);
+        assert_eq!(t.nodes() * t.threads_per_node(), 12);
         assert!(t.validate().is_ok());
         assert!(ClusterTopology::new(0, 4).validate().is_err());
         assert!(ClusterTopology::new(2, 0).validate().is_err());
@@ -248,59 +265,92 @@ mod tests {
     }
 
     #[test]
-    fn least_committed_order_is_total_and_stable() {
-        // Ties break to the lower index, whatever order candidates come in.
-        assert_eq!(
-            least_committed_order(&[2.0, 1.0, 2.0, 1.0], [3, 2, 1, 0]),
-            [1, 3, 0, 2]
-        );
-        // A NaN weight sorts last rather than comparing "equal" to all.
-        assert_eq!(
-            least_committed_order(&[f64::NAN, 5.0, 0.5], 0..3),
-            [2, 1, 0]
-        );
-        // Only the candidates are ranked; none gives none.
-        assert_eq!(least_committed_order(&[3.0, 1.0, 2.0], [2, 0]), [2, 0]);
-        assert!(least_committed_order(&[1.0, 2.0], std::iter::empty()).is_empty());
+    fn placement_is_least_committed_first_with_ties_to_the_lower_index() {
+        let table = SlotTable::new(3, 2);
+        let a = table.acquire(2.0).unwrap();
+        let b = table.acquire(1.0).unwrap();
+        let c = table.acquire(1.0).unwrap();
+        assert_eq!((a.node(), b.node(), c.node()), (0, 1, 2));
+        // Node 1 and node 2 tie at 1.0; the lower index wins.
+        let d = table.acquire(5.0).unwrap();
+        assert_eq!(d.node(), 1);
+        assert_eq!(table.lock()[1].committed, 6.0);
+        // A full node is skipped however little it holds.
+        let e = table.acquire(0.0).unwrap();
+        assert_eq!(e.node(), 2);
+        assert_eq!(table.lock()[2].in_flight, 2);
+        // Dropping a slot gives its weight back with it.
+        drop(d);
+        let load = table.lock()[1];
+        assert_eq!((load.in_flight, load.committed), (1, 1.0));
+        // A NaN weight sorts after every finite one.
+        drop((a, b, c, e));
+        let nan = table.acquire(f64::NAN).unwrap();
+        assert_eq!(nan.node(), 0);
+        assert_eq!(table.acquire(0.0).unwrap().node(), 1);
     }
 
     #[test]
-    fn admission_try_acquire_respects_limit() {
-        let a = Admission::new(2);
-        assert!(a.try_acquire());
-        assert!(a.try_acquire());
-        assert!(!a.try_acquire());
-        assert_eq!(a.in_flight(), 2);
-        a.release();
-        assert!(a.try_acquire());
-        assert_eq!(a.limit(), 2);
-    }
-
-    #[test]
-    fn admission_acquire_blocks_until_release() {
-        let a = Arc::new(Admission::new(1));
-        a.acquire();
-        let admitted = Arc::new(AtomicUsize::new(0));
-        let (a2, adm2) = (Arc::clone(&a), Arc::clone(&admitted));
-        let waiter = std::thread::spawn(move || {
-            a2.acquire();
-            adm2.store(1, Ordering::SeqCst);
-            a2.release();
-        });
+    fn a_full_cluster_admits_on_whichever_node_frees_a_slot_first() {
+        let table = SlotTable::new(2, 1);
+        let light = table.acquire(1.0).unwrap();
+        let heavy = table.acquire(1.0).unwrap();
+        assert_eq!((light.node(), heavy.node()), (0, 1));
+        let placed = Arc::new(AtomicUsize::new(usize::MAX));
+        let waiter = {
+            let (table, placed) = (Arc::clone(&table), Arc::clone(&placed));
+            std::thread::spawn(move || {
+                let slot = table.acquire(1.0).unwrap();
+                placed.store(slot.node(), Ordering::SeqCst);
+            })
+        };
         std::thread::sleep(Duration::from_millis(30));
         assert_eq!(
-            admitted.load(Ordering::SeqCst),
-            0,
-            "acquire did not block on a saturated node"
+            placed.load(Ordering::SeqCst),
+            usize::MAX,
+            "acquire did not wait on a full cluster"
         );
-        a.release();
+        // Node 1 frees first: the waiter goes there, not to node 0.
+        drop(heavy);
         waiter.join().expect("waiter thread");
-        assert_eq!(admitted.load(Ordering::SeqCst), 1);
+        assert_eq!(placed.load(Ordering::SeqCst), 1);
+        assert_eq!(light.node(), 0);
     }
 
     #[test]
-    #[should_panic(expected = "release without matching acquire")]
-    fn unbalanced_release_panics() {
-        Admission::new(1).release();
+    fn a_targeted_acquire_waits_for_its_own_node() {
+        let table = SlotTable::new(2, 1);
+        let held = table.acquire_on(1, 1.0);
+        let other = table.acquire_on(0, 1.0);
+        let waiter = {
+            let table = Arc::clone(&table);
+            std::thread::spawn(move || table.acquire_on(1, 1.0).node())
+        };
+        // A slot freed on node 0 does not satisfy it.
+        drop(other);
+        std::thread::sleep(Duration::from_millis(30));
+        assert!(!waiter.is_finished(), "acquire_on took another node's slot");
+        drop(held);
+        assert_eq!(waiter.join().expect("waiter thread"), 1);
+    }
+
+    #[test]
+    fn retiring_every_node_ends_a_wait() {
+        let table = SlotTable::new(2, 1);
+        let slots = [table.acquire(1.0).unwrap(), table.acquire(1.0).unwrap()];
+        let waiter = {
+            let table = Arc::clone(&table);
+            std::thread::spawn(move || table.acquire(1.0).map(|s| s.node()))
+        };
+        // Retiring one node leaves the waiter waiting for the other.
+        table.retire(0);
+        std::thread::sleep(Duration::from_millis(30));
+        assert!(!waiter.is_finished());
+        table.retire(1);
+        assert_eq!(waiter.join().expect("waiter thread"), None);
+        // A retired node's slots are still given back.
+        drop(slots);
+        assert!(table.lock().iter().all(|load| load.in_flight == 0));
+        assert!(table.acquire(0.0).is_none());
     }
 }

@@ -16,11 +16,14 @@
 //! the arenas of the threads that built a benchmark's scene, and the
 //! `dense_periodic` peak resident set read 99–107 instead of 68 MB; drivers
 //! spawned lazily but never exiting made the benchmark's set-up wait for
-//! them. Why the linger: a sharded node admits its next job only once the
-//! last one has finished, so without it every job found its thread gone
-//! and ran on a new one, and `batch_small_sharded` read 5–15 % slower than
-//! with persistent drivers (slower in 16 of 17 alternating pairs on a
-//! 2-core x86-64 host). With it the two are even (6 of 10).
+//! them. Why the linger: a cluster node gets its next job only once its
+//! last one has given back its admission slot, which happens as the task
+//! returns, so the thread always finds the backlog empty; the submitter
+//! that slot woke launches the next job a few microseconds later. Without
+//! the linger every such job would find its thread gone and run on a new
+//! one (a new stack and a new malloc arena): with `LINGER` at zero,
+//! `batch_small_sharded` read 1.11 s against 0.81 s with it (slower in 6
+//! of 6 alternating 8 s pairs at seed 42 on a 2-core x86-64 host).
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};

@@ -22,8 +22,8 @@
 //! * [`scheduler`] — pure LPT ordering and makespan prediction, testable in
 //!   isolation.
 //! * [`cluster`] — the eq. (4) `s × t` topology shape ([`ClusterTopology`],
-//!   [`NodeId`]) and the per-node [`Admission`] semaphore the sharded
-//!   execution backend builds its simulated multi-node cluster from.
+//!   [`NodeId`]) and the [`SlotTable`] both cluster backends admit and
+//!   place their jobs through.
 //! * [`wire`] — the versioned, length-prefixed binary format the
 //!   distributed backend speaks over sockets (and the serialisation
 //!   substrate for checkpoint/resume).
@@ -41,7 +41,7 @@ pub mod scheduler;
 pub mod team;
 pub mod wire;
 
-pub use cluster::{Admission, ClusterTopology, NodeId};
+pub use cluster::{ClusterTopology, NodeId, Slot, SlotTable};
 pub use executor::{ExecutorStats, JobExecutor};
 pub use net::FrameConn;
 pub use pool::{PoolStats, WorkerPool};

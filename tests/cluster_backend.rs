@@ -98,7 +98,8 @@ fn sharded_backend_runs_every_registered_strategy() {
     let (img, params) = workload(96, 5, 3);
     let engine = Engine::sharded(ClusterTopology::new(2, 2)).expect("2x2 cluster");
     assert_eq!(engine.backend().name(), "sharded");
-    assert_eq!(engine.backend().topology().total_threads(), 4);
+    let topology = engine.backend().topology();
+    assert_eq!(topology.nodes() * topology.threads_per_node(), 4);
     let specs: Vec<JobSpec> = StrategySpec::all()
         .into_iter()
         .map(|s| {
@@ -178,6 +179,43 @@ fn sharded_admission_throttles_submission() {
         "queue wait should cover the admission stall, got {:?}",
         report.node_timings[0].queued
     );
+}
+
+#[test]
+fn a_slow_job_does_not_stall_the_other_node() {
+    let (img, params) = workload(64, 3, 29);
+    // Two nodes with one slot each. The first job's observer holds its
+    // node's driver for 300 ms; every other job must go to the node that
+    // frees a slot first, not wait behind the slow one.
+    let engine = Engine::with_backend(
+        ShardedBackend::new(ClusterTopology::new(2, 1).max_in_flight(1)).expect("2x1 cluster"),
+    );
+    let job = |seed: u64| {
+        JobSpec::new(StrategySpec::Sequential, img.clone(), params.clone())
+            .seed(seed)
+            .iterations(1_000)
+    };
+    let slept = std::sync::Once::new();
+    let slow = job(0)
+        .observer(move |_| slept.call_once(|| std::thread::sleep(Duration::from_millis(300))));
+    let specs: Vec<JobSpec> = std::iter::once(slow).chain((1..7).map(job)).collect();
+    let mut batch = engine.submit_batch(specs).expect("batch validates");
+
+    let mut finished = Vec::new();
+    while let Some((idx, result)) = batch.next_finished() {
+        let report = result.expect("job completes");
+        finished.push((idx, report.node_timings[0].node.index()));
+    }
+    let order: Vec<usize> = finished.iter().map(|&(idx, _)| idx).collect();
+    assert_eq!(
+        order.last(),
+        Some(&0),
+        "a fast job waited behind the slow one: finish order {order:?}"
+    );
+    let slow_node = finished[6].1;
+    for &(idx, node) in &finished[..6] {
+        assert_ne!(node, slow_node, "job {idx} ran on the slow job's node");
+    }
 }
 
 #[test]
