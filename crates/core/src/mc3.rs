@@ -19,6 +19,8 @@ pub struct SwapStats {
 }
 
 /// A Metropolis-coupled ensemble. Chain 0 is the cold chain (β = 1).
+/// [`Mc3::run`] steps the chains one after another; a parallel driver
+/// [`split`](Mc3::split)s the ensemble and swaps through the same rule.
 pub struct Mc3<'m> {
     chains: Vec<Sampler<'m>>,
     rng: Xoshiro256,
@@ -66,34 +68,59 @@ impl<'m> Mc3<'m> {
         &mut self.chains
     }
 
-    /// Runs `segments` rounds of (`segment_len` iterations on every chain,
-    /// then one swap attempt), sequentially.
-    pub fn run(&mut self, segments: u64, segment_len: u64) {
-        for _ in 0..segments {
-            for chain in &mut self.chains {
-                chain.run(segment_len);
-            }
-            self.attempt_swap();
-        }
+    /// Splits the ensemble into its chains and its [`SwapRule`], so that a
+    /// driver can step chains on other threads while it decides swaps.
+    pub fn split(&mut self) -> (&mut [Sampler<'m>], SwapRule<'_>) {
+        let swaps = SwapRule {
+            rng: &mut self.rng,
+            stats: &mut self.swap_stats,
+        };
+        (&mut self.chains, swaps)
     }
 
-    /// Attempts one state swap between a random adjacent pair
-    /// (Metropolis-coupled acceptance).
-    pub fn attempt_swap(&mut self) {
-        if self.chains.len() < 2 {
-            return;
+    /// Runs `segments` rounds of (`segment_len` iterations on every chain,
+    /// then one swap attempt between a random adjacent pair), sequentially.
+    pub fn run(&mut self, segments: u64, segment_len: u64) {
+        let (chains, mut swaps) = self.split();
+        for _ in 0..segments {
+            for chain in chains.iter_mut() {
+                chain.run(segment_len);
+            }
+            if let Some(i) = swaps.draw_pair(chains.len()) {
+                let (lower, upper) = chains.split_at_mut(i + 1);
+                swaps.decide(&mut lower[i], &mut upper[0]);
+            }
         }
-        let i = self.rng.gen_range(0..self.chains.len() - 1);
-        let j = i + 1;
-        self.swap_stats.attempted += 1;
-        let lp_i = self.chains[i].log_posterior();
-        let lp_j = self.chains[j].log_posterior();
-        let log_alpha = (self.chains[i].beta - self.chains[j].beta) * (lp_j - lp_i);
+    }
+}
+
+/// The swap half of an [`Mc3`]: the ensemble's own stream, which draws
+/// every pair and every acceptance uniform, and the swap accounting. A
+/// pair depends on the stream alone, so a driver may draw it as soon as
+/// the previous swap is decided; deciding the swaps in order keeps every
+/// chain on the states [`Mc3::run`] gives it.
+pub struct SwapRule<'a> {
+    rng: &'a mut Xoshiro256,
+    stats: &'a mut SwapStats,
+}
+
+impl SwapRule<'_> {
+    /// Draws the next swap's pair `(i, i + 1)` among `n_chains` and returns
+    /// `i`; draws nothing for fewer than two chains.
+    pub fn draw_pair(&mut self, n_chains: usize) -> Option<usize> {
+        (n_chains >= 2).then(|| self.rng.gen_range(0..n_chains - 1))
+    }
+
+    /// Decides the swap between the pair's chains `lower` (`i`) and `upper`
+    /// (`i + 1`) by Metropolis-coupled acceptance, drawing a uniform only
+    /// when `log α < 0`. An accepted swap trades the configurations;
+    /// temperatures stay with the chains.
+    pub fn decide(&mut self, lower: &mut Sampler<'_>, upper: &mut Sampler<'_>) {
+        self.stats.attempted += 1;
+        let log_alpha = (lower.beta - upper.beta) * (upper.log_posterior() - lower.log_posterior());
         if log_alpha >= 0.0 || self.rng.gen::<f64>().ln() < log_alpha {
-            self.swap_stats.accepted += 1;
-            // Swap the configurations; temperatures stay with the slots.
-            let (a, b) = self.chains.split_at_mut(j);
-            std::mem::swap(&mut a[i].config, &mut b[0].config);
+            self.stats.accepted += 1;
+            std::mem::swap(&mut lower.config, &mut upper.config);
         }
     }
 }
@@ -151,7 +178,8 @@ mod tests {
     fn single_chain_swap_is_noop() {
         let m = small_model();
         let mut mc3 = Mc3::new(&m, 1, 0.5, 2);
-        mc3.attempt_swap();
+        assert_eq!(mc3.split().1.draw_pair(1), None);
+        mc3.run(3, 10);
         assert_eq!(mc3.swap_stats.attempted, 0);
     }
 

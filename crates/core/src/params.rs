@@ -131,24 +131,6 @@ impl MoveWeights {
         global / self.total()
     }
 
-    /// Builds weights with a given `q_g`, keeping the default relative
-    /// proportions inside each group.
-    #[must_use]
-    pub fn with_qg(qg: f64) -> Self {
-        let qg = qg.clamp(0.0, 1.0);
-        let g = qg / 5.0;
-        let l = (1.0 - qg) / 2.0;
-        Self {
-            birth: g,
-            death: g,
-            split: g,
-            merge: g,
-            replace: g,
-            translate: l,
-            resize: l,
-        }
-    }
-
     /// Conditional weights given that the move is global (`Ml` weights
     /// zeroed). Used during the `Mg` phases of periodic partitioning; the
     /// common `1/q_g` factor cancels in every paired acceptance ratio
@@ -304,11 +286,19 @@ mod tests {
         assert!((w.total() - 1.0).abs() < 1e-12);
     }
 
-    #[test]
-    fn with_qg_roundtrips() {
-        for &q in &[0.0, 0.1, 0.4, 0.75, 1.0] {
-            let w = MoveWeights::with_qg(q);
-            assert!((w.qg() - q).abs() < 1e-12, "qg {q}");
+    /// Weights of a given `q_g` in the default proportions inside each
+    /// group: `q_g / 5` for each global kind, `(1 − q_g) / 2` for each
+    /// local one.
+    fn weights_with_qg(qg: f64) -> MoveWeights {
+        let (g, l) = (qg / 5.0, (1.0 - qg) / 2.0);
+        MoveWeights {
+            birth: g,
+            death: g,
+            split: g,
+            merge: g,
+            replace: g,
+            translate: l,
+            resize: l,
         }
     }
 
@@ -334,7 +324,7 @@ mod tests {
     fn top_of_range_draw_never_picks_a_zero_weight_kind() {
         let mut fell_through = 0;
         for i in 1..=1000 {
-            let w = MoveWeights::with_qg(f64::from(i) / 1000.0).global_only();
+            let w = weights_with_qg(f64::from(i) / 1000.0).global_only();
             let kind = w.sample(&mut TopOfRange);
             assert!(w.weight(kind) > 0.0, "{w:?} drew {kind:?}");
             let u = (u64::MAX >> 11) as f64 / (1u64 << 53) as f64 * w.total();

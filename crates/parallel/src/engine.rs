@@ -216,7 +216,8 @@ pub struct NodeTiming {
     /// its pool-width job threads; on a sharded node it also covers the
     /// admission stall.
     pub queued: Duration,
-    /// Wall time the node spent executing the work.
+    /// Wall time the node spent executing the work, the model build
+    /// included.
     pub busy: Duration,
 }
 

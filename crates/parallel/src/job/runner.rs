@@ -32,7 +32,9 @@ pub(crate) fn stamp_wait(work: &mut JobBlueprint, since: Instant) {
 /// iterations. Otherwise it runs
 /// [`StrategySpec::run`](crate::engine::StrategySpec::run) and stamps the
 /// report's [`node_timings`](RunReport::node_timings) with
-/// `{ node, queued: work.queued_so_far, busy: total_time }`.
+/// `{ node, queued: work.queued_so_far, busy }`, where `busy` times the
+/// whole run call: the model build too, which the report's `total_time`
+/// leaves out.
 ///
 /// This is where the job layer catches panics: whatever unwinds out of the
 /// scheme (or out of an observer it calls) comes back as
@@ -69,14 +71,17 @@ pub fn run_blueprint(
     ctx.should_stop(0)?;
     let req =
         RunRequest::new(&work.image, &work.params, pool, work.seed).iterations(work.iterations);
-    let mut report = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+    let start = Instant::now();
+    let ran = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         work.strategy.run(&req, &ctx)
-    }))
-    .unwrap_or_else(|payload| Err(RunError::Panicked(panic_message(&*payload))))?;
+    }));
+    let busy = start.elapsed();
+    let mut report =
+        ran.unwrap_or_else(|payload| Err(RunError::Panicked(panic_message(&*payload))))?;
     report.node_timings.push(NodeTiming {
         node,
         queued: work.queued_so_far,
-        busy: report.total_time,
+        busy,
     });
     Ok(report)
 }
@@ -170,9 +175,12 @@ mod tests {
         );
 
         let report = run_blueprint(&work, &WorkerPool::new(1), NodeId(3), None, None).unwrap();
-        let busy = report.total_time;
-        let node = NodeId(3);
-        assert_eq!(report.node_timings, [NodeTiming { node, queued, busy }]);
+        let [timing] = &report.node_timings[..] else {
+            panic!("one node timing: {:?}", report.node_timings)
+        };
+        assert_eq!((timing.node, timing.queued), (NodeId(3), queued));
+        // The node was busy for the model build too.
+        assert!(timing.busy >= report.total_time);
 
         // An overdrawn budget saturates at zero instead of underflowing.
         work.remaining_deadline = Some(Duration::from_millis(10));

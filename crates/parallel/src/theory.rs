@@ -105,14 +105,6 @@ pub fn fig1_series(s_values: &[usize], steps: usize) -> Vec<Fig1Point> {
         .collect()
 }
 
-/// The §X rule of thumb for image partitioning: "image partitioning can be
-/// expected to provide speedups exceeding `(1 − 1/n)`" — returned here as
-/// the expected runtime fraction `1/n` under ideal conditions.
-#[must_use]
-pub fn ideal_partition_fraction(n: usize) -> f64 {
-    1.0 / n.max(1) as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -183,11 +175,5 @@ mod tests {
         // And speculation in both phases beats eq. (2).
         let t = eq4_time(1e5, 0.4, 3e-6, 3e-6, 4, 4, 0.8, 0.6);
         assert!(t < t_eq2);
-    }
-
-    #[test]
-    fn ideal_fraction() {
-        assert_eq!(ideal_partition_fraction(4), 0.25);
-        assert_eq!(ideal_partition_fraction(0), 1.0);
     }
 }

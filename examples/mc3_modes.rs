@@ -59,7 +59,7 @@ fn main() {
     );
 
     // (MC)^3 with 4 chains sharing the same *total* budget: each chain
-    // gets budget / n_chains iterations, segments fan out on the pool.
+    // gets budget / n_chains iterations, stepped on the pool's threads.
     // The spec round-trips through its CLI spelling.
     let mc3_spec: StrategySpec = format!(
         "mc3:chains={n_chains},segment={}",
