@@ -202,8 +202,8 @@ impl PhaseTiming {
 }
 
 /// Wall-clock accounting of one cluster node's share of a run: how long
-/// the work waited in the node's admission queue and how long the node
-/// was busy executing it. The regression target for these numbers is
+/// the work waited for a slot and how long the node was busy executing
+/// it. The regression target for these numbers is
 /// [`theory::eq4_time`](crate::theory::eq4_time) — summing `busy` over a
 /// batch and comparing makespans across topologies is how the §VI cluster
 /// model is validated against measured execution.
@@ -211,10 +211,9 @@ impl PhaseTiming {
 pub struct NodeTiming {
     /// The node the work ran on.
     pub node: NodeId,
-    /// Time between submission and a node driver picking the work up. On
-    /// the local backend that is the job's wait in the backlog for one of
-    /// its pool-width job threads; on a sharded node it also covers the
-    /// admission stall.
+    /// Time between submission and a node picking the work up: the job's
+    /// wait in its backend's backlog for a free slot (on the distributed
+    /// backend, until the coordinator ships it).
     pub queued: Duration,
     /// Wall time the node spent executing the work, the model build
     /// included.

@@ -4,19 +4,20 @@
 //! `s × t` cluster with in-process pools, [`DistributedBackend`]
 //! coordinates actual [`NodeDaemon`](crate::job::daemon::NodeDaemon)
 //! processes over TCP using the versioned [`wire`](crate::job::wire)
-//! format. Admission and placement are the same — one [`SlotTable`] over
-//! the alive nodes (bounded per-node admission, least-committed first, a
-//! job that finds every node full goes to whichever frees a slot first)
-//! and LPT batch ordering — so eq. (4)'s cost model carries over. What
-//! this backend adds is *failure awareness*:
+//! format. Placement is the same — one [`SlotTable`] over the nodes (see
+//! the [`backend`](super) docs) and LPT batch ordering — so eq. (4)'s cost
+//! model carries over. On each `Result`, the node's reader thread ships
+//! the backlog's head to that node before it builds the finished job's
+//! report. What this backend adds is *failure awareness*:
 //!
 //! * every daemon streams heartbeats; a monitor thread retires any node
 //!   silent for longer than [`DistributedConfig::heartbeat_timeout`];
-//! * a retired node's in-flight jobs are requeued onto the survivors
+//! * a retired node's in-flight jobs are offered to the survivors again
 //!   (noted in the final report's diagnostics), so killing a daemon
 //!   mid-batch loses no jobs;
 //! * only when *no* node survives does a job fail, with
-//!   [`RunError::Transport`] naming the outage.
+//!   [`RunError::Transport`] naming the outage; so do the jobs still
+//!   waiting in the backlog, through their handles.
 
 use super::{ExecutionBackend, PreparedJob};
 use crate::engine::RunReport;
@@ -25,7 +26,7 @@ use crate::job::runner::stamp_wait;
 use crate::job::wire::{Assign, JobResult, WireReport};
 use pmcmc_runtime::net::FrameConn;
 use pmcmc_runtime::wire::{FrameKind, Heartbeat, Hello, Requeue, Wire, WireError, WIRE_VERSION};
-use pmcmc_runtime::{lpt_order, ClusterTopology, Slot, SlotTable, WorkerPool};
+use pmcmc_runtime::{lpt_order, ClusterTopology, NodeId, Offer, Placed, SlotTable, WorkerPool};
 use std::collections::HashMap;
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -37,8 +38,9 @@ use parking_lot::Mutex;
 /// Tunables of the distributed coordinator.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DistributedConfig {
-    /// Jobs admitted per node before placement blocks (eq. (4)'s bounded
-    /// per-node queue; matches the daemons' capacity by default).
+    /// Jobs a node runs at once (eq. (4)'s per-node bound; matches the
+    /// daemons' capacity by default). Further jobs wait in the
+    /// coordinator's backlog.
     pub max_in_flight: usize,
     /// How long a node may go without a heartbeat before the coordinator
     /// declares it dead and requeues its jobs.
@@ -58,7 +60,7 @@ impl Default for DistributedConfig {
     }
 }
 
-/// A job in flight on a remote node: the wired-up job itself (its
+/// A job submitted to the coordinator: the wired-up job itself (its
 /// blueprint is the payload to (re-)send, its completion resolves the
 /// handle, and holding its event sink keeps the handle's event channel
 /// connected — remote runs do not stream events back) plus the requeue
@@ -68,7 +70,7 @@ impl Default for DistributedConfig {
 struct Pending {
     job: PreparedJob,
     /// The spec's original deadline, measured from submission; each
-    /// (re-)dispatch ships the remainder in the blueprint.
+    /// (re-)shipment carries the remainder in the blueprint.
     deadline: Option<Duration>,
     notes: Vec<String>,
 }
@@ -78,7 +80,7 @@ struct NodeLink {
     /// Coordinator-assigned index (`NodeId` space).
     index: usize,
     addr: SocketAddr,
-    /// Writer half, shared by the dispatcher and the monitor.
+    /// Writer half, shared by every thread that ships a job.
     writer: Mutex<FrameConn>,
     /// Control clone used to shut the socket down from the monitor,
     /// unblocking the reader thread parked in `recv`.
@@ -87,18 +89,18 @@ struct NodeLink {
     last_heartbeat: Mutex<Instant>,
     /// Worker threads the daemon advertised in its `Hello`.
     workers: usize,
-    /// Jobs currently assigned to this node, with their admission slots.
-    /// Removing a job from this map is the atomic claim on its slot (which
-    /// drops with the entry): exactly one of the completion path and the
-    /// death path wins, so a slot is never given back twice.
-    in_flight: Mutex<HashMap<u64, Slot>>,
+    /// Jobs shipped to this node, with the weight their slot is charged.
+    /// Removing a job from this map is the atomic claim on its slot:
+    /// exactly one of the completion, bounce, failed-send and death paths
+    /// wins, so a slot is never given back twice.
+    in_flight: Mutex<HashMap<u64, f64>>,
 }
 
 struct Shared {
     nodes: Vec<Arc<NodeLink>>,
-    /// Admission and placement over the nodes; a retired node is retired
-    /// here too.
-    slots: Arc<SlotTable>,
+    /// Placement over the nodes, holding the backlog's job ids; a retired
+    /// node is retired here too.
+    slots: SlotTable<u64>,
     pending: Mutex<HashMap<u64, Pending>>,
     cfg: DistributedConfig,
     shutting_down: AtomicBool,
@@ -240,40 +242,37 @@ fn handshake(
     })
 }
 
-/// Consumes every frame a daemon sends for its session.
+/// Consumes every frame a daemon sends for its session, and retires the
+/// node when the session breaks.
 fn reader_loop(shared: &Arc<Shared>, node: &Arc<NodeLink>, reader: &mut FrameConn) {
-    loop {
-        match reader.recv() {
-            Ok(frame) => match frame.kind {
-                FrameKind::Heartbeat if Heartbeat::from_wire_bytes(&frame.payload).is_ok() => {
-                    *node.last_heartbeat.lock() = Instant::now();
-                }
-                FrameKind::Heartbeat => {} // malformed beat: ignore, the timeout decides
-                FrameKind::Result => match JobResult::from_wire_bytes(&frame.payload) {
-                    Ok(result) => complete(shared, node, result.job, result.outcome),
-                    Err(_) => {
-                        // An undecodable result is a protocol breach; the
-                        // job it answered will be requeued when the node
-                        // is retired.
-                        retire(shared, node, "sent an undecodable result");
-                        return;
-                    }
-                },
-                FrameKind::Requeue => {
-                    if let Ok(requeue) = Requeue::from_wire_bytes(&frame.payload) {
-                        bounce(shared, node, requeue.job, &requeue.reason);
-                    }
-                }
-                // Hello after the handshake, or daemon-bound kinds echoed
-                // back: ignore.
-                _ => {}
-            },
-            Err(_) => {
-                retire(shared, node, "connection lost");
-                return;
+    let why = loop {
+        let Ok(frame) = reader.recv() else {
+            break "connection lost";
+        };
+        match frame.kind {
+            FrameKind::Heartbeat if Heartbeat::from_wire_bytes(&frame.payload).is_ok() => {
+                *node.last_heartbeat.lock() = Instant::now();
             }
+            FrameKind::Result => match JobResult::from_wire_bytes(&frame.payload) {
+                Ok(result) => complete(shared, node, result.job, result.outcome),
+                // A protocol breach; retiring the node requeues the job it
+                // answered.
+                Err(_) => break "sent an undecodable result",
+            },
+            // A daemon at capacity declined a job it never started, so
+            // offering it again risks no duplicate run.
+            FrameKind::Requeue => {
+                if let Ok(declined) = Requeue::from_wire_bytes(&frame.payload) {
+                    let why = format!("declined: {}", declined.reason);
+                    requeue(shared, node, declined.job, &why);
+                }
+            }
+            // A malformed heartbeat (the timeout decides), a Hello after the
+            // handshake, or daemon-bound kinds echoed back: ignore.
+            _ => {}
         }
-    }
+    };
+    retire(shared, node, why);
 }
 
 /// Watches heartbeats; shuts down the socket of any silent node, which
@@ -296,106 +295,131 @@ fn monitor_loop(shared: &Arc<Shared>) {
     }
 }
 
-/// A daemon refused an assignment (at capacity); put the job back on the
-/// market. The daemon never started it, so there is no duplicate risk.
-fn bounce(shared: &Arc<Shared>, node: &Arc<NodeLink>, job: u64, reason: &str) {
-    if node.in_flight.lock().remove(&job).is_none() {
-        return;
+/// Why a job fails once no node is left to run it.
+const NO_NODE_ALIVE: &str = "no cluster node is alive to run the job";
+
+/// Resolves a pending job with [`RunError::Transport`].
+fn fail(shared: &Shared, job: u64, why: &str) {
+    let pending = shared.pending.lock().remove(&job);
+    if let Some(p) = pending {
+        p.job
+            .completion
+            .resolve(Err(RunError::Transport(why.to_owned())));
     }
-    if let Some(p) = shared.pending.lock().get_mut(&job) {
-        p.notes
-            .push(format!("node-{} declined: {reason}; requeued", node.index));
-    }
-    respawn_dispatch(shared, vec![job]);
 }
 
-/// Declares a node dead (idempotently), retires it from placement, frees
-/// its admission slots and
-/// requeues its in-flight jobs onto the survivors — or fails them with
-/// [`RunError::Transport`] when the coordinator is shutting down or no
-/// node survives.
-fn retire(shared: &Arc<Shared>, node: &Arc<NodeLink>, why: &str) {
-    if node
+/// Offers a pending job to the [`SlotTable`]: ships it when a node has a
+/// free slot, leaves it in the backlog when every open node is full, and
+/// fails it when no node is open.
+fn offer(shared: &Shared, job: u64, weight: f64) {
+    match shared.slots.offer(weight, job) {
+        Offer::Start(placed) => ship(shared, placed),
+        Offer::Queued => {}
+        Offer::Closed(job) => fail(shared, job, NO_NODE_ALIVE),
+    }
+}
+
+/// Ships a placed job to its node, and whatever each release on the way
+/// hands back. A job resolved meanwhile, or cancelled while it waited,
+/// is never shipped (a cancelled one resolves as
+/// `Cancelled { completed_iterations: 0 }`) and gives its slot straight
+/// back. The payload is encoded here, not at submission, so the backlog
+/// holds job ids rather than encoded images.
+fn ship(shared: &Shared, placed: Placed<u64>) {
+    let mut next = Some(placed);
+    while let Some(Placed { node, weight, job }) = next.take() {
+        let mut pending = shared.pending.lock();
+        let unshipped = match pending.get_mut(&job) {
+            Some(p) if !p.job.cancel.is_cancelled() => {
+                // Every (re-)shipment charges the whole wait since
+                // submission against the spec's original deadline.
+                p.job.work.remaining_deadline = p.deadline;
+                stamp_wait(&mut p.job.work, p.job.submitted_at);
+                let payload = Assign::payload(job, &p.job.work);
+                drop(pending);
+                send(shared, &shared.nodes[node.index()], job, weight, &payload);
+                continue;
+            }
+            _ => pending.remove(&job),
+        };
+        drop(pending);
+        if let Some(p) = unshipped {
+            p.job.completion.resolve(Err(RunError::Cancelled {
+                completed_iterations: 0,
+            }));
+        }
+        next = shared.slots.release(node, weight);
+    }
+}
+
+/// Sends one encoded `Assign` to `link`. A failed send retires the node,
+/// which offers its in-flight jobs again, this one included.
+fn send(shared: &Shared, link: &NodeLink, job: u64, weight: f64, payload: &[u8]) {
+    link.in_flight.lock().insert(job, weight);
+    if link.writer.lock().send(FrameKind::Assign, payload).is_err() {
+        retire(shared, link, "send failed");
+        // A retirement that had already drained the node missed this job.
+        requeue(shared, link, job, "send failed");
+    }
+}
+
+/// Claims `job`'s slot on `link`, gives it back (starting whatever takes
+/// it) and offers the job again, noting why in its report. A job another
+/// path has already claimed is left alone.
+fn requeue(shared: &Shared, link: &NodeLink, job: u64, why: &str) {
+    let Some(weight) = link.in_flight.lock().remove(&job) else {
+        return;
+    };
+    if let Some(p) = shared.pending.lock().get_mut(&job) {
+        let note = format!("node-{} ({}) {why}; requeued", link.index, link.addr);
+        p.notes.push(note);
+    }
+    if let Some(next) = shared.slots.release(NodeId(link.index), weight) {
+        ship(shared, next);
+    }
+    offer(shared, job, weight);
+}
+
+/// Declares a node dead (idempotently) and retires it from placement. Its
+/// in-flight jobs are offered to the survivors again, or failed with
+/// [`RunError::Transport`] when no node survives; so is the backlog once
+/// the last node is gone. While the coordinator shuts down, its `Drop`
+/// fails whatever is left instead.
+fn retire(shared: &Shared, link: &NodeLink, why: &str) {
+    if link
         .alive
         .compare_exchange(true, false, Ordering::AcqRel, Ordering::Acquire)
         .is_err()
     {
         return;
     }
-    let _ = node.control.shutdown();
-    // Retired before its slots drop, so a waiter they wake never picks it.
-    shared.slots.retire(node.index);
-    let orphans: Vec<u64> = node.in_flight.lock().drain().map(|(job, _)| job).collect();
-    if orphans.is_empty() {
+    let _ = link.control.shutdown();
+    // Retired before its slots are given back, so none of them starts a
+    // job on it.
+    for job in shared.slots.retire(NodeId(link.index)) {
+        fail(shared, job, NO_NODE_ALIVE);
+    }
+    if shared.shutting_down.load(Ordering::Acquire) {
         return;
     }
-    let shutting_down = shared.shutting_down.load(Ordering::Acquire);
-    let mut requeued = Vec::new();
-    {
-        let mut pending = shared.pending.lock();
-        for job in orphans {
-            if shutting_down {
-                if let Some(p) = pending.remove(&job) {
-                    p.job.completion.resolve(Err(RunError::Transport(format!(
-                        "node-{} ({}) {why} during shutdown",
-                        node.index, node.addr
-                    ))));
-                }
-            } else if let Some(p) = pending.get_mut(&job) {
-                p.notes.push(format!(
-                    "node-{} ({}) {why} mid-run; requeued",
-                    node.index, node.addr
-                ));
-                requeued.push(job);
-            }
-        }
-    }
-    respawn_dispatch(shared, requeued);
-}
-
-/// Re-dispatches requeued jobs off the reader/monitor thread (dispatch
-/// can block on admission, and the reader must keep consuming frames).
-fn respawn_dispatch(shared: &Arc<Shared>, jobs: Vec<u64>) {
-    if jobs.is_empty() {
-        return;
-    }
-    let bg_shared = Arc::clone(shared);
-    let bg_jobs = jobs.clone();
-    let spawned = std::thread::Builder::new()
-        .name("pmcmc-dist-requeue".to_owned())
-        .spawn(move || {
-            for job in bg_jobs {
-                if let Err(e) = dispatch(&bg_shared, job) {
-                    if let Some(p) = bg_shared.pending.lock().remove(&job) {
-                        p.job.completion.resolve(Err(e));
-                    }
-                }
-            }
-        });
-    // Spawn failure: fail the requeued jobs rather than leak their
-    // handles unresolved.
-    if spawned.is_err() {
-        for job in jobs {
-            if let Some(p) = shared.pending.lock().remove(&job) {
-                p.job.completion.resolve(Err(RunError::Transport(
-                    "could not spawn a requeue dispatcher".to_owned(),
-                )));
-            }
-        }
+    let orphans: Vec<u64> = link.in_flight.lock().keys().copied().collect();
+    for job in orphans {
+        requeue(shared, link, job, &format!("{why} mid-run"));
     }
 }
 
-/// Terminal path for a `Result` frame: frees the node's slot and
-/// resolves the handle. Duplicate results (after a requeue race) find
-/// the pending entry gone and are dropped.
-fn complete(
-    shared: &Arc<Shared>,
-    node: &Arc<NodeLink>,
-    job: u64,
-    outcome: Result<WireReport, RunError>,
-) {
-    drop(node.in_flight.lock().remove(&job));
-    let Some(p) = shared.pending.lock().remove(&job) else {
+/// Terminal path for a `Result` frame. It frees the node's slot and ships
+/// the job that takes it first, and only then builds this job's report
+/// and resolves its handle, so the next job's run overlaps the build.
+/// Duplicate results (after a requeue race) find the pending entry gone
+/// and are dropped.
+fn complete(shared: &Shared, link: &NodeLink, job: u64, outcome: Result<WireReport, RunError>) {
+    let weight = link.in_flight.lock().remove(&job);
+    if let Some(next) = weight.and_then(|w| shared.slots.release(NodeId(link.index), w)) {
+        ship(shared, next);
+    }
+    let pending = shared.pending.lock().remove(&job);
+    let Some(p) = pending else {
         return;
     };
     let result: Result<RunReport, RunError> = outcome.map(|wire| {
@@ -404,61 +428,6 @@ fn complete(
         report
     });
     p.job.completion.resolve(result);
-}
-
-/// Places and ships one pending job through the [`SlotTable`]: on the
-/// least-committed alive node with a free slot or, while every survivor
-/// is saturated, on whichever frees one first (a node's death also ends
-/// the wait).
-///
-/// # Errors
-/// [`RunError::Transport`] when no node is left alive, and
-/// [`RunError::Cancelled`] when the job's token fired before placement.
-fn dispatch(shared: &Arc<Shared>, job: u64) -> Result<(), RunError> {
-    loop {
-        let (cancelled, payload, weight) = {
-            let mut pending = shared.pending.lock();
-            let Some(p) = pending.get_mut(&job) else {
-                // Resolved concurrently (e.g. duplicate execution after a
-                // requeue race finished first): nothing to do.
-                return Ok(());
-            };
-            if p.job.cancel.is_cancelled() {
-                (true, Vec::new(), 0.0)
-            } else {
-                // Every (re-)dispatch charges the whole wait since
-                // submission against the spec's original deadline.
-                p.job.work.remaining_deadline = p.deadline;
-                stamp_wait(&mut p.job.work, p.job.submitted_at);
-                (false, Assign::payload(job, &p.job.work), p.job.weight())
-            }
-        };
-        if cancelled {
-            if let Some(p) = shared.pending.lock().remove(&job) {
-                p.job.completion.resolve(Err(RunError::Cancelled {
-                    completed_iterations: 0,
-                }));
-            }
-            return Ok(());
-        }
-
-        let slot = shared.slots.acquire(weight).ok_or_else(|| {
-            RunError::Transport("no cluster node is alive to run the job".to_owned())
-        })?;
-        let node = Arc::clone(&shared.nodes[slot.node()]);
-        node.in_flight.lock().insert(job, slot);
-        let sent = node.writer.lock().send(FrameKind::Assign, &payload);
-        match sent {
-            Ok(()) => return Ok(()),
-            Err(_) => {
-                // The node died under us; undo the claim and let the
-                // retire path (driven by the reader) clean the rest up,
-                // then try the next survivor.
-                drop(node.in_flight.lock().remove(&job));
-                retire(shared, &node, "send failed");
-            }
-        }
-    }
 }
 
 impl ExecutionBackend for DistributedBackend {
@@ -479,22 +448,15 @@ impl ExecutionBackend for DistributedBackend {
     }
 
     fn launch(&self, job: PreparedJob) -> Result<(), RunError> {
-        let id = job.id.0;
+        let (id, weight) = (job.id.0, job.weight());
         let pending = Pending {
             deadline: job.work.remaining_deadline,
             job,
             notes: Vec::new(),
         };
         self.shared.pending.lock().insert(id, pending);
-        match dispatch(&self.shared, id) {
-            Ok(()) => Ok(()),
-            Err(e) => {
-                // Not resolved: surface the failure to the submitter via
-                // the engine (the handle was never returned).
-                self.shared.pending.lock().remove(&id);
-                Err(e)
-            }
-        }
+        offer(&self.shared, id, weight);
+        Ok(())
     }
 
     fn batch_order(&self, weights: &[f64]) -> Vec<usize> {
@@ -517,8 +479,8 @@ impl Drop for DistributedBackend {
         if let Some(monitor) = self.monitor.lock().take() {
             let _ = monitor.join();
         }
-        // Anything still pending (jobs the daemons never answered) must
-        // not leave a handle waiting forever.
+        // Anything still pending (jobs the daemons never answered, or the
+        // backlog) must not leave a handle waiting forever.
         let leftovers: Vec<Pending> = {
             let mut pending = self.shared.pending.lock();
             pending.drain().map(|(_, p)| p).collect()

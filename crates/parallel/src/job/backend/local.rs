@@ -2,16 +2,15 @@
 
 use crate::job::backend::{ExecutionBackend, PreparedJob};
 use crate::job::error::RunError;
-use pmcmc_runtime::{ClusterTopology, JobExecutor, NodeId, WorkerPool};
+use pmcmc_runtime::{ClusterTopology, JobExecutor, WorkerPool};
 use std::sync::Arc;
 
-/// One machine as a backend: jobs run on a [`JobExecutor`] as wide as the
-/// shared [`WorkerPool`] they fan their parallel stages onto, so at most W
-/// jobs run at once, each on a thread of its own, and the rest wait in
-/// submission order. Submission returns at once and never throttles; the
-/// backlog is unbounded, so callers bound memory by bounding how many jobs
-/// they keep in flight. For back-pressure on submission use
-/// [`ShardedBackend`](crate::job::backend::ShardedBackend).
+/// One machine as a backend: a 1-node [`JobExecutor`] as wide as the
+/// shared [`WorkerPool`] its jobs fan their parallel stages onto, so at
+/// most W jobs run at once, each on a thread of its own, and the rest wait
+/// in submission order. Submission returns at once, as on every backend;
+/// the backlog is unbounded, so callers bound memory by bounding how many
+/// jobs they keep in flight.
 pub struct LocalBackend {
     pool: Arc<WorkerPool>,
     jobs: JobExecutor,
@@ -34,7 +33,7 @@ impl LocalBackend {
     /// Creates a backend on an existing shared pool.
     #[must_use]
     pub fn with_pool(pool: Arc<WorkerPool>) -> Self {
-        let jobs = JobExecutor::new("pmcmc-job", pool.threads());
+        let jobs = JobExecutor::new("pmcmc-job", 1, pool.threads());
         Self { pool, jobs }
     }
 }
@@ -45,9 +44,9 @@ impl ExecutionBackend for LocalBackend {
     }
 
     fn topology(&self) -> ClusterTopology {
-        // One machine, pool-width threads; admission is unbounded (the
-        // backend never blocks submission).
-        ClusterTopology::new(1, self.pool.threads()).max_in_flight(usize::MAX)
+        // One machine running at most pool-width jobs at once.
+        let width = self.pool.threads();
+        ClusterTopology::new(1, width).max_in_flight(width)
     }
 
     fn primary_pool(&self) -> &Arc<WorkerPool> {
@@ -57,7 +56,7 @@ impl ExecutionBackend for LocalBackend {
     fn launch(&self, job: PreparedJob) -> Result<(), RunError> {
         let pool = Arc::clone(&self.pool);
         self.jobs
-            .launch(move || job.execute(&pool, NodeId(0)))
+            .launch(job.weight(), move |node| job.execute(&pool, node))
             .map_err(|e| RunError::InvalidSpec(format!("failed to spawn job thread: {e}")))
     }
 }

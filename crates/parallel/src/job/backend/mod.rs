@@ -1,13 +1,12 @@
 //! Pluggable execution backends: *where* a submitted job runs.
 //!
 //! The [`Engine`](crate::job::Engine) validates specs, mints ids and wires
-//! up handles; everything after that — which thread drives the job, which
-//! [`WorkerPool`] its parallel stages fan onto, whether submission
-//! throttles — is the [`ExecutionBackend`]'s decision. Three backends ship:
+//! up handles; everything after that — which node and thread run the job,
+//! which [`WorkerPool`] its parallel stages fan onto — is the
+//! [`ExecutionBackend`]'s decision. Three backends ship:
 //!
 //! * [`LocalBackend`] — one shared pool of W workers and at most W jobs
-//!   running at once, the rest waiting in submission order; submission
-//!   never blocks.
+//!   running at once, the rest waiting in submission order.
 //! * [`ShardedBackend`] — a simulated `s × t` cluster in the shape of
 //!   eq. (4): `s` nodes, each owning a private pool of `t` workers, with
 //!   batches launched in LPT order.
@@ -16,19 +15,21 @@
 //!   reached over TCP, with heartbeat failure detection and
 //!   failure-aware rescheduling.
 //!
-//! **Where a cluster job goes.** Both cluster backends admit and place
-//! through one [`SlotTable`](pmcmc_runtime::SlotTable): a node holds at
-//! most `max_in_flight` jobs, a job goes to the least-committed node with
-//! a free slot, and while every node is full the submitter blocks until a
-//! slot frees on *any* node (submission throttles), so no node idles while
-//! work waits.
+//! **Where a job goes.** Every backend places through one
+//! [`SlotTable`](pmcmc_runtime::SlotTable): a node runs at most
+//! `max_in_flight` jobs at once, a job starts on the least-committed node
+//! with a free slot, and any other waits in one FIFO backlog whose head
+//! goes to whichever node frees a slot first, so no node idles while work
+//! waits. Submission never blocks.
 //!
-//! **Which thread runs a job.** Every node runs its jobs on one
-//! [`JobExecutor`](pmcmc_runtime::JobExecutor): at most its limit at once
-//! (the local pool's width, a sharded node's admission bound, a daemon's
-//! capacity), each on a thread spawned when a slot is free, which takes
-//! the next waiting job when it finishes and exits once none has come
-//! for a millisecond.
+//! **Which thread runs a job.** In-process nodes run their jobs on a
+//! [`JobExecutor`](pmcmc_runtime::JobExecutor) over the table (the local
+//! backend's one node as wide as its pool, the sharded backend's `s`
+//! nodes, a daemon's one node as wide as its capacity): each job on a
+//! thread spawned when a slot is free, which runs the backlog's head when
+//! it finishes and exits once nothing has come for a millisecond. The
+//! distributed coordinator holds no job thread: a node's reader thread
+//! ships the next job when a result frees that node's slot.
 //!
 //! **What a backend is handed.** A [`PreparedJob`] is a
 //! [`JobBlueprint`] — strategy, image, parameters, seed, budget, deadline
@@ -174,11 +175,11 @@ impl PreparedJob {
 /// it. Implementations own their threads and pools; the engine only hands
 /// them [`PreparedJob`]s.
 ///
-/// # Worked example: a synchronous inline backend
+/// # Worked example: a thread per job
 ///
-/// A backend that runs every job on the submitting thread (useful in
-/// tests where background threads would only add noise) is a dozen
-/// lines — [`PreparedJob::execute`] does all of the heavy lifting:
+/// A backend that runs every job on a thread of its own, with no bound on
+/// how many run at once, is a dozen lines — [`PreparedJob::execute`] does
+/// all of the heavy lifting:
 ///
 /// ```
 /// use std::sync::Arc;
@@ -189,13 +190,13 @@ impl PreparedJob {
 /// use pmcmc_parallel::job::{Engine, JobSpec, RunError};
 /// use pmcmc_runtime::{ClusterTopology, NodeId, WorkerPool};
 ///
-/// struct InlineBackend {
+/// struct ThreadPerJob {
 ///     pool: Arc<WorkerPool>,
 /// }
 ///
-/// impl ExecutionBackend for InlineBackend {
+/// impl ExecutionBackend for ThreadPerJob {
 ///     fn name(&self) -> &'static str {
-///         "inline"
+///         "thread-per-job"
 ///     }
 ///
 ///     fn topology(&self) -> ClusterTopology {
@@ -207,14 +208,15 @@ impl PreparedJob {
 ///     }
 ///
 ///     fn launch(&self, job: PreparedJob) -> Result<(), RunError> {
-///         // Run right here; the handle the engine already returned will
-///         // find its result waiting.
-///         job.execute(&self.pool, NodeId(0));
+///         // Return at once: the thread resolves the handle the engine
+///         // has already returned.
+///         let pool = Arc::clone(&self.pool);
+///         std::thread::spawn(move || job.execute(&pool, NodeId(0)));
 ///         Ok(())
 ///     }
 /// }
 ///
-/// let engine = Engine::with_backend(InlineBackend {
+/// let engine = Engine::with_backend(ThreadPerJob {
 ///     pool: WorkerPool::shared(2),
 /// });
 /// let spec = JobSpec::new(
@@ -241,11 +243,11 @@ pub trait ExecutionBackend: Send + Sync {
     /// backends, node 0's pool.
     fn primary_pool(&self) -> &Arc<WorkerPool>;
 
-    /// Accepts one job for execution. The call may block for admission
-    /// control (the cluster backends back-pressure a saturated cluster), but
-    /// must eventually either run the job — upholding the one-result
-    /// contract via [`PreparedJob::execute`] — or return an error, in
-    /// which case the engine reports the failure to the submitter.
+    /// Accepts one job for execution. The call must not block: a job that
+    /// cannot start at once waits in the backend's backlog. The backend
+    /// must eventually resolve the job — upholding the one-result contract
+    /// via [`PreparedJob::execute`] — or return an error, in which case the
+    /// engine reports the failure to the submitter.
     ///
     /// # Errors
     /// Backend-specific launch failures (e.g. thread spawn exhaustion),

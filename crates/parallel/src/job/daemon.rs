@@ -65,7 +65,7 @@ impl NodeDaemon {
             listener: TcpListener::bind(addr)?,
             pool: WorkerPool::try_shared(workers.max(1))?,
             capacity: 2,
-            runners: JobExecutor::new(RUNNER_NAME, 2),
+            runners: JobExecutor::new(RUNNER_NAME, 1, 2),
             heartbeat_every: Duration::from_millis(200),
         })
     }
@@ -73,11 +73,11 @@ impl NodeDaemon {
     /// Sets how many jobs the daemon runs concurrently before bouncing
     /// assignments back with `Requeue` (default 2, matching
     /// [`ClusterTopology`](pmcmc_runtime::ClusterTopology)'s default
-    /// per-node admission bound).
+    /// jobs a node runs at once).
     #[must_use]
     pub fn capacity(mut self, capacity: u32) -> Self {
         self.capacity = capacity.max(1);
-        self.runners = JobExecutor::new(RUNNER_NAME, self.capacity as usize);
+        self.runners = JobExecutor::new(RUNNER_NAME, 1, self.capacity as usize);
         self
     }
 
@@ -195,7 +195,7 @@ impl NodeDaemon {
                                 let pool = Arc::clone(&self.pool);
                                 let job_writer = Arc::clone(&writer);
                                 let job_in_flight = Arc::clone(&in_flight);
-                                let launched = self.runners.launch(move || {
+                                let launched = self.runners.launch(1.0, move |_| {
                                     // Same runner as every in-process node;
                                     // remote runs have no cancel token and
                                     // stream no events.

@@ -18,10 +18,11 @@ use std::time::Instant;
 /// then handed to a pluggable [`ExecutionBackend`] that decides where
 /// they run. The default [`LocalBackend`] runs at most W jobs at once
 /// (the rest wait in submission order), all fanning their parallel stages
-/// onto one shared [`WorkerPool`] of W workers; submission never blocks. A
-/// [`ShardedBackend`] instead simulates the eq. (4) `s × t` cluster:
-/// per-node pools, bounded admission (submission *does* throttle there),
-/// LPT placement.
+/// onto one shared [`WorkerPool`] of W workers. A [`ShardedBackend`]
+/// instead simulates the eq. (4) `s × t` cluster: per-node pools, at most
+/// `max_in_flight` jobs running per node, LPT placement. Submission never
+/// blocks on any backend: a job that finds no free slot waits in the
+/// backend's backlog.
 pub struct Engine {
     backend: Arc<dyn ExecutionBackend>,
     next_id: AtomicU64,
@@ -86,14 +87,11 @@ impl Engine {
         self.backend.primary_pool()
     }
 
-    /// Validates and submits one job; returns with a handle as soon as
-    /// the backend accepts the job. The local backend accepts instantly.
-    /// The cluster backends *block for admission* when every node is
-    /// saturated — bounded in-flight is their contract — and that block
-    /// lasts until a slot frees on any node (an in-flight job finishes or
-    /// is cancelled from another thread). The submitter has no handle yet
-    /// during the wait, so a throttled submission cannot be timed out or
-    /// cancelled from the submitting thread itself.
+    /// Validates and submits one job and returns its handle at once, on
+    /// every backend: a job that finds every node busy waits in the
+    /// backend's backlog, where it can be cancelled through the handle.
+    /// Failures after submission (a cluster that has lost every node, for
+    /// one) resolve the handle.
     ///
     /// # Errors
     /// [`RunError::InvalidSpec`] when the spec fails validation or the

@@ -17,8 +17,8 @@
 //! *Where* jobs run is pluggable (the [`backend`] module): the default
 //! [`backend::LocalBackend`] drives everything on one machine's shared
 //! pool, [`backend::ShardedBackend`] simulates the eq. (4) `s × t`
-//! cluster in-process — per-node worker pools, bounded admission queues,
-//! LPT placement — and [`backend::DistributedBackend`] makes the cluster
+//! cluster in-process — per-node worker pools, one placement queue, LPT
+//! placement — and [`backend::DistributedBackend`] makes the cluster
 //! real: it coordinates remote [`daemon::NodeDaemon`] processes over TCP
 //! sockets using the versioned [`wire`] format, with heartbeat-based
 //! failure detection and rescheduling, behind the same

@@ -32,7 +32,7 @@
 //! *Where* jobs run is pluggable ([`job::backend`]): the default
 //! [`job::LocalBackend`] keeps everything on one machine's shared pool,
 //! [`job::ShardedBackend`] simulates the eq. (4) `s × t` cluster —
-//! per-node worker pools, bounded admission queues, LPT placement, and
+//! per-node worker pools, one placement queue, LPT placement, and
 //! per-node [`engine::NodeTiming`]s in every report — and
 //! [`job::DistributedBackend`] coordinates *real* nodes: one
 //! [`job::NodeDaemon`] process per machine, reached over TCP with the

@@ -97,8 +97,8 @@ fn killing_a_daemon_mid_batch_loses_no_jobs() {
     let engine = Engine::with_backend(backend);
     assert_eq!(engine.backend().name(), "distributed");
 
-    // Four jobs exactly fill 2 nodes x 2 slots, so submission does not
-    // block and every node holds work when the victim dies. The budget
+    // Four jobs exactly fill 2 nodes x 2 slots, so none waits in the
+    // backlog and every node holds work when the victim dies. The budget
     // keeps each job running for most of a second (≈ 0.3 µs an iteration
     // on this scene since the span-table kernels) — several times the
     // kill delay — so the victim is guaranteed to die mid-run.
@@ -197,24 +197,34 @@ fn dead_cluster_fails_jobs_with_transport_errors() {
     .expect("coordinator connects");
     let engine = Engine::with_backend(backend);
 
+    // Two long jobs take both slots, and two more wait in the backlog when
+    // the only daemon dies: every handle must fail with a transport error.
     let (img, params) = workload(96, 4, 3);
-    let handle = engine
-        .submit(
-            JobSpec::new(StrategySpec::Sequential, img, params)
-                .seed(1)
-                .iterations(500_000_000)
-                .progress_stride(256),
-        )
-        .expect("job admitted");
+    let handles: Vec<_> = (0..4)
+        .map(|seed| {
+            engine
+                .submit(
+                    JobSpec::new(StrategySpec::Sequential, img.clone(), params.clone())
+                        .seed(seed)
+                        .iterations(500_000_000)
+                        .progress_stride(256),
+                )
+                .expect("job submitted")
+        })
+        .collect();
     std::thread::sleep(Duration::from_millis(200));
     only.kill();
-    match handle.wait() {
-        Err(pmcmc_parallel::job::RunError::Transport(msg)) => {
-            assert!(
-                msg.contains("node-0") || msg.contains("alive"),
-                "transport error should name the outage: {msg}"
-            );
+    for (i, handle) in handles.into_iter().enumerate() {
+        match handle.wait() {
+            Err(pmcmc_parallel::job::RunError::Transport(msg)) => {
+                assert!(
+                    msg.contains("node-0") || msg.contains("alive"),
+                    "job {i}: transport error should name the outage: {msg}"
+                );
+            }
+            other => {
+                panic!("job {i}: expected a transport failure with no survivors, got {other:?}")
+            }
         }
-        other => panic!("expected a transport failure with no survivors, got {other:?}"),
     }
 }

@@ -1,16 +1,17 @@
-//! Cluster topology and admission for multi-node execution.
+//! Cluster topology and job placement for multi-node execution.
 //!
 //! Eq. (4) of the paper models a cluster of `s` machines with `t` threads
 //! each. The sharded execution backend (in `pmcmc-parallel`) simulates
 //! that cluster in-process and the distributed backend drives real node
 //! daemons. The *shape* of such a cluster — [`ClusterTopology`] — and the
-//! one admission and placement rule both backends share — [`SlotTable`]:
-//! a bounded number of jobs in flight per node, each job placed on the
-//! least-committed node with a free slot — live here so any backend (or
-//! test) can reuse them without depending on the job layer.
+//! one placement queue every backend shares — [`SlotTable`]: a bounded
+//! number of jobs running per node, each job started on the least-committed
+//! node with a free slot or queued until a slot frees — live here so any
+//! backend (or test) can reuse them without depending on the job layer.
 
+use std::collections::VecDeque;
 use std::fmt;
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Identifier of one node ("machine") in a simulated cluster; node ids are
 /// dense indices `0..s`.
@@ -32,8 +33,7 @@ impl fmt::Display for NodeId {
 }
 
 /// The `s × t` shape of a simulated cluster (eq. (4)'s symbols): `s` nodes
-/// with `t` worker threads each, plus the per-node admission bound that
-/// back-pressures submission.
+/// with `t` worker threads each, plus how many jobs a node runs at once.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ClusterTopology {
     nodes: usize,
@@ -43,7 +43,7 @@ pub struct ClusterTopology {
 
 impl ClusterTopology {
     /// A topology of `nodes` machines (`s`) with `threads_per_node`
-    /// workers each (`t`), admitting at most 2 jobs per node by default
+    /// workers each (`t`), running at most 2 jobs per node by default
     /// (see [`ClusterTopology::max_in_flight`]).
     #[must_use]
     pub fn new(nodes: usize, threads_per_node: usize) -> Self {
@@ -54,9 +54,9 @@ impl ClusterTopology {
         }
     }
 
-    /// Sets the per-node admission bound: how many jobs one node will hold
-    /// in flight (queued on a driver or running) before further
-    /// submissions to it block.
+    /// Sets how many jobs one node runs at once. Jobs submitted while
+    /// every node runs that many wait in the cluster's backlog; submission
+    /// itself never waits.
     #[must_use]
     pub fn max_in_flight(mut self, max_in_flight: usize) -> Self {
         self.max_in_flight = max_in_flight;
@@ -75,7 +75,7 @@ impl ClusterTopology {
         self.threads_per_node
     }
 
-    /// Per-node admission bound.
+    /// How many jobs one node runs at once.
     #[must_use]
     pub fn max_in_flight_per_node(&self) -> usize {
         self.max_in_flight
@@ -93,7 +93,7 @@ impl ClusterTopology {
             return Err("cluster nodes must have at least 1 worker thread".to_owned());
         }
         if self.max_in_flight == 0 {
-            return Err("per-node admission bound must be at least 1".to_owned());
+            return Err("a node must run at least 1 job at once".to_owned());
         }
         Ok(())
     }
@@ -109,22 +109,31 @@ impl fmt::Display for ClusterTopology {
     }
 }
 
-/// Cluster-wide admission: each node's in-flight slot count and committed
-/// weight under one lock, and one condvar that a slot freed on *any* node
-/// (or a node retired) signals.
+/// The placement queue of a cluster: each node's load (jobs running,
+/// committed weight, retired flag) and one FIFO backlog, under one lock.
+/// Nothing in it blocks.
 ///
-/// Both cluster backends place jobs through it. [`SlotTable::acquire`]
-/// takes the least-committed open node with a free slot and, while every
-/// open node is full, waits for the next slot freed anywhere, so a node
-/// that finishes first gets the next job. [`SlotTable::acquire_on`] is
-/// the targeted acquire of a split job's stripes. A node's committed
-/// weight is the weight of the jobs it holds in flight: a [`Slot`] gives
-/// its weight back with its slot when it drops.
+/// [`SlotTable::offer`] starts a job on the least-committed open node with
+/// a free slot (weights compare by `f64::total_cmp`, ties go to the lower
+/// index) or, when every open node is full, appends it to the backlog.
+/// [`SlotTable::release`] gives a slot back and, when the backlog is not
+/// empty, charges its head to the freed node at once, so whoever frees a
+/// slot starts the next waiting job there. [`SlotTable::retire`] closes a
+/// node. A node's committed weight is the weight of the jobs it runs.
+///
+/// Invariant: a non-empty backlog means every open node is full. A job is
+/// queued only when no open node has a free slot, and a slot freed on an
+/// open node goes to the backlog's head before anything else can see it.
 #[derive(Debug)]
-pub struct SlotTable {
+pub struct SlotTable<T> {
     limit: usize,
-    nodes: Mutex<Vec<NodeLoad>>,
-    changed: Condvar,
+    state: Mutex<Queue<T>>,
+}
+
+#[derive(Debug)]
+struct Queue<T> {
+    nodes: Vec<NodeLoad>,
+    backlog: VecDeque<(f64, T)>,
 }
 
 #[derive(Debug, Clone, Copy, Default)]
@@ -134,116 +143,123 @@ struct NodeLoad {
     retired: bool,
 }
 
-impl SlotTable {
+/// A job started on a node. Whoever runs it gives the slot back with
+/// [`SlotTable::release`]`(node, weight)` once it is done.
+#[derive(Debug)]
+pub struct Placed<T> {
+    /// The node the job holds a slot on.
+    pub node: NodeId,
+    /// The weight charged to that node.
+    pub weight: f64,
+    /// The job itself.
+    pub job: T,
+}
+
+/// What [`SlotTable::offer`] did with a job.
+#[derive(Debug)]
+pub enum Offer<T> {
+    /// A slot was free: the caller starts the job on `node` now.
+    Start(Placed<T>),
+    /// Every open node is full: the job waits in the backlog, and the next
+    /// [`SlotTable::release`] on an open node hands it out.
+    Queued,
+    /// No node is open: the job is handed back to be failed.
+    Closed(T),
+}
+
+impl<T> SlotTable<T> {
     /// A table of `nodes` nodes with `limit` slots each.
     ///
     /// # Panics
-    /// Panics when `limit` is zero (nothing could ever be admitted).
+    /// Panics when `limit` is zero (nothing could ever start).
     #[must_use]
-    pub fn new(nodes: usize, limit: usize) -> Arc<Self> {
-        assert!(limit >= 1, "admission limit must be at least 1");
-        Arc::new(Self {
+    pub fn new(nodes: usize, limit: usize) -> Self {
+        assert!(limit >= 1, "a node must run at least 1 job at once");
+        Self {
             limit,
-            nodes: Mutex::new(vec![NodeLoad::default(); nodes]),
-            changed: Condvar::new(),
-        })
-    }
-
-    fn lock(&self) -> MutexGuard<'_, Vec<NodeLoad>> {
-        self.nodes.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    fn wait<'a>(&self, nodes: MutexGuard<'a, Vec<NodeLoad>>) -> MutexGuard<'a, Vec<NodeLoad>> {
-        self.changed
-            .wait(nodes)
-            .unwrap_or_else(PoisonError::into_inner)
-    }
-
-    fn take(self: &Arc<Self>, nodes: &mut [NodeLoad], node: usize, weight: f64) -> Slot {
-        nodes[node].in_flight += 1;
-        nodes[node].committed += weight;
-        Slot {
-            table: Arc::clone(self),
-            node,
-            weight,
+            state: Mutex::new(Queue {
+                nodes: vec![NodeLoad::default(); nodes],
+                backlog: VecDeque::new(),
+            }),
         }
     }
 
-    /// Takes a slot on the least-committed open node that has one free
-    /// (weights compare by `f64::total_cmp`, ties go to the lower index)
-    /// and charges `weight` to it. While every open node is full it waits
-    /// for the next slot freed on any node.
-    ///
-    /// Returns `None` once every node is retired.
-    pub fn acquire(self: &Arc<Self>, weight: f64) -> Option<Slot> {
-        let mut nodes = self.lock();
-        loop {
-            let free = (nodes.iter().enumerate())
-                .filter(|(_, n)| !n.retired && n.in_flight < self.limit)
-                .min_by(|(_, a), (_, b)| a.committed.total_cmp(&b.committed));
-            if let Some((node, _)) = free {
-                return Some(self.take(&mut nodes, node, weight));
+    fn lock(&self) -> MutexGuard<'_, Queue<T>> {
+        // Nothing runs under the lock, so a poisoned lock still holds a
+        // consistent state.
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Starts `job` on the least-committed open node with a free slot and
+    /// charges `weight` to it, or queues it behind the jobs already
+    /// waiting. Never blocks.
+    pub fn offer(&self, weight: f64, job: T) -> Offer<T> {
+        let mut queue = self.lock();
+        let free = (queue.nodes.iter().enumerate())
+            .filter(|(_, n)| !n.retired && n.in_flight < self.limit)
+            .min_by(|(_, a), (_, b)| a.committed.total_cmp(&b.committed))
+            .map(|(node, _)| node);
+        match free {
+            Some(node) => Offer::Start(queue.charge(node, weight, job)),
+            None if queue.nodes.iter().all(|n| n.retired) => Offer::Closed(job),
+            None => {
+                queue.backlog.push_back((weight, job));
+                Offer::Queued
             }
-            if nodes.iter().all(|n| n.retired) {
-                return None;
-            }
-            nodes = self.wait(nodes);
         }
     }
 
-    /// Takes a slot on `node` and charges `weight` to it, waiting while
-    /// the node is full. Callers that acquire on several nodes do so in
-    /// node order, so two of them cannot hold-and-wait in a cycle.
-    pub fn acquire_on(self: &Arc<Self>, node: usize, weight: f64) -> Slot {
-        let mut nodes = self.lock();
-        while nodes[node].in_flight >= self.limit {
-            nodes = self.wait(nodes);
-        }
-        self.take(&mut nodes, node, weight)
-    }
-
-    /// Places no further job on `node` and wakes every waiter, so one that
-    /// was waiting for a slot sees the change. The slots its jobs hold are
-    /// still given back when they drop.
-    pub fn retire(&self, node: usize) {
-        self.lock()[node].retired = true;
-        self.changed.notify_all();
-    }
-}
-
-/// One admitted job's hold on a node of a [`SlotTable`]: a slot and the
-/// job's weight, both given back when it drops.
-#[derive(Debug)]
-pub struct Slot {
-    table: Arc<SlotTable>,
-    node: usize,
-    weight: f64,
-}
-
-impl Slot {
-    /// The node the slot is on.
-    #[must_use]
-    pub fn node(&self) -> usize {
-        self.node
-    }
-}
-
-impl Drop for Slot {
-    fn drop(&mut self) {
-        let mut nodes = self.table.lock();
-        let load = &mut nodes[self.node];
+    /// Gives back the slot a job of `weight` held on `node`. When `node` is
+    /// open and the backlog is not empty, its head takes the slot at once
+    /// and is returned for the caller to start on `node`.
+    pub fn release(&self, node: NodeId, weight: f64) -> Option<Placed<T>> {
+        let mut queue = self.lock();
+        let load = &mut queue.nodes[node.0];
         load.in_flight -= 1;
-        load.committed = (load.committed - self.weight).max(0.0);
-        drop(nodes);
-        self.table.changed.notify_all();
+        load.committed = (load.committed - weight).max(0.0);
+        if load.retired {
+            return None;
+        }
+        let (weight, job) = queue.backlog.pop_front()?;
+        Some(queue.charge(node.0, weight, job))
+    }
+
+    /// Starts nothing more on `node`; the slots its jobs hold are still
+    /// given back with [`SlotTable::release`]. Once no node is open the
+    /// backlog can never start, so it is returned for its jobs to be
+    /// failed.
+    pub fn retire(&self, node: NodeId) -> Vec<T> {
+        let mut queue = self.lock();
+        queue.nodes[node.0].retired = true;
+        if queue.nodes.iter().all(|n| n.retired) {
+            queue.backlog.drain(..).map(|(_, job)| job).collect()
+        } else {
+            Vec::new()
+        }
+    }
+
+    /// Jobs waiting in the backlog.
+    #[must_use]
+    pub fn queued(&self) -> usize {
+        self.lock().backlog.len()
+    }
+}
+
+impl<T> Queue<T> {
+    fn charge(&mut self, node: usize, weight: f64, job: T) -> Placed<T> {
+        self.nodes[node].in_flight += 1;
+        self.nodes[node].committed += weight;
+        Placed {
+            node: NodeId(node),
+            weight,
+            job,
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::time::Duration;
 
     #[test]
     fn topology_accessors_and_validation() {
@@ -264,93 +280,133 @@ mod tests {
         assert_eq!(NodeId(5).index(), 5);
     }
 
+    /// Offers one job per weight, numbered from 0, and returns the node
+    /// each started on.
+    fn start_all(table: &SlotTable<usize>, weights: &[f64]) -> Vec<usize> {
+        (weights.iter().enumerate())
+            .map(|(job, &w)| match table.offer(w, job) {
+                Offer::Start(placed) => {
+                    assert_eq!(placed.job, job);
+                    placed.node.index()
+                }
+                other => panic!("job {job} did not start: {other:?}"),
+            })
+            .collect()
+    }
+
+    /// The backlog invariant: a non-empty backlog means every open node is
+    /// full.
+    fn assert_invariant<T>(table: &SlotTable<T>) {
+        let queue = table.lock();
+        if !queue.backlog.is_empty() {
+            for (i, load) in queue.nodes.iter().enumerate() {
+                assert!(
+                    load.retired || load.in_flight == table.limit,
+                    "node {i} has a free slot while {} jobs wait",
+                    queue.backlog.len()
+                );
+            }
+        }
+    }
+
     #[test]
     fn placement_is_least_committed_first_with_ties_to_the_lower_index() {
         let table = SlotTable::new(3, 2);
-        let a = table.acquire(2.0).unwrap();
-        let b = table.acquire(1.0).unwrap();
-        let c = table.acquire(1.0).unwrap();
-        assert_eq!((a.node(), b.node(), c.node()), (0, 1, 2));
+        assert_eq!(start_all(&table, &[2.0, 1.0, 1.0]), vec![0, 1, 2]);
         // Node 1 and node 2 tie at 1.0; the lower index wins.
-        let d = table.acquire(5.0).unwrap();
-        assert_eq!(d.node(), 1);
-        assert_eq!(table.lock()[1].committed, 6.0);
+        assert_eq!(start_all(&table, &[5.0]), vec![1]);
+        assert_eq!(table.lock().nodes[1].committed, 6.0);
         // A full node is skipped however little it holds.
-        let e = table.acquire(0.0).unwrap();
-        assert_eq!(e.node(), 2);
-        assert_eq!(table.lock()[2].in_flight, 2);
-        // Dropping a slot gives its weight back with it.
-        drop(d);
-        let load = table.lock()[1];
+        assert_eq!(start_all(&table, &[0.0]), vec![2]);
+        assert_eq!(table.lock().nodes[2].in_flight, 2);
+        // Releasing a slot gives its weight back with it.
+        assert!(table.release(NodeId(1), 5.0).is_none());
+        let load = table.lock().nodes[1];
         assert_eq!((load.in_flight, load.committed), (1, 1.0));
         // A NaN weight sorts after every finite one.
-        drop((a, b, c, e));
-        let nan = table.acquire(f64::NAN).unwrap();
-        assert_eq!(nan.node(), 0);
-        assert_eq!(table.acquire(0.0).unwrap().node(), 1);
+        let table = SlotTable::new(2, 2);
+        assert_eq!(start_all(&table, &[f64::NAN, 0.0, 0.0]), vec![0, 1, 1]);
     }
 
     #[test]
-    fn a_full_cluster_admits_on_whichever_node_frees_a_slot_first() {
+    fn a_full_cluster_queues_and_a_release_hands_the_head_to_the_freeing_node() {
         let table = SlotTable::new(2, 1);
-        let light = table.acquire(1.0).unwrap();
-        let heavy = table.acquire(1.0).unwrap();
-        assert_eq!((light.node(), heavy.node()), (0, 1));
-        let placed = Arc::new(AtomicUsize::new(usize::MAX));
-        let waiter = {
-            let (table, placed) = (Arc::clone(&table), Arc::clone(&placed));
-            std::thread::spawn(move || {
-                let slot = table.acquire(1.0).unwrap();
-                placed.store(slot.node(), Ordering::SeqCst);
+        assert_eq!(start_all(&table, &[1.0, 1.0]), vec![0, 1]);
+        for job in 2..5 {
+            assert!(matches!(table.offer(job as f64, job), Offer::Queued));
+            assert_invariant(&table);
+        }
+        assert_eq!(table.queued(), 3);
+        // Node 1 frees first: the head goes there, whatever node 0 holds.
+        let next = table.release(NodeId(1), 1.0).expect("the head starts");
+        assert_eq!((next.node, next.weight, next.job), (NodeId(1), 2.0, 2));
+        assert_invariant(&table);
+        let next = table.release(NodeId(0), 1.0).expect("the head starts");
+        assert_eq!((next.node, next.job), (NodeId(0), 3));
+        assert_eq!(table.lock().nodes[0].committed, 3.0);
+        let next = table.release(NodeId(0), 3.0).expect("the head starts");
+        assert_eq!((next.node, next.job), (NodeId(0), 4));
+        // The backlog is empty: a release only frees the slot.
+        assert!(table.release(NodeId(1), 2.0).is_none());
+        assert_eq!(start_all(&table, &[0.0]), vec![1]);
+    }
+
+    #[test]
+    fn a_retired_node_starts_nothing_and_the_last_retirement_returns_the_backlog() {
+        let table = SlotTable::new(2, 1);
+        assert_eq!(start_all(&table, &[1.0, 1.0]), vec![0, 1]);
+        assert!(matches!(table.offer(1.0, 2), Offer::Queued));
+        assert!(matches!(table.offer(1.0, 3), Offer::Queued));
+        // Node 0 retires with node 1 open: the backlog stays, and a slot
+        // the retired node gives back starts nothing.
+        assert!(table.retire(NodeId(0)).is_empty());
+        assert!(table.release(NodeId(0), 1.0).is_none());
+        assert_eq!(table.queued(), 2);
+        assert_invariant(&table);
+        // Node 1 still takes the head when it frees a slot.
+        let next = table.release(NodeId(1), 1.0).expect("the head starts");
+        assert_eq!((next.node, next.job), (NodeId(1), 2));
+        // Retiring the last open node hands back what waits.
+        assert_eq!(table.retire(NodeId(1)), vec![3]);
+        assert!(table.release(NodeId(1), 1.0).is_none());
+        assert!(table.lock().nodes.iter().all(|load| load.in_flight == 0));
+        assert!(matches!(table.offer(0.0, 4), Offer::Closed(4)));
+    }
+
+    #[test]
+    fn concurrent_offers_and_releases_lose_no_job() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        use std::sync::Arc;
+        // Four threads offer 200 jobs each onto 3 × 2 slots and run what
+        // they start, plus whatever each release hands back; every job must
+        // run exactly once.
+        let table = Arc::new(SlotTable::new(3, 2));
+        let ran: Arc<Vec<AtomicUsize>> = Arc::new((0..800).map(|_| AtomicUsize::new(0)).collect());
+        let threads: Vec<_> = (0..4)
+            .map(|t| {
+                let (table, ran) = (Arc::clone(&table), Arc::clone(&ran));
+                std::thread::spawn(move || {
+                    for job in (t * 200)..(t * 200 + 200) {
+                        let Offer::Start(mut placed) = table.offer(1.0, job) else {
+                            continue;
+                        };
+                        loop {
+                            ran[placed.job].fetch_add(1, Ordering::SeqCst);
+                            std::thread::yield_now();
+                            match table.release(placed.node, placed.weight) {
+                                Some(next) => placed = next,
+                                None => break,
+                            }
+                        }
+                    }
+                })
             })
-        };
-        std::thread::sleep(Duration::from_millis(30));
-        assert_eq!(
-            placed.load(Ordering::SeqCst),
-            usize::MAX,
-            "acquire did not wait on a full cluster"
-        );
-        // Node 1 frees first: the waiter goes there, not to node 0.
-        drop(heavy);
-        waiter.join().expect("waiter thread");
-        assert_eq!(placed.load(Ordering::SeqCst), 1);
-        assert_eq!(light.node(), 0);
-    }
-
-    #[test]
-    fn a_targeted_acquire_waits_for_its_own_node() {
-        let table = SlotTable::new(2, 1);
-        let held = table.acquire_on(1, 1.0);
-        let other = table.acquire_on(0, 1.0);
-        let waiter = {
-            let table = Arc::clone(&table);
-            std::thread::spawn(move || table.acquire_on(1, 1.0).node())
-        };
-        // A slot freed on node 0 does not satisfy it.
-        drop(other);
-        std::thread::sleep(Duration::from_millis(30));
-        assert!(!waiter.is_finished(), "acquire_on took another node's slot");
-        drop(held);
-        assert_eq!(waiter.join().expect("waiter thread"), 1);
-    }
-
-    #[test]
-    fn retiring_every_node_ends_a_wait() {
-        let table = SlotTable::new(2, 1);
-        let slots = [table.acquire(1.0).unwrap(), table.acquire(1.0).unwrap()];
-        let waiter = {
-            let table = Arc::clone(&table);
-            std::thread::spawn(move || table.acquire(1.0).map(|s| s.node()))
-        };
-        // Retiring one node leaves the waiter waiting for the other.
-        table.retire(0);
-        std::thread::sleep(Duration::from_millis(30));
-        assert!(!waiter.is_finished());
-        table.retire(1);
-        assert_eq!(waiter.join().expect("waiter thread"), None);
-        // A retired node's slots are still given back.
-        drop(slots);
-        assert!(table.lock().iter().all(|load| load.in_flight == 0));
-        assert!(table.acquire(0.0).is_none());
+            .collect();
+        for thread in threads {
+            thread.join().expect("worker thread");
+        }
+        assert_eq!(table.queued(), 0);
+        assert!(ran.iter().all(|n| n.load(Ordering::SeqCst) == 1));
+        assert!(table.lock().nodes.iter().all(|load| load.in_flight == 0));
     }
 }

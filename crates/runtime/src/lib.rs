@@ -14,16 +14,16 @@
 //! * [`team::SpinTeam`] — a spinning broadcast team with sub-microsecond
 //!   round dispatch; used by speculative moves where one round lasts about
 //!   one MCMC iteration.
-//! * [`executor::JobExecutor`] — a bounded, on-demand job executor: at
-//!   most `limit` jobs run at once, each on a thread of its own, the rest
-//!   wait in a FIFO backlog, and threads exit soon after it runs dry.
-//!   Every job a node runs (local backend, sharded node, node daemon)
-//!   goes through one.
+//! * [`executor::JobExecutor`] — a bounded, on-demand job executor over
+//!   one or more nodes: at most `limit` jobs run at once per node, each on
+//!   a thread of its own, the rest wait in the [`SlotTable`]'s backlog, and
+//!   threads exit soon after it runs dry. Every job an in-process node
+//!   runs (local backend, sharded cluster, node daemon) goes through one.
 //! * [`scheduler`] — pure LPT ordering and makespan prediction, testable in
 //!   isolation.
 //! * [`cluster`] — the eq. (4) `s × t` topology shape ([`ClusterTopology`],
-//!   [`NodeId`]) and the [`SlotTable`] both cluster backends admit and
-//!   place their jobs through.
+//!   [`NodeId`]) and the [`SlotTable`] every backend places its jobs
+//!   through.
 //! * [`wire`] — the versioned, length-prefixed binary format the
 //!   distributed backend speaks over sockets (and the serialisation
 //!   substrate for checkpoint/resume).
@@ -41,7 +41,7 @@ pub mod scheduler;
 pub mod team;
 pub mod wire;
 
-pub use cluster::{ClusterTopology, NodeId, Slot, SlotTable};
+pub use cluster::{ClusterTopology, NodeId, Offer, Placed, SlotTable};
 pub use executor::{ExecutorStats, JobExecutor};
 pub use net::FrameConn;
 pub use pool::{PoolStats, WorkerPool};

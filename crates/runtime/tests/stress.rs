@@ -1,8 +1,8 @@
 //! Stress and property tests for the execution substrate.
 
 use pmcmc_runtime::{
-    list_schedule_makespan, lpt_makespan, lpt_order, makespan_lower_bound, JobExecutor, SpinTeam,
-    WorkerPool,
+    list_schedule_makespan, lpt_makespan, lpt_order, makespan_lower_bound, JobExecutor, NodeId,
+    SpinTeam, WorkerPool,
 };
 use proptest::prelude::*;
 use std::cell::RefCell;
@@ -116,12 +116,12 @@ fn spin_team_single_member_reusable_after_empty_workloads() {
 /// Launches a task that runs `first`, then holds its executor thread
 /// until the returned sender fires (or is dropped); returns once the task
 /// runs.
-fn occupy(executor: &JobExecutor, first: impl FnOnce() + Send + 'static) -> Sender<()> {
+fn occupy(executor: &JobExecutor, first: impl FnOnce(NodeId) + Send + 'static) -> Sender<()> {
     let (release_tx, release_rx) = channel::<()>();
     let (started_tx, started_rx) = channel::<()>();
     executor
-        .launch(move || {
-            first();
+        .launch(1.0, move |node| {
+            first(node);
             started_tx.send(()).expect("test alive");
             let _ = release_rx.recv();
         })
@@ -132,7 +132,7 @@ fn occupy(executor: &JobExecutor, first: impl FnOnce() + Send + 'static) -> Send
 
 #[test]
 fn executor_never_runs_more_than_its_limit() {
-    let executor = JobExecutor::new("stress-bound", 3);
+    let executor = JobExecutor::new("stress-bound", 1, 3);
     let running = Arc::new(AtomicUsize::new(0));
     let most = Arc::new(AtomicUsize::new(0));
     let done = Arc::new(AtomicUsize::new(0));
@@ -143,7 +143,7 @@ fn executor_never_runs_more_than_its_limit() {
                     let (running, most, done) =
                         (Arc::clone(&running), Arc::clone(&most), Arc::clone(&done));
                     executor
-                        .launch(move || {
+                        .launch(1.0, move |_| {
                             let now = running.fetch_add(1, Ordering::SeqCst) + 1;
                             most.fetch_max(now, Ordering::SeqCst);
                             std::thread::yield_now();
@@ -168,13 +168,13 @@ fn executor_never_runs_more_than_its_limit() {
 
 #[test]
 fn executor_backlog_starts_in_launch_order() {
-    let executor = JobExecutor::new("stress-fifo", 1);
-    let release = occupy(&executor, || ());
+    let executor = JobExecutor::new("stress-fifo", 1, 1);
+    let release = occupy(&executor, |_| ());
     let order = Arc::new(Mutex::new(Vec::new()));
     for i in 0..100 {
         let order = Arc::clone(&order);
         executor
-            .launch(move || order.lock().expect("order").push(i))
+            .launch(1.0, move |_| order.lock().expect("order").push(i))
             .expect("launch never fails once the slot is taken");
     }
     assert_eq!(executor.stats().queued, 100);
@@ -186,6 +186,40 @@ fn executor_backlog_starts_in_launch_order() {
         1,
         "one thread ran the whole backlog"
     );
+}
+
+#[test]
+fn a_freed_node_runs_the_backlog_while_the_other_stays_busy() {
+    let executor = JobExecutor::new("stress-nodes", 2, 1);
+    let ran = Arc::new(Mutex::new(Vec::new()));
+    let record = |i: usize| {
+        let ran = Arc::clone(&ran);
+        move |node: NodeId| ran.lock().expect("ran").push((i, node.index()))
+    };
+    // Tasks 0 and 1 take one node each; 2..6 wait in the backlog.
+    let hold0 = occupy(&executor, record(0));
+    let hold1 = occupy(&executor, record(1));
+    for i in 2..6 {
+        executor.launch(1.0, record(i)).expect("queued");
+    }
+    assert_eq!(executor.stats().queued, 4);
+    // Node 1 frees its slot: its thread runs the whole backlog there, in
+    // launch order, while node 0 stays held.
+    drop(hold1);
+    let waited = std::time::Instant::now();
+    while ran.lock().expect("ran").len() < 6 {
+        assert!(
+            waited.elapsed() < Duration::from_secs(10),
+            "the backlog did not run on the freed node"
+        );
+        std::thread::yield_now();
+    }
+    drop(hold0);
+    executor.wait_idle();
+    let ran = ran.lock().expect("ran").clone();
+    assert_eq!(ran, vec![(0, 0), (1, 1), (2, 1), (3, 1), (4, 1), (5, 1)]);
+    let stats = executor.stats();
+    assert_eq!((stats.peak_threads, stats.queued), (2, 0), "{stats:?}");
 }
 
 /// Reports its thread's exit: thread-local destructors run as a thread
@@ -203,9 +237,9 @@ thread_local! {
 }
 
 /// A task that arms its thread's exit signal (once per thread).
-fn arm_exit_signal(exits: &Sender<ThreadId>) -> impl FnOnce() + Send + 'static {
+fn arm_exit_signal(exits: &Sender<ThreadId>) -> impl FnOnce(NodeId) + Send + 'static {
     let exits = exits.clone();
-    move || {
+    move |_| {
         EXIT_SIGNAL.with(|slot| {
             slot.borrow_mut()
                 .get_or_insert_with(|| ExitSignal(exits, std::thread::current().id()));
@@ -225,14 +259,16 @@ fn exited_threads(exits: &Receiver<ThreadId>, n: usize) -> Vec<ThreadId> {
 
 #[test]
 fn executor_threads_exit_once_the_backlog_is_empty() {
-    let executor = JobExecutor::new("stress-exit", 2);
+    let executor = JobExecutor::new("stress-exit", 1, 2);
     let (exits_tx, exits_rx) = channel();
     let releases = [
         occupy(&executor, arm_exit_signal(&exits_tx)),
         occupy(&executor, arm_exit_signal(&exits_tx)),
     ];
     for _ in 0..20 {
-        executor.launch(arm_exit_signal(&exits_tx)).expect("queued");
+        executor
+            .launch(1.0, arm_exit_signal(&exits_tx))
+            .expect("queued");
     }
     assert_eq!(executor.stats().queued, 20);
     drop(releases);
@@ -241,7 +277,9 @@ fn executor_threads_exit_once_the_backlog_is_empty() {
     assert_eq!(executor.stats().threads, 0);
 
     // Idle, the executor holds no thread: the next task gets a new one.
-    executor.launch(arm_exit_signal(&exits_tx)).expect("spawn");
+    executor
+        .launch(1.0, arm_exit_signal(&exits_tx))
+        .expect("spawn");
     let fresh = exited_threads(&exits_rx, 1)[0];
     assert!(!exited.contains(&fresh));
     executor.wait_idle();
@@ -250,13 +288,13 @@ fn executor_threads_exit_once_the_backlog_is_empty() {
 
 #[test]
 fn a_panicking_task_neither_leaks_its_slot_nor_strands_the_backlog() {
-    let executor = JobExecutor::new("stress-panic", 1);
-    let release = occupy(&executor, || ());
+    let executor = JobExecutor::new("stress-panic", 1, 1);
+    let release = occupy(&executor, |_| ());
     let ran = Arc::new(AtomicUsize::new(0));
     for i in 0..10 {
         let ran = Arc::clone(&ran);
         executor
-            .launch(move || {
+            .launch(1.0, move |_| {
                 assert!(i % 3 != 0, "task {i} panics");
                 ran.fetch_add(1, Ordering::SeqCst);
             })
@@ -274,7 +312,7 @@ fn a_panicking_task_neither_leaks_its_slot_nor_strands_the_backlog() {
     // The slot is free: a new task runs at once.
     let (done_tx, done_rx) = channel();
     executor
-        .launch(move || done_tx.send(()).expect("test alive"))
+        .launch(1.0, move |_| done_tx.send(()).expect("test alive"))
         .expect("spawn");
     done_rx
         .recv_timeout(Duration::from_secs(10))

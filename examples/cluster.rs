@@ -3,7 +3,7 @@
 //! The paper's §VI scaling argument ends at eq. (4) — a cluster of `s`
 //! machines with `t` threads each. This example drives its execution
 //! counterpart: an `Engine` on a `ShardedBackend` simulating that
-//! topology with per-node worker pools and bounded admission queues,
+//! topology with per-node worker pools and one placement queue,
 //! behind the exact same `JobSpec` → `JobHandle` surface as local runs.
 //!
 //! Run with: `cargo run --release --example cluster`
@@ -47,10 +47,10 @@ fn main() {
     // 1. Choose a backend. `Engine::new(t)` is a single machine;
     //    `Engine::sharded` simulates an s × t cluster in-process; with
     //    `--distributed`, `Engine::distributed` coordinates real node
-    //    daemons over TCP sockets. Topologies also carry the per-node
-    //    admission bound: with `max_in_flight(1)`, submitting more jobs
-    //    than nodes back-pressures the submitter instead of
-    //    oversubscribing a node.
+    //    daemons over TCP sockets. Topologies also carry how many jobs a
+    //    node runs at once: with `max_in_flight(1)`, jobs beyond one per
+    //    node wait in the cluster's backlog instead of oversubscribing a
+    //    node, and submission still returns at once.
     let topology = ClusterTopology::new(2, 2).max_in_flight(1);
     // Daemons live for the whole sweep; dropping them after main ends the
     // processes' threads with the process.
@@ -99,7 +99,7 @@ fn main() {
     while let Some((idx, result)) = batch.next_finished() {
         let report = result.expect("job completes");
         // 3. Read per-node timings: which node ran the job, how long it
-        //    waited in the admission queue, how long the node was busy.
+        //    waited in the backlog, how long the node was busy.
         let nt = &report.node_timings[0];
         println!(
             "job {idx}: {} on {} (queued {:.1}ms, busy {:.1}ms, {} circles)",

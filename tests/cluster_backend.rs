@@ -1,7 +1,8 @@
 //! Contract tests for the sharded (eq. 4) execution backend: byte-for-byte
 //! equivalence with the local backend on a 1-node cluster, full strategy
-//! coverage behind the unchanged `JobSpec`/`JobHandle` surface, admission
-//! throttling, split-job merging, and the "more nodes is no slower"
+//! coverage behind the unchanged `JobSpec`/`JobHandle` surface, submission
+//! that never waits for a slot (on the sharded and the distributed
+//! backend), split-job merging, and the "more nodes is no slower"
 //! regression against `theory::eq4_time`.
 
 use pmcmc::parallel::theory::eq4_time;
@@ -127,58 +128,126 @@ fn sharded_backend_runs_every_registered_strategy() {
     }
 }
 
+/// A 1×1 sharded cluster and a 1-node distributed cluster on a one-slot
+/// loopback daemon, each by name, the daemon kept beside its engine.
+fn one_slot_clusters() -> Vec<(&'static str, Engine, Option<InProcessDaemon>)> {
+    let sharded =
+        ShardedBackend::new(ClusterTopology::new(1, 1).max_in_flight(1)).expect("1x1 cluster");
+    let daemon = InProcessDaemon::spawn(1, 1).expect("loopback daemon");
+    let config = DistributedConfig {
+        max_in_flight: 1,
+        ..DistributedConfig::default()
+    };
+    let distributed = DistributedBackend::connect_with(&[daemon.addr()], config)
+        .expect("1-node distributed cluster");
+    vec![
+        ("sharded", Engine::with_backend(sharded), None),
+        (
+            "distributed",
+            Engine::with_backend(distributed),
+            Some(daemon),
+        ),
+    ]
+}
+
+/// How long the first job of the backlog tests holds the only slot. A
+/// coordinator cannot stop a remote run, so on both backends the job's
+/// deadline ends it.
+const HOLD: Duration = Duration::from_millis(400);
+
+fn holding_job(img: &GrayImage, params: &ModelParams) -> JobSpec {
+    JobSpec::new(StrategySpec::Sequential, img.clone(), params.clone())
+        .seed(1)
+        .iterations(500_000_000)
+        .progress_stride(256)
+        .deadline(HOLD)
+}
+
 #[test]
-fn sharded_admission_throttles_submission() {
-    use std::sync::atomic::{AtomicBool, Ordering};
-    use std::sync::Arc;
-
+fn submission_never_waits_for_a_free_slot() {
     let (img, params) = workload(96, 5, 5);
-    // One node, one worker, ONE in-flight slot: a second submission must
-    // block until the first job releases the node.
-    let engine = Arc::new(Engine::with_backend(
-        ShardedBackend::new(ClusterTopology::new(1, 1).max_in_flight(1)).expect("1x1 cluster"),
-    ));
-    let first = engine
-        .submit(
-            JobSpec::new(StrategySpec::Sequential, img.clone(), params.clone())
-                .seed(1)
-                .iterations(500_000_000)
-                .progress_stride(256),
-        )
-        .expect("first job admitted");
-    // Wait until the first job demonstrably runs.
-    let _ = first.events().recv().expect("first job emits events");
+    for (name, engine, _daemon) in one_slot_clusters() {
+        let start = Instant::now();
+        let first = engine
+            .submit(holding_job(&img, &params))
+            .expect("first job submitted");
+        // Three more jobs find the only slot held: each submit returns at
+        // once, and the jobs wait in the backlog.
+        let mut waiting = Vec::new();
+        for seed in 2..5 {
+            let before = Instant::now();
+            let handle = engine
+                .submit(
+                    JobSpec::new(StrategySpec::Sequential, img.clone(), params.clone())
+                        .seed(seed)
+                        .iterations(20_000),
+                )
+                .expect("job submitted");
+            let after = Instant::now();
+            assert!(
+                after - before < Duration::from_millis(100),
+                "{name}: submit waited {:?} for a slot",
+                after - before
+            );
+            waiting.push((before, after, handle));
+        }
+        assert!(
+            matches!(first.wait(), Err(RunError::DeadlineExceeded { .. })),
+            "{name}: the holding job should end at its deadline"
+        );
+        // (earliest start, latest start, earliest end) of each run.
+        let mut runs = Vec::new();
+        for (before, after, handle) in waiting {
+            let report = handle.wait().expect("queued job completes");
+            assert_eq!(report.iterations, 20_000);
+            let timing = &report.node_timings[0];
+            assert!(
+                timing.queued >= HOLD.saturating_sub(after - start),
+                "{name}: a job started after {:?}, while the first held the slot",
+                timing.queued
+            );
+            let started = before + timing.queued;
+            runs.push((started, after + timing.queued, started + timing.busy));
+        }
+        // One slot: no two runs overlap.
+        runs.sort_unstable_by_key(|run| run.0);
+        for pair in runs.windows(2) {
+            assert!(
+                pair[1].1 >= pair[0].2,
+                "{name}: two jobs ran at once on a one-slot node"
+            );
+        }
+    }
+}
 
-    let submitted = Arc::new(AtomicBool::new(false));
-    let (engine2, submitted2) = (Arc::clone(&engine), Arc::clone(&submitted));
-    let (img2, params2) = (img.clone(), params.clone());
-    let second = std::thread::spawn(move || {
-        let handle = engine2
+#[test]
+fn a_job_cancelled_in_the_backlog_resolves_without_running() {
+    let (img, params) = workload(96, 5, 7);
+    for (name, engine, _daemon) in one_slot_clusters() {
+        let first = engine
+            .submit(holding_job(&img, &params))
+            .expect("first job submitted");
+        let queued = engine
             .submit(
-                JobSpec::new(StrategySpec::Sequential, img2, params2)
+                JobSpec::new(StrategySpec::Sequential, img.clone(), params.clone())
                     .seed(2)
-                    .iterations(500),
+                    .iterations(50_000),
             )
-            .expect("second job admitted eventually");
-        submitted2.store(true, Ordering::SeqCst);
-        handle
-    });
-    std::thread::sleep(Duration::from_millis(200));
-    assert!(
-        !submitted.load(Ordering::SeqCst),
-        "submission did not throttle on a saturated node"
-    );
-
-    first.cancel();
-    assert!(matches!(first.wait(), Err(RunError::Cancelled { .. })));
-    let second = second.join().expect("second submitter");
-    let report = second.wait().expect("second job completes after the first");
-    assert_eq!(report.iterations, 500);
-    assert!(
-        report.node_timings[0].queued >= Duration::from_millis(100),
-        "queue wait should cover the admission stall, got {:?}",
-        report.node_timings[0].queued
-    );
+            .expect("second job submitted");
+        queued.cancel();
+        assert!(matches!(
+            first.wait(),
+            Err(RunError::DeadlineExceeded { .. })
+        ));
+        // A daemon never sees the token: a shipped job would finish.
+        assert_eq!(
+            queued.wait().unwrap_err(),
+            RunError::Cancelled {
+                completed_iterations: 0
+            },
+            "{name}: a job cancelled in the backlog must not run"
+        );
+    }
 }
 
 #[test]
@@ -244,7 +313,7 @@ fn more_nodes_is_no_slower_and_matches_eq4_ordering() {
     }
 
     // A partitionable workload: JOBS independent same-budget jobs. With
-    // one admission slot per node, an s-node cluster runs s of them at a
+    // one slot per node, an s-node cluster runs s of them at a
     // time — greedy list scheduling over jobs.
     let run_cluster = |nodes: usize| -> (Duration, Vec<usize>) {
         let engine =

@@ -241,6 +241,12 @@ fn a_large_batch_runs_at_most_pool_width_jobs_at_once() {
         most = most.max(running);
     }
     assert!(most <= 2, "{most} jobs ran at once on a 2-thread engine");
+    // The topology reports that bound: one node running pool-width jobs.
+    let topology = engine.backend().topology();
+    assert_eq!(
+        (topology.nodes(), topology.max_in_flight_per_node()),
+        (1, 2)
+    );
 }
 
 #[test]
