@@ -135,7 +135,8 @@ impl DistributedBackend {
     /// Connects with explicit tunables.
     ///
     /// # Errors
-    /// As [`DistributedBackend::connect`].
+    /// As [`DistributedBackend::connect`], and [`RunError::InvalidSpec`]
+    /// when `cfg.max_in_flight` is zero, before any daemon is dialled.
     pub fn connect_with<A: std::net::ToSocketAddrs>(
         addrs: &[A],
         cfg: DistributedConfig,
@@ -145,6 +146,9 @@ impl DistributedBackend {
                 "a distributed backend needs at least one node address".to_owned(),
             ));
         }
+        (ClusterTopology::new(addrs.len(), 1).max_in_flight(cfg.max_in_flight))
+            .validate()
+            .map_err(RunError::InvalidSpec)?;
         let mut nodes = Vec::with_capacity(addrs.len());
         for (index, addr) in addrs.iter().enumerate() {
             let addr = addr

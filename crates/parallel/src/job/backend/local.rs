@@ -5,14 +5,14 @@ use crate::job::error::RunError;
 use pmcmc_runtime::{ClusterTopology, JobExecutor, WorkerPool};
 use std::sync::Arc;
 
-/// One machine as a backend: a 1-node [`JobExecutor`] as wide as the
-/// shared [`WorkerPool`] its jobs fan their parallel stages onto, so at
-/// most W jobs run at once, each on a thread of its own, and the rest wait
-/// in submission order. Submission returns at once, as on every backend;
-/// the backlog is unbounded, so callers bound memory by bounding how many
-/// jobs they keep in flight.
+/// One machine as a backend: a 1-node [`JobExecutor`] over one shared
+/// [`WorkerPool`] of W workers. At most W jobs run at once, each on a
+/// worker, fanning its parallel stages onto the same workers; the rest
+/// wait in submission order. Submission returns at once, as on every
+/// backend; the backlog is unbounded, so callers bound memory by bounding
+/// how many jobs they keep in flight. Dropping the backend waits for every
+/// submitted job.
 pub struct LocalBackend {
-    pool: Arc<WorkerPool>,
     jobs: JobExecutor,
 }
 
@@ -33,8 +33,10 @@ impl LocalBackend {
     /// Creates a backend on an existing shared pool.
     #[must_use]
     pub fn with_pool(pool: Arc<WorkerPool>) -> Self {
-        let jobs = JobExecutor::new("pmcmc-job", 1, pool.threads());
-        Self { pool, jobs }
+        let width = pool.threads();
+        Self {
+            jobs: JobExecutor::new(vec![pool], width),
+        }
     }
 }
 
@@ -45,18 +47,16 @@ impl ExecutionBackend for LocalBackend {
 
     fn topology(&self) -> ClusterTopology {
         // One machine running at most pool-width jobs at once.
-        let width = self.pool.threads();
+        let width = self.primary_pool().threads();
         ClusterTopology::new(1, width).max_in_flight(width)
     }
 
     fn primary_pool(&self) -> &Arc<WorkerPool> {
-        &self.pool
+        &self.jobs.pools()[0]
     }
 
     fn launch(&self, job: PreparedJob) -> Result<(), RunError> {
-        let pool = Arc::clone(&self.pool);
-        self.jobs
-            .launch(job.weight(), move |node| job.execute(&pool, node))
-            .map_err(|e| RunError::InvalidSpec(format!("failed to spawn job thread: {e}")))
+        (self.jobs).launch(job.weight(), move |node, pool| job.run(pool, node));
+        Ok(())
     }
 }

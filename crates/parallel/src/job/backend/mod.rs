@@ -22,12 +22,14 @@
 //! goes to whichever node frees a slot first, so no node idles while work
 //! waits. Submission never blocks.
 //!
-//! **Which thread runs a job.** In-process nodes run their jobs on a
+//! **Which thread runs a job.** A node's [`WorkerPool`] is its only set of
+//! job threads. In-process nodes place their jobs through a
 //! [`JobExecutor`](pmcmc_runtime::JobExecutor) over the table (the local
 //! backend's one node as wide as its pool, the sharded backend's `s`
-//! nodes, a daemon's one node as wide as its capacity): each job on a
-//! thread spawned when a slot is free, which runs the backlog's head when
-//! it finishes and exits once nothing has come for a millisecond. The
+//! nodes, a daemon's one node as wide as its capacity): each job runs as a
+//! task on a worker of its node's pool, fans its parallel stages onto the
+//! same workers, and when it finishes, that worker runs the backlog's
+//! head. So a node runs at most `min(max_in_flight, t)` jobs at once. The
 //! distributed coordinator holds no job thread: a node's reader thread
 //! ships the next job when a result frees that node's slot.
 //!
@@ -57,7 +59,7 @@ use crate::job::runner::{run_blueprint, stamp_wait};
 use crate::job::spec::JobId;
 use crate::job::wire::JobBlueprint;
 use crossbeam::channel::Sender;
-use pmcmc_runtime::{ClusterTopology, NodeId, WorkerPool};
+use pmcmc_runtime::{ClusterTopology, Finish, NodeId, WorkerPool};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -161,12 +163,19 @@ impl PreparedJob {
     /// are measured from submission (the spec's contract), so time spent
     /// queued on a saturated node counts against them.
     pub fn execute(self, pool: &Arc<WorkerPool>, node: NodeId) {
+        self.run(pool, node)();
+    }
+
+    /// [`PreparedJob::execute`] up to the handle's resolution, which it
+    /// returns.
+    pub(crate) fn run(self, pool: &Arc<WorkerPool>, node: NodeId) -> Finish {
         let mut work = self.work;
         stamp_wait(&mut work, self.submitted_at);
         let sink = self.sink;
         let observer = Box::new(move |event: &Event| sink.emit(event));
         let result = run_blueprint(&work, pool, node, Some(&self.cancel), Some(observer));
-        self.completion.resolve(result);
+        let completion = self.completion;
+        Box::new(move || completion.resolve(result))
     }
 }
 
@@ -188,7 +197,7 @@ impl PreparedJob {
 /// use pmcmc_parallel::engine::StrategySpec;
 /// use pmcmc_parallel::job::backend::{ExecutionBackend, PreparedJob};
 /// use pmcmc_parallel::job::{Engine, JobSpec, RunError};
-/// use pmcmc_runtime::{ClusterTopology, NodeId, WorkerPool};
+/// use pmcmc_runtime::{ClusterTopology, Finish, NodeId, WorkerPool};
 ///
 /// struct ThreadPerJob {
 ///     pool: Arc<WorkerPool>,

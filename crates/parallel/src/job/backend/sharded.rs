@@ -4,7 +4,10 @@
 //! with `t` threads each. [`ShardedBackend`] gives that model an execution
 //! counterpart: `s` *private* [`WorkerPool`]s of `t` workers, one per node,
 //! and one [`JobExecutor`] that places jobs over the `s` nodes by the rule
-//! every backend shares (see the [`backend`](super) docs). That is the
+//! every backend shares (see the [`backend`](super) docs). A job runs on a
+//! worker of its node's pool and fans out onto the same workers, so a node
+//! holds `t` threads and runs at most `min(max_in_flight, t)` jobs at
+//! once. That is the
 //! greedy rule of
 //! [`list_schedule_makespan`](pmcmc_runtime::list_schedule_makespan), and
 //! batches launch in [`lpt_order`] so heavy jobs place first — the classic
@@ -30,10 +33,6 @@ use pmcmc_runtime::{lpt_order, ClusterTopology, JobExecutor, WorkerPool};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// The most jobs one node runs at once, whatever `max_in_flight` says: each
-/// holds a thread, and the surplus waits in the backlog instead.
-const MAX_DRIVERS_PER_NODE: usize = 32;
-
 /// How a sharded cluster maps jobs onto its nodes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ShardPlacement {
@@ -55,33 +54,31 @@ pub enum ShardPlacement {
 /// The eq. (4) cluster as an [`ExecutionBackend`]: `s` node pools × `t`
 /// workers, one executor placing jobs over them, LPT batch order. See the
 /// module docs for the execution model and [`ShardPlacement`] for the two
-/// job-mapping modes.
+/// job-mapping modes. Dropping the backend waits for every submitted job.
 pub struct ShardedBackend {
     topology: ClusterTopology,
     placement: ShardPlacement,
-    pools: Arc<[Arc<WorkerPool>]>,
     jobs: JobExecutor,
 }
 
 impl ShardedBackend {
     /// Spins up the cluster: `s` node pools of `t` workers each. A node runs
-    /// at most `max_in_flight` jobs at once (capped at 32), on threads
-    /// spawned on demand.
+    /// at most `min(max_in_flight, t)` jobs at once, each on one of its
+    /// workers.
     ///
     /// # Errors
     /// [`RunError::InvalidSpec`] for a degenerate topology (zero nodes,
     /// threads, or jobs at once).
     pub fn new(topology: ClusterTopology) -> Result<Self, RunError> {
         topology.validate().map_err(RunError::InvalidSpec)?;
+        let t = topology.threads_per_node();
         let pools = (0..topology.nodes())
-            .map(|_| WorkerPool::shared(topology.threads_per_node()))
+            .map(|_| WorkerPool::shared(t))
             .collect();
-        let drivers = topology.max_in_flight_per_node().min(MAX_DRIVERS_PER_NODE);
         Ok(Self {
             topology,
             placement: ShardPlacement::PackJobs,
-            pools,
-            jobs: JobExecutor::new("pmcmc-node-driver", topology.nodes(), drivers),
+            jobs: JobExecutor::new(pools, topology.max_in_flight_per_node().min(t)),
         })
     }
 
@@ -92,23 +89,12 @@ impl ShardedBackend {
         self
     }
 
-    /// Runs a job whole on the least-committed node with a free slot, or
-    /// queues it for the first node to free one.
-    fn launch_whole(&self, job: PreparedJob) -> Result<(), RunError> {
-        let pools = Arc::clone(&self.pools);
-        self.jobs
-            .launch(job.weight(), move |node| {
-                job.execute(&pools[node.index()], node);
-            })
-            .map_err(spawn_failed)
-    }
-
     /// Offers one stripe per node, each charged an equal share of the
     /// job's weight. On an idle cluster least-committed placement puts
     /// stripe i on node i. The stripe that finishes last merges them and
     /// resolves the job.
     fn launch_split(&self, job: PreparedJob) {
-        let s = self.pools.len();
+        let s = self.topology.nodes();
         let share = job.weight() / s as f64;
         let PreparedJob {
             work,
@@ -134,24 +120,14 @@ impl ShardedBackend {
             finished: Mutex::new(((0..s).map(|_| None).collect(), Some(completion))),
         });
         for i in 0..s {
-            let mut stripe = split.stripe(i);
-            let (pools, cancel, task_split) =
-                (Arc::clone(&self.pools), cancel.clone(), Arc::clone(&split));
-            let launched = self.jobs.launch(share, move |node| {
+            let (mut stripe, cancel, split) = (split.stripe(i), cancel.clone(), Arc::clone(&split));
+            self.jobs.launch(share, move |node, pool| {
                 stamp_wait(&mut stripe, submitted_at);
-                let pool = &pools[node.index()];
                 let outcome = run_blueprint(&stripe, pool, node, Some(&cancel), None);
-                task_split.finish(i, outcome);
+                Box::new(move || split.finish(i, outcome))
             });
-            if let Err(e) = launched {
-                split.finish(i, Err(spawn_failed(e)));
-            }
         }
     }
-}
-
-fn spawn_failed(e: std::io::Error) -> RunError {
-    RunError::InvalidSpec(format!("failed to spawn node driver: {e}"))
 }
 
 impl ExecutionBackend for ShardedBackend {
@@ -164,30 +140,23 @@ impl ExecutionBackend for ShardedBackend {
     }
 
     fn primary_pool(&self) -> &Arc<WorkerPool> {
-        &self.pools[0]
+        &self.jobs.pools()[0]
     }
 
     fn launch(&self, job: PreparedJob) -> Result<(), RunError> {
         match self.placement {
             // A 1-node split is exactly a whole-job run; skipping the
             // stripe machinery keeps it byte-identical to LocalBackend.
-            ShardPlacement::SplitJobs if self.pools.len() > 1 => {
-                self.launch_split(job);
-                Ok(())
-            }
-            _ => self.launch_whole(job),
+            ShardPlacement::SplitJobs if self.topology.nodes() > 1 => self.launch_split(job),
+            // Whole, on the least-committed node with a free slot, or
+            // queued for the first node to free one.
+            _ => (self.jobs).launch(job.weight(), move |node, pool| job.run(pool, node)),
         }
+        Ok(())
     }
 
     fn batch_order(&self, weights: &[f64]) -> Vec<usize> {
         lpt_order(weights)
-    }
-}
-
-impl Drop for ShardedBackend {
-    fn drop(&mut self) {
-        // Let in-flight and queued work drain.
-        self.jobs.wait_idle();
     }
 }
 
@@ -356,26 +325,39 @@ mod tests {
     use pmcmc_imaging::synth::{generate, SceneSpec};
 
     #[test]
-    fn a_large_max_in_flight_runs_at_most_32_jobs_a_node() {
-        let topology = ClusterTopology::new(1, 1).max_in_flight(10_000);
+    fn a_node_never_runs_more_than_min_max_in_flight_t_jobs_at_once() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        let topology = ClusterTopology::new(1, 2).max_in_flight(10_000);
         let backend = ShardedBackend::new(topology).unwrap();
         assert_eq!(backend.topology().max_in_flight_per_node(), 10_000);
-        // 40 tasks that hold their thread until the gate opens: 32 run, 8
-        // wait in the backlog.
+        // 40 jobs that hold their worker until the gate opens: 2 run, the
+        // rest wait in the backlog.
         let gate = Arc::new(std::sync::RwLock::new(()));
         let closed = gate.write().unwrap();
+        let (running, most) = (Arc::new(AtomicUsize::new(0)), Arc::new(AtomicUsize::new(0)));
         for _ in 0..40 {
-            let gate = Arc::clone(&gate);
-            backend
-                .jobs
-                .launch(1.0, move |_| drop(gate.read()))
-                .unwrap();
+            let (gate, running, most) =
+                (Arc::clone(&gate), Arc::clone(&running), Arc::clone(&most));
+            backend.jobs.launch(1.0, move |_, _| {
+                most.fetch_max(running.fetch_add(1, Ordering::SeqCst) + 1, Ordering::SeqCst);
+                drop(gate.read());
+                running.fetch_sub(1, Ordering::SeqCst);
+                Box::new(|| ())
+            });
         }
-        let stats = backend.jobs.stats();
-        assert_eq!((stats.threads, stats.queued), (32, 8), "{stats:?}");
+        let waited = Instant::now();
+        while running.load(Ordering::SeqCst) < 2 {
+            assert!(
+                waited.elapsed() < Duration::from_secs(10),
+                "2 jobs never started"
+            );
+            std::thread::yield_now();
+        }
+        std::thread::sleep(Duration::from_millis(50));
+        assert_eq!(running.load(Ordering::SeqCst), 2);
         drop(closed);
         backend.jobs.wait_idle();
-        assert_eq!(backend.jobs.stats().peak_threads, 32);
+        assert_eq!(most.load(Ordering::SeqCst), 2);
     }
 
     #[test]

@@ -4,13 +4,15 @@
 //! A [`NodeDaemon`] listens on a TCP socket, accepts one coordinator
 //! connection at a time, and speaks the [`pmcmc_runtime::wire`] protocol:
 //! it answers the coordinator's `Hello` with its worker count, runs each
-//! `Assign`ed job on a local [`WorkerPool`] of `t` workers (on a
-//! [`JobExecutor`] as wide as its capacity, so a daemon is internally
-//! concurrent up to it and holds no runner thread once idle), streams a
+//! `Assign`ed job as a task on its local [`WorkerPool`] of `t` workers,
+//! fanning the job's parallel stages onto the same workers, streams a
 //! `Result` frame per job, and beats a `Heartbeat` every few hundred
 //! milliseconds so the coordinator can tell a busy node from a dead one.
-//! Jobs arriving beyond the daemon's capacity are bounced back with
-//! `Requeue` for the coordinator to place elsewhere.
+//! The pool is the daemon's one set of job threads: it admits up to its
+//! capacity, runs at most `min(capacity, t)` jobs at once, and the rest of
+//! what it admitted waits in the pool's queue. Jobs arriving beyond the
+//! capacity are bounced back with `Requeue` for the coordinator to place
+//! elsewhere.
 //!
 //! The binary wrapper is this crate's `node_daemon` (`src/bin/`); this
 //! module keeps the logic in-library so tests and examples can run
@@ -29,17 +31,12 @@ use std::time::Duration;
 
 use parking_lot::Mutex;
 
-/// Name prefix of a daemon's job runner threads.
-const RUNNER_NAME: &str = "pmcmc-daemon-job";
-
 /// One node's worth of the distributed runtime: a listener plus the `t`
 /// local workers that eq. (4) calls one machine.
 pub struct NodeDaemon {
     listener: TcpListener,
     pool: Arc<WorkerPool>,
     capacity: u32,
-    /// Runs admitted jobs, at most `capacity` at once.
-    runners: JobExecutor,
     heartbeat_every: Duration,
 }
 
@@ -65,19 +62,18 @@ impl NodeDaemon {
             listener: TcpListener::bind(addr)?,
             pool: WorkerPool::try_shared(workers.max(1))?,
             capacity: 2,
-            runners: JobExecutor::new(RUNNER_NAME, 1, 2),
             heartbeat_every: Duration::from_millis(200),
         })
     }
 
-    /// Sets how many jobs the daemon runs concurrently before bouncing
-    /// assignments back with `Requeue` (default 2, matching
+    /// Sets how many jobs the daemon admits before bouncing assignments
+    /// back with `Requeue` (default 2, matching
     /// [`ClusterTopology`](pmcmc_runtime::ClusterTopology)'s default
-    /// jobs a node runs at once).
+    /// jobs a node runs at once). At most `min(capacity, workers)` of them
+    /// run at once, each on a worker; the rest wait in the pool's queue.
     #[must_use]
     pub fn capacity(mut self, capacity: u32) -> Self {
         self.capacity = capacity.max(1);
-        self.runners = JobExecutor::new(RUNNER_NAME, 1, self.capacity as usize);
         self
     }
 
@@ -96,12 +92,6 @@ impl NodeDaemon {
     /// Propagates socket failures.
     pub fn local_addr(&self) -> std::io::Result<SocketAddr> {
         self.listener.local_addr()
-    }
-
-    /// Worker threads per job (eq. (4)'s `t`).
-    #[must_use]
-    pub fn workers(&self) -> usize {
-        self.pool.threads()
     }
 
     /// Accepts and serves one coordinator connection to its end.
@@ -141,6 +131,8 @@ impl NodeDaemon {
         let writer = Arc::new(Mutex::new(conn.try_clone()?));
         let in_flight = Arc::new(AtomicU32::new(0));
         let stop = Arc::new(AtomicBool::new(false));
+        // Runs admitted jobs on the pool; dropping it waits for them.
+        let runners = JobExecutor::new(vec![Arc::clone(&self.pool)], self.capacity as usize);
 
         let beat = {
             let writer = Arc::clone(&writer);
@@ -173,82 +165,58 @@ impl NodeDaemon {
             let _ = writer.lock().send(FrameKind::Result, &payload);
         };
         let end = loop {
-            match conn.recv() {
-                Ok(frame) => match frame.kind {
-                    FrameKind::Assign => {
-                        match Assign::from_wire_bytes(&frame.payload) {
-                            Ok(assign) => {
-                                if in_flight.load(Ordering::Acquire) >= self.capacity {
-                                    let requeue = Requeue {
-                                        job: assign.job,
-                                        reason: format!(
-                                            "node {node} at capacity {}",
-                                            self.capacity
-                                        ),
-                                    }
-                                    .to_wire_bytes();
-                                    let _ = writer.lock().send(FrameKind::Requeue, &requeue);
-                                    continue;
-                                }
-                                in_flight.fetch_add(1, Ordering::AcqRel);
-                                let job_id = assign.job;
-                                let pool = Arc::clone(&self.pool);
-                                let job_writer = Arc::clone(&writer);
-                                let job_in_flight = Arc::clone(&in_flight);
-                                let launched = self.runners.launch(1.0, move |_| {
-                                    // Same runner as every in-process node;
-                                    // remote runs have no cancel token and
-                                    // stream no events.
-                                    let outcome = run_blueprint(
-                                        &assign.blueprint,
-                                        &pool,
-                                        NodeId(node as usize),
-                                        None,
-                                        None,
-                                    )
-                                    .map(|report| WireReport::from_report(&report));
-                                    // Free the slot before the coordinator can
-                                    // see the result: it places the next job
-                                    // on this node as soon as the result lands,
-                                    // and an `Assign` that beat the release
-                                    // would bounce. `runners` still bounds the
-                                    // jobs that run at once.
-                                    job_in_flight.fetch_sub(1, Ordering::AcqRel);
-                                    send_result(&job_writer, job_id, outcome);
-                                });
-                                if let Err(e) = launched {
-                                    in_flight.fetch_sub(1, Ordering::AcqRel);
-                                    let why =
-                                        format!("node {node} could not spawn a job runner: {e}");
-                                    send_result(&writer, job_id, Err(RunError::Transport(why)));
-                                }
-                            }
-                            Err(e) => {
-                                // The job id is the first u64 of the
-                                // payload; salvage it so the coordinator
-                                // can fail the job instead of timing out.
-                                if let Ok(job) =
-                                    pmcmc_runtime::wire::WireReader::new(&frame.payload).u64()
-                                {
-                                    let why =
-                                        format!("node {node} could not decode assignment: {e}");
-                                    send_result(&writer, job, Err(RunError::Transport(why)));
-                                }
-                            }
-                        }
-                    }
-                    FrameKind::Shutdown => break SessionEnd::Shutdown,
-                    // Hello/Heartbeat/Result/Requeue from the coordinator
-                    // carry nothing for a daemon; ignore rather than kill
-                    // the session.
-                    _ => {}
-                },
-                Err(_) => break SessionEnd::Disconnected,
+            let Ok(frame) = conn.recv() else {
+                break SessionEnd::Disconnected;
+            };
+            match frame.kind {
+                FrameKind::Assign => {}
+                FrameKind::Shutdown => break SessionEnd::Shutdown,
+                // Hello/Heartbeat/Result/Requeue from the coordinator carry
+                // nothing for a daemon; ignore rather than kill the session.
+                _ => continue,
             }
+            let assign = match Assign::from_wire_bytes(&frame.payload) {
+                Ok(assign) => assign,
+                Err(e) => {
+                    // The job id is the first u64 of the payload; salvage it
+                    // so the coordinator can fail the job instead of timing
+                    // out.
+                    if let Ok(job) = pmcmc_runtime::wire::WireReader::new(&frame.payload).u64() {
+                        let why = format!("node {node} could not decode assignment: {e}");
+                        send_result(&writer, job, Err(RunError::Transport(why)));
+                    }
+                    continue;
+                }
+            };
+            if in_flight.load(Ordering::Acquire) >= self.capacity {
+                let reason = format!("node {node} at capacity {}", self.capacity);
+                let requeue = Requeue {
+                    job: assign.job,
+                    reason,
+                };
+                let _ = writer
+                    .lock()
+                    .send(FrameKind::Requeue, &requeue.to_wire_bytes());
+                continue;
+            }
+            in_flight.fetch_add(1, Ordering::AcqRel);
+            let (writer, in_flight) = (Arc::clone(&writer), Arc::clone(&in_flight));
+            runners.launch(1.0, move |_, pool| {
+                // Same runner as every in-process node; remote runs have no
+                // cancel token and stream no events.
+                let node_id = NodeId(node as usize);
+                let outcome = run_blueprint(&assign.blueprint, pool, node_id, None, None)
+                    .map(|report| WireReport::from_report(&report));
+                // Free the slot before the coordinator can see the result:
+                // it places the next job on this node as soon as the result
+                // lands, and an `Assign` that beat the release would bounce.
+                in_flight.fetch_sub(1, Ordering::AcqRel);
+                Box::new(move || send_result(&writer, assign.job, outcome))
+            });
         };
 
         stop.store(true, Ordering::Release);
-        self.runners.wait_idle();
+        drop(runners);
         let _ = beat.join();
         Ok(end)
     }
@@ -268,10 +236,11 @@ impl NodeDaemon {
 
 /// A daemon running on a background thread of this process — what the
 /// tests, the benchmark and `examples/cluster.rs` use to stand up
-/// loopback clusters without spawning processes.
+/// loopback clusters without spawning processes. Dropping it detaches
+/// the thread, which serves until a coordinator sends `Shutdown`.
 pub struct InProcessDaemon {
     addr: SocketAddr,
-    thread: Option<std::thread::JoinHandle<Result<(), WireError>>>,
+    thread: std::thread::JoinHandle<Result<(), WireError>>,
 }
 
 impl InProcessDaemon {
@@ -292,10 +261,7 @@ impl InProcessDaemon {
             .name(format!("pmcmc-daemon-{addr}"))
             .spawn(move || daemon.serve_forever())
             .map_err(|e| RunError::Transport(format!("daemon spawn failed: {e}")))?;
-        Ok(Self {
-            addr,
-            thread: Some(thread),
-        })
+        Ok(Self { addr, thread })
     }
 
     /// The daemon's loopback address.
@@ -305,24 +271,10 @@ impl InProcessDaemon {
     }
 
     /// Waits for the daemon to exit (after a coordinator `Shutdown`).
-    pub fn join(mut self) {
-        if let Some(thread) = self.thread.take() {
-            let _ = thread.join();
-        }
+    pub fn join(self) {
+        let _ = self.thread.join();
     }
 }
-
-impl Drop for InProcessDaemon {
-    fn drop(&mut self) {
-        // Detach: serve_forever exits on coordinator Shutdown; tests that
-        // want a clean join call `join()` explicitly.
-        drop(self.thread.take());
-    }
-}
-
-// Re-exported here so daemon users see the heartbeat payload type next
-// to the daemon that emits it.
-pub use pmcmc_runtime::wire::Heartbeat as HeartbeatPayload;
 
 #[cfg(test)]
 mod tests {
@@ -334,15 +286,20 @@ mod tests {
     use std::time::Instant;
 
     #[test]
-    fn a_long_session_never_holds_more_runners_than_its_capacity() {
+    fn a_daemon_runs_its_jobs_on_its_pool_at_most_min_capacity_workers_at_once() {
         let daemon = NodeDaemon::bind("127.0.0.1:0", 1)
             .expect("daemon binds")
             .capacity(2);
         let addr = daemon.local_addr().expect("bound address");
+        // Hold the daemon's only worker: no job can run until it is free.
+        let gate = Arc::new(std::sync::RwLock::new(()));
+        let closed = gate.write().expect("gate");
+        let held = Arc::clone(&gate);
+        daemon.pool.spawn(move || drop(held.read()));
         std::thread::scope(|scope| {
             let session = scope.spawn(|| daemon.serve_one());
             let engine = Engine::distributed(&[addr]).expect("coordinator connects");
-            let specs = (0..300)
+            let specs = (0..40)
                 .map(|seed| {
                     let image = GrayImage::filled(48, 48, 0.1);
                     JobSpec::new(
@@ -351,20 +308,33 @@ mod tests {
                         ModelParams::new(48, 48, 2.0, 8.0),
                     )
                     .seed(seed)
-                    .iterations(200)
+                    .iterations(5_000)
                 })
                 .collect();
-            for result in engine.submit_batch(specs).expect("batch").wait_all() {
-                result.expect("remote job completes");
-            }
+            let batch = engine.submit_batch(specs).expect("batch");
+            std::thread::sleep(Duration::from_millis(200));
+            assert!(
+                !batch
+                    .handles()
+                    .iter()
+                    .any(crate::job::JobHandle::is_finished),
+                "a job ran off the daemon's held pool"
+            );
+            let released = Instant::now();
+            drop(closed);
+            let results = batch.wait_all();
+            let wall = released.elapsed();
+            // Capacity 2 on 1 worker: one job at a time, so their run times
+            // are disjoint and fit in the wall time since the release.
+            let busy: Duration = (results.into_iter())
+                .map(|result| result.expect("remote job completes").node_timings[0].busy)
+                .sum();
+            assert!(busy <= wall, "jobs overlapped: {busy:?} busy in {wall:?}");
             // Dropping the coordinator sends `Shutdown`.
             drop(engine);
             let end = session.join().expect("session thread");
             assert_eq!(end.expect("session"), SessionEnd::Shutdown);
         });
-        let stats = daemon.runners.stats();
-        assert!(stats.peak_threads <= 2, "{stats:?}");
-        assert_eq!((stats.threads, stats.queued), (0, 0), "{stats:?}");
     }
 
     #[test]

@@ -17,10 +17,11 @@ use std::time::Instant;
 /// The shared execution service: jobs are validated and wired up here,
 /// then handed to a pluggable [`ExecutionBackend`] that decides where
 /// they run. The default [`LocalBackend`] runs at most W jobs at once
-/// (the rest wait in submission order), all fanning their parallel stages
-/// onto one shared [`WorkerPool`] of W workers. A [`ShardedBackend`]
-/// instead simulates the eq. (4) `s × t` cluster: per-node pools, at most
-/// `max_in_flight` jobs running per node, LPT placement. Submission never
+/// (the rest wait in submission order), each on a worker of one shared
+/// [`WorkerPool`] of W workers, fanning its parallel stages onto the same
+/// workers. A [`ShardedBackend`] instead simulates the eq. (4) `s × t`
+/// cluster: per-node pools, at most `min(max_in_flight, t)` jobs running
+/// per node, LPT placement. Submission never
 /// blocks on any backend: a job that finds no free slot waits in the
 /// backend's backlog.
 pub struct Engine {

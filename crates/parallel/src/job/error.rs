@@ -23,7 +23,7 @@ pub enum RunError {
         /// Iterations completed before the deadline was observed.
         completed_iterations: u64,
     },
-    /// The job thread panicked; the payload message is preserved.
+    /// The job panicked; the payload message is preserved.
     Panicked(String),
     /// Distributed execution lost contact with the job: the node running
     /// it died (and no survivor could take it over), the connection

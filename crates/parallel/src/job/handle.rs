@@ -75,7 +75,7 @@ impl JobHandle {
     ///
     /// # Errors
     /// [`RunError::Cancelled`] / [`RunError::DeadlineExceeded`] when the
-    /// run stopped early, [`RunError::Panicked`] when the job thread
+    /// run stopped early, [`RunError::Panicked`] when the job
     /// panicked, or whatever structured error the strategy returned.
     pub fn wait(self) -> Result<RunReport, RunError> {
         match self.done.recv() {

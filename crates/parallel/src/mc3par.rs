@@ -369,26 +369,20 @@ mod tests {
         for _ in 0..=workers {
             parked_rx.recv().unwrap();
         }
-        // The run's last boundary releases the workers, so every segment
-        // before it ran on the caller's thread.
+        // The workers stay held until the run has returned, so the whole
+        // run, its queued tasks included, ran on the caller's thread.
         let (segments, segment_len) = (20, 50);
         let total = segments * segment_len;
         let run = {
-            let (pool, release) = (Arc::clone(&pool), Arc::clone(&release));
+            let pool = Arc::clone(&pool);
             move || {
                 let model = small_model();
                 let mut mc3 = Mc3::new(&model, 3, 0.4, 9);
-                let ctx = RunCtx::new().with_observer(move |event| {
-                    if *event == (Event::Progress { done: total, total }) {
-                        release.store(true, Ordering::Release);
-                    }
-                });
-                run_mc3_parallel(&mut mc3, &pool, segments, segment_len, &ctx)
+                run_mc3_parallel(&mut mc3, &pool, segments, segment_len, &RunCtx::new())
                     .map(|report| report.iters_per_chain)
             }
         };
         let finished = within_a_minute(run);
-        // Frees the workers if the run stalled, so the test can end.
         release.store(true, Ordering::Release);
         holder.join().unwrap();
         assert_eq!(finished, Some(Ok(total)), "the run stalled");

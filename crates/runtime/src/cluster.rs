@@ -56,7 +56,9 @@ impl ClusterTopology {
 
     /// Sets how many jobs one node runs at once. Jobs submitted while
     /// every node runs that many wait in the cluster's backlog; submission
-    /// itself never waits.
+    /// itself never waits. A job runs on one of its node's `t` workers, so
+    /// an in-process node runs at most `min(max_in_flight, t)` jobs at
+    /// once.
     #[must_use]
     pub fn max_in_flight(mut self, max_in_flight: usize) -> Self {
         self.max_in_flight = max_in_flight;

@@ -1,15 +1,13 @@
 //! Stress and property tests for the execution substrate.
 
 use pmcmc_runtime::{
-    list_schedule_makespan, lpt_makespan, lpt_order, makespan_lower_bound, JobExecutor, NodeId,
-    SpinTeam, WorkerPool,
+    list_schedule_makespan, lpt_makespan, lpt_order, makespan_lower_bound, Finish, JobExecutor,
+    NodeId, SpinTeam, WorkerPool,
 };
 use proptest::prelude::*;
-use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::{channel, Receiver, Sender};
+use std::sync::mpsc::{channel, Sender};
 use std::sync::{Arc, Mutex};
-use std::thread::ThreadId;
 use std::time::Duration;
 
 #[test]
@@ -113,44 +111,59 @@ fn spin_team_single_member_reusable_after_empty_workloads() {
     assert_eq!(out, vec![0]);
 }
 
-/// Launches a task that runs `first`, then holds its executor thread
-/// until the returned sender fires (or is dropped); returns once the task
-/// runs.
+/// What a test task that leaves nothing to complete returns.
+fn nothing() -> Finish {
+    Box::new(|| ())
+}
+
+/// Launches a task that runs `first`, then holds its worker until the
+/// returned sender fires (or is dropped); returns once the task runs.
 fn occupy(executor: &JobExecutor, first: impl FnOnce(NodeId) + Send + 'static) -> Sender<()> {
     let (release_tx, release_rx) = channel::<()>();
     let (started_tx, started_rx) = channel::<()>();
-    executor
-        .launch(1.0, move |node| {
-            first(node);
-            started_tx.send(()).expect("test alive");
-            let _ = release_rx.recv();
-        })
-        .expect("spawn");
+    executor.launch(1.0, move |node, _| {
+        first(node);
+        started_tx.send(()).expect("test alive");
+        let _ = release_rx.recv();
+        nothing()
+    });
     started_rx.recv().expect("occupying task started");
     release_tx
 }
 
+fn on_a_pool_worker() -> bool {
+    (std::thread::current().name()).is_some_and(|name| name.starts_with("pmcmc-worker-"))
+}
+
 #[test]
 fn executor_never_runs_more_than_its_limit() {
-    let executor = JobExecutor::new("stress-bound", 1, 3);
+    // The pool is wider than the limit, so the executor bounds the jobs.
+    let executor = JobExecutor::new(vec![WorkerPool::shared(4)], 3);
     let running = Arc::new(AtomicUsize::new(0));
     let most = Arc::new(AtomicUsize::new(0));
     let done = Arc::new(AtomicUsize::new(0));
+    let off_pool = Arc::new(AtomicUsize::new(0));
     std::thread::scope(|scope| {
         for _ in 0..4 {
             scope.spawn(|| {
                 for _ in 0..250 {
-                    let (running, most, done) =
-                        (Arc::clone(&running), Arc::clone(&most), Arc::clone(&done));
-                    executor
-                        .launch(1.0, move |_| {
-                            let now = running.fetch_add(1, Ordering::SeqCst) + 1;
-                            most.fetch_max(now, Ordering::SeqCst);
-                            std::thread::yield_now();
-                            running.fetch_sub(1, Ordering::SeqCst);
-                            done.fetch_add(1, Ordering::SeqCst);
-                        })
-                        .expect("spawn");
+                    let (running, most, done, off_pool) = (
+                        Arc::clone(&running),
+                        Arc::clone(&most),
+                        Arc::clone(&done),
+                        Arc::clone(&off_pool),
+                    );
+                    executor.launch(1.0, move |_, _| {
+                        let now = running.fetch_add(1, Ordering::SeqCst) + 1;
+                        most.fetch_max(now, Ordering::SeqCst);
+                        if !on_a_pool_worker() {
+                            off_pool.fetch_add(1, Ordering::SeqCst);
+                        }
+                        std::thread::yield_now();
+                        running.fetch_sub(1, Ordering::SeqCst);
+                        done.fetch_add(1, Ordering::SeqCst);
+                        nothing()
+                    });
                 }
             });
         }
@@ -161,36 +174,44 @@ fn executor_never_runs_more_than_its_limit() {
         most.load(Ordering::SeqCst) <= 3,
         "more tasks ran than the limit"
     );
-    let stats = executor.stats();
-    assert!(stats.peak_threads <= 3, "{stats:?}");
-    assert_eq!((stats.threads, stats.queued), (0, 0), "{stats:?}");
+    assert_eq!(
+        off_pool.load(Ordering::SeqCst),
+        0,
+        "a task ran off the pool"
+    );
 }
 
 #[test]
 fn executor_backlog_starts_in_launch_order() {
-    let executor = JobExecutor::new("stress-fifo", 1, 1);
+    let executor = JobExecutor::new(vec![WorkerPool::shared(2)], 1);
     let release = occupy(&executor, |_| ());
     let order = Arc::new(Mutex::new(Vec::new()));
     for i in 0..100 {
         let order = Arc::clone(&order);
-        executor
-            .launch(1.0, move |_| order.lock().expect("order").push(i))
-            .expect("launch never fails once the slot is taken");
+        executor.launch(1.0, move |_, _| {
+            let worker = std::thread::current().id();
+            order.lock().expect("order").push((i, worker));
+            nothing()
+        });
     }
-    assert_eq!(executor.stats().queued, 100);
+    assert!(order.lock().expect("order").is_empty());
     drop(release);
     executor.wait_idle();
-    assert_eq!(*order.lock().expect("order"), (0..100).collect::<Vec<_>>());
+    let order = order.lock().expect("order").clone();
     assert_eq!(
-        executor.stats().spawned,
-        1,
-        "one thread ran the whole backlog"
+        order.iter().map(|o| o.0).collect::<Vec<_>>(),
+        (0..100).collect::<Vec<_>>()
+    );
+    assert!(
+        order.iter().all(|o| o.1 == order[0].1),
+        "the worker that freed the slot ran the whole backlog"
     );
 }
 
 #[test]
 fn a_freed_node_runs_the_backlog_while_the_other_stays_busy() {
-    let executor = JobExecutor::new("stress-nodes", 2, 1);
+    let pools = vec![WorkerPool::shared(1), WorkerPool::shared(1)];
+    let executor = JobExecutor::new(pools, 1);
     let ran = Arc::new(Mutex::new(Vec::new()));
     let record = |i: usize| {
         let ran = Arc::clone(&ran);
@@ -200,10 +221,13 @@ fn a_freed_node_runs_the_backlog_while_the_other_stays_busy() {
     let hold0 = occupy(&executor, record(0));
     let hold1 = occupy(&executor, record(1));
     for i in 2..6 {
-        executor.launch(1.0, record(i)).expect("queued");
+        let record = record(i);
+        executor.launch(1.0, move |node, _| {
+            record(node);
+            nothing()
+        });
     }
-    assert_eq!(executor.stats().queued, 4);
-    // Node 1 frees its slot: its thread runs the whole backlog there, in
+    // Node 1 frees its slot: its worker runs the whole backlog there, in
     // launch order, while node 0 stays held.
     drop(hold1);
     let waited = std::time::Instant::now();
@@ -218,87 +242,20 @@ fn a_freed_node_runs_the_backlog_while_the_other_stays_busy() {
     executor.wait_idle();
     let ran = ran.lock().expect("ran").clone();
     assert_eq!(ran, vec![(0, 0), (1, 1), (2, 1), (3, 1), (4, 1), (5, 1)]);
-    let stats = executor.stats();
-    assert_eq!((stats.peak_threads, stats.queued), (2, 0), "{stats:?}");
-}
-
-/// Reports its thread's exit: thread-local destructors run as a thread
-/// exits.
-struct ExitSignal(Sender<ThreadId>, ThreadId);
-
-impl Drop for ExitSignal {
-    fn drop(&mut self) {
-        let _ = self.0.send(self.1);
-    }
-}
-
-thread_local! {
-    static EXIT_SIGNAL: RefCell<Option<ExitSignal>> = const { RefCell::new(None) };
-}
-
-/// A task that arms its thread's exit signal (once per thread).
-fn arm_exit_signal(exits: &Sender<ThreadId>) -> impl FnOnce(NodeId) + Send + 'static {
-    let exits = exits.clone();
-    move |_| {
-        EXIT_SIGNAL.with(|slot| {
-            slot.borrow_mut()
-                .get_or_insert_with(|| ExitSignal(exits, std::thread::current().id()));
-        });
-    }
-}
-
-fn exited_threads(exits: &Receiver<ThreadId>, n: usize) -> Vec<ThreadId> {
-    (0..n)
-        .map(|_| {
-            exits
-                .recv_timeout(Duration::from_secs(10))
-                .expect("an executor thread did not exit after the backlog ran dry")
-        })
-        .collect()
-}
-
-#[test]
-fn executor_threads_exit_once_the_backlog_is_empty() {
-    let executor = JobExecutor::new("stress-exit", 1, 2);
-    let (exits_tx, exits_rx) = channel();
-    let releases = [
-        occupy(&executor, arm_exit_signal(&exits_tx)),
-        occupy(&executor, arm_exit_signal(&exits_tx)),
-    ];
-    for _ in 0..20 {
-        executor
-            .launch(1.0, arm_exit_signal(&exits_tx))
-            .expect("queued");
-    }
-    assert_eq!(executor.stats().queued, 20);
-    drop(releases);
-    let exited = exited_threads(&exits_rx, 2);
-    assert_ne!(exited[0], exited[1]);
-    assert_eq!(executor.stats().threads, 0);
-
-    // Idle, the executor holds no thread: the next task gets a new one.
-    executor
-        .launch(1.0, arm_exit_signal(&exits_tx))
-        .expect("spawn");
-    let fresh = exited_threads(&exits_rx, 1)[0];
-    assert!(!exited.contains(&fresh));
-    executor.wait_idle();
-    assert_eq!(executor.stats().spawned, 3);
 }
 
 #[test]
 fn a_panicking_task_neither_leaks_its_slot_nor_strands_the_backlog() {
-    let executor = JobExecutor::new("stress-panic", 1, 1);
+    let executor = JobExecutor::new(vec![WorkerPool::shared(1)], 1);
     let release = occupy(&executor, |_| ());
     let ran = Arc::new(AtomicUsize::new(0));
     for i in 0..10 {
         let ran = Arc::clone(&ran);
-        executor
-            .launch(1.0, move |_| {
-                assert!(i % 3 != 0, "task {i} panics");
-                ran.fetch_add(1, Ordering::SeqCst);
-            })
-            .expect("queued");
+        executor.launch(1.0, move |_, _| {
+            assert!(i % 3 != 0, "task {i} panics");
+            ran.fetch_add(1, Ordering::SeqCst);
+            nothing()
+        });
     }
     drop(release);
     executor.wait_idle();
@@ -307,16 +264,37 @@ fn a_panicking_task_neither_leaks_its_slot_nor_strands_the_backlog() {
         6,
         "tasks behind a panic must run"
     );
-    assert_eq!(executor.stats().threads, 0, "a panic leaked a slot");
 
     // The slot is free: a new task runs at once.
     let (done_tx, done_rx) = channel();
-    executor
-        .launch(1.0, move |_| done_tx.send(()).expect("test alive"))
-        .expect("spawn");
+    executor.launch(1.0, move |_, _| {
+        Box::new(move || done_tx.send(()).expect("test alive"))
+    });
     done_rx
         .recv_timeout(Duration::from_secs(10))
         .expect("the executor still runs tasks after panics");
+}
+
+#[test]
+fn dropping_an_executor_frees_its_pools_on_the_dropping_thread() {
+    // Jobs hold the pool they run on (as `PreparedJob::execute` does), up
+    // to what completes them. The last hold must go on the thread that
+    // drops the executor, never on a worker: the pool's `Drop` joins its
+    // workers.
+    for _ in 0..50 {
+        let pool = WorkerPool::shared(2);
+        let weak = Arc::downgrade(&pool);
+        let executor = JobExecutor::new(vec![pool], 2);
+        for i in 0..4 {
+            executor.launch(1.0, move |_, pool| {
+                let held = Arc::clone(pool);
+                assert_eq!(held.map(vec![i, i], |x: i32| x * 2), vec![2 * i, 2 * i]);
+                Box::new(move || drop(held))
+            });
+        }
+        drop(executor);
+        assert_eq!(weak.strong_count(), 0, "a worker still held the pool");
+    }
 }
 
 proptest! {

@@ -130,6 +130,43 @@ fn sharded_backend_runs_every_registered_strategy() {
 
 /// A 1×1 sharded cluster and a 1-node distributed cluster on a one-slot
 /// loopback daemon, each by name, the daemon kept beside its engine.
+#[test]
+fn every_event_of_a_local_or_sharded_job_arrives_on_a_pool_worker() {
+    // A node's pool is its only set of job threads: a job runs on one of
+    // the workers and fans its stages onto the same workers.
+    let (img, params) = workload(96, 5, 21);
+    let engines = [
+        Engine::new(2).unwrap(),
+        Engine::sharded(ClusterTopology::new(2, 2).max_in_flight(4)).unwrap(),
+    ];
+    for engine in engines {
+        let threads = std::sync::Arc::new(std::sync::Mutex::new(Vec::new()));
+        let specs = (StrategySpec::all().into_iter())
+            .map(|spec| {
+                let threads = std::sync::Arc::clone(&threads);
+                JobSpec::new(spec, img.clone(), params.clone())
+                    .seed(4)
+                    .iterations(4_000)
+                    .observer(move |_| {
+                        let name = std::thread::current().name().map(str::to_owned);
+                        threads.lock().unwrap().push(name.unwrap_or_default());
+                    })
+            })
+            .collect();
+        let batch = engine.submit_batch(specs).unwrap();
+        for result in batch.wait_all() {
+            result.expect("job completes");
+        }
+        let threads = threads.lock().unwrap();
+        assert!(!threads.is_empty());
+        let off_pool: Vec<_> = (threads.iter())
+            .filter(|name| !name.starts_with("pmcmc-worker-"))
+            .collect();
+        let backend = engine.backend().name();
+        assert!(off_pool.is_empty(), "{backend}: events on {off_pool:?}");
+    }
+}
+
 fn one_slot_clusters() -> Vec<(&'static str, Engine, Option<InProcessDaemon>)> {
     let sharded =
         ShardedBackend::new(ClusterTopology::new(1, 1).max_in_flight(1)).expect("1x1 cluster");

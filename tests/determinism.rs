@@ -249,6 +249,45 @@ fn periodic_reports_are_byte_identical_across_pool_sizes() {
     }
 }
 
+#[test]
+fn jobs_that_fan_out_from_every_worker_match_the_same_jobs_run_alone() {
+    // On `Engine::new(2)` each running job holds one of the two workers
+    // and fans its stages onto the other, which runs a job too. The batch
+    // must finish (a batch never waits for a worker) with every report
+    // equal to the same job's report on an otherwise idle engine.
+    let (_, truth, img) = model();
+    let params = ModelParams::new(160, 160, truth.len() as f64, 8.0);
+    let periodic = StrategySpec::Periodic(PeriodicOptions {
+        global_phase_iters: 1024,
+        ..PeriodicOptions::default()
+    });
+    let mc3 = "mc3".parse::<StrategySpec>().expect("mc3 parses");
+    let specs = || {
+        [mc3, mc3, periodic, periodic]
+            .into_iter()
+            .enumerate()
+            .map(|(i, spec)| {
+                JobSpec::new(spec, img.clone(), params.clone())
+                    .seed(40 + i as u64)
+                    .iterations(20_000)
+            })
+    };
+    let engine = Engine::new(2).expect("worker count is positive");
+    let alone: Vec<String> = specs()
+        .map(|spec| {
+            let report = engine.submit(spec).expect("spec validates").wait();
+            report_fingerprint(&report.expect("job completes"))
+        })
+        .collect();
+    let batch = engine
+        .submit_batch(specs().collect())
+        .expect("specs validate");
+    let together: Vec<String> = (batch.wait_all().iter())
+        .map(|report| report_fingerprint(report.as_ref().expect("job completes")))
+        .collect();
+    assert_eq!(together, alone);
+}
+
 /// FNV-1a, 64 bit.
 fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> String {
     let mut hash: u64 = 0xcbf2_9ce4_8422_2325;

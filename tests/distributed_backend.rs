@@ -159,3 +159,18 @@ fn a_batch_of_short_jobs_is_never_bounced_by_a_full_daemon() {
         declined.first()
     );
 }
+
+#[test]
+fn a_zero_max_in_flight_is_rejected_as_an_invalid_spec() {
+    let daemon = InProcessDaemon::spawn(1, 1).expect("loopback daemon");
+    let config = DistributedConfig {
+        max_in_flight: 0,
+        ..DistributedConfig::default()
+    };
+    let connected = DistributedBackend::connect_with(&[daemon.addr()], config);
+    assert!(
+        matches!(connected, Err(RunError::InvalidSpec(_))),
+        "{:?}",
+        connected.err()
+    );
+}

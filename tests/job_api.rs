@@ -161,7 +161,7 @@ fn a_job_cancelled_while_queued_stops_before_its_first_stride() {
                 .progress_stride(256),
         )
         .unwrap();
-    // The long job holds the engine's only job thread…
+    // The long job holds the engine's only worker…
     assert_eq!(
         long.events().recv().expect("job emits events"),
         Event::PhaseStarted { phase: "chain" }
@@ -190,11 +190,11 @@ fn a_job_cancelled_while_queued_stops_before_its_first_stride() {
 fn a_large_batch_runs_at_most_pool_width_jobs_at_once() {
     let (img, params) = workload(48, 2, 31);
     let engine = Engine::new(2).unwrap();
-    // The first two jobs hold the engine's two job threads, without using
+    // The first two jobs hold the engine's two workers, without using
     // the cores, until submission has returned; the rest wait behind them.
     let gate = Arc::new(std::sync::RwLock::new(()));
     let closed = gate.write().unwrap();
-    // Each job's first and last event, stamped on its job thread.
+    // Each job's first and last event, stamped on its worker.
     type Span = Arc<Mutex<Option<(Instant, Instant)>>>;
     let spans: Vec<Span> = (0..1_000).map(|_| Span::default()).collect();
     let specs: Vec<JobSpec> = (0..1_000)
