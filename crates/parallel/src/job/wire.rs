@@ -661,6 +661,42 @@ mod tests {
         );
     }
 
+    /// Every phase label a shipped scheme reports is in [`KNOWN_PHASES`],
+    /// so decoding a real report never leaks a label.
+    #[test]
+    fn every_reported_phase_interns_to_the_static_table() {
+        let image = GrayImage::from_fn(64, 64, |x, y| {
+            let (dx, dy) = (f64::from(x) - 20.0, f64::from(y) - 40.0);
+            if dx * dx + dy * dy < 36.0 {
+                0.9
+            } else {
+                0.1
+            }
+        });
+        let params = ModelParams::new(64, 64, 1.0, 6.0);
+        let pool = pmcmc_runtime::WorkerPool::new(2);
+        let req = crate::engine::RunRequest::new(&image, &params, &pool, 7).iterations(500);
+        for spec in StrategySpec::all() {
+            let report = spec
+                .run(&req, &crate::job::RunCtx::default())
+                .unwrap_or_else(|e| panic!("{} failed: {e}", spec.name()));
+            assert!(
+                !report.phases.is_empty(),
+                "{} reported no phase",
+                spec.name()
+            );
+            for phase in &report.phases {
+                let back = PhaseTiming::from_wire_bytes(&phase.to_wire_bytes()).unwrap();
+                assert!(
+                    KNOWN_PHASES.iter().any(|&k| std::ptr::eq(k, back.phase)),
+                    "{} reports phase {:?}, which is not in KNOWN_PHASES",
+                    spec.name(),
+                    phase.phase
+                );
+            }
+        }
+    }
+
     #[test]
     fn blueprint_and_result_round_trip() {
         let blueprint = JobBlueprint {
@@ -697,6 +733,395 @@ mod tests {
             JobResult::from_wire_bytes(&result.to_wire_bytes()).unwrap(),
             result
         );
+    }
+
+    /// One pinned payload: a value's literal bytes, checked in both
+    /// directions by [`golden`], and the decoder the mutation fuzz replays.
+    struct Golden {
+        name: &'static str,
+        bytes: Vec<u8>,
+        decode: fn(&[u8]) -> Result<(), WireError>,
+    }
+
+    fn decodes<T: Wire>(bytes: &[u8]) -> Result<(), WireError> {
+        T::from_wire_bytes(bytes).map(drop)
+    }
+
+    /// Asserts `value` encodes to exactly `bytes` and decodes back from them.
+    fn golden<T: Wire + PartialEq + std::fmt::Debug>(
+        name: &'static str,
+        value: &T,
+        bytes: Vec<u8>,
+    ) -> Golden {
+        assert_eq!(value.to_wire_bytes(), bytes, "{name} encodes to its golden");
+        assert_eq!(
+            T::from_wire_bytes(&bytes).as_ref(),
+            Ok(value),
+            "{name} decodes from its golden"
+        );
+        Golden {
+            name,
+            bytes,
+            decode: decodes::<T>,
+        }
+    }
+
+    /// A tag byte, then a length-prefixed string.
+    fn tagged_str(tag: u8, s: &str) -> Vec<u8> {
+        let mut bytes = vec![tag, s.len() as u8, 0, 0, 0];
+        bytes.extend_from_slice(s.as_bytes());
+        bytes
+    }
+
+    /// The literal payload of every job-layer type and of every variant of
+    /// its enums. These bytes are the wire format: if one changes, bump
+    /// [`pmcmc_runtime::wire::WIRE_VERSION`].
+    #[allow(clippy::too_many_lines)]
+    fn goldens() -> Vec<Golden> {
+        let chain = SubChainOptions {
+            theta: 0.25,
+            conv_window: 11,
+            conv_tol: 0.25,
+            conv_stride: 99,
+            max_iters: 12_345,
+            settle_frac: 0.5,
+        };
+        let chain_bytes = [
+            0, 0, 0x80, 0x3E, // theta = 0.25f32
+            11, 0, 0, 0, 0, 0, 0, 0, // conv_window
+            0, 0, 0, 0, 0, 0, 0xD0, 0x3F, // conv_tol = 0.25
+            99, 0, 0, 0, 0, 0, 0, 0, // conv_stride
+            0x39, 0x30, 0, 0, 0, 0, 0, 0, // max_iters = 12 345
+            0, 0, 0, 0, 0, 0, 0xE0, 0x3F, // settle_frac = 0.5
+        ];
+        let with_chain = |head: &[u8]| [head, &chain_bytes[..]].concat();
+        let grid = PartitionScheme::Grid { xm: 40, ym: 56 };
+        let grid_bytes = [
+            0, // grid tag
+            40, 0, 0, 0, 0, 0, 0, 0, // xm
+            56, 0, 0, 0, 0, 0, 0, 0, // ym
+        ];
+        let timing = NodeTiming {
+            node: NodeId(2),
+            queued: Duration::new(0, 1_500),
+            busy: Duration::new(1, 0),
+        };
+        let timing_bytes = [
+            2, 0, 0, 0, 0, 0, 0, 0, // node
+            0, 0, 0, 0, 0, 0, 0, 0, 0xDC, 0x05, 0, 0, // queued 1 500 ns
+            1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, // busy 1 s
+        ];
+        let report = WireReport {
+            strategy: "mc3".to_owned(),
+            validity: Validity::Exact,
+            circles: vec![Circle::new(1.5, -2.25, 3.0), Circle::new(10.0, 20.0, 4.5)],
+            phases: vec![PhaseTiming {
+                phase: "segments",
+                duration: Duration::from_millis(2),
+            }],
+            total_time: Duration::new(2, 500),
+            iterations: 4_000,
+            diagnostics: RunDiagnostics {
+                partitions: 3,
+                acceptance_rate: Some(0.25),
+                log_posterior: -12.5,
+                notes: vec!["ok".to_owned()],
+                perf: Some(pmcmc_core::PerfSnapshot {
+                    proposals_evaluated: 1,
+                    pixels_visited: 2,
+                    pair_count_queries: 3,
+                    pair_cache_hits: 4,
+                    rng_refills: 5,
+                    spin_wait_ns: 6,
+                    spec_rounds: 7,
+                    span_fastpath_hits: 8,
+                    pixels_skipped: 9,
+                    simd_lanes_processed: 10,
+                    proposal_batches: 11,
+                }),
+            },
+            node_timings: vec![timing.clone()],
+        };
+        let mut report_bytes = vec![
+            3, 0, 0, 0, b'm', b'c', b'3', // strategy
+            0,    // validity: exact
+            2, 0, 0, 0, // two circles
+            0, 0, 0, 0, 0, 0, 0xF8, 0x3F, // x = 1.5
+            0, 0, 0, 0, 0, 0, 0x02, 0xC0, // y = -2.25
+            0, 0, 0, 0, 0, 0, 0x08, 0x40, // r = 3.0
+            0, 0, 0, 0, 0, 0, 0x24, 0x40, // x = 10.0
+            0, 0, 0, 0, 0, 0, 0x34, 0x40, // y = 20.0
+            0, 0, 0, 0, 0, 0, 0x12, 0x40, // r = 4.5
+            1, 0, 0, 0, // one phase
+            8, 0, 0, 0, b's', b'e', b'g', b'm', b'e', b'n', b't', b's', // label
+            0, 0, 0, 0, 0, 0, 0, 0, 0x80, 0x84, 0x1E, 0, // 2 ms
+            2, 0, 0, 0, 0, 0, 0, 0, 0xF4, 0x01, 0, 0, // total 2 s 500 ns
+            0xA0, 0x0F, 0, 0, 0, 0, 0, 0, // iterations = 4 000
+            3, 0, 0, 0, 0, 0, 0, 0, // partitions
+            1, 0, 0, 0, 0, 0, 0, 0xD0, 0x3F, // acceptance rate Some(0.25)
+            0, 0, 0, 0, 0, 0, 0x29, 0xC0, // log posterior = -12.5
+            1, 0, 0, 0, 2, 0, 0, 0, b'o', b'k', // notes
+            1,    // perf present: eleven u64 counters
+        ];
+        report_bytes.extend((1u64..=11).flat_map(u64::to_le_bytes));
+        report_bytes.extend_from_slice(&[1, 0, 0, 0]); // one node timing
+        report_bytes.extend_from_slice(&timing_bytes);
+        let blueprint = JobBlueprint {
+            strategy: StrategySpec::Speculative { lanes: 6 },
+            image: GrayImage::from_vec(1, 1, vec![0.5]),
+            params: ModelParams {
+                width: 1,
+                height: 1,
+                expected_count: 1.0,
+                radius_prior: pmcmc_core::math::TruncatedNormal::new(3.0, 0.5, 1.0, 6.0),
+                overlap_gamma: 0.75,
+                fg: 0.625,
+                bg: 0.125,
+                noise_sd: 0.0625,
+            },
+            seed: 5,
+            iterations: 6,
+            remaining_deadline: Some(Duration::new(30, 0)),
+            checkpoint_interval: None,
+            progress_stride: 9,
+            queued_so_far: Duration::new(0, 7),
+        };
+        let blueprint_bytes = vec![
+            2, 6, 0, 0, 0, 0, 0, 0, 0, // speculative, 6 lanes
+            1, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0x3F, // 1×1 image of 0.5
+            1, 0, 0, 0, 1, 0, 0, 0, // params: width, height
+            0, 0, 0, 0, 0, 0, 0xF0, 0x3F, // expected_count = 1.0
+            0, 0, 0, 0, 0, 0, 0x08, 0x40, // radius prior mu = 3.0
+            0, 0, 0, 0, 0, 0, 0xE0, 0x3F, // sigma = 0.5
+            0, 0, 0, 0, 0, 0, 0xF0, 0x3F, // lo = 1.0
+            0, 0, 0, 0, 0, 0, 0x18, 0x40, // hi = 6.0
+            0, 0, 0, 0, 0, 0, 0xE8, 0x3F, // overlap_gamma = 0.75
+            0, 0, 0, 0, 0, 0, 0xE4, 0x3F, // fg = 0.625
+            0, 0, 0, 0, 0, 0, 0xC0, 0x3F, // bg = 0.125
+            0, 0, 0, 0, 0, 0, 0xB0, 0x3F, // noise_sd = 0.0625
+            5, 0, 0, 0, 0, 0, 0, 0, // seed
+            6, 0, 0, 0, 0, 0, 0, 0, // iterations
+            1, 30, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, // deadline Some(30 s)
+            0, // no checkpoint cadence
+            9, 0, 0, 0, 0, 0, 0, 0, // progress stride
+            0, 0, 0, 0, 0, 0, 0, 0, 7, 0, 0, 0, // queued 7 ns
+        ];
+        let assign = Assign {
+            job: 17,
+            blueprint: blueprint.clone(),
+        };
+        let assign_bytes = [&[17, 0, 0, 0, 0, 0, 0, 0][..], &blueprint_bytes].concat();
+        vec![
+            golden("PartitionScheme::Grid", &grid, grid_bytes.to_vec()),
+            golden("PartitionScheme::Corner", &PartitionScheme::Corner, vec![1]),
+            golden("SubChainOptions", &chain, chain_bytes.to_vec()),
+            golden("DisputePolicy::Accept", &DisputePolicy::Accept, vec![0]),
+            golden("DisputePolicy::Discard", &DisputePolicy::Discard, vec![1]),
+            golden(
+                "NaivePrior::UniformSplit",
+                &NaivePrior::UniformSplit,
+                vec![0],
+            ),
+            golden(
+                "NaivePrior::DensityEstimate",
+                &NaivePrior::DensityEstimate,
+                vec![1],
+            ),
+            golden("Validity::Exact", &Validity::Exact, vec![0]),
+            golden("Validity::Heuristic", &Validity::Heuristic, vec![1]),
+            golden("Validity::Broken", &Validity::Broken, vec![2]),
+            golden(
+                "StrategySpec::Sequential",
+                &StrategySpec::Sequential,
+                vec![0],
+            ),
+            golden(
+                "StrategySpec::Periodic",
+                &StrategySpec::Periodic(PeriodicOptions {
+                    global_phase_iters: 64,
+                    scheme: grid,
+                    threads: 3,
+                    speculative_global_lanes: 2,
+                }),
+                [
+                    &[1, 64, 0, 0, 0, 0, 0, 0, 0][..], // tag, global_phase_iters
+                    &grid_bytes,
+                    &[3, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0], // threads, lanes
+                ]
+                .concat(),
+            ),
+            golden(
+                "StrategySpec::Speculative",
+                &StrategySpec::Speculative { lanes: 6 },
+                vec![2, 6, 0, 0, 0, 0, 0, 0, 0],
+            ),
+            golden(
+                "StrategySpec::Mc3",
+                &StrategySpec::Mc3 {
+                    chains: 4,
+                    heat: 0.4,
+                    segment_len: 250,
+                },
+                vec![
+                    3, // tag
+                    4, 0, 0, 0, 0, 0, 0, 0, // chains
+                    0x9A, 0x99, 0x99, 0x99, 0x99, 0x99, 0xD9, 0x3F, // heat = 0.4
+                    250, 0, 0, 0, 0, 0, 0, 0, // segment_len
+                ],
+            ),
+            golden(
+                "StrategySpec::Intelligent",
+                &StrategySpec::Intelligent {
+                    partitioner: IntelligentPartitioner {
+                        theta: 0.75,
+                        min_gap: 5,
+                    },
+                    chain,
+                },
+                with_chain(&[
+                    4, // tag
+                    0, 0, 0x40, 0x3F, // theta = 0.75f32
+                    5, 0, 0, 0, // min_gap
+                ]),
+            ),
+            golden(
+                "StrategySpec::Blind",
+                &StrategySpec::Blind(BlindOptions {
+                    cols: 3,
+                    rows: 1,
+                    margin_factor: 1.5,
+                    merge_eps: 7.5,
+                    dispute: DisputePolicy::Discard,
+                    chain,
+                }),
+                with_chain(&[
+                    5, // tag
+                    3, 0, 0, 0, 1, 0, 0, 0, // cols, rows
+                    0, 0, 0, 0, 0, 0, 0xF8, 0x3F, // margin_factor = 1.5
+                    0, 0, 0, 0, 0, 0, 0x1E, 0x40, // merge_eps = 7.5
+                    1,    // discard
+                ]),
+            ),
+            golden(
+                "StrategySpec::Naive",
+                &StrategySpec::Naive(NaiveOptions {
+                    cols: 2,
+                    rows: 4,
+                    prior: NaivePrior::UniformSplit,
+                    chain,
+                }),
+                with_chain(&[
+                    6, // tag
+                    2, 0, 0, 0, 4, 0, 0, 0, // cols, rows
+                    0, // uniform split
+                ]),
+            ),
+            golden(
+                "RunError::InvalidSpec",
+                &RunError::InvalidSpec("zero".to_owned()),
+                tagged_str(0, "zero"),
+            ),
+            golden(
+                "RunError::UnknownStrategy",
+                &RunError::UnknownStrategy("warp".to_owned()),
+                tagged_str(1, "warp"),
+            ),
+            golden(
+                "RunError::Cancelled",
+                &RunError::Cancelled {
+                    completed_iterations: 7,
+                },
+                vec![2, 7, 0, 0, 0, 0, 0, 0, 0],
+            ),
+            golden(
+                "RunError::DeadlineExceeded",
+                &RunError::DeadlineExceeded {
+                    completed_iterations: 9,
+                },
+                vec![3, 9, 0, 0, 0, 0, 0, 0, 0],
+            ),
+            golden(
+                "RunError::Panicked",
+                &RunError::Panicked("boom".to_owned()),
+                tagged_str(4, "boom"),
+            ),
+            golden(
+                "RunError::Transport",
+                &RunError::Transport("lost".to_owned()),
+                tagged_str(5, "lost"),
+            ),
+            golden(
+                "PhaseTiming",
+                &PhaseTiming {
+                    phase: "merge",
+                    duration: Duration::from_millis(3),
+                },
+                vec![
+                    5, 0, 0, 0, b'm', b'e', b'r', b'g', b'e', // label
+                    0, 0, 0, 0, 0, 0, 0, 0, 0xC0, 0xC6, 0x2D, 0, // 3 ms
+                ],
+            ),
+            golden("NodeTiming", &timing, timing_bytes.to_vec()),
+            golden("WireReport", &report, report_bytes.clone()),
+            golden("JobBlueprint", &blueprint, blueprint_bytes),
+            golden("Assign", &assign, assign_bytes),
+            golden(
+                "JobResult::Ok",
+                &JobResult {
+                    job: 17,
+                    outcome: Ok(report),
+                },
+                [&[17, 0, 0, 0, 0, 0, 0, 0, 0][..], &report_bytes].concat(),
+            ),
+            golden(
+                "JobResult::Err",
+                &JobResult {
+                    job: 17,
+                    outcome: Err(RunError::Cancelled {
+                        completed_iterations: 400,
+                    }),
+                },
+                vec![
+                    17, 0, 0, 0, 0, 0, 0, 0, // job
+                    1, // err
+                    2, 0x90, 0x01, 0, 0, 0, 0, 0, 0, // cancelled after 400
+                ],
+            ),
+        ]
+    }
+
+    #[test]
+    fn every_job_wire_type_matches_its_golden_bytes() {
+        let names: Vec<&str> = goldens().iter().map(|g| g.name).collect();
+        assert_eq!(names.len(), 30, "{names:?}");
+    }
+
+    /// Mutation fuzz over the goldens: every strict prefix of a payload is
+    /// an error, and no single-byte substitution makes its decoder panic
+    /// (an error or another value are both fine).
+    #[test]
+    fn mutated_goldens_decode_without_panicking() {
+        let mut tried = 0;
+        for g in goldens() {
+            for cut in 0..g.bytes.len() {
+                assert!(
+                    (g.decode)(&g.bytes[..cut]).is_err(),
+                    "{}: a {cut}-byte prefix decoded",
+                    g.name
+                );
+            }
+            for (i, &b) in g.bytes.iter().enumerate() {
+                for sub in [0x00, 0x01, 0x7F, 0x80, 0xFF, b ^ 0x01, b ^ 0x80] {
+                    let mut bytes = g.bytes.clone();
+                    bytes[i] = sub;
+                    if std::panic::catch_unwind(|| (g.decode)(&bytes)).is_err() {
+                        panic!("{}: byte {i} set to {sub:#04x} panicked", g.name);
+                    }
+                    tried += 1;
+                }
+            }
+        }
+        assert!(tried > 5_000, "{tried} mutations");
     }
 
     /// Golden bytes: the encodings below are pinned byte for byte. If
@@ -774,7 +1199,16 @@ mod tests {
         let blueprint = JobBlueprint {
             strategy: StrategySpec::Sequential,
             image: GrayImage::from_vec(2, 1, vec![0.5, -1.0]),
-            params: ModelParams::new(2, 1, 1.0, 3.0),
+            params: ModelParams {
+                width: 2,
+                height: 1,
+                expected_count: 1.0,
+                radius_prior: pmcmc_core::math::TruncatedNormal::new(3.0, 0.5, 1.0, 6.0),
+                overlap_gamma: 0.75,
+                fg: 0.625,
+                bg: 0.125,
+                noise_sd: 0.0625,
+            },
             seed: 5,
             iterations: 6,
             remaining_deadline: None,
@@ -784,7 +1218,18 @@ mod tests {
         };
         let mut expect = vec![17, 0, 0, 0, 0, 0, 0, 0, 0]; // job, sequential tag
         expect.extend_from_slice(&[2, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0x3F, 0, 0, 0x80, 0xBF]);
-        expect.extend_from_slice(&blueprint.params.to_wire_bytes());
+        expect.extend_from_slice(&[
+            2, 0, 0, 0, 1, 0, 0, 0, // params: width, height
+            0, 0, 0, 0, 0, 0, 0xF0, 0x3F, // expected_count = 1.0
+            0, 0, 0, 0, 0, 0, 0x08, 0x40, // radius prior mu = 3.0
+            0, 0, 0, 0, 0, 0, 0xE0, 0x3F, // sigma = 0.5
+            0, 0, 0, 0, 0, 0, 0xF0, 0x3F, // lo = 1.0
+            0, 0, 0, 0, 0, 0, 0x18, 0x40, // hi = 6.0
+            0, 0, 0, 0, 0, 0, 0xE8, 0x3F, // overlap_gamma = 0.75
+            0, 0, 0, 0, 0, 0, 0xE4, 0x3F, // fg = 0.625
+            0, 0, 0, 0, 0, 0, 0xC0, 0x3F, // bg = 0.125
+            0, 0, 0, 0, 0, 0, 0xB0, 0x3F, // noise_sd = 0.0625
+        ]);
         expect.extend_from_slice(&[5, 0, 0, 0, 0, 0, 0, 0, 6, 0, 0, 0, 0, 0, 0, 0]);
         expect.extend_from_slice(&[0, 1, 8, 0, 0, 0, 0, 0, 0, 0]); // no deadline, cadence 8
         expect.extend_from_slice(&[9, 0, 0, 0, 0, 0, 0, 0]); // progress stride

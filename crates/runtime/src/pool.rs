@@ -556,13 +556,15 @@ mod tests {
     #[test]
     fn one_task_batch_completes_on_the_caller_without_a_worker() {
         let pool = WorkerPool::new(1);
-        // Park the only worker for the whole test: were the batch queued,
-        // it would never run.
-        let (release_tx, release_rx) = std::sync::mpsc::channel::<()>();
         let (parked_tx, parked_rx) = std::sync::mpsc::channel::<()>();
         let caller = std::thread::current().id();
         std::thread::scope(|scope| {
             let pool = &pool;
+            // Park the only worker for the whole test: were the batch
+            // queued, it would never run. The sender lives inside the
+            // scope, so a failing assertion drops it and frees the worker
+            // instead of leaving the scope waiting on it.
+            let (release_tx, release_rx) = std::sync::mpsc::channel::<()>();
             // A two-task batch from a helper thread: the helper runs one
             // task, the pool's worker the other — and blocks in it. The
             // helper's task waits for the worker's to start, so the helper
@@ -625,7 +627,9 @@ mod tests {
                 ),
                 (
                     2.0,
-                    Box::new(|| -> usize {
+                    // `move`: a failing assertion drops `started_tx`, so the
+                    // queued task's `recv` fails instead of blocking.
+                    Box::new(move || -> usize {
                         assert_eq!(std::thread::current().id(), caller);
                         started_tx.send(()).expect("queued task waiting");
                         panic!("boom on the caller")

@@ -809,6 +809,187 @@ mod tests {
         );
     }
 
+    /// One pinned payload: a value's literal bytes, checked in both
+    /// directions by [`golden`], and the decoder the mutation fuzz replays.
+    struct Golden {
+        name: &'static str,
+        bytes: Vec<u8>,
+        decode: fn(&[u8]) -> Result<(), WireError>,
+    }
+
+    fn decodes<T: Wire>(bytes: &[u8]) -> Result<(), WireError> {
+        T::from_wire_bytes(bytes).map(drop)
+    }
+
+    /// Asserts `value` encodes to exactly `bytes` and decodes back from them.
+    fn golden<T: Wire + PartialEq + fmt::Debug>(
+        name: &'static str,
+        value: &T,
+        bytes: Vec<u8>,
+    ) -> Golden {
+        assert_eq!(value.to_wire_bytes(), bytes, "{name} encodes to its golden");
+        assert_eq!(
+            T::from_wire_bytes(&bytes).as_ref(),
+            Ok(value),
+            "{name} decodes from its golden"
+        );
+        Golden {
+            name,
+            bytes,
+            decode: decodes::<T>,
+        }
+    }
+
+    /// The literal payload of every value type this module encodes. These
+    /// bytes are the wire format: if one changes, bump [`WIRE_VERSION`].
+    fn goldens() -> Vec<Golden> {
+        let prior = TruncatedNormal::new(7.25, 1.5, 2.5, 12.0);
+        let prior_bytes = [
+            0, 0, 0, 0, 0, 0, 0x1D, 0x40, // mu = 7.25
+            0, 0, 0, 0, 0, 0, 0xF8, 0x3F, // sigma = 1.5
+            0, 0, 0, 0, 0, 0, 0x04, 0x40, // lo = 2.5
+            0, 0, 0, 0, 0, 0, 0x28, 0x40, // hi = 12.0
+        ];
+        let params = ModelParams {
+            width: 64,
+            height: 48,
+            expected_count: 3.5,
+            radius_prior: prior,
+            overlap_gamma: 0.75,
+            fg: 0.625,
+            bg: 0.125,
+            noise_sd: 0.0625,
+        };
+        let mut params_bytes = vec![
+            64, 0, 0, 0, // width
+            48, 0, 0, 0, // height
+            0, 0, 0, 0, 0, 0, 0x0C, 0x40, // expected_count = 3.5
+        ];
+        params_bytes.extend_from_slice(&prior_bytes);
+        params_bytes.extend_from_slice(&[
+            0, 0, 0, 0, 0, 0, 0xE8, 0x3F, // overlap_gamma = 0.75
+            0, 0, 0, 0, 0, 0, 0xE4, 0x3F, // fg = 0.625
+            0, 0, 0, 0, 0, 0, 0xC0, 0x3F, // bg = 0.125
+            0, 0, 0, 0, 0, 0, 0xB0, 0x3F, // noise_sd = 0.0625
+        ]);
+        let perf = PerfSnapshot {
+            proposals_evaluated: 1,
+            pixels_visited: 2,
+            pair_count_queries: 3,
+            pair_cache_hits: 4,
+            rng_refills: 5,
+            spin_wait_ns: 6,
+            spec_rounds: 7,
+            span_fastpath_hits: 8,
+            pixels_skipped: 9,
+            simd_lanes_processed: 10,
+            proposal_batches: 11,
+        };
+        // Eleven little-endian u64 counters in declaration order.
+        let perf_bytes = (1u64..=11).flat_map(u64::to_le_bytes).collect();
+        vec![
+            golden(
+                "Duration",
+                &Duration::new(12, 345_678_901),
+                vec![
+                    12, 0, 0, 0, 0, 0, 0, 0, // secs u64
+                    0x35, 0xA4, 0x9A, 0x14, // subsec nanos u32
+                ],
+            ),
+            golden(
+                "Circle",
+                &Circle::new(1.5, -2.25, 3.0),
+                vec![
+                    0, 0, 0, 0, 0, 0, 0xF8, 0x3F, // x = 1.5
+                    0, 0, 0, 0, 0, 0, 0x02, 0xC0, // y = -2.25
+                    0, 0, 0, 0, 0, 0, 0x08, 0x40, // r = 3.0
+                ],
+            ),
+            golden("TruncatedNormal", &prior, prior_bytes.to_vec()),
+            golden("ModelParams", &params, params_bytes),
+            golden("PerfSnapshot", &perf, perf_bytes),
+            golden(
+                "Hello",
+                &Hello {
+                    version: 4,
+                    node: 3,
+                    workers: 8,
+                },
+                vec![
+                    4, // version
+                    3, 0, 0, 0, 0, 0, 0, 0, // node u64
+                    8, 0, 0, 0, // workers u32
+                ],
+            ),
+            golden(
+                "Heartbeat",
+                &Heartbeat {
+                    node: 2,
+                    in_flight: 5,
+                },
+                vec![
+                    2, 0, 0, 0, 0, 0, 0, 0, // node u64
+                    5, 0, 0, 0, // in_flight u32
+                ],
+            ),
+            golden(
+                "Requeue",
+                &Requeue {
+                    job: 9,
+                    reason: "full".to_owned(),
+                },
+                vec![
+                    9, 0, 0, 0, 0, 0, 0, 0, // job u64
+                    4, 0, 0, 0, b'f', b'u', b'l', b'l', // reason
+                ],
+            ),
+            golden(
+                "GrayImage",
+                &GrayImage::from_vec(2, 1, vec![0.5, -1.0]),
+                vec![
+                    2, 0, 0, 0, // width
+                    1, 0, 0, 0, // height
+                    0, 0, 0, 0x3F, // 0.5f32
+                    0, 0, 0x80, 0xBF, // -1.0f32
+                ],
+            ),
+        ]
+    }
+
+    #[test]
+    fn every_value_type_matches_its_golden_bytes() {
+        let names: Vec<&str> = goldens().iter().map(|g| g.name).collect();
+        assert_eq!(names.len(), 9, "{names:?}");
+    }
+
+    /// Mutation fuzz over the goldens: every strict prefix of a payload is
+    /// an error, and no single-byte substitution makes its decoder panic
+    /// (an error or another value are both fine).
+    #[test]
+    fn mutated_goldens_decode_without_panicking() {
+        let mut tried = 0;
+        for g in goldens() {
+            for cut in 0..g.bytes.len() {
+                assert!(
+                    (g.decode)(&g.bytes[..cut]).is_err(),
+                    "{}: a {cut}-byte prefix decoded",
+                    g.name
+                );
+            }
+            for (i, &b) in g.bytes.iter().enumerate() {
+                for sub in [0x00, 0x01, 0x7F, 0x80, 0xFF, b ^ 0x01, b ^ 0x80] {
+                    let mut bytes = g.bytes.clone();
+                    bytes[i] = sub;
+                    if std::panic::catch_unwind(|| (g.decode)(&bytes)).is_err() {
+                        panic!("{}: byte {i} set to {sub:#04x} panicked", g.name);
+                    }
+                    tried += 1;
+                }
+            }
+        }
+        assert!(tried > 1_500, "{tried} mutations");
+    }
+
     /// Golden bytes of an odd-sized image whose samples are the floats a
     /// numeric cast would disturb: each crosses the bulk codec as its bit
     /// pattern, as a sample-by-sample `f32` write would put it.
