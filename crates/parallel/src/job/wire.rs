@@ -2,10 +2,12 @@
 //! [`RunReport`] and a [`RunError`] cross a socket between the
 //! distributed coordinator and a node daemon.
 //!
-//! Built on the framing and primitives of [`pmcmc_runtime::wire`]; this
-//! module owns the codecs for the types that live in `pmcmc-parallel`
-//! (strategy specs, reports, errors) plus the two composite frame
-//! payloads, [`Assign`] and [`JobResult`].
+//! Built on the framing and [`Wire`] impls of [`pmcmc_runtime::wire`];
+//! this module owns the codecs for the types that live in
+//! `pmcmc-parallel` (strategy specs, reports, errors) plus the two
+//! composite frame payloads, [`Assign`] and [`JobResult`]. Each layout is
+//! one field list ([`wire_struct!`], [`wire_enum!`]); only
+//! [`PhaseTiming`] is hand-written, because it interns its label.
 //!
 //! Two deliberate choices:
 //!
@@ -21,7 +23,7 @@
 //!   carried verbatim rather than recomputed so the reconstructed report
 //!   is bit-identical to the one the daemon measured.
 
-use crate::blind::DisputePolicy;
+use crate::blind::{BlindOptions, DisputePolicy};
 use crate::engine::{NodeTiming, PhaseTiming, RunDiagnostics, RunReport, StrategySpec, Validity};
 use crate::intelligent::IntelligentPartitioner;
 use crate::job::error::RunError;
@@ -31,213 +33,69 @@ use crate::subchain::SubChainOptions;
 use pmcmc_core::{Configuration, ModelParams, NucleiModel};
 use pmcmc_imaging::{Circle, GrayImage};
 use pmcmc_runtime::wire::{Wire, WireError, WireReader, WireWriter};
-use pmcmc_runtime::NodeId;
+use pmcmc_runtime::{wire_enum, wire_struct};
 use std::time::Duration;
 
 #[cfg(doc)]
 use crate::job::JobSpec;
 
-impl Wire for PartitionScheme {
-    fn encode(&self, w: &mut WireWriter) {
-        match self {
-            PartitionScheme::Grid { xm, ym } => {
-                w.u8(0);
-                w.u64(*xm as u64);
-                w.u64(*ym as u64);
-            }
-            PartitionScheme::Corner => w.u8(1),
-        }
-    }
+wire_enum!(PartitionScheme, "partition scheme" { 0 => Grid { xm, ym }, 1 => Corner });
 
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        match r.u8()? {
-            0 => Ok(PartitionScheme::Grid {
-                xm: r.u64()? as i64,
-                ym: r.u64()? as i64,
-            }),
-            1 => Ok(PartitionScheme::Corner),
-            t => Err(WireError::Malformed(format!(
-                "unknown partition scheme tag {t}"
-            ))),
-        }
-    }
-}
+wire_struct!(SubChainOptions {
+    theta,
+    conv_window,
+    conv_tol,
+    conv_stride,
+    max_iters,
+    settle_frac
+});
 
-impl Wire for SubChainOptions {
-    fn encode(&self, w: &mut WireWriter) {
-        w.f32(self.theta);
-        w.u64(self.conv_window as u64);
-        w.f64(self.conv_tol);
-        w.u64(self.conv_stride);
-        w.u64(self.max_iters);
-        w.f64(self.settle_frac);
-    }
+wire_enum!(DisputePolicy, "dispute policy" { 0 => Accept, 1 => Discard });
 
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Ok(SubChainOptions {
-            theta: r.f32()?,
-            conv_window: r.u64()? as usize,
-            conv_tol: r.f64()?,
-            conv_stride: r.u64()?,
-            max_iters: r.u64()?,
-            settle_frac: r.f64()?,
-        })
-    }
-}
+wire_enum!(NaivePrior, "naive prior" { 0 => UniformSplit, 1 => DensityEstimate });
 
-impl Wire for DisputePolicy {
-    fn encode(&self, w: &mut WireWriter) {
-        w.u8(match self {
-            DisputePolicy::Accept => 0,
-            DisputePolicy::Discard => 1,
-        });
-    }
+wire_struct!(PeriodicOptions {
+    global_phase_iters,
+    scheme,
+    threads,
+    speculative_global_lanes
+});
 
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        match r.u8()? {
-            0 => Ok(DisputePolicy::Accept),
-            1 => Ok(DisputePolicy::Discard),
-            t => Err(WireError::Malformed(format!(
-                "unknown dispute policy tag {t}"
-            ))),
-        }
-    }
-}
+wire_struct!(IntelligentPartitioner { theta, min_gap });
 
-impl Wire for NaivePrior {
-    fn encode(&self, w: &mut WireWriter) {
-        w.u8(match self {
-            NaivePrior::UniformSplit => 0,
-            NaivePrior::DensityEstimate => 1,
-        });
-    }
+wire_struct!(BlindOptions {
+    cols,
+    rows,
+    margin_factor,
+    merge_eps,
+    dispute,
+    chain
+});
 
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        match r.u8()? {
-            0 => Ok(NaivePrior::UniformSplit),
-            1 => Ok(NaivePrior::DensityEstimate),
-            t => Err(WireError::Malformed(format!("unknown naive prior tag {t}"))),
-        }
-    }
-}
+wire_struct!(NaiveOptions {
+    cols,
+    rows,
+    prior,
+    chain
+});
 
-impl Wire for StrategySpec {
-    fn encode(&self, w: &mut WireWriter) {
-        match self {
-            StrategySpec::Sequential => w.u8(0),
-            StrategySpec::Periodic(o) => {
-                w.u8(1);
-                w.u64(o.global_phase_iters);
-                o.scheme.encode(w);
-                w.u64(o.threads as u64);
-                w.u64(o.speculative_global_lanes as u64);
-            }
-            StrategySpec::Speculative { lanes } => {
-                w.u8(2);
-                w.u64(*lanes as u64);
-            }
-            StrategySpec::Mc3 {
-                chains,
-                heat,
-                segment_len,
-            } => {
-                w.u8(3);
-                w.u64(*chains as u64);
-                w.f64(*heat);
-                w.u64(*segment_len);
-            }
-            StrategySpec::Intelligent { partitioner, chain } => {
-                w.u8(4);
-                w.f32(partitioner.theta);
-                w.u32(partitioner.min_gap);
-                chain.encode(w);
-            }
-            StrategySpec::Blind(o) => {
-                w.u8(5);
-                w.u32(o.cols);
-                w.u32(o.rows);
-                w.f64(o.margin_factor);
-                w.f64(o.merge_eps);
-                o.dispute.encode(w);
-                o.chain.encode(w);
-            }
-            StrategySpec::Naive(o) => {
-                w.u8(6);
-                w.u32(o.cols);
-                w.u32(o.rows);
-                o.prior.encode(w);
-                o.chain.encode(w);
-            }
-        }
-    }
+wire_enum!(StrategySpec, "strategy" {
+    0 => Sequential,
+    1 => Periodic(options),
+    2 => Speculative { lanes },
+    3 => Mc3 { chains, heat, segment_len },
+    4 => Intelligent { partitioner, chain },
+    5 => Blind(options),
+    6 => Naive(options),
+});
 
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        match r.u8()? {
-            0 => Ok(StrategySpec::Sequential),
-            1 => Ok(StrategySpec::Periodic(PeriodicOptions {
-                global_phase_iters: r.u64()?,
-                scheme: PartitionScheme::decode(r)?,
-                threads: r.u64()? as usize,
-                speculative_global_lanes: r.u64()? as usize,
-            })),
-            2 => Ok(StrategySpec::Speculative {
-                lanes: r.u64()? as usize,
-            }),
-            3 => Ok(StrategySpec::Mc3 {
-                chains: r.u64()? as usize,
-                heat: r.f64()?,
-                segment_len: r.u64()?,
-            }),
-            4 => Ok(StrategySpec::Intelligent {
-                partitioner: IntelligentPartitioner {
-                    theta: r.f32()?,
-                    min_gap: r.u32()?,
-                },
-                chain: SubChainOptions::decode(r)?,
-            }),
-            5 => Ok(StrategySpec::Blind(crate::blind::BlindOptions {
-                cols: r.u32()?,
-                rows: r.u32()?,
-                margin_factor: r.f64()?,
-                merge_eps: r.f64()?,
-                dispute: DisputePolicy::decode(r)?,
-                chain: SubChainOptions::decode(r)?,
-            })),
-            6 => Ok(StrategySpec::Naive(NaiveOptions {
-                cols: r.u32()?,
-                rows: r.u32()?,
-                prior: NaivePrior::decode(r)?,
-                chain: SubChainOptions::decode(r)?,
-            })),
-            t => Err(WireError::Malformed(format!("unknown strategy tag {t}"))),
-        }
-    }
-}
-
-impl Wire for Validity {
-    fn encode(&self, w: &mut WireWriter) {
-        w.u8(match self {
-            Validity::Exact => 0,
-            Validity::Heuristic => 1,
-            Validity::Broken => 2,
-        });
-    }
-
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        match r.u8()? {
-            0 => Ok(Validity::Exact),
-            1 => Ok(Validity::Heuristic),
-            2 => Ok(Validity::Broken),
-            t => Err(WireError::Malformed(format!("unknown validity tag {t}"))),
-        }
-    }
-}
+wire_enum!(Validity, "validity" { 0 => Exact, 1 => Heuristic, 2 => Broken });
 
 /// The phase labels any shipped strategy can emit. `PhaseTiming.phase`
-/// is `&'static str`, so decoding interns into this table; an unknown
-/// label (a newer peer's custom phase) is leaked once — phase vocabulary
-/// is tiny and fixed per build, so this cannot grow unboundedly in
-/// practice.
+/// is `&'static str`, so decoding interns into this table. A label
+/// outside it (a newer peer's custom phase) is leaked on every decode
+/// that carries it; every label a shipped scheme reports is in the table
+/// (a test runs each scheme to keep it so), so only such a peer leaks.
 static KNOWN_PHASES: [&str; 9] = [
     "chain",
     "chains",
@@ -272,92 +130,24 @@ impl Wire for PhaseTiming {
     }
 }
 
-impl Wire for NodeTiming {
-    fn encode(&self, w: &mut WireWriter) {
-        w.u64(self.node.index() as u64);
-        self.queued.encode(w);
-        self.busy.encode(w);
-    }
+wire_struct!(NodeTiming { node, queued, busy });
 
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Ok(NodeTiming {
-            node: NodeId(r.u64()? as usize),
-            queued: Duration::decode(r)?,
-            busy: Duration::decode(r)?,
-        })
-    }
-}
+wire_struct!(RunDiagnostics {
+    partitions,
+    acceptance_rate,
+    log_posterior,
+    notes,
+    perf
+});
 
-impl Wire for RunDiagnostics {
-    fn encode(&self, w: &mut WireWriter) {
-        w.u64(self.partitions as u64);
-        w.opt(self.acceptance_rate.as_ref(), |w, v| w.f64(*v));
-        w.f64(self.log_posterior);
-        w.seq(&self.notes, |w, n| w.str(n));
-        w.opt(self.perf.as_ref(), |w, p| p.encode(w));
-    }
-
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Ok(RunDiagnostics {
-            partitions: r.u64()? as usize,
-            acceptance_rate: r.opt(|r| r.f64())?,
-            log_posterior: r.f64()?,
-            notes: r.seq(|r| r.str())?,
-            perf: r.opt(pmcmc_core::PerfSnapshot::decode)?,
-        })
-    }
-}
-
-impl Wire for RunError {
-    fn encode(&self, w: &mut WireWriter) {
-        match self {
-            RunError::InvalidSpec(msg) => {
-                w.u8(0);
-                w.str(msg);
-            }
-            RunError::UnknownStrategy(name) => {
-                w.u8(1);
-                w.str(name);
-            }
-            RunError::Cancelled {
-                completed_iterations,
-            } => {
-                w.u8(2);
-                w.u64(*completed_iterations);
-            }
-            RunError::DeadlineExceeded {
-                completed_iterations,
-            } => {
-                w.u8(3);
-                w.u64(*completed_iterations);
-            }
-            RunError::Panicked(msg) => {
-                w.u8(4);
-                w.str(msg);
-            }
-            RunError::Transport(msg) => {
-                w.u8(5);
-                w.str(msg);
-            }
-        }
-    }
-
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        match r.u8()? {
-            0 => Ok(RunError::InvalidSpec(r.str()?)),
-            1 => Ok(RunError::UnknownStrategy(r.str()?)),
-            2 => Ok(RunError::Cancelled {
-                completed_iterations: r.u64()?,
-            }),
-            3 => Ok(RunError::DeadlineExceeded {
-                completed_iterations: r.u64()?,
-            }),
-            4 => Ok(RunError::Panicked(r.str()?)),
-            5 => Ok(RunError::Transport(r.str()?)),
-            t => Err(WireError::Malformed(format!("unknown run-error tag {t}"))),
-        }
-    }
-}
+wire_enum!(RunError, "run-error" {
+    0 => InvalidSpec(msg),
+    1 => UnknownStrategy(name),
+    2 => Cancelled { completed_iterations },
+    3 => DeadlineExceeded { completed_iterations },
+    4 => Panicked(msg),
+    5 => Transport(msg),
+});
 
 /// A [`RunReport`] in transit: identical field-for-field except that the
 /// final [`Configuration`] is carried as its
@@ -421,31 +211,16 @@ impl WireReport {
     }
 }
 
-impl Wire for WireReport {
-    fn encode(&self, w: &mut WireWriter) {
-        w.str(&self.strategy);
-        self.validity.encode(w);
-        w.seq(&self.circles, |w, c| c.encode(w));
-        w.seq(&self.phases, |w, p| p.encode(w));
-        self.total_time.encode(w);
-        w.u64(self.iterations);
-        self.diagnostics.encode(w);
-        w.seq(&self.node_timings, |w, t| t.encode(w));
-    }
-
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Ok(WireReport {
-            strategy: r.str()?,
-            validity: Validity::decode(r)?,
-            circles: r.seq(Circle::decode)?,
-            phases: r.seq(PhaseTiming::decode)?,
-            total_time: Duration::decode(r)?,
-            iterations: r.u64()?,
-            diagnostics: RunDiagnostics::decode(r)?,
-            node_timings: r.seq(NodeTiming::decode)?,
-        })
-    }
-}
+wire_struct!(WireReport {
+    strategy,
+    validity,
+    circles,
+    phases,
+    total_time,
+    iterations,
+    diagnostics,
+    node_timings,
+});
 
 /// Everything a node daemon needs to run one job — the [`JobSpec`]
 /// payload fields, with the deadline already converted to a *remaining*
@@ -474,33 +249,17 @@ pub struct JobBlueprint {
     pub queued_so_far: Duration,
 }
 
-impl Wire for JobBlueprint {
-    fn encode(&self, w: &mut WireWriter) {
-        self.strategy.encode(w);
-        self.image.encode(w);
-        self.params.encode(w);
-        w.u64(self.seed);
-        w.u64(self.iterations);
-        w.opt(self.remaining_deadline.as_ref(), |w, d| d.encode(w));
-        w.opt(self.checkpoint_interval.as_ref(), |w, c| w.u64(*c));
-        w.u64(self.progress_stride);
-        self.queued_so_far.encode(w);
-    }
-
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Ok(JobBlueprint {
-            strategy: StrategySpec::decode(r)?,
-            image: GrayImage::decode(r)?,
-            params: ModelParams::decode(r)?,
-            seed: r.u64()?,
-            iterations: r.u64()?,
-            remaining_deadline: r.opt(Duration::decode)?,
-            checkpoint_interval: r.opt(|r| r.u64())?,
-            progress_stride: r.u64()?,
-            queued_so_far: Duration::decode(r)?,
-        })
-    }
-}
+wire_struct!(JobBlueprint {
+    strategy,
+    image,
+    params,
+    seed,
+    iterations,
+    remaining_deadline,
+    checkpoint_interval,
+    progress_stride,
+    queued_so_far,
+});
 
 /// The [`FrameKind::Assign`](pmcmc_runtime::wire::FrameKind::Assign)
 /// payload: one job and its coordinator-assigned id.
@@ -520,28 +279,13 @@ impl Assign {
     pub fn payload(job: u64, blueprint: &JobBlueprint) -> Vec<u8> {
         // The image dominates; the rest of the schema is under 256 bytes.
         let mut w = WireWriter::with_capacity(4 * blueprint.image.len() + 256);
-        encode_assign(&mut w, job, blueprint);
+        job.encode(&mut w);
+        blueprint.encode(&mut w);
         w.into_bytes()
     }
 }
 
-fn encode_assign(w: &mut WireWriter, job: u64, blueprint: &JobBlueprint) {
-    w.u64(job);
-    blueprint.encode(w);
-}
-
-impl Wire for Assign {
-    fn encode(&self, w: &mut WireWriter) {
-        encode_assign(w, self.job, &self.blueprint);
-    }
-
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Ok(Assign {
-            job: r.u64()?,
-            blueprint: JobBlueprint::decode(r)?,
-        })
-    }
-}
+wire_struct!(Assign { job, blueprint });
 
 /// The [`FrameKind::Result`](pmcmc_runtime::wire::FrameKind::Result)
 /// payload: one job's terminal outcome.
@@ -553,37 +297,13 @@ pub struct JobResult {
     pub outcome: Result<WireReport, RunError>,
 }
 
-impl Wire for JobResult {
-    fn encode(&self, w: &mut WireWriter) {
-        w.u64(self.job);
-        match &self.outcome {
-            Ok(report) => {
-                w.u8(0);
-                report.encode(w);
-            }
-            Err(err) => {
-                w.u8(1);
-                err.encode(w);
-            }
-        }
-    }
-
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        let job = r.u64()?;
-        let outcome = match r.u8()? {
-            0 => Ok(WireReport::decode(r)?),
-            1 => Err(RunError::decode(r)?),
-            t => return Err(WireError::Malformed(format!("unknown job-result tag {t}"))),
-        };
-        Ok(JobResult { job, outcome })
-    }
-}
+wire_struct!(JobResult { job, outcome });
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::blind::BlindOptions;
     use pmcmc_runtime::wire::{write_frame, FrameKind};
+    use pmcmc_runtime::NodeId;
 
     fn sample_specs() -> Vec<StrategySpec> {
         let mut specs = StrategySpec::all();
@@ -1130,11 +850,12 @@ mod tests {
     /// instead of editing these. (v2 widened `PerfSnapshot` with the
     /// span-kernel counters; v3 appended its lane-kernel and
     /// proposal-batch counters; v4 changed how images and `Assign`
-    /// payloads are encoded but not their bytes, so only the frame
+    /// payloads are encoded but not their bytes, and v5 generated every
+    /// codec from a field list, again byte for byte, so only the frame
     /// header's version byte differs from v3; the other payload encodings
     /// here are unchanged since v1.)
     #[test]
-    fn golden_bytes_v4() {
+    fn golden_bytes_v5() {
         // A sequential spec is a single tag byte.
         assert_eq!(StrategySpec::Sequential.to_wire_bytes(), vec![0]);
 
@@ -1160,14 +881,14 @@ mod tests {
         };
         assert_eq!(cancelled.to_wire_bytes(), vec![2, 7, 0, 0, 0, 0, 0, 0, 0]);
 
-        // A whole v4 frame around that error payload: magic "PM",
-        // version 4, kind Result=4, little-endian length, payload.
+        // A whole v5 frame around that error payload: magic "PM",
+        // version 5, kind Result=4, little-endian length, payload.
         let mut frame = Vec::new();
         write_frame(&mut frame, FrameKind::Result, &cancelled.to_wire_bytes()).unwrap();
         assert_eq!(
             frame,
             vec![
-                b'P', b'M', 4, 4, 9, 0, 0, 0, // header
+                b'P', b'M', 5, 4, 9, 0, 0, 0, // header
                 2, 7, 0, 0, 0, 0, 0, 0, 0, // payload
             ]
         );

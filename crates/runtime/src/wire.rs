@@ -19,11 +19,31 @@
 //! [`read_frame`] rejects frames from a future version instead of
 //! guessing at their layout. Payload schemas are written with
 //! [`WireWriter`] and read with [`WireReader`] via the [`Wire`] trait;
-//! impls for the cross-crate value types ([`GrayImage`], [`ModelParams`],
-//! [`Circle`], …) live here, while the job-layer payloads (strategy
-//! specs, reports) are encoded by `pmcmc-parallel` on top of the same
-//! primitives.
+//! impls for the primitives, `Option`, `Vec`, `Result` and the
+//! cross-crate value types ([`GrayImage`], [`ModelParams`], [`Circle`],
+//! …) live here, while the job-layer payloads (strategy specs, reports)
+//! are encoded by `pmcmc-parallel` on top of the same impls.
+//!
+//! # Adding a wire type
+//!
+//! A type's layout is written once, as a field list:
+//! [`wire_struct!`](crate::wire_struct) encodes a struct's fields in the
+//! order listed and decodes them back in the same order, and
+//! [`wire_enum!`](crate::wire_enum) writes a tag byte before a variant's
+//! fields. Each field travels through its own type's [`Wire`] impl.
+//! Hand-write an impl only when decoding must do more than read the
+//! fields back (validate them, intern them, or take a bulk path).
+//!
+//! * A struct's list must name every field (its decode is a struct
+//!   literal), so adding a field is one token in its list.
+//! * Enum tags are only ever appended: never reorder or reuse one, or an
+//!   older peer reads a frame as another variant.
+//! * Any change to the bytes — a field added, moved or retyped, a tag
+//!   added — bumps [`WIRE_VERSION`], adds its golden vectors and
+//!   regenerates the `pmcmc-analysis` wire manifest, which fails the build
+//!   when an encoder changes without the version.
 
+use crate::NodeId;
 use pmcmc_core::math::TruncatedNormal;
 use pmcmc_core::{ModelParams, PerfSnapshot};
 use pmcmc_imaging::{Circle, GrayImage};
@@ -39,7 +59,10 @@ use std::time::Duration;
 /// `proposal_batches`). v4's payload layout is v3's: images move through
 /// the bulk [`WireWriter::f32s`] / [`WireReader::f32s`] pair and `Assign`
 /// payloads encode from a borrowed blueprint, byte for byte as before.
-pub const WIRE_VERSION: u8 = 4;
+/// v5's payload layout is v4's: the codecs are generated from one field
+/// list per type ([`wire_struct!`](crate::wire_struct),
+/// [`wire_enum!`](crate::wire_enum)), byte for byte as before.
+pub const WIRE_VERSION: u8 = 5;
 
 /// Frame magic: the first two bytes of every frame.
 pub const MAGIC: [u8; 2] = *b"PM";
@@ -269,25 +292,6 @@ impl WireWriter {
         self.u32(v.len() as u32);
         self.buf.extend_from_slice(v.as_bytes());
     }
-
-    /// Appends an optional value: a presence byte, then the value.
-    pub fn opt<T>(&mut self, v: Option<&T>, mut f: impl FnMut(&mut Self, &T)) {
-        match v {
-            Some(inner) => {
-                self.bool(true);
-                f(self, inner);
-            }
-            None => self.bool(false),
-        }
-    }
-
-    /// Appends a length-prefixed sequence.
-    pub fn seq<T>(&mut self, items: &[T], mut f: impl FnMut(&mut Self, &T)) {
-        self.u32(items.len() as u32);
-        for item in items {
-            f(self, item);
-        }
-    }
 }
 
 /// Cursor over a payload; every read is bounds-checked and returns
@@ -379,38 +383,6 @@ impl<'a> WireReader<'a> {
             .map_err(|e| WireError::Malformed(format!("invalid utf-8 string: {e}")))
     }
 
-    /// Reads an optional value written by [`WireWriter::opt`].
-    pub fn opt<T>(
-        &mut self,
-        mut f: impl FnMut(&mut Self) -> Result<T, WireError>,
-    ) -> Result<Option<T>, WireError> {
-        if self.bool()? {
-            Ok(Some(f(self)?))
-        } else {
-            Ok(None)
-        }
-    }
-
-    /// Reads a length-prefixed sequence written by [`WireWriter::seq`].
-    ///
-    /// The length prefix is sanity-bounded against the remaining payload
-    /// (each element needs ≥ 1 byte) so a corrupt length cannot trigger a
-    /// huge allocation.
-    pub fn seq<T>(
-        &mut self,
-        mut f: impl FnMut(&mut Self) -> Result<T, WireError>,
-    ) -> Result<Vec<T>, WireError> {
-        let len = self.u32()? as usize;
-        if len > self.remaining() {
-            return Err(WireError::Truncated);
-        }
-        let mut out = Vec::with_capacity(len);
-        for _ in 0..len {
-            out.push(f(self)?);
-        }
-        Ok(out)
-    }
-
     /// Checks every payload byte was consumed — trailing garbage means
     /// the peer and this build disagree about the schema.
     pub fn finish(self) -> Result<(), WireError> {
@@ -453,6 +425,198 @@ pub trait Wire: Sized {
         let value = Self::decode(&mut r)?;
         r.finish()?;
         Ok(value)
+    }
+}
+
+/// Implements [`Wire`] for a struct from one list of its fields.
+///
+/// `wire_struct!(Type { a, b, c })` encodes `a`, `b`, `c` in that order,
+/// each through its own type's [`Wire`] impl, and decodes them into a
+/// struct literal in the same order. The literal makes the compiler
+/// reject a list that misses a field.
+#[macro_export]
+macro_rules! wire_struct {
+    ($ty:ident { $($field:ident),+ $(,)? }) => {
+        impl $crate::wire::Wire for $ty {
+            fn encode(&self, w: &mut $crate::wire::WireWriter) {
+                $($crate::wire::Wire::encode(&self.$field, w);)+
+            }
+
+            fn decode(
+                r: &mut $crate::wire::WireReader<'_>,
+            ) -> ::core::result::Result<Self, $crate::wire::WireError> {
+                ::core::result::Result::Ok($ty {
+                    $($field: $crate::wire::Wire::decode(r)?,)+
+                })
+            }
+        }
+    };
+}
+
+/// Implements [`Wire`] for an enum from one list of its variants.
+///
+/// `wire_enum!(Type, "what" { 0 => Unit, 1 => Tuple(a), 2 => Named { x, y } })`
+/// writes a variant's tag byte, then its fields in the order listed
+/// (tuple fields are named by position in the list). Decoding an unknown
+/// tag is [`WireError::Malformed`]`("unknown <what> tag N")`.
+#[macro_export]
+macro_rules! wire_enum {
+    ($ty:ident, $what:literal {
+        $($tag:literal => $variant:ident
+            $(($($tuple:ident),+))?
+            $({ $($named:ident),+ })?),+ $(,)?
+    }) => {
+        impl $crate::wire::Wire for $ty {
+            fn encode(&self, w: &mut $crate::wire::WireWriter) {
+                match self {
+                    $($ty::$variant $(($($tuple),+))? $({ $($named),+ })? => {
+                        w.u8($tag);
+                        $($($crate::wire::Wire::encode($tuple, w);)+)?
+                        $($($crate::wire::Wire::encode($named, w);)+)?
+                    })+
+                }
+            }
+
+            fn decode(
+                r: &mut $crate::wire::WireReader<'_>,
+            ) -> ::core::result::Result<Self, $crate::wire::WireError> {
+                match r.u8()? {
+                    $($tag => {
+                        $($(let $tuple = $crate::wire::Wire::decode(r)?;)+)?
+                        $($(let $named = $crate::wire::Wire::decode(r)?;)+)?
+                        ::core::result::Result::Ok(
+                            $ty::$variant $(($($tuple),+))? $({ $($named),+ })?
+                        )
+                    })+
+                    t => ::core::result::Result::Err($crate::wire::WireError::Malformed(
+                        ::std::format!(::core::concat!("unknown ", $what, " tag {}"), t),
+                    )),
+                }
+            }
+        }
+    };
+}
+
+/// Primitives whose [`WireWriter`] / [`WireReader`] methods share their
+/// name.
+macro_rules! wire_primitive {
+    ($($t:ident),+) => {$(
+        impl Wire for $t {
+            fn encode(&self, w: &mut WireWriter) {
+                w.$t(*self);
+            }
+
+            fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
+                r.$t()
+            }
+        }
+    )+};
+}
+
+wire_primitive!(u8, u32, u64, f32, f64, bool);
+
+/// `usize` and `i64` travel as `u64` (an `as` cast each way).
+macro_rules! wire_as_u64 {
+    ($($t:ident),+) => {$(
+        impl Wire for $t {
+            fn encode(&self, w: &mut WireWriter) {
+                w.u64(*self as u64);
+            }
+
+            fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
+                Ok(r.u64()? as $t)
+            }
+        }
+    )+};
+}
+
+wire_as_u64!(usize, i64);
+
+impl Wire for String {
+    fn encode(&self, w: &mut WireWriter) {
+        w.str(self);
+    }
+
+    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
+        r.str()
+    }
+}
+
+/// A presence byte, then the value.
+impl<T: Wire> Wire for Option<T> {
+    fn encode(&self, w: &mut WireWriter) {
+        w.bool(self.is_some());
+        if let Some(v) = self {
+            v.encode(w);
+        }
+    }
+
+    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
+        if r.bool()? {
+            Ok(Some(T::decode(r)?))
+        } else {
+            Ok(None)
+        }
+    }
+}
+
+/// A `u32` length, then the elements.
+impl<T: Wire> Wire for Vec<T> {
+    fn encode(&self, w: &mut WireWriter) {
+        w.u32(self.len() as u32);
+        for item in self {
+            item.encode(w);
+        }
+    }
+
+    /// The length is bounded by the bytes left (each element needs at
+    /// least one) before anything is allocated, so a corrupt length
+    /// cannot trigger a huge allocation.
+    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
+        let len = r.u32()? as usize;
+        if len > r.remaining() {
+            return Err(WireError::Truncated);
+        }
+        let mut out = Vec::with_capacity(len);
+        for _ in 0..len {
+            out.push(T::decode(r)?);
+        }
+        Ok(out)
+    }
+}
+
+/// A tag byte (`0` = `Ok`, `1` = `Err`), then the value. Its one user is
+/// the job layer's result payload, whose error text it keeps.
+impl<T: Wire, E: Wire> Wire for Result<T, E> {
+    fn encode(&self, w: &mut WireWriter) {
+        match self {
+            Ok(v) => {
+                w.u8(0);
+                v.encode(w);
+            }
+            Err(e) => {
+                w.u8(1);
+                e.encode(w);
+            }
+        }
+    }
+
+    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
+        match r.u8()? {
+            0 => Ok(Ok(T::decode(r)?)),
+            1 => Ok(Err(E::decode(r)?)),
+            t => Err(WireError::Malformed(format!("unknown job-result tag {t}"))),
+        }
+    }
+}
+
+impl Wire for NodeId {
+    fn encode(&self, w: &mut WireWriter) {
+        self.0.encode(w);
+    }
+
+    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
+        Ok(NodeId(usize::decode(r)?))
     }
 }
 
@@ -514,75 +678,32 @@ impl Wire for TruncatedNormal {
     }
 }
 
-impl Wire for ModelParams {
-    fn encode(&self, w: &mut WireWriter) {
-        w.u32(self.width);
-        w.u32(self.height);
-        w.f64(self.expected_count);
-        self.radius_prior.encode(w);
-        w.f64(self.overlap_gamma);
-        w.f64(self.fg);
-        w.f64(self.bg);
-        w.f64(self.noise_sd);
-    }
+wire_struct!(ModelParams {
+    width,
+    height,
+    expected_count,
+    radius_prior,
+    overlap_gamma,
+    fg,
+    bg,
+    noise_sd,
+});
 
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Ok(ModelParams {
-            width: r.u32()?,
-            height: r.u32()?,
-            expected_count: r.f64()?,
-            radius_prior: TruncatedNormal::decode(r)?,
-            overlap_gamma: r.f64()?,
-            fg: r.f64()?,
-            bg: r.f64()?,
-            noise_sd: r.f64()?,
-        })
-    }
-}
+wire_struct!(Circle { x, y, r });
 
-impl Wire for Circle {
-    fn encode(&self, w: &mut WireWriter) {
-        w.f64(self.x);
-        w.f64(self.y);
-        w.f64(self.r);
-    }
-
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Ok(Circle::new(r.f64()?, r.f64()?, r.f64()?))
-    }
-}
-
-impl Wire for PerfSnapshot {
-    fn encode(&self, w: &mut WireWriter) {
-        w.u64(self.proposals_evaluated);
-        w.u64(self.pixels_visited);
-        w.u64(self.pair_count_queries);
-        w.u64(self.pair_cache_hits);
-        w.u64(self.rng_refills);
-        w.u64(self.spin_wait_ns);
-        w.u64(self.spec_rounds);
-        w.u64(self.span_fastpath_hits);
-        w.u64(self.pixels_skipped);
-        w.u64(self.simd_lanes_processed);
-        w.u64(self.proposal_batches);
-    }
-
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Ok(PerfSnapshot {
-            proposals_evaluated: r.u64()?,
-            pixels_visited: r.u64()?,
-            pair_count_queries: r.u64()?,
-            pair_cache_hits: r.u64()?,
-            rng_refills: r.u64()?,
-            spin_wait_ns: r.u64()?,
-            spec_rounds: r.u64()?,
-            span_fastpath_hits: r.u64()?,
-            pixels_skipped: r.u64()?,
-            simd_lanes_processed: r.u64()?,
-            proposal_batches: r.u64()?,
-        })
-    }
-}
+wire_struct!(PerfSnapshot {
+    proposals_evaluated,
+    pixels_visited,
+    pair_count_queries,
+    pair_cache_hits,
+    rng_refills,
+    spin_wait_ns,
+    spec_rounds,
+    span_fastpath_hits,
+    pixels_skipped,
+    simd_lanes_processed,
+    proposal_batches,
+});
 
 /// The handshake payload (both directions; see [`FrameKind::Hello`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -598,21 +719,11 @@ pub struct Hello {
     pub workers: u32,
 }
 
-impl Wire for Hello {
-    fn encode(&self, w: &mut WireWriter) {
-        w.u8(self.version);
-        w.u64(self.node);
-        w.u32(self.workers);
-    }
-
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Ok(Hello {
-            version: r.u8()?,
-            node: r.u64()?,
-            workers: r.u32()?,
-        })
-    }
-}
+wire_struct!(Hello {
+    version,
+    node,
+    workers
+});
 
 /// The liveness beacon payload (see [`FrameKind::Heartbeat`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -623,19 +734,7 @@ pub struct Heartbeat {
     pub in_flight: u32,
 }
 
-impl Wire for Heartbeat {
-    fn encode(&self, w: &mut WireWriter) {
-        w.u64(self.node);
-        w.u32(self.in_flight);
-    }
-
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Ok(Heartbeat {
-            node: r.u64()?,
-            in_flight: r.u32()?,
-        })
-    }
-}
+wire_struct!(Heartbeat { node, in_flight });
 
 /// The reschedule-request payload (see [`FrameKind::Requeue`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -646,19 +745,7 @@ pub struct Requeue {
     pub reason: String,
 }
 
-impl Wire for Requeue {
-    fn encode(&self, w: &mut WireWriter) {
-        w.u64(self.job);
-        w.str(&self.reason);
-    }
-
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Ok(Requeue {
-            job: r.u64()?,
-            reason: r.str()?,
-        })
-    }
-}
+wire_struct!(Requeue { job, reason });
 
 #[cfg(test)]
 mod tests {
@@ -674,9 +761,9 @@ mod tests {
         w.f64(f64::NAN);
         w.bool(true);
         w.str("héllo");
-        w.opt(Some(&42u64), |w, v| w.u64(*v));
-        w.opt(None::<&u64>, |w, v| w.u64(*v));
-        w.seq(&[1u32, 2, 3], |w, v| w.u32(*v));
+        Some(42u64).encode(&mut w);
+        None::<u64>.encode(&mut w);
+        vec![1u32, 2, 3].encode(&mut w);
         let bytes = w.into_bytes();
 
         let mut r = WireReader::new(&bytes);
@@ -687,9 +774,9 @@ mod tests {
         assert_eq!(r.f64().unwrap().to_bits(), f64::NAN.to_bits());
         assert!(r.bool().unwrap());
         assert_eq!(r.str().unwrap(), "héllo");
-        assert_eq!(r.opt(|r| r.u64()).unwrap(), Some(42));
-        assert_eq!(r.opt(|r| r.u64()).unwrap(), None);
-        assert_eq!(r.seq(|r| r.u32()).unwrap(), vec![1, 2, 3]);
+        assert_eq!(Option::<u64>::decode(&mut r).unwrap(), Some(42));
+        assert_eq!(Option::<u64>::decode(&mut r).unwrap(), None);
+        assert_eq!(Vec::<u32>::decode(&mut r).unwrap(), vec![1, 2, 3]);
         r.finish().unwrap();
     }
 
@@ -708,8 +795,10 @@ mod tests {
         let mut w = WireWriter::new();
         w.u32(u32::MAX);
         let bytes = w.into_bytes();
-        let mut r = WireReader::new(&bytes);
-        assert_eq!(r.seq(|r| r.u8()), Err(WireError::Truncated));
+        assert_eq!(
+            Vec::<u8>::from_wire_bytes(&bytes),
+            Err(WireError::Truncated)
+        );
     }
 
     #[test]
