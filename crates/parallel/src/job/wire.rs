@@ -346,28 +346,6 @@ mod tests {
     }
 
     #[test]
-    fn run_errors_round_trip() {
-        let errors = [
-            RunError::InvalidSpec("zero iterations".to_owned()),
-            RunError::UnknownStrategy("warp-drive".to_owned()),
-            RunError::Cancelled {
-                completed_iterations: 42,
-            },
-            RunError::DeadlineExceeded {
-                completed_iterations: 7,
-            },
-            RunError::Panicked("index out of bounds".to_owned()),
-            RunError::Transport("node-1 lost".to_owned()),
-        ];
-        for err in errors {
-            assert_eq!(
-                RunError::from_wire_bytes(&err.to_wire_bytes()).unwrap(),
-                err
-            );
-        }
-    }
-
-    #[test]
     fn phase_names_intern_to_static_table() {
         let pt = PhaseTiming {
             phase: "merge",
@@ -415,44 +393,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn blueprint_and_result_round_trip() {
-        let blueprint = JobBlueprint {
-            strategy: StrategySpec::Mc3 {
-                chains: 3,
-                heat: 0.4,
-                segment_len: 250,
-            },
-            image: GrayImage::from_fn(8, 6, |x, y| (x + y) as f32 * 0.05),
-            params: ModelParams::new(8, 6, 2.0, 3.0),
-            seed: 99,
-            iterations: 1_000,
-            remaining_deadline: Some(Duration::from_secs(30)),
-            checkpoint_interval: None,
-            progress_stride: 512,
-            queued_so_far: Duration::from_millis(12),
-        };
-        let assign = Assign {
-            job: 17,
-            blueprint: blueprint.clone(),
-        };
-        assert_eq!(
-            Assign::from_wire_bytes(&assign.to_wire_bytes()).unwrap(),
-            assign
-        );
-
-        let result = JobResult {
-            job: 17,
-            outcome: Err(RunError::Cancelled {
-                completed_iterations: 400,
-            }),
-        };
-        assert_eq!(
-            JobResult::from_wire_bytes(&result.to_wire_bytes()).unwrap(),
-            result
-        );
     }
 
     /// One pinned payload: a value's literal bytes, checked in both

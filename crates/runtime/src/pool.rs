@@ -79,6 +79,9 @@ fn work(queue: &Mutex<Queue>, me: usize) {
         }
         let mut state = lock(queue);
         while let Some(job) = state.handed[me].take().or_else(|| state.tasks.pop_front()) {
+            // Busy again: a mark `idle_early` left during the last task
+            // must not get this one's worker handed a task of its own.
+            state.idle[me] = None;
             drop(state);
             job();
             state = lock(queue);
@@ -292,10 +295,16 @@ impl WorkerPool {
     /// does so before the job is seen done: the job's owner may submit the
     /// next one at once and wake up first, and a job that went to another
     /// worker kept a second malloc arena full (see `Queue`).
+    ///
+    /// A worker already handed its next task stays off the list: handing
+    /// it another would drop the first.
     pub(crate) fn idle_early(&self) {
         let me = std::thread::current();
         if let Some(i) = (self.handles.iter()).position(|h| h.thread().id() == me.id()) {
-            lock(&self.queue).idle[i] = Some(me);
+            let mut state = lock(&self.queue);
+            if state.handed[i].is_none() {
+                state.idle[i] = Some(me);
+            }
         }
     }
 
@@ -698,6 +707,54 @@ mod tests {
         assert_eq!(out.iter().map(|r| r.0).collect::<Vec<_>>(), vec![0, 1, 2]);
         assert!(out.iter().all(|r| r.1 == caller), "{out:?}");
         assert_eq!(pool.stats().tasks, 6, "every task is counted");
+    }
+
+    /// A job's worker marks itself idle before its job ends. When it then
+    /// took a queued task, the stale mark got it handed a spawned task, and
+    /// that task's `idle_early` let the next spawn replace the handed one,
+    /// which never ran: a distributed daemon lost a job and its coordinator
+    /// waited for it forever.
+    #[test]
+    fn a_task_handed_to_a_busy_worker_is_never_replaced() {
+        let pool = Arc::new(WorkerPool::new(1));
+        let (release_a, a_released) = std::sync::mpsc::channel::<()>();
+        let (b_started, b_is_running) = std::sync::mpsc::channel::<()>();
+        let (release_b, b_released) = std::sync::mpsc::channel::<()>();
+        let (b_marked, b_is_marked) = std::sync::mpsc::channel::<()>();
+        let (end_b, b_ended) = std::sync::mpsc::channel::<()>();
+        let (ran, ran_rx) = std::sync::mpsc::channel::<char>();
+        // A holds the only worker until B is queued, then ends as a job does.
+        let a_pool = Arc::clone(&pool);
+        pool.spawn(move || {
+            let _ = a_released.recv();
+            a_pool.idle_early();
+        });
+        // B runs next, from the queue, and ends as a job does while `c` and
+        // `d` are spawned around its end.
+        let b_pool = Arc::clone(&pool);
+        pool.spawn(move || {
+            let _ = b_started.send(());
+            let _ = b_released.recv();
+            b_pool.idle_early();
+            let _ = b_marked.send(());
+            let _ = b_ended.recv();
+        });
+        let spawn_named = |name: char| {
+            let ran = ran.clone();
+            pool.spawn(move || ran.send(name).expect("test alive"));
+        };
+        release_a.send(()).expect("A waits");
+        b_is_running.recv().expect("B starts");
+        spawn_named('c');
+        release_b.send(()).expect("B waits");
+        b_is_marked.recv().expect("B marks its worker idle");
+        spawn_named('d');
+        end_b.send(()).expect("B waits");
+        let mut got: Vec<char> = (0..2)
+            .map_while(|_| ran_rx.recv_timeout(std::time::Duration::from_secs(10)).ok())
+            .collect();
+        got.sort_unstable();
+        assert_eq!(got, ['c', 'd'], "a spawned task was lost");
     }
 
     #[test]

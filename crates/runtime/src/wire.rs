@@ -850,54 +850,6 @@ mod tests {
         );
     }
 
-    #[test]
-    fn value_types_round_trip_exactly() {
-        let img = GrayImage::from_fn(5, 3, |x, y| (x * 10 + y) as f32 * 0.125 - 0.5);
-        let back = GrayImage::from_wire_bytes(&img.to_wire_bytes()).unwrap();
-        assert_eq!(back.width(), 5);
-        assert_eq!(back.height(), 3);
-        assert_eq!(
-            back.as_slice()
-                .iter()
-                .map(|v| v.to_bits())
-                .collect::<Vec<_>>(),
-            img.as_slice()
-                .iter()
-                .map(|v| v.to_bits())
-                .collect::<Vec<_>>()
-        );
-
-        let params = ModelParams::new(64, 48, 3.5, 7.25);
-        assert_eq!(
-            ModelParams::from_wire_bytes(&params.to_wire_bytes()).unwrap(),
-            params
-        );
-
-        let c = Circle::new(1.5, -2.25, 3.0);
-        assert_eq!(Circle::from_wire_bytes(&c.to_wire_bytes()).unwrap(), c);
-
-        let d = Duration::new(12, 345_678_901);
-        assert_eq!(Duration::from_wire_bytes(&d.to_wire_bytes()).unwrap(), d);
-
-        let perf = PerfSnapshot {
-            proposals_evaluated: 1,
-            pixels_visited: 2,
-            pair_count_queries: 3,
-            pair_cache_hits: 4,
-            rng_refills: 5,
-            spin_wait_ns: 6,
-            spec_rounds: 7,
-            span_fastpath_hits: 8,
-            pixels_skipped: 9,
-            simd_lanes_processed: 10,
-            proposal_batches: 11,
-        };
-        assert_eq!(
-            PerfSnapshot::from_wire_bytes(&perf.to_wire_bytes()).unwrap(),
-            perf
-        );
-    }
-
     /// One pinned payload: a value's literal bytes, checked in both
     /// directions by [`golden`], and the decoder the mutation fuzz replays.
     struct Golden {
