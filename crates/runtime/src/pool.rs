@@ -79,9 +79,6 @@ fn work(queue: &Mutex<Queue>, me: usize) {
         }
         let mut state = lock(queue);
         while let Some(job) = state.handed[me].take().or_else(|| state.tasks.pop_front()) {
-            // Busy again: a mark `idle_early` left during the last task
-            // must not get this one's worker handed a task of its own.
-            state.idle[me] = None;
             drop(state);
             job();
             state = lock(queue);
