@@ -436,7 +436,6 @@ mod tests {
     /// The literal payload of every job-layer type and of every variant of
     /// its enums. These bytes are the wire format: if one changes, bump
     /// [`pmcmc_runtime::wire::WIRE_VERSION`].
-    #[allow(clippy::too_many_lines)]
     fn goldens() -> Vec<Golden> {
         let chain = SubChainOptions {
             theta: 0.25,
