@@ -753,6 +753,40 @@ mod tests {
         assert_eq!(got, ['c', 'd'], "a spawned task was lost or overtaken");
     }
 
+    /// A task handed to a worker waits for the worker's current task to
+    /// end. Were that task to mark its worker idle a second time, the next
+    /// spawn would be handed to the worker too, in the first one's place.
+    #[test]
+    fn a_second_idle_mark_replaces_no_handed_task() {
+        let pool = Arc::new(WorkerPool::new(1));
+        let (marked_tx, marked) = std::sync::mpsc::channel::<()>();
+        let (go, go_rx) = std::sync::mpsc::channel::<()>();
+        let (ran, ran_rx) = std::sync::mpsc::channel::<char>();
+        let own_pool = Arc::clone(&pool);
+        pool.spawn(move || {
+            own_pool.idle_early();
+            let _ = marked_tx.send(());
+            let _ = go_rx.recv();
+            own_pool.idle_early();
+            let _ = marked_tx.send(());
+            let _ = go_rx.recv();
+        });
+        let spawn_named = |name: char| {
+            let ran = ran.clone();
+            pool.spawn(move || ran.send(name).expect("test alive"));
+        };
+        marked.recv().expect("first mark");
+        spawn_named('c');
+        go.send(()).expect("task waits");
+        marked.recv().expect("second mark");
+        spawn_named('d');
+        go.send(()).expect("task waits");
+        let got: Vec<char> = (0..2)
+            .map_while(|_| ran_rx.recv_timeout(std::time::Duration::from_secs(10)).ok())
+            .collect();
+        assert_eq!(got, ['c', 'd'], "a handed task was replaced");
+    }
+
     #[test]
     fn spawned_tasks_run_on_workers_and_a_panic_kills_no_worker() {
         let pool = WorkerPool::new(2);
