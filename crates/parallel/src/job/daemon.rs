@@ -22,7 +22,9 @@ use crate::job::error::RunError;
 use crate::job::runner::run_blueprint;
 use crate::job::wire::{Assign, JobResult, WireReport};
 use pmcmc_runtime::net::FrameConn;
-use pmcmc_runtime::wire::{FrameKind, Heartbeat, Hello, Requeue, Wire, WireError, WIRE_VERSION};
+use pmcmc_runtime::wire::{
+    FrameKind, Heartbeat, Hello, Requeue, Wire, WireError, WireReader, WIRE_VERSION,
+};
 use pmcmc_runtime::{JobExecutor, NodeId, WorkerPool};
 use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
@@ -181,7 +183,7 @@ impl NodeDaemon {
                     // The job id is the first u64 of the payload; salvage it
                     // so the coordinator can fail the job instead of timing
                     // out.
-                    if let Ok(job) = pmcmc_runtime::wire::WireReader::new(&frame.payload).u64() {
+                    if let Ok(job) = u64::decode(&mut WireReader::new(&frame.payload)) {
                         let why = format!("node {node} could not decode assignment: {e}");
                         send_result(&writer, job, Err(RunError::Transport(why)));
                     }

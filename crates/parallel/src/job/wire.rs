@@ -30,24 +30,24 @@ use crate::job::error::RunError;
 use crate::naive::{NaiveOptions, NaivePrior};
 use crate::periodic::{PartitionScheme, PeriodicOptions};
 use crate::subchain::SubChainOptions;
-use pmcmc_core::{Configuration, ModelParams, NucleiModel};
+use pmcmc_core::{Configuration, ModelParams, NucleiModel, PerfSnapshot};
 use pmcmc_imaging::{Circle, GrayImage};
 use pmcmc_runtime::wire::{Wire, WireError, WireReader, WireWriter};
-use pmcmc_runtime::{wire_enum, wire_struct};
+use pmcmc_runtime::{wire_enum, wire_struct, NodeId};
 use std::time::Duration;
 
 #[cfg(doc)]
 use crate::job::JobSpec;
 
-wire_enum!(PartitionScheme, "partition scheme" { 0 => Grid { xm, ym }, 1 => Corner });
+wire_enum!(PartitionScheme, "partition scheme" { 0 => Grid { xm: i64, ym: i64 }, 1 => Corner });
 
 wire_struct!(SubChainOptions {
-    theta,
-    conv_window,
-    conv_tol,
-    conv_stride,
-    max_iters,
-    settle_frac
+    theta: f32,
+    conv_window: usize,
+    conv_tol: f64,
+    conv_stride: u64,
+    max_iters: u64,
+    settle_frac: f64,
 });
 
 wire_enum!(DisputePolicy, "dispute policy" { 0 => Accept, 1 => Discard });
@@ -55,38 +55,41 @@ wire_enum!(DisputePolicy, "dispute policy" { 0 => Accept, 1 => Discard });
 wire_enum!(NaivePrior, "naive prior" { 0 => UniformSplit, 1 => DensityEstimate });
 
 wire_struct!(PeriodicOptions {
-    global_phase_iters,
-    scheme,
-    threads,
-    speculative_global_lanes
+    global_phase_iters: u64,
+    scheme: PartitionScheme,
+    threads: usize,
+    speculative_global_lanes: usize,
 });
 
-wire_struct!(IntelligentPartitioner { theta, min_gap });
+wire_struct!(IntelligentPartitioner {
+    theta: f32,
+    min_gap: u32
+});
 
 wire_struct!(BlindOptions {
-    cols,
-    rows,
-    margin_factor,
-    merge_eps,
-    dispute,
-    chain
+    cols: u32,
+    rows: u32,
+    margin_factor: f64,
+    merge_eps: f64,
+    dispute: DisputePolicy,
+    chain: SubChainOptions,
 });
 
 wire_struct!(NaiveOptions {
-    cols,
-    rows,
-    prior,
-    chain
+    cols: u32,
+    rows: u32,
+    prior: NaivePrior,
+    chain: SubChainOptions,
 });
 
 wire_enum!(StrategySpec, "strategy" {
     0 => Sequential,
-    1 => Periodic(options),
-    2 => Speculative { lanes },
-    3 => Mc3 { chains, heat, segment_len },
-    4 => Intelligent { partitioner, chain },
-    5 => Blind(options),
-    6 => Naive(options),
+    1 => Periodic(options: PeriodicOptions),
+    2 => Speculative { lanes: usize },
+    3 => Mc3 { chains: usize, heat: f64, segment_len: u64 },
+    4 => Intelligent { partitioner: IntelligentPartitioner, chain: SubChainOptions },
+    5 => Blind(options: BlindOptions),
+    6 => Naive(options: NaiveOptions),
 });
 
 wire_enum!(Validity, "validity" { 0 => Exact, 1 => Heuristic, 2 => Broken });
@@ -119,34 +122,38 @@ fn intern_phase(name: String) -> &'static str {
 impl Wire for PhaseTiming {
     fn encode(&self, w: &mut WireWriter) {
         w.str(self.phase);
-        self.duration.encode(w);
+        <Duration as Wire>::encode(&self.duration, w);
     }
 
     fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
         Ok(PhaseTiming {
             phase: intern_phase(r.str()?),
-            duration: Duration::decode(r)?,
+            duration: <Duration as Wire>::decode(r)?,
         })
     }
 }
 
-wire_struct!(NodeTiming { node, queued, busy });
+wire_struct!(NodeTiming {
+    node: NodeId,
+    queued: Duration,
+    busy: Duration
+});
 
 wire_struct!(RunDiagnostics {
-    partitions,
-    acceptance_rate,
-    log_posterior,
-    notes,
-    perf
+    partitions: usize,
+    acceptance_rate: Option<f64>,
+    log_posterior: f64,
+    notes: Vec<String>,
+    perf: Option<PerfSnapshot>,
 });
 
 wire_enum!(RunError, "run-error" {
-    0 => InvalidSpec(msg),
-    1 => UnknownStrategy(name),
-    2 => Cancelled { completed_iterations },
-    3 => DeadlineExceeded { completed_iterations },
-    4 => Panicked(msg),
-    5 => Transport(msg),
+    0 => InvalidSpec(msg: String),
+    1 => UnknownStrategy(name: String),
+    2 => Cancelled { completed_iterations: u64 },
+    3 => DeadlineExceeded { completed_iterations: u64 },
+    4 => Panicked(msg: String),
+    5 => Transport(msg: String),
 });
 
 /// A [`RunReport`] in transit: identical field-for-field except that the
@@ -212,14 +219,14 @@ impl WireReport {
 }
 
 wire_struct!(WireReport {
-    strategy,
-    validity,
-    circles,
-    phases,
-    total_time,
-    iterations,
-    diagnostics,
-    node_timings,
+    strategy: String,
+    validity: Validity,
+    circles: Vec<Circle>,
+    phases: Vec<PhaseTiming>,
+    total_time: Duration,
+    iterations: u64,
+    diagnostics: RunDiagnostics,
+    node_timings: Vec<NodeTiming>,
 });
 
 /// Everything a node daemon needs to run one job — the [`JobSpec`]
@@ -250,15 +257,15 @@ pub struct JobBlueprint {
 }
 
 wire_struct!(JobBlueprint {
-    strategy,
-    image,
-    params,
-    seed,
-    iterations,
-    remaining_deadline,
-    checkpoint_interval,
-    progress_stride,
-    queued_so_far,
+    strategy: StrategySpec,
+    image: GrayImage,
+    params: ModelParams,
+    seed: u64,
+    iterations: u64,
+    remaining_deadline: Option<Duration>,
+    checkpoint_interval: Option<u64>,
+    progress_stride: u64,
+    queued_so_far: Duration,
 });
 
 /// The [`FrameKind::Assign`](pmcmc_runtime::wire::FrameKind::Assign)
@@ -279,13 +286,12 @@ impl Assign {
     pub fn payload(job: u64, blueprint: &JobBlueprint) -> Vec<u8> {
         // The image dominates; the rest of the schema is under 256 bytes.
         let mut w = WireWriter::with_capacity(4 * blueprint.image.len() + 256);
-        job.encode(&mut w);
-        blueprint.encode(&mut w);
+        encode_assign(&mut w, &job, blueprint);
         w.into_bytes()
     }
 }
 
-wire_struct!(Assign { job, blueprint });
+wire_struct!(Assign { job: u64, blueprint: JobBlueprint }, fn encode_assign);
 
 /// The [`FrameKind::Result`](pmcmc_runtime::wire::FrameKind::Result)
 /// payload: one job's terminal outcome.
@@ -297,13 +303,12 @@ pub struct JobResult {
     pub outcome: Result<WireReport, RunError>,
 }
 
-wire_struct!(JobResult { job, outcome });
+wire_struct!(JobResult { job: u64, outcome: Result<WireReport, RunError> });
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use pmcmc_runtime::wire::{write_frame, FrameKind};
-    use pmcmc_runtime::NodeId;
 
     fn sample_specs() -> Vec<StrategySpec> {
         let mut specs = StrategySpec::all();
@@ -341,6 +346,28 @@ mod tests {
                 StrategySpec::from_wire_bytes(&bytes).unwrap(),
                 spec,
                 "round trip of {spec:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn run_errors_round_trip() {
+        let errors = [
+            RunError::InvalidSpec("zero iterations".to_owned()),
+            RunError::UnknownStrategy("warp-drive".to_owned()),
+            RunError::Cancelled {
+                completed_iterations: 42,
+            },
+            RunError::DeadlineExceeded {
+                completed_iterations: 7,
+            },
+            RunError::Panicked("index out of bounds".to_owned()),
+            RunError::Transport("node-1 lost".to_owned()),
+        ];
+        for err in errors {
+            assert_eq!(
+                RunError::from_wire_bytes(&err.to_wire_bytes()).unwrap(),
+                err
             );
         }
     }
@@ -393,6 +420,44 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn blueprint_and_result_round_trip() {
+        let blueprint = JobBlueprint {
+            strategy: StrategySpec::Mc3 {
+                chains: 3,
+                heat: 0.4,
+                segment_len: 250,
+            },
+            image: GrayImage::from_fn(8, 6, |x, y| (x + y) as f32 * 0.05),
+            params: ModelParams::new(8, 6, 2.0, 3.0),
+            seed: 99,
+            iterations: 1_000,
+            remaining_deadline: Some(Duration::from_secs(30)),
+            checkpoint_interval: None,
+            progress_stride: 512,
+            queued_so_far: Duration::from_millis(12),
+        };
+        let assign = Assign {
+            job: 17,
+            blueprint: blueprint.clone(),
+        };
+        assert_eq!(
+            Assign::from_wire_bytes(&assign.to_wire_bytes()).unwrap(),
+            assign
+        );
+
+        let result = JobResult {
+            job: 17,
+            outcome: Err(RunError::Cancelled {
+                completed_iterations: 400,
+            }),
+        };
+        assert_eq!(
+            JobResult::from_wire_bytes(&result.to_wire_bytes()).unwrap(),
+            result
+        );
     }
 
     /// One pinned payload: a value's literal bytes, checked in both

@@ -26,16 +26,20 @@
 //!
 //! # Adding a wire type
 //!
-//! A type's layout is written once, as a field list:
-//! [`wire_struct!`](crate::wire_struct) encodes a struct's fields in the
-//! order listed and decodes them back in the same order, and
-//! [`wire_enum!`](crate::wire_enum) writes a tag byte before a variant's
-//! fields. Each field travels through its own type's [`Wire`] impl.
-//! Hand-write an impl only when decoding must do more than read the
-//! fields back (validate them, intern them, or take a bulk path).
+//! A type's layout is written once, as a list of its fields and their
+//! wire types: [`wire_struct!`](crate::wire_struct) encodes a struct's
+//! fields in the order listed and decodes them back in the same order,
+//! and [`wire_enum!`](crate::wire_enum) writes a tag byte before a
+//! variant's fields. Each field travels through the [`Wire`] impl of the
+//! type the list names. Hand-write an impl only when decoding must do
+//! more than read the fields back (validate them, intern them, or take a
+//! bulk path).
 //!
 //! * A struct's list must name every field (its decode is a struct
-//!   literal), so adding a field is one token in its list.
+//!   literal), so adding a field is one entry in its list.
+//! * A listed type must be the field's declared type, so a field retyped
+//!   where its struct is declared does not compile until its list changes
+//!   with it, in a file the wire manifest fingerprints.
 //! * Enum tags are only ever appended: never reorder or reuse one, or an
 //!   older peer reads a frame as another variant.
 //! * Any change to the bytes — a field added, moved or retyped, a tag
@@ -59,9 +63,10 @@ use std::time::Duration;
 /// `proposal_batches`). v4's payload layout is v3's: images move through
 /// the bulk [`WireWriter::f32s`] / [`WireReader::f32s`] pair and `Assign`
 /// payloads encode from a borrowed blueprint, byte for byte as before.
-/// v5's payload layout is v4's: the codecs are generated from one field
-/// list per type ([`wire_struct!`](crate::wire_struct),
-/// [`wire_enum!`](crate::wire_enum)), byte for byte as before.
+/// v5's payload layout is v4's: the codecs are generated from one list of
+/// fields and their wire types per type
+/// ([`wire_struct!`](crate::wire_struct), [`wire_enum!`](crate::wire_enum)),
+/// byte for byte as before.
 pub const WIRE_VERSION: u8 = 5;
 
 /// Frame magic: the first two bytes of every frame.
@@ -247,28 +252,12 @@ impl WireWriter {
         self.buf
     }
 
-    /// Appends one byte.
-    pub fn u8(&mut self, v: u8) {
-        self.buf.push(v);
-    }
-
-    /// Appends a little-endian `u32`.
-    pub fn u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// Appends a little-endian `u64`.
-    pub fn u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// Appends an `f32` as its IEEE-754 bit pattern.
-    pub fn f32(&mut self, v: f32) {
-        self.buf.extend_from_slice(&v.to_bits().to_le_bytes());
-    }
-
-    /// Appends a run of `f32`s, each as [`WireWriter::f32`] would, with
-    /// no length prefix (the schema carries the count).
+    /// Appends a run of `f32`s, each as its [`Wire`] impl would, with no
+    /// length prefix (the schema carries the count).
+    // Out of line, the copy below compiles to one `memcpy`. Inlined into
+    // `GrayImage::encode`, it became a 32-byte vector loop, and encoding a
+    // 256×256 job's `Assign` took about 20 % longer (x86-64, rustc 1.95).
+    #[inline(never)]
     pub fn f32s(&mut self, v: &[f32]) {
         let start = self.buf.len();
         self.buf.resize(start + 4 * v.len(), 0);
@@ -277,19 +266,9 @@ impl WireWriter {
         }
     }
 
-    /// Appends an `f64` as its IEEE-754 bit pattern.
-    pub fn f64(&mut self, v: f64) {
-        self.buf.extend_from_slice(&v.to_bits().to_le_bytes());
-    }
-
-    /// Appends a `bool` as one byte.
-    pub fn bool(&mut self, v: bool) {
-        self.buf.push(u8::from(v));
-    }
-
     /// Appends a length-prefixed UTF-8 string.
     pub fn str(&mut self, v: &str) {
-        self.u32(v.len() as u32);
+        u32::encode(&(v.len() as u32), self);
         self.buf.extend_from_slice(v.as_bytes());
     }
 }
@@ -324,28 +303,12 @@ impl<'a> WireReader<'a> {
         Ok(slice)
     }
 
-    /// Reads one byte.
-    pub fn u8(&mut self) -> Result<u8, WireError> {
-        Ok(self.take(1)?[0])
-    }
-
-    /// Reads a little-endian `u32`.
-    pub fn u32(&mut self) -> Result<u32, WireError> {
-        let b = self.take(4)?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-    }
-
-    /// Reads a little-endian `u64`.
-    pub fn u64(&mut self) -> Result<u64, WireError> {
-        let b = self.take(8)?;
-        Ok(u64::from_le_bytes([
-            b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7],
-        ]))
-    }
-
-    /// Reads an `f32` bit pattern.
-    pub fn f32(&mut self) -> Result<f32, WireError> {
-        Ok(f32::from_bits(self.u32()?))
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], WireError> {
+        let bytes = *self.buf[self.pos..]
+            .first_chunk()
+            .ok_or(WireError::Truncated)?;
+        self.pos += N;
+        Ok(bytes)
     }
 
     /// Reads `n` `f32`s written by [`WireWriter::f32s`], checking the
@@ -361,23 +324,9 @@ impl<'a> WireReader<'a> {
             .collect())
     }
 
-    /// Reads an `f64` bit pattern.
-    pub fn f64(&mut self) -> Result<f64, WireError> {
-        Ok(f64::from_bits(self.u64()?))
-    }
-
-    /// Reads a `bool`, rejecting presence bytes other than 0/1.
-    pub fn bool(&mut self) -> Result<bool, WireError> {
-        match self.u8()? {
-            0 => Ok(false),
-            1 => Ok(true),
-            b => Err(WireError::Malformed(format!("invalid bool byte {b}"))),
-        }
-    }
-
     /// Reads a length-prefixed UTF-8 string.
     pub fn str(&mut self) -> Result<String, WireError> {
-        let len = self.u32()? as usize;
+        let len = u32::decode(self)? as usize;
         let bytes = self.take(len)?;
         String::from_utf8(bytes.to_vec())
             .map_err(|e| WireError::Malformed(format!("invalid utf-8 string: {e}")))
@@ -428,51 +377,74 @@ pub trait Wire: Sized {
     }
 }
 
-/// Implements [`Wire`] for a struct from one list of its fields.
+/// Implements [`Wire`] for a struct from one list of its fields and their
+/// wire types.
 ///
-/// `wire_struct!(Type { a, b, c })` encodes `a`, `b`, `c` in that order,
-/// each through its own type's [`Wire`] impl, and decodes them into a
-/// struct literal in the same order. The literal makes the compiler
-/// reject a list that misses a field.
+/// `wire_struct!(Type { a: u32, b: String })` encodes `a` then `b`, each
+/// through the named type's [`Wire`] impl, and decodes them into a struct
+/// literal in the same order. The literal makes the compiler reject a
+/// list that misses a field, and the named types make it reject a field
+/// whose declared type changed: its bytes cannot change without this list.
+///
+/// `wire_struct!(Type { .. }, fn name)` also defines a private
+/// `fn name(w: &mut WireWriter, a: &u32, b: &String)`, which the `encode`
+/// calls: the same bytes from borrowed fields, without building a `Type`.
 #[macro_export]
 macro_rules! wire_struct {
-    ($ty:ident { $($field:ident),+ $(,)? }) => {
+    ($ty:ident { $($field:ident: $wire:ty),+ $(,)? }) => {
         impl $crate::wire::Wire for $ty {
             fn encode(&self, w: &mut $crate::wire::WireWriter) {
-                $($crate::wire::Wire::encode(&self.$field, w);)+
+                $(<$wire as $crate::wire::Wire>::encode(&self.$field, w);)+
             }
 
-            fn decode(
-                r: &mut $crate::wire::WireReader<'_>,
-            ) -> ::core::result::Result<Self, $crate::wire::WireError> {
-                ::core::result::Result::Ok($ty {
-                    $($field: $crate::wire::Wire::decode(r)?,)+
-                })
+            $crate::wire_struct!(@decode $ty { $($field: $wire),+ });
+        }
+    };
+    ($ty:ident { $($field:ident: $wire:ty),+ $(,)? }, fn $encode:ident) => {
+        fn $encode(w: &mut $crate::wire::WireWriter, $($field: &$wire),+) {
+            $(<$wire as $crate::wire::Wire>::encode($field, w);)+
+        }
+
+        impl $crate::wire::Wire for $ty {
+            fn encode(&self, w: &mut $crate::wire::WireWriter) {
+                $encode(w, $(&self.$field),+);
             }
+
+            $crate::wire_struct!(@decode $ty { $($field: $wire),+ });
+        }
+    };
+    (@decode $ty:ident { $($field:ident: $wire:ty),+ }) => {
+        fn decode(
+            r: &mut $crate::wire::WireReader<'_>,
+        ) -> ::core::result::Result<Self, $crate::wire::WireError> {
+            ::core::result::Result::Ok($ty {
+                $($field: <$wire as $crate::wire::Wire>::decode(r)?,)+
+            })
         }
     };
 }
 
 /// Implements [`Wire`] for an enum from one list of its variants.
 ///
-/// `wire_enum!(Type, "what" { 0 => Unit, 1 => Tuple(a), 2 => Named { x, y } })`
-/// writes a variant's tag byte, then its fields in the order listed
-/// (tuple fields are named by position in the list). Decoding an unknown
-/// tag is [`WireError::Malformed`]`("unknown <what> tag N")`.
+/// `wire_enum!(Type, "what" { 0 => Unit, 1 => Tuple(a: u64), 2 => Named { x: f64, y: f64 } })`
+/// writes a variant's tag byte, then its fields in the order listed, each
+/// through the named type's [`Wire`] impl (tuple fields are named by
+/// position in the list). Decoding an unknown tag is
+/// [`WireError::Malformed`]`("unknown <what> tag N")`.
 #[macro_export]
 macro_rules! wire_enum {
     ($ty:ident, $what:literal {
         $($tag:literal => $variant:ident
-            $(($($tuple:ident),+))?
-            $({ $($named:ident),+ })?),+ $(,)?
+            $(($($tuple:ident: $tuple_wire:ty),+))?
+            $({ $($named:ident: $named_wire:ty),+ })?),+ $(,)?
     }) => {
         impl $crate::wire::Wire for $ty {
             fn encode(&self, w: &mut $crate::wire::WireWriter) {
                 match self {
                     $($ty::$variant $(($($tuple),+))? $({ $($named),+ })? => {
-                        w.u8($tag);
-                        $($($crate::wire::Wire::encode($tuple, w);)+)?
-                        $($($crate::wire::Wire::encode($named, w);)+)?
+                        <u8 as $crate::wire::Wire>::encode(&$tag, w);
+                        $($(<$tuple_wire as $crate::wire::Wire>::encode($tuple, w);)+)?
+                        $($(<$named_wire as $crate::wire::Wire>::encode($named, w);)+)?
                     })+
                 }
             }
@@ -480,10 +452,10 @@ macro_rules! wire_enum {
             fn decode(
                 r: &mut $crate::wire::WireReader<'_>,
             ) -> ::core::result::Result<Self, $crate::wire::WireError> {
-                match r.u8()? {
+                match <u8 as $crate::wire::Wire>::decode(r)? {
                     $($tag => {
-                        $($(let $tuple = $crate::wire::Wire::decode(r)?;)+)?
-                        $($(let $named = $crate::wire::Wire::decode(r)?;)+)?
+                        $($(let $tuple = <$tuple_wire as $crate::wire::Wire>::decode(r)?;)+)?
+                        $($(let $named = <$named_wire as $crate::wire::Wire>::decode(r)?;)+)?
                         ::core::result::Result::Ok(
                             $ty::$variant $(($($tuple),+))? $({ $($named),+ })?
                         )
@@ -497,40 +469,60 @@ macro_rules! wire_enum {
     };
 }
 
-/// Primitives whose [`WireWriter`] / [`WireReader`] methods share their
-/// name.
-macro_rules! wire_primitive {
+/// Integers travel little-endian.
+macro_rules! wire_le {
     ($($t:ident),+) => {$(
         impl Wire for $t {
             fn encode(&self, w: &mut WireWriter) {
-                w.$t(*self);
+                w.buf.extend_from_slice(&self.to_le_bytes());
             }
 
             fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-                r.$t()
+                Ok($t::from_le_bytes(r.array()?))
             }
         }
     )+};
 }
 
-wire_primitive!(u8, u32, u64, f32, f64, bool);
+wire_le!(u8, u32, u64);
 
-/// `usize` and `i64` travel as `u64` (an `as` cast each way).
-macro_rules! wire_as_u64 {
-    ($($t:ident),+) => {$(
+/// `f32`/`f64` travel as their IEEE-754 bit patterns; `usize` and `i64`
+/// as `u64` (an `as` cast each way).
+macro_rules! wire_via {
+    ($($t:ident as $via:ident: $to:expr, $from:expr;)+) => {$(
         impl Wire for $t {
             fn encode(&self, w: &mut WireWriter) {
-                w.u64(*self as u64);
+                $via::encode(&$to(*self), w);
             }
 
             fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-                Ok(r.u64()? as $t)
+                Ok($from($via::decode(r)?))
             }
         }
     )+};
 }
 
-wire_as_u64!(usize, i64);
+wire_via! {
+    f32 as u32: f32::to_bits, f32::from_bits;
+    f64 as u64: f64::to_bits, f64::from_bits;
+    usize as u64: |v| v as u64, |v| v as usize;
+    i64 as u64: |v| v as u64, |v| v as i64;
+}
+
+/// One byte, `0` or `1`; any other byte is malformed.
+impl Wire for bool {
+    fn encode(&self, w: &mut WireWriter) {
+        u8::from(*self).encode(w);
+    }
+
+    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
+        match u8::decode(r)? {
+            0 => Ok(false),
+            1 => Ok(true),
+            b => Err(WireError::Malformed(format!("invalid bool byte {b}"))),
+        }
+    }
+}
 
 impl Wire for String {
     fn encode(&self, w: &mut WireWriter) {
@@ -545,14 +537,14 @@ impl Wire for String {
 /// A presence byte, then the value.
 impl<T: Wire> Wire for Option<T> {
     fn encode(&self, w: &mut WireWriter) {
-        w.bool(self.is_some());
+        self.is_some().encode(w);
         if let Some(v) = self {
             v.encode(w);
         }
     }
 
     fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        if r.bool()? {
+        if bool::decode(r)? {
             Ok(Some(T::decode(r)?))
         } else {
             Ok(None)
@@ -563,7 +555,7 @@ impl<T: Wire> Wire for Option<T> {
 /// A `u32` length, then the elements.
 impl<T: Wire> Wire for Vec<T> {
     fn encode(&self, w: &mut WireWriter) {
-        w.u32(self.len() as u32);
+        (self.len() as u32).encode(w);
         for item in self {
             item.encode(w);
         }
@@ -573,7 +565,7 @@ impl<T: Wire> Wire for Vec<T> {
     /// least one) before anything is allocated, so a corrupt length
     /// cannot trigger a huge allocation.
     fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        let len = r.u32()? as usize;
+        let len = u32::decode(r)? as usize;
         if len > r.remaining() {
             return Err(WireError::Truncated);
         }
@@ -585,50 +577,49 @@ impl<T: Wire> Wire for Vec<T> {
     }
 }
 
-/// A tag byte (`0` = `Ok`, `1` = `Err`), then the value. Its one user is
-/// the job layer's result payload, whose error text it keeps.
+/// A tag byte (`0` = `Ok`, `1` = `Err`), then the value.
 impl<T: Wire, E: Wire> Wire for Result<T, E> {
     fn encode(&self, w: &mut WireWriter) {
         match self {
             Ok(v) => {
-                w.u8(0);
+                0u8.encode(w);
                 v.encode(w);
             }
             Err(e) => {
-                w.u8(1);
+                1u8.encode(w);
                 e.encode(w);
             }
         }
     }
 
     fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        match r.u8()? {
+        match u8::decode(r)? {
             0 => Ok(Ok(T::decode(r)?)),
             1 => Ok(Err(E::decode(r)?)),
-            t => Err(WireError::Malformed(format!("unknown job-result tag {t}"))),
+            t => Err(WireError::Malformed(format!("unknown result tag {t}"))),
         }
     }
 }
 
 impl Wire for NodeId {
     fn encode(&self, w: &mut WireWriter) {
-        self.0.encode(w);
+        <usize as Wire>::encode(&self.0, w);
     }
 
     fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Ok(NodeId(usize::decode(r)?))
+        Ok(NodeId(<usize as Wire>::decode(r)?))
     }
 }
 
 impl Wire for Duration {
     fn encode(&self, w: &mut WireWriter) {
-        w.u64(self.as_secs());
-        w.u32(self.subsec_nanos());
+        u64::encode(&self.as_secs(), w);
+        u32::encode(&self.subsec_nanos(), w);
     }
 
     fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        let secs = r.u64()?;
-        let nanos = r.u32()?;
+        let secs = u64::decode(r)?;
+        let nanos = u32::decode(r)?;
         if nanos >= 1_000_000_000 {
             return Err(WireError::Malformed(format!(
                 "duration subsec nanos {nanos} out of range"
@@ -640,14 +631,14 @@ impl Wire for Duration {
 
 impl Wire for GrayImage {
     fn encode(&self, w: &mut WireWriter) {
-        w.u32(self.width());
-        w.u32(self.height());
+        u32::encode(&self.width(), w);
+        u32::encode(&self.height(), w);
         w.f32s(self.as_slice());
     }
 
     fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        let width = r.u32()?;
-        let height = r.u32()?;
+        let width = u32::decode(r)?;
+        let height = u32::decode(r)?;
         let n = (width as usize)
             .checked_mul(height as usize)
             .ok_or_else(|| WireError::Malformed("image dimensions overflow".to_owned()))?;
@@ -657,14 +648,18 @@ impl Wire for GrayImage {
 
 impl Wire for TruncatedNormal {
     fn encode(&self, w: &mut WireWriter) {
-        w.f64(self.mu);
-        w.f64(self.sigma);
-        w.f64(self.lo);
-        w.f64(self.hi);
+        for v in [self.mu, self.sigma, self.lo, self.hi] {
+            f64::encode(&v, w);
+        }
     }
 
     fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        let (mu, sigma, lo, hi) = (r.f64()?, r.f64()?, r.f64()?, r.f64()?);
+        let (mu, sigma, lo, hi) = (
+            f64::decode(r)?,
+            f64::decode(r)?,
+            f64::decode(r)?,
+            f64::decode(r)?,
+        );
         // NaNs must fail here (not inside `new`'s asserts), so the
         // comparisons are spelled to catch them.
         if sigma.is_nan() || sigma <= 0.0 || hi.is_nan() || lo.is_nan() || hi <= lo {
@@ -679,30 +674,34 @@ impl Wire for TruncatedNormal {
 }
 
 wire_struct!(ModelParams {
-    width,
-    height,
-    expected_count,
-    radius_prior,
-    overlap_gamma,
-    fg,
-    bg,
-    noise_sd,
+    width: u32,
+    height: u32,
+    expected_count: f64,
+    radius_prior: TruncatedNormal,
+    overlap_gamma: f64,
+    fg: f64,
+    bg: f64,
+    noise_sd: f64,
 });
 
-wire_struct!(Circle { x, y, r });
+wire_struct!(Circle {
+    x: f64,
+    y: f64,
+    r: f64
+});
 
 wire_struct!(PerfSnapshot {
-    proposals_evaluated,
-    pixels_visited,
-    pair_count_queries,
-    pair_cache_hits,
-    rng_refills,
-    spin_wait_ns,
-    spec_rounds,
-    span_fastpath_hits,
-    pixels_skipped,
-    simd_lanes_processed,
-    proposal_batches,
+    proposals_evaluated: u64,
+    pixels_visited: u64,
+    pair_count_queries: u64,
+    pair_cache_hits: u64,
+    rng_refills: u64,
+    spin_wait_ns: u64,
+    spec_rounds: u64,
+    span_fastpath_hits: u64,
+    pixels_skipped: u64,
+    simd_lanes_processed: u64,
+    proposal_batches: u64,
 });
 
 /// The handshake payload (both directions; see [`FrameKind::Hello`]).
@@ -720,9 +719,9 @@ pub struct Hello {
 }
 
 wire_struct!(Hello {
-    version,
-    node,
-    workers
+    version: u8,
+    node: u64,
+    workers: u32
 });
 
 /// The liveness beacon payload (see [`FrameKind::Heartbeat`]).
@@ -734,7 +733,10 @@ pub struct Heartbeat {
     pub in_flight: u32,
 }
 
-wire_struct!(Heartbeat { node, in_flight });
+wire_struct!(Heartbeat {
+    node: u64,
+    in_flight: u32
+});
 
 /// The reschedule-request payload (see [`FrameKind::Requeue`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -745,7 +747,10 @@ pub struct Requeue {
     pub reason: String,
 }
 
-wire_struct!(Requeue { job, reason });
+wire_struct!(Requeue {
+    job: u64,
+    reason: String
+});
 
 #[cfg(test)]
 mod tests {
@@ -754,12 +759,12 @@ mod tests {
     #[test]
     fn primitives_round_trip() {
         let mut w = WireWriter::new();
-        w.u8(7);
-        w.u32(0xDEAD_BEEF);
-        w.u64(u64::MAX - 3);
-        w.f32(-0.0);
-        w.f64(f64::NAN);
-        w.bool(true);
+        7u8.encode(&mut w);
+        0xDEAD_BEEFu32.encode(&mut w);
+        (u64::MAX - 3).encode(&mut w);
+        (-0.0f32).encode(&mut w);
+        f64::NAN.encode(&mut w);
+        true.encode(&mut w);
         w.str("héllo");
         Some(42u64).encode(&mut w);
         None::<u64>.encode(&mut w);
@@ -767,12 +772,12 @@ mod tests {
         let bytes = w.into_bytes();
 
         let mut r = WireReader::new(&bytes);
-        assert_eq!(r.u8().unwrap(), 7);
-        assert_eq!(r.u32().unwrap(), 0xDEAD_BEEF);
-        assert_eq!(r.u64().unwrap(), u64::MAX - 3);
-        assert_eq!(r.f32().unwrap().to_bits(), (-0.0f32).to_bits());
-        assert_eq!(r.f64().unwrap().to_bits(), f64::NAN.to_bits());
-        assert!(r.bool().unwrap());
+        assert_eq!(u8::decode(&mut r).unwrap(), 7);
+        assert_eq!(u32::decode(&mut r).unwrap(), 0xDEAD_BEEF);
+        assert_eq!(u64::decode(&mut r).unwrap(), u64::MAX - 3);
+        assert_eq!(f32::decode(&mut r).unwrap().to_bits(), (-0.0f32).to_bits());
+        assert_eq!(f64::decode(&mut r).unwrap().to_bits(), f64::NAN.to_bits());
+        assert!(bool::decode(&mut r).unwrap());
         assert_eq!(r.str().unwrap(), "héllo");
         assert_eq!(Option::<u64>::decode(&mut r).unwrap(), Some(42));
         assert_eq!(Option::<u64>::decode(&mut r).unwrap(), None);
@@ -783,18 +788,16 @@ mod tests {
     #[test]
     fn reads_past_end_are_truncated_not_panics() {
         let mut r = WireReader::new(&[1, 2]);
-        assert_eq!(r.u32(), Err(WireError::Truncated));
+        assert_eq!(u32::decode(&mut r), Err(WireError::Truncated));
         let mut r = WireReader::new(&[]);
-        assert_eq!(r.u8(), Err(WireError::Truncated));
+        assert_eq!(u8::decode(&mut r), Err(WireError::Truncated));
         let mut r = WireReader::new(&[5, 0, 0, 0, b'a']);
         assert_eq!(r.str(), Err(WireError::Truncated));
     }
 
     #[test]
     fn corrupt_seq_length_is_rejected_before_allocation() {
-        let mut w = WireWriter::new();
-        w.u32(u32::MAX);
-        let bytes = w.into_bytes();
+        let bytes = u32::MAX.to_wire_bytes();
         assert_eq!(
             Vec::<u8>::from_wire_bytes(&bytes),
             Err(WireError::Truncated)
@@ -847,6 +850,54 @@ mod tests {
         assert_eq!(
             read_frame(&mut bad_len.as_slice()),
             Err(WireError::FrameTooLarge(MAX_FRAME_LEN + 1))
+        );
+    }
+
+    #[test]
+    fn value_types_round_trip_exactly() {
+        let img = GrayImage::from_fn(5, 3, |x, y| (x * 10 + y) as f32 * 0.125 - 0.5);
+        let back = GrayImage::from_wire_bytes(&img.to_wire_bytes()).unwrap();
+        assert_eq!(back.width(), 5);
+        assert_eq!(back.height(), 3);
+        assert_eq!(
+            back.as_slice()
+                .iter()
+                .map(|v| v.to_bits())
+                .collect::<Vec<_>>(),
+            img.as_slice()
+                .iter()
+                .map(|v| v.to_bits())
+                .collect::<Vec<_>>()
+        );
+
+        let params = ModelParams::new(64, 48, 3.5, 7.25);
+        assert_eq!(
+            ModelParams::from_wire_bytes(&params.to_wire_bytes()).unwrap(),
+            params
+        );
+
+        let c = Circle::new(1.5, -2.25, 3.0);
+        assert_eq!(Circle::from_wire_bytes(&c.to_wire_bytes()).unwrap(), c);
+
+        let d = Duration::new(12, 345_678_901);
+        assert_eq!(Duration::from_wire_bytes(&d.to_wire_bytes()).unwrap(), d);
+
+        let perf = PerfSnapshot {
+            proposals_evaluated: 1,
+            pixels_visited: 2,
+            pair_count_queries: 3,
+            pair_cache_hits: 4,
+            rng_refills: 5,
+            spin_wait_ns: 6,
+            spec_rounds: 7,
+            span_fastpath_hits: 8,
+            pixels_skipped: 9,
+            simd_lanes_processed: 10,
+            proposal_batches: 11,
+        };
+        assert_eq!(
+            PerfSnapshot::from_wire_bytes(&perf.to_wire_bytes()).unwrap(),
+            perf
         );
     }
 
@@ -1069,10 +1120,10 @@ mod tests {
         assert_eq!((back.width(), back.height()), (3, 3));
         let back_bits: Vec<u32> = back.as_slice().iter().map(|v| v.to_bits()).collect();
         assert_eq!(back_bits, samples);
-        // The bulk pair writes and reads what the one-sample pair does.
+        // The bulk pair writes and reads what `f32`'s impl does.
         let mut one_by_one = WireWriter::new();
         for &px in img.as_slice() {
-            one_by_one.f32(px);
+            px.encode(&mut one_by_one);
         }
         assert_eq!(one_by_one.into_bytes(), bytes[8..]);
 
@@ -1090,8 +1141,8 @@ mod tests {
     #[test]
     fn image_dimensions_whose_bytes_overflow_are_malformed() {
         let mut w = WireWriter::new();
-        w.u32(u32::MAX);
-        w.u32(u32::MAX);
+        u32::MAX.encode(&mut w);
+        u32::MAX.encode(&mut w);
         assert!(matches!(
             GrayImage::from_wire_bytes(&w.into_bytes()),
             Err(WireError::Malformed(_))
@@ -1132,13 +1183,15 @@ mod tests {
     #[test]
     fn invalid_duration_and_bool_are_malformed() {
         let mut w = WireWriter::new();
-        w.u64(1);
-        w.u32(2_000_000_000);
+        1u64.encode(&mut w);
+        2_000_000_000u32.encode(&mut w);
         assert!(matches!(
             Duration::from_wire_bytes(&w.into_bytes()),
             Err(WireError::Malformed(_))
         ));
-        let mut r = WireReader::new(&[7]);
-        assert!(matches!(r.bool(), Err(WireError::Malformed(_))));
+        assert!(matches!(
+            bool::from_wire_bytes(&[7]),
+            Err(WireError::Malformed(_))
+        ));
     }
 }
