@@ -155,7 +155,7 @@ pub fn run_blind(
 /// actually processed — each core inflated by the overlap margin
 /// (`margin_factor` expected radii, so "the largest expected artifact will
 /// fit inside") and clipped to the image frame.
-pub(crate) fn grid_cells(
+fn grid_cells(
     img: &GrayImage,
     cols: u32,
     rows: u32,
@@ -172,9 +172,9 @@ pub(crate) fn grid_cells(
     (cores, extended)
 }
 
-/// The seam post-processor shared by blind partitioning and the sharded
-/// backend's split-job merge. `detections[i]` are source `i`'s detections
-/// in global coordinates, found on `extended[i]` around `cores[i]`.
+/// Blind partitioning's seam post-processor. `detections[i]` are source
+/// `i`'s detections in global coordinates, found on `extended[i]` around
+/// `cores[i]`.
 ///
 /// Step 1, the per-source core filter ("beads whose centre is not inside
 /// the dotted line ... are deleted from each partition's model"), applied
@@ -244,8 +244,8 @@ pub struct MergeOutcome {
     pub disputed: usize,
 }
 
-/// The §VIII duplicate-clustering post-processor, shared by blind
-/// partitioning and the sharded backend's cluster-split merge: overlap
+/// The §VIII duplicate-clustering post-processor of blind partitioning:
+/// overlap
 /// detections from *different* sources within `eps` of each other are
 /// clustered with union-find (an artifact on a 4-way corner appears in up
 /// to four models) and each cluster is "replaced with a bead with

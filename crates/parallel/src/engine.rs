@@ -268,9 +268,8 @@ pub struct RunReport {
     /// Scheme diagnostics.
     pub diagnostics: RunDiagnostics,
     /// Per-node wall-clock accounting, filled in by the execution
-    /// backends: one entry for a whole-job run (the node it was placed
-    /// on), one per node for a cluster-split run. Empty for direct
-    /// [`StrategySpec::run`] calls that bypass the job layer.
+    /// backends: one entry, for the node the job was placed on. Empty for
+    /// direct [`StrategySpec::run`] calls that bypass the job layer.
     pub node_timings: Vec<NodeTiming>,
 }
 

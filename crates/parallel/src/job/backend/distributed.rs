@@ -5,7 +5,7 @@
 //! coordinates actual [`NodeDaemon`](crate::job::daemon::NodeDaemon)
 //! processes over TCP using the versioned [`wire`](crate::job::wire)
 //! format. Placement is the same — one [`SlotTable`] over the nodes (see
-//! the [`backend`](super) docs) and LPT batch ordering — so eq. (4)'s cost
+//! the [`backend`](super) docs), fed batches in LPT order — so eq. (4)'s cost
 //! model carries over. On each `Result`, the node's reader thread ships
 //! the backlog's head to that node before it builds the finished job's
 //! report. What this backend adds is *failure awareness*:
@@ -26,7 +26,7 @@ use crate::job::runner::stamp_wait;
 use crate::job::wire::{Assign, JobResult, WireReport};
 use pmcmc_runtime::net::FrameConn;
 use pmcmc_runtime::wire::{FrameKind, Heartbeat, Hello, Requeue, Wire, WireError, WIRE_VERSION};
-use pmcmc_runtime::{lpt_order, ClusterTopology, NodeId, Offer, Placed, SlotTable, WorkerPool};
+use pmcmc_runtime::{ClusterTopology, NodeId, Offer, Placed, SlotTable, WorkerPool};
 use std::collections::HashMap;
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -461,10 +461,6 @@ impl ExecutionBackend for DistributedBackend {
         self.shared.pending.lock().insert(id, pending);
         offer(&self.shared, id, weight);
         Ok(())
-    }
-
-    fn batch_order(&self, weights: &[f64]) -> Vec<usize> {
-        lpt_order(weights)
     }
 }
 

@@ -3,13 +3,12 @@
 //! The [`Engine`](crate::job::Engine) validates specs, mints ids and wires
 //! up handles; everything after that — which node and thread run the job,
 //! which [`WorkerPool`] its parallel stages fan onto — is the
-//! [`ExecutionBackend`]'s decision. Three backends ship:
+//! [`ExecutionBackend`]'s decision. Two backends ship:
 //!
-//! * [`LocalBackend`] — one shared pool of W workers and at most W jobs
-//!   running at once, the rest waiting in submission order.
-//! * [`ShardedBackend`] — a simulated `s × t` cluster in the shape of
-//!   eq. (4): `s` nodes, each owning a private pool of `t` workers, with
-//!   batches launched in LPT order.
+//! * [`ShardedBackend`] — an in-process `s × t` cluster in the shape of
+//!   eq. (4): `s` nodes, each owning a private pool of `t` workers. One
+//!   machine is its `s = 1` case: [`Engine::new`](crate::job::Engine::new)
+//!   builds a 1-node cluster of W workers running at most W jobs at once.
 //! * [`DistributedBackend`] — the real thing: eq. (4)'s `s` nodes as
 //!   remote [`NodeDaemon`](crate::job::daemon::NodeDaemon) processes
 //!   reached over TCP, with heartbeat failure detection and
@@ -20,37 +19,33 @@
 //! `max_in_flight` jobs at once, a job starts on the least-committed node
 //! with a free slot, and any other waits in one FIFO backlog whose head
 //! goes to whichever node frees a slot first, so no node idles while work
-//! waits. Submission never blocks.
+//! waits. Submission never blocks, and a batch is launched in LPT order.
 //!
 //! **Which thread runs a job.** A node's [`WorkerPool`] is its only set of
 //! job threads. In-process nodes place their jobs through a
-//! [`JobExecutor`](pmcmc_runtime::JobExecutor) over the table (the local
-//! backend's one node as wide as its pool, the sharded backend's `s`
-//! nodes, a daemon's one node as wide as its capacity): each job runs as a
-//! task on a worker of its node's pool, fans its parallel stages onto the
-//! same workers, and when it finishes, that worker runs the backlog's
-//! head. So a node runs at most `min(max_in_flight, t)` jobs at once. The
-//! distributed coordinator holds no job thread: a node's reader thread
-//! ships the next job when a result frees that node's slot.
+//! [`JobExecutor`](pmcmc_runtime::JobExecutor) over the table (the sharded
+//! backend's `s` nodes, a daemon's one node as wide as its capacity): each
+//! job runs as a task on a worker of its node's pool, fans its parallel
+//! stages onto the same workers, and when it finishes, that worker runs
+//! the backlog's head. So a node runs at most `min(max_in_flight, t)` jobs
+//! at once. The distributed coordinator holds no job thread: a node's
+//! reader thread ships the next job when a result frees that node's slot.
 //!
 //! **What a backend is handed.** A [`PreparedJob`] is a
 //! [`JobBlueprint`] — strategy, image, parameters, seed, budget, deadline
 //! budget, event cadences; the very struct that crosses the wire to a
 //! daemon — plus the handle plumbing. **How it runs** is the same
 //! everywhere: [`run_blueprint`] on some node's pool, which builds the
-//! scheme's context, catches panics and stamps the node timing. The local
-//! backend and the sharded backend's whole-job path reach it through
-//! [`PreparedJob::execute`], a sharded stripe is a blueprint with a
-//! cropped image run by the same call, and the distributed backend ships
-//! the blueprint to a daemon that makes that call remotely.
+//! scheme's context, catches panics and stamps the node timing. The
+//! sharded backend reaches it through [`PreparedJob::execute`], and the
+//! distributed backend ships the blueprint to a daemon that makes that
+//! call remotely.
 
 mod distributed;
-mod local;
 mod sharded;
 
 pub use distributed::{DistributedBackend, DistributedConfig};
-pub use local::LocalBackend;
-pub use sharded::{ShardPlacement, ShardedBackend};
+pub use sharded::ShardedBackend;
 
 use crate::engine::{RunReport, StrategySpec};
 use crate::job::ctx::{CancelToken, Event, Observer};
@@ -68,28 +63,41 @@ use std::time::Instant;
 /// completion channel.
 pub(crate) type BatchResult = (usize, Result<RunReport, RunError>);
 
-/// The plumbing that resolves a job's handle exactly once: the finished
-/// flag, the batch stream (when batched) and the completion channel.
-/// Every terminal path — success, structured error, caught panic — goes
-/// through [`JobCompletion::resolve`], so the one-result-per-job contract
-/// `JobHandle::wait` and `Batch::next_finished` rely on cannot be
-/// half-performed.
+/// The plumbing that resolves a job exactly once: the finished flag and
+/// where its one result goes. Every terminal path — success, structured
+/// error, caught panic — goes through [`JobCompletion::resolve`], so the
+/// one-result-per-job contract `JobHandle::wait` and
+/// `Batch::next_finished` rely on cannot be half-performed.
 pub(crate) struct JobCompletion {
-    pub(crate) done: Sender<Result<RunReport, RunError>>,
-    pub(crate) batch: Option<(usize, Sender<BatchResult>)>,
+    pub(crate) to: Delivery,
     pub(crate) finished: Arc<AtomicBool>,
 }
 
+/// Where a job's one result is sent.
+pub(crate) enum Delivery {
+    /// A lone job's handle.
+    Handle(Sender<Result<RunReport, RunError>>),
+    /// The stream of the batch the job belongs to, tagged with its
+    /// submission index.
+    Batch(usize, Sender<BatchResult>),
+}
+
 impl JobCompletion {
-    /// Marks the job finished, streams the result to its batch (if any)
-    /// and feeds the handle's completion channel. Consumes the
-    /// completion: a job cannot resolve twice.
+    /// Marks the job finished and sends its result to the handle or the
+    /// batch, never both. Consumes the completion: a job cannot resolve
+    /// twice.
     pub(crate) fn resolve(self, result: Result<RunReport, RunError>) {
         self.finished.store(true, Ordering::Release);
-        if let Some((idx, tx)) = self.batch {
-            let _ = tx.send((idx, result.clone()));
+        // A dropped handle or batch disconnects the channel; the result
+        // then has no reader and is dropped here.
+        match self.to {
+            Delivery::Handle(tx) => {
+                let _ = tx.send(result);
+            }
+            Delivery::Batch(idx, tx) => {
+                let _ = tx.send((idx, result));
+            }
         }
-        let _ = self.done.send(result);
     }
 }
 
@@ -240,11 +248,12 @@ impl PreparedJob {
 /// assert_eq!(report.node_timings.len(), 1);
 /// ```
 pub trait ExecutionBackend: Send + Sync {
-    /// Short diagnostic name of the backend (`"local"`, `"sharded"`, …).
+    /// Short diagnostic name of the backend (`"sharded"`,
+    /// `"distributed"`, …).
     fn name(&self) -> &'static str;
 
-    /// The `s × t` shape of the backend, in eq. (4) terms (a local
-    /// backend is a 1-node cluster of its pool's width).
+    /// The `s × t` shape of the backend, in eq. (4) terms (one machine is
+    /// a 1-node cluster of its pool's width).
     fn topology(&self) -> ClusterTopology;
 
     /// The pool a caller gets from
@@ -262,11 +271,4 @@ pub trait ExecutionBackend: Send + Sync {
     /// Backend-specific launch failures (e.g. thread spawn exhaustion),
     /// reported as [`RunError::InvalidSpec`].
     fn launch(&self, job: PreparedJob) -> Result<(), RunError>;
-
-    /// The order in which a batch's jobs should be launched, given their
-    /// [`weights`](PreparedJob::weight). Defaults to submission order;
-    /// cluster backends return LPT order so heavy jobs place first.
-    fn batch_order(&self, weights: &[f64]) -> Vec<usize> {
-        (0..weights.len()).collect()
-    }
 }

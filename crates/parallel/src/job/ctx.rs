@@ -46,8 +46,7 @@ impl CancelToken {
 /// is scheme-dependent: chain-driven schemes (`sequential`, `periodic`,
 /// `speculative`, `mc3`) report iterations against the iteration budget;
 /// partition schemes (`intelligent`, `blind`, `naive`) report completed
-/// partitions against the partition count, and cluster-split runs report
-/// completed node stripes against the node count.
+/// partitions against the partition count.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Event {
     /// A named phase of the scheme began. Labels follow

@@ -1,7 +1,7 @@
 //! The submission front-end: validation, id minting, handle wiring.
 
 use crate::job::backend::{
-    BatchResult, DistributedBackend, EventSink, ExecutionBackend, JobCompletion, LocalBackend,
+    BatchResult, Delivery, DistributedBackend, EventSink, ExecutionBackend, JobCompletion,
     PreparedJob, ShardedBackend,
 };
 use crate::job::ctx::CancelToken;
@@ -9,46 +9,38 @@ use crate::job::error::RunError;
 use crate::job::handle::{Batch, JobHandle};
 use crate::job::spec::{JobId, JobSpec};
 use crossbeam::channel::{unbounded, Sender};
-use pmcmc_runtime::{ClusterTopology, WorkerPool};
+use pmcmc_runtime::{lpt_order, ClusterTopology, WorkerPool};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
 /// The shared execution service: jobs are validated and wired up here,
 /// then handed to a pluggable [`ExecutionBackend`] that decides where
-/// they run. The default [`LocalBackend`] runs at most W jobs at once
-/// (the rest wait in submission order), each on a worker of one shared
-/// [`WorkerPool`] of W workers, fanning its parallel stages onto the same
-/// workers. A [`ShardedBackend`] instead simulates the eq. (4) `s × t`
-/// cluster: per-node pools, at most `min(max_in_flight, t)` jobs running
-/// per node, LPT placement. Submission never
-/// blocks on any backend: a job that finds no free slot waits in the
-/// backend's backlog.
+/// they run. A [`ShardedBackend`] runs the eq. (4) `s × t` cluster
+/// in-process: per-node pools, at most `min(max_in_flight, t)` jobs
+/// running per node, each on a worker of its node's pool and fanning its
+/// parallel stages onto the same workers. [`Engine::new`] is its one-node
+/// case: one pool of W workers running at most W jobs at once, the rest
+/// waiting in submission order. Submission never blocks on any backend: a
+/// job that finds no free slot waits in the backend's backlog.
 pub struct Engine {
     backend: Arc<dyn ExecutionBackend>,
     next_id: AtomicU64,
 }
 
 impl Engine {
-    /// Creates an engine on a [`LocalBackend`] with its own pool of
-    /// `threads` workers.
+    /// Creates an engine for one machine: a one-node [`ShardedBackend`]
+    /// with its own pool of `threads` workers, running at most `threads`
+    /// jobs at once.
     ///
     /// # Errors
     /// [`RunError::InvalidSpec`] when `threads` is zero.
     pub fn new(threads: usize) -> Result<Self, RunError> {
-        Ok(Self::with_backend(LocalBackend::new(threads)?))
-    }
-
-    /// Creates an engine on a [`LocalBackend`] over an existing shared
-    /// pool.
-    #[must_use]
-    pub fn with_pool(pool: Arc<WorkerPool>) -> Self {
-        Self::with_backend(LocalBackend::with_pool(pool))
+        Self::sharded(ClusterTopology::new(1, threads).max_in_flight(threads))
     }
 
     /// Creates an engine on a [`ShardedBackend`] simulating the given
-    /// `s × t` cluster (whole-job placement; see
-    /// [`ShardedBackend::placement`] for stripe-splitting).
+    /// `s × t` cluster.
     ///
     /// # Errors
     /// [`RunError::InvalidSpec`] for a degenerate topology.
@@ -81,8 +73,8 @@ impl Engine {
         &*self.backend
     }
 
-    /// The backend's primary worker pool (its only pool for the local
-    /// backend; node 0's pool for a cluster).
+    /// The backend's primary worker pool (node 0's pool; the only one on
+    /// an engine from [`Engine::new`]).
     #[must_use]
     pub fn pool(&self) -> &WorkerPool {
         self.backend.primary_pool()
@@ -106,9 +98,9 @@ impl Engine {
 
     /// Validates and submits N jobs as a batch sharing the backend;
     /// per-job reports stream through [`Batch::next_finished`] as they
-    /// complete. The backend chooses the launch order
-    /// ([`ExecutionBackend::batch_order`] — LPT for clusters), while
-    /// results keep their submission indices.
+    /// complete. Jobs launch in LPT order of their
+    /// [`weights`](PreparedJob::weight), heaviest first and ties in
+    /// submission order, while results keep their submission indices.
     ///
     /// # Errors
     /// [`RunError::InvalidSpec`] when any spec fails validation (no job
@@ -132,7 +124,7 @@ impl Engine {
             .iter()
             .map(|j| j.as_ref().expect("not launched yet").weight())
             .collect();
-        for idx in self.backend.batch_order(&weights) {
+        for idx in lpt_order(&weights) {
             let job = jobs[idx].take().expect("each job launched once");
             if let Err(e) = self.backend.launch(job) {
                 for started in &handles {
@@ -142,15 +134,16 @@ impl Engine {
             }
         }
         Ok(Batch {
-            remaining: handles.len(),
+            results: handles.iter().map(|_| None).collect(),
             handles,
             finished: done_rx,
         })
     }
 
-    /// Wires up the cancel token, event channel and completion channel
-    /// for one validated spec, pairing the backend-bound [`PreparedJob`]
-    /// with the caller's [`JobHandle`].
+    /// Wires up the cancel token, event channel and completion for one
+    /// validated spec, pairing the backend-bound [`PreparedJob`] with the
+    /// caller's [`JobHandle`]. A batched job's result goes to the batch
+    /// stream, so its handle's completion channel is never fed.
     fn prepare(
         &self,
         spec: JobSpec,
@@ -179,8 +172,10 @@ impl Engine {
                 events: event_tx,
             },
             completion: JobCompletion {
-                done: done_tx,
-                batch,
+                to: match batch {
+                    Some((idx, tx)) => Delivery::Batch(idx, tx),
+                    None => Delivery::Handle(done_tx),
+                },
                 finished,
             },
         };

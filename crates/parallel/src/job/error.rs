@@ -32,21 +32,6 @@ pub enum RunError {
     Transport(String),
 }
 
-impl RunError {
-    /// The progress count a cooperative stop carries, if this is one.
-    pub(crate) fn completed_iterations_mut(&mut self) -> Option<&mut u64> {
-        match self {
-            RunError::Cancelled {
-                completed_iterations,
-            }
-            | RunError::DeadlineExceeded {
-                completed_iterations,
-            } => Some(completed_iterations),
-            _ => None,
-        }
-    }
-}
-
 impl fmt::Display for RunError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {

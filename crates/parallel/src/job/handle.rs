@@ -78,25 +78,28 @@ impl JobHandle {
     /// run stopped early, [`RunError::Panicked`] when the job
     /// panicked, or whatever structured error the strategy returned.
     pub fn wait(self) -> Result<RunReport, RunError> {
-        match self.done.recv() {
-            Ok(result) => result,
-            // Unreachable through the shipped backends (PreparedJob::execute
-            // sends exactly one result, panics included); a backend that
-            // drops a job without running it surfaces here.
-            Err(_) => Err(RunError::Panicked(
-                "job was dropped by its backend without reporting a result".to_owned(),
-            )),
-        }
+        // A disconnected channel is unreachable through the shipped
+        // backends (PreparedJob::execute sends exactly one result, panics
+        // included); a backend that drops a job without running it
+        // surfaces here.
+        self.done.recv().unwrap_or_else(|_| Err(dropped()))
     }
+}
+
+/// The error of a job whose backend dropped it without resolving it.
+fn dropped() -> RunError {
+    RunError::Panicked("job was dropped by its backend without reporting a result".to_owned())
 }
 
 /// N jobs sharing one backend, with per-job reports streamed as they
 /// finish.
 pub struct Batch {
     pub(crate) handles: Vec<JobHandle>,
+    /// The batch stream: each job's one result, tagged with its
+    /// submission index.
     pub(crate) finished: Receiver<(usize, Result<RunReport, RunError>)>,
-    /// Results not yet streamed through [`Batch::next_finished`].
-    pub(crate) remaining: usize,
+    /// Every result received so far, by submission index.
+    pub(crate) results: Vec<Option<Result<RunReport, RunError>>>,
 }
 
 impl Batch {
@@ -120,46 +123,30 @@ impl Batch {
     }
 
     /// Blocks for the next finished job and returns its submission index
-    /// and result; `None` once every job's result has been streamed. Job
-    /// runners report exactly once each — panicking strategies included
-    /// (they stream as [`RunError::Panicked`]) — so a batch of N yields N
-    /// results.
+    /// and a copy of its result; `None` once every job's result has been
+    /// streamed. Job runners report exactly once each — panicking
+    /// strategies included (they stream as [`RunError::Panicked`]) — so a
+    /// batch of N yields N results. The batch keeps each result for
+    /// [`Batch::wait_all`].
     pub fn next_finished(&mut self) -> Option<(usize, Result<RunReport, RunError>)> {
-        if self.remaining == 0 {
-            return None;
-        }
-        match self.finished.recv() {
-            Ok(item) => {
-                self.remaining -= 1;
-                Some(item)
-            }
-            // Unreachable in practice (every job runner sends exactly one
-            // result, panics included); kept as a defensive stop so a
-            // harness bug cannot deadlock callers. wait_all() still drains
-            // every handle afterwards.
-            Err(_) => {
-                self.remaining = 0;
-                None
-            }
-        }
+        self.receive().map(|(idx, result)| (idx, result.clone()))
     }
 
-    /// Drains the batch and returns every result in submission order.
+    /// Drains the batch and returns every result in submission order,
+    /// streamed ones included.
     #[must_use]
     pub fn wait_all(mut self) -> Vec<Result<RunReport, RunError>> {
-        let n = self.handles.len();
-        let mut out: Vec<Option<Result<RunReport, RunError>>> = (0..n).map(|_| None).collect();
-        while let Some((idx, result)) = self.next_finished() {
-            out[idx] = Some(result);
-        }
-        for (idx, handle) in self.handles.drain(..).enumerate() {
-            let joined = handle.wait();
-            if out[idx].is_none() {
-                out[idx] = Some(joined);
-            }
-        }
-        out.into_iter()
-            .map(|slot| slot.expect("every job reported"))
+        while self.receive().is_some() {}
+        (self.results.into_iter())
+            .map(|slot| slot.unwrap_or_else(|| Err(dropped())))
             .collect()
+    }
+
+    /// Receives the next result into its slot. `None` once every job has
+    /// resolved: each completion holds a sender, so the stream disconnects
+    /// when the last one has sent, or was dropped by its backend.
+    fn receive(&mut self) -> Option<(usize, &Result<RunReport, RunError>)> {
+        let (idx, result) = self.finished.recv().ok()?;
+        Some((idx, self.results[idx].insert(result)))
     }
 }

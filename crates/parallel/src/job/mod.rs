@@ -14,14 +14,14 @@
 //! fans N jobs out over the same backend and streams per-job reports
 //! as they finish.
 //!
-//! *Where* jobs run is pluggable (the [`backend`] module): the default
-//! [`backend::LocalBackend`] drives everything on one machine's shared
-//! pool, [`backend::ShardedBackend`] simulates the eq. (4) `s × t`
-//! cluster in-process — per-node worker pools, one placement queue, LPT
-//! placement — and [`backend::DistributedBackend`] makes the cluster
-//! real: it coordinates remote [`daemon::NodeDaemon`] processes over TCP
-//! sockets using the versioned [`wire`] format, with heartbeat-based
-//! failure detection and rescheduling, behind the same
+//! *Where* jobs run is pluggable (the [`backend`] module):
+//! [`backend::ShardedBackend`] runs the eq. (4) `s × t` cluster
+//! in-process — per-node worker pools, one placement queue, LPT
+//! placement — and one machine is its one-node case, which
+//! [`Engine::new`] builds. [`backend::DistributedBackend`] makes the
+//! cluster real: it coordinates remote [`daemon::NodeDaemon`] processes
+//! over TCP sockets using the versioned [`wire`] format, with
+//! heartbeat-based failure detection and rescheduling, behind the same
 //! `JobSpec`/`JobHandle` surface.
 //!
 //! The module tree mirrors the job lifecycle: [`spec`](JobSpec) (what to
@@ -74,10 +74,7 @@ mod runner;
 mod spec;
 pub mod wire;
 
-pub use backend::{
-    DistributedBackend, DistributedConfig, ExecutionBackend, LocalBackend, ShardPlacement,
-    ShardedBackend,
-};
+pub use backend::{DistributedBackend, DistributedConfig, ExecutionBackend, ShardedBackend};
 pub use ctx::{CancelToken, Checkpointer, Event, Observer, ProgressCounter, RunCtx};
 pub use daemon::{InProcessDaemon, NodeDaemon};
 pub use engine::Engine;

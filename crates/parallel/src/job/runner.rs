@@ -1,10 +1,10 @@
 //! The one way a job runs on a node: [`run_blueprint`].
 //!
 //! Eq. (4)'s node is `t` threads running the chain code, wherever the node
-//! lives — a [`LocalBackend`](crate::job::LocalBackend) driver thread, a
-//! [`ShardedBackend`](crate::job::ShardedBackend) node (whole jobs and
-//! stripes alike) or a remote [`NodeDaemon`](crate::job::NodeDaemon). All
-//! of them hold a [`JobBlueprint`] and a pool, and all of them call this.
+//! lives — a worker of a [`ShardedBackend`](crate::job::ShardedBackend)
+//! node (one machine's [`Engine`](crate::job::Engine) included) or of a
+//! remote [`NodeDaemon`](crate::job::NodeDaemon). All of them hold a
+//! [`JobBlueprint`] and a pool, and all of them call this.
 
 use crate::engine::{NodeTiming, RunReport, RunRequest};
 use crate::job::ctx::{CancelToken, Observer, RunCtx};

@@ -7,7 +7,8 @@
 //! `pmcmc-parallel` (strategy specs, reports, errors) plus the two
 //! composite frame payloads, [`Assign`] and [`JobResult`]. Each layout is
 //! one field list ([`wire_struct!`], [`wire_enum!`]); only
-//! [`PhaseTiming`] is hand-written, because it interns its label.
+//! [`PhaseTiming`] is hand-written, because it interns its label (an
+//! unknown label is malformed).
 //!
 //! Two deliberate choices:
 //!
@@ -95,10 +96,11 @@ wire_enum!(StrategySpec, "strategy" {
 wire_enum!(Validity, "validity" { 0 => Exact, 1 => Heuristic, 2 => Broken });
 
 /// The phase labels any shipped strategy can emit. `PhaseTiming.phase`
-/// is `&'static str`, so decoding interns into this table. A label
-/// outside it (a newer peer's custom phase) is leaked on every decode
-/// that carries it; every label a shipped scheme reports is in the table
-/// (a test runs each scheme to keep it so), so only such a peer leaks.
+/// is `&'static str`, so decoding interns into this table, and a label
+/// outside it is malformed. Every label a shipped scheme reports is in
+/// the table (a test runs each scheme to keep it so), and peers speak the
+/// same [`WIRE_VERSION`](pmcmc_runtime::wire::WIRE_VERSION), so only a
+/// peer that breaks the protocol sends one.
 static KNOWN_PHASES: [&str; 9] = [
     "chain",
     "chains",
@@ -111,12 +113,11 @@ static KNOWN_PHASES: [&str; 9] = [
     "segments",
 ];
 
-fn intern_phase(name: String) -> &'static str {
-    KNOWN_PHASES
-        .iter()
-        .find(|&&k| k == name)
-        .copied()
-        .unwrap_or_else(|| Box::leak(name.into_boxed_str()))
+/// Interns a decoded phase label. The error does not echo the label: it
+/// came from the peer and may be arbitrarily long.
+fn intern_phase(name: &str) -> Result<&'static str, WireError> {
+    (KNOWN_PHASES.iter().find(|&&k| k == name).copied())
+        .ok_or_else(|| WireError::Malformed(format!("unknown phase label ({} bytes)", name.len())))
 }
 
 impl Wire for PhaseTiming {
@@ -127,7 +128,7 @@ impl Wire for PhaseTiming {
 
     fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
         Ok(PhaseTiming {
-            phase: intern_phase(r.str()?),
+            phase: intern_phase(&r.str()?)?,
             duration: <Duration as Wire>::decode(r)?,
         })
     }
@@ -373,6 +374,17 @@ mod tests {
     }
 
     #[test]
+    fn an_unknown_phase_label_is_malformed_and_not_echoed() {
+        let mut w = WireWriter::new();
+        w.str("custom-phase");
+        <Duration as Wire>::encode(&Duration::from_millis(3), &mut w);
+        match PhaseTiming::from_wire_bytes(&w.into_bytes()) {
+            Err(WireError::Malformed(msg)) => assert!(!msg.contains("custom"), "{msg}"),
+            other => panic!("expected Malformed, got {other:?}"),
+        }
+    }
+
+    #[test]
     fn phase_names_intern_to_static_table() {
         let pt = PhaseTiming {
             phase: "merge",
@@ -387,7 +399,7 @@ mod tests {
     }
 
     /// Every phase label a shipped scheme reports is in [`KNOWN_PHASES`],
-    /// so decoding a real report never leaks a label.
+    /// so a real report always decodes.
     #[test]
     fn every_reported_phase_interns_to_the_static_table() {
         let image = GrayImage::from_fn(64, 64, |x, y| {
@@ -854,12 +866,13 @@ mod tests {
     /// instead of editing these. (v2 widened `PerfSnapshot` with the
     /// span-kernel counters; v3 appended its lane-kernel and
     /// proposal-batch counters; v4 changed how images and `Assign`
-    /// payloads are encoded but not their bytes, and v5 generated every
-    /// codec from a field list, again byte for byte, so only the frame
-    /// header's version byte differs from v3; the other payload encodings
-    /// here are unchanged since v1.)
+    /// payloads are encoded but not their bytes, v5 generated every
+    /// codec from a field list, again byte for byte, and v6 rejects
+    /// unknown phase labels, so only the frame header's version byte
+    /// differs from v3; the other payload encodings here are unchanged
+    /// since v1.)
     #[test]
-    fn golden_bytes_v5() {
+    fn golden_bytes_v6() {
         // A sequential spec is a single tag byte.
         assert_eq!(StrategySpec::Sequential.to_wire_bytes(), vec![0]);
 
@@ -885,14 +898,14 @@ mod tests {
         };
         assert_eq!(cancelled.to_wire_bytes(), vec![2, 7, 0, 0, 0, 0, 0, 0, 0]);
 
-        // A whole v5 frame around that error payload: magic "PM",
-        // version 5, kind Result=4, little-endian length, payload.
+        // A whole v6 frame around that error payload: magic "PM",
+        // version 6, kind Result=4, little-endian length, payload.
         let mut frame = Vec::new();
         write_frame(&mut frame, FrameKind::Result, &cancelled.to_wire_bytes()).unwrap();
         assert_eq!(
             frame,
             vec![
-                b'P', b'M', 5, 4, 9, 0, 0, 0, // header
+                b'P', b'M', 6, 4, 9, 0, 0, 0, // header
                 2, 7, 0, 0, 0, 0, 0, 0, 0, // payload
             ]
         );

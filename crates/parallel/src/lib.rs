@@ -29,11 +29,11 @@
 //! [`job::JobHandle`] with live progress [`job::Event`]s, cooperative
 //! cancellation ([`job::CancelToken`]) and structured [`job::RunError`]s;
 //! [`job::Engine::submit_batch`] streams per-job reports across N images.
-//! *Where* jobs run is pluggable ([`job::backend`]): the default
-//! [`job::LocalBackend`] keeps everything on one machine's shared pool,
-//! [`job::ShardedBackend`] simulates the eq. (4) `s × t` cluster —
+//! *Where* jobs run is pluggable ([`job::backend`]):
+//! [`job::ShardedBackend`] runs the eq. (4) `s × t` cluster in-process —
 //! per-node worker pools, one placement queue, LPT placement, and
-//! per-node [`engine::NodeTiming`]s in every report — and
+//! per-node [`engine::NodeTiming`]s in every report; one machine
+//! ([`job::Engine::new`]) is its one-node case — and
 //! [`job::DistributedBackend`] coordinates *real* nodes: one
 //! [`job::NodeDaemon`] process per machine, reached over TCP with the
 //! versioned [`job::wire`] format, heartbeat failure detection and
@@ -62,8 +62,8 @@ pub use engine::{
 pub use intelligent::{run_intelligent, IntelligentPartitioner, IntelligentResult};
 pub use job::{
     Batch, CancelToken, Checkpointer, DistributedBackend, DistributedConfig, Engine, Event,
-    ExecutionBackend, InProcessDaemon, JobHandle, JobId, JobSpec, LocalBackend, NodeDaemon,
-    ProgressCounter, RunCtx, RunError, ShardPlacement, ShardedBackend,
+    ExecutionBackend, InProcessDaemon, JobHandle, JobId, JobSpec, NodeDaemon, ProgressCounter,
+    RunCtx, RunError, ShardedBackend,
 };
 pub use mc3par::{run_mc3_parallel, Mc3Report};
 pub use naive::{run_naive, NaiveOptions, NaivePrior, NaiveResult};

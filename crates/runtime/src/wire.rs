@@ -66,8 +66,10 @@ use std::time::Duration;
 /// v5's payload layout is v4's: the codecs are generated from one list of
 /// fields and their wire types per type
 /// ([`wire_struct!`](crate::wire_struct), [`wire_enum!`](crate::wire_enum)),
-/// byte for byte as before.
-pub const WIRE_VERSION: u8 = 5;
+/// byte for byte as before. v6's payload layout is v5's: a job report's
+/// phase label outside the shipped set, which v5 decoders accepted (and
+/// leaked), is malformed.
+pub const WIRE_VERSION: u8 = 6;
 
 /// Frame magic: the first two bytes of every frame.
 pub const MAGIC: [u8; 2] = *b"PM";
@@ -816,6 +818,16 @@ mod tests {
         let frame = read_frame(&mut buf.as_slice()).unwrap();
         assert_eq!(frame.kind, FrameKind::Hello);
         assert_eq!(Hello::from_wire_bytes(&frame.payload).unwrap(), hello);
+    }
+
+    /// A frame header, byte for byte: magic "PM", the version, the kind,
+    /// the little-endian payload length. Only the version byte changes
+    /// from one version to the next; bump it here with [`WIRE_VERSION`].
+    #[test]
+    fn frame_header_golden_bytes_v6() {
+        let mut buf = Vec::new();
+        write_frame(&mut buf, FrameKind::Heartbeat, &[7]).unwrap();
+        assert_eq!(buf, [b'P', b'M', 6, 2, 1, 0, 0, 0, 7]);
     }
 
     #[test]

@@ -143,34 +143,30 @@ fn main() {
         baseline * 1e3
     );
 
-    // 5. Split placement: ONE job striped across every node, per-node
-    //    reports merged through the blind duplicate-clustering path.
-    let engine = Engine::with_backend(
-        ShardedBackend::new(ClusterTopology::new(2, 2))
-            .expect("topology is valid")
-            .placement(ShardPlacement::SplitJobs),
-    );
+    // 5. Striping ONE job: blind partitioning with one column per node
+    //    (`blind:cols=2,rows=1`). Its stripes fan out over the engine's
+    //    workers, and their detections are merged at the seam by the blind
+    //    duplicate-clustering path.
+    let engine = Engine::new(4).expect("worker count is valid");
+    let striped: StrategySpec = "blind:cols=2,rows=1".parse().expect("registered spelling");
     let report = engine
         .submit(
-            JobSpec::new(StrategySpec::Sequential, image.clone(), params.clone())
+            JobSpec::new(striped, image.clone(), params.clone())
                 .seed(7)
                 .iterations(budget),
         )
         .expect("spec validates")
         .wait()
-        .expect("split job completes");
+        .expect("striped job completes");
     println!(
-        "split run: {} stripes merged into {} detections (validity: {})",
+        "striped run: {} stripes merged into {} detections (validity: {})",
         report.diagnostics.partitions,
         report.detected().len(),
         report.validity.label()
     );
-    for nt in &report.node_timings {
-        println!("  {} busy {:.1}ms", nt.node, nt.busy.as_secs_f64() * 1e3);
-    }
     let truth = match_circles(&scene.circles, report.detected(), 5.0);
     println!(
-        "split-run quality vs ground truth: F1 {:.3} ({} planted)",
+        "striped-run quality vs ground truth: F1 {:.3} ({} planted)",
         truth.f1(),
         scene.circles.len()
     );

@@ -124,10 +124,9 @@ pub mod prelude {
     pub use pmcmc_parallel::{
         run_blind, run_intelligent, run_naive, Batch, BlindOptions, CancelToken, DisputePolicy,
         DistributedBackend, DistributedConfig, Engine, Event, ExecutionBackend, InProcessDaemon,
-        IntelligentPartitioner, JobHandle, JobId, JobSpec, LocalBackend, NaiveOptions, NodeDaemon,
-        NodeTiming, PartitionScheme, PeriodicOptions, PeriodicSampler, RunCtx, RunError, RunReport,
-        RunRequest, ShardPlacement, ShardedBackend, SpeculativeSampler, StrategySpec,
-        SubChainOptions, Validity,
+        IntelligentPartitioner, JobHandle, JobId, JobSpec, NaiveOptions, NodeDaemon, NodeTiming,
+        PartitionScheme, PeriodicOptions, PeriodicSampler, RunCtx, RunError, RunReport, RunRequest,
+        ShardedBackend, SpeculativeSampler, StrategySpec, SubChainOptions, Validity,
     };
     pub use pmcmc_runtime::{ClusterTopology, NodeId, WorkerPool};
 }

@@ -2,8 +2,8 @@
 //! equivalence with the local backend on a 1-node cluster, full strategy
 //! coverage behind the unchanged `JobSpec`/`JobHandle` surface, submission
 //! that never waits for a slot (on the sharded and the distributed
-//! backend), split-job merging, and the "more nodes is no slower"
-//! regression against `theory::eq4_time`.
+//! backend), and the "more nodes is no slower" regression against
+//! `theory::eq4_time`.
 
 use pmcmc::parallel::theory::eq4_time;
 use pmcmc::prelude::*;
@@ -410,130 +410,4 @@ fn more_nodes_is_no_slower_and_matches_eq4_ordering() {
         "2-node cluster slower than 1-node: {t2:?} vs {t1:?} \
          (eq4 predicted {pred2:.3}s vs {pred1:.3}s)"
     );
-}
-
-#[test]
-fn split_placement_merges_per_node_reports() {
-    // A wide image with artifacts in both halves, so each node's stripe
-    // has real work and the seam exercises the duplicate merge.
-    let (img, params) = workload(192, 8, 21);
-    let engine = Engine::with_backend(
-        ShardedBackend::new(ClusterTopology::new(2, 2))
-            .expect("2x2 cluster")
-            .placement(ShardPlacement::SplitJobs),
-    );
-    let report = engine
-        .submit(
-            JobSpec::new(StrategySpec::Sequential, img.clone(), params.clone())
-                .seed(7)
-                .iterations(30_000),
-        )
-        .expect("spec validates")
-        .wait()
-        .expect("split job completes");
-
-    assert_eq!(report.strategy, "sequential");
-    assert_eq!(report.diagnostics.partitions, 2, "one stripe per node");
-    assert_eq!(report.node_timings.len(), 2, "one timing per node");
-    let mut nodes: Vec<usize> = report.node_timings.iter().map(|t| t.node.index()).collect();
-    nodes.sort_unstable();
-    assert_eq!(nodes, vec![0, 1]);
-    assert!(report.phase("chains").is_some());
-    assert!(report.phase("merge").is_some());
-    assert_eq!(
-        report.validity,
-        Validity::Heuristic,
-        "striping an exact scheme is a cluster-scale heuristic"
-    );
-    assert!(
-        report
-            .diagnostics
-            .notes
-            .iter()
-            .any(|n| n.contains("sharded-split")),
-        "merge provenance note missing: {:?}",
-        report.diagnostics.notes
-    );
-    assert!(report.iterations > 0);
-    // The merged configuration must be a valid full-image configuration.
-    let model = pmcmc::core::NucleiModel::new(&img, params.clone());
-    report
-        .config
-        .verify_consistency(&model)
-        .expect("merged config consistent with the full-image model");
-    // No two merged detections may survive within the merge radius of
-    // each other when they came from different stripes — the duplicate
-    // clustering collapsed the seam.
-    for (i, a) in report.detected().iter().enumerate() {
-        for b in report.detected().iter().skip(i + 1) {
-            assert!(
-                a.centre_distance(b) > 1.0,
-                "coincident circles after the split merge"
-            );
-        }
-    }
-
-    // Same seed, same topology: the split path is deterministic too.
-    let again = engine
-        .submit(
-            JobSpec::new(StrategySpec::Sequential, img.clone(), params.clone())
-                .seed(7)
-                .iterations(30_000),
-        )
-        .expect("spec validates")
-        .wait()
-        .expect("split job completes");
-    assert_eq!(report_fingerprint(&report), report_fingerprint(&again));
-}
-
-#[test]
-fn split_placement_on_one_node_degenerates_to_local() {
-    let (img, params) = workload(128, 6, 13);
-    let local = Engine::new(2).expect("local engine");
-    let split = Engine::with_backend(
-        ShardedBackend::new(ClusterTopology::new(1, 2))
-            .expect("1-node cluster")
-            .placement(ShardPlacement::SplitJobs),
-    );
-    let run = |engine: &Engine| {
-        let report = engine
-            .submit(
-                JobSpec::new(StrategySpec::Sequential, img.clone(), params.clone())
-                    .seed(5)
-                    .iterations(6_000),
-            )
-            .expect("spec validates")
-            .wait()
-            .expect("job completes");
-        report_fingerprint(&report)
-    };
-    assert_eq!(run(&local), run(&split));
-}
-
-#[test]
-fn sharded_cancellation_stops_split_jobs() {
-    let (img, params) = workload(160, 6, 17);
-    let engine = Engine::with_backend(
-        ShardedBackend::new(ClusterTopology::new(2, 1))
-            .expect("2-node cluster")
-            .placement(ShardPlacement::SplitJobs),
-    );
-    let handle = engine
-        .submit(
-            JobSpec::new(StrategySpec::Sequential, img, params)
-                .seed(3)
-                .iterations(500_000_000)
-                .progress_stride(256),
-        )
-        .expect("spec validates");
-    // The first event proves the stripes are dispatched.
-    assert_eq!(
-        handle.events().recv().expect("split job emits events"),
-        Event::PhaseStarted { phase: "chains" }
-    );
-    handle.cancel();
-    match handle.wait() {
-        Err(RunError::Cancelled { .. }) => {}
-        other => panic!("expected Cancelled, got {other:?}"),
-    }
 }

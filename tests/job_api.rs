@@ -1,7 +1,9 @@
 //! Contract tests for the typed job API: `JobSpec` validation, live
 //! observer events, cooperative cancellation (without poisoning the
-//! shared pool), deadlines, and batch streaming.
+//! shared pool), deadlines, batch streaming, and the one result each job
+//! delivers.
 
+use pmcmc::parallel::job::backend::PreparedJob;
 use pmcmc::prelude::*;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -417,6 +419,73 @@ fn batch_wait_all_returns_submission_order() {
     assert_eq!(results.len(), 2);
     for (result, spec) in results.iter().zip(strategies.iter()) {
         assert_eq!(result.as_ref().unwrap().strategy, spec.name());
+    }
+}
+
+#[test]
+fn wait_all_after_a_streamed_drain_returns_every_report_again() {
+    let (img, params) = workload(64, 3, 29);
+    let engine = Engine::new(2).unwrap();
+    let specs = (0..3)
+        .map(|seed| {
+            JobSpec::new(StrategySpec::Sequential, img.clone(), params.clone())
+                .seed(seed)
+                .iterations(1_500)
+        })
+        .collect();
+    let mut batch = engine.submit_batch(specs).unwrap();
+    // `Debug` prints every field, timings included, and every f64 exactly.
+    let mut streamed = vec![None; 3];
+    while let Some((idx, result)) = batch.next_finished() {
+        streamed[idx] = Some(format!("{:?}", result.expect("batch job completes")));
+    }
+    let results = batch.wait_all();
+    assert_eq!(results.len(), 3);
+    for (idx, result) in results.iter().enumerate() {
+        let report = result.as_ref().expect("wait_all keeps the streamed report");
+        assert_eq!(Some(format!("{report:?}")), streamed[idx], "job {idx}");
+    }
+}
+
+/// A backend that drops every job it is handed without running it.
+struct DropsEveryJob(Arc<WorkerPool>);
+
+impl ExecutionBackend for DropsEveryJob {
+    fn name(&self) -> &'static str {
+        "drops-every-job"
+    }
+
+    fn topology(&self) -> ClusterTopology {
+        ClusterTopology::new(1, self.0.threads())
+    }
+
+    fn primary_pool(&self) -> &Arc<WorkerPool> {
+        &self.0
+    }
+
+    fn launch(&self, job: PreparedJob) -> Result<(), RunError> {
+        drop(job);
+        Ok(())
+    }
+}
+
+#[test]
+fn a_job_its_backend_drops_resolves_as_dropped() {
+    let (img, params) = workload(48, 2, 31);
+    let engine = Engine::with_backend(DropsEveryJob(WorkerPool::shared(1)));
+    let spec =
+        || JobSpec::new(StrategySpec::Sequential, img.clone(), params.clone()).iterations(1_000);
+    let dropped =
+        RunError::Panicked("job was dropped by its backend without reporting a result".to_owned());
+
+    assert_eq!(engine.submit(spec()).unwrap().wait().unwrap_err(), dropped);
+
+    let mut batch = engine.submit_batch(vec![spec(), spec(), spec()]).unwrap();
+    assert!(batch.next_finished().is_none(), "nothing was streamed");
+    let results = batch.wait_all();
+    assert_eq!(results.len(), 3);
+    for result in results {
+        assert_eq!(result.unwrap_err(), dropped);
     }
 }
 
