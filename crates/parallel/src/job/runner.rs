@@ -129,7 +129,7 @@ mod tests {
         assert_eq!(handle.wait().unwrap_err(), expected);
         assert!(done.try_recv().is_err(), "a second result was delivered");
 
-        // Each slot streams once, and the handles agree with the stream.
+        // Each slot streams once, and wait_all returns what was streamed.
         let mut batch = engine.submit_batch(vec![panicking(), panicking()]).unwrap();
         let mut streamed = Vec::new();
         while let Some((idx, result)) = batch.next_finished() {

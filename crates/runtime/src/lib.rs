@@ -19,8 +19,8 @@
 //!   more nodes: at most `limit` jobs run at once per node, each as a task
 //!   on its node's pool, and the rest wait in the [`SlotTable`]'s backlog.
 //!   It has no thread of its own, so a node's pool is its one thread set.
-//!   Every job an in-process node runs (local backend, sharded cluster,
-//!   node daemon) goes through one.
+//!   Every job an in-process node runs (a sharded cluster, one machine's
+//!   1-node cluster included, or a node daemon) goes through one.
 //! * [`scheduler`] — pure LPT ordering and makespan prediction, testable in
 //!   isolation.
 //! * [`cluster`] — the eq. (4) `s × t` topology shape ([`ClusterTopology`],

@@ -1,5 +1,5 @@
 //! Contract tests for the sharded (eq. 4) execution backend: byte-for-byte
-//! equivalence with the local backend on a 1-node cluster, full strategy
+//! equivalence of `Engine::new` and a 1-node `Engine::sharded`, full strategy
 //! coverage behind the unchanged `JobSpec`/`JobHandle` surface, submission
 //! that never waits for a slot (on the sharded and the distributed
 //! backend), and the "more nodes is no slower" regression against

@@ -1,6 +1,6 @@
 //! Contract tests for the socket-backed distributed backend: a 1-node
 //! distributed cluster (an in-process daemon on a loopback socket) must
-//! produce reports byte-identical to the local backend for the same
+//! produce reports byte-identical to a one-machine engine for the same
 //! seed — the wire format transmits, it must never perturb.
 
 use pmcmc::prelude::*;
