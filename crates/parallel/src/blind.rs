@@ -8,13 +8,12 @@
 //! distance ≤ 5 px in the paper) and averaged, and unpaired overlap-band
 //! detections are "disputable" — kept or discarded by policy.
 
+use crate::engine::RunRequest;
 use crate::job::{RunCtx, RunError};
-use crate::subchain::{fan_out_chains, run_partition_chain, SubChainOptions, SubChainResult};
-use pmcmc_core::rng::derive_seed;
+use crate::subchain::{fan_out_chains, SubChainOptions, SubChainResult};
 use pmcmc_core::spatial::SpatialGrid;
 use pmcmc_core::NucleiModel;
 use pmcmc_imaging::{regular_tiles, Circle, GrayImage, Rect};
-use pmcmc_runtime::WorkerPool;
 use std::time::{Duration, Instant};
 
 /// What to do with overlap-band detections that have no counterpart in the
@@ -95,11 +94,14 @@ impl BlindResult {
     }
 }
 
-/// Runs the blind-partitioning pipeline on `img`, whose prebuilt
-/// full-image model is `full` (each partition chain builds its sub-model
-/// on its crop of `img` with `full`'s parameters). Phase and per-partition progress
-/// events are emitted through `ctx` (progress counts completed partitions)
-/// and its cancel token / deadline propagate into every partition chain.
+/// Runs the blind-partitioning pipeline on the request's image, whose
+/// prebuilt full-image model is `full`: one chain per extended grid cell
+/// on `req.pool` ([`crate::subchain::run_partition_chain`], capped at
+/// `req.iterations`), each building its sub-model on its crop with
+/// `full`'s parameters, then the seam merge. Phase and per-partition
+/// progress events are emitted through `ctx` (progress counts completed
+/// partitions) and its cancel token / deadline propagate into every
+/// partition chain.
 ///
 /// # Errors
 /// [`RunError::Cancelled`] / [`RunError::DeadlineExceeded`] when the
@@ -107,22 +109,23 @@ impl BlindResult {
 /// partition chains had executed before winding down.
 pub fn run_blind(
     full: &NucleiModel,
-    img: &GrayImage,
+    req: &RunRequest<'_>,
     opts: &BlindOptions,
-    pool: &WorkerPool,
-    seed: u64,
     ctx: &RunCtx,
 ) -> Result<BlindResult, RunError> {
     let radius_mean = full.params.radius_prior.mu;
-    let (cores, extended) = grid_cells(img, opts.cols, opts.rows, opts.margin_factor, radius_mean);
+    let (cores, extended) = grid_cells(
+        req.image,
+        opts.cols,
+        opts.rows,
+        opts.margin_factor,
+        radius_mean,
+    );
 
     let t0 = Instant::now();
     ctx.phase("chains");
     let cells = extended.iter().map(|&e| (e.area() as f64, e)).collect();
-    let chains = fan_out_chains(cells, pool, ctx, |i, ext| {
-        let chain_seed = derive_seed(seed, i as u64);
-        run_partition_chain(full, img, ext, &opts.chain, chain_seed, ctx)
-    })?;
+    let chains = fan_out_chains(full, req, cells, None, &opts.chain, ctx)?;
     let chains_time = t0.elapsed();
 
     let t1 = Instant::now();
@@ -189,7 +192,7 @@ fn grid_cells(
 /// extended cell — a detection always lies in its own) are clustered
 /// across sources by [`cluster_duplicates`]; unpaired ones are disputable.
 #[must_use]
-pub fn merge_sources(
+fn merge_sources(
     cores: &[Rect],
     extended: &[Rect],
     detections: &[&[Circle]],
@@ -219,29 +222,29 @@ pub fn merge_sources(
 }
 
 /// One detection entering the cross-partition duplicate merge: which
-/// partition (or cluster node) produced it, where it sits in global
-/// coordinates, and whether it lies in a region covered by more than one
-/// source (the "overlap band" where duplicates and disputes can occur).
+/// partition produced it, where it sits in global coordinates, and
+/// whether it lies in a region covered by more than one source (the
+/// "overlap band" where duplicates and disputes can occur).
 #[derive(Debug, Clone, Copy)]
-pub struct MergeCandidate {
-    /// Index of the producing partition/node.
-    pub source: usize,
+struct MergeCandidate {
+    /// Index of the producing partition.
+    source: usize,
     /// The detection, in global coordinates.
-    pub circle: Circle,
+    circle: Circle,
     /// Whether the detection lies in a multiply-covered overlap region.
-    pub in_overlap: bool,
+    in_overlap: bool,
 }
 
 /// Outcome of [`cluster_duplicates`].
 #[derive(Debug, Clone)]
-pub struct MergeOutcome {
+struct MergeOutcome {
     /// The merged detection set, in deterministic order.
-    pub merged: Vec<Circle>,
+    merged: Vec<Circle>,
     /// Number of cross-source duplicate pairs that were averaged away.
-    pub merged_pairs: usize,
+    merged_pairs: usize,
     /// Number of disputable artifacts encountered (unpaired overlap-band
     /// detections).
-    pub disputed: usize,
+    disputed: usize,
 }
 
 /// The §VIII duplicate-clustering post-processor of blind partitioning:
@@ -258,7 +261,7 @@ pub struct MergeOutcome {
 /// all-pairs reference lives on as a test oracle and a proptest pins exact
 /// agreement between the two.
 #[must_use]
-pub fn cluster_duplicates(
+fn cluster_duplicates(
     candidates: &[MergeCandidate],
     eps: f64,
     keep_disputed: bool,
@@ -412,6 +415,7 @@ mod tests {
     use super::*;
     use pmcmc_core::{ModelParams, Xoshiro256};
     use pmcmc_imaging::synth::{generate, SceneSpec};
+    use pmcmc_runtime::WorkerPool;
 
     /// A scene with circles deliberately placed on the quartering lines.
     fn boundary_scene(size: u32, seed: u64) -> (GrayImage, Vec<Circle>) {
@@ -454,16 +458,11 @@ mod tests {
     #[test]
     fn extended_cells_overlap_cores_by_margin() {
         let img = GrayImage::filled(200, 200, 0.1);
-        let full = NucleiModel::new(&img, ModelParams::new(200, 200, 4.0, 8.0));
+        let params = ModelParams::new(200, 200, 4.0, 8.0);
         let pool = WorkerPool::new(2);
-        let opts = BlindOptions {
-            chain: SubChainOptions {
-                max_iters: 2_000,
-                ..SubChainOptions::default()
-            },
-            ..BlindOptions::default()
-        };
-        let res = run_blind(&full, &img, &opts, &pool, 1, &RunCtx::default()).unwrap();
+        let req = RunRequest::new(&img, &params, &pool, 1).iterations(2_000);
+        let opts = BlindOptions::default();
+        let res = run_blind(&req.model(), &req, &opts, &RunCtx::default()).unwrap();
         assert_eq!(res.partitions.len(), 4);
         let margin = (1.1 * 8.0f64).ceil() as i64;
         for p in &res.partitions {
@@ -478,16 +477,11 @@ mod tests {
     #[test]
     fn boundary_artifacts_found_once_after_merge() {
         let (img, truth) = boundary_scene(256, 3);
-        let full = NucleiModel::new(&img, ModelParams::new(256, 256, truth.len() as f64, 8.0));
+        let params = ModelParams::new(256, 256, truth.len() as f64, 8.0);
         let pool = WorkerPool::new(4);
-        let opts = BlindOptions {
-            chain: SubChainOptions {
-                max_iters: 60_000,
-                ..SubChainOptions::default()
-            },
-            ..BlindOptions::default()
-        };
-        let res = run_blind(&full, &img, &opts, &pool, 11, &RunCtx::default()).unwrap();
+        let req = RunRequest::new(&img, &params, &pool, 11).iterations(60_000);
+        let opts = BlindOptions::default();
+        let res = run_blind(&req.model(), &req, &opts, &RunCtx::default()).unwrap();
         let m = pmcmc_core::match_circles(&truth, &res.merged, 5.0);
         assert!(
             m.recall() >= 0.7,
@@ -512,19 +506,19 @@ mod tests {
     #[test]
     fn discard_policy_drops_disputables() {
         let (img, truth) = boundary_scene(256, 5);
-        let full = NucleiModel::new(&img, ModelParams::new(256, 256, truth.len() as f64, 8.0));
+        let params = ModelParams::new(256, 256, truth.len() as f64, 8.0);
         let pool = WorkerPool::new(4);
+        let req = RunRequest::new(&img, &params, &pool, 21).iterations(40_000);
+        let full = req.model();
         let ctx = RunCtx::default();
-        let mk = |dispute| BlindOptions {
-            dispute,
-            chain: SubChainOptions {
-                max_iters: 40_000,
-                ..SubChainOptions::default()
-            },
-            ..BlindOptions::default()
+        let run = |dispute| {
+            let opts = BlindOptions {
+                dispute,
+                ..BlindOptions::default()
+            };
+            run_blind(&full, &req, &opts, &ctx).unwrap()
         };
-        let acc = run_blind(&full, &img, &mk(DisputePolicy::Accept), &pool, 21, &ctx).unwrap();
-        let dis = run_blind(&full, &img, &mk(DisputePolicy::Discard), &pool, 21, &ctx).unwrap();
+        let (acc, dis) = (run(DisputePolicy::Accept), run(DisputePolicy::Discard));
         // Same seed → identical chains → identical disputable sets; the
         // policies differ exactly by whether those are kept.
         assert_eq!(acc.disputed, dis.disputed);

@@ -42,11 +42,20 @@
 //! `run` does not catch panics: that is the job runner's business
 //! ([`crate::job::run_blueprint`]).
 //!
+//! **Who owns what.** The request is the only source of a run's pool,
+//! budget and seed: a [`StrategySpec`] carries neither a thread count nor
+//! an iteration cap of its own, so every scheme in a sweep runs at the
+//! same budget on the same pool. [`PeriodicSampler::new`] takes the pool;
+//! the partition pipelines ([`run_intelligent`], [`run_blind`],
+//! [`run_naive`]) take the request and run every partition chain through
+//! one function, [`crate::subchain::run_partition_chain`], capped at
+//! [`RunRequest::iterations`].
+//!
 //! Service-style execution — owned job descriptions, background submission,
 //! live events, cancellation, batches — lives one layer up in
-//! [`crate::job`]. The scheme pipelines (`run_blind`, [`PeriodicSampler`],
-//! …) remain public for callers that need scheme-specific outputs; the arms
-//! of `run` are thin wrappers over them.
+//! [`crate::job`]. The scheme pipelines remain public for callers that
+//! need scheme-specific outputs; the arms of `run` are thin wrappers over
+//! them.
 
 use crate::blind::{run_blind, BlindOptions};
 use crate::intelligent::{run_intelligent, IntelligentPartitioner};
@@ -102,13 +111,17 @@ pub struct RunRequest<'a> {
     /// Model parameters for the full image (schemes derive per-partition
     /// parameters themselves).
     pub params: &'a ModelParams,
-    /// The worker pool shared by every scheme in a sweep.
+    /// The worker pool shared by every scheme in a sweep, and the only
+    /// source of a run's threads: no scheme option carries a thread count.
     pub pool: &'a WorkerPool,
     /// Master seed; schemes derive their internal streams from it.
     pub seed: u64,
-    /// Iteration budget. Exact single-chain schemes run this many chain
-    /// iterations; (MC)³ gives this budget to every coupled chain;
-    /// partition schemes use it as the per-partition convergence cap.
+    /// Iteration budget — the only one a run has: no scheme option
+    /// carries a budget of its own. Exact single-chain schemes run this
+    /// many chain iterations; (MC)³ gives this budget to every coupled
+    /// chain; partition schemes cap each partition chain at it (a chain
+    /// that converged then settles for `settle_frac` of its convergence
+    /// iteration).
     pub iterations: u64,
 }
 
@@ -452,11 +465,6 @@ impl StrategySpec {
         let perf_start = pmcmc_core::perf::snapshot();
         let start = Instant::now();
         let phase = PhaseTiming::new;
-        // The partition schemes' chains are capped by the request's budget.
-        let capped = |chain: SubChainOptions| SubChainOptions {
-            max_iters: req.iterations,
-            ..chain
-        };
         let (config, iterations, phases, partitions, acceptance_rate, notes) = match *self {
             StrategySpec::Sequential => {
                 // Random initial configuration (§III), matching the start
@@ -480,9 +488,8 @@ impl StrategySpec {
                 let phases = vec![phase("chain", start.elapsed())];
                 (sampler.config, done, phases, 1, Some(acceptance), vec![])
             }
-            // `options.threads` is overridden by the request's pool size.
             StrategySpec::Periodic(options) => {
-                let mut sampler = PeriodicSampler::with_pool(model, req.seed, options, req.pool);
+                let mut sampler = PeriodicSampler::new(model, req.seed, options, req.pool);
                 let ran = sampler.run(req.iterations, ctx)?;
                 let phases = vec![
                     phase("global", ran.global_time),
@@ -525,8 +532,6 @@ impl StrategySpec {
                 heat,
                 segment_len,
             } => {
-                let chains = chains.max(2);
-                let segment_len = segment_len.max(1);
                 let segments = (req.iterations / segment_len).max(1);
                 let mut mc3 = Mc3::new(model, chains, heat, req.seed);
                 let ran = run_mc3_parallel(&mut mc3, req.pool, segments, segment_len, ctx)?;
@@ -542,8 +547,7 @@ impl StrategySpec {
                 )
             }
             StrategySpec::Intelligent { partitioner, chain } => {
-                let (img, opts, seed) = (req.image, capped(chain), req.seed);
-                let found = run_intelligent(model, img, &partitioner, &opts, req.pool, seed, ctx)?;
+                let found = run_intelligent(model, req, &partitioner, &chain, ctx)?;
                 let parts = &found.partitions;
                 let note = |p: &SubChainResult| {
                     format!(
@@ -564,11 +568,7 @@ impl StrategySpec {
                 )
             }
             StrategySpec::Blind(options) => {
-                let opts = BlindOptions {
-                    chain: capped(options.chain),
-                    ..options
-                };
-                let found = run_blind(model, req.image, &opts, req.pool, req.seed, ctx)?;
+                let found = run_blind(model, req, &options, ctx)?;
                 let parts = &found.partitions;
                 (
                     Configuration::from_circles(model, &found.merged),
@@ -586,11 +586,7 @@ impl StrategySpec {
                 )
             }
             StrategySpec::Naive(options) => {
-                let opts = NaiveOptions {
-                    chain: capped(options.chain),
-                    ..options
-                };
-                let found = run_naive(model, req.image, &opts, req.pool, req.seed, ctx)?;
+                let found = run_naive(model, req, &options, ctx)?;
                 let parts = &found.partitions;
                 (
                     Configuration::from_circles(model, &found.merged),
@@ -621,10 +617,13 @@ impl StrategySpec {
 
     /// Checks the scheme options for values that would otherwise panic
     /// deep inside a scheme (zero-sized partition grids, zero or absurd
-    /// speculative lane counts), so they surface as
-    /// [`RunError::InvalidSpec`] at parse/submit time instead. Called by
-    /// the `FromStr` grammar, by `JobSpec::validate`, and by
-    /// [`StrategySpec::run`] (covering directly constructed options).
+    /// speculative lane counts), hang it (a partition chain that never
+    /// advances or settles far beyond its budget) or be clamped by it
+    /// (fewer than two (MC)³ chains, empty (MC)³ segments or `Mg` phases),
+    /// so they surface as [`RunError::InvalidSpec`] at parse/submit time
+    /// instead. Called by the `FromStr` grammar, by `JobSpec::validate`,
+    /// and by [`StrategySpec::run`] (covering directly constructed options
+    /// and the ones a daemon decodes).
     ///
     /// # Errors
     /// [`RunError::InvalidSpec`] naming the offending option.
@@ -634,45 +633,54 @@ impl StrategySpec {
         /// eq. (3) returns are long gone and the only effect is resource
         /// exhaustion.
         const MAX_LANES: usize = 64;
+        let require = |ok: bool, why: String| ok.then_some(()).ok_or(RunError::InvalidSpec(why));
         let lanes_ok = |lanes: usize, what: &str| {
-            if lanes > MAX_LANES {
-                Err(RunError::InvalidSpec(format!(
-                    "{what} must be at most {MAX_LANES}, got {lanes}"
-                )))
-            } else {
-                Ok(())
-            }
+            let why = format!("{what} must be at most {MAX_LANES}, got {lanes}");
+            require(lanes <= MAX_LANES, why)
+        };
+        let grid_ok = |cols: u32, rows: u32, what: &str| {
+            let why = format!("{what} grid must be at least 1x1, got {cols}x{rows}");
+            require(cols > 0 && rows > 0, why)
+        };
+        let chain_ok = |c: &SubChainOptions| {
+            let why = "partition chain `conv_stride` must be at least 1";
+            require(c.conv_stride > 0, why.to_owned())?;
+            let why = format!(
+                "partition chain `settle_frac` must be in [0, 1], got {}",
+                c.settle_frac
+            );
+            require((0.0..=1.0).contains(&c.settle_frac), why)
         };
         match self {
+            StrategySpec::Sequential => Ok(()),
             StrategySpec::Periodic(o) => {
                 if let PartitionScheme::Grid { xm, ym } = o.scheme {
-                    if xm <= 0 || ym <= 0 {
-                        return Err(RunError::InvalidSpec(format!(
-                            "periodic grid spacing must be positive, got {xm}x{ym}"
-                        )));
-                    }
+                    let why = format!("periodic grid spacing must be positive, got {xm}x{ym}");
+                    require(xm > 0 && ym > 0, why)?;
                 }
+                let why = "periodic `global` must be at least 1";
+                require(o.global_phase_iters > 0, why.to_owned())?;
                 lanes_ok(o.speculative_global_lanes, "periodic `lanes`")
             }
             StrategySpec::Speculative { lanes } => lanes_ok(*lanes, "speculative `lanes`"),
-            StrategySpec::Mc3 { chains, heat, .. } => {
+            StrategySpec::Mc3 {
+                chains,
+                heat,
+                segment_len,
+            } => {
+                let why = format!("mc3 `chains` must be at least 2, got {chains}");
+                require(*chains >= 2, why)?;
                 // One full sampler per chain and one pool task per chain
                 // per segment: the same resource argument as the lane cap.
                 lanes_ok(*chains, "mc3 `chains`")?;
-                if !heat.is_finite() || *heat < 0.0 {
-                    return Err(RunError::InvalidSpec(format!(
-                        "mc3 `heat` must be finite and non-negative, got {heat}"
-                    )));
-                }
-                Ok(())
+                let why = format!("mc3 `heat` must be finite and non-negative, got {heat}");
+                require(heat.is_finite() && *heat >= 0.0, why)?;
+                let why = "mc3 `segment` must be at least 1";
+                require(*segment_len > 0, why.to_owned())
             }
-            StrategySpec::Blind(o) if o.cols == 0 || o.rows == 0 => Err(RunError::InvalidSpec(
-                format!("blind grid must be at least 1x1, got {}x{}", o.cols, o.rows),
-            )),
-            StrategySpec::Naive(o) if o.cols == 0 || o.rows == 0 => Err(RunError::InvalidSpec(
-                format!("naive grid must be at least 1x1, got {}x{}", o.cols, o.rows),
-            )),
-            _ => Ok(()),
+            StrategySpec::Intelligent { chain, .. } => chain_ok(chain),
+            StrategySpec::Blind(o) => grid_ok(o.cols, o.rows, "blind").and(chain_ok(&o.chain)),
+            StrategySpec::Naive(o) => grid_ok(o.cols, o.rows, "naive").and(chain_ok(&o.chain)),
         }
     }
 
@@ -974,6 +982,23 @@ mod tests {
             "sequential:x=1".parse::<StrategySpec>(),
             Err(RunError::InvalidSpec(_))
         ));
+        // Values a scheme would clamp are rejected, not silently raised.
+        for clamped in [
+            "mc3:chains=0",
+            "mc3:chains=1",
+            "mc3:segment=0",
+            "periodic:global=0",
+        ] {
+            assert!(
+                matches!(
+                    clamped.parse::<StrategySpec>(),
+                    Err(RunError::InvalidSpec(_))
+                ),
+                "`{clamped}` parsed"
+            );
+        }
+        assert!("mc3:chains=2,segment=1".parse::<StrategySpec>().is_ok());
+        assert!("periodic:global=1".parse::<StrategySpec>().is_ok());
     }
 
     #[test]
@@ -1009,11 +1034,40 @@ mod tests {
                 rows: 0,
                 ..NaiveOptions::default()
             }),
+            // A chain that never advances, so never converges.
+            StrategySpec::Blind(BlindOptions {
+                chain: SubChainOptions {
+                    conv_stride: 0,
+                    conv_tol: 0.0,
+                    ..SubChainOptions::default()
+                },
+                ..BlindOptions::default()
+            }),
+            // A settle 10¹² times the convergence iteration.
+            StrategySpec::Intelligent {
+                partitioner: IntelligentPartitioner::default(),
+                chain: SubChainOptions {
+                    settle_frac: 1e12,
+                    ..SubChainOptions::default()
+                },
+            },
+            StrategySpec::Naive(NaiveOptions {
+                chain: SubChainOptions {
+                    settle_frac: f64::NAN,
+                    ..SubChainOptions::default()
+                },
+                ..NaiveOptions::default()
+            }),
             StrategySpec::Speculative { lanes: 1_000_000 },
             StrategySpec::Periodic(PeriodicOptions {
                 scheme: PartitionScheme::Grid { xm: 0, ym: 48 },
                 ..PeriodicOptions::default()
             }),
+            StrategySpec::Mc3 {
+                chains: 1,
+                heat: MC3_HEAT,
+                segment_len: 0,
+            },
         ];
         for spec in bad_runs {
             assert!(

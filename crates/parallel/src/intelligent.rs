@@ -8,13 +8,12 @@
 //! [`crate::subchain`]) and the results are concatenated — trivially,
 //! because the pre-processor guarantees the partitions don't interact.
 
+use crate::engine::RunRequest;
 use crate::job::{RunCtx, RunError};
-use crate::subchain::{fan_out_chains, run_partition_chain, SubChainOptions, SubChainResult};
-use pmcmc_core::rng::derive_seed;
+use crate::subchain::{fan_out_chains, SubChainOptions, SubChainResult};
 use pmcmc_core::NucleiModel;
 use pmcmc_imaging::filter::threshold;
 use pmcmc_imaging::{Circle, GrayImage, Mask, Rect};
-use pmcmc_runtime::WorkerPool;
 use std::time::{Duration, Instant};
 
 /// The guillotine pre-processor.
@@ -140,13 +139,14 @@ impl IntelligentResult {
     }
 }
 
-/// Runs the full intelligent-partitioning pipeline on `img`, whose
-/// prebuilt full-image model is `full`: pre-process, run one chain per
-/// partition on `pool` (each building its sub-model on its crop of `img`
-/// with `full`'s parameters), concatenate results. Phase and per-partition
-/// progress events are emitted through `ctx` (progress counts completed
-/// partitions), and its cancel token / deadline propagate into every
-/// partition chain.
+/// Runs the full intelligent-partitioning pipeline on the request's
+/// image, whose prebuilt full-image model is `full`: pre-process, run one
+/// chain per partition on `req.pool`
+/// ([`crate::subchain::run_partition_chain`], capped at `req.iterations`,
+/// each building its sub-model on its crop with `full`'s parameters),
+/// concatenate results. Phase and per-partition progress events are
+/// emitted through `ctx` (progress counts completed partitions), and its
+/// cancel token / deadline propagate into every partition chain.
 ///
 /// # Errors
 /// [`RunError::Cancelled`] / [`RunError::DeadlineExceeded`] when the
@@ -154,16 +154,14 @@ impl IntelligentResult {
 /// partition chains had executed before winding down.
 pub fn run_intelligent(
     full: &NucleiModel,
-    img: &GrayImage,
+    req: &RunRequest<'_>,
     partitioner: &IntelligentPartitioner,
     opts: &SubChainOptions,
-    pool: &WorkerPool,
-    seed: u64,
     ctx: &RunCtx,
 ) -> Result<IntelligentResult, RunError> {
     let t0 = Instant::now();
     ctx.phase("preprocess");
-    let (rects, mask) = partitioner.partition(img);
+    let (rects, mask) = partitioner.partition(req.image);
     let preprocess_time = t0.elapsed();
 
     let t1 = Instant::now();
@@ -173,9 +171,7 @@ pub fn run_intelligent(
         .iter()
         .map(|&r| (mask.count_ones_in(&r) as f64 + 1.0, r))
         .collect();
-    let partitions = fan_out_chains(cells, pool, ctx, |i, rect| {
-        run_partition_chain(full, img, rect, opts, derive_seed(seed, i as u64), ctx)
-    })?;
+    let partitions = fan_out_chains(full, req, cells, None, opts, ctx)?;
     let chains_time = t1.elapsed();
     let merged = partitions
         .iter()
@@ -194,6 +190,7 @@ mod tests {
     use super::*;
     use pmcmc_core::{ModelParams, Xoshiro256};
     use pmcmc_imaging::synth::{generate_clustered, ClusterSpec, SceneSpec};
+    use pmcmc_runtime::WorkerPool;
 
     /// Three well-separated clusters, like the latex-bead dish of Fig. 3.
     fn bead_image(seed: u64) -> (GrayImage, Vec<Circle>) {
@@ -297,19 +294,14 @@ mod tests {
     #[test]
     fn pipeline_detects_all_clusters() {
         let (img, truth) = bead_image(2);
-        let full = NucleiModel::new(&img, ModelParams::new(384, 384, truth.len() as f64, 8.0));
+        let params = ModelParams::new(384, 384, truth.len() as f64, 8.0);
         let pool = WorkerPool::new(4);
-        let opts = SubChainOptions {
-            max_iters: 80_000,
-            ..SubChainOptions::default()
-        };
+        let req = RunRequest::new(&img, &params, &pool, 77).iterations(80_000);
         let res = run_intelligent(
-            &full,
-            &img,
+            &req.model(),
+            &req,
             &IntelligentPartitioner::default(),
-            &opts,
-            &pool,
-            77,
+            &SubChainOptions::default(),
             &RunCtx::default(),
         )
         .unwrap();

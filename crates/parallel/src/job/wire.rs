@@ -47,7 +47,6 @@ wire_struct!(SubChainOptions {
     conv_window: usize,
     conv_tol: f64,
     conv_stride: u64,
-    max_iters: u64,
     settle_frac: f64,
 });
 
@@ -58,7 +57,6 @@ wire_enum!(NaivePrior, "naive prior" { 0 => UniformSplit, 1 => DensityEstimate }
 wire_struct!(PeriodicOptions {
     global_phase_iters: u64,
     scheme: PartitionScheme,
-    threads: usize,
     speculative_global_lanes: usize,
 });
 
@@ -318,7 +316,6 @@ mod tests {
         specs.push(StrategySpec::Periodic(PeriodicOptions {
             global_phase_iters: 64,
             scheme: PartitionScheme::Grid { xm: 40, ym: 56 },
-            threads: 3,
             speculative_global_lanes: 2,
         }));
         specs.push(StrategySpec::Blind(BlindOptions {
@@ -332,7 +329,6 @@ mod tests {
                 conv_window: 11,
                 conv_tol: 0.25,
                 conv_stride: 99,
-                max_iters: 12_345,
                 settle_frac: 0.5,
             },
         }));
@@ -519,7 +515,6 @@ mod tests {
             conv_window: 11,
             conv_tol: 0.25,
             conv_stride: 99,
-            max_iters: 12_345,
             settle_frac: 0.5,
         };
         let chain_bytes = [
@@ -527,7 +522,6 @@ mod tests {
             11, 0, 0, 0, 0, 0, 0, 0, // conv_window
             0, 0, 0, 0, 0, 0, 0xD0, 0x3F, // conv_tol = 0.25
             99, 0, 0, 0, 0, 0, 0, 0, // conv_stride
-            0x39, 0x30, 0, 0, 0, 0, 0, 0, // max_iters = 12 345
             0, 0, 0, 0, 0, 0, 0xE0, 0x3F, // settle_frac = 0.5
         ];
         let with_chain = |head: &[u8]| [head, &chain_bytes[..]].concat();
@@ -676,13 +670,12 @@ mod tests {
                 &StrategySpec::Periodic(PeriodicOptions {
                     global_phase_iters: 64,
                     scheme: grid,
-                    threads: 3,
                     speculative_global_lanes: 2,
                 }),
                 [
                     &[1, 64, 0, 0, 0, 0, 0, 0, 0][..], // tag, global_phase_iters
                     &grid_bytes,
-                    &[3, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0], // threads, lanes
+                    &[2, 0, 0, 0, 0, 0, 0, 0], // lanes
                 ]
                 .concat(),
             ),
@@ -867,12 +860,13 @@ mod tests {
     /// span-kernel counters; v3 appended its lane-kernel and
     /// proposal-batch counters; v4 changed how images and `Assign`
     /// payloads are encoded but not their bytes, v5 generated every
-    /// codec from a field list, again byte for byte, and v6 rejects
-    /// unknown phase labels, so only the frame header's version byte
-    /// differs from v3; the other payload encodings here are unchanged
-    /// since v1.)
+    /// codec from a field list, again byte for byte, v6 rejects unknown
+    /// phase labels, and v7 dropped `PeriodicOptions::threads` and
+    /// `SubChainOptions::max_iters` from the strategy payloads pinned in
+    /// `goldens`, so only the frame header's version byte differs from v3
+    /// here; the other payload encodings here are unchanged since v1.)
     #[test]
-    fn golden_bytes_v6() {
+    fn golden_bytes_v7() {
         // A sequential spec is a single tag byte.
         assert_eq!(StrategySpec::Sequential.to_wire_bytes(), vec![0]);
 
@@ -898,14 +892,14 @@ mod tests {
         };
         assert_eq!(cancelled.to_wire_bytes(), vec![2, 7, 0, 0, 0, 0, 0, 0, 0]);
 
-        // A whole v6 frame around that error payload: magic "PM",
-        // version 6, kind Result=4, little-endian length, payload.
+        // A whole v7 frame around that error payload: magic "PM",
+        // version 7, kind Result=4, little-endian length, payload.
         let mut frame = Vec::new();
         write_frame(&mut frame, FrameKind::Result, &cancelled.to_wire_bytes()).unwrap();
         assert_eq!(
             frame,
             vec![
-                b'P', b'M', 6, 4, 9, 0, 0, 0, // header
+                b'P', b'M', 7, 4, 9, 0, 0, 0, // header
                 2, 7, 0, 0, 0, 0, 0, 0, 0, // payload
             ]
         );

@@ -52,10 +52,7 @@ pub mod speculative;
 pub mod subchain;
 pub mod theory;
 
-pub use blind::{
-    cluster_duplicates, merge_sources, run_blind, BlindOptions, BlindResult, DisputePolicy,
-    MergeCandidate, MergeOutcome,
-};
+pub use blind::{run_blind, BlindOptions, BlindResult, DisputePolicy};
 pub use engine::{
     NodeTiming, PhaseTiming, RunDiagnostics, RunReport, RunRequest, StrategySpec, Validity,
 };

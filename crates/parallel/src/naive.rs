@@ -12,21 +12,20 @@
 //! eq. (5) estimate. Benches compare its anomaly counts against blind
 //! partitioning on the same scenes.
 
+use crate::engine::RunRequest;
 use crate::job::{RunCtx, RunError};
-use crate::subchain::{
-    fan_out_chains, partition_model, run_partition_chain, SubChainOptions, SubChainResult,
-};
-use pmcmc_core::rng::derive_seed;
+use crate::subchain::{fan_out_chains, SubChainOptions, SubChainResult};
 use pmcmc_core::NucleiModel;
-use pmcmc_imaging::{regular_tiles, Circle, GrayImage};
-use pmcmc_runtime::WorkerPool;
+use pmcmc_imaging::{regular_tiles, Circle};
 use std::time::{Duration, Instant};
 
 /// How the naive baseline assigns per-partition expected counts.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum NaivePrior {
     /// `λ / n_partitions` — the uniform-density assumption §VIII warns
-    /// about.
+    /// about. Each partition runs the same chain as under
+    /// [`NaivePrior::DensityEstimate`], with this prior in place of the
+    /// eq. (5) estimate.
     UniformSplit,
     /// The eq. (5) threshold estimate (isolates boundary anomalies from
     /// prior misallocation).
@@ -68,11 +67,13 @@ pub struct NaiveResult {
     pub chains_time: Duration,
 }
 
-/// Runs the naive baseline on `img`, whose prebuilt full-image model is
-/// `full` (each partition chain builds its sub-model on its crop of `img`
-/// with `full`'s parameters). Phase and per-partition progress events are
-/// emitted through `ctx` (progress counts completed partitions) and its
-/// cancel token / deadline propagate into every partition chain.
+/// Runs the naive baseline on the request's image, whose prebuilt
+/// full-image model is `full`: one chain per grid cell on `req.pool`
+/// ([`crate::subchain::run_partition_chain`], capped at `req.iterations`),
+/// each building its sub-model on its crop with `full`'s parameters and
+/// the prior `opts.prior` names. Phase and per-partition progress events
+/// are emitted through `ctx` (progress counts completed partitions) and
+/// its cancel token / deadline propagate into every partition chain.
 ///
 /// # Errors
 /// [`RunError::Cancelled`] / [`RunError::DeadlineExceeded`] when the
@@ -80,42 +81,19 @@ pub struct NaiveResult {
 /// partition chains had executed before winding down.
 pub fn run_naive(
     full: &NucleiModel,
-    img: &GrayImage,
+    req: &RunRequest<'_>,
     opts: &NaiveOptions,
-    pool: &WorkerPool,
-    seed: u64,
     ctx: &RunCtx,
 ) -> Result<NaiveResult, RunError> {
-    let tiles = regular_tiles(img.width(), img.height(), opts.cols, opts.rows);
-    let n = tiles.len();
+    let tiles = regular_tiles(req.image.width(), req.image.height(), opts.cols, opts.rows);
+    let prior = match opts.prior {
+        NaivePrior::UniformSplit => Some(full.params.expected_count / tiles.len() as f64),
+        NaivePrior::DensityEstimate => None,
+    };
     let t0 = Instant::now();
     ctx.phase("chains");
     let cells = tiles.iter().map(|&r| (r.area() as f64, r)).collect();
-    let partitions = fan_out_chains(cells, pool, ctx, |i, rect| {
-        let chain_seed = derive_seed(seed, i as u64);
-        let mut res = run_partition_chain(full, img, rect, &opts.chain, chain_seed, ctx);
-        if opts.prior == NaivePrior::UniformSplit {
-            // Re-run with the misallocated prior: the point of this
-            // branch is to reproduce the failure mode — the uniform
-            // `λ/n` split replaces the eq. (5) estimate.
-            let split_expected = (full.params.expected_count / n as f64).max(0.05);
-            let model = partition_model(full, &img.crop(&rect), split_expected);
-            let mut sampler =
-                pmcmc_core::Sampler::new_empty(&model, derive_seed(seed, 100 + i as u64));
-            let budget = res.iterations.max(5_000);
-            while sampler.iterations() < budget && !ctx.stopped() {
-                sampler.run(1_000.min(budget - sampler.iterations()));
-            }
-            res.detected = sampler
-                .config
-                .circles()
-                .iter()
-                .map(|c| Circle::new(c.x + rect.x0 as f64, c.y + rect.y0 as f64, c.r))
-                .collect();
-            res.expected_count = split_expected;
-        }
-        res
-    })?;
+    let partitions = fan_out_chains(full, req, cells, prior, &opts.chain, ctx)?;
     let chains_time = t0.elapsed();
     let merged = partitions
         .iter()
@@ -132,8 +110,12 @@ pub fn run_naive(
 mod tests {
     use super::*;
     use crate::blind::{run_blind, BlindOptions};
+    use crate::subchain::run_partition_chain;
+    use pmcmc_core::rng::derive_seed;
     use pmcmc_core::{ModelParams, Xoshiro256};
     use pmcmc_imaging::synth::{generate, SceneSpec};
+    use pmcmc_imaging::GrayImage;
+    use pmcmc_runtime::WorkerPool;
 
     /// A scene with a circle dead on the quartering cross.
     fn boundary_scene(size: u32, seed: u64) -> (GrayImage, Vec<Circle>) {
@@ -171,37 +153,13 @@ mod tests {
     #[test]
     fn naive_produces_boundary_anomalies_blind_fixes_them() {
         let (img, truth) = boundary_scene(256, 7);
-        let full = NucleiModel::new(&img, ModelParams::new(256, 256, truth.len() as f64, 8.0));
+        let params = ModelParams::new(256, 256, truth.len() as f64, 8.0);
+        let full = NucleiModel::new(&img, params.clone());
         let pool = WorkerPool::new(4);
+        let req = RunRequest::new(&img, &params, &pool, 5).iterations(60_000);
         let ctx = RunCtx::default();
-        let chain = SubChainOptions {
-            max_iters: 60_000,
-            ..SubChainOptions::default()
-        };
-        let naive = run_naive(
-            &full,
-            &img,
-            &NaiveOptions {
-                chain,
-                ..NaiveOptions::default()
-            },
-            &pool,
-            5,
-            &ctx,
-        )
-        .unwrap();
-        let blind = run_blind(
-            &full,
-            &img,
-            &BlindOptions {
-                chain,
-                ..BlindOptions::default()
-            },
-            &pool,
-            5,
-            &ctx,
-        )
-        .unwrap();
+        let naive = run_naive(&full, &req, &NaiveOptions::default(), &ctx).unwrap();
+        let blind = run_blind(&full, &req, &BlindOptions::default(), &ctx).unwrap();
         let m_naive = pmcmc_core::match_circles(&truth, &naive.merged, 5.0);
         let m_blind = pmcmc_core::match_circles(&truth, &blind.merged, 5.0);
         // The paper's motivating claim: naive partitioning produces
@@ -220,24 +178,58 @@ mod tests {
         let (img, truth) = boundary_scene(128, 9);
         let base = ModelParams::new(128, 128, truth.len() as f64, 8.0);
         let pool = WorkerPool::new(2);
-        let res = run_naive(
-            &NucleiModel::new(&img, base.clone()),
-            &img,
-            &NaiveOptions {
-                prior: NaivePrior::UniformSplit,
-                chain: SubChainOptions {
-                    max_iters: 5_000,
-                    ..SubChainOptions::default()
-                },
-                ..NaiveOptions::default()
-            },
-            &pool,
-            3,
-            &RunCtx::default(),
-        )
-        .unwrap();
+        let req = RunRequest::new(&img, &base, &pool, 3).iterations(5_000);
+        let opts = NaiveOptions {
+            prior: NaivePrior::UniformSplit,
+            ..NaiveOptions::default()
+        };
+        let res = run_naive(&req.model(), &req, &opts, &RunCtx::default()).unwrap();
         for p in &res.partitions {
             assert!((p.expected_count - base.expected_count / 4.0).abs() < 1e-9);
+        }
+    }
+
+    /// `naive:prior=uniform` runs one chain per partition through the
+    /// function every partition scheme uses, within the request's budget:
+    /// each partition's result is, bit for bit, what `run_partition_chain`
+    /// returns for its rect with the `λ/n` prior and its derived seed.
+    #[test]
+    fn uniform_split_partitions_are_plain_partition_chains() {
+        let (img, truth) = boundary_scene(128, 9);
+        let params = ModelParams::new(128, 128, truth.len() as f64, 8.0);
+        let full = NucleiModel::new(&img, params.clone());
+        let pool = WorkerPool::new(2);
+        let req = RunRequest::new(&img, &params, &pool, 3).iterations(1_000);
+        let opts = NaiveOptions {
+            prior: NaivePrior::UniformSplit,
+            ..NaiveOptions::default()
+        };
+        let ctx = RunCtx::default();
+        let res = run_naive(&full, &req, &opts, &ctx).unwrap();
+        // Everything but the wall time; `{:?}` prints each f64 exactly.
+        let bits = |r: &SubChainResult| {
+            format!(
+                "{:?}",
+                (
+                    r.rect,
+                    r.expected_count,
+                    r.thresholded_pixels,
+                    &r.detected,
+                    r.iterations,
+                    r.converged_at,
+                    &r.stats,
+                )
+            )
+        };
+        let tiles = regular_tiles(128, 128, opts.cols, opts.rows);
+        assert_eq!(res.partitions.len(), tiles.len());
+        let prior = Some(params.expected_count / tiles.len() as f64);
+        for (i, (p, &rect)) in res.partitions.iter().zip(&tiles).enumerate() {
+            let seed = derive_seed(req.seed, i as u64);
+            let alone = run_partition_chain(&full, &req, rect, prior, &opts.chain, seed, &ctx);
+            assert_eq!(bits(p), bits(&alone), "partition {i}");
+            // The budget plus at most a quarter of it to settle.
+            assert!(p.iterations <= 1_250, "partition {i}: {}", p.iterations);
         }
     }
 }

@@ -104,15 +104,15 @@ impl PartitionScheme {
     }
 }
 
-/// Configuration of the periodic-partitioning sampler.
+/// Configuration of the periodic-partitioning sampler. The threads its
+/// local phases run on are not among its options: they are the pool the
+/// sampler is built on ([`PeriodicSampler::new`]).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PeriodicOptions {
     /// Iterations per global (`Mg`) phase.
     pub global_phase_iters: u64,
     /// Tiling scheme for local phases.
     pub scheme: PartitionScheme,
-    /// Worker threads for local phases.
-    pub threads: usize,
     /// Speculative lanes for the `Mg` phases (≤ 1 disables). This realises
     /// eq. (3): "we can obtain further performance improvements by
     /// implementing speculative moves during the Mg phases".
@@ -124,7 +124,6 @@ impl Default for PeriodicOptions {
         Self {
             global_phase_iters: 128,
             scheme: PartitionScheme::Corner,
-            threads: 4,
             speculative_global_lanes: 1,
         }
     }
@@ -164,26 +163,9 @@ impl PeriodicReport {
     }
 }
 
-/// The worker pool a [`PeriodicSampler`] runs its local phases on: either
-/// its own (the historical behaviour of [`PeriodicSampler::new`]) or one
-/// shared with other samplers through the engine layer
-/// ([`PeriodicSampler::with_pool`]).
-enum PoolHandle<'p> {
-    Owned(WorkerPool),
-    Shared(&'p WorkerPool),
-}
-
-impl std::ops::Deref for PoolHandle<'_> {
-    type Target = WorkerPool;
-    fn deref(&self) -> &WorkerPool {
-        match self {
-            PoolHandle::Owned(p) => p,
-            PoolHandle::Shared(p) => p,
-        }
-    }
-}
-
-/// The periodic-partitioning sampler.
+/// The periodic-partitioning sampler. Its local phases fan out over the
+/// worker pool it is built on (in the engine layer, the request's pool);
+/// reports do not depend on that pool's size.
 pub struct PeriodicSampler<'m> {
     model: &'m NucleiModel,
     /// Master chain used for the sequential `Mg` phases; its configuration
@@ -191,7 +173,7 @@ pub struct PeriodicSampler<'m> {
     pub master: Sampler<'m>,
     weights: MoveWeights,
     options: PeriodicOptions,
-    pool: PoolHandle<'m>,
+    pool: &'m WorkerPool,
     spec_engine: Option<crate::speculative::SpeculativeEngine>,
     /// Merged acceptance statistics over global and local phases.
     pub stats: AcceptanceStats,
@@ -208,60 +190,25 @@ pub struct PeriodicSampler<'m> {
 }
 
 impl<'m> PeriodicSampler<'m> {
-    /// Creates the sampler with a random initial configuration and its own
-    /// worker pool of `options.threads` workers.
+    /// Creates the sampler with a random initial configuration, running
+    /// its local phases on `pool`: a phase splits its tiles into at most
+    /// `pool.threads()` bundles.
     #[must_use]
-    pub fn new(model: &'m NucleiModel, seed: u64, options: PeriodicOptions) -> Self {
-        let master = Sampler::new(model, seed);
-        Self::with_master(model, master, seed, options)
-    }
-
-    /// Creates the sampler from an existing master chain (e.g. to continue
-    /// a sequential burn-in).
-    #[must_use]
-    pub fn with_master(
-        model: &'m NucleiModel,
-        master: Sampler<'m>,
-        seed: u64,
-        options: PeriodicOptions,
-    ) -> Self {
-        let pool = PoolHandle::Owned(WorkerPool::new(options.threads.max(1)));
-        Self::build(model, master, seed, options, pool)
-    }
-
-    /// Creates the sampler on a shared [`WorkerPool`] instead of spawning
-    /// its own; `options.threads` is ignored in favour of the pool's size.
-    /// This is what the [`crate::engine`] layer uses so every strategy in a
-    /// sweep runs on the same pool.
-    #[must_use]
-    pub fn with_pool(
+    pub fn new(
         model: &'m NucleiModel,
         seed: u64,
         options: PeriodicOptions,
         pool: &'m WorkerPool,
     ) -> Self {
-        let master = Sampler::new(model, seed);
-        Self::build(model, master, seed, options, PoolHandle::Shared(pool))
-    }
-
-    fn build(
-        model: &'m NucleiModel,
-        master: Sampler<'m>,
-        seed: u64,
-        options: PeriodicOptions,
-        pool: PoolHandle<'m>,
-    ) -> Self {
-        let spec_engine = if options.speculative_global_lanes > 1 {
-            Some(crate::speculative::SpeculativeEngine::new(
+        let spec_engine = (options.speculative_global_lanes > 1).then(|| {
+            crate::speculative::SpeculativeEngine::new(
                 derive_seed(seed, 0xEC3),
                 options.speculative_global_lanes,
-            ))
-        } else {
-            None
-        };
+            )
+        });
         Self {
             model,
-            master,
+            master: Sampler::new(model, seed),
             weights: MoveWeights::default(),
             options,
             pool,
@@ -582,16 +529,13 @@ mod tests {
     #[test]
     fn run_reaches_iteration_budget_and_stays_consistent() {
         let (model, _) = scene_model(128, 10, 1);
-        let mut ps = PeriodicSampler::new(
-            &model,
-            7,
-            PeriodicOptions {
-                global_phase_iters: 64,
-                scheme: PartitionScheme::Corner,
-                threads: 2,
-                ..PeriodicOptions::default()
-            },
-        );
+        let pool = WorkerPool::new(2);
+        let options = PeriodicOptions {
+            global_phase_iters: 64,
+            scheme: PartitionScheme::Corner,
+            ..PeriodicOptions::default()
+        };
+        let mut ps = PeriodicSampler::new(&model, 7, options, &pool);
         let report = ps.run(5_000, &RunCtx::default()).unwrap();
         assert!(report.total_iters() >= 5_000);
         assert!(report.cycles > 0);
@@ -611,16 +555,13 @@ mod tests {
     #[test]
     fn grid_scheme_produces_many_tiles() {
         let (model, _) = scene_model(128, 10, 2);
-        let mut ps = PeriodicSampler::new(
-            &model,
-            3,
-            PeriodicOptions {
-                global_phase_iters: 32,
-                scheme: PartitionScheme::Grid { xm: 48, ym: 48 },
-                threads: 4,
-                ..PeriodicOptions::default()
-            },
-        );
+        let pool = WorkerPool::new(4);
+        let options = PeriodicOptions {
+            global_phase_iters: 32,
+            scheme: PartitionScheme::Grid { xm: 48, ym: 48 },
+            ..PeriodicOptions::default()
+        };
+        let mut ps = PeriodicSampler::new(&model, 3, options, &pool);
         let report = ps.run(3_000, &RunCtx::default()).unwrap();
         assert!(report.total_iters() >= 3_000);
         ps.config().verify_consistency(&model).unwrap();
@@ -630,16 +571,13 @@ mod tests {
     fn short_phases_stay_on_the_owning_thread_and_long_ones_fan_out() {
         let (model, _) = scene_model(128, 10, 2);
         let run = |global_phase_iters| {
-            let mut ps = PeriodicSampler::new(
-                &model,
-                3,
-                PeriodicOptions {
-                    global_phase_iters,
-                    scheme: PartitionScheme::Corner,
-                    threads: 3,
-                    ..PeriodicOptions::default()
-                },
-            );
+            let pool = WorkerPool::new(3);
+            let options = PeriodicOptions {
+                global_phase_iters,
+                scheme: PartitionScheme::Corner,
+                ..PeriodicOptions::default()
+            };
+            let mut ps = PeriodicSampler::new(&model, 3, options, &pool);
             let report = ps.run(20_000, &RunCtx::default()).unwrap();
             ps.config().verify_consistency(&model).unwrap();
             (ps.replicas.len(), ps.pool.stats().tasks, report.cycles)
@@ -661,7 +599,8 @@ mod tests {
     #[test]
     fn phase_timers_account_for_the_run() {
         let (model, _) = scene_model(160, 14, 5);
-        let mut ps = PeriodicSampler::new(&model, 13, PeriodicOptions::default());
+        let pool = WorkerPool::new(4);
+        let mut ps = PeriodicSampler::new(&model, 13, PeriodicOptions::default(), &pool);
         let report = ps.run(60_000, &RunCtx::default()).unwrap();
         let phases = report.global_time + report.local_time;
         assert!(
@@ -675,14 +614,14 @@ mod tests {
     #[test]
     fn deterministic_given_seed_and_threads() {
         let (model, _) = scene_model(96, 8, 3);
+        let pool = WorkerPool::new(3);
         let opts = PeriodicOptions {
             global_phase_iters: 50,
             scheme: PartitionScheme::Corner,
-            threads: 3,
             ..PeriodicOptions::default()
         };
         let run = |seed| {
-            let mut ps = PeriodicSampler::new(&model, seed, opts);
+            let mut ps = PeriodicSampler::new(&model, seed, opts, &pool);
             ps.run(2_000, &RunCtx::default()).unwrap();
             (ps.config().len(), ps.config().log_posterior(&model))
         };
@@ -695,16 +634,13 @@ mod tests {
     #[test]
     fn detects_planted_circles_like_sequential() {
         let (model, truth) = scene_model(128, 10, 4);
-        let mut ps = PeriodicSampler::new(
-            &model,
-            5,
-            PeriodicOptions {
-                global_phase_iters: 100,
-                scheme: PartitionScheme::Corner,
-                threads: 4,
-                ..PeriodicOptions::default()
-            },
-        );
+        let pool = WorkerPool::new(4);
+        let options = PeriodicOptions {
+            global_phase_iters: 100,
+            scheme: PartitionScheme::Corner,
+            ..PeriodicOptions::default()
+        };
+        let mut ps = PeriodicSampler::new(&model, 5, options, &pool);
         ps.run(40_000, &RunCtx::default()).unwrap();
         let detected = ps.config().circles().to_vec();
         let m = pmcmc_core::match_circles(&truth, &detected, 5.0);
@@ -722,16 +658,13 @@ mod tests {
         // eq. (3) realised: periodic partitioning with 4-lane speculative
         // Mg phases is still an exact sampler.
         let (model, truth) = scene_model(128, 10, 6);
-        let mut ps = PeriodicSampler::new(
-            &model,
-            21,
-            PeriodicOptions {
-                global_phase_iters: 100,
-                scheme: PartitionScheme::Corner,
-                threads: 4,
-                speculative_global_lanes: 4,
-            },
-        );
+        let pool = WorkerPool::new(4);
+        let options = PeriodicOptions {
+            global_phase_iters: 100,
+            scheme: PartitionScheme::Corner,
+            speculative_global_lanes: 4,
+        };
+        let mut ps = PeriodicSampler::new(&model, 21, options, &pool);
         let report = ps.run(40_000, &RunCtx::default()).unwrap();
         assert!(report.total_iters() >= 40_000);
         ps.config().verify_consistency(&model).unwrap();
@@ -753,16 +686,13 @@ mod tests {
         let params = ModelParams::new(64, 64, 0.5, 8.0);
         let img = pmcmc_imaging::GrayImage::filled(64, 64, 0.1);
         let model = NucleiModel::new(&img, params);
-        let mut ps = PeriodicSampler::new(
-            &model,
-            9,
-            PeriodicOptions {
-                global_phase_iters: 20,
-                scheme: PartitionScheme::Corner,
-                threads: 2,
-                ..PeriodicOptions::default()
-            },
-        );
+        let pool = WorkerPool::new(2);
+        let options = PeriodicOptions {
+            global_phase_iters: 20,
+            scheme: PartitionScheme::Corner,
+            ..PeriodicOptions::default()
+        };
+        let mut ps = PeriodicSampler::new(&model, 9, options, &pool);
         let report = ps.run(1_000, &RunCtx::default()).unwrap();
         assert!(report.total_iters() >= 1_000);
         ps.config().verify_consistency(&model).unwrap();

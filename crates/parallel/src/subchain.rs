@@ -5,14 +5,16 @@
 //! to the paper's "the pixel data for neighbouring partitions will be
 //! blanked out"), the partition's prior knowledge is mechanically estimated
 //! from the thresholded pixel count (eq. 5), and the chain runs until the
-//! convergence detector fires (Table I's "# itr to converge").
+//! convergence detector fires (Table I's "# itr to converge"). Naive
+//! partitioning runs the same chain, optionally with its `λ/n` prior.
 
+use crate::engine::RunRequest;
 use crate::job::{RunCtx, RunError};
 use pmcmc_core::diagnostics::{AcceptanceStats, ConvergenceDetector};
+use pmcmc_core::rng::derive_seed;
 use pmcmc_core::{NucleiModel, Sampler};
 use pmcmc_imaging::filter::threshold;
-use pmcmc_imaging::{Circle, GrayImage, Rect};
-use pmcmc_runtime::WorkerPool;
+use pmcmc_imaging::{Circle, Rect};
 use std::time::{Duration, Instant};
 
 /// The eq. (5) artifact-count estimator:
@@ -23,7 +25,9 @@ pub fn eq5_estimate(thresholded_pixels: usize, radius_mean: f64) -> f64 {
     thresholded_pixels as f64 / (std::f64::consts::PI * radius_mean * radius_mean)
 }
 
-/// Options for a partition chain.
+/// Options for a partition chain. Its iteration cap is not among them: a
+/// chain runs at most the request's budget ([`RunRequest::iterations`])
+/// before it settles.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SubChainOptions {
     /// Threshold θ for the eq. (5) estimator.
@@ -32,13 +36,12 @@ pub struct SubChainOptions {
     pub conv_window: usize,
     /// Convergence tolerance (log-posterior units).
     pub conv_tol: f64,
-    /// Iterations between convergence checks.
+    /// Iterations between convergence checks, and between the cancel
+    /// polls of the settle (at least 1).
     pub conv_stride: u64,
-    /// Hard iteration cap.
-    pub max_iters: u64,
     /// Iterations to keep running after convergence is detected (letting
     /// the state settle at the mode before sampling it), as a fraction of
-    /// the convergence iteration.
+    /// the convergence iteration (in `[0, 1]`).
     pub settle_frac: f64,
 }
 
@@ -49,7 +52,6 @@ impl Default for SubChainOptions {
             conv_window: 20,
             conv_tol: 0.5,
             conv_stride: 200,
-            max_iters: 400_000,
             settle_frac: 0.25,
         }
     }
@@ -60,7 +62,8 @@ impl Default for SubChainOptions {
 pub struct SubChainResult {
     /// The partition rectangle (global coordinates).
     pub rect: Rect,
-    /// eq. (5) expected-count estimate used as the partition's prior.
+    /// The expected count the partition's prior used: the eq. (5)
+    /// estimate, or the caller's (naive's `λ/n`).
     pub expected_count: f64,
     /// Thresholded pixel count within the partition.
     pub thresholded_pixels: usize,
@@ -76,55 +79,48 @@ pub struct SubChainResult {
     pub stats: AcceptanceStats,
 }
 
-/// The sub-model of a partition whose cropped image is `crop`: the full
-/// model's parameters and proposal scales over the crop, with the
-/// partition's own `expected_count` — partition priors are estimated
-/// (eq. 5), never inherited from the full image.
-#[must_use]
-pub(crate) fn partition_model(
-    full: &NucleiModel,
-    crop: &GrayImage,
-    expected_count: f64,
-) -> NucleiModel {
-    let mut params = full.params.clone();
-    params.width = crop.width();
-    params.height = crop.height();
-    params.expected_count = expected_count;
-    NucleiModel::with_scales(crop, params, full.scales)
-}
-
-/// Runs an independent chain on `rect` of `img`. The partition's sub-model
-/// is built on the cropped image with `full`'s parameters and proposal
-/// scales, and with the eq. (5) prior estimate taken from the thresholded
-/// crop — partitions never inherit the full image's `expected_count`.
+/// Runs an independent chain on `rect` of `req.image`, seeded with `seed`
+/// (the pipelines pass `derive_seed(req.seed, i)` for partition `i`). The
+/// partition's sub-model is built on the cropped image with `full`'s
+/// parameters and proposal scales (`full` is the request's model) and the
+/// partition's own expected count: `prior` when the caller gives one
+/// (naive's `λ/n`), else the eq. (5) estimate from the thresholded crop —
+/// partitions never inherit the full image's `expected_count`.
 ///
-/// The cancel token / deadline of `ctx` are polled at every
-/// convergence-check stride (so a running chain stops within `conv_stride`
-/// iterations of the token firing), and [`crate::job::Event::Converged`] is
-/// emitted when the detector fires. A stopped chain returns its partial
-/// result — the caller (the partition pipelines) decides whether that
-/// becomes a structured error.
+/// The chain runs until the convergence detector fires or it reaches
+/// `req.iterations`, then settles for `settle_frac` of its convergence
+/// iteration. The cancel token / deadline of `ctx` are polled every
+/// `conv_stride` iterations of both stages (so a running chain stops
+/// within `conv_stride` iterations of the token firing), and
+/// [`crate::job::Event::Converged`] is emitted when the detector fires. A
+/// stopped chain returns its partial result — the caller (the partition
+/// pipelines) decides whether that becomes a structured error.
 #[must_use]
 pub fn run_partition_chain(
     full: &NucleiModel,
-    img: &GrayImage,
+    req: &RunRequest<'_>,
     rect: Rect,
+    prior: Option<f64>,
     opts: &SubChainOptions,
     seed: u64,
     ctx: &RunCtx,
 ) -> SubChainResult {
-    let rect = rect.intersect(&img.frame());
-    let crop = img.crop(&rect);
-    let mask = threshold(&crop, opts.theta);
-    let thresholded_pixels = mask.count_ones();
-    let expected = eq5_estimate(thresholded_pixels, full.params.radius_prior.mu).max(0.05);
-    let model = partition_model(full, &crop, expected);
+    let rect = rect.intersect(&req.image.frame());
+    let crop = req.image.crop(&rect);
+    let thresholded_pixels = threshold(&crop, opts.theta).count_ones();
+    let mut params = full.params.clone();
+    params.width = crop.width();
+    params.height = crop.height();
+    params.expected_count = prior
+        .unwrap_or_else(|| eq5_estimate(thresholded_pixels, params.radius_prior.mu))
+        .max(0.05);
+    let model = NucleiModel::with_scales(&crop, params, full.scales);
 
     let start = Instant::now();
     let mut sampler = Sampler::new_empty(&model, seed);
     let mut detector = ConvergenceDetector::new(opts.conv_window, opts.conv_tol);
     let mut converged_at = None;
-    while sampler.iterations() < opts.max_iters && !ctx.stopped() {
+    while sampler.iterations() < req.iterations && !ctx.stopped() {
         sampler.run(opts.conv_stride);
         if detector.push(sampler.iterations(), sampler.log_posterior()) {
             converged_at = detector.converged_at();
@@ -134,9 +130,9 @@ pub fn run_partition_chain(
     if let Some(at) = converged_at {
         ctx.converged(at);
         // Settle briefly at the mode so the sampled state is representative.
-        let settle = ((at as f64) * opts.settle_frac) as u64;
-        if !ctx.stopped() {
-            sampler.run(settle);
+        let settled = sampler.iterations() + ((at as f64) * opts.settle_frac) as u64;
+        while sampler.iterations() < settled && !ctx.stopped() {
+            sampler.run(opts.conv_stride.min(settled - sampler.iterations()));
         }
     }
     let runtime = start.elapsed();
@@ -150,7 +146,7 @@ pub fn run_partition_chain(
 
     SubChainResult {
         rect,
-        expected_count: expected,
+        expected_count: model.params.expected_count,
         thresholded_pixels,
         detected,
         iterations: sampler.iterations(),
@@ -160,35 +156,40 @@ pub fn run_partition_chain(
     }
 }
 
-/// The fan-out stage of the partition pipelines: runs `chain(index, rect)`
-/// for every `(weight, rect)` cell concurrently on `pool` (heaviest weight
-/// first — the pool's LPT order load-balances when cells outnumber
-/// threads), ticking per-partition progress as chains finish.
+/// The chain stage of the partition pipelines: one [`run_partition_chain`]
+/// per `(weight, rect)` cell, with `prior` and the seed
+/// `derive_seed(req.seed, i)` for cell `i`, run concurrently on
+/// `req.pool` (heaviest weight first — the pool's LPT order load-balances
+/// when cells outnumber threads), ticking per-partition progress as
+/// chains finish.
 ///
 /// # Errors
 /// The structured stop error when `ctx` stopped the run;
 /// `completed_iterations` sums what the chains ran before winding down.
 pub(crate) fn fan_out_chains(
+    full: &NucleiModel,
+    req: &RunRequest<'_>,
     cells: Vec<(f64, Rect)>,
-    pool: &WorkerPool,
+    prior: Option<f64>,
+    opts: &SubChainOptions,
     ctx: &RunCtx,
-    chain: impl Fn(usize, Rect) -> SubChainResult + Sync,
 ) -> Result<Vec<SubChainResult>, RunError> {
     let progress = ctx.partition_progress(cells.len() as u64);
-    let (chain, progress) = (&chain, &progress);
+    let progress = &progress;
     let tasks: Vec<(f64, _)> = cells
         .into_iter()
         .enumerate()
         .map(|(i, (weight, rect))| {
             let task = move || {
-                let result = chain(i, rect);
+                let seed = derive_seed(req.seed, i as u64);
+                let result = run_partition_chain(full, req, rect, prior, opts, seed, ctx);
                 progress.tick();
                 result
             };
             (weight, task)
         })
         .collect();
-    let chains = pool.run_batch(tasks);
+    let chains = req.pool.run_batch(tasks);
     ctx.should_stop(chains.iter().map(|c| c.iterations).sum())?;
     Ok(chains)
 }
@@ -198,6 +199,8 @@ mod tests {
     use super::*;
     use pmcmc_core::{ModelParams, Xoshiro256};
     use pmcmc_imaging::synth::{generate_clustered, ClusterSpec, SceneSpec};
+    use pmcmc_imaging::GrayImage;
+    use pmcmc_runtime::WorkerPool;
 
     fn clustered_image(seed: u64) -> (GrayImage, Vec<Circle>) {
         let spec = SceneSpec {
@@ -240,13 +243,13 @@ mod tests {
     #[test]
     fn partition_chain_detects_local_cluster() {
         let (img, truth) = clustered_image(1);
-        let full = NucleiModel::new(&img, ModelParams::new(256, 256, 9.0, 8.0));
+        let params = ModelParams::new(256, 256, 9.0, 8.0);
+        let full = NucleiModel::new(&img, params.clone());
+        let pool = WorkerPool::new(1);
+        let req = RunRequest::new(&img, &params, &pool, 42).iterations(60_000);
         let rect = Rect::new(0, 0, 128, 128); // contains first cluster
-        let opts = SubChainOptions {
-            max_iters: 60_000,
-            ..SubChainOptions::default()
-        };
-        let res = run_partition_chain(&full, &img, rect, &opts, 42, &RunCtx::default());
+        let opts = SubChainOptions::default();
+        let res = run_partition_chain(&full, &req, rect, None, &opts, 42, &RunCtx::default());
         assert!(
             res.expected_count > 1.0,
             "eq5 estimate {}",
@@ -274,16 +277,16 @@ mod tests {
     #[test]
     fn empty_partition_converges_fast_with_no_detections() {
         let img = GrayImage::filled(128, 128, 0.1);
-        let full = NucleiModel::new(&img, ModelParams::new(128, 128, 5.0, 8.0));
-        let opts = SubChainOptions {
-            max_iters: 30_000,
-            ..SubChainOptions::default()
-        };
+        let params = ModelParams::new(128, 128, 5.0, 8.0);
+        let full = NucleiModel::new(&img, params.clone());
+        let pool = WorkerPool::new(1);
+        let req = RunRequest::new(&img, &params, &pool, 7).iterations(30_000);
         let res = run_partition_chain(
             &full,
-            &img,
+            &req,
             Rect::new(0, 0, 64, 64),
-            &opts,
+            None,
+            &SubChainOptions::default(),
             7,
             &RunCtx::default(),
         );
@@ -301,19 +304,70 @@ mod tests {
         // The core §VIII claim: per-partition processing is faster because
         // there are fewer artifacts and a smaller state space.
         let (img, _) = clustered_image(3);
-        let full = NucleiModel::new(&img, ModelParams::new(256, 256, 9.0, 8.0));
+        let params = ModelParams::new(256, 256, 9.0, 8.0);
+        let full = NucleiModel::new(&img, params.clone());
+        let pool = WorkerPool::new(1);
+        let req = RunRequest::new(&img, &params, &pool, 9).iterations(150_000);
         let ctx = RunCtx::default();
-        let opts = SubChainOptions {
-            max_iters: 150_000,
-            ..SubChainOptions::default()
-        };
-        let whole = run_partition_chain(&full, &img, Rect::new(0, 0, 256, 256), &opts, 9, &ctx);
-        let part = run_partition_chain(&full, &img, Rect::new(0, 0, 128, 128), &opts, 9, &ctx);
+        let opts = SubChainOptions::default();
+        let chain = |rect| run_partition_chain(&full, &req, rect, None, &opts, 9, &ctx);
+        let whole = chain(Rect::new(0, 0, 256, 256));
+        let part = chain(Rect::new(0, 0, 128, 128));
         let w_at = whole.converged_at.unwrap_or(whole.iterations);
         let p_at = part.converged_at.unwrap_or(part.iterations);
         assert!(
             p_at < w_at,
             "partition converged at {p_at}, whole image at {w_at}"
         );
+    }
+
+    /// The settle polls `ctx` every `conv_stride` iterations: a settle of
+    /// 10¹² times the convergence iteration stops at the first stride
+    /// boundary after its token fires.
+    #[test]
+    fn a_cancel_stops_the_settle_at_a_stride_boundary() {
+        let img = GrayImage::filled(64, 64, 0.1);
+        let params = ModelParams::new(64, 64, 1.0, 8.0);
+        let full = NucleiModel::new(&img, params.clone());
+        let pool = WorkerPool::new(1);
+        let req = RunRequest::new(&img, &params, &pool, 3).iterations(20_000);
+        let rect = img.frame();
+        let opts = SubChainOptions {
+            conv_stride: 50,
+            settle_frac: 1.0,
+            ..SubChainOptions::default()
+        };
+        let settled = run_partition_chain(&full, &req, rect, None, &opts, 3, &RunCtx::new());
+        let at = settled.converged_at.expect("an empty image converges");
+        assert_eq!(settled.iterations, 2 * at, "a whole settle, in strides");
+
+        // Cancel 50 ms into a settle that would never end.
+        let token = crate::job::CancelToken::new();
+        let (converged, wait) = std::sync::mpsc::channel();
+        let canceller = {
+            let token = token.clone();
+            std::thread::spawn(move || {
+                wait.recv().expect("the chain converges");
+                std::thread::sleep(Duration::from_millis(50));
+                token.cancel();
+            })
+        };
+        let converged = std::sync::Mutex::new(converged);
+        let ctx = RunCtx::new()
+            .with_cancel(token)
+            .with_observer(move |event| {
+                if matches!(event, crate::job::Event::Converged { .. }) {
+                    let _ = converged.lock().expect("sender").send(());
+                }
+            });
+        let endless = SubChainOptions {
+            settle_frac: 1e12,
+            ..opts
+        };
+        let stopped = run_partition_chain(&full, &req, rect, None, &endless, 3, &ctx);
+        canceller.join().expect("canceller");
+        assert_eq!(stopped.converged_at, Some(at));
+        assert!(stopped.iterations > at, "no settle ran before the cancel");
+        assert_eq!((stopped.iterations - at) % 50, 0, "stopped mid-stride");
     }
 }

@@ -68,8 +68,11 @@ use std::time::Duration;
 /// ([`wire_struct!`](crate::wire_struct), [`wire_enum!`](crate::wire_enum)),
 /// byte for byte as before. v6's payload layout is v5's: a job report's
 /// phase label outside the shipped set, which v5 decoders accepted (and
-/// leaked), is malformed.
-pub const WIRE_VERSION: u8 = 6;
+/// leaked), is malformed. v7 drops two strategy options the run's request
+/// overrode: `PeriodicOptions::threads` (the pool decides) and
+/// `SubChainOptions::max_iters` (the request's budget caps every
+/// partition chain), 8 bytes each from periodic and partition specs.
+pub const WIRE_VERSION: u8 = 7;
 
 /// Frame magic: the first two bytes of every frame.
 pub const MAGIC: [u8; 2] = *b"PM";
@@ -824,10 +827,10 @@ mod tests {
     /// the little-endian payload length. Only the version byte changes
     /// from one version to the next; bump it here with [`WIRE_VERSION`].
     #[test]
-    fn frame_header_golden_bytes_v6() {
+    fn frame_header_golden_bytes_v7() {
         let mut buf = Vec::new();
         write_frame(&mut buf, FrameKind::Heartbeat, &[7]).unwrap();
-        assert_eq!(buf, [b'P', b'M', 6, 2, 1, 0, 0, 0, 7]);
+        assert_eq!(buf, [b'P', b'M', 7, 2, 1, 0, 0, 0, 7]);
     }
 
     #[test]

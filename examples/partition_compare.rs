@@ -10,7 +10,8 @@
 //! This example stays on the scheme-specific `run_intelligent`/`run_blind`
 //! layers because it reads per-partition geometry the uniform report does
 //! not carry; for service-style runs use the job API (see
-//! `examples/strategy_sweep.rs`).
+//! `examples/strategy_sweep.rs`). Like every scheme, these take their
+//! pool, seed and per-chain iteration cap from one `RunRequest`.
 //!
 //! Run with: `cargo run --release --example partition_compare`
 //! (`PMCMC_QUICK=1` shrinks the budget for CI smoke runs).
@@ -72,24 +73,20 @@ fn main() {
     // No wider than the host: time-sliced chains would inflate the
     // per-partition runtimes that table I and §IX compare.
     let pool = WorkerPool::new(cores.min(4));
+    // Every chain below — per partition, or the whole image — is capped
+    // at this budget.
+    let budget = if quick { 30_000 } else { 400_000 };
+    let req = |seed| RunRequest::new(&image, &base, &pool, seed).iterations(budget);
     // One full-image model, shared by the three pipelines (each partition
     // chain crops its sub-model out of it).
-    let full = NucleiModel::new(&image, base);
+    let full = req(0).model();
     let ctx = RunCtx::default();
-    let chain = SubChainOptions {
-        max_iters: if quick {
-            30_000
-        } else {
-            SubChainOptions::default().max_iters
-        },
-        ..SubChainOptions::default()
-    };
+    let chain = SubChainOptions::default();
 
     // --- Intelligent partitioning (Fig. 3).
     let partitioner = IntelligentPartitioner::default();
-    let intel =
-        pmcmc::parallel::run_intelligent(&full, &image, &partitioner, &chain, &pool, 1, &ctx)
-            .expect("nothing cancels this run");
+    let intel = pmcmc::parallel::run_intelligent(&full, &req(1), &partitioner, &chain, &ctx)
+        .expect("nothing cancels this run");
     let m_intel = match_circles(truth, &intel.merged, 5.0);
     println!(
         "intelligent: {} partitions, {} detected, F1 {:.2}, anomalies {}, total {:.2}s",
@@ -103,7 +100,7 @@ fn main() {
     // --- Table I: the whole image, then each partition the pre-processor
     // found (the paper labels them A/B/C in discovery order too).
     let frame = Rect::of_image(384, 384);
-    let whole = pmcmc::parallel::run_partition_chain(&full, &image, frame, &chain, 5, &ctx);
+    let whole = pmcmc::parallel::run_partition_chain(&full, &req(5), frame, None, &chain, 5, &ctx);
     let whole_s = whole.runtime.as_secs_f64();
     println!(
         "Table I   area px²  rel area  #visual  #density  #eq5  us/iter  #itr conv  runtime s  rel"
@@ -136,11 +133,7 @@ fn main() {
     );
 
     // --- Blind partitioning (Fig. 4).
-    let options = BlindOptions {
-        chain,
-        ..BlindOptions::default()
-    };
-    let blind = pmcmc::parallel::run_blind(&full, &image, &options, &pool, 2, &ctx)
+    let blind = pmcmc::parallel::run_blind(&full, &req(2), &BlindOptions::default(), &ctx)
         .expect("nothing cancels this run");
     let m_blind = match_circles(truth, &blind.merged, 5.0);
     println!(
@@ -169,7 +162,7 @@ fn main() {
     );
 
     // --- Naive baseline.
-    let naive = pmcmc::parallel::run_naive(&full, &image, &NaiveOptions::default(), &pool, 3, &ctx)
+    let naive = pmcmc::parallel::run_naive(&full, &req(3), &NaiveOptions::default(), &ctx)
         .expect("nothing cancels this run");
     let m_naive = match_circles(truth, &naive.merged, 5.0);
     println!(

@@ -69,14 +69,15 @@ fn main() {
             (s.config.circles().to_vec(), s.log_posterior())
         }));
     }
+    // Every periodic chain fans its local phases out over this one pool.
+    let pool = WorkerPool::new(cores.min(4));
     for phase in [64u64, 512, 4096] {
         for &seed in seeds {
             let options = PeriodicOptions {
                 global_phase_iters: phase,
-                threads: cores.min(4),
                 ..PeriodicOptions::default()
             };
-            let mut ps = PeriodicSampler::new(&model, seed, options);
+            let mut ps = PeriodicSampler::new(&model, seed, options, &pool);
             per_means.push(row(&format!("periodic/{phase}"), seed, &mut |n| {
                 ps.run(n, &RunCtx::default())
                     .expect("nothing cancels this run");

@@ -128,6 +128,8 @@ fn main() {
     // eq. (3) realised: `periodic:lanes=K` on the widest pool that fits.
     let threads = cores.clamp(2, 4);
     println!("\neq.(3) realised: periodic, {threads} threads, speculative Mg lanes");
+    // The periodic sampler's local phases run on this pool, its threads.
+    let pool = WorkerPool::new(threads);
     for lanes in [1usize, 2, 4] {
         let width = lanes.max(threads);
         if quick && wide(width) {
@@ -135,12 +137,11 @@ fn main() {
         }
         let options = PeriodicOptions {
             global_phase_iters: 512,
-            threads,
             speculative_global_lanes: lanes,
             ..PeriodicOptions::default()
         };
         let t1 = Instant::now();
-        let report = PeriodicSampler::new(&model, 3, options).run(iters, &RunCtx::default());
+        let report = PeriodicSampler::new(&model, 3, options, &pool).run(iters, &RunCtx::default());
         let done = report.expect("nothing cancels this run").total_iters();
         let frac = t1.elapsed().as_secs_f64() * n / done as f64 / t_seq;
         let versus = if wide(width) {

@@ -44,16 +44,13 @@ fn scene_generation_is_deterministic() {
 fn periodic_identical_across_thread_counts() {
     let (m, _, _) = model();
     let run = |threads: usize| {
-        let mut ps = PeriodicSampler::new(
-            &m,
-            42,
-            PeriodicOptions {
-                global_phase_iters: 100,
-                scheme: PartitionScheme::Corner,
-                threads,
-                ..PeriodicOptions::default()
-            },
-        );
+        let pool = WorkerPool::new(threads);
+        let options = PeriodicOptions {
+            global_phase_iters: 100,
+            scheme: PartitionScheme::Corner,
+            ..PeriodicOptions::default()
+        };
+        let mut ps = PeriodicSampler::new(&m, 42, options, &pool);
         ps.run(20_000, &RunCtx::default()).unwrap();
         fingerprint(ps.config().circles())
     };
@@ -69,17 +66,13 @@ fn periodic_identical_across_thread_counts() {
 #[test]
 fn blind_identical_across_pool_sizes() {
     let (_, truth, img) = model();
-    let full = NucleiModel::new(&img, ModelParams::new(160, 160, truth.len() as f64, 8.0));
-    let opts = BlindOptions {
-        chain: SubChainOptions {
-            max_iters: 20_000,
-            ..SubChainOptions::default()
-        },
-        ..BlindOptions::default()
-    };
+    let params = ModelParams::new(160, 160, truth.len() as f64, 8.0);
+    let full = NucleiModel::new(&img, params.clone());
+    let opts = BlindOptions::default();
     let run = |threads: usize| {
         let pool = WorkerPool::new(threads);
-        let res = pmcmc::parallel::run_blind(&full, &img, &opts, &pool, 5, &RunCtx::default())
+        let req = RunRequest::new(&img, &params, &pool, 5).iterations(20_000);
+        let res = pmcmc::parallel::run_blind(&full, &req, &opts, &RunCtx::default())
             .expect("nothing cancels this run");
         fingerprint(&res.merged)
     };
@@ -118,20 +111,16 @@ fn intelligent_identical_across_pool_sizes() {
     let mut rng = Xoshiro256::new(3);
     let sc = generate_clustered(&spec, &clusters, &mut rng);
     let img = sc.render(&mut rng);
-    let full = NucleiModel::new(&img, ModelParams::new(224, 224, 7.0, 8.0));
-    let opts = SubChainOptions {
-        max_iters: 20_000,
-        ..SubChainOptions::default()
-    };
+    let params = ModelParams::new(224, 224, 7.0, 8.0);
+    let full = NucleiModel::new(&img, params.clone());
     let run = |threads: usize| {
         let pool = WorkerPool::new(threads);
+        let req = RunRequest::new(&img, &params, &pool, 9).iterations(20_000);
         let res = pmcmc::parallel::run_intelligent(
             &full,
-            &img,
+            &req,
             &IntelligentPartitioner::default(),
-            &opts,
-            &pool,
-            9,
+            &SubChainOptions::default(),
             &RunCtx::default(),
         )
         .expect("nothing cancels this run");

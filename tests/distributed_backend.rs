@@ -174,3 +174,90 @@ fn a_zero_max_in_flight_is_rejected_as_an_invalid_spec() {
         connected.err()
     );
 }
+
+/// Scheme options that once hung a job are rejected by a daemon too. Sent
+/// as raw `Assign`s, past the coordinator's submit-time check, each comes
+/// back within seconds as an `InvalidSpec` result: a remote run has no
+/// cancel token, so a job that hung on a daemon was lost.
+#[test]
+fn a_daemon_answers_a_hanging_spec_with_invalid_spec() {
+    use pmcmc::parallel::job::wire::{Assign, JobBlueprint, JobResult};
+    use pmcmc::runtime::wire::{FrameKind, Hello, Wire, WIRE_VERSION};
+    use pmcmc::runtime::FrameConn;
+    use std::time::Duration;
+
+    let daemon = InProcessDaemon::spawn(1, 2).expect("loopback daemon");
+    let mut conn = FrameConn::connect_timeout(&daemon.addr(), Duration::from_secs(5))
+        .expect("coordinator connects");
+    let hello = Hello {
+        version: WIRE_VERSION,
+        node: 0,
+        workers: 0,
+    };
+    conn.send(FrameKind::Hello, &hello.to_wire_bytes())
+        .expect("hello out");
+    assert_eq!(conn.recv().expect("hello back").kind, FrameKind::Hello);
+
+    // A chain that never advances, and a settle 10¹² times the
+    // convergence iteration.
+    let frozen = SubChainOptions {
+        conv_stride: 0,
+        conv_tol: 0.0,
+        ..SubChainOptions::default()
+    };
+    let endless = SubChainOptions {
+        settle_frac: 1e12,
+        ..SubChainOptions::default()
+    };
+    let (image, params) = workload(48, 2, 3);
+    for (job, chain) in (1u64..).zip([frozen, endless]) {
+        let blueprint = JobBlueprint {
+            strategy: StrategySpec::Blind(BlindOptions {
+                chain,
+                ..BlindOptions::default()
+            }),
+            image: image.clone(),
+            params: params.clone(),
+            seed: 7,
+            iterations: 20_000,
+            remaining_deadline: None,
+            checkpoint_interval: None,
+            progress_stride: 512,
+            queued_so_far: Duration::ZERO,
+        };
+        conn.send(FrameKind::Assign, &Assign::payload(job, &blueprint))
+            .expect("assign out");
+    }
+
+    // Results are read on a thread of their own: a daemon that runs such
+    // a job never answers, and the test must fail rather than hang.
+    let (tx, rx) = std::sync::mpsc::channel();
+    let mut reader = conn.try_clone().expect("socket clones");
+    std::thread::spawn(move || {
+        while let Ok(frame) = reader.recv() {
+            if frame.kind == FrameKind::Result
+                && tx.send(JobResult::from_wire_bytes(&frame.payload)).is_err()
+            {
+                return;
+            }
+        }
+    });
+    let mut answered: Vec<u64> = (0..2)
+        .map(|_| {
+            let result = (rx.recv_timeout(Duration::from_secs(10)))
+                .expect("the daemon answers within seconds")
+                .expect("the result decodes");
+            assert!(
+                matches!(result.outcome, Err(RunError::InvalidSpec(_))),
+                "job {}: {:?}",
+                result.job,
+                result.outcome
+            );
+            result.job
+        })
+        .collect();
+    answered.sort_unstable();
+    assert_eq!(answered, [1, 2]);
+    conn.send(FrameKind::Shutdown, &[]).expect("shutdown");
+    daemon.join();
+}

@@ -56,13 +56,33 @@ fn invalid_specs_are_rejected_up_front() {
     // Image / parameter dimension mismatch.
     let mismatched = JobSpec::new(
         StrategySpec::Sequential,
-        img,
+        img.clone(),
         ModelParams::new(32, 32, 3.0, 8.0),
     );
     assert!(matches!(
         engine.submit(mismatched),
         Err(RunError::InvalidSpec(_))
     ));
+
+    // Partition-chain options that hung a job: a chain that never
+    // advances, and a settle far beyond any budget.
+    let frozen = SubChainOptions {
+        conv_stride: 0,
+        conv_tol: 0.0,
+        ..SubChainOptions::default()
+    };
+    let endless = SubChainOptions {
+        settle_frac: 1e12,
+        ..SubChainOptions::default()
+    };
+    for chain in [frozen, endless] {
+        let blind = StrategySpec::Blind(BlindOptions {
+            chain,
+            ..BlindOptions::default()
+        });
+        let spec = JobSpec::new(blind, img.clone(), params.clone()).iterations(1_000);
+        assert!(matches!(engine.submit(spec), Err(RunError::InvalidSpec(_))));
+    }
 
     // A bad batch starts nothing.
     let (img2, params2) = workload(64, 3, 2);

@@ -98,16 +98,13 @@ fn sequential_pipeline_detects_scene() {
 #[test]
 fn periodic_pipeline_matches_sequential_quality() {
     let (model, truth, _) = scene(2);
-    let mut ps = PeriodicSampler::new(
-        &model,
-        11,
-        PeriodicOptions {
-            global_phase_iters: 128,
-            scheme: PartitionScheme::Corner,
-            threads: 4,
-            ..PeriodicOptions::default()
-        },
-    );
+    let pool = WorkerPool::new(4);
+    let options = PeriodicOptions {
+        global_phase_iters: 128,
+        scheme: PartitionScheme::Corner,
+        ..PeriodicOptions::default()
+    };
+    let mut ps = PeriodicSampler::new(&model, 11, options, &pool);
     ps.run(60_000, &RunCtx::default()).unwrap();
     let m = match_circles(&truth, ps.config().circles(), 5.0);
     assert!(m.f1() >= 0.85, "periodic F1 {}", m.f1());
@@ -117,16 +114,13 @@ fn periodic_pipeline_matches_sequential_quality() {
 #[test]
 fn periodic_grid_scheme_pipeline() {
     let (model, truth, _) = scene(3);
-    let mut ps = PeriodicSampler::new(
-        &model,
-        12,
-        PeriodicOptions {
-            global_phase_iters: 128,
-            scheme: PartitionScheme::Grid { xm: 96, ym: 96 },
-            threads: 4,
-            ..PeriodicOptions::default()
-        },
-    );
+    let pool = WorkerPool::new(4);
+    let options = PeriodicOptions {
+        global_phase_iters: 128,
+        scheme: PartitionScheme::Grid { xm: 96, ym: 96 },
+        ..PeriodicOptions::default()
+    };
+    let mut ps = PeriodicSampler::new(&model, 12, options, &pool);
     ps.run(60_000, &RunCtx::default()).unwrap();
     let m = match_circles(&truth, ps.config().circles(), 5.0);
     assert!(m.f1() >= 0.8, "grid periodic F1 {}", m.f1());
@@ -154,16 +148,11 @@ fn mc3_pipeline_detects_scene() {
 #[test]
 fn blind_pipeline_on_uniform_scene() {
     let (_, truth, img) = scene(6);
-    let full = NucleiModel::new(&img, ModelParams::new(192, 192, truth.len() as f64, 8.0));
+    let params = ModelParams::new(192, 192, truth.len() as f64, 8.0);
     let pool = WorkerPool::new(4);
-    let opts = BlindOptions {
-        chain: SubChainOptions {
-            max_iters: 60_000,
-            ..SubChainOptions::default()
-        },
-        ..BlindOptions::default()
-    };
-    let res = pmcmc::parallel::run_blind(&full, &img, &opts, &pool, 15, &RunCtx::default())
+    let req = RunRequest::new(&img, &params, &pool, 15).iterations(60_000);
+    let opts = BlindOptions::default();
+    let res = pmcmc::parallel::run_blind(&req.model(), &req, &opts, &RunCtx::default())
         .expect("nothing cancels this run");
     let m = match_circles(&truth, &res.merged, 5.0);
     assert!(m.f1() >= 0.8, "blind F1 {}", m.f1());
@@ -198,18 +187,14 @@ fn intelligent_pipeline_on_clustered_scene() {
     let mut rng = Xoshiro256::new(7);
     let sc = generate_clustered(&spec, &clusters, &mut rng);
     let img = sc.render(&mut rng);
-    let full = NucleiModel::new(&img, ModelParams::new(256, 256, 10.0, 8.0));
+    let params = ModelParams::new(256, 256, 10.0, 8.0);
     let pool = WorkerPool::new(4);
+    let req = RunRequest::new(&img, &params, &pool, 16).iterations(60_000);
     let res = pmcmc::parallel::run_intelligent(
-        &full,
-        &img,
+        &req.model(),
+        &req,
         &IntelligentPartitioner::default(),
-        &SubChainOptions {
-            max_iters: 60_000,
-            ..SubChainOptions::default()
-        },
-        &pool,
-        16,
+        &SubChainOptions::default(),
         &RunCtx::default(),
     )
     .expect("nothing cancels this run");
@@ -239,7 +224,8 @@ fn all_exact_methods_agree_on_posterior_count() {
         seq_counts.push(seq.config.len());
     }
 
-    let mut per = PeriodicSampler::new(&model, 31, PeriodicOptions::default());
+    let pool = WorkerPool::new(4);
+    let mut per = PeriodicSampler::new(&model, 31, PeriodicOptions::default(), &pool);
     let mut per_counts = Vec::new();
     for _ in 0..120 {
         per.run(500, &RunCtx::default()).unwrap();

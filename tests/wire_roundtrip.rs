@@ -60,7 +60,6 @@ fn arb_spec() -> impl Strategy<Value = StrategySpec> {
                     conv_window: win,
                     conv_tol: tol,
                     conv_stride: stride,
-                    max_iters: g * 4,
                     settle_frac: tol / 10.0,
                 };
                 match variant {
@@ -75,7 +74,6 @@ fn arb_spec() -> impl Strategy<Value = StrategySpec> {
                                 ym: i64::from(rows) * 16,
                             }
                         },
-                        threads: lanes,
                         speculative_global_lanes: lanes / 2,
                     }),
                     2 => StrategySpec::Speculative { lanes },
